@@ -390,7 +390,12 @@ class RobustStepper:
             raise ValueError(f"record increment dy = {dy} is not finite")
         e = expm(self._l_scaled * dy - self._drift, self._tol)
         rhs = e @ state_prev @ e.conj().T
-        x = scipy.linalg.lu_solve(self._factors, rhs.reshape(-1, order="F"), check_finite=False)
+        # The LAPACK call scipy.linalg.lu_solve makes, without its argument
+        # handling; the column is a fresh copy, so it is solved in place.
+        lu, piv = self._factors
+        x, info = self._getrs(lu, piv, rhs.reshape(-1, order="F"), overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"LAPACK getrs rejected argument {-info}")
         return x.reshape((self._n, self._n), order="F")
 
     def advance_many(self, rho: np.ndarray, dy: np.ndarray, t: float):

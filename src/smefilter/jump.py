@@ -3,13 +3,17 @@
 The counting analog of the diffusion machinery: explicit steppers for the
 normalized and linear (unnormalized) jump equations, a Bernoulli sampler for
 records whose count intensity ``eta lam tr(C rho C^dag)`` tracks the evolving
-state, and the pathwise route where the gauge ``A = C^(-N_t)`` is piecewise
-constant and the gauge-frame state ``r`` follows an ordinary differential
-equation between counts, continuous across them.
+state, and the pathwise route.  There the gauge ``A = C^(-N_t)`` is
+piecewise constant and commutes with ``C``, so between counts the state
+follows a linear, time-invariant flow whose exact one-step propagator is a
+single matrix exponential, computed once per record; a count applies the
+jump map ``rho -> C rho C^dag``.  That needs no ``C^-1``, so non-invertible
+jump operators such as ``C = sigma`` are solved as well; only the
+gauge-frame state ``r = A rho~ A^dag`` itself needs ``C`` invertible.
 
-Within one step the drift substep is applied first, then the count map; the
-two orders differ only at higher order in ``dt``, and a fixed convention
-keeps runs deterministic.
+Within one step the drift is applied first, then the count map; the two
+orders differ only at higher order in ``dt``, and a fixed convention keeps
+runs deterministic.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from .diffusion import (
     NonFiniteStateError,
     PathwiseState,
     _normalized_density,
-    recover,
+    recover,  # noqa: F401  (bench/spans.py traces this name in this module)
 )
-from .linalg import as_square, dagger, require_hermitian
-from .ode import rk4_step
+from .linalg import as_square, dagger, expm, kron, require_hermitian
+from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in this module)
 
 
 class InvalidCountingRecordError(ValueError):
@@ -167,16 +171,19 @@ class JumpGauge:
         self.count += 1
 
 
-def _sme_advance(model, rho: np.ndarray, dn: int, dt: float):
+def _sme_advance(model, rho: np.ndarray, dn: int, dt: float, j_rho: np.ndarray | None = None):
     """Drift-then-count Euler update of the normalized state.
 
+    ``j_rho`` is ``C rho C^dag`` when the caller has it already (the sampler
+    builds it for the count probability); it is computed here otherwise.
     Also returns the log of the step's normalization factor, i.e. the trace
     growth the matching linear (unnormalized) step would have produced:
     the drift multiplies the trace by ``1 + dt eta lam (1 - tr(J rho))`` and a
     count multiplies it by ``tr(J rho)`` of the post-drift state.
     """
     C, G, lam, eta = model.C, model.G, model.lam, model.eta
-    j_rho = C @ rho @ dagger(C)
+    if j_rho is None:
+        j_rho = C @ rho @ dagger(C)
     tr_j = float(np.trace(j_rho).real)
     drift = -(G @ rho) - (rho @ dagger(G)) + (1.0 - eta) * lam * j_rho + eta * lam * tr_j * rho
     out = rho + dt * drift
@@ -234,12 +241,27 @@ def count_probability(model, rho, dt: float, t: float | None = None) -> float:
     Raises when the probability reaches 0.1: the per-step Bernoulli
     approximation of the point process degrades there, so decrease ``dt``.
     """
-    tr_j = float(np.trace(model.C @ rho @ dagger(model.C)).real)
-    p = model.eta * model.lam * tr_j * dt
+    return _probability_of(model, model.C @ rho @ dagger(model.C), dt, t)
+
+
+def _probability_of(model, j_rho: np.ndarray, dt: float, t: float | None) -> float:
+    """:func:`count_probability` from ``j_rho = C rho C^dag``."""
+    p = model.eta * model.lam * float(np.trace(j_rho).real) * dt
     if p >= 0.1:
         at = "" if t is None else f" at t = {t:.6g}"
         raise ValueError(f"per-step count probability {p:.3f} >= 0.1{at}; use a smaller dt")
     return p
+
+
+def _sample_step(model, rho: np.ndarray, u: float, dt: float, t: float):
+    """One step of an online counting run from the state ``rho`` at time
+    ``t``: a count registers when ``u`` is below the count probability, and
+    the state advances with :func:`_sme_advance`.  ``C rho C^dag`` is built
+    once and serves both.  Returns ``(dn, rho, dlog)``."""
+    j_rho = model.C @ rho @ dagger(model.C)
+    dn = 1 if u < _probability_of(model, j_rho, dt, t) else 0
+    rho, dlog = _sme_advance(model, rho, dn, dt, j_rho)
+    return dn, rho, dlog
 
 
 def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: float = 0.0) -> CountingRecord:
@@ -257,64 +279,86 @@ def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: floa
     rho = _normalized_density(rho0)
     counts = np.zeros(n, dtype=int)
     for k in range(n):
-        p = count_probability(model, rho, dt, t0 + k * dt)
-        dn = 1 if uniforms[k] < p else 0
-        counts[k] = dn
-        rho, _ = _sme_advance(model, rho, dn, dt)
+        counts[k], rho, _ = _sample_step(model, rho, uniforms[k], dt, t0 + k * dt)
     return CountingRecord(dt, counts, t0)
 
 
 def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
-    """Integrate the gauge-frame flow along a counting record.
+    """Solve the pathwise flow exactly along a counting record.
 
-    Between counts the gauge is constant and ``r`` obeys
-    ``dr/dt = -S r - r S^dag + (1-eta) lam C r C^dag + eta lam r`` with
-    ``S = A G A^-1``; at each count only the gauge advances (``r`` itself is
-    continuous).  Returns the ``r`` path and the recovered normalized states
-    ``rho = A^-1 r A^-dag / tr`` with ``log_lambda = log tr``.
+    The gauge ``A = C^(-N_t)`` commutes with ``C``, so in the original frame
+    ``rho~ = A^-1 r A^-dag`` obeys, between counts, the linear time-invariant
+    equation
+    ``rho~' = -G rho~ - rho~ G^dag + (1-eta) lam C rho~ C^dag + eta lam rho~``.
+    On column-stacked vectors its generator is
+    ``Gen = -(I (x) G) - (conj(G) (x) I) + (1-eta) lam (conj(C) (x) C) + eta lam I``,
+    and ``Phi = expm(dt Gen)`` is the exact propagator over one step, built
+    once.  Each step applies ``Phi``, then ``conj(C) (x) C`` on a count,
+    renormalizes (adding the log of the trace to ``log_lambda``) and
+    hermitizes.
 
-    Requires an invertible jump operator; the model builder records this.
+    Returns ``(r_path, recovered)``: the recovered normalized states with
+    ``log_lambda`` at every grid point (``r0`` need not be normalized; its
+    log trace is the initial ``log_lambda``), and the gauge-frame states
+    ``r = A rho~ A^dag``, continuous across counts.  ``r_path`` is ``None``
+    when ``C`` is not invertible, since the gauge frame does not exist then;
+    the recovered states never need ``C^-1``.
+
+    ``substeps`` is validated for the callers that pass it but not used:
+    the flow between grid points is exact.  Raises
+    :class:`InvalidCountingRecordError` for a count on a state that ``C``
+    annihilates, and :class:`NonFiniteStateError` with the step's time when
+    the state stops being finite.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    gauge = JumpGauge.identity(model)
-    r = require_hermitian(r0, "r0").copy()
-    if float(np.trace(r).real) <= 0.0:
+    r = require_hermitian(r0, "r0")
+    tr = float(np.trace(r).real)
+    if tr <= 0.0:
         raise ValueError("r0 must have positive trace")
+    n = model.dim
     C, G, lam, eta = model.C, model.G, model.lam, model.eta
-    cd = dagger(C)
-
-    def make_rhs(gauge_state: JumpGauge):
-        s = gauge_state.a @ G @ gauge_state.a_inv
-        sd = dagger(s)
-
-        def rhs(_t, rr):
-            return -(s @ rr) - (rr @ sd) + (1.0 - eta) * lam * (C @ rr @ cd) + eta * lam * rr
-
-        return rhs
-
-    rhs = make_rhs(gauge)
-    h = record.dt / substeps
+    eye = np.eye(n, dtype=complex)
+    jump_map = kron(C.conj(), C)
+    generator = (
+        (1.0 - eta) * lam * jump_map - kron(eye, G) - kron(G.conj(), eye) + eta * lam * np.eye(n * n)
+    )
+    phi = expm(record.dt * generator)
+    gauge = JumpGauge.identity(model) if model.C_inv is not None else None
     times = record.times
-
-    def recovered_state(t: float) -> DensityState:
-        rec = recover(gauge.a_inv, r)
-        return DensityState(0.5 * (rec.rho + dagger(rec.rho)), rec.log_lambda, t)
-
-    r_path = [PathwiseState(r.copy(), float(times[0]))]
-    recovered = [recovered_state(float(times[0]))]
+    rho = r / tr
+    rho = 0.5 * (rho + dagger(rho))
+    log_lam = float(np.log(tr))
+    recovered = [DensityState(rho, log_lam, float(times[0]))]
+    gauges = None if gauge is None else [gauge.a]
     for k, dn in enumerate(record.counts):
-        for _ in range(substeps):
-            r = rk4_step(rhs, 0.0, r, h)
-        r = 0.5 * (r + dagger(r))
-        if not np.isfinite(r).all():
-            raise NonFiniteStateError(float(times[k + 1]), "gauge-frame jump state blew up")
+        t = float(times[k + 1])
+        v = phi @ rho.reshape(-1, order="F")
         if dn:
+            v = jump_map @ v
+        x = v.reshape((n, n), order="F")
+        tr = float(x.trace().real)
+        if not np.isfinite(x).all():
+            raise NonFiniteStateError(t, "pathwise jump state blew up")
+        if not tr > 1e-300:
+            if dn:
+                raise InvalidCountingRecordError(
+                    f"count arrived at t = {t:.6g} where tr(C rho C^dag) = {tr:.3e}: "
+                    "record is invalid for this model"
+                )
+            raise NonFiniteStateError(t, "pathwise jump state collapsed")
+        rho = (0.5 / tr) * (x + x.conj().T)
+        log_lam += float(np.log(tr))
+        recovered.append(DensityState(rho, log_lam, t))
+        if dn and gauge is not None:
             gauge.advance()
-            rhs = make_rhs(gauge)
-        r_path.append(PathwiseState(r.copy(), float(times[k + 1])))
-        recovered.append(recovered_state(float(times[k + 1])))
-    return r_path, recovered
+            gauges.append(gauge.a)
+    if gauge is None:
+        return None, recovered
+    a = np.stack(gauges)[record.cumulative_counts()]
+    scale = np.exp([s.log_lambda for s in recovered])[:, None, None]
+    r = scale * (a @ np.stack([s.rho for s in recovered]) @ a.conj().transpose(0, 2, 1))
+    return [PathwiseState(rk, float(tk)) for rk, tk in zip(r, times)], recovered
 
 
 def jump_pathwise_schrodinger_rhs(model, a_t, a_t_inv, phi) -> np.ndarray:

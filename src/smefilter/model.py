@@ -70,8 +70,9 @@ class JumpModel:
     ``E``, count intensity scale ``lam``, efficiency ``eta``, and the derived
     operators ``G = (lam/2) C^dag C + iE`` and ``H = E + (i lam/2)(C - C^dag)``.
 
-    ``C_inv`` is the inverse of ``C`` when it exists (needed by the pathwise
-    solver, whose gauge is a power of ``C``); ``None`` marks a singular ``C``.
+    ``C_inv`` is the inverse of ``C`` when it exists (needed for the pathwise
+    solver's gauge-frame states, the gauge being a power of ``C``); ``None``
+    marks a singular ``C``.
     """
 
     C: np.ndarray

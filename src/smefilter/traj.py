@@ -33,8 +33,7 @@ from .diffusion import (
 )
 from .jump import (
     CountingRecord,
-    _sme_advance,
-    count_probability,
+    _sample_step,
     jump_pathwise_solve,
     sample_counting_record,
 )
@@ -185,10 +184,7 @@ def _run_jump_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> Trajecto
         states = [DensityState(rho, 0.0, 0.0)]
         log_lam = 0.0
         for k in range(n):
-            p = count_probability(model, rho, dt, k * dt)
-            dn = 1 if uniforms[k] < p else 0
-            counts[k] = dn
-            rho, dlog = _sme_advance(model, rho, dn, dt)
+            counts[k], rho, dlog = _sample_step(model, rho, uniforms[k], dt, k * dt)
             log_lam += dlog
             states.append(DensityState(rho, log_lam, (k + 1) * dt))
         record = CountingRecord(dt, counts)

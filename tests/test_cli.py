@@ -13,6 +13,7 @@ from smefilter.cli import (
     main,
     parse_config,
 )
+from smefilter.diffusion import DensityState
 
 FAST_DIFFUSION = json.dumps({"dt": 0.01, "T": 0.5, "seed": 42})
 FAST_JUMP = json.dumps({"mode": "jump", "scheme": "em", "C": "pauli_x", "dt": 0.01, "T": 0.5, "seed": 7})
@@ -113,6 +114,17 @@ class TestSimulate:
         written = cmd_simulate(cfg, tmp_path)
         names = {p.name for p in written}
         assert names == {"trajectory.csv", "counting_record.csv", "summary.json"}
+
+    def test_singular_jump_operator_pathwise(self, tmp_path):
+        cfg = parse_config(json.dumps(
+            {"mode": "jump", "scheme": "pathwise", "C": "sigma", "E": "pauli_x", "dt": 0.01, "T": 3.0, "seed": 4}
+        ))
+        cmd_simulate(cfg, tmp_path)
+        assert sum(int(r.split(",")[1]) for r in data_rows(tmp_path / "counting_record.csv")[1:]) > 0
+        for row in data_rows(tmp_path / "trajectory.csv")[1:]:
+            t, x, y, z, log_lambda = (float(v) for v in row.split(",")[:5])
+            rho = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
+            DensityState(rho, log_lambda, t).validate()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config(FAST_DIFFUSION)

@@ -22,7 +22,7 @@ from smefilter.diffusion import (
     robust_step,
     write_measurement_record,
 )
-from smefilter.linalg import dagger, kron, max_abs, vec
+from smefilter.linalg import dagger, expm, kron, max_abs, vec
 from smefilter.model import build_diffusion_model, purity, rho_from_bloch, two_level_model
 from smefilter.ode import rk4_step
 from smefilter.traj import master_propagate
@@ -265,6 +265,30 @@ class TestRobustStep:
             robust_step(m, RHO_PLUS, np.inf, 0.01)
 
 
+def three_level_model(rng):
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    return build_diffusion_model(a + dagger(a), 0.7 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))), 0.8)
+
+
+class TestRobustStepperSolve:
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 1.1, "3-level"])
+    def test_propagate_matches_lu_solve_bitwise(self, phi):
+        # propagate calls LAPACK getrs directly; the oracle is the
+        # scipy.linalg.lu_solve wrapper on the same factors and right-hand side
+        rng = np.random.default_rng(29)
+        if phi == "3-level":
+            m, n = three_level_model(rng), 3
+        else:
+            m, n = two_level_model(1.0, 7.0 / np.sqrt(2.0), 0.5, phi, 0.6), 2
+        stepper = RobustStepper(m, 0.01)
+        for _ in range(1500):
+            rho, dy = random_state(rng, n), float(rng.normal(0.0, 0.3))
+            e = expm(stepper._l_scaled * dy - stepper._drift, stepper._tol)
+            rhs = (e @ rho @ e.conj().T).reshape(-1, order="F")
+            want = scipy.linalg.lu_solve(stepper._factors, rhs, check_finite=False)
+            assert np.array_equal(stepper.propagate(rho, dy), want.reshape((n, n), order="F"))
+
+
 class TestRobustStepperBatch:
     @pytest.mark.parametrize("phi, eta, dt", [(0.0, 0.85, 0.01), (0.3, 0.6, 0.01), (1.1, 0.9, 0.2)])
     def test_batch_matches_one_state_step_bitwise(self, phi, eta, dt):
@@ -284,8 +308,7 @@ class TestRobustStepperBatch:
 
     def test_three_level_batch_matches_one_state_step_bitwise(self):
         rng = np.random.default_rng(23)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        m = build_diffusion_model(a + dagger(a), 0.7 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))), 0.8)
+        m = three_level_model(rng)
         stepper = RobustStepper(m, 0.01)
         rhos = np.stack([random_state(rng, 3) for _ in range(9)])
         dys = rng.normal(0.0, 0.1, 9)

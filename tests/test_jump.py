@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
-from smefilter.diffusion import NonFiniteStateError
+from smefilter.diffusion import NonFiniteStateError, _normalized_density
 from smefilter.jump import (
     CountingRecord,
     InvalidCountingRecordError,
     JumpGauge,
+    _sme_advance,
     count_probability,
     jump_pathwise_schrodinger_rhs,
     jump_pathwise_solve,
@@ -18,6 +22,7 @@ from smefilter.jump import (
 from smefilter.linalg import dagger, max_abs
 from smefilter.model import SIGMA, SIGMA_X, SIGMA_Z, build_jump_model, purity
 from smefilter.ode import rk4_step
+from smefilter.traj import run_trajectory
 
 RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
@@ -107,6 +112,28 @@ class TestSampling:
             sample_counting_record(m, RHO_PLUS, dt=0.01, T=1.0, seed=0)
         with pytest.raises(ValueError, match="smaller dt"):
             count_probability(m, RHO_PLUS, 0.01)
+
+    def test_sampler_matches_reference_loop_bitwise(self):
+        # the sampler and the online em run build C rho C^dag once per step;
+        # this loop builds it twice, in count_probability and _sme_advance
+        m = unitary_jump_model(theta=0.9, lam=2.0)
+        dt, n, seed = 0.01, 400, 21
+        uniforms = np.random.default_rng(seed).random(n)
+        rho = _normalized_density(RHO_PLUS)
+        counts, rhos, logs, log_lam = [], [rho], [0.0], 0.0
+        for k in range(n):
+            dn = 1 if uniforms[k] < count_probability(m, rho, dt, k * dt) else 0
+            rho, dlog = _sme_advance(m, rho, dn, dt)
+            log_lam += dlog
+            counts.append(dn)
+            rhos.append(rho)
+            logs.append(log_lam)
+        assert sum(counts) > 0
+        assert np.array_equal(sample_counting_record(m, RHO_PLUS, dt, n * dt, seed).counts, counts)
+        res = run_trajectory(m, "em", dt, n * dt, RHO_PLUS, seed)
+        assert np.array_equal(res.record.counts, counts)
+        assert all(np.array_equal(st.rho, r) for st, r in zip(res.states, rhos))
+        assert [st.log_lambda for st in res.states] == logs
 
 
 class TestSmeStep:
@@ -235,11 +262,24 @@ class TestPathwiseSolve:
         for st in recovered:
             assert purity(st.rho) >= 1.0 - 1e-6
 
-    def test_noninvertible_rejected(self):
+    def test_singular_jump_operator_solved(self):
+        # C = sigma (plain photodetection) has no inverse, hence no gauge
+        # frame, but the recovered states need none
+        m = build_jump_model(SIGMA, 0.5 * SIGMA_X, 1.0, 1.0)
+        res = run_trajectory(m, "pathwise", 0.01, 5.0, RHO_PLUS, seed=3)
+        assert res.record.total > 0
+        for st in res.states:
+            st.validate(trace_tol=1e-12, herm_tol=1e-12, eig_floor=-1e-12)
+        r_path, recovered = jump_pathwise_solve(m, res.record, RHO_PLUS)
+        assert r_path is None
+        assert all(np.array_equal(a.rho, b.rho) for a, b in zip(recovered, res.states))
+
+    def test_count_on_annihilated_state_rejected(self):
+        # with no drive the ground state stays put, and C = sigma kills it
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
-        rec = CountingRecord(0.01, np.zeros(5, dtype=int))
-        with pytest.raises(ValueError, match="not invertible"):
-            jump_pathwise_solve(m, rec, RHO_PLUS)
+        rec = CountingRecord(0.01, np.array([0, 0, 1, 0]))
+        with pytest.raises(InvalidCountingRecordError, match="t = 0.03"):
+            jump_pathwise_solve(m, rec, GROUND)
 
 
 class TestJumpPathwiseSchrodinger:
@@ -277,3 +317,73 @@ class TestJumpPathwiseSchrodinger:
         outer = np.outer(back, back.conj())
         outer /= np.trace(outer).real
         assert max_abs(outer - recovered[-1].rho) <= 1e-6
+
+
+_UNIT = hst.floats(-1.0, 1.0, allow_nan=False)
+
+
+def _complex_matrix(draw, rows, cols):
+    return np.array([[complex(draw(_UNIT), draw(_UNIT)) for _ in range(cols)] for _ in range(rows)])
+
+
+def _scaled(draw, m):
+    """``m`` rescaled to a drawn Frobenius norm between 0.5 and 2."""
+    norm = np.linalg.norm(m)
+    assume(norm > 0.1)
+    return m * (draw(hst.floats(0.5, 2.0)) / norm)
+
+
+@hst.composite
+def jump_models(draw):
+    """2x2 models whose ``C`` and ``E`` have Frobenius norms between 0.5 and
+    2, so that the count probability stays below 0.1 at ``dt = 0.01`` and
+    the drive moves states out of the kernel of a rank-one ``C``; half of
+    the models have one."""
+    if draw(hst.booleans()):
+        c = _complex_matrix(draw, 2, 1) @ _complex_matrix(draw, 1, 2)
+    else:
+        c = _complex_matrix(draw, 2, 2)
+    e = _complex_matrix(draw, 2, 2)
+    lam = draw(hst.floats(0.5, 2.0))
+    eta = draw(hst.floats(0.2, 1.0))
+    return build_jump_model(_scaled(draw, c), _scaled(draw, e + dagger(e)), lam, eta)
+
+
+def exact_flow_oracle(model, record, rho0):
+    """Normalized states and log traces of the linear counting equation:
+    ``scipy.linalg.expm`` of its generator between counts, ``conj(C) (x) C``
+    at counts."""
+    n = model.dim
+    eye = np.eye(n)
+    jump_map = np.kron(model.C.conj(), model.C)
+    generator = (
+        -np.kron(eye, model.G)
+        - np.kron(model.G.conj(), eye)
+        + (1.0 - model.eta) * model.lam * jump_map
+        + model.eta * model.lam * np.eye(n * n)
+    )
+    phi = scipy.linalg.expm(record.dt * generator)
+    v = np.asarray(rho0, dtype=complex).reshape(-1, order="F")
+    out, log_lam = [(v.reshape((n, n), order="F"), 0.0)], 0.0
+    for dn in record.counts:
+        v = phi @ v
+        if dn:
+            v = jump_map @ v
+        tr = np.trace(v.reshape((n, n), order="F")).real
+        v = v / tr
+        log_lam += np.log(tr)
+        out.append((v.reshape((n, n), order="F"), log_lam))
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(model=jump_models(), seed=hst.integers(0, 2**32 - 1))
+def test_exact_propagator_matches_oracle_and_keeps_states_valid(model, seed):
+    record = sample_counting_record(model, RHO_PLUS, 0.01, 4.0, seed)
+    r_path, recovered = jump_pathwise_solve(model, record, RHO_PLUS)
+    assert (r_path is None) == (model.C_inv is None)
+    oracle = exact_flow_oracle(model, record, RHO_PLUS)
+    for state, (rho, log_lam) in zip(recovered, oracle):
+        assert max_abs(state.rho - rho) <= 1e-10
+        assert abs(state.log_lambda - log_lam) <= 1e-10
+        state.validate(trace_tol=1e-12, herm_tol=1e-12, eig_floor=-1e-12)
