@@ -55,6 +55,11 @@ class NonFiniteStateError(ArithmeticError):
         super().__init__(message + suffix)
 
 
+def _batch_element(b: int) -> str:
+    """How a batched step names its element ``b`` in an error message."""
+    return f"batch element {b}"
+
+
 @dataclass(frozen=True)
 class DensityState:
     """Normalized state ``rho`` at time ``t`` plus the accumulated log of the
@@ -398,23 +403,24 @@ class RobustStepper:
             raise ValueError(f"LAPACK getrs rejected argument {-info}")
         return x.reshape((self._n, self._n), order="F")
 
-    def advance_many(self, rho: np.ndarray, dy: np.ndarray, t: float):
+    def advance_many(self, rho: np.ndarray, dy: np.ndarray, t: float, where=_batch_element):
         """The normalized update of :func:`_robust_advance` for a stack of
-        states ``rho[b]`` with increments ``dy[b]``; returns the new states
-        and the log normalization factors.
+        states ``rho[b]`` with increments ``dy[b]``, ending at time ``t``;
+        returns the new states and the log normalization factors.
 
         Each element's result is bitwise what :func:`_robust_advance` gives
         for it alone.  The exponentials come from :func:`expm_many`.  The
         solve stays one LAPACK ``getrs`` call per element: with several
         right-hand sides ``getrs`` takes a triangular-matrix path whose
         rounding differs from the one-column path that :meth:`propagate`
-        takes, by up to an ulp for a generic model.
+        takes, by up to an ulp for a generic model.  Errors name the failing
+        element as ``where(b)``.
         """
         nb, n = rho.shape[0], self._n
         dy = np.asarray(dy, dtype=float)
         bad = np.flatnonzero(~np.isfinite(dy))
         if bad.size:
-            raise ValueError(f"record increment dy = {dy[bad[0]]} of batch element {bad[0]} is not finite")
+            raise ValueError(f"record increment dy = {dy[bad[0]]} of {where(bad[0])} is not finite at t = {t:.6g}")
         e = expm_many(self._l_scaled * dy[:, None, None] - self._drift, self._tol)
         rhs = e @ rho @ e.conj().transpose(0, 2, 1)
         cols = rhs.transpose(0, 2, 1).reshape(nb, n * n)  # row b is vec(rhs[b])
@@ -425,7 +431,7 @@ class RobustStepper:
         tr = np.trace(x, axis1=1, axis2=2).real
         bad = np.flatnonzero(~(np.isfinite(tr) & (tr > 0.0) & np.isfinite(x).all(axis=(1, 2))))
         if bad.size:
-            raise NonFiniteStateError(t, f"implicit filter state of batch element {bad[0]} collapsed")
+            raise NonFiniteStateError(t, f"implicit filter state of {where(bad[0])} collapsed")
         return (0.5 / tr)[:, None, None] * (x + x.conj().transpose(0, 2, 1)), np.log(tr)
 
 

@@ -27,6 +27,7 @@ from .diffusion import (
     DensityState,
     NonFiniteStateError,
     PathwiseState,
+    _batch_element,
     _normalized_density,
     recover,  # noqa: F401  (bench/spans.py traces this name in this module)
 )
@@ -264,6 +265,54 @@ def _sample_step(model, rho: np.ndarray, u: float, dt: float, t: float):
     return dn, rho, dlog
 
 
+def _sample_many(model, rho: np.ndarray, u: np.ndarray, dt: float, t: float, where=_batch_element):
+    """:func:`_sample_step` for a stack of states ``rho[b]`` at time ``t``
+    with uniforms ``u[b]``; returns the counts (booleans), the new states and
+    the log normalization factors.
+
+    Every element takes the arithmetic of the one-state step, and stacked
+    products of small matrices round as single ones do, so each result is
+    bitwise what :func:`_sample_step` gives for that element alone.  The
+    count map is applied to the counted elements only.  Errors name the
+    failing element as ``where(b)``: the count-probability check at ``t``,
+    the others at the step's end ``t + dt``.
+    """
+    C, G, lam, eta = model.C, model.G, model.lam, model.eta
+    c_dag = dagger(C)
+    j_rho = C @ rho @ c_dag
+    tr_j = np.trace(j_rho, axis1=1, axis2=2).real
+    p = eta * lam * tr_j * dt
+    bad = p >= 0.1
+    if bad.any():
+        b = int(bad.argmax())
+        raise ValueError(
+            f"per-step count probability {p[b]:.3f} >= 0.1 for {where(b)} at t = {t:.6g}; use a smaller dt"
+        )
+    dn = u < p
+    drift = -(G @ rho) - (rho @ dagger(G)) + (1.0 - eta) * lam * j_rho + (eta * lam * tr_j)[:, None, None] * rho
+    out = rho + dt * drift
+    dlog = np.log1p(dt * eta * lam * (1.0 - tr_j))
+    if dn.any():
+        hit = np.flatnonzero(dn)
+        before = out[hit]
+        j_out = C @ before @ c_dag
+        tr_jo = np.trace(j_out, axis1=1, axis2=2).real
+        bad = ~(np.isfinite(tr_jo) & (tr_jo > 1e-300))
+        if bad.any():
+            b = int(bad.argmax())
+            raise InvalidCountingRecordError(
+                f"count arrived where tr(C rho C^dag) = {tr_jo[b]:.3e} for {where(hit[b])} at t = {t + dt:.6g}: "
+                "record is invalid for this model"
+            )
+        dlog[hit] += np.log(tr_jo / np.trace(before, axis1=1, axis2=2).real)
+        out[hit] = j_out / tr_jo[:, None, None]
+    tr = np.trace(out, axis1=1, axis2=2).real
+    bad = ~(np.isfinite(tr) & (tr > 0.0) & np.isfinite(out).all(axis=(1, 2)))
+    if bad.any():
+        raise NonFiniteStateError(t + dt, f"normalized jump state of {where(int(bad.argmax()))} blew up")
+    return dn, (0.5 / tr)[:, None, None] * (out + out.conj().transpose(0, 2, 1)), dlog
+
+
 def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: float = 0.0) -> CountingRecord:
     """Sample a counting record with per-step probability
     ``p_n = eta lam tr(C rho C^dag) dt`` computed from the concurrently
@@ -281,6 +330,63 @@ def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: floa
     for k in range(n):
         counts[k], rho, _ = _sample_step(model, rho, uniforms[k], dt, t0 + k * dt)
     return CountingRecord(dt, counts, t0)
+
+
+def _exact_propagator(model, dt: float):
+    """The jump map ``conj(C) (x) C`` and the exact one-step propagator
+    ``Phi = expm(dt Gen)`` of :func:`jump_pathwise_solve` on column-stacked
+    vectors."""
+    n = model.dim
+    C, G, lam, eta = model.C, model.G, model.lam, model.eta
+    eye = np.eye(n, dtype=complex)
+    jump_map = kron(C.conj(), C)
+    generator = (
+        (1.0 - eta) * lam * jump_map - kron(eye, G) - kron(G.conj(), eye) + eta * lam * np.eye(n * n)
+    )
+    return jump_map, expm(dt * generator)
+
+
+def _exact_start(r0):
+    """The normalized, hermitized initial state of the exact solve and its
+    ``log_lambda``, the log of the trace of ``r0``."""
+    r = require_hermitian(r0, "r0")
+    tr = float(np.trace(r).real)
+    if tr <= 0.0:
+        raise ValueError("r0 must have positive trace")
+    rho = r / tr
+    return 0.5 * (rho + dagger(rho)), float(np.log(tr))
+
+
+def _exact_step_many(jump_map, phi, rho: np.ndarray, dn: np.ndarray, t: float, where=_batch_element):
+    """One step of :func:`jump_pathwise_solve` for a stack of states
+    ``rho[b]`` with counts ``dn[b]``, ending at time ``t``; returns the new
+    states and the log traces added to ``log_lambda``.
+
+    ``Phi`` multiplies each element's vector as one column, as in the
+    one-state solve: a product of the whole stack with ``Phi^T`` would round
+    differently.  So each result is bitwise the one-state step's.  Errors
+    name the failing element as ``where(b)``.
+    """
+    nb, n = rho.shape[0], rho.shape[1]
+    v = phi @ rho.transpose(0, 2, 1).reshape(nb, n * n, 1)  # v[b] is Phi vec(rho[b])
+    if dn.any():
+        hit = np.flatnonzero(dn)
+        v[hit] = jump_map @ v[hit]
+    x = v.reshape(nb, n, n).transpose(0, 2, 1)
+    bad = ~np.isfinite(x).all(axis=(1, 2))
+    if bad.any():
+        raise NonFiniteStateError(t, f"pathwise jump state of {where(int(bad.argmax()))} blew up")
+    tr = np.trace(x, axis1=1, axis2=2).real
+    bad = ~(tr > 1e-300)
+    if bad.any():
+        b = int(bad.argmax())
+        if dn[b]:
+            raise InvalidCountingRecordError(
+                f"count arrived at t = {t:.6g} where tr(C rho C^dag) = {tr[b]:.3e} for {where(b)}: "
+                "record is invalid for this model"
+            )
+        raise NonFiniteStateError(t, f"pathwise jump state of {where(b)} collapsed")
+    return (0.5 / tr)[:, None, None] * (x + x.conj().transpose(0, 2, 1)), np.log(tr)
 
 
 def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
@@ -312,23 +418,11 @@ def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    r = require_hermitian(r0, "r0")
-    tr = float(np.trace(r).real)
-    if tr <= 0.0:
-        raise ValueError("r0 must have positive trace")
+    rho, log_lam = _exact_start(r0)
     n = model.dim
-    C, G, lam, eta = model.C, model.G, model.lam, model.eta
-    eye = np.eye(n, dtype=complex)
-    jump_map = kron(C.conj(), C)
-    generator = (
-        (1.0 - eta) * lam * jump_map - kron(eye, G) - kron(G.conj(), eye) + eta * lam * np.eye(n * n)
-    )
-    phi = expm(record.dt * generator)
+    jump_map, phi = _exact_propagator(model, record.dt)
     gauge = JumpGauge.identity(model) if model.C_inv is not None else None
     times = record.times
-    rho = r / tr
-    rho = 0.5 * (rho + dagger(rho))
-    log_lam = float(np.log(tr))
     recovered = [DensityState(rho, log_lam, float(times[0]))]
     gauges = None if gauge is None else [gauge.a]
     for k, dn in enumerate(record.counts):

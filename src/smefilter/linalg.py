@@ -13,6 +13,8 @@ without conjugating.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -82,6 +84,23 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _too_large(nrm: float) -> ValueError:
+    return ValueError(f"expm argument is too large: max-entry norm {nrm:.3e} gives no finite result")
+
+
+def _may_overflow(n: int, squarings: int) -> bool:
+    """Whether ``squarings`` squarings of the series sum of an ``n x n``
+    argument scaled to max-entry norm 1/2 can overflow.
+
+    Such a sum has entries of modulus at most ``e^(n/2)``, and a squaring at
+    most squares the largest modulus and multiplies it by ``n``.  So the
+    result's entries stay below ``(n e^(n/2))^(2^squarings)``, which is
+    finite while ``2^squarings (log n + n/2)`` is below ``log`` of the
+    largest float, about 709.8.
+    """
+    return squarings >= math.log2(700.0 / (math.log(n) + 0.5 * n))
+
+
 def expm(a, tol: float = 1e-12) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a truncated series.
 
@@ -90,6 +109,11 @@ def expm(a, tol: float = 1e-12) -> np.ndarray:
     the (scaled) tolerance, and the result is squared back up.  Nilpotent
     arguments terminate the series exactly, so e.g. ``expm(c * N)`` with
     ``N @ N == 0`` returns ``I + c * N`` up to rounding.
+
+    Raises ``ValueError`` naming the max-entry norm when the argument is too
+    large for this scheme: when the squarings overflow, or when the
+    tolerance, divided by the scaling factor, falls below what 64 series
+    terms reach (max-entry norms from about ``1e110``).
     """
     m = as_square(a)
     if tol <= 0.0:
@@ -109,12 +133,16 @@ def expm(a, tol: float = 1e-12) -> np.ndarray:
     k = 1
     while float(np.abs(term).max()) > cutoff:
         k += 1
-        if k > 64:  # unreachable for scaled norm <= 1/2
-            raise RuntimeError("matrix exponential series did not converge")
+        if k > 64:
+            raise _too_large(nrm)
         term = term @ b / k
         x += term
     for _ in range(squarings):
         x = x @ x
+    # Only many squarings can overflow; the bound keeps the check off the
+    # common path.
+    if squarings and _may_overflow(n, squarings) and not np.isfinite(x).all():
+        raise _too_large(nrm)
     return x
 
 
@@ -124,7 +152,8 @@ def expm_many(a, tol: float = 1e-12) -> np.ndarray:
     Each element gets its own squaring count and series length, and an
     element whose series has converged takes no further terms, so every
     result is bitwise the one :func:`expm` returns for that matrix alone,
-    whatever else is in the stack.
+    whatever else is in the stack; it raises where :func:`expm` raises for
+    an element.
     """
     m = np.asarray(a, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
@@ -151,14 +180,18 @@ def expm_many(a, tol: float = 1e-12) -> np.ndarray:
         if live.size == 0:
             break
         k += 1
-        if k > 64:  # unreachable for scaled norm <= 1/2
-            raise RuntimeError("matrix exponential series did not converge")
+        if k > 64:
+            raise _too_large(nrm[live[0]])
         term = term @ b[live] / k
         x[live] += term
     for j in range(int(squarings.max(initial=0))):
         sel = np.flatnonzero(squarings > j)
         xs = x[sel]
         x[sel] = xs @ xs
+    if _may_overflow(m.shape[1], int(squarings.max(initial=0))):
+        bad = ~np.isfinite(x).all(axis=(1, 2))
+        if bad.any():
+            raise _too_large(nrm[bad.argmax()])
     return x
 
 

@@ -6,11 +6,12 @@ the driving record is generated online from the filtered state itself
 (``dy_n = m_(n-1) dt + kappa dnu_n`` with ``dnu ~ N(0, dt)`` for diffusion,
 per-step Bernoulli counts for jumps) and returned alongside the states so
 that offline replays can cross-check the run.  Ensembles give trajectory
-``i`` the seed ``base_seed + i``.  Robust diffusion ensembles step all
-trajectories together as one stack of states, keeping only the running
-state sum and the final states; every other scheme runs its trajectories
-one after another.  Either way each trajectory's states are bitwise those
-of ``run_trajectory`` with its seed.
+``i`` the seed ``base_seed + i``.  Jump ensembles (``em`` and ``pathwise``)
+and robust diffusion ensembles step all trajectories together as one stack
+of states, keeping only the running state sum and the final states;
+diffusion ``em`` and ``pathwise`` ensembles run their trajectories one after
+another.  Either way each trajectory's states are bitwise those of
+``run_trajectory`` with its seed.
 """
 
 from __future__ import annotations
@@ -31,8 +32,15 @@ from .diffusion import (
     pathwise_filter,
     robust_filter,
 )
+# ``sample_counting_record`` and ``jump_pathwise_solve`` run single jump
+# trajectories only, but bench/spans.py traces them under these names here,
+# as it does ``run_trajectory``, so they stay bound in this module.
 from .jump import (
     CountingRecord,
+    _exact_propagator,
+    _exact_start,
+    _exact_step_many,
+    _sample_many,
     _sample_step,
     jump_pathwise_solve,
     sample_counting_record,
@@ -42,8 +50,8 @@ from .model import BlochVector, DiffusionModel, JumpModel, purity
 
 SCHEMES = ("robust", "em", "pathwise")
 
-# Steps of innovations a batched ensemble draws per trajectory at a time; it
-# bounds the draw buffer at this many steps whatever the run length.
+# Steps of random numbers a batched ensemble draws per trajectory at a time;
+# it bounds the draw buffer at this many steps whatever the run length.
 _DRAW_BLOCK = 256
 
 
@@ -173,9 +181,15 @@ def _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> Tra
     )
 
 
-def _run_jump_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> TrajectoryResult:
+def _check_jump_scheme(scheme) -> None:
     if scheme == "robust":
         raise ValueError("scheme 'robust' applies to diffusion models; use 'em' or 'pathwise'")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+
+
+def _run_jump_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> TrajectoryResult:
+    _check_jump_scheme(scheme)
     if scheme == "em":
         rng = np.random.default_rng(seed)
         uniforms = rng.random(n)
@@ -188,11 +202,9 @@ def _run_jump_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> Trajecto
             log_lam += dlog
             states.append(DensityState(rho, log_lam, (k + 1) * dt))
         record = CountingRecord(dt, counts)
-    elif scheme == "pathwise":
+    else:
         record = sample_counting_record(model, rho0, dt, n * dt, seed)
         _, states = jump_pathwise_solve(model, record, _normalized_density(rho0), substeps)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     return TrajectoryResult(
         times=record.times,
         states=states,
@@ -201,6 +213,28 @@ def _run_jump_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> Trajecto
         seed=int(seed),
         scheme=scheme,
     )
+
+
+def _draws(base_seed, n_traj, n, draw):
+    """Each step's random numbers for a batched ensemble: row ``k`` holds
+    step ``k``'s number for every trajectory.
+
+    Trajectory ``i`` draws from its own generator seeded ``base_seed + i``,
+    ``_DRAW_BLOCK`` steps at a time; ``draw(rng, size)`` gives the same
+    stream in blocks as in one call, so the numbers are those a single run
+    with that seed draws.
+    """
+    rngs = [np.random.default_rng(base_seed + i) for i in range(n_traj)]
+    for k in range(0, n, _DRAW_BLOCK):
+        size = min(_DRAW_BLOCK, n - k)
+        yield from np.stack([draw(g, size) for g in rngs], axis=1)
+
+
+def _trajectory_in(base_seed, step):
+    """How a batched ensemble names trajectory ``b`` in the errors of its
+    ``step``-th step (counted from 1, ending at ``t = step dt``), so that the
+    failing run can be replayed with ``run_trajectory``."""
+    return lambda b: f"trajectory {b} (seed {base_seed + b}) in step {step}"
 
 
 def _run_robust_ensemble(model, dt, n, rho0, n_traj, base_seed):
@@ -218,21 +252,56 @@ def _run_robust_ensemble(model, dt, n, rho0, n_traj, base_seed):
     stepper = RobustStepper(model, dt)
     l_sum = model.L + dagger(model.L)
     scale = np.sqrt(dt)
-    rngs = [np.random.default_rng(base_seed + i) for i in range(n_traj)]
     sum_rho = np.empty((n + 1,) + rho.shape[1:], dtype=complex)
     sum_rho[0] = rho.sum(axis=0)
     log_lam = np.zeros(n_traj)
-    for k in range(n):
-        j = k % _DRAW_BLOCK
-        if j == 0:
-            size = min(_DRAW_BLOCK, n - k)
-            dnu = np.stack([g.normal(0.0, scale, size) for g in rngs], axis=1)
+    dnus = _draws(base_seed, n_traj, n, lambda g, size: g.normal(0.0, scale, size))
+    for k, dnu in enumerate(dnus):
         m = np.einsum("ij,bji->b", l_sum, rho).real
-        dy = m * dt + model.kappa * dnu[j]
-        rho, dlog = stepper.advance_many(rho, dy, (k + 1) * dt)
+        dy = m * dt + model.kappa * dnu
+        rho, dlog = stepper.advance_many(rho, dy, (k + 1) * dt, _trajectory_in(base_seed, k + 1))
         log_lam += dlog
         sum_rho[k + 1] = rho.sum(axis=0)
     return sum_rho, rho, log_lam
+
+
+def _run_jump_ensemble(model, scheme, dt, n, rho0, n_traj, base_seed, substeps):
+    """Step the jump trajectories of an ensemble as one stack.
+
+    Trajectory ``i`` draws its uniforms as ``_run_jump_trajectory`` does for
+    seed ``base_seed + i``, and ``_sample_many`` gives each element the
+    arithmetic of the one-state sampler step.  For ``pathwise``, each
+    sampler step is followed by ``_exact_step_many``, the exact step of
+    ``jump_pathwise_solve``, and its states are the ones kept; no
+    gauge-frame path is built.  So every state is bitwise the one
+    ``run_trajectory`` computes.  Returns what ``_run_robust_ensemble``
+    returns.
+    """
+    _check_jump_scheme(scheme)
+    start = _normalized_density(rho0)
+    shape = (n_traj,) + start.shape
+    rho = np.broadcast_to(start, shape).copy()
+    kept, log_lam = rho, np.zeros(n_traj)
+    exact = scheme == "pathwise"
+    if exact:
+        if substeps < 1:
+            raise ValueError(f"substeps must be >= 1, got {substeps}")
+        jump_map, phi = _exact_propagator(model, dt)
+        exact_start, log0 = _exact_start(start)
+        kept, log_lam = np.broadcast_to(exact_start, shape).copy(), np.full(n_traj, log0)
+    sum_rho = np.empty((n + 1,) + shape[1:], dtype=complex)
+    sum_rho[0] = kept.sum(axis=0)
+    uniforms = _draws(base_seed, n_traj, n, lambda g, size: g.random(size))
+    for k, u in enumerate(uniforms):
+        where = _trajectory_in(base_seed, k + 1)
+        dn, rho, dlog = _sample_many(model, rho, u, dt, k * dt, where)
+        if exact:
+            kept, dlog = _exact_step_many(jump_map, phi, kept, dn, (k + 1) * dt, where)
+        else:
+            kept = rho
+        log_lam += dlog
+        sum_rho[k + 1] = kept.sum(axis=0)
+    return sum_rho, kept, log_lam
 
 
 def _step_count(dt: float, T: float) -> int:
@@ -272,17 +341,22 @@ def run_ensemble(
     """Run ``n_traj`` independent trajectories with seeds ``base_seed + i``;
     aggregates the mean state path and final-time Bloch statistics.
 
-    Robust diffusion ensembles step all trajectories together; other
-    schemes run them one after another.  The results are the same either
-    way: trajectory ``i`` ends bitwise where ``run_trajectory`` with seed
-    ``base_seed + i`` ends, and the mean path sums states in trajectory
-    order.
+    Jump ensembles and robust diffusion ensembles step all trajectories
+    together; diffusion ``em`` and ``pathwise`` ensembles run them one after
+    another.  The results are the same either way: trajectory ``i`` ends
+    bitwise where ``run_trajectory`` with seed ``base_seed + i`` ends, and
+    the mean path sums states in trajectory order.  A failure in a batched
+    ensemble names the trajectory, its seed, the step and the time.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    if isinstance(model, DiffusionModel) and scheme == "robust":
+    jump = isinstance(model, JumpModel)
+    if jump or (isinstance(model, DiffusionModel) and scheme == "robust"):
         n = _step_count(dt, T)
-        sum_rho, rho, log_lam = _run_robust_ensemble(model, dt, n, rho0, n_traj, base_seed)
+        if jump:
+            sum_rho, rho, log_lam = _run_jump_ensemble(model, scheme, dt, n, rho0, n_traj, base_seed, substeps)
+        else:
+            sum_rho, rho, log_lam = _run_robust_ensemble(model, dt, n, rho0, n_traj, base_seed)
         times = dt * np.arange(n + 1)
         final_states = [DensityState(r, float(lam), n * dt) for r, lam in zip(rho, log_lam)]
         final_bloch = [_bloch_fast(r) for r in rho]

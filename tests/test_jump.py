@@ -9,6 +9,9 @@ from smefilter.jump import (
     CountingRecord,
     InvalidCountingRecordError,
     JumpGauge,
+    _exact_propagator,
+    _exact_step_many,
+    _sample_many,
     _sme_advance,
     count_probability,
     jump_pathwise_schrodinger_rhs,
@@ -22,7 +25,7 @@ from smefilter.jump import (
 from smefilter.linalg import dagger, max_abs
 from smefilter.model import SIGMA, SIGMA_X, SIGMA_Z, build_jump_model, purity
 from smefilter.ode import rk4_step
-from smefilter.traj import run_trajectory
+from smefilter.traj import run_ensemble, run_trajectory
 
 RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
@@ -134,6 +137,30 @@ class TestSampling:
         assert np.array_equal(res.record.counts, counts)
         assert all(np.array_equal(st.rho, r) for st, r in zip(res.states, rhos))
         assert [st.log_lambda for st in res.states] == logs
+
+
+class TestBatchedSteps:
+    def test_sampler_count_on_annihilated_state_names_element(self):
+        # a uniform of -1 forces a count; C = sigma kills the ground state
+        m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
+        rho = np.stack([RHO_PLUS, GROUND, RHO_PLUS])
+        with pytest.raises(InvalidCountingRecordError, match="batch element 1 at t = 0.31"):
+            _sample_many(m, rho, np.array([2.0, -1.0, 2.0]), 0.01, 0.3)
+
+    def test_exact_count_on_annihilated_state_names_element(self):
+        m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
+        jump_map, phi = _exact_propagator(m, 0.01)
+        rho = np.stack([RHO_PLUS, RHO_PLUS, GROUND])
+        with pytest.raises(InvalidCountingRecordError, match="t = 0.03 .* batch element 2"):
+            _exact_step_many(jump_map, phi, rho, np.array([True, False, True]), 0.03)
+
+    def test_exact_collapse_without_count_names_element(self):
+        m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
+        jump_map, phi = _exact_propagator(m, 0.01)
+        rho = np.stack([RHO_PLUS, np.zeros((2, 2), dtype=complex)])
+        with pytest.raises(NonFiniteStateError, match="batch element 1 collapsed") as err:
+            _exact_step_many(jump_map, phi, rho, np.array([False, False]), 0.02)
+        assert err.value.time == pytest.approx(0.02)
 
 
 class TestSmeStep:
@@ -387,3 +414,25 @@ def test_exact_propagator_matches_oracle_and_keeps_states_valid(model, seed):
         assert max_abs(state.rho - rho) <= 1e-10
         assert abs(state.log_lambda - log_lam) <= 1e-10
         state.validate(trace_tol=1e-12, herm_tol=1e-12, eig_floor=-1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    model=jump_models(),
+    scheme=hst.sampled_from(("em", "pathwise")),
+    n_traj=hst.integers(1, 40),
+    base_seed=hst.integers(0, 2**32 - 1),
+)
+def test_batched_ensemble_matches_single_runs_bitwise(model, scheme, n_traj, base_seed):
+    # 300 steps span more than one block of uniform draws
+    dt, T = 0.01, 3.0
+    ens = run_ensemble(model, scheme, dt, T, RHO_PLUS, n_traj, base_seed)
+    total = None
+    for i in range(n_traj):
+        single = run_trajectory(model, scheme, dt, T, RHO_PLUS, base_seed + i)
+        assert np.array_equal(ens.final_states[i].rho, single.states[-1].rho)
+        assert ens.final_states[i].log_lambda == single.states[-1].log_lambda
+        assert ens.final_states[i].t == single.states[-1].t
+        path = np.stack([s.rho for s in single.states])
+        total = path.copy() if total is None else total + path
+    assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([t / n_traj for t in total]))

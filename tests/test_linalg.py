@@ -113,6 +113,22 @@ class TestExpm:
         with pytest.raises(ValueError, match="tol"):
             expm(np.eye(2), tol=0.0)
 
+    @pytest.mark.parametrize("s, norm", [(1e20, r"1\.000e\+20"), (1e110, r"1\.000e\+110")])
+    def test_huge_argument_rejected_naming_norm(self, s, norm):
+        # the squarings of a rotation by 1e20 overflow; from 1e110 on the
+        # scaled tolerance is out of reach of the series
+        rotation = np.array([[0.0, s], [-s, 0.0]])
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"max-entry norm {norm}"):
+            expm(rotation)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"max-entry norm {norm}"):
+            expm_many(np.stack([np.eye(2), rotation]))
+
+    def test_large_finite_results_kept(self):
+        assert expm(np.diag([700.0, 0.0]))[0, 0].real == pytest.approx(np.exp(700.0), rel=1e-10)
+        assert np.array_equal(expm(np.diag([-1e20, -1e20])), np.zeros((2, 2)))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"max-entry norm 7\.100e\+02"):
+            expm(np.diag([710.0, 0.0]))
+
 
 class TestExpmMany:
     def test_each_element_bitwise_equals_expm(self):

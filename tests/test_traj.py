@@ -1,12 +1,30 @@
+import re
+
 import numpy as np
 import pytest
 
-from smefilter.diffusion import MeasurementRecord, pathwise_filter, robust_filter
-from smefilter.jump import CountingRecord
+from smefilter.diffusion import (
+    MeasurementRecord,
+    NonFiniteStateError,
+    RobustStepper,
+    pathwise_filter,
+    robust_filter,
+)
+from smefilter.jump import CountingRecord, InvalidCountingRecordError
 from smefilter.linalg import dagger, max_abs
-from smefilter.model import SIGMA, SIGMA_X, SIGMA_Z, bloch_from_rho, build_diffusion_model, build_jump_model, two_level_model
+from smefilter.model import (
+    SIGMA,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    bloch_from_rho,
+    build_diffusion_model,
+    build_jump_model,
+    two_level_model,
+)
 from smefilter.traj import (
     _bloch_fast,
+    _trajectory_in,
     convergence_report,
     lipschitz_report,
     master_propagate,
@@ -21,6 +39,28 @@ RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 def driven_atom_model(phi=0.0, eta=0.85):
     return two_level_model(1.0, 7.0 / np.sqrt(2.0), 0.0, phi, eta)
+
+
+def criterion9_jump_model():
+    c = np.cos(0.4) * np.eye(2, dtype=complex) - 1j * np.sin(0.4) * SIGMA_X
+    return build_jump_model(c, 0.5 * SIGMA_Z, 1.0, 0.7)
+
+
+def check_replays_failure(model, dt, base_seed, n_traj, error):
+    """The failure a batched em ensemble reports names a trajectory, its seed,
+    the step and the time; the run with that seed must fail with the same
+    error in that step and not before, and no trajectory may fail earlier."""
+    found = re.search(r"trajectory (\d+) \(seed (\d+)\) in step (\d+)", str(error.value))
+    assert found, str(error.value)
+    b, seed, step = (int(g) for g in found.groups())
+    assert seed == base_seed + b and b < n_traj
+    assert "t = " in str(error.value)
+    with pytest.raises(error.type):
+        run_trajectory(model, "em", dt, step * dt, RHO_PLUS, seed)
+    if step > 1:
+        for i in range(n_traj):
+            run_trajectory(model, "em", dt, (step - 1) * dt, RHO_PLUS, base_seed + i)
+    return b, step
 
 
 class TestMasterEquation:
@@ -162,6 +202,68 @@ class TestRunEnsemble:
         for single in singles[1:]:
             total += np.stack([s.rho for s in single.states])
         assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([t / n_traj for t in total]))
+
+    @pytest.mark.parametrize("scheme", ["em", "pathwise"])
+    def test_single_jump_trajectory_matches(self, scheme):
+        m = criterion9_jump_model()
+        ens = run_ensemble(m, scheme, 0.01, 3.0, RHO_PLUS, 1, base_seed=12)
+        single = run_trajectory(m, scheme, 0.01, 3.0, RHO_PLUS, seed=12)
+        assert single.record.total > 0
+        assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([s.rho for s in single.states]))
+        assert np.array_equal(ens.final_states[0].rho, single.states[-1].rho)
+        assert ens.final_states[0].log_lambda == single.states[-1].log_lambda
+        assert ens.final_states[0].t == single.states[-1].t
+        assert ens.final_bloch[0] == single.bloch[-1]
+        assert np.array_equal(ens.times, single.times)
+
+    def test_singular_jump_operator_pathwise_states_valid(self):
+        m = build_jump_model(SIGMA, 0.5 * SIGMA_X, 1.0, 1.0)
+        ens = run_ensemble(m, "pathwise", 0.01, 5.0, RHO_PLUS, 24, base_seed=3)
+        for st in ens.final_states:
+            st.validate(trace_tol=1e-12, herm_tol=1e-12, eig_floor=-1e-12)
+
+    def test_jump_scheme_validated(self):
+        m = criterion9_jump_model()
+        with pytest.raises(ValueError, match="diffusion"):
+            run_ensemble(m, "robust", 0.01, 1.0, RHO_PLUS, 2, base_seed=0)
+        with pytest.raises(ValueError, match="scheme"):
+            run_ensemble(m, "midpoint", 0.01, 1.0, RHO_PLUS, 2, base_seed=0)
+        with pytest.raises(ValueError, match="substeps"):
+            run_ensemble(m, "pathwise", 0.01, 1.0, RHO_PLUS, 2, base_seed=0, substeps=0)
+
+    def test_count_probability_failure_names_trajectory(self):
+        # a strong drive makes explicit Euler overshoot; the first trajectory
+        # to fail is not trajectory 0
+        m = build_jump_model(SIGMA, 10.0 * SIGMA_X, 1.0, 1.0)
+        with pytest.raises(ValueError, match="count probability .* use a smaller dt") as err:
+            run_ensemble(m, "em", 0.05, 2.0, RHO_PLUS, 8, base_seed=5)
+        b, step = check_replays_failure(m, 0.05, 5, 8, err)
+        assert b > 0
+        assert f"at t = {(step - 1) * 0.05:.6g};" in str(err.value)
+
+    def test_invalid_count_names_trajectory(self):
+        # Euler overshoot drives tr(C rho C^dag) negative before a count
+        m = build_jump_model(SIGMA, 20.0 * SIGMA_X, 1.0, 1.0)
+        with pytest.raises(InvalidCountingRecordError) as err:
+            run_ensemble(m, "em", 0.05, 2.0, RHO_PLUS, 8, base_seed=5)
+        b, step = check_replays_failure(m, 0.05, 5, 8, err)
+        assert b > 0
+        assert f"at t = {step * 0.05:.6g}:" in str(err.value)
+
+    def test_blown_up_state_names_trajectory(self):
+        # with no jump operator nothing is counted, and explicit Euler on a
+        # fast rotation grows until it overflows
+        m = build_jump_model(np.zeros((2, 2)), 20.0 * SIGMA_Y, 1.0, 1.0)
+        with pytest.raises(NonFiniteStateError, match="blew up") as err:
+            run_ensemble(m, "em", 0.05, 5.0, RHO_PLUS, 3, base_seed=5)
+        _, step = check_replays_failure(m, 0.05, 5, 3, err)
+        assert err.value.time == pytest.approx(step * 0.05)
+
+    def test_robust_collapse_names_trajectory(self):
+        stepper = RobustStepper(driven_atom_model(), 0.01)
+        rhos = np.stack([RHO_PLUS, -np.eye(2, dtype=complex)])
+        with pytest.raises(NonFiniteStateError, match=r"trajectory 1 \(seed 41\) in step 7 collapsed at t = 0.07"):
+            stepper.advance_many(rhos, np.array([0.01, 0.02]), 0.07, _trajectory_in(40, 7))
 
     def test_mean_tracks_master_equation(self):
         m = driven_atom_model()
