@@ -409,9 +409,10 @@ def cmd_filter(config: RunConfig, record_path: Path, out_dir: Path) -> list[Path
             log_lam = 0.0
             times = record.times
             for k, dn in enumerate(record.counts):
-                rho, dlog = _sme_advance(model, rho, int(dn), record.dt)
+                t = float(times[k + 1])
+                rho, dlog = _sme_advance(model, rho, int(dn), record.dt, t)
                 log_lam += dlog
-                states.append(DensityState(rho, log_lam, float(times[k + 1])))
+                states.append(DensityState(rho, log_lam, t))
     out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "filtered_trajectory.csv"
     _trajectory_csv(traj_path, config, record.times, states)

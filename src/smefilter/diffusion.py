@@ -10,7 +10,9 @@ cross-validation:
   turns the linear equation into an ordinary differential equation for
   ``r_t = A_t rho_tilde_t A_t^dag`` in which the record enters only as a
   parameter, integrated here with classical RK4 on the piecewise-linear
-  record interpolant;
+  record interpolant.  The gauge depends on the record only, never on the
+  state, so the gauges at all the RK4 stage times of a step come from one
+  ``expm_many`` call made before the stages run;
 * ``robust_step`` / ``robust_filter`` -- an implicit Euler discretization of
   the pathwise equation, transformed back so each step solves the linear
   matrix system ``A X + X B - C X D = E(dy) X_prev E(dy)^dag`` with
@@ -241,15 +243,25 @@ def _normalized_density(rho0, name: str = "rho0") -> np.ndarray:
     return m / tr
 
 
+def _gauge_exponent(L, kappa: float, y, tau) -> np.ndarray:
+    """Exponent ``X = -(y/k^2) L + (tau/2k^2) L^2`` of the gauge ``A = exp(X)``
+    at record value ``y`` and time ``tau``; arrays of ``(y, tau)`` give the
+    stack of their exponents."""
+    Lm = as_square(L)
+    y = np.asarray(y, dtype=float)
+    bad = y[~np.isfinite(y)]
+    if bad.size:
+        raise ValueError(f"record value y_t = {bad[0]} is not finite")
+    k2 = kappa * kappa
+    tau = np.asarray(tau, dtype=float)
+    return (-y / k2)[..., None, None] * Lm + (tau / (2.0 * k2))[..., None, None] * (Lm @ Lm)
+
+
 def gauge(L, kappa: float, y_t: float, t: float, tol: float = 1e-12):
     """Gauge transform ``A_t = exp(-(L/k^2) y_t + (L^2/2k^2) t)`` and its
     exact inverse (the exponential of the negated exponent; the exponent
     commutes with itself, so this is the inverse up to rounding)."""
-    Lm = as_square(L)
-    if not np.isfinite(y_t):
-        raise ValueError(f"record value y_t = {y_t} is not finite")
-    k2 = kappa * kappa
-    exponent = (-y_t / k2) * Lm + (t / (2.0 * k2)) * (Lm @ Lm)
+    exponent = _gauge_exponent(L, kappa, y_t, t)
     return expm(exponent, tol), expm(-exponent, tol)
 
 
@@ -282,10 +294,17 @@ def recover(a_t_inv, r) -> Recovery:
 class PathwiseIntegrator:
     """RK4 driver for the gauge-transformed flow on one record interval.
 
-    The record enters through its piecewise-linear interpolant; each RK4
-    stage rebuilds the gauge at the stage time.  Shared by
-    :func:`integrate_pathwise`, :func:`pathwise_filter`, and the online
-    trajectory runner so that offline replays are bit-identical.
+    The record enters through its piecewise-linear interpolant.  The gauge
+    and its inverse at every stage time of a step are record-only, so
+    :meth:`advance` computes them all with one :func:`expm_many` call and
+    forms each stage's ``A K A^-1`` as a stacked product before the RK4
+    loop; each stage looks its own up by its time.  The stage times are the
+    float expressions :func:`rk4_step` evaluates and each element of
+    :func:`expm_many` is bitwise :func:`expm`, so the states are bitwise
+    those of rebuilding the gauge with :func:`gauge` at every stage and
+    applying :func:`pathwise_rhs`.  Shared by :func:`integrate_pathwise`,
+    :func:`pathwise_filter`, and the online trajectory runner so that
+    offline replays are bit-identical.
     """
 
     def __init__(self, model, dt: float, substeps: int = 4, tol: float = 1e-12):
@@ -301,24 +320,34 @@ class PathwiseIntegrator:
     def advance(self, r: np.ndarray, t_rel: float, y_start: float, dy: float) -> np.ndarray:
         """Integrate ``r`` over ``[t_rel, t_rel + dt]`` (times relative to the
         record start, where the gauge is the identity)."""
-        model, tol = self.model, self.tol
-        slope = dy / self.dt
+        model = self.model
         h = self.dt / self.substeps
-        cache: dict = {"t": None, "aa": None}
+        # The stage times rk4_step evaluates, by the same float expressions;
+        # a substep's end usually equals the next one's start, and both map
+        # to the same gauge.
+        t = t_rel + np.arange(self.substeps) * h
+        taus = np.concatenate([t, t + 0.5 * h, t + h])
+        x = _gauge_exponent(model.L, model.kappa, y_start + (dy / self.dt) * (taus - t_rel), taus)
+        gauges = expm_many(np.concatenate([x, -x]), self.tol)
+        s = gauges[: taus.size] @ model.K @ gauges[taus.size :]  # A K A^-1
+        stage = dict(zip(taus.tolist(), zip(s, s.conj().transpose(0, 2, 1))))
+        L, L_dag = model.L, dagger(model.L)
+        gain = 1.0 - 1.0 / model.kappa**2
 
         def deriv(tau, rr):
-            if cache["t"] != tau:
-                cache["t"] = tau
-                cache["aa"] = gauge(model.L, model.kappa, y_start + slope * (tau - t_rel), tau, tol)
-            a, a_inv = cache["aa"]
-            return pathwise_rhs(model, a, a_inv, rr)
+            # pathwise_rhs with the stage's precomputed gauge products
+            s_tau, s_dag = stage[tau]
+            return gain * (L @ rr @ L_dag) - s_tau @ rr - rr @ s_dag
 
         for j in range(self.substeps):
             r = rk4_step(deriv, t_rel + j * h, r, h)
         return 0.5 * (r + dagger(r))
 
     def recover_state(self, r: np.ndarray, y: float, t_rel: float, t_abs: float) -> DensityState:
-        _, a_inv = gauge(self.model.L, self.model.kappa, y, t_rel, self.tol)
+        """Undo the gauge at record value ``y`` and relative time ``t_rel``;
+        only ``A^-1 = exp(-X)`` is needed, the second matrix :func:`gauge`
+        returns."""
+        a_inv = expm(-_gauge_exponent(self.model.L, self.model.kappa, y, t_rel), self.tol)
         rec = recover(a_inv, r)
         rho = 0.5 * (rec.rho + dagger(rec.rho))
         return DensityState(rho, rec.log_lambda, t_abs)

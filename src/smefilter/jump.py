@@ -172,8 +172,11 @@ class JumpGauge:
         self.count += 1
 
 
-def _sme_advance(model, rho: np.ndarray, dn: int, dt: float, j_rho: np.ndarray | None = None):
-    """Drift-then-count Euler update of the normalized state.
+def _sme_advance(
+    model, rho: np.ndarray, dn: int, dt: float, t: float | None = None, j_rho: np.ndarray | None = None
+):
+    """Drift-then-count Euler update of the normalized state over a step
+    ending at time ``t``, which errors name when it is given.
 
     ``j_rho`` is ``C rho C^dag`` when the caller has it already (the sampler
     builds it for the count probability); it is computed here otherwise.
@@ -193,14 +196,15 @@ def _sme_advance(model, rho: np.ndarray, dn: int, dt: float, j_rho: np.ndarray |
         j_out = C @ out @ dagger(C)
         tr_jo = float(np.trace(j_out).real)
         if not np.isfinite(tr_jo) or tr_jo <= 1e-300:
+            at = "" if t is None else f" at t = {t:.6g}"
             raise InvalidCountingRecordError(
-                f"count arrived where tr(C rho C^dag) = {tr_jo:.3e}: record is invalid for this model"
+                f"count arrived where tr(C rho C^dag) = {tr_jo:.3e}{at}: record is invalid for this model"
             )
         dlog += float(np.log(tr_jo / float(np.trace(out).real)))
         out = j_out / tr_jo
     tr = float(np.trace(out).real)
     if not np.isfinite(tr) or tr <= 0.0 or not np.isfinite(out).all():
-        raise NonFiniteStateError(message="normalized jump state blew up")
+        raise NonFiniteStateError(t, "normalized jump state blew up")
     return (0.5 / tr) * (out + out.conj().T), dlog
 
 
@@ -258,10 +262,12 @@ def _sample_step(model, rho: np.ndarray, u: float, dt: float, t: float):
     """One step of an online counting run from the state ``rho`` at time
     ``t``: a count registers when ``u`` is below the count probability, and
     the state advances with :func:`_sme_advance`.  ``C rho C^dag`` is built
-    once and serves both.  Returns ``(dn, rho, dlog)``."""
+    once and serves both.  Returns ``(dn, rho, dlog)``.  As in
+    :func:`_sample_many`, the count-probability check names ``t`` and the
+    other errors the step's end ``t + dt``."""
     j_rho = model.C @ rho @ dagger(model.C)
     dn = 1 if u < _probability_of(model, j_rho, dt, t) else 0
-    rho, dlog = _sme_advance(model, rho, dn, dt, j_rho)
+    rho, dlog = _sme_advance(model, rho, dn, dt, t + dt, j_rho)
     return dn, rho, dlog
 
 

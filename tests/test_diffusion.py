@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from smefilter.diffusion import (
     DensityState,
@@ -519,3 +521,70 @@ class TestBlowupHandling:
         with pytest.raises(NonFiniteStateError) as err:
             em_unnormalized(m, rec, RHO_PLUS)
         assert err.value.time == pytest.approx(0.03)
+
+
+@hst.composite
+def small_diffusion_models(draw):
+    """2- and 3-level models with a random Hamiltonian and coupling, and the
+    driven atom, whose nilpotent coupling puts exact zeros in the gauge."""
+    eta = draw(hst.floats(0.2, 1.0))
+    if draw(hst.booleans()):
+        return two_level_model(1.0, 7.0 / np.sqrt(2.0), 0.5, draw(hst.sampled_from((0.0, 0.3))), eta)
+    n = draw(hst.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    L = draw(hst.floats(0.1, 0.6)) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return build_diffusion_model(a + dagger(a), L, eta)
+
+
+def reference_gauge(model, y, tau):
+    """The gauge pair as each RK4 stage once built it, one exponent at a time."""
+    L, k2 = model.L, model.kappa * model.kappa
+    exponent = (-y / k2) * L + (tau / (2.0 * k2)) * (L @ L)
+    return expm(exponent), expm(-exponent)
+
+
+def reference_advance(model, r, t_rel, y_start, dy, dt, substeps):
+    """One pathwise step with the gauge rebuilt at every stage time."""
+    slope = dy / dt
+    h = dt / substeps
+
+    def deriv(tau, rr):
+        a, a_inv = reference_gauge(model, y_start + slope * (tau - t_rel), tau)
+        return pathwise_rhs(model, a, a_inv, rr)
+
+    for j in range(substeps):
+        r = rk4_step(deriv, t_rel + j * h, r, h)
+    return 0.5 * (r + dagger(r))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    model=small_diffusion_models(),
+    substeps=hst.integers(1, 8),
+    dt=hst.floats(1e-4, 1e-2),
+    steps_in=hst.floats(0.0, 1e3),
+    y_start=hst.floats(-3.0, 3.0),
+    dy_scaled=hst.floats(-3.0, 3.0),
+    seed=hst.integers(0, 2**32 - 1),
+)
+# y runs from 0.9 to 1.09 with eta = 1, so the stage exponents' norms cross
+# 1 and the stages of one step take different squaring counts; the long step
+# lets the rounding of the gauges reach the state
+@example(
+    model=build_diffusion_model(np.diag([0.5, -0.5]), np.array([[0.3, 1.0], [0.2j, -0.1]]), 1.0),
+    substeps=2, dt=0.1, steps_in=0.0, y_start=0.9, dy_scaled=0.6, seed=0,
+)
+def test_pathwise_step_matches_per_stage_gauges_bitwise(model, substeps, dt, steps_in, y_start, dy_scaled, seed):
+    # t_rel up to 1e3 dt, where a substep's end t + h and the next substep's
+    # start t_rel + (j + 1) h can differ in the last bit
+    t_rel, dy = steps_in * dt, dy_scaled * np.sqrt(dt)
+    r = random_state(np.random.default_rng(seed), model.dim)
+    stepper = PathwiseIntegrator(model, dt, substeps)
+    got = stepper.advance(r, t_rel, y_start, dy)
+    want = reference_advance(model, r, t_rel, y_start, dy, dt, substeps)
+    assert got.tobytes() == want.tobytes()
+    state = stepper.recover_state(got, y_start + dy, t_rel + dt, 7.0)
+    rec = recover(reference_gauge(model, y_start + dy, t_rel + dt)[1], want)
+    assert state.rho.tobytes() == (0.5 * (rec.rho + dagger(rec.rho))).tobytes()
+    assert state.log_lambda == rec.log_lambda and state.t == 7.0

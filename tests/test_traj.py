@@ -49,18 +49,19 @@ def criterion9_jump_model():
 def check_replays_failure(model, dt, base_seed, n_traj, error):
     """The failure a batched em ensemble reports names a trajectory, its seed,
     the step and the time; the run with that seed must fail with the same
-    error in that step and not before, and no trajectory may fail earlier."""
+    error in that step and not before, and no trajectory may fail earlier.
+    Returns the trajectory, the step and the replayed run's error."""
     found = re.search(r"trajectory (\d+) \(seed (\d+)\) in step (\d+)", str(error.value))
     assert found, str(error.value)
     b, seed, step = (int(g) for g in found.groups())
     assert seed == base_seed + b and b < n_traj
     assert "t = " in str(error.value)
-    with pytest.raises(error.type):
+    with pytest.raises(error.type) as replay:
         run_trajectory(model, "em", dt, step * dt, RHO_PLUS, seed)
     if step > 1:
         for i in range(n_traj):
             run_trajectory(model, "em", dt, (step - 1) * dt, RHO_PLUS, base_seed + i)
-    return b, step
+    return b, step, replay
 
 
 class TestMasterEquation:
@@ -116,9 +117,12 @@ class TestRunTrajectory:
 
     def test_offline_pathwise_replay_bitwise(self):
         m = driven_atom_model()
-        res = run_trajectory(m, "pathwise", 0.01, 0.5, RHO_PLUS, seed=8, substeps=2)
-        replay = pathwise_filter(m, res.record, RHO_PLUS, substeps=2)
-        assert all(np.array_equal(a.rho, b.rho) for a, b in zip(res.states, replay))
+        for substeps in (1, 3, 8):
+            res = run_trajectory(m, "pathwise", 0.01, 0.5, RHO_PLUS, seed=8, substeps=substeps)
+            replay = pathwise_filter(m, res.record, RHO_PLUS, substeps=substeps)
+            assert len(replay) == len(res.states)
+            assert all(np.array_equal(a.rho, b.rho) for a, b in zip(res.states, replay))
+            assert all(a.log_lambda == b.log_lambda for a, b in zip(res.states, replay))
 
     def test_em_and_robust_converge_together(self):
         # both schemes filter the same sampled record (shared by coarsening a
@@ -203,6 +207,14 @@ class TestRunEnsemble:
             total += np.stack([s.rho for s in single.states])
         assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([t / n_traj for t in total]))
 
+    def test_single_pathwise_trajectory_matches(self):
+        m = driven_atom_model()
+        ens = run_ensemble(m, "pathwise", 0.01, 0.5, RHO_PLUS, 1, base_seed=12, substeps=3)
+        single = run_trajectory(m, "pathwise", 0.01, 0.5, RHO_PLUS, seed=12, substeps=3)
+        assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([s.rho for s in single.states]))
+        assert ens.final_states[0].log_lambda == single.states[-1].log_lambda
+        assert np.array_equal(ens.times, single.times)
+
     @pytest.mark.parametrize("scheme", ["em", "pathwise"])
     def test_single_jump_trajectory_matches(self, scheme):
         m = criterion9_jump_model()
@@ -237,7 +249,7 @@ class TestRunEnsemble:
         m = build_jump_model(SIGMA, 10.0 * SIGMA_X, 1.0, 1.0)
         with pytest.raises(ValueError, match="count probability .* use a smaller dt") as err:
             run_ensemble(m, "em", 0.05, 2.0, RHO_PLUS, 8, base_seed=5)
-        b, step = check_replays_failure(m, 0.05, 5, 8, err)
+        b, step, _ = check_replays_failure(m, 0.05, 5, 8, err)
         assert b > 0
         assert f"at t = {(step - 1) * 0.05:.6g};" in str(err.value)
 
@@ -246,9 +258,10 @@ class TestRunEnsemble:
         m = build_jump_model(SIGMA, 20.0 * SIGMA_X, 1.0, 1.0)
         with pytest.raises(InvalidCountingRecordError) as err:
             run_ensemble(m, "em", 0.05, 2.0, RHO_PLUS, 8, base_seed=5)
-        b, step = check_replays_failure(m, 0.05, 5, 8, err)
+        b, step, replay = check_replays_failure(m, 0.05, 5, 8, err)
         assert b > 0
         assert f"at t = {step * 0.05:.6g}:" in str(err.value)
+        assert f"at t = {step * 0.05:.6g}:" in str(replay.value)
 
     def test_blown_up_state_names_trajectory(self):
         # with no jump operator nothing is counted, and explicit Euler on a
@@ -256,8 +269,10 @@ class TestRunEnsemble:
         m = build_jump_model(np.zeros((2, 2)), 20.0 * SIGMA_Y, 1.0, 1.0)
         with pytest.raises(NonFiniteStateError, match="blew up") as err:
             run_ensemble(m, "em", 0.05, 5.0, RHO_PLUS, 3, base_seed=5)
-        _, step = check_replays_failure(m, 0.05, 5, 3, err)
+        _, step, replay = check_replays_failure(m, 0.05, 5, 3, err)
         assert err.value.time == pytest.approx(step * 0.05)
+        assert replay.value.time == err.value.time
+        assert f"blew up at t = {step * 0.05:.6g}" in str(replay.value)
 
     def test_robust_collapse_names_trajectory(self):
         stepper = RobustStepper(driven_atom_model(), 0.01)
