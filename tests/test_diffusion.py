@@ -533,8 +533,21 @@ def small_diffusion_models(draw):
     n = draw(hst.sampled_from((2, 3)))
     rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    L = draw(hst.floats(0.1, 0.6)) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    L = draw(hst.floats(0.1, 1.5)) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return build_diffusion_model(a + dagger(a), L, eta)
+
+
+@hst.composite
+def step_grids(draw):
+    """``(dt, t_rel)``: short steps with ``t_rel`` up to ``1e3 dt``, where a
+    substep's end ``t + h`` and the next substep's start ``t_rel + (j + 1) h``
+    can differ in the last bit, or long steps, where a rounding change in the
+    stage arithmetic reaches the state."""
+    if draw(hst.booleans()):
+        dt = draw(hst.floats(1e-4, 1e-2))
+        return dt, draw(hst.floats(0.0, 1e3)) * dt
+    dt = draw(hst.floats(0.02, 0.2))
+    return dt, draw(hst.floats(0.0, 20.0)) * dt
 
 
 def reference_gauge(model, y, tau):
@@ -562,23 +575,20 @@ def reference_advance(model, r, t_rel, y_start, dy, dt, substeps):
 @given(
     model=small_diffusion_models(),
     substeps=hst.integers(1, 8),
-    dt=hst.floats(1e-4, 1e-2),
-    steps_in=hst.floats(0.0, 1e3),
+    grid=step_grids(),
     y_start=hst.floats(-3.0, 3.0),
     dy_scaled=hst.floats(-3.0, 3.0),
     seed=hst.integers(0, 2**32 - 1),
 )
 # y runs from 0.9 to 1.09 with eta = 1, so the stage exponents' norms cross
-# 1 and the stages of one step take different squaring counts; the long step
-# lets the rounding of the gauges reach the state
+# 1 and the stages of one step take different squaring counts
 @example(
     model=build_diffusion_model(np.diag([0.5, -0.5]), np.array([[0.3, 1.0], [0.2j, -0.1]]), 1.0),
-    substeps=2, dt=0.1, steps_in=0.0, y_start=0.9, dy_scaled=0.6, seed=0,
+    substeps=2, grid=(0.1, 0.0), y_start=0.9, dy_scaled=0.6, seed=0,
 )
-def test_pathwise_step_matches_per_stage_gauges_bitwise(model, substeps, dt, steps_in, y_start, dy_scaled, seed):
-    # t_rel up to 1e3 dt, where a substep's end t + h and the next substep's
-    # start t_rel + (j + 1) h can differ in the last bit
-    t_rel, dy = steps_in * dt, dy_scaled * np.sqrt(dt)
+def test_pathwise_step_matches_per_stage_gauges_bitwise(model, substeps, grid, y_start, dy_scaled, seed):
+    dt, t_rel = grid
+    dy = dy_scaled * np.sqrt(dt)
     r = random_state(np.random.default_rng(seed), model.dim)
     stepper = PathwiseIntegrator(model, dt, substeps)
     got = stepper.advance(r, t_rel, y_start, dy)
