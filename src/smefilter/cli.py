@@ -38,6 +38,7 @@ from .jump import (
 from .model import IDENTITY_2, SIGMA, SIGMA_X, SIGMA_Y, SIGMA_Z, build_jump_model, purity, two_level_model
 from .diffusion import DensityState, _normalized_density
 from .traj import (
+    SCHEMES,
     _bloch_fast,
     convergence_report,
     lipschitz_report,
@@ -47,7 +48,6 @@ from .traj import (
 )
 
 _MODES = ("diffusion", "jump")
-_SCHEMES = ("robust", "em", "pathwise")
 _RECORD_KINDS = ("smooth", "brownian")
 
 _OPERATORS = {
@@ -222,7 +222,7 @@ def parse_config(text: str) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     mode = _require_choice(raw, "mode", "diffusion", _MODES)
-    scheme = _require_choice(raw, "scheme", "robust", _SCHEMES)
+    scheme = _require_choice(raw, "scheme", "robust", SCHEMES)
     if mode == "jump" and scheme == "robust":
         raise ValueError("scheme: 'robust' applies to diffusion mode; use 'em' or 'pathwise'")
     if mode == "diffusion":

@@ -11,8 +11,10 @@ cross-validation:
   ``r_t = A_t rho_tilde_t A_t^dag`` in which the record enters only as a
   parameter, integrated here with classical RK4 on the piecewise-linear
   record interpolant.  The gauge depends on the record only, never on the
-  state, so the gauges at all the RK4 stage times of a step come from one
-  ``expm_many`` call made before the stages run;
+  state, and the flow is linear in ``r``, so a step's RK4 update is a
+  linear map of ``vec(r)`` known before any state is: the step maps of a
+  block of record steps are built together, as stacks, and then applied
+  one after another;
 * ``robust_step`` / ``robust_filter`` -- an implicit Euler discretization of
   the pathwise equation, transformed back so each step solves the linear
   matrix system ``A X + X B - C X D = E(dy) X_prev E(dy)^dag`` with
@@ -45,7 +47,13 @@ from .linalg import (
     kron,
     require_hermitian,
 )
-from .ode import rk4_step
+from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in this module)
+
+# Record steps whose step maps ``pathwise_filter`` and ``integrate_pathwise``
+# build at a time; it bounds the memory of the stacked stage matrices.  Larger
+# blocks hold more and run no faster: a 3000-step qubit oracle at 8 substeps
+# took 0.48 s with 16 steps a block and 0.54 s with 128 (2-core Xeon).
+_MAP_BLOCK = 16
 
 
 class NonFiniteStateError(ArithmeticError):
@@ -295,16 +303,19 @@ class PathwiseIntegrator:
     """RK4 driver for the gauge-transformed flow on one record interval.
 
     The record enters through its piecewise-linear interpolant.  The gauge
-    and its inverse at every stage time of a step are record-only, so
-    :meth:`advance` computes them all with one :func:`expm_many` call and
-    forms each stage's ``A K A^-1`` as a stacked product before the RK4
-    loop; each stage looks its own up by its time.  The stage times are the
-    float expressions :func:`rk4_step` evaluates and each element of
-    :func:`expm_many` is bitwise :func:`expm`, so the states are bitwise
-    those of rebuilding the gauge with :func:`gauge` at every stage and
-    applying :func:`pathwise_rhs`.  Shared by :func:`integrate_pathwise`,
-    :func:`pathwise_filter`, and the online trajectory runner so that
-    offline replays are bit-identical.
+    depends on the record only and the flow is linear in ``r``, so one RK4
+    step is a linear map of ``vec(r)`` (column stacking), and
+    :meth:`step_maps` builds the ``n^2 x n^2`` maps of many record steps at
+    once: one :func:`expm_many` call gives the gauge and its inverse at
+    every stage time of every step, and the stage generators and the RK4
+    compositions are stacked products.  Every stacked operation acts per
+    element, so a step's map is bitwise the same whatever other steps are
+    built with it, and :meth:`recover_many` likewise recovers each state
+    bitwise as :meth:`recover_state` does alone.  :meth:`advance` (the
+    online trajectory runner) applies the map of a batch of one, and
+    :func:`pathwise_filter` and :func:`integrate_pathwise` apply the maps of
+    ``_MAP_BLOCK`` steps at a time by the same arithmetic, so offline
+    replays are bit-identical to online runs.
     """
 
     def __init__(self, model, dt: float, substeps: int = 4, tol: float = 1e-12):
@@ -316,41 +327,107 @@ class PathwiseIntegrator:
         self.dt = float(dt)
         self.substeps = int(substeps)
         self.tol = float(tol)
+        # vec(gain L r L^dag) = gain (conj(L) (x) L) vec(r)
+        self._sandwich = (1.0 - 1.0 / model.kappa**2) * kron(model.L.conj(), model.L)
+
+    def step_maps(self, t_rel, y_start, dy) -> np.ndarray:
+        """The RK4 maps ``P`` with ``vec(r_end) = P vec(r_start)`` of the steps
+        over ``[t_rel[b], t_rel[b] + dt]`` from record value ``y_start[b]``
+        with increment ``dy[b]`` (times relative to the record start, where
+        the gauge is the identity); returns a ``(B, n^2, n^2)`` stack.
+
+        Each stage's generator is ``F = gain conj(L) (x) L - I (x) s -
+        conj(s) (x) I`` with ``s = A K A^-1`` at the stage time, so that
+        ``F vec(r) = vec(gain L r L^dag - s r - r s^dag)``.  A substep of
+        width ``h`` maps by ``I + (h/6)(K1 + 2(K2 + K3) + K4)`` with
+        ``K1 = F(t)``, ``K2 = F(t + h/2)(I + (h/2) K1)``,
+        ``K3 = F(t + h/2)(I + (h/2) K2)`` and ``K4 = F(t + h)(I + h K3)``.
+        """
+        model = self.model
+        n, nb, m = model.dim, len(t_rel), self.substeps
+        h = self.dt / m
+        # Stage times t, t + h/2 and t + h of every substep, by the float
+        # expressions rk4_step evaluates.
+        t_rel = np.asarray(t_rel, dtype=float)[:, None]
+        t = t_rel + np.arange(m) * h
+        taus = np.concatenate([t, t + 0.5 * h, t + h], axis=1)
+        slope = np.asarray(dy, dtype=float)[:, None] / self.dt
+        ys = np.asarray(y_start, dtype=float)[:, None] + slope * (taus - t_rel)
+        x = _gauge_exponent(model.L, model.kappa, ys, taus)
+        gauges = expm_many(np.concatenate([x, -x], axis=1).reshape(-1, n, n), self.tol).reshape(nb, 6 * m, n, n)
+        s = gauges[:, : 3 * m] @ model.K @ gauges[:, 3 * m :]  # A K A^-1
+        eye = np.eye(n)
+        f = (
+            self._sandwich
+            - (eye[:, None, :, None] * s[..., None, :, None, :]).reshape(nb, 3 * m, n * n, n * n)
+            - (s.conj()[..., :, None, :, None] * eye[:, None, :]).reshape(nb, 3 * m, n * n, n * n)
+        ).reshape(nb, 3, m, n * n, n * n)
+        one = np.eye(n * n)
+        k1 = f[:, 0]
+        k2 = f[:, 1] @ (one + (0.5 * h) * k1)
+        k3 = f[:, 1] @ (one + (0.5 * h) * k2)
+        k4 = f[:, 2] @ (one + h * k3)
+        substep = one + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        maps = substep[:, 0]
+        for j in range(1, m):
+            maps = substep[:, j] @ maps
+        return maps
 
     def advance(self, r: np.ndarray, t_rel: float, y_start: float, dy: float) -> np.ndarray:
         """Integrate ``r`` over ``[t_rel, t_rel + dt]`` (times relative to the
         record start, where the gauge is the identity)."""
-        model = self.model
-        h = self.dt / self.substeps
-        # The stage times rk4_step evaluates, by the same float expressions;
-        # a substep's end usually equals the next one's start, and both map
-        # to the same gauge.
-        t = t_rel + np.arange(self.substeps) * h
-        taus = np.concatenate([t, t + 0.5 * h, t + h])
-        x = _gauge_exponent(model.L, model.kappa, y_start + (dy / self.dt) * (taus - t_rel), taus)
-        gauges = expm_many(np.concatenate([x, -x]), self.tol)
-        s = gauges[: taus.size] @ model.K @ gauges[taus.size :]  # A K A^-1
-        stage = dict(zip(taus.tolist(), zip(s, s.conj().transpose(0, 2, 1))))
-        L, L_dag = model.L, dagger(model.L)
-        gain = 1.0 - 1.0 / model.kappa**2
+        return _apply_step_map(self.step_maps([t_rel], [y_start], [dy])[0], r)
 
-        def deriv(tau, rr):
-            # pathwise_rhs with the stage's precomputed gauge products
-            s_tau, s_dag = stage[tau]
-            return gain * (L @ rr @ L_dag) - s_tau @ rr - rr @ s_dag
+    def recover_many(self, r: np.ndarray, y, t_rel, t_abs) -> list[DensityState]:
+        """Undo the gauge for a stack of states ``r[b]`` at record values
+        ``y[b]`` and relative times ``t_rel[b]``: ``rho_tilde = A^-1 r
+        (A^dag)^-1``, normalized and hermitized, with ``log_lambda =
+        log(tr(rho_tilde))``; only ``A^-1 = exp(-X)`` is needed.
 
-        for j in range(self.substeps):
-            r = rk4_step(deriv, t_rel + j * h, r, h)
-        return 0.5 * (r + dagger(r))
+        Raises :class:`NonFiniteStateError` at the absolute time ``t_abs[b]``
+        of the first state whose trace is not positive.
+        """
+        a_inv = expm_many(-_gauge_exponent(self.model.L, self.model.kappa, y, t_rel), self.tol)
+        rho_tilde = a_inv @ r @ a_inv.conj().transpose(0, 2, 1)
+        # The diagonal summed in order, so each trace is the same in any stack.
+        tr = sum(rho_tilde[:, i, i].real for i in range(rho_tilde.shape[1]))
+        bad = np.flatnonzero(~(np.isfinite(tr) & (tr > 0.0)))
+        if bad.size:
+            b = bad[0]
+            raise NonFiniteStateError(t_abs[b], f"recovered pathwise state collapsed (trace {tr[b]})")
+        rho = rho_tilde / tr[:, None, None]
+        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        return [DensityState(p, float(lam), float(t)) for p, lam, t in zip(rho, np.log(tr), t_abs)]
 
     def recover_state(self, r: np.ndarray, y: float, t_rel: float, t_abs: float) -> DensityState:
-        """Undo the gauge at record value ``y`` and relative time ``t_rel``;
-        only ``A^-1 = exp(-X)`` is needed, the second matrix :func:`gauge`
-        returns."""
-        a_inv = expm(-_gauge_exponent(self.model.L, self.model.kappa, y, t_rel), self.tol)
-        rec = recover(a_inv, r)
-        rho = 0.5 * (rec.rho + dagger(rec.rho))
-        return DensityState(rho, rec.log_lambda, t_abs)
+        """:meth:`recover_many` of one state."""
+        return self.recover_many(r[None], [y], [t_rel], [t_abs])[0]
+
+
+def _apply_step_map(step_map: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``unvec(step_map vec(r))``, hermitized."""
+    r = (step_map @ r.reshape(-1, order="F")).reshape(r.shape, order="F")
+    return 0.5 * (r + dagger(r))
+
+
+def _pathwise_blocks(stepper: PathwiseIntegrator, record: MeasurementRecord, r: np.ndarray):
+    """The gauge-frame states along a record from ``r``, ``_MAP_BLOCK`` steps
+    at a time: yields ``(k, rs)`` with ``rs[j]`` the state after step
+    ``k + j + 1``.  A block stops before a non-finite state, and the next
+    iteration raises :class:`NonFiniteStateError` at that step's time."""
+    t_rel = record.dt * np.arange(record.n_steps)
+    y = record.cumulative()
+    for lo in range(0, record.n_steps, _MAP_BLOCK):
+        hi = min(lo + _MAP_BLOCK, record.n_steps)
+        rs = []
+        for step_map in stepper.step_maps(t_rel[lo:hi], y[lo:hi], record.increments[lo:hi]):
+            r = _apply_step_map(step_map, r)
+            if not np.isfinite(r).all():
+                if rs:
+                    yield lo, np.stack(rs)
+                raise NonFiniteStateError(float(record.times[lo + len(rs) + 1]), "pathwise state blew up")
+            rs.append(r)
+        yield lo, np.stack(rs)
 
 
 def integrate_pathwise(model, record: MeasurementRecord, r0, substeps: int = 4, tol: float = 1e-12):
@@ -361,32 +438,27 @@ def integrate_pathwise(model, record: MeasurementRecord, r0, substeps: int = 4, 
         raise ValueError("r0 must have positive trace")
     stepper = PathwiseIntegrator(model, record.dt, substeps, tol)
     times = record.times
-    y = record.cumulative()
     out = [PathwiseState(r.copy(), float(times[0]))]
-    for k, dy in enumerate(record.increments):
-        r = stepper.advance(r, float(k * record.dt), float(y[k]), float(dy))
-        if not np.isfinite(r).all():
-            raise NonFiniteStateError(float(times[k + 1]), "pathwise state blew up")
-        out.append(PathwiseState(r.copy(), float(times[k + 1])))
+    for k, rs in _pathwise_blocks(stepper, record, r):
+        out += [PathwiseState(rr, float(t)) for rr, t in zip(rs, times[k + 1 :])]
     return out
 
 
 def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4, tol: float = 1e-12):
     """Pathwise-ODE filter: integrate the gauge frame and undo the gauge at
-    every grid point, yielding normalized states with log-normalization."""
+    every grid point, yielding normalized states with log-normalization.
+
+    Each block of states is recovered with one :meth:`recover_many` call;
+    a collapse raises :class:`NonFiniteStateError` at its step's time."""
     rho = _normalized_density(rho0)
     stepper = PathwiseIntegrator(model, record.dt, substeps, tol)
     times = record.times
+    t_rel = record.dt * np.arange(record.n_steps + 1)
     y = record.cumulative()
-    r = rho.copy()
     out = [DensityState(rho, 0.0, float(times[0]))]
-    for k, dy in enumerate(record.increments):
-        r = stepper.advance(r, float(k * record.dt), float(y[k]), float(dy))
-        if not np.isfinite(r).all():
-            raise NonFiniteStateError(float(times[k + 1]), "pathwise state blew up")
-        out.append(
-            stepper.recover_state(r, float(y[k + 1]), float((k + 1) * record.dt), float(times[k + 1]))
-        )
+    for k, rs in _pathwise_blocks(stepper, record, rho.copy()):
+        at = slice(k + 1, k + 1 + len(rs))
+        out += stepper.recover_many(rs, y[at], t_rel[at], times[at])
     return out
 
 

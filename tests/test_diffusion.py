@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from smefilter.diffusion import (
@@ -10,6 +10,7 @@ from smefilter.diffusion import (
     NonFiniteStateError,
     PathwiseIntegrator,
     RobustStepper,
+    _MAP_BLOCK,
     _robust_advance,
     em_normalized,
     em_unnormalized,
@@ -220,6 +221,67 @@ class TestIntegratePathwise:
             for a, b in zip(ode_path[::10], em_path)
         ]
         assert max(gaps) <= 0.03
+
+
+def stepwise_pathwise(model, record, rho0, substeps):
+    """The gauge-frame states and recovered states along a record, one
+    ``advance`` and one ``recover_state`` at a time."""
+    stepper = PathwiseIntegrator(model, record.dt, substeps)
+    y, times = record.cumulative(), record.times
+    r, rs, states = rho0.copy(), [], []
+    for k, dy in enumerate(record.increments):
+        r = stepper.advance(r, float(k * record.dt), float(y[k]), float(dy))
+        rs.append(r)
+        states.append(stepper.recover_state(r, float(y[k + 1]), float((k + 1) * record.dt), float(times[k + 1])))
+    return rs, states
+
+
+class TestPathwiseBlocks:
+    @pytest.mark.parametrize("n_steps", [_MAP_BLOCK - 1, _MAP_BLOCK, _MAP_BLOCK + 1, 2 * _MAP_BLOCK + 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_blocks_match_stepwise_bitwise(self, dim, n_steps):
+        rng = np.random.default_rng(n_steps + 100 * dim)
+        if dim == 2:
+            m = driven_atom_model()
+        else:
+            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            m = build_diffusion_model(a + dagger(a), 0.7 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))), 0.6)
+        rec = MeasurementRecord(0.01, rng.normal(0.0, m.kappa * 0.1, n_steps), t0=0.3)
+        rho0 = random_state(rng, dim)
+        path = integrate_pathwise(m, rec, rho0, substeps=3)
+        assert len(path) == n_steps + 1 and path[0].r.tobytes() == rho0.tobytes()
+        rs, states = stepwise_pathwise(m, rec, rho0, 3)
+        for want, want_state, got in zip(rs, states, path[1:]):
+            assert got.r.tobytes() == want.tobytes() and got.t == want_state.t
+        # the filter starts from rho0 renormalized
+        filtered = pathwise_filter(m, rec, rho0, substeps=3)
+        assert len(filtered) == n_steps + 1
+        _, states = stepwise_pathwise(m, rec, filtered[0].rho, 3)
+        for want, got in zip(states, filtered[1:]):
+            assert got.rho.tobytes() == want.rho.tobytes()
+            assert got.log_lambda == want.log_lambda and got.t == want.t
+
+    def test_mid_block_blow_up_names_its_time(self):
+        # The driven atom's coupling is nilpotent, so the gauge stays finite
+        # for any record value, while a huge jump in y overflows the stage
+        # generators A K A^-1 of its step.
+        k = _MAP_BLOCK + 5
+        inc = np.zeros(2 * _MAP_BLOCK)
+        inc[k] = 1e40
+        rec = MeasurementRecord(0.01, inc, t0=0.3)
+        for run in (integrate_pathwise, pathwise_filter):
+            with pytest.raises(NonFiniteStateError, match="pathwise state blew up") as err:
+                run(driven_atom_model(), rec, RHO_PLUS, substeps=2)
+            assert err.value.time == rec.times[k + 1]
+
+    def test_collapse_names_its_time(self):
+        stepper = PathwiseIntegrator(driven_atom_model(), 0.01)
+        rs = np.stack([RHO_PLUS, -np.eye(2, dtype=complex), -np.eye(2, dtype=complex)])
+        with pytest.raises(NonFiniteStateError, match="collapsed") as err:
+            stepper.recover_many(rs, [0.1, 0.2, 0.3], [0.01, 0.02, 0.03], [1.01, 1.02, 1.03])
+        assert err.value.time == 1.02
+        with pytest.raises(NonFiniteStateError, match="collapsed .* at t = 1.02"):
+            stepper.recover_state(rs[1], 0.2, 0.02, 1.02)
 
 
 class TestRobustStep:
@@ -571,6 +633,21 @@ def reference_advance(model, r, t_rel, y_start, dy, dt, substeps):
     return 0.5 * (r + dagger(r))
 
 
+def stage_stiffness(model, t_rel, y_start, dy, dt, substeps):
+    """Largest ``h ||A K A^-1||_2`` over the RK4 stage times of a step."""
+    h = dt / substeps
+    taus = t_rel + 0.5 * h * np.arange(2 * substeps + 1)
+    return max(
+        h * np.linalg.norm(a @ model.K @ a_inv, 2)
+        for a, a_inv in (reference_gauge(model, y_start + (dy / dt) * (tau - t_rel), tau) for tau in taus)
+    )
+
+
+def close_to(got, want) -> bool:
+    """Agreement to rounding: within ``1e-12 max(1, max_abs(want))``."""
+    return max_abs(np.asarray(got) - np.asarray(want)) <= 1e-12 * max(1.0, max_abs(want))
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     model=small_diffusion_models(),
@@ -586,15 +663,51 @@ def reference_advance(model, r, t_rel, y_start, dy, dt, substeps):
     model=build_diffusion_model(np.diag([0.5, -0.5]), np.array([[0.3, 1.0], [0.2j, -0.1]]), 1.0),
     substeps=2, grid=(0.1, 0.0), y_start=0.9, dy_scaled=0.6, seed=0,
 )
-def test_pathwise_step_matches_per_stage_gauges_bitwise(model, substeps, grid, y_start, dy_scaled, seed):
+def test_pathwise_step_matches_per_stage_gauges(model, substeps, grid, y_start, dy_scaled, seed):
+    # The step map applies the same RK4 update as a matrix, so it agrees with
+    # the per-stage reference to rounding, not bitwise.  Beyond RK4's
+    # stability interval (h |s| above about 2.8) a step can scale the state by
+    # 1e3 to 1e250 through cancelling terms, and the two forms of the update
+    # differ by far more than rounding; a scan of 1500 draws found none
+    # inside it more than 5e-15 apart.
     dt, t_rel = grid
     dy = dy_scaled * np.sqrt(dt)
+    assume(stage_stiffness(model, t_rel, y_start, dy, dt, substeps) <= 2.8)
     r = random_state(np.random.default_rng(seed), model.dim)
     stepper = PathwiseIntegrator(model, dt, substeps)
     got = stepper.advance(r, t_rel, y_start, dy)
-    want = reference_advance(model, r, t_rel, y_start, dy, dt, substeps)
-    assert got.tobytes() == want.tobytes()
+    assert close_to(got, reference_advance(model, r, t_rel, y_start, dy, dt, substeps))
+    assert np.array_equal(got, dagger(got))
     state = stepper.recover_state(got, y_start + dy, t_rel + dt, 7.0)
-    rec = recover(reference_gauge(model, y_start + dy, t_rel + dt)[1], want)
-    assert state.rho.tobytes() == (0.5 * (rec.rho + dagger(rec.rho))).tobytes()
-    assert state.log_lambda == rec.log_lambda and state.t == 7.0
+    rec = recover(reference_gauge(model, y_start + dy, t_rel + dt)[1], got)
+    assert close_to(state.rho, 0.5 * (rec.rho + dagger(rec.rho)))
+    assert close_to(state.log_lambda, rec.log_lambda) and state.t == 7.0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    model=small_diffusion_models(),
+    substeps=hst.integers(1, 8),
+    grid=step_grids(),
+    n_steps=hst.integers(2, 20),
+    y_scale=hst.floats(0.0, 3.0),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_block_of_steps_matches_each_step_alone_bitwise(model, substeps, grid, n_steps, y_scale, seed):
+    # Record values spread over y_scale give the steps of one block different
+    # squaring counts and series lengths in expm_many.
+    dt, t_rel = grid
+    rng = np.random.default_rng(seed)
+    t_rels = t_rel + dt * np.arange(n_steps)
+    y = y_scale * rng.normal(size=n_steps)
+    dy = rng.normal(0.0, np.sqrt(dt), n_steps)
+    stepper = PathwiseIntegrator(model, dt, substeps)
+    block = stepper.step_maps(t_rels, y, dy)
+    rs = np.stack([random_state(rng, model.dim) for _ in range(n_steps)])
+    states = stepper.recover_many(rs, y + dy, t_rels + dt, t_rels)
+    for b in range(n_steps):
+        alone = stepper.step_maps(t_rels[b : b + 1], y[b : b + 1], dy[b : b + 1])[0]
+        assert block[b].tobytes() == alone.tobytes()
+        state = stepper.recover_state(rs[b], y[b] + dy[b], t_rels[b] + dt, t_rels[b])
+        assert states[b].rho.tobytes() == state.rho.tobytes()
+        assert states[b].log_lambda == state.log_lambda and states[b].t == state.t

@@ -7,6 +7,7 @@ from smefilter.diffusion import (
     MeasurementRecord,
     NonFiniteStateError,
     RobustStepper,
+    _MAP_BLOCK,
     pathwise_filter,
     robust_filter,
 )
@@ -116,9 +117,12 @@ class TestRunTrajectory:
         assert all(a.log_lambda == b.log_lambda for a, b in zip(res.states, replay))
 
     def test_offline_pathwise_replay_bitwise(self):
+        # the replay builds its step maps a block at a time; the online run
+        # builds one per step
         m = driven_atom_model()
+        n_steps = max(50, 2 * _MAP_BLOCK + 3)
         for substeps in (1, 3, 8):
-            res = run_trajectory(m, "pathwise", 0.01, 0.5, RHO_PLUS, seed=8, substeps=substeps)
+            res = run_trajectory(m, "pathwise", 0.01, n_steps * 0.01, RHO_PLUS, seed=8, substeps=substeps)
             replay = pathwise_filter(m, res.record, RHO_PLUS, substeps=substeps)
             assert len(replay) == len(res.states)
             assert all(np.array_equal(a.rho, b.rho) for a, b in zip(res.states, replay))
