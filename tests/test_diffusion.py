@@ -244,8 +244,8 @@ class TestPathwiseBlocks:
         if dim == 2:
             m = driven_atom_model()
         else:
-            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            m = build_diffusion_model(a + dagger(a), 0.7 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))), 0.6)
+            a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+            m = build_diffusion_model(a + dagger(a), 0.7 * b, 0.6)
         rec = MeasurementRecord(0.01, rng.normal(0.0, m.kappa * 0.1, n_steps), t0=0.3)
         rho0 = random_state(rng, dim)
         path = integrate_pathwise(m, rec, rho0, substeps=3)
