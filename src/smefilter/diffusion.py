@@ -5,16 +5,17 @@ cross-validation:
 
 * ``em_normalized`` / ``em_unnormalized`` -- explicit Euler-Maruyama
   integration of the nonlinear and linear stochastic master equations;
-* ``integrate_pathwise`` / ``pathwise_filter`` -- the stochastic-integral-free
+* ``PathwiseIntegrator`` / ``pathwise_filter`` -- the stochastic-integral-free
   reformulation: a gauge transform ``A_t = exp(-(L/k^2) y_t + (L^2/2k^2) t)``
   turns the linear equation into an ordinary differential equation for
   ``r_t = A_t rho_tilde_t A_t^dag`` in which the record enters only as a
-  parameter, integrated here with classical RK4 on the piecewise-linear
-  record interpolant.  The gauge depends on the record only, never on the
-  state, and the flow is linear in ``r``, so a step's RK4 update is a
-  linear map of ``vec(r)`` known before any state is: the step maps of a
-  block of record steps are built together, as stacks, and then applied
-  one after another;
+  parameter.  On the piecewise-linear record interpolant the gauge exponent
+  has a constant slope within each record step and commutes with ``L``, so
+  in the original frame the flow of a step is linear and time-invariant:
+  it is solved exactly, as the exponential of its ``n^2 x n^2`` generator,
+  which depends on the step's increment only.  The maps of a block of
+  record steps are built together with one stacked exponential and then
+  applied one after another;
 * ``robust_step`` / ``robust_filter`` -- an implicit Euler discretization of
   the pathwise equation, transformed back so each step solves the linear
   matrix system ``A X + X B - C X D = E(dy) X_prev E(dy)^dag`` with
@@ -49,11 +50,11 @@ from .linalg import (
 )
 from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in this module)
 
-# Record steps whose step maps ``pathwise_filter`` and ``integrate_pathwise``
-# build at a time; it bounds the memory of the stacked stage matrices.  Larger
-# blocks hold more and run no faster: a 3000-step qubit oracle at 8 substeps
-# took 0.48 s with 16 steps a block and 0.54 s with 128 (2-core Xeon).
-_MAP_BLOCK = 16
+# Record steps whose step maps ``pathwise_filter``, and whose exponentials
+# ``robust_filter``, build at a time with one ``expm_many`` call.  A `converge`
+# call (3000 oracle steps) took a median 0.150 s with 16 steps a block, 0.117 s
+# with 64 and 0.108 s with 256; larger blocks ran no faster (2-core Xeon).
+_MAP_BLOCK = 256
 
 
 class NonFiniteStateError(ArithmeticError):
@@ -251,25 +252,15 @@ def _normalized_density(rho0, name: str = "rho0") -> np.ndarray:
     return m / tr
 
 
-def _gauge_exponent(L, kappa: float, y, tau) -> np.ndarray:
-    """Exponent ``X = -(y/k^2) L + (tau/2k^2) L^2`` of the gauge ``A = exp(X)``
-    at record value ``y`` and time ``tau``; arrays of ``(y, tau)`` give the
-    stack of their exponents."""
-    Lm = as_square(L)
-    y = np.asarray(y, dtype=float)
-    bad = y[~np.isfinite(y)]
-    if bad.size:
-        raise ValueError(f"record value y_t = {bad[0]} is not finite")
-    k2 = kappa * kappa
-    tau = np.asarray(tau, dtype=float)
-    return (-y / k2)[..., None, None] * Lm + (tau / (2.0 * k2))[..., None, None] * (Lm @ Lm)
-
-
 def gauge(L, kappa: float, y_t: float, t: float, tol: float = 1e-12):
     """Gauge transform ``A_t = exp(-(L/k^2) y_t + (L^2/2k^2) t)`` and its
     exact inverse (the exponential of the negated exponent; the exponent
     commutes with itself, so this is the inverse up to rounding)."""
-    exponent = _gauge_exponent(L, kappa, y_t, t)
+    Lm = as_square(L)
+    if not np.isfinite(y_t):
+        raise ValueError(f"record value y_t = {y_t} is not finite")
+    k2 = kappa * kappa
+    exponent = (-y_t / k2) * Lm + (t / (2.0 * k2)) * (Lm @ Lm)
     return expm(exponent, tol), expm(-exponent, tol)
 
 
@@ -300,22 +291,25 @@ def recover(a_t_inv, r) -> Recovery:
 
 
 class PathwiseIntegrator:
-    """RK4 driver for the gauge-transformed flow on one record interval.
+    """Exact stepper of the pathwise flow on the piecewise-linear record.
 
-    The record enters through its piecewise-linear interpolant.  The gauge
-    depends on the record only and the flow is linear in ``r``, so one RK4
-    step is a linear map of ``vec(r)`` (column stacking), and
-    :meth:`step_maps` builds the ``n^2 x n^2`` maps of many record steps at
-    once: one :func:`expm_many` call gives the gauge and its inverse at
-    every stage time of every step, and the stage generators and the RK4
-    compositions are stacked products.  Every stacked operation acts per
-    element, so a step's map is bitwise the same whatever other steps are
-    built with it, and :meth:`recover_many` likewise recovers each state
-    bitwise as :meth:`recover_state` does alone.  :meth:`advance` (the
-    online trajectory runner) applies the map of a batch of one, and
-    :func:`pathwise_filter` and :func:`integrate_pathwise` apply the maps of
-    ``_MAP_BLOCK`` steps at a time by the same arithmetic, so offline
-    replays are bit-identical to online runs.
+    The gauge exponent ``X(t) = -(y(t)/k^2) L + (t/2k^2) L^2`` commutes with
+    ``L``, and within a record step of width ``dt`` and increment ``dy`` the
+    record ``y`` has the constant slope ``dy/dt``.  Undoing the gauge, the
+    flow is then linear and time-invariant in the original frame,
+    ``rho~' = gain L rho~ L^dag - J rho~ - rho~ J^dag`` with
+    ``J = K - (dy/(dt k^2)) L + L^2/(2k^2)`` and ``gain = 1 - 1/k^2``, so the
+    step maps ``vec(rho~)`` by ``P = expm(dt Gen)`` with ``Gen = gain
+    conj(L) (x) L - I (x) J - conj(J) (x) I`` (column stacking).  ``P``
+    depends on ``dy`` only: not on the time and not on the record value.
+
+    The state is carried normalized: :meth:`advance` applies the map of one
+    step and :meth:`recover_state` renormalizes, hermitizes and adds the log
+    trace to ``log_lambda``.  :meth:`step_maps` builds the maps of many steps
+    with one :func:`expm_many` call, which treats each element as
+    :func:`expm` treats it alone, so :func:`pathwise_filter`, applying the
+    maps of ``_MAP_BLOCK`` steps at a time, is bitwise the online run.
+    ``substeps`` is validated for the callers that pass it but not used.
     """
 
     def __init__(self, model, dt: float, substeps: int = 4, tol: float = 1e-12):
@@ -323,142 +317,79 @@ class PathwiseIntegrator:
             raise ValueError(f"substeps must be >= 1, got {substeps}")
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        self.model = model
-        self.dt = float(dt)
-        self.substeps = int(substeps)
-        self.tol = float(tol)
-        # vec(gain L r L^dag) = gain (conj(L) (x) L) vec(r)
-        self._sandwich = (1.0 - 1.0 / model.kappa**2) * kron(model.L.conj(), model.L)
-
-    def step_maps(self, t_rel, y_start, dy) -> np.ndarray:
-        """The RK4 maps ``P`` with ``vec(r_end) = P vec(r_start)`` of the steps
-        over ``[t_rel[b], t_rel[b] + dt]`` from record value ``y_start[b]``
-        with increment ``dy[b]`` (times relative to the record start, where
-        the gauge is the identity); returns a ``(B, n^2, n^2)`` stack.
-
-        Each stage's generator is ``F = gain conj(L) (x) L - I (x) s -
-        conj(s) (x) I`` with ``s = A K A^-1`` at the stage time, so that
-        ``F vec(r) = vec(gain L r L^dag - s r - r s^dag)``.  A substep of
-        width ``h`` maps by ``I + (h/6)(K1 + 2(K2 + K3) + K4)`` with
-        ``K1 = F(t)``, ``K2 = F(t + h/2)(I + (h/2) K1)``,
-        ``K3 = F(t + h/2)(I + (h/2) K2)`` and ``K4 = F(t + h)(I + h K3)``.
-        """
-        model = self.model
-        n, nb, m = model.dim, len(t_rel), self.substeps
-        h = self.dt / m
-        # Stage times t, t + h/2 and t + h of every substep, by the float
-        # expressions rk4_step evaluates.
-        t_rel = np.asarray(t_rel, dtype=float)[:, None]
-        t = t_rel + np.arange(m) * h
-        taus = np.concatenate([t, t + 0.5 * h, t + h], axis=1)
-        slope = np.asarray(dy, dtype=float)[:, None] / self.dt
-        ys = np.asarray(y_start, dtype=float)[:, None] + slope * (taus - t_rel)
-        x = _gauge_exponent(model.L, model.kappa, ys, taus)
-        gauges = expm_many(np.concatenate([x, -x], axis=1).reshape(-1, n, n), self.tol).reshape(nb, 6 * m, n, n)
-        s = gauges[:, : 3 * m] @ model.K @ gauges[:, 3 * m :]  # A K A^-1
+        n, L, k2 = model.dim, model.L, model.kappa**2
         eye = np.eye(n)
-        f = (
-            self._sandwich
-            - (eye[:, None, :, None] * s[..., None, :, None, :]).reshape(nb, 3 * m, n * n, n * n)
-            - (s.conj()[..., :, None, :, None] * eye[:, None, :]).reshape(nb, 3 * m, n * n, n * n)
-        ).reshape(nb, 3, m, n * n, n * n)
-        one = np.eye(n * n)
-        k1 = f[:, 0]
-        k2 = f[:, 1] @ (one + (0.5 * h) * k1)
-        k3 = f[:, 1] @ (one + (0.5 * h) * k2)
-        k4 = f[:, 2] @ (one + h * k3)
-        substep = one + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        maps = substep[:, 0]
-        for j in range(1, m):
-            maps = substep[:, j] @ maps
-        return maps
+        j0 = model.K + (L @ L) / (2.0 * k2)
+        # dt Gen = drift + dy coupling
+        self._drift = float(dt) * (
+            (1.0 - 1.0 / k2) * kron(L.conj(), L) - kron(eye, j0) - kron(j0.conj(), eye)
+        )
+        self._coupling = (kron(eye, L) + kron(L.conj(), eye)) / k2
+        self._tol = float(tol)
 
-    def advance(self, r: np.ndarray, t_rel: float, y_start: float, dy: float) -> np.ndarray:
-        """Integrate ``r`` over ``[t_rel, t_rel + dt]`` (times relative to the
-        record start, where the gauge is the identity)."""
-        return _apply_step_map(self.step_maps([t_rel], [y_start], [dy])[0], r)
+    def step_maps(self, dy) -> np.ndarray:
+        """The maps ``P`` with ``vec(rho~_end) = P vec(rho~_start)`` of steps
+        with increments ``dy[b]``; returns a ``(B, n^2, n^2)`` stack."""
+        dy = np.asarray(dy, dtype=float)
+        return expm_many(self._drift + dy[:, None, None] * self._coupling, self._tol)
 
-    def recover_many(self, r: np.ndarray, y, t_rel, t_abs) -> list[DensityState]:
-        """Undo the gauge for a stack of states ``r[b]`` at record values
-        ``y[b]`` and relative times ``t_rel[b]``: ``rho_tilde = A^-1 r
-        (A^dag)^-1``, normalized and hermitized, with ``log_lambda =
-        log(tr(rho_tilde))``; only ``A^-1 = exp(-X)`` is needed.
+    def advance(self, rho: np.ndarray, dy: float, t: float, step_map: np.ndarray | None = None) -> np.ndarray:
+        """The unnormalized state one step of increment ``dy`` after ``rho``,
+        ending at time ``t``; ``step_map`` is the step's map when it has been
+        built already.  Raises :class:`NonFiniteStateError` at ``t`` when the
+        map is out of :func:`expm`'s range."""
+        if step_map is None:
+            try:
+                step_map = self.step_maps([dy])[0]
+            except ValueError as exc:
+                raise NonFiniteStateError(t, f"pathwise state blew up ({exc})") from None
+        return (step_map @ rho.reshape(-1, order="F")).reshape(rho.shape, order="F")
 
-        Raises :class:`NonFiniteStateError` at the absolute time ``t_abs[b]``
-        of the first state whose trace is not positive.
+    def recover_state(self, r: np.ndarray, log_lambda: float, t: float) -> DensityState:
+        """Normalize and hermitize the unnormalized state ``r`` at time ``t``,
+        adding ``log tr(r)`` to ``log_lambda``.
+
+        Raises :class:`NonFiniteStateError` at ``t`` when ``r`` is not finite
+        or its trace is not positive.
         """
-        a_inv = expm_many(-_gauge_exponent(self.model.L, self.model.kappa, y, t_rel), self.tol)
-        rho_tilde = a_inv @ r @ a_inv.conj().transpose(0, 2, 1)
-        # The diagonal summed in order, so each trace is the same in any stack.
-        tr = sum(rho_tilde[:, i, i].real for i in range(rho_tilde.shape[1]))
-        bad = np.flatnonzero(~(np.isfinite(tr) & (tr > 0.0)))
-        if bad.size:
-            b = bad[0]
-            raise NonFiniteStateError(t_abs[b], f"recovered pathwise state collapsed (trace {tr[b]})")
-        rho = rho_tilde / tr[:, None, None]
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        return [DensityState(p, float(lam), float(t)) for p, lam, t in zip(rho, np.log(tr), t_abs)]
-
-    def recover_state(self, r: np.ndarray, y: float, t_rel: float, t_abs: float) -> DensityState:
-        """:meth:`recover_many` of one state."""
-        return self.recover_many(r[None], [y], [t_rel], [t_abs])[0]
+        if not np.isfinite(r).all():
+            raise NonFiniteStateError(t, "pathwise state blew up")
+        tr = float(np.trace(r).real)
+        if tr <= 0.0:
+            raise NonFiniteStateError(t, f"pathwise state collapsed (trace {tr})")
+        return DensityState((0.5 / tr) * (r + r.conj().T), log_lambda + float(np.log(tr)), t)
 
 
-def _apply_step_map(step_map: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``unvec(step_map vec(r))``, hermitized."""
-    r = (step_map @ r.reshape(-1, order="F")).reshape(r.shape, order="F")
-    return 0.5 * (r + dagger(r))
-
-
-def _pathwise_blocks(stepper: PathwiseIntegrator, record: MeasurementRecord, r: np.ndarray):
-    """The gauge-frame states along a record from ``r``, ``_MAP_BLOCK`` steps
-    at a time: yields ``(k, rs)`` with ``rs[j]`` the state after step
-    ``k + j + 1``.  A block stops before a non-finite state, and the next
-    iteration raises :class:`NonFiniteStateError` at that step's time."""
-    t_rel = record.dt * np.arange(record.n_steps)
-    y = record.cumulative()
-    for lo in range(0, record.n_steps, _MAP_BLOCK):
-        hi = min(lo + _MAP_BLOCK, record.n_steps)
-        rs = []
-        for step_map in stepper.step_maps(t_rel[lo:hi], y[lo:hi], record.increments[lo:hi]):
-            r = _apply_step_map(step_map, r)
-            if not np.isfinite(r).all():
-                if rs:
-                    yield lo, np.stack(rs)
-                raise NonFiniteStateError(float(record.times[lo + len(rs) + 1]), "pathwise state blew up")
-            rs.append(r)
-        yield lo, np.stack(rs)
-
-
-def integrate_pathwise(model, record: MeasurementRecord, r0, substeps: int = 4, tol: float = 1e-12):
-    """Integrate the pathwise flow along a record; returns the gauge-frame
-    states at every grid point (initial state included)."""
-    r = require_hermitian(r0, "r0").copy()
-    if float(np.trace(r).real) <= 0.0:
-        raise ValueError("r0 must have positive trace")
-    stepper = PathwiseIntegrator(model, record.dt, substeps, tol)
-    times = record.times
-    out = [PathwiseState(r.copy(), float(times[0]))]
-    for k, rs in _pathwise_blocks(stepper, record, r):
-        out += [PathwiseState(rr, float(t)) for rr, t in zip(rs, times[k + 1 :])]
-    return out
+def _blockwise(build, increments):
+    """Each step's ``(k, dy, made)``, where ``made`` is what ``build`` gives
+    for ``dy`` when applied to ``_MAP_BLOCK`` increments at a time.  In a
+    block that ``build`` rejects, ``made`` is ``None``: each step then
+    builds its own, so the step at fault raises with its time."""
+    for lo in range(0, len(increments), _MAP_BLOCK):
+        dys = increments[lo : lo + _MAP_BLOCK]
+        try:
+            made = build(dys)
+        except ValueError:
+            made = [None] * len(dys)
+        yield from zip(range(lo, lo + len(dys)), dys.tolist(), made)
 
 
 def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4, tol: float = 1e-12):
-    """Pathwise-ODE filter: integrate the gauge frame and undo the gauge at
-    every grid point, yielding normalized states with log-normalization.
+    """Pathwise filter: the exact step map of every record step, applied
+    with renormalization, yielding normalized states with log-normalization
+    at every grid point (initial state included).
 
-    Each block of states is recovered with one :meth:`recover_many` call;
-    a collapse raises :class:`NonFiniteStateError` at its step's time."""
-    rho = _normalized_density(rho0)
+    The maps of ``_MAP_BLOCK`` steps are built at a time, each bitwise the
+    map :meth:`PathwiseIntegrator.advance` builds for its step alone; a
+    failing step raises :class:`NonFiniteStateError` at its time."""
     stepper = PathwiseIntegrator(model, record.dt, substeps, tol)
-    times = record.times
-    t_rel = record.dt * np.arange(record.n_steps + 1)
-    y = record.cumulative()
-    out = [DensityState(rho, 0.0, float(times[0]))]
-    for k, rs in _pathwise_blocks(stepper, record, rho.copy()):
-        at = slice(k + 1, k + 1 + len(rs))
-        out += stepper.recover_many(rs, y[at], t_rel[at], times[at])
+    times = record.times.tolist()
+    state = DensityState(_normalized_density(rho0), 0.0, times[0])
+    out = [state]
+    for k, dy, step_map in _blockwise(stepper.step_maps, record.increments):
+        t = times[k + 1]
+        state = stepper.recover_state(stepper.advance(state.rho, dy, t, step_map), state.log_lambda, t)
+        out.append(state)
     return out
 
 
@@ -490,11 +421,18 @@ class RobustStepper:
         self._n = n
         self._tol = float(tol)
 
-    def propagate(self, state_prev: np.ndarray, dy: float) -> np.ndarray:
-        """One implicit step of the unnormalized filter recursion."""
+    def exponentials(self, dy) -> np.ndarray:
+        """The stack of ``E(dy[b])``, each bitwise what :meth:`propagate`
+        computes for its increment alone."""
+        return expm_many(self._l_scaled * np.asarray(dy, dtype=float)[:, None, None] - self._drift, self._tol)
+
+    def propagate(self, state_prev: np.ndarray, dy: float, e: np.ndarray | None = None) -> np.ndarray:
+        """One implicit step of the unnormalized filter recursion; ``e`` is
+        ``E(dy)`` when it has been computed already (see :meth:`exponentials`)."""
         if not np.isfinite(dy):
             raise ValueError(f"record increment dy = {dy} is not finite")
-        e = expm(self._l_scaled * dy - self._drift, self._tol)
+        if e is None:
+            e = expm(self._l_scaled * dy - self._drift, self._tol)
         rhs = e @ state_prev @ e.conj().T
         # The LAPACK call scipy.linalg.lu_solve makes, without its argument
         # handling; the column is a fresh copy, so it is solved in place.
@@ -522,7 +460,7 @@ class RobustStepper:
         bad = np.flatnonzero(~np.isfinite(dy))
         if bad.size:
             raise ValueError(f"record increment dy = {dy[bad[0]]} of {where(bad[0])} is not finite at t = {t:.6g}")
-        e = expm_many(self._l_scaled * dy[:, None, None] - self._drift, self._tol)
+        e = self.exponentials(dy)
         rhs = e @ rho @ e.conj().transpose(0, 2, 1)
         cols = rhs.transpose(0, 2, 1).reshape(nb, n * n)  # row b is vec(rhs[b])
         lu, piv = self._factors
@@ -550,10 +488,11 @@ def robust_step(model, state_prev, dy: float, dt: float, tol: float = 1e-12) -> 
     return RobustStepper(model, dt, tol).propagate(prev, dy)
 
 
-def _robust_advance(stepper: RobustStepper, rho: np.ndarray, dy: float, t: float):
+def _robust_advance(stepper: RobustStepper, rho: np.ndarray, dy: float, t: float, e: np.ndarray | None = None):
     """Normalized update: step, renormalize, hermitize; returns the new state
-    and the log of the per-step normalization factor."""
-    x = stepper.propagate(rho, dy)
+    and the log of the per-step normalization factor.  ``e`` is passed on to
+    :meth:`RobustStepper.propagate`."""
+    x = stepper.propagate(rho, dy, e)
     tr = float(np.trace(x).real)
     if not np.isfinite(tr) or tr <= 0.0 or not np.isfinite(x).all():
         raise NonFiniteStateError(t, "implicit filter state collapsed")
@@ -563,16 +502,19 @@ def _robust_advance(stepper: RobustStepper, rho: np.ndarray, dy: float, t: float
 def robust_filter(model, record: MeasurementRecord, rho0, tol: float = 1e-12):
     """Iterate the implicit step along a record, renormalizing every step and
     accumulating ``log_lambda``; returns normalized states at every grid
-    point (initial state included)."""
+    point (initial state included).
+
+    The exponentials ``E(dy)`` of ``_MAP_BLOCK`` steps are computed at a
+    time, each bitwise as a step alone computes it."""
     rho = _normalized_density(rho0)
     stepper = RobustStepper(model, record.dt, tol)
-    times = record.times
+    times = record.times.tolist()
     log_lam = 0.0
-    out = [DensityState(rho, 0.0, float(times[0]))]
-    for k, dy in enumerate(record.increments):
-        rho, dlog = _robust_advance(stepper, rho, float(dy), float(times[k + 1]))
+    out = [DensityState(rho, 0.0, times[0])]
+    for k, dy, e in _blockwise(stepper.exponentials, record.increments):
+        rho, dlog = _robust_advance(stepper, rho, dy, times[k + 1], e)
         log_lam += dlog
-        out.append(DensityState(rho, log_lam, float(times[k + 1])))
+        out.append(DensityState(rho, log_lam, times[k + 1]))
     return out
 
 

@@ -40,14 +40,6 @@ def as_square(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    am, bm = as_square(a), as_square(b)
-    if am.shape[0] != bm.shape[0]:
-        raise ValueError(f"dimension mismatch: {am.shape} @ {bm.shape}")
-    return am @ bm
-
-
 def dagger(a) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().T

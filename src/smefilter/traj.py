@@ -23,7 +23,6 @@ import numpy as np
 from .diffusion import (
     DensityState,
     MeasurementRecord,
-    NonFiniteStateError,
     PathwiseIntegrator,
     RobustStepper,
     _normalized_density,
@@ -150,22 +149,16 @@ def _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> Tra
             states.append(DensityState(rho, log_lam, (k + 1) * dt))
         record = MeasurementRecord(dt, dys)
     elif scheme == "pathwise":
-        rho = _normalized_density(rho0)
         integrator = PathwiseIntegrator(model, dt, substeps)
         l_sum = model.L + dagger(model.L)
-        states = [DensityState(rho, 0.0, 0.0)]
+        state = DensityState(_normalized_density(rho0), 0.0, 0.0)
+        states = [state]
         dys = np.empty(n)
-        r = rho.copy()
-        y = 0.0
         for k in range(n):
-            m = float(np.einsum("ij,ji->", l_sum, rho).real)
+            m = float(np.einsum("ij,ji->", l_sum, state.rho).real)
             dy = m * dt + model.kappa * dnu[k]
-            r = integrator.advance(r, float(k * dt), y, dy)
-            if not np.isfinite(r).all():
-                raise NonFiniteStateError(float((k + 1) * dt), "pathwise state blew up")
-            y += dy
-            state = integrator.recover_state(r, y, float((k + 1) * dt), float((k + 1) * dt))
-            rho = state.rho
+            t = (k + 1) * dt
+            state = integrator.recover_state(integrator.advance(state.rho, dy, t), state.log_lambda, t)
             dys[k] = dy
             states.append(state)
         record = MeasurementRecord(dt, dys)
@@ -436,7 +429,12 @@ def convergence_report(
     oracle_substeps: int = 8,
 ) -> list[ConvergenceRow]:
     """Error of the implicit filter at each step size against the fine
-    pathwise-ODE oracle run on the same record.
+    pathwise oracle run on the same record.
+
+    The oracle, :func:`pathwise_filter`, solves the pathwise flow exactly on
+    the piecewise-linear interpolant of the fine record, one matrix
+    exponential per fine step; ``oracle_substeps`` is validated but does
+    not change it.
 
     Each ``delta`` must be an integer multiple of the fine step.  The record's
     modulus of continuity over windows of width ``delta`` is reported in two

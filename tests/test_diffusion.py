@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+import smefilter.diffusion
 from smefilter.diffusion import (
     DensityState,
     MeasurementRecord,
@@ -16,7 +17,6 @@ from smefilter.diffusion import (
     em_unnormalized,
     em_unnormalized_many,
     gauge,
-    integrate_pathwise,
     pathwise_filter,
     pathwise_rhs,
     read_measurement_record,
@@ -28,7 +28,7 @@ from smefilter.diffusion import (
 from smefilter.linalg import dagger, expm, kron, max_abs, vec
 from smefilter.model import build_diffusion_model, purity, rho_from_bloch, two_level_model
 from smefilter.ode import rk4_step
-from smefilter.traj import master_propagate
+from smefilter.traj import master_propagate, run_trajectory
 
 RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)
 
@@ -192,22 +192,35 @@ class TestIntegratePathwise:
     def test_free_evolution_constant(self):
         m = build_diffusion_model(np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
         rec = MeasurementRecord(0.1, np.array([0.5, -0.2, 0.1]))
-        path = integrate_pathwise(m, rec, RHO_PLUS, substeps=2)
+        path = pathwise_filter(m, rec, RHO_PLUS, substeps=2)
+        assert len(path) == 4
         for st in path:
-            assert max_abs(st.r - RHO_PLUS) <= 1e-14
+            assert max_abs(st.rho - RHO_PLUS) <= 1e-14
+            assert st.log_lambda == 0.0
 
-    def test_rk4_order_on_smooth_record(self):
+    def test_exact_on_smooth_record(self):
         m = driven_atom_model()
         n = 25
         times = 0.04 * np.arange(n + 1)
         rec = MeasurementRecord(0.04, np.diff(np.sin(times)))
-        truth = integrate_pathwise(m, rec, RHO_PLUS, substeps=16)[-1].r
+        exact = pathwise_filter(m, rec, RHO_PLUS, substeps=1)
+        # substeps is not used: the step map is exact
+        for substeps in (2, 16):
+            other = pathwise_filter(m, rec, RHO_PLUS, substeps=substeps)
+            assert all(a.rho.tobytes() == b.rho.tobytes() for a, b in zip(exact, other))
+        # an independent chain of scipy exponentials of each step's generator
+        rho_tilde = RHO_PLUS.copy()
+        for st, dy in zip(exact[1:], rec.increments):
+            rho_tilde = reference_step(m, rho_tilde, dy, rec.dt)
+            assert close_to(st.rho, rho_tilde / np.trace(rho_tilde).real)
+            assert abs(st.log_lambda - np.log(np.trace(rho_tilde).real)) <= 1e-12
+        # The gauge-frame RK4 of the pathwise equation converges to it at
+        # fourth order: halving the substep cuts the error ~16x.
         errs = []
-        for substeps in (1, 2):
-            approx = integrate_pathwise(m, rec, RHO_PLUS, substeps=substeps)[-1].r
-            errs.append(max_abs(approx - truth))
-        # classical fourth order: halving the substep cuts the error ~16x
-        assert errs[1] <= errs[0] / 12.0
+        for substeps in (1, 2, 4):
+            final = gauge_frame_rk4(m, rec, RHO_PLUS, substeps)
+            errs.append(max_abs(final.rho - exact[-1].rho))
+        assert errs[1] <= errs[0] / 12.0 and errs[2] <= errs[1] / 12.0
 
     def test_agrees_with_fine_em_on_brownian_path(self):
         m = driven_atom_model()
@@ -224,22 +237,26 @@ class TestIntegratePathwise:
 
 
 def stepwise_pathwise(model, record, rho0, substeps):
-    """The gauge-frame states and recovered states along a record, one
-    ``advance`` and one ``recover_state`` at a time."""
+    """The states along a record, one ``advance`` and one ``recover_state``
+    at a time, as the online run steps."""
     stepper = PathwiseIntegrator(model, record.dt, substeps)
-    y, times = record.cumulative(), record.times
-    r, rs, states = rho0.copy(), [], []
-    for k, dy in enumerate(record.increments):
-        r = stepper.advance(r, float(k * record.dt), float(y[k]), float(dy))
-        rs.append(r)
-        states.append(stepper.recover_state(r, float(y[k + 1]), float((k + 1) * record.dt), float(times[k + 1])))
-    return rs, states
+    state = DensityState(rho0, 0.0, float(record.times[0]))
+    states = []
+    for dy, t in zip(record.increments, record.times[1:]):
+        state = stepper.recover_state(stepper.advance(state.rho, float(dy), float(t)), state.log_lambda, float(t))
+        states.append(state)
+    return states
+
+
+# Block length of the block-boundary tests, whatever the production value.
+TEST_BLOCK = 16
 
 
 class TestPathwiseBlocks:
-    @pytest.mark.parametrize("n_steps", [_MAP_BLOCK - 1, _MAP_BLOCK, _MAP_BLOCK + 1, 2 * _MAP_BLOCK + 3])
+    @pytest.mark.parametrize("n_steps", [TEST_BLOCK - 1, TEST_BLOCK, TEST_BLOCK + 1, 2 * TEST_BLOCK + 3])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_blocks_match_stepwise_bitwise(self, dim, n_steps):
+    def test_blocks_match_stepwise_bitwise(self, dim, n_steps, monkeypatch):
+        monkeypatch.setattr(smefilter.diffusion, "_MAP_BLOCK", TEST_BLOCK)
         rng = np.random.default_rng(n_steps + 100 * dim)
         if dim == 2:
             m = driven_atom_model()
@@ -248,40 +265,60 @@ class TestPathwiseBlocks:
             m = build_diffusion_model(a + dagger(a), 0.7 * b, 0.6)
         rec = MeasurementRecord(0.01, rng.normal(0.0, m.kappa * 0.1, n_steps), t0=0.3)
         rho0 = random_state(rng, dim)
-        path = integrate_pathwise(m, rec, rho0, substeps=3)
-        assert len(path) == n_steps + 1 and path[0].r.tobytes() == rho0.tobytes()
-        rs, states = stepwise_pathwise(m, rec, rho0, 3)
-        for want, want_state, got in zip(rs, states, path[1:]):
-            assert got.r.tobytes() == want.tobytes() and got.t == want_state.t
-        # the filter starts from rho0 renormalized
         filtered = pathwise_filter(m, rec, rho0, substeps=3)
         assert len(filtered) == n_steps + 1
-        _, states = stepwise_pathwise(m, rec, filtered[0].rho, 3)
+        # the filter starts from rho0 renormalized
+        assert filtered[0].t == 0.3 and filtered[0].log_lambda == 0.0
+        states = stepwise_pathwise(m, rec, filtered[0].rho, 3)
         for want, got in zip(states, filtered[1:]):
             assert got.rho.tobytes() == want.rho.tobytes()
             assert got.log_lambda == want.log_lambda and got.t == want.t
 
     def test_mid_block_blow_up_names_its_time(self):
-        # The driven atom's coupling is nilpotent, so the gauge stays finite
-        # for any record value, while a huge jump in y overflows the stage
-        # generators A K A^-1 of its step.
+        # A huge increment puts its step's generator out of expm's range.
         k = _MAP_BLOCK + 5
         inc = np.zeros(2 * _MAP_BLOCK)
         inc[k] = 1e40
         rec = MeasurementRecord(0.01, inc, t0=0.3)
-        for run in (integrate_pathwise, pathwise_filter):
-            with pytest.raises(NonFiniteStateError, match="pathwise state blew up") as err:
-                run(driven_atom_model(), rec, RHO_PLUS, substeps=2)
-            assert err.value.time == rec.times[k + 1]
+        with pytest.raises(NonFiniteStateError, match="pathwise state blew up") as err:
+            pathwise_filter(driven_atom_model(), rec, RHO_PLUS, substeps=2)
+        assert err.value.time == rec.times[k + 1]
+        # the online step names the time it is given
+        with pytest.raises(NonFiniteStateError, match="pathwise state blew up .* at t = 0.7"):
+            PathwiseIntegrator(driven_atom_model(), 0.01).advance(RHO_PLUS, 1e40, 0.7)
 
     def test_collapse_names_its_time(self):
         stepper = PathwiseIntegrator(driven_atom_model(), 0.01)
-        rs = np.stack([RHO_PLUS, -np.eye(2, dtype=complex), -np.eye(2, dtype=complex)])
-        with pytest.raises(NonFiniteStateError, match="collapsed") as err:
-            stepper.recover_many(rs, [0.1, 0.2, 0.3], [0.01, 0.02, 0.03], [1.01, 1.02, 1.03])
+        with pytest.raises(NonFiniteStateError, match="collapsed .* at t = 1.02") as err:
+            stepper.recover_state(-np.eye(2, dtype=complex), 0.3, 1.02)
         assert err.value.time == 1.02
-        with pytest.raises(NonFiniteStateError, match="collapsed .* at t = 1.02"):
-            stepper.recover_state(rs[1], 0.2, 0.02, 1.02)
+        bad = RHO_PLUS.copy()
+        bad[0, 1] = np.inf
+        with pytest.raises(NonFiniteStateError, match="blew up at t = 1.03"):
+            stepper.recover_state(bad, 0.3, 1.03)
+        state = stepper.recover_state(2.0 * RHO_PLUS, 0.3, 1.04)
+        assert np.array_equal(state.rho, RHO_PLUS) and state.log_lambda == 0.3 + np.log(2.0)
+
+
+class TestStiffPathwiseStep:
+    def test_stiff_step_gives_valid_state(self):
+        # Far outside RK4's stability interval (h |A K A^-1| up to about 2.8),
+        # where an RK4 step scales the state by orders of magnitude.
+        rng = np.random.default_rng(47)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        L = 1.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        m = build_diffusion_model(a + dagger(a), L, 0.6)
+        dt = 0.2
+        rec = MeasurementRecord(dt, rng.normal(0.0, m.kappa * np.sqrt(dt), 10))
+        y = rec.cumulative()
+        stiffness = [stage_stiffness(m, k * dt, y[k], rec.increments[k], dt, 1) for k in range(10)]
+        assert min(stiffness) > 5.0 and max(stiffness) > 1e4
+        states = pathwise_filter(m, rec, random_state(rng, 3), substeps=1)
+        rho_tilde = states[0].rho
+        for st, dy in zip(states[1:], rec.increments):
+            strict_validate(st)
+            rho_tilde = reference_step(m, rho_tilde, dy, dt)
+            assert close_to(st.rho, rho_tilde / np.trace(rho_tilde).real)
 
 
 class TestRobustStep:
@@ -415,6 +452,23 @@ class TestRobustFilter:
             y = 2 * b[1, 0].imag
             z = (b[0, 0] - b[1, 1]).real
             assert x * x + y * y + z * z <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("n_steps", [_MAP_BLOCK - 1, _MAP_BLOCK, _MAP_BLOCK + 1])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_blocks_match_stepwise_and_online_bitwise(self, dim, n_steps):
+        rng = np.random.default_rng(n_steps + 100 * dim)
+        m = driven_atom_model() if dim == 2 else three_level_model(rng)
+        rho0 = random_state(rng, dim)
+        online = run_trajectory(m, "robust", 0.01, n_steps * 0.01, rho0, seed=n_steps)
+        replay = robust_filter(m, online.record, rho0)
+        assert len(replay) == len(online.states) == n_steps + 1
+        stepper = RobustStepper(m, 0.01)
+        rho, log_lam = online.states[0].rho, 0.0
+        for k, dy in enumerate(online.record.increments):
+            rho, dlog = _robust_advance(stepper, rho, float(dy), float(online.times[k + 1]))
+            log_lam += dlog
+            for got in (replay[k + 1], online.states[k + 1]):
+                assert got.rho.tobytes() == rho.tobytes() and got.log_lambda == log_lam
 
     def test_tracks_pathwise_oracle(self):
         m = driven_atom_model()
@@ -568,11 +622,12 @@ class TestPathwiseSchrodinger:
 
             for j in range(substeps):
                 phi = rk4_step(deriv, k * dt + j * h, phi, h)
-        r_path = integrate_pathwise(m, rec, RHO_PLUS, substeps=substeps)
-        outer = np.outer(phi, phi.conj())
+        # phi lives in the gauge frame: undo the gauge at the record's end
+        psi = gauge(m.L, m.kappa, y[-1], rec.times[-1])[1] @ phi
+        outer = np.outer(psi, psi.conj())
         outer /= np.trace(outer).real
-        r_final = r_path[-1].r / np.trace(r_path[-1].r).real
-        assert max_abs(outer - r_final) <= 1e-8
+        filtered = pathwise_filter(m, rec, RHO_PLUS, substeps=substeps)
+        assert max_abs(outer - filtered[-1].rho) <= 1e-8
 
 
 class TestBlowupHandling:
@@ -613,14 +668,15 @@ def step_grids(draw):
 
 
 def reference_gauge(model, y, tau):
-    """The gauge pair as each RK4 stage once built it, one exponent at a time."""
+    """The gauge pair ``exp(X), exp(-X)`` at record value ``y`` and time ``tau``."""
     L, k2 = model.L, model.kappa * model.kappa
     exponent = (-y / k2) * L + (tau / (2.0 * k2)) * (L @ L)
     return expm(exponent), expm(-exponent)
 
 
 def reference_advance(model, r, t_rel, y_start, dy, dt, substeps):
-    """One pathwise step with the gauge rebuilt at every stage time."""
+    """One step of the gauge-frame equation by RK4, with the gauge rebuilt at
+    every stage time."""
     slope = dy / dt
     h = dt / substeps
 
@@ -631,6 +687,31 @@ def reference_advance(model, r, t_rel, y_start, dy, dt, substeps):
     for j in range(substeps):
         r = rk4_step(deriv, t_rel + j * h, r, h)
     return 0.5 * (r + dagger(r))
+
+
+def gauge_frame_rk4(model, record, rho0, substeps):
+    """The recovered state at the end of a record, from RK4 in the gauge frame
+    (where the gauge is the identity at the record start)."""
+    y = record.cumulative()
+    r = rho0.copy()
+    for k, dy in enumerate(record.increments):
+        r = reference_advance(model, r, k * record.dt, y[k], dy, record.dt, substeps)
+    return recover(reference_gauge(model, y[-1], record.duration)[1], r)
+
+
+def reference_step(model, rho_tilde, dy, dt):
+    """One exact step in the original frame: ``scipy.linalg.expm`` of the
+    generator ``gain L . L^dag - J . - . J^dag`` with ``J = K - (dy/(dt k^2)) L
+    + L^2/(2k^2)``, each term assembled from its action on the basis."""
+    n, L, k2 = model.dim, model.L, model.kappa**2
+    j = model.K - (dy / (dt * k2)) * L + (L @ L) / (2.0 * k2)
+    gen = np.empty((n * n, n * n), dtype=complex)
+    for c in range(n * n):
+        e = np.zeros(n * n, dtype=complex)
+        e[c] = 1.0
+        x = e.reshape((n, n), order="F")
+        gen[:, c] = ((1.0 - 1.0 / k2) * L @ x @ dagger(L) - j @ x - x @ dagger(j)).reshape(-1, order="F")
+    return (scipy.linalg.expm(dt * gen) @ vec(rho_tilde)).reshape((n, n), order="F")
 
 
 def stage_stiffness(model, t_rel, y_start, dy, dt, substeps):
@@ -648,6 +729,14 @@ def close_to(got, want) -> bool:
     return max_abs(np.asarray(got) - np.asarray(want)) <= 1e-12 * max(1.0, max_abs(want))
 
 
+RK4_SUBSTEPS = 64
+RK4_TOL = 5e-8
+
+
+def strict_validate(state):
+    return state.validate(trace_tol=1e-12, herm_tol=1e-12, eig_floor=-1e-12)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     model=small_diffusion_models(),
@@ -657,31 +746,35 @@ def close_to(got, want) -> bool:
     dy_scaled=hst.floats(-3.0, 3.0),
     seed=hst.integers(0, 2**32 - 1),
 )
-# y runs from 0.9 to 1.09 with eta = 1, so the stage exponents' norms cross
-# 1 and the stages of one step take different squaring counts
+# y runs from 0.9 to 1.09 with eta = 1, so the gauge exponents' norms cross 1
 @example(
     model=build_diffusion_model(np.diag([0.5, -0.5]), np.array([[0.3, 1.0], [0.2j, -0.1]]), 1.0),
     substeps=2, grid=(0.1, 0.0), y_start=0.9, dy_scaled=0.6, seed=0,
 )
 def test_pathwise_step_matches_per_stage_gauges(model, substeps, grid, y_start, dy_scaled, seed):
-    # The step map applies the same RK4 update as a matrix, so it agrees with
-    # the per-stage reference to rounding, not bitwise.  Beyond RK4's
-    # stability interval (h |s| above about 2.8) a step can scale the state by
-    # 1e3 to 1e250 through cancelling terms, and the two forms of the update
-    # differ by far more than rounding; a scan of 1500 draws found none
-    # inside it more than 5e-15 apart.
+    # The step is exact for any step width and coupling, with no stability
+    # interval, and does not depend on the step's time or record value.
     dt, t_rel = grid
     dy = dy_scaled * np.sqrt(dt)
-    assume(stage_stiffness(model, t_rel, y_start, dy, dt, substeps) <= 2.8)
-    r = random_state(np.random.default_rng(seed), model.dim)
+    rho = random_state(np.random.default_rng(seed), model.dim)
     stepper = PathwiseIntegrator(model, dt, substeps)
-    got = stepper.advance(r, t_rel, y_start, dy)
-    assert close_to(got, reference_advance(model, r, t_rel, y_start, dy, dt, substeps))
-    assert np.array_equal(got, dagger(got))
-    state = stepper.recover_state(got, y_start + dy, t_rel + dt, 7.0)
-    rec = recover(reference_gauge(model, y_start + dy, t_rel + dt)[1], got)
-    assert close_to(state.rho, 0.5 * (rec.rho + dagger(rec.rho)))
-    assert close_to(state.log_lambda, rec.log_lambda) and state.t == 7.0
+    state = strict_validate(stepper.recover_state(stepper.advance(rho, dy, 7.0), 0.5, 7.0))
+    assert np.array_equal(state.rho, dagger(state.rho)) and state.t == 7.0
+    want = reference_step(model, rho, dy, dt)
+    tr = np.trace(want).real
+    assert close_to(state.rho, want / tr)
+    assert abs(state.log_lambda - (0.5 + np.log(tr))) <= 1e-12
+    # The gauge-frame equation by 64-substep RK4, from the step's time and
+    # record value and mapped back with the gauge.  RK4 is only a reference
+    # inside its stability interval (h |A K A^-1| up to about 2.8); a scan of
+    # 1500 draws found it there within 5.1e-9 of the exact step.
+    if stage_stiffness(model, t_rel, y_start, dy, dt, RK4_SUBSTEPS) > 2.8:
+        return
+    a, _ = reference_gauge(model, y_start, t_rel)
+    r = reference_advance(model, a @ rho @ dagger(a), t_rel, y_start, dy, dt, RK4_SUBSTEPS)
+    rec = recover(reference_gauge(model, y_start + dy, t_rel + dt)[1], r)
+    assert max_abs(state.rho - rec.rho) <= RK4_TOL
+    assert abs(state.log_lambda - 0.5 - rec.log_lambda) <= RK4_TOL
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -690,24 +783,22 @@ def test_pathwise_step_matches_per_stage_gauges(model, substeps, grid, y_start, 
     substeps=hst.integers(1, 8),
     grid=step_grids(),
     n_steps=hst.integers(2, 20),
-    y_scale=hst.floats(0.0, 3.0),
+    dy_scale=hst.floats(0.0, 30.0),
     seed=hst.integers(0, 2**32 - 1),
 )
-def test_block_of_steps_matches_each_step_alone_bitwise(model, substeps, grid, n_steps, y_scale, seed):
-    # Record values spread over y_scale give the steps of one block different
+def test_block_of_steps_matches_each_step_alone_bitwise(model, substeps, grid, n_steps, dy_scale, seed):
+    # Increments spread over dy_scale give the steps of one block different
     # squaring counts and series lengths in expm_many.
-    dt, t_rel = grid
+    dt, _ = grid
     rng = np.random.default_rng(seed)
-    t_rels = t_rel + dt * np.arange(n_steps)
-    y = y_scale * rng.normal(size=n_steps)
-    dy = rng.normal(0.0, np.sqrt(dt), n_steps)
+    dy = dy_scale * np.sqrt(dt) * rng.normal(size=n_steps)
     stepper = PathwiseIntegrator(model, dt, substeps)
-    block = stepper.step_maps(t_rels, y, dy)
-    rs = np.stack([random_state(rng, model.dim) for _ in range(n_steps)])
-    states = stepper.recover_many(rs, y + dy, t_rels + dt, t_rels)
+    block = stepper.step_maps(dy)
+    rho = random_state(rng, model.dim)
+    state = DensityState(rho, 0.0, 0.0)
     for b in range(n_steps):
-        alone = stepper.step_maps(t_rels[b : b + 1], y[b : b + 1], dy[b : b + 1])[0]
+        alone = stepper.step_maps(dy[b : b + 1])[0]
         assert block[b].tobytes() == alone.tobytes()
-        state = stepper.recover_state(rs[b], y[b] + dy[b], t_rels[b] + dt, t_rels[b])
-        assert states[b].rho.tobytes() == state.rho.tobytes()
-        assert states[b].log_lambda == state.log_lambda and states[b].t == state.t
+        r = stepper.advance(state.rho, float(dy[b]), 1.0, block[b])
+        assert r.tobytes() == stepper.advance(state.rho, float(dy[b]), 1.0).tobytes()
+        state = stepper.recover_state(r, state.log_lambda, 1.0)

@@ -12,7 +12,6 @@ from smefilter.linalg import (
     kron,
     lu_factor,
     lu_solve,
-    matmul,
     max_abs,
     min_eigenvalue_hermitian,
     require_hermitian,
@@ -21,30 +20,13 @@ from smefilter.linalg import (
     unvec,
     vec,
 )
-from smefilter.model import SIGMA, SIGMA_X
+from smefilter.model import SIGMA
 
 RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)  # equal superposition, Bloch (1,0,0)
 
 
 def random_complex(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        x = random_complex(rng, 3)
-        assert np.array_equal(matmul(np.eye(3), x), x)
-
-    def test_lowering_is_nilpotent(self):
-        assert max_abs(matmul(SIGMA, SIGMA)) == 0.0
-
-    def test_sigma_x_squares_to_identity(self):
-        assert allclose(matmul(SIGMA_X, SIGMA_X), np.eye(2), 0.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(np.eye(2), np.eye(3))
 
 
 class TestDagger:
