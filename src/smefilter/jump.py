@@ -1,15 +1,18 @@
 """Evolutions driven by a counting (photon-detection) record.
 
 The counting analog of the diffusion machinery: explicit steppers for the
-normalized and linear (unnormalized) jump equations, a Bernoulli sampler for
-records whose count intensity ``eta lam tr(C rho C^dag)`` tracks the evolving
-state, and the pathwise route.  There the gauge ``A = C^(-N_t)`` is
-piecewise constant and commutes with ``C``, so between counts the state
-follows a linear, time-invariant flow whose exact one-step propagator is a
-single matrix exponential, computed once per record; a count applies the
-jump map ``rho -> C rho C^dag``.  That needs no ``C^-1``, so non-invertible
-jump operators such as ``C = sigma`` are solved as well; only the
-gauge-frame state ``r = A rho~ A^dag`` itself needs ``C`` invertible.
+normalized and linear (unnormalized) jump equations, the pathwise route, and
+online runs that draw each step's count with probability
+``eta lam tr(C rho C^dag) dt`` from the state they evolve.  In the pathwise
+route the gauge ``A = C^(-N_t)`` is piecewise constant and commutes with
+``C``, so between counts the state follows a linear, time-invariant flow
+whose exact one-step propagator is a single matrix exponential, computed
+once per record; a count applies the jump map ``rho -> C rho C^dag``.  That
+needs no ``C^-1``, so non-invertible jump operators such as ``C = sigma``
+are solved as well; only the gauge-frame state ``r = A rho~ A^dag`` itself
+needs ``C`` invertible.  An online ``pathwise`` run draws its counts from
+that exact state and steps it once per step; an online ``em`` run draws them
+from its explicit-Euler state.
 
 Within one step the drift is applied first, then the count map; the two
 orders differ only at higher order in ``dt``, and a fixed convention keeps
@@ -172,22 +175,17 @@ class JumpGauge:
         self.count += 1
 
 
-def _sme_advance(
-    model, rho: np.ndarray, dn: int, dt: float, t: float | None = None, j_rho: np.ndarray | None = None
-):
+def _sme_advance(model, rho: np.ndarray, dn: int, dt: float, t: float | None = None):
     """Drift-then-count Euler update of the normalized state over a step
     ending at time ``t``, which errors name when it is given.
 
-    ``j_rho`` is ``C rho C^dag`` when the caller has it already (the sampler
-    builds it for the count probability); it is computed here otherwise.
     Also returns the log of the step's normalization factor, i.e. the trace
     growth the matching linear (unnormalized) step would have produced:
     the drift multiplies the trace by ``1 + dt eta lam (1 - tr(J rho))`` and a
     count multiplies it by ``tr(J rho)`` of the post-drift state.
     """
     C, G, lam, eta = model.C, model.G, model.lam, model.eta
-    if j_rho is None:
-        j_rho = C @ rho @ dagger(C)
+    j_rho = C @ rho @ dagger(C)
     tr_j = float(np.trace(j_rho).real)
     drift = -(G @ rho) - (rho @ dagger(G)) + (1.0 - eta) * lam * j_rho + eta * lam * tr_j * rho
     out = rho + dt * drift
@@ -241,60 +239,58 @@ def jump_unnorm_step(model, rho_tilde, dn: int, dt: float) -> np.ndarray:
 
 
 def count_probability(model, rho, dt: float, t: float | None = None) -> float:
-    """Per-step count probability ``eta lam tr(C rho C^dag) dt``.
+    """Per-step count probability ``eta lam tr(C rho C^dag) dt`` of the
+    state ``rho``, rounded as an online ``pathwise`` run rounds it.
 
     Raises when the probability reaches 0.1: the per-step Bernoulli
     approximation of the point process degrades there, so decrease ``dt``.
     """
-    return _probability_of(model, model.C @ rho @ dagger(model.C), dt, t)
+    intensity = _intensities(dagger(model.C) @ model.C, np.asarray(rho, dtype=complex)[None])
+    return float(_count_probabilities(model, intensity, dt, t)[0])
 
 
-def _probability_of(model, j_rho: np.ndarray, dt: float, t: float | None) -> float:
-    """:func:`count_probability` from ``j_rho = C rho C^dag``."""
-    p = model.eta * model.lam * float(np.trace(j_rho).real) * dt
-    if p >= 0.1:
+def _intensities(cdc: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The count intensities ``tr(C rho[b] C^dag) = tr(C^dag C rho[b])`` of
+    a stack of states, from ``cdc = C^dag C``; each element rounds as it
+    does in a stack of one."""
+    return np.einsum("ij,bji->b", cdc, rho).real
+
+
+def _count_probabilities(model, intensity: np.ndarray, dt: float, t: float | None, where=None) -> np.ndarray:
+    """The count probabilities ``eta lam intensity[b] dt`` of a stack in a
+    step starting at time ``t``, checked as :func:`count_probability`
+    checks one; the error names the failing element as ``where(b)``."""
+    p = model.eta * model.lam * intensity * dt
+    bad = p >= 0.1
+    if bad.any():
+        b = int(bad.argmax())
+        of = "" if where is None else f" for {where(b)}"
         at = "" if t is None else f" at t = {t:.6g}"
-        raise ValueError(f"per-step count probability {p:.3f} >= 0.1{at}; use a smaller dt")
+        raise ValueError(f"per-step count probability {p[b]:.3f} >= 0.1{of}{at}; use a smaller dt")
     return p
 
 
-def _sample_step(model, rho: np.ndarray, u: float, dt: float, t: float):
-    """One step of an online counting run from the state ``rho`` at time
-    ``t``: a count registers when ``u`` is below the count probability, and
-    the state advances with :func:`_sme_advance`.  ``C rho C^dag`` is built
-    once and serves both.  Returns ``(dn, rho, dlog)``.  As in
-    :func:`_sample_many`, the count-probability check names ``t`` and the
-    other errors the step's end ``t + dt``."""
-    j_rho = model.C @ rho @ dagger(model.C)
-    dn = 1 if u < _probability_of(model, j_rho, dt, t) else 0
-    rho, dlog = _sme_advance(model, rho, dn, dt, t + dt, j_rho)
-    return dn, rho, dlog
-
-
 def _sample_many(model, rho: np.ndarray, u: np.ndarray, dt: float, t: float, where=_batch_element):
-    """:func:`_sample_step` for a stack of states ``rho[b]`` at time ``t``
-    with uniforms ``u[b]``; returns the counts (booleans), the new states and
+    """One step of an online ``em`` counting run for a stack of states
+    ``rho[b]`` at time ``t`` with uniforms ``u[b]``: a count registers when
+    ``u[b]`` is below the count probability, and each state takes the
+    explicit-Euler update of :func:`_sme_advance`, with ``C rho C^dag``
+    built once for both.  Returns the counts (booleans), the new states and
     the log normalization factors.
 
-    Every element takes the arithmetic of the one-state step, and stacked
+    Every element takes the arithmetic of the one-state update, and stacked
     products of small matrices round as single ones do, so each result is
-    bitwise what :func:`_sample_step` gives for that element alone.  The
-    count map is applied to the counted elements only.  Errors name the
-    failing element as ``where(b)``: the count-probability check at ``t``,
-    the others at the step's end ``t + dt``.
+    bitwise what :func:`_sme_advance` gives for that element alone, whatever
+    else is in the stack.  The count map is applied to the counted elements
+    only.  Errors name the failing element as ``where(b)``: the
+    count-probability check at ``t``, the others at the step's end
+    ``t + dt``.
     """
     C, G, lam, eta = model.C, model.G, model.lam, model.eta
     c_dag = dagger(C)
     j_rho = C @ rho @ c_dag
     tr_j = np.trace(j_rho, axis1=1, axis2=2).real
-    p = eta * lam * tr_j * dt
-    bad = p >= 0.1
-    if bad.any():
-        b = int(bad.argmax())
-        raise ValueError(
-            f"per-step count probability {p[b]:.3f} >= 0.1 for {where(b)} at t = {t:.6g}; use a smaller dt"
-        )
-    dn = u < p
+    dn = u < _count_probabilities(model, tr_j, dt, t, where)
     drift = -(G @ rho) - (rho @ dagger(G)) + (1.0 - eta) * lam * j_rho + (eta * lam * tr_j)[:, None, None] * rho
     out = rho + dt * drift
     dlog = np.log1p(dt * eta * lam * (1.0 - tr_j))
@@ -317,25 +313,6 @@ def _sample_many(model, rho: np.ndarray, u: np.ndarray, dt: float, t: float, whe
     if bad.any():
         raise NonFiniteStateError(t + dt, f"normalized jump state of {where(int(bad.argmax()))} blew up")
     return dn, (0.5 / tr)[:, None, None] * (out + out.conj().transpose(0, 2, 1)), dlog
-
-
-def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: float = 0.0) -> CountingRecord:
-    """Sample a counting record with per-step probability
-    ``p_n = eta lam tr(C rho C^dag) dt`` computed from the concurrently
-    evolved normalized state; deterministic given the seed (one uniform is
-    drawn per step, a count registers when ``u < p``)."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n = int(round(T / dt))
-    if n < 1:
-        raise ValueError(f"time length {T} covers no full step of dt = {dt}")
-    rng = np.random.default_rng(seed)
-    uniforms = rng.random(n)
-    rho = _normalized_density(rho0)
-    counts = np.zeros(n, dtype=int)
-    for k in range(n):
-        counts[k], rho, _ = _sample_step(model, rho, uniforms[k], dt, t0 + k * dt)
-    return CountingRecord(dt, counts, t0)
 
 
 def _exact_propagator(model, dt: float):
@@ -368,10 +345,10 @@ def _exact_step_many(jump_map, phi, rho: np.ndarray, dn: np.ndarray, t: float, w
     ``rho[b]`` with counts ``dn[b]``, ending at time ``t``; returns the new
     states and the log traces added to ``log_lambda``.
 
-    ``Phi`` multiplies each element's vector as one column, as in the
-    one-state solve: a product of the whole stack with ``Phi^T`` would round
-    differently.  So each result is bitwise the one-state step's.  Errors
-    name the failing element as ``where(b)``.
+    ``Phi`` multiplies each element's vector as one column, so each result
+    is bitwise what the step gives for that element alone, whatever else is
+    in the stack: a product of the whole stack with ``Phi^T`` would round
+    differently.  Errors name the failing element as ``where(b)``.
     """
     nb, n = rho.shape[0], rho.shape[1]
     v = phi @ rho.transpose(0, 2, 1).reshape(nb, n * n, 1)  # v[b] is Phi vec(rho[b])
@@ -379,13 +356,12 @@ def _exact_step_many(jump_map, phi, rho: np.ndarray, dn: np.ndarray, t: float, w
         hit = np.flatnonzero(dn)
         v[hit] = jump_map @ v[hit]
     x = v.reshape(nb, n, n).transpose(0, 2, 1)
-    bad = ~np.isfinite(x).all(axis=(1, 2))
-    if bad.any():
+    if not np.isfinite(v).all():
+        bad = ~np.isfinite(x).all(axis=(1, 2))
         raise NonFiniteStateError(t, f"pathwise jump state of {where(int(bad.argmax()))} blew up")
     tr = np.trace(x, axis1=1, axis2=2).real
-    bad = ~(tr > 1e-300)
-    if bad.any():
-        b = int(bad.argmax())
+    if not (tr > 1e-300).all():
+        b = int((~(tr > 1e-300)).argmax())
         if dn[b]:
             raise InvalidCountingRecordError(
                 f"count arrived at t = {t:.6g} where tr(C rho C^dag) = {tr[b]:.3e} for {where(b)}: "
@@ -393,6 +369,80 @@ def _exact_step_many(jump_map, phi, rho: np.ndarray, dn: np.ndarray, t: float, w
             )
         raise NonFiniteStateError(t, f"pathwise jump state of {where(b)} collapsed")
     return (0.5 / tr)[:, None, None] * (x + x.conj().transpose(0, 2, 1)), np.log(tr)
+
+
+def _exact_sample_many(model, cdc, jump_map, phi, rho, u: np.ndarray, dt: float, t: float, where=_batch_element):
+    """One step of an online ``pathwise`` counting run for a stack of exact,
+    normalized states ``rho[b]`` at time ``t`` with uniforms ``u[b]``: a
+    count registers when ``u[b]`` is below the count probability of
+    ``rho[b]`` itself, as :func:`count_probability` computes it from
+    ``cdc = C^dag C``, and each state then takes the exact step
+    :func:`_exact_step_many`, which :func:`jump_pathwise_solve` replays.
+    Returns what :func:`_sample_many` returns, the log factors being the log
+    traces of the exact step; errors are named as there.
+    """
+    dn = u < _count_probabilities(model, _intensities(cdc, rho), dt, t, where)
+    rho, dlog = _exact_step_many(jump_map, phi, rho, dn, t + dt, where)
+    return dn, rho, dlog
+
+
+def _online_step(model, scheme: str, dt: float, rho0):
+    """The stack step of an online counting run of ``scheme`` with its start
+    state and ``log_lambda``: for ``em`` the Euler sampler step
+    :func:`_sample_many` from the normalized ``rho0`` and 0, for
+    ``pathwise`` the fused exact step :func:`_exact_sample_many` from the
+    start of :func:`jump_pathwise_solve`.  The step is called as
+    ``step(rho, u, t, where)`` and returns ``(dn, rho, dlog)``."""
+    start = _normalized_density(rho0)
+    if scheme == "em":
+        return (lambda rho, u, t, where: _sample_many(model, rho, u, dt, t, where)), start, 0.0
+    cdc = dagger(model.C) @ model.C
+    jump_map, phi = _exact_propagator(model, dt)
+
+    def step(rho, u, t, where):
+        return _exact_sample_many(model, cdc, jump_map, phi, rho, u, dt, t, where)
+
+    rho, log_lam = _exact_start(start)
+    return step, rho, log_lam
+
+
+def _online_run(model, scheme: str, rho0, dt: float, n: int, seed: int, t0: float = 0.0):
+    """One online counting run of ``scheme`` over ``n`` steps from ``t0``:
+    the step of :func:`_online_step` on a stack of one state, with one
+    uniform per step from ``default_rng(seed)``.  A batched ensemble takes
+    the same step, so each of its trajectories is bitwise this run.  Errors
+    name the step, counted from 1, and its time.  Returns the counting
+    record and the states at every grid point."""
+    step, rho, log_lam = _online_step(model, scheme, dt, rho0)
+    uniforms = np.random.default_rng(seed).random(n)
+    times = t0 + dt * np.arange(n + 1)
+    counts = np.zeros(n, dtype=int)
+    states = [DensityState(rho, log_lam, float(times[0]))]
+    stack = rho[None]
+    for k in range(n):
+        dn, stack, dlog = step(stack, uniforms[k : k + 1], float(times[k]), lambda _b, k=k: f"step {k + 1}")
+        counts[k] = dn[0]
+        log_lam += float(dlog[0])
+        states.append(DensityState(stack[0], log_lam, float(times[k + 1])))
+    return CountingRecord(dt, counts, t0), states
+
+
+def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: float = 0.0) -> CountingRecord:
+    """Sample a counting record online from the exact pathwise state.
+
+    Each step draws one uniform ``u`` and registers a count when
+    ``u < eta lam tr(C rho C^dag) dt``, with ``rho`` the exact normalized
+    state of the record so far; the state then takes the exact step of
+    :func:`jump_pathwise_solve`.  So the record is the one
+    ``run_trajectory(model, "pathwise", ...)`` samples with this seed, and
+    deterministic given the seed.  Errors name the step and its time.
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n = int(round(T / dt))
+    if n < 1:
+        raise ValueError(f"time length {T} covers no full step of dt = {dt}")
+    return _online_run(model, "pathwise", rho0, dt, n, seed, t0)[0]
 
 
 def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
@@ -407,7 +457,9 @@ def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
     and ``Phi = expm(dt Gen)`` is the exact propagator over one step, built
     once.  Each step applies ``Phi``, then ``conj(C) (x) C`` on a count,
     renormalizes (adding the log of the trace to ``log_lambda``) and
-    hermitizes.
+    hermitizes: it is :func:`_exact_step_many` on a stack of one state, the
+    step an online ``pathwise`` run takes, so replaying that run's record
+    gives its states bitwise.
 
     Returns ``(r_path, recovered)``: the recovered normalized states with
     ``log_lambda`` at every grid point (``r0`` need not be normalized; its
@@ -419,38 +471,24 @@ def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
     ``substeps`` is validated for the callers that pass it but not used:
     the flow between grid points is exact.  Raises
     :class:`InvalidCountingRecordError` for a count on a state that ``C``
-    annihilates, and :class:`NonFiniteStateError` with the step's time when
-    the state stops being finite.
+    annihilates, and :class:`NonFiniteStateError` when the state stops being
+    finite; both name the step and its time.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     rho, log_lam = _exact_start(r0)
-    n = model.dim
     jump_map, phi = _exact_propagator(model, record.dt)
     gauge = JumpGauge.identity(model) if model.C_inv is not None else None
     times = record.times
     recovered = [DensityState(rho, log_lam, float(times[0]))]
     gauges = None if gauge is None else [gauge.a]
-    for k, dn in enumerate(record.counts):
+    stack = rho[None]
+    for k, dn in enumerate(record.counts[:, None]):
         t = float(times[k + 1])
-        v = phi @ rho.reshape(-1, order="F")
-        if dn:
-            v = jump_map @ v
-        x = v.reshape((n, n), order="F")
-        tr = float(x.trace().real)
-        if not np.isfinite(x).all():
-            raise NonFiniteStateError(t, "pathwise jump state blew up")
-        if not tr > 1e-300:
-            if dn:
-                raise InvalidCountingRecordError(
-                    f"count arrived at t = {t:.6g} where tr(C rho C^dag) = {tr:.3e}: "
-                    "record is invalid for this model"
-                )
-            raise NonFiniteStateError(t, "pathwise jump state collapsed")
-        rho = (0.5 / tr) * (x + x.conj().T)
-        log_lam += float(np.log(tr))
-        recovered.append(DensityState(rho, log_lam, t))
-        if dn and gauge is not None:
+        stack, dlog = _exact_step_many(jump_map, phi, stack, dn, t, lambda _b, k=k: f"step {k + 1}")
+        log_lam += float(dlog[0])
+        recovered.append(DensityState(stack[0], log_lam, t))
+        if dn[0] and gauge is not None:
             gauge.advance()
             gauges.append(gauge.a)
     if gauge is None:

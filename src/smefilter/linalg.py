@@ -14,6 +14,7 @@ without conjugating.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -105,7 +106,9 @@ def expm(a, tol: float = 1e-12) -> np.ndarray:
     Raises ``ValueError`` naming the max-entry norm when the argument is too
     large for this scheme: when the squarings overflow, or when the
     tolerance, divided by the scaling factor, falls below what 64 series
-    terms reach (max-entry norms from about ``1e110``).
+    terms reach (max-entry norms from about ``1e110``).  Squarings that can
+    overflow run with numpy's floating-point warnings off, so the error is
+    the only report.
     """
     m = as_square(a)
     if tol <= 0.0:
@@ -129,11 +132,14 @@ def expm(a, tol: float = 1e-12) -> np.ndarray:
             raise _too_large(nrm)
         term = term @ b / k
         x += term
-    for _ in range(squarings):
-        x = x @ x
-    # Only many squarings can overflow; the bound keeps the check off the
+    # Only many squarings can overflow; the bound keeps the check, and the
+    # silencing of numpy's overflow warnings ahead of its error, off the
     # common path.
-    if squarings and _may_overflow(n, squarings) and not np.isfinite(x).all():
+    risky = squarings and _may_overflow(n, squarings)
+    with np.errstate(over="ignore", invalid="ignore") if risky else nullcontext():
+        for _ in range(squarings):
+            x = x @ x
+    if risky and not np.isfinite(x).all():
         raise _too_large(nrm)
     return x
 
@@ -176,11 +182,14 @@ def expm_many(a, tol: float = 1e-12) -> np.ndarray:
             raise _too_large(nrm[live[0]])
         term = term @ b[live] / k
         x[live] += term
-    for j in range(int(squarings.max(initial=0))):
-        sel = np.flatnonzero(squarings > j)
-        xs = x[sel]
-        x[sel] = xs @ xs
-    if _may_overflow(m.shape[1], int(squarings.max(initial=0))):
+    most = int(squarings.max(initial=0))
+    risky = _may_overflow(m.shape[1], most)
+    with np.errstate(over="ignore", invalid="ignore") if risky else nullcontext():
+        for j in range(most):
+            sel = np.flatnonzero(squarings > j)
+            xs = x[sel]
+            x[sel] = xs @ xs
+    if risky:
         bad = ~np.isfinite(x).all(axis=(1, 2))
         if bad.any():
             raise _too_large(nrm[bad.argmax()])

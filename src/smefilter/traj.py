@@ -3,15 +3,17 @@ diagnostics.
 
 A trajectory is a pure function of ``(model, scheme, dt, T, rho0, seed)``:
 the driving record is generated online from the filtered state itself
-(``dy_n = m_(n-1) dt + kappa dnu_n`` with ``dnu ~ N(0, dt)`` for diffusion,
-per-step Bernoulli counts for jumps) and returned alongside the states so
-that offline replays can cross-check the run.  Ensembles give trajectory
-``i`` the seed ``base_seed + i``.  Jump ensembles (``em`` and ``pathwise``)
-and robust diffusion ensembles step all trajectories together as one stack
-of states, keeping only the running state sum and the final states;
-diffusion ``em`` and ``pathwise`` ensembles run their trajectories one after
-another.  Either way each trajectory's states are bitwise those of
-``run_trajectory`` with its seed.
+(``dy_n = m_(n-1) dt + kappa dnu_n`` with ``dnu ~ N(0, dt)`` for diffusion;
+for jumps a per-step Bernoulli count with probability
+``eta lam tr(C rho C^dag) dt``, drawn from the state the run evolves, which
+for ``pathwise`` is the exact pathwise state, stepped once per step) and
+returned alongside the states so that offline replays can cross-check the
+run.  Ensembles give trajectory ``i`` the seed ``base_seed + i``.  Jump
+ensembles (``em`` and ``pathwise``) and robust diffusion ensembles step all
+trajectories together as one stack of states, keeping only the running
+state sum and the final states; diffusion ``em`` and ``pathwise`` ensembles
+run their trajectories one after another.  Either way each trajectory's
+states are bitwise those of ``run_trajectory`` with its seed.
 """
 
 from __future__ import annotations
@@ -31,16 +33,13 @@ from .diffusion import (
     pathwise_filter,
     robust_filter,
 )
-# ``sample_counting_record`` and ``jump_pathwise_solve`` run single jump
-# trajectories only, but bench/spans.py traces them under these names here,
-# as it does ``run_trajectory``, so they stay bound in this module.
-from .jump import (
+# No code of this module calls ``sample_counting_record`` or
+# ``jump_pathwise_solve``, but bench/spans.py traces them under these names
+# here, as it does ``run_trajectory``, so they stay bound in this module.
+from .jump import (  # noqa: F401
     CountingRecord,
-    _exact_propagator,
-    _exact_start,
-    _exact_step_many,
-    _sample_many,
-    _sample_step,
+    _online_run,
+    _online_step,
     jump_pathwise_solve,
     sample_counting_record,
 )
@@ -174,30 +173,24 @@ def _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> Tra
     )
 
 
-def _check_jump_scheme(scheme) -> None:
+def _check_jump_scheme(scheme, substeps) -> None:
     if scheme == "robust":
         raise ValueError("scheme 'robust' applies to diffusion models; use 'em' or 'pathwise'")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if scheme == "pathwise" and substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
 
 
 def _run_jump_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> TrajectoryResult:
-    _check_jump_scheme(scheme)
-    if scheme == "em":
-        rng = np.random.default_rng(seed)
-        uniforms = rng.random(n)
-        rho = _normalized_density(rho0)
-        counts = np.zeros(n, dtype=int)
-        states = [DensityState(rho, 0.0, 0.0)]
-        log_lam = 0.0
-        for k in range(n):
-            counts[k], rho, dlog = _sample_step(model, rho, uniforms[k], dt, k * dt)
-            log_lam += dlog
-            states.append(DensityState(rho, log_lam, (k + 1) * dt))
-        record = CountingRecord(dt, counts)
-    else:
-        record = sample_counting_record(model, rho0, dt, n * dt, seed)
-        _, states = jump_pathwise_solve(model, record, _normalized_density(rho0), substeps)
+    """One online counting run: ``jump._online_run``, which draws each
+    step's count from the state it evolves and steps that state once (the
+    explicit-Euler state for ``em``, the exact pathwise state for
+    ``pathwise``).  Its errors name the step and its time.  Replaying the
+    record of a ``pathwise`` run through ``jump_pathwise_solve`` gives its
+    states bitwise."""
+    _check_jump_scheme(scheme, substeps)
+    record, states = _online_run(model, scheme, rho0, dt, n, seed)
     return TrajectoryResult(
         times=record.times,
         states=states,
@@ -262,39 +255,25 @@ def _run_jump_ensemble(model, scheme, dt, n, rho0, n_traj, base_seed, substeps):
     """Step the jump trajectories of an ensemble as one stack.
 
     Trajectory ``i`` draws its uniforms as ``_run_jump_trajectory`` does for
-    seed ``base_seed + i``, and ``_sample_many`` gives each element the
-    arithmetic of the one-state sampler step.  For ``pathwise``, each
-    sampler step is followed by ``_exact_step_many``, the exact step of
-    ``jump_pathwise_solve``, and its states are the ones kept; no
-    gauge-frame path is built.  So every state is bitwise the one
-    ``run_trajectory`` computes.  Returns what ``_run_robust_ensemble``
-    returns.
+    seed ``base_seed + i``, and the stack takes the step of a single run
+    (``jump._online_step``): for ``em`` the Euler sampler step, for
+    ``pathwise`` the fused step that draws each count from the exact state
+    and then steps that state exactly.  Each element takes the arithmetic
+    of a stack of one, so every state is bitwise the one ``run_trajectory``
+    computes.  Returns what ``_run_robust_ensemble`` returns.
     """
-    _check_jump_scheme(scheme)
-    start = _normalized_density(rho0)
-    shape = (n_traj,) + start.shape
-    rho = np.broadcast_to(start, shape).copy()
-    kept, log_lam = rho, np.zeros(n_traj)
-    exact = scheme == "pathwise"
-    if exact:
-        if substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {substeps}")
-        jump_map, phi = _exact_propagator(model, dt)
-        exact_start, log0 = _exact_start(start)
-        kept, log_lam = np.broadcast_to(exact_start, shape).copy(), np.full(n_traj, log0)
-    sum_rho = np.empty((n + 1,) + shape[1:], dtype=complex)
-    sum_rho[0] = kept.sum(axis=0)
+    _check_jump_scheme(scheme, substeps)
+    step, start, log0 = _online_step(model, scheme, dt, rho0)
+    rho = np.broadcast_to(start, (n_traj,) + start.shape).copy()
+    log_lam = np.full(n_traj, log0)
+    sum_rho = np.empty((n + 1,) + start.shape, dtype=complex)
+    sum_rho[0] = rho.sum(axis=0)
     uniforms = _draws(base_seed, n_traj, n, lambda g, size: g.random(size))
     for k, u in enumerate(uniforms):
-        where = _trajectory_in(base_seed, k + 1)
-        dn, rho, dlog = _sample_many(model, rho, u, dt, k * dt, where)
-        if exact:
-            kept, dlog = _exact_step_many(jump_map, phi, kept, dn, (k + 1) * dt, where)
-        else:
-            kept = rho
+        _, rho, dlog = step(rho, u, k * dt, _trajectory_in(base_seed, k + 1))
         log_lam += dlog
-        sum_rho[k + 1] = kept.sum(axis=0)
-    return sum_rho, kept, log_lam
+        sum_rho[k + 1] = rho.sum(axis=0)
+    return sum_rho, rho, log_lam
 
 
 def _step_count(dt: float, T: float) -> int:

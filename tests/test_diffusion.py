@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -286,6 +288,19 @@ class TestPathwiseBlocks:
         # the online step names the time it is given
         with pytest.raises(NonFiniteStateError, match="pathwise state blew up .* at t = 0.7"):
             PathwiseIntegrator(driven_atom_model(), 0.01).advance(RHO_PLUS, 1e40, 0.7)
+
+    def test_blow_up_raises_without_warnings(self):
+        # expm rejects the 1e40 step itself: numpy's overflow warnings from
+        # its squarings must not show ahead of the error
+        inc = np.zeros(2 * _MAP_BLOCK)
+        inc[_MAP_BLOCK + 5] = 1e40
+        rec = MeasurementRecord(0.01, inc, t0=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError, match="pathwise state blew up"):
+                pathwise_filter(driven_atom_model(), rec, RHO_PLUS, substeps=2)
+            with pytest.raises(NonFiniteStateError, match="pathwise state blew up"):
+                PathwiseIntegrator(driven_atom_model(), 0.01).advance(RHO_PLUS, 1e40, 0.7)
 
     def test_collapse_names_its_time(self):
         stepper = PathwiseIntegrator(driven_atom_model(), 0.01)

@@ -25,7 +25,7 @@ from smefilter.jump import (
 from smefilter.linalg import dagger, max_abs
 from smefilter.model import SIGMA, SIGMA_X, SIGMA_Z, build_jump_model, purity
 from smefilter.ode import rk4_step
-from smefilter.traj import run_ensemble, run_trajectory
+from smefilter.traj import master_propagate, run_ensemble, run_trajectory
 
 RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
@@ -117,8 +117,10 @@ class TestSampling:
             count_probability(m, RHO_PLUS, 0.01)
 
     def test_sampler_matches_reference_loop_bitwise(self):
-        # the sampler and the online em run build C rho C^dag once per step;
-        # this loop builds it twice, in count_probability and _sme_advance
+        # the online em run builds C rho C^dag once per step; this loop
+        # builds it in _sme_advance, and count_probability rounds the
+        # probability as the pathwise run does, an ulp or so from the em
+        # run's own, which no uniform of this seed falls between
         m = unitary_jump_model(theta=0.9, lam=2.0)
         dt, n, seed = 0.01, 400, 21
         uniforms = np.random.default_rng(seed).random(n)
@@ -132,11 +134,54 @@ class TestSampling:
             rhos.append(rho)
             logs.append(log_lam)
         assert sum(counts) > 0
-        assert np.array_equal(sample_counting_record(m, RHO_PLUS, dt, n * dt, seed).counts, counts)
         res = run_trajectory(m, "em", dt, n * dt, RHO_PLUS, seed)
         assert np.array_equal(res.record.counts, counts)
         assert all(np.array_equal(st.rho, r) for st, r in zip(res.states, rhos))
         assert [st.log_lambda for st in res.states] == logs
+
+    def test_exact_sampler_matches_reference_loop_bitwise(self):
+        # the count of each step is drawn from the exact state of the record
+        # so far, and that state then takes one exact step; no Euler state.
+        # C = sigma makes the count probability depend on the state; with
+        # this seed a count drawn from the Euler state lands elsewhere.
+        m = build_jump_model(SIGMA, 1.5 * SIGMA_X, 2.0, 0.8)
+        dt, n, seed = 0.02, 400, 7
+        uniforms = np.random.default_rng(seed).random(n)
+        jump_map, phi = _exact_propagator(m, dt)
+        rho = _normalized_density(RHO_PLUS)
+        counts, rhos, logs, log_lam = [], [rho], [0.0], 0.0
+        for k in range(n):
+            dn = uniforms[k] < count_probability(m, rho, dt, k * dt)
+            step, dlog = _exact_step_many(jump_map, phi, rho[None], np.array([dn]), (k + 1) * dt)
+            rho = step[0]
+            log_lam += float(dlog[0])
+            counts.append(int(dn))
+            rhos.append(rho)
+            logs.append(log_lam)
+        assert sum(counts) > 0
+        # the flow does not depend on the start time
+        record = sample_counting_record(m, RHO_PLUS, dt, n * dt, seed, t0=0.37)
+        assert np.array_equal(record.counts, counts) and record.t0 == 0.37
+        res = run_trajectory(m, "pathwise", dt, n * dt, RHO_PLUS, seed)
+        assert np.array_equal(res.record.counts, counts)
+        assert all(np.array_equal(st.rho, r) for st, r in zip(res.states, rhos))
+        assert [st.log_lambda for st in res.states] == logs
+
+    def test_exact_sampler_mean_count_matches_master_equation(self):
+        # the mean count of step k is eta lam tr(C rho_mean C^dag) dt, with
+        # rho_mean the unconditional state: the master equation with H = E
+        # and L = sqrt(lam) C.  C = sigma makes the intensity follow the
+        # driven excited population.
+        lam, eta, dt, T, n_seeds = 2.0, 0.8, 0.01, 2.0, 400
+        m = build_jump_model(SIGMA, 1.5 * SIGMA_X, lam, eta)
+        totals = np.array([sample_counting_record(m, RHO_PLUS, dt, T, seed).total for seed in range(n_seeds)])
+        n = int(round(T / dt))
+        rho_mean = master_propagate(m.E, np.sqrt(lam) * m.C, RHO_PLUS, dt / 10.0, 10 * n)
+        intensity = [np.trace(m.C @ rho_mean[10 * k] @ dagger(m.C)).real for k in range(n)]
+        expected = eta * lam * dt * sum(intensity)
+        sigma = totals.std(ddof=1) / np.sqrt(n_seeds)
+        assert max(intensity) > 1.5 * min(intensity)
+        assert abs(totals.mean() - expected) <= 3.0 * sigma
 
 
 class TestBatchedSteps:
@@ -305,8 +350,32 @@ class TestPathwiseSolve:
         # with no drive the ground state stays put, and C = sigma kills it
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
         rec = CountingRecord(0.01, np.array([0, 0, 1, 0]))
-        with pytest.raises(InvalidCountingRecordError, match="t = 0.03"):
+        with pytest.raises(InvalidCountingRecordError, match="t = 0.03 .* for step 3:"):
             jump_pathwise_solve(m, rec, GROUND)
+
+    @pytest.mark.parametrize("name", ["unitary", "sigma", "three_level"])
+    def test_online_record_replays_bitwise(self, name):
+        # the online pathwise run and the offline solve take the same exact
+        # step, so replaying the sampled record gives the run's states
+        if name == "three_level":
+            rng = np.random.default_rng(4)
+            c = 0.6 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            e = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            m = build_jump_model(c, 0.5 * (e + dagger(e)), 1.0, 0.8)
+            rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        else:
+            m = unitary_jump_model(theta=0.9) if name == "unitary" else build_jump_model(SIGMA, 0.5 * SIGMA_X, 1.0, 1.0)
+            rho0 = RHO_PLUS
+        res = run_trajectory(m, "pathwise", 0.01, 3.0, rho0, seed=17)
+        assert res.record.total > 0
+        _, replay = jump_pathwise_solve(m, res.record, rho0)
+        assert len(replay) == len(res.states)
+        for got, want in zip(replay, res.states):
+            assert np.array_equal(got.rho, want.rho)
+            assert got.log_lambda == want.log_lambda and got.t == want.t
+        ens = run_ensemble(m, "pathwise", 0.01, 3.0, rho0, 3, base_seed=17)
+        assert np.array_equal(ens.final_states[0].rho, res.states[-1].rho)
+        assert ens.final_states[0].log_lambda == res.states[-1].log_lambda
 
 
 class TestJumpPathwiseSchrodinger:

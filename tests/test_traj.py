@@ -11,7 +11,7 @@ from smefilter.diffusion import (
     pathwise_filter,
     robust_filter,
 )
-from smefilter.jump import CountingRecord, InvalidCountingRecordError
+from smefilter.jump import CountingRecord, InvalidCountingRecordError, sample_counting_record
 from smefilter.linalg import dagger, max_abs
 from smefilter.model import (
     SIGMA,
@@ -59,6 +59,7 @@ def check_replays_failure(model, dt, base_seed, n_traj, error):
     assert "t = " in str(error.value)
     with pytest.raises(error.type) as replay:
         run_trajectory(model, "em", dt, step * dt, RHO_PLUS, seed)
+    assert re.search(rf"\bstep {step}\b", str(replay.value)), str(replay.value)
     if step > 1:
         for i in range(n_traj):
             run_trajectory(model, "em", dt, (step - 1) * dt, RHO_PLUS, base_seed + i)
@@ -256,6 +257,25 @@ class TestRunEnsemble:
         b, step, _ = check_replays_failure(m, 0.05, 5, 8, err)
         assert b > 0
         assert f"at t = {(step - 1) * 0.05:.6g};" in str(err.value)
+
+    @pytest.mark.parametrize("scheme", ["em", "pathwise"])
+    def test_single_run_names_failing_step(self, scheme):
+        # the drive raises the excited population, and with it the count
+        # probability of C = sigma, past 0.1 some steps into the run
+        m = build_jump_model(SIGMA, 5.0 * SIGMA_X, 6.0, 1.0)
+        dt, seed = 0.02, 1
+        with pytest.raises(ValueError, match="count probability .* use a smaller dt") as err:
+            run_trajectory(m, scheme, dt, 3.0, RHO_PLUS, seed)
+        found = re.search(r"for step (\d+) at t = ", str(err.value))
+        assert found, str(err.value)
+        step = int(found.group(1))
+        assert step > 1
+        assert f"for step {step} at t = {(step - 1) * dt:.6g};" in str(err.value)
+        run_trajectory(m, scheme, dt, (step - 1) * dt, RHO_PLUS, seed)
+        if scheme == "pathwise":
+            with pytest.raises(ValueError) as sampled:
+                sample_counting_record(m, RHO_PLUS, dt, 3.0, seed)
+            assert str(sampled.value) == str(err.value)
 
     def test_invalid_count_names_trajectory(self):
         # Euler overshoot drives tr(C rho C^dag) negative before a count
