@@ -112,6 +112,17 @@ class PathwiseState:
     t: float
 
 
+def _grid(dt, t0) -> tuple[float, float]:
+    """A record's step width and start time as floats, checked finite and,
+    for ``dt``, positive."""
+    dt, t0 = float(dt), float(t0)
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not np.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
+    return dt, t0
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Uniformly sampled scalar record: increments ``dy_n`` over steps of
@@ -123,8 +134,7 @@ class MeasurementRecord:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        dt, t0 = _grid(self.dt, self.t0)
         inc = np.array(self.increments, dtype=float)
         if inc.ndim != 1:
             raise ValueError(f"increments must be one-dimensional, got shape {inc.shape}")
@@ -132,8 +142,8 @@ class MeasurementRecord:
             raise ValueError("record increments must be finite")
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t0", t0)
 
     @property
     def n_steps(self) -> int:
@@ -154,15 +164,6 @@ class MeasurementRecord:
         y[0] = 0.0
         np.cumsum(self.increments, out=y[1:])
         return y
-
-    def interpolate(self, t: float) -> float:
-        """Piecewise-linear ``y(t)``, clamped to the record's time span."""
-        if self.n_steps == 0:
-            return 0.0
-        s = np.clip((t - self.t0) / self.dt, 0.0, float(self.n_steps))
-        k = min(int(s), self.n_steps - 1)
-        y = self.cumulative()
-        return float(y[k] + (s - k) * (y[k + 1] - y[k]))
 
     def coarsen(self, factor: int) -> "MeasurementRecord":
         """Aggregate ``factor`` consecutive increments into one."""
@@ -191,56 +192,73 @@ class MeasurementRecord:
         return float((windows.max(axis=1) - windows.min(axis=1)).max())
 
 
-def write_measurement_record(path, record: MeasurementRecord, comments: Sequence[str] = ()) -> None:
-    """Write a record as CSV with header ``t,dy`` (times are interval ends)."""
-    times = record.times
-    lines = [
-        "# format: measurement-record v1",
-        f"# dt: {record.dt:.17g}",
-        f"# t0: {record.t0:.17g}",
-    ]
+def _write_record(path, kind: str, column: str, record, values, cell: str, comments: Sequence[str]) -> None:
+    """Write a uniformly sampled record as CSV: a ``# format: <kind> v1``
+    line, its ``dt`` and ``t0``, the comments, the header ``t,<column>`` and
+    one row per step with the step's end time and ``values[k]`` in the
+    format ``cell``."""
+    lines = [f"# format: {kind} v1", f"# dt: {record.dt:.17g}", f"# t0: {record.t0:.17g}"]
     lines += [f"# {c}" for c in comments]
-    lines.append("t,dy")
-    lines += [f"{times[i + 1]:.17g},{dy:.17g}" for i, dy in enumerate(record.increments)]
+    lines.append(f"t,{column}")
+    lines += [f"{t:.17g},{v:{cell}}" for t, v in zip(record.times[1:], values)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_measurement_record(path) -> MeasurementRecord:
-    """Read a CSV written by :func:`write_measurement_record`."""
+def _read_record(path, column: str, parse):
+    """Read a CSV written by :func:`_write_record` with header
+    ``t,<column>``, parsing each value with ``parse``.  Returns ``dt``,
+    ``t0`` and the values; ``dt`` and ``t0`` missing from the comments are
+    inferred from the row times.  A malformed line raises naming its number."""
     dt = None
     t0 = None
     times: list[float] = []
-    values: list[float] = []
+    values: list = []
     saw_header = False
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             s = line.strip()
-            if not s:
-                continue
-            if s.startswith("#"):
-                body = s[1:].strip()
-                if body.startswith("dt:"):
-                    dt = float(body[3:])
-                elif body.startswith("t0:"):
-                    t0 = float(body[3:])
-                continue
-            if not saw_header:
-                if s != "t,dy":
-                    raise ValueError(f"expected header 't,dy', got {s!r}")
-                saw_header = True
-                continue
-            t_str, dy_str = s.split(",")
-            times.append(float(t_str))
-            values.append(float(dy_str))
+            try:
+                if not s:
+                    continue
+                if s.startswith("#"):
+                    body = s[1:].strip()
+                    if body.startswith("dt:"):
+                        dt = float(body[3:])
+                    elif body.startswith("t0:"):
+                        t0 = float(body[3:])
+                    continue
+                if not saw_header:
+                    if s != f"t,{column}":
+                        raise ValueError(f"expected header 't,{column}', got {s!r}")
+                    saw_header = True
+                    continue
+                cells = s.split(",")
+                if len(cells) != 2:
+                    raise ValueError(f"expected 2 columns 't,{column}', got {len(cells)}")
+                times.append(float(cells[0]))
+                values.append(parse(cells[1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
     if not saw_header:
-        raise ValueError("file contains no 't,dy' header")
+        raise ValueError(f"file contains no 't,{column}' header")
     if dt is None:
         if len(times) < 2:
             raise ValueError("cannot infer dt: need a '# dt:' comment or at least two rows")
         dt = times[1] - times[0]
     if t0 is None:
         t0 = (times[0] - dt) if times else 0.0
+    return dt, t0, values
+
+
+def write_measurement_record(path, record: MeasurementRecord, comments: Sequence[str] = ()) -> None:
+    """Write a record as CSV with header ``t,dy`` (times are interval ends)."""
+    _write_record(path, "measurement-record", "dy", record, record.increments, ".17g", comments)
+
+
+def read_measurement_record(path) -> MeasurementRecord:
+    """Read a CSV written by :func:`write_measurement_record`."""
+    dt, t0, values = _read_record(path, "dy", float)
     return MeasurementRecord(dt, np.array(values), t0)
 
 
@@ -340,7 +358,7 @@ class PathwiseIntegrator:
         map is out of :func:`expm`'s range."""
         if step_map is None:
             try:
-                step_map = self.step_maps([dy])[0]
+                step_map = expm(self._drift + dy * self._coupling, self._tol)
             except ValueError as exc:
                 raise NonFiniteStateError(t, f"pathwise state blew up ({exc})") from None
         return (step_map @ rho.reshape(-1, order="F")).reshape(rho.shape, order="F")

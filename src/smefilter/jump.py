@@ -31,7 +31,10 @@ from .diffusion import (
     NonFiniteStateError,
     PathwiseState,
     _batch_element,
+    _grid,
     _normalized_density,
+    _read_record,
+    _write_record,
     recover,  # noqa: F401  (bench/spans.py traces this name in this module)
 )
 from .linalg import as_square, dagger, expm, kron, require_hermitian
@@ -52,18 +55,17 @@ class CountingRecord:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        dt, t0 = _grid(self.dt, self.t0)
         c = np.asarray(self.counts)
         if c.ndim != 1:
             raise ValueError(f"counts must be one-dimensional, got shape {c.shape}")
-        c = c.astype(int)
         if c.size and not np.isin(c, (0, 1)).all():
             raise ValueError("count increments must all be 0 or 1")
+        c = c.astype(int)
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t0", t0)
 
     @property
     def n_steps(self) -> int:
@@ -91,54 +93,12 @@ class CountingRecord:
 
 def write_counting_record(path, record: CountingRecord, comments: Sequence[str] = ()) -> None:
     """Write a record as CSV with header ``t,dN`` (times are interval ends)."""
-    times = record.times
-    lines = [
-        "# format: counting-record v1",
-        f"# dt: {record.dt:.17g}",
-        f"# t0: {record.t0:.17g}",
-    ]
-    lines += [f"# {c}" for c in comments]
-    lines.append("t,dN")
-    lines += [f"{times[i + 1]:.17g},{int(dn)}" for i, dn in enumerate(record.counts)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_record(path, "counting-record", "dN", record, record.counts, "d", comments)
 
 
 def read_counting_record(path) -> CountingRecord:
     """Read a CSV written by :func:`write_counting_record`."""
-    dt = None
-    t0 = None
-    times: list[float] = []
-    values: list[int] = []
-    saw_header = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            s = line.strip()
-            if not s:
-                continue
-            if s.startswith("#"):
-                body = s[1:].strip()
-                if body.startswith("dt:"):
-                    dt = float(body[3:])
-                elif body.startswith("t0:"):
-                    t0 = float(body[3:])
-                continue
-            if not saw_header:
-                if s != "t,dN":
-                    raise ValueError(f"expected header 't,dN', got {s!r}")
-                saw_header = True
-                continue
-            t_str, dn_str = s.split(",")
-            times.append(float(t_str))
-            values.append(int(dn_str))
-    if not saw_header:
-        raise ValueError("file contains no 't,dN' header")
-    if dt is None:
-        if len(times) < 2:
-            raise ValueError("cannot infer dt: need a '# dt:' comment or at least two rows")
-        dt = times[1] - times[0]
-    if t0 is None:
-        t0 = (times[0] - dt) if times else 0.0
+    dt, t0, values = _read_record(path, "dN", int)
     return CountingRecord(dt, np.array(values, dtype=int), t0)
 
 

@@ -18,20 +18,6 @@ from contextlib import nullcontext
 
 import numpy as np
 
-_EPS = float(np.finfo(np.float64).eps)
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    """LU elimination met a pivot that is zero to working precision."""
-
-    def __init__(self, pivot: float, column: int):
-        self.pivot = float(pivot)
-        self.column = int(column)
-        super().__init__(
-            f"matrix is singular to working precision: "
-            f"pivot magnitude {self.pivot:.3e} in column {self.column}"
-        )
-
 
 def as_square(a) -> np.ndarray:
     """Coerce ``a`` to a square complex matrix, validating the shape."""
@@ -212,73 +198,3 @@ def unvec(v, n: int) -> np.ndarray:
     if w.ndim != 1 or w.size != n * n:
         raise ValueError(f"expected a vector of length {n * n}, got shape {w.shape}")
     return w.reshape((n, n), order="F")
-
-
-def lu_factor(m) -> tuple[np.ndarray, np.ndarray]:
-    """LU decomposition with partial pivoting.
-
-    Returns the packed LU matrix (unit lower triangle implicit) and the row
-    permutation.  Raises :class:`SingularMatrixError` when the best pivot in
-    some column is at working-precision zero relative to the matrix scale.
-    """
-    lu = as_square(m).copy()
-    n = lu.shape[0]
-    perm = np.arange(n)
-    pivot_floor = n * _EPS * max_abs(lu)
-    for k in range(n):
-        col = np.abs(lu[k:, k])
-        p = k + int(np.argmax(col))
-        piv = float(col[p - k])
-        if piv <= pivot_floor:
-            raise SingularMatrixError(piv, k)
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm
-
-
-def lu_solve(lu: np.ndarray, perm: np.ndarray, rhs) -> np.ndarray:
-    """Solve with factors from :func:`lu_factor`; accepts vector or matrix rhs."""
-    b = np.asarray(rhs, dtype=complex)
-    one_d = b.ndim == 1
-    if one_d:
-        b = b[:, None]
-    n = lu.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"rhs of length {b.shape[0]} does not match system of size {n}")
-    x = b[perm]
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] -= lu[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= lu[i, i]
-    return x[:, 0] if one_d else x
-
-
-def solve_linear(m, rhs) -> np.ndarray:
-    """Solve ``m @ x = rhs`` by dense LU with partial pivoting.
-
-    For condition numbers below ~1e6 the residual satisfies
-    ``max_abs(m @ x - rhs) <= 1e-10 * max_abs(rhs)``.
-    """
-    mm = as_square(m)
-    b = np.asarray(rhs, dtype=complex)
-    if b.shape[0] != mm.shape[0]:
-        raise ValueError(
-            f"rhs of length {b.shape[0]} does not match system of size {mm.shape[0]}"
-        )
-    lu, perm = lu_factor(mm)
-    return lu_solve(lu, perm, b)
-
-
-def min_eigenvalue_hermitian(a) -> float:
-    """Smallest eigenvalue of the Hermitian part ``(a + dagger(a)) / 2``.
-
-    Rejects inputs whose Hermitian residual exceeds the standard tolerance;
-    the symmetrization only mops up rounding noise.
-    """
-    m = require_hermitian(a)
-    h = 0.5 * (m + dagger(m))
-    return float(np.linalg.eigvalsh(h)[0])

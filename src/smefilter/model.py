@@ -31,16 +31,6 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA, IDENTITY_2):
     _m.setflags(write=False)
 
 
-def pauli() -> dict[str, np.ndarray]:
-    """Fresh copies of the 2x2 operator set ``sigma_x/y/z`` and ``sigma``."""
-    return {
-        "sigma_x": SIGMA_X.copy(),
-        "sigma_y": SIGMA_Y.copy(),
-        "sigma_z": SIGMA_Z.copy(),
-        "sigma": SIGMA.copy(),
-    }
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
@@ -86,10 +76,6 @@ class JumpModel:
     @property
     def dim(self) -> int:
         return self.C.shape[0]
-
-    @property
-    def c_invertible(self) -> bool:
-        return self.C_inv is not None
 
 
 @dataclass(frozen=True)
@@ -185,19 +171,6 @@ def rho_from_bloch(b) -> np.ndarray:
     if x * x + y * y + z * z > 1.0 + 1e-9:
         raise ValueError(f"Bloch vector ({x}, {y}, {z}) lies outside the unit ball")
     return 0.5 * (IDENTITY_2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
-
-
-def expected_measurement(rho, L, imag_tol: float = 1e-9) -> float:
-    """Mean detector output ``tr((L + L^dag) rho)`` for a normalized state.
-
-    The trace is real for Hermitian ``rho``; an imaginary residue at or above
-    ``imag_tol`` signals a corrupted state and raises.
-    """
-    m = as_square(rho)
-    v = complex(np.einsum("ij,ji->", np.asarray(L, dtype=complex) + dagger(L), m))
-    if abs(v.imag) >= imag_tol:
-        raise ValueError(f"imaginary residue {v.imag:.3e} exceeds {imag_tol:.1e}")
-    return float(v.real)
 
 
 def purity(rho) -> float:

@@ -9,11 +9,12 @@ for jumps a per-step Bernoulli count with probability
 for ``pathwise`` is the exact pathwise state, stepped once per step) and
 returned alongside the states so that offline replays can cross-check the
 run.  Ensembles give trajectory ``i`` the seed ``base_seed + i``.  Jump
-ensembles (``em`` and ``pathwise``) and robust diffusion ensembles step all
-trajectories together as one stack of states, keeping only the running
-state sum and the final states; diffusion ``em`` and ``pathwise`` ensembles
-run their trajectories one after another.  Either way each trajectory's
-states are bitwise those of ``run_trajectory`` with its seed.
+ensembles (``em`` and ``pathwise``) and robust diffusion ensembles run on
+one batched engine, ``_run_batched``, which steps all trajectories together
+as one stack of states with the scheme's stack step and keeps only the
+running state sum and the final states; diffusion ``em`` and ``pathwise``
+ensembles run their trajectories one after another.  Either way each
+trajectory's states are bitwise those of ``run_trajectory`` with its seed.
 """
 
 from __future__ import annotations
@@ -223,54 +224,55 @@ def _trajectory_in(base_seed, step):
     return lambda b: f"trajectory {b} (seed {base_seed + b}) in step {step}"
 
 
-def _run_robust_ensemble(model, dt, n, rho0, n_traj, base_seed):
-    """Step the robust diffusion trajectories of an ensemble as one stack.
+def _batched_step(model, scheme, dt, rho0, substeps):
+    """The stack step of a batched ensemble of ``scheme``, its start state
+    and ``log_lambda``, and ``draw(rng, size)``, which draws a trajectory's
+    numbers as its single run draws them.
 
-    Trajectory ``i`` draws its innovations from its own generator seeded
-    ``base_seed + i``, in the order ``_run_diffusion_trajectory`` draws
-    them, and ``RobustStepper.advance_many`` gives each element the
-    arithmetic of the one-state step, so every state is bitwise the one
-    ``run_trajectory`` computes.  Returns the state sums over trajectories
-    at every grid point (added in trajectory order, as a loop over
-    trajectories adds them), the final states and their ``log_lambda``.
+    ``step(rho, x, k, where)`` takes the stack ``rho`` through step ``k``
+    (from 0) with the draws ``x`` and returns the new stack and the log
+    normalization factors, naming trajectory ``b`` in errors as
+    ``where(b)``.  Robust runs take ``RobustStepper.advance_many``, ending
+    at ``(k + 1) dt``; jump runs take a single run's step,
+    ``jump._online_step``, starting at ``k dt``.
     """
-    rho = np.broadcast_to(_normalized_density(rho0), (n_traj, model.dim, model.dim)).copy()
+    if isinstance(model, JumpModel):
+        _check_jump_scheme(scheme, substeps)
+        jump_step, start, log0 = _online_step(model, scheme, dt, rho0)
+
+        def step(rho, u, k, where):
+            return jump_step(rho, u, k * dt, where)[1:]
+
+        return step, start, log0, lambda g, size: g.random(size)
+    start = _normalized_density(rho0)
     stepper = RobustStepper(model, dt)
     l_sum = model.L + dagger(model.L)
     scale = np.sqrt(dt)
-    sum_rho = np.empty((n + 1,) + rho.shape[1:], dtype=complex)
-    sum_rho[0] = rho.sum(axis=0)
-    log_lam = np.zeros(n_traj)
-    dnus = _draws(base_seed, n_traj, n, lambda g, size: g.normal(0.0, scale, size))
-    for k, dnu in enumerate(dnus):
+
+    def step(rho, dnu, k, where):
         m = np.einsum("ij,bji->b", l_sum, rho).real
-        dy = m * dt + model.kappa * dnu
-        rho, dlog = stepper.advance_many(rho, dy, (k + 1) * dt, _trajectory_in(base_seed, k + 1))
-        log_lam += dlog
-        sum_rho[k + 1] = rho.sum(axis=0)
-    return sum_rho, rho, log_lam
+        return stepper.advance_many(rho, m * dt + model.kappa * dnu, (k + 1) * dt, where)
+
+    return step, start, 0.0, lambda g, size: g.normal(0.0, scale, size)
 
 
-def _run_jump_ensemble(model, scheme, dt, n, rho0, n_traj, base_seed, substeps):
-    """Step the jump trajectories of an ensemble as one stack.
+def _run_batched(step, start, log0, draw, n, n_traj, base_seed):
+    """Step the trajectories of an ensemble as one stack of states.
 
-    Trajectory ``i`` draws its uniforms as ``_run_jump_trajectory`` does for
-    seed ``base_seed + i``, and the stack takes the step of a single run
-    (``jump._online_step``): for ``em`` the Euler sampler step, for
-    ``pathwise`` the fused step that draws each count from the exact state
-    and then steps that state exactly.  Each element takes the arithmetic
-    of a stack of one, so every state is bitwise the one ``run_trajectory``
-    computes.  Returns what ``_run_robust_ensemble`` returns.
+    Trajectory ``i`` draws its numbers from its own generator seeded
+    ``base_seed + i`` (see :func:`_draws`), and ``step`` gives each element
+    of the stack the arithmetic of a single run, so every state is bitwise
+    the one ``run_trajectory`` computes for that seed.  Returns the state
+    sums over trajectories at every grid point (added in trajectory order,
+    as a loop over trajectories adds them), the final states and their
+    ``log_lambda``.
     """
-    _check_jump_scheme(scheme, substeps)
-    step, start, log0 = _online_step(model, scheme, dt, rho0)
     rho = np.broadcast_to(start, (n_traj,) + start.shape).copy()
     log_lam = np.full(n_traj, log0)
     sum_rho = np.empty((n + 1,) + start.shape, dtype=complex)
     sum_rho[0] = rho.sum(axis=0)
-    uniforms = _draws(base_seed, n_traj, n, lambda g, size: g.random(size))
-    for k, u in enumerate(uniforms):
-        _, rho, dlog = step(rho, u, k * dt, _trajectory_in(base_seed, k + 1))
+    for k, x in enumerate(_draws(base_seed, n_traj, n, draw)):
+        rho, dlog = step(rho, x, k, _trajectory_in(base_seed, k + 1))
         log_lam += dlog
         sum_rho[k + 1] = rho.sum(axis=0)
     return sum_rho, rho, log_lam
@@ -314,21 +316,19 @@ def run_ensemble(
     aggregates the mean state path and final-time Bloch statistics.
 
     Jump ensembles and robust diffusion ensembles step all trajectories
-    together; diffusion ``em`` and ``pathwise`` ensembles run them one after
-    another.  The results are the same either way: trajectory ``i`` ends
+    together as one stack, on the one batched engine with the scheme's
+    stack step; diffusion ``em`` and ``pathwise`` ensembles run them one
+    after another.  The results are the same either way: trajectory ``i`` ends
     bitwise where ``run_trajectory`` with seed ``base_seed + i`` ends, and
     the mean path sums states in trajectory order.  A failure in a batched
     ensemble names the trajectory, its seed, the step and the time.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    jump = isinstance(model, JumpModel)
-    if jump or (isinstance(model, DiffusionModel) and scheme == "robust"):
+    if isinstance(model, JumpModel) or (isinstance(model, DiffusionModel) and scheme == "robust"):
         n = _step_count(dt, T)
-        if jump:
-            sum_rho, rho, log_lam = _run_jump_ensemble(model, scheme, dt, n, rho0, n_traj, base_seed, substeps)
-        else:
-            sum_rho, rho, log_lam = _run_robust_ensemble(model, dt, n, rho0, n_traj, base_seed)
+        step, start, log0, draw = _batched_step(model, scheme, dt, rho0, substeps)
+        sum_rho, rho, log_lam = _run_batched(step, start, log0, draw, n, n_traj, base_seed)
         times = dt * np.arange(n + 1)
         final_states = [DensityState(r, float(lam), n * dt) for r, lam in zip(rho, log_lam)]
         final_bloch = [_bloch_fast(r) for r in rho]

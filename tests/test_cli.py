@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,24 @@ class TestFilter:
         for g, w in zip(got, want):
             for a, b in zip(g[:4], w[:4]):
                 assert abs(float(a) - float(b)) <= 0.02
+
+    @pytest.mark.parametrize(
+        "config, name, line",
+        [
+            (FAST_DIFFUSION, "measurement_record.csv", "# dt: nan"),
+            (FAST_DIFFUSION, "measurement_record.csv", "# t0: inf"),
+            (FAST_JUMP, "counting_record.csv", "# dt: inf"),
+            (FAST_JUMP, "counting_record.csv", "# t0: nan"),
+        ],
+    )
+    def test_non_finite_grid_rejected(self, tmp_path, config, name, line):
+        cfg = parse_config(config)
+        cmd_simulate(cfg, tmp_path / "sim")
+        path = tmp_path / "sim" / name
+        key = line[2:4]
+        path.write_text(re.sub(rf"^# {key}: .*$", line, path.read_text(), count=1, flags=re.M))
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            cmd_filter(cfg, path, tmp_path / "out")
 
     def test_mode_mismatch_rejected(self, tmp_path):
         cfg = parse_config(FAST_DIFFUSION)

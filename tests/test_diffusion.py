@@ -27,6 +27,7 @@ from smefilter.diffusion import (
     robust_step,
     write_measurement_record,
 )
+from smefilter.jump import read_counting_record
 from smefilter.linalg import dagger, expm, kron, max_abs, vec
 from smefilter.model import build_diffusion_model, purity, rho_from_bloch, two_level_model
 from smefilter.ode import rk4_step
@@ -64,13 +65,6 @@ class TestMeasurementRecord:
         assert np.allclose(rec.cumulative(), [0.0, 1.0, -1.0, -0.5])
         assert rec.duration == pytest.approx(1.5)
 
-    def test_interpolation(self):
-        rec = MeasurementRecord(1.0, np.array([2.0, -1.0]))
-        assert rec.interpolate(0.0) == 0.0
-        assert rec.interpolate(0.5) == pytest.approx(1.0)
-        assert rec.interpolate(1.5) == pytest.approx(1.5)
-        assert rec.interpolate(99.0) == pytest.approx(1.0)  # clamped
-
     def test_coarsen(self):
         rec = MeasurementRecord(0.1, np.arange(6, dtype=float))
         coarse = rec.coarsen(3)
@@ -103,6 +97,21 @@ class TestMeasurementRecord:
         path.write_text("t,dN\n0.1,1\n")
         with pytest.raises(ValueError, match="t,dy"):
             read_measurement_record(path)
+
+    @pytest.mark.parametrize(
+        "read, header, row, match",
+        [
+            (read_measurement_record, "t,dy", "0.2,0.5,7", "line 4: expected 2 columns"),
+            (read_measurement_record, "t,dy", "0.2,abc", "line 4: could not convert"),
+            (read_counting_record, "t,dN", "0.2,0.5", "line 4: invalid literal for int"),
+            (read_measurement_record, "t,dy", "# dt: abc", "line 4: could not convert"),
+        ],
+    )
+    def test_csv_malformed_row_names_line(self, tmp_path, read, header, row, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# dt: 0.1\n{header}\n0.1,0\n{row}\n")
+        with pytest.raises(ValueError, match=match):
+            read(path)
 
 
 class TestGauge:

@@ -58,6 +58,11 @@ class TestCountingRecord:
         with pytest.raises(ValueError, match="0 or 1"):
             CountingRecord(0.1, np.array([0, 2]))
 
+    def test_non_integer_counts_rejected(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            CountingRecord(0.1, [0.5, 1.0, 0.9])
+        assert np.array_equal(CountingRecord(0.1, [0.0, 1.0]).counts, [0, 1])
+
     def test_derived_series(self):
         rec = CountingRecord(0.5, np.array([0, 1, 0, 1]), t0=1.0)
         assert np.array_equal(rec.cumulative_counts(), [0, 0, 1, 1, 2])

@@ -3,19 +3,14 @@ import pytest
 import scipy.linalg
 
 from smefilter.linalg import (
-    SingularMatrixError,
     allclose,
     dagger,
     expm,
     expm_many,
     hermitian_residual,
     kron,
-    lu_factor,
-    lu_solve,
     max_abs,
-    min_eigenvalue_hermitian,
     require_hermitian,
-    solve_linear,
     trace,
     unvec,
     vec,
@@ -179,69 +174,6 @@ class TestKronVec:
     def test_unvec_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             unvec(np.ones(5), 2)
-
-
-class TestSolve:
-    def test_identity(self):
-        v = np.array([1.0, 2.0, 3.0 + 1j])
-        assert np.array_equal(solve_linear(np.eye(3), v), v)
-
-    def test_diagonal(self):
-        assert np.array_equal(solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 8.0])), np.array([1.0, 2.0]))
-
-    def test_reconstructs_known_solution(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            n = int(rng.integers(2, 9))
-            m = random_complex(rng, n) + 3.0 * np.eye(n)
-            x = rng.normal(size=n) + 1j * rng.normal(size=n)
-            rhs = m @ x
-            got = solve_linear(m, rhs)
-            assert max_abs(m @ got - rhs) <= 1e-10 * max_abs(rhs)
-            assert max_abs(got - x) <= 1e-8 * max(1.0, max_abs(x))
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            m = random_complex(rng, 5) + 2.0 * np.eye(5)
-            rhs = rng.normal(size=5) + 1j * rng.normal(size=5)
-            assert max_abs(solve_linear(m, rhs) - np.linalg.solve(m, rhs)) <= 1e-11
-
-    def test_singular_error_carries_pivot(self):
-        with pytest.raises(SingularMatrixError) as err:
-            solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
-        assert err.value.pivot <= 1e-12
-
-    def test_zero_matrix_singular(self):
-        with pytest.raises(SingularMatrixError):
-            solve_linear(np.zeros((2, 2)), np.ones(2))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            solve_linear(np.eye(3), np.ones(2))
-
-    def test_matrix_rhs(self):
-        rng = np.random.default_rng(10)
-        m = random_complex(rng, 4) + 2.0 * np.eye(4)
-        rhs = random_complex(rng, 4)
-        lu, perm = lu_factor(m)
-        assert max_abs(m @ lu_solve(lu, perm, rhs) - rhs) <= 1e-11
-
-
-class TestMinEigenvalue:
-    def test_identity(self):
-        assert min_eigenvalue_hermitian(np.eye(3)) == pytest.approx(1.0)
-
-    def test_indefinite_diagonal(self):
-        assert min_eigenvalue_hermitian(np.diag([3.0, -1.0])) == pytest.approx(-1.0)
-
-    def test_plus_state_projector(self):
-        # rank-1 projector has eigenvalues {0, 1}
-        assert min_eigenvalue_hermitian(RHO_PLUS) == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            min_eigenvalue_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestHermitianHelpers:
