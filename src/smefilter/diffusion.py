@@ -24,7 +24,9 @@ cross-validation:
       E(dy) = exp((L/k^2) dy - (L^2/2k^2) dt),
 
   vectorized via ``[(I (x) A) + (B^T (x) I) - (D^T (x) C)] vec(X) = vec(rhs)``
-  (plain transposes, no conjugation) and solved by dense LU.
+  (plain transposes, no conjugation).  The system depends on the model and
+  ``dt`` only: it is LU-factored once, inverted once, and its inverse is
+  applied to every step's right-hand side as a stacked matrix-vector product.
 
 Unnormalized solutions grow or decay exponentially, so every stepper
 renormalizes each step and accumulates ``log_lambda``, the log of the
@@ -112,12 +114,18 @@ class PathwiseState:
     t: float
 
 
+def _step_width(dt) -> float:
+    """A step width as a float, checked finite and positive."""
+    dt = float(dt)
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    return dt
+
+
 def _grid(dt, t0) -> tuple[float, float]:
     """A record's step width and start time as floats, checked finite and,
     for ``dt``, positive."""
-    dt, t0 = float(dt), float(t0)
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    dt, t0 = _step_width(dt), float(t0)
     if not np.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0}")
     return dt, t0
@@ -333,13 +341,12 @@ class PathwiseIntegrator:
     def __init__(self, model, dt: float, substeps: int = 4, tol: float = 1e-12):
         if substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {substeps}")
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        dt = _step_width(dt)
         n, L, k2 = model.dim, model.L, model.kappa**2
         eye = np.eye(n)
         j0 = model.K + (L @ L) / (2.0 * k2)
         # dt Gen = drift + dy coupling
-        self._drift = float(dt) * (
+        self._drift = dt * (
             (1.0 - 1.0 / k2) * kron(L.conj(), L) - kron(eye, j0) - kron(j0.conj(), eye)
         )
         self._coupling = (kron(eye, L) + kron(L.conj(), eye)) / k2
@@ -412,16 +419,15 @@ def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4, t
 
 
 class RobustStepper:
-    """Implicit filter step with the record-independent system prefactored.
+    """Implicit filter step with the record-independent system inverted once.
 
     The implicit matrix ``(I (x) A) + (B^T (x) I) - (D^T (x) C)`` depends only
-    on the model and ``dt``, so it is LU-factored once; each step computes
-    ``E(dy)``, forms the right-hand side, and back-substitutes.
+    on the model and ``dt``, so it is LU-factored once and inverted once; each
+    step computes ``E(dy)``, forms the right-hand side and applies the inverse.
     """
 
     def __init__(self, model, dt: float, tol: float = 1e-12):
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        dt = _step_width(dt)
         n = model.dim
         K, L = model.K, model.L
         k2 = model.kappa**2
@@ -433,7 +439,7 @@ class RobustStepper:
             - (1.0 - 1.0 / k2) * dt * kron(L.conj(), L)
         )
         self._factors = scipy.linalg.lu_factor(system, check_finite=False)
-        self._getrs = scipy.linalg.get_lapack_funcs("getrs", (self._factors[0],))
+        self._inverse = scipy.linalg.lu_solve(self._factors, np.eye(n * n, dtype=complex), check_finite=False)
         self._l_scaled = L / k2
         self._drift = (L @ L) * (dt / (2.0 * k2))
         self._n = n
@@ -452,12 +458,7 @@ class RobustStepper:
         if e is None:
             e = expm(self._l_scaled * dy - self._drift, self._tol)
         rhs = e @ state_prev @ e.conj().T
-        # The LAPACK call scipy.linalg.lu_solve makes, without its argument
-        # handling; the column is a fresh copy, so it is solved in place.
-        lu, piv = self._factors
-        x, info = self._getrs(lu, piv, rhs.reshape(-1, order="F"), overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"LAPACK getrs rejected argument {-info}")
+        x = self._inverse @ rhs.reshape(-1, order="F")
         return x.reshape((self._n, self._n), order="F")
 
     def advance_many(self, rho: np.ndarray, dy: np.ndarray, t: float, where=_batch_element):
@@ -466,12 +467,11 @@ class RobustStepper:
         returns the new states and the log normalization factors.
 
         Each element's result is bitwise what :func:`_robust_advance` gives
-        for it alone.  The exponentials come from :func:`expm_many`.  The
-        solve stays one LAPACK ``getrs`` call per element: with several
-        right-hand sides ``getrs`` takes a triangular-matrix path whose
-        rounding differs from the one-column path that :meth:`propagate`
-        takes, by up to an ulp for a generic model.  Errors name the failing
-        element as ``where(b)``.
+        for it alone.  The exponentials come from :func:`expm_many`, and the
+        inverse is applied as a stack of matrix-vector products, each
+        rounded as :meth:`propagate`'s product; one matrix-matrix product
+        with all right-hand sides as its columns would round differently.
+        Errors name the failing element as ``where(b)``.
         """
         nb, n = rho.shape[0], self._n
         dy = np.asarray(dy, dtype=float)
@@ -480,11 +480,8 @@ class RobustStepper:
             raise ValueError(f"record increment dy = {dy[bad[0]]} of {where(bad[0])} is not finite at t = {t:.6g}")
         e = self.exponentials(dy)
         rhs = e @ rho @ e.conj().transpose(0, 2, 1)
-        cols = rhs.transpose(0, 2, 1).reshape(nb, n * n)  # row b is vec(rhs[b])
-        lu, piv = self._factors
-        for col in cols:  # each row is contiguous, so getrs solves it in place
-            self._getrs(lu, piv, col, overwrite_b=True)
-        x = cols.reshape(nb, n, n).transpose(0, 2, 1)
+        cols = rhs.transpose(0, 2, 1).reshape(nb, n * n, 1)  # cols[b] is vec(rhs[b]) as a column
+        x = np.matmul(self._inverse, cols).reshape(nb, n, n).transpose(0, 2, 1)
         tr = np.trace(x, axis1=1, axis2=2).real
         bad = np.flatnonzero(~(np.isfinite(tr) & (tr > 0.0) & np.isfinite(x).all(axis=(1, 2))))
         if bad.size:

@@ -389,6 +389,17 @@ class TestRobustStep:
         with pytest.raises(ValueError, match="finite"):
             robust_step(m, RHO_PLUS, np.inf, 0.01)
 
+    def test_nan_dt_rejected(self):
+        with pytest.raises(ValueError, match="dt must be finite and positive, got nan"):
+            robust_step(driven_atom_model(), RHO_PLUS, 0.1, np.nan)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf])
+@pytest.mark.parametrize("stepper", [RobustStepper, PathwiseIntegrator])
+def test_steppers_reject_non_finite_dt(stepper, dt):
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        stepper(driven_atom_model(), dt)
+
 
 def three_level_model(rng):
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -397,9 +408,9 @@ def three_level_model(rng):
 
 class TestRobustStepperSolve:
     @pytest.mark.parametrize("phi", [0.0, 0.3, 1.1, "3-level"])
-    def test_propagate_matches_lu_solve_bitwise(self, phi):
-        # propagate calls LAPACK getrs directly; the oracle is the
-        # scipy.linalg.lu_solve wrapper on the same factors and right-hand side
+    def test_propagate_applies_inverse_near_lu_solve(self, phi):
+        # propagate applies the inverse built once from the LU factors; the
+        # oracle is scipy.linalg.lu_solve on the same factors and right-hand side
         rng = np.random.default_rng(29)
         if phi == "3-level":
             m, n = three_level_model(rng), 3
@@ -410,8 +421,9 @@ class TestRobustStepperSolve:
             rho, dy = random_state(rng, n), float(rng.normal(0.0, 0.3))
             e = expm(stepper._l_scaled * dy - stepper._drift, stepper._tol)
             rhs = (e @ rho @ e.conj().T).reshape(-1, order="F")
-            want = scipy.linalg.lu_solve(stepper._factors, rhs, check_finite=False)
-            assert np.array_equal(stepper.propagate(rho, dy), want.reshape((n, n), order="F"))
+            got = stepper.propagate(rho, dy).reshape(-1, order="F")
+            assert np.array_equal(got, stepper._inverse @ rhs)
+            assert max_abs(got - scipy.linalg.lu_solve(stepper._factors, rhs, check_finite=False)) <= 1e-13
 
 
 class TestRobustStepperBatch:
@@ -826,3 +838,38 @@ def test_block_of_steps_matches_each_step_alone_bitwise(model, substeps, grid, n
         r = stepper.advance(state.rho, float(dy[b]), 1.0, block[b])
         assert r.tobytes() == stepper.advance(state.rho, float(dy[b]), 1.0).tobytes()
         state = stepper.recover_state(r, state.log_lambda, 1.0)
+
+
+def assembled_robust_step(model, rho, e, dt):
+    """The normalized robust step from the system ``A X + X B - C X D`` built
+    term by term and solved by ``scipy.linalg.solve``."""
+    n, k2 = model.dim, model.kappa**2
+    eye = np.eye(n)
+    big_a, big_b = eye + model.K * dt, dagger(model.K) * dt
+    big_d = dagger(model.L) * (1.0 - 1.0 / k2) * dt
+    system = kron(eye, big_a) + kron(big_b.T, eye) - kron(big_d.T, model.L)
+    x = scipy.linalg.solve(system, vec(e @ rho @ dagger(e))).reshape((n, n), order="F")
+    return 0.5 * (x + dagger(x)) / np.trace(x).real
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    model=small_diffusion_models(),
+    dt=hst.floats(1e-3, 1.0),
+    nb=hst.integers(1, 70),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_robust_batch_is_each_step_alone_and_near_the_solve(model, dt, nb, seed):
+    # The inverse of the implicit system is applied as a stack of products:
+    # each element is bitwise the one-state step, whatever the stack size,
+    # and within rounding of solving the system itself.
+    rng = np.random.default_rng(seed)
+    stepper = RobustStepper(model, dt)
+    rhos = np.stack([random_state(rng, model.dim) for _ in range(nb)])
+    dys = rng.normal(0.0, model.kappa * np.sqrt(dt), nb)
+    new, dlog = stepper.advance_many(rhos, dys, 1.0)
+    e = stepper.exponentials(dys)
+    for b in range(nb):
+        one, one_dlog = _robust_advance(stepper, rhos[b], float(dys[b]), 1.0)
+        assert new[b].tobytes() == one.tobytes() and dlog[b] == one_dlog
+        assert max_abs(new[b] - assembled_robust_step(model, rhos[b], e[b], dt)) <= 1e-12
