@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .diffusion import (
     MeasurementRecord,
+    _normalized_density,
     em_unnormalized,
     pathwise_filter,
     read_measurement_record,
@@ -30,13 +31,12 @@ from .diffusion import (
     write_measurement_record,
 )
 from .jump import (
-    _sme_advance,
+    _euler_replay,
     jump_pathwise_solve,
     read_counting_record,
     write_counting_record,
 )
 from .model import IDENTITY_2, SIGMA, SIGMA_X, SIGMA_Y, SIGMA_Z, build_jump_model, purity, two_level_model
-from .diffusion import DensityState, _normalized_density
 from .traj import (
     SCHEMES,
     _bloch_fast,
@@ -404,15 +404,7 @@ def cmd_filter(config: RunConfig, record_path: Path, out_dir: Path) -> list[Path
         if config.scheme == "pathwise":
             _, states = jump_pathwise_solve(model, record, _normalized_density(rho0), config.substeps)
         else:
-            rho = _normalized_density(rho0)
-            states = [DensityState(rho, 0.0, record.t0)]
-            log_lam = 0.0
-            times = record.times
-            for k, dn in enumerate(record.counts):
-                t = float(times[k + 1])
-                rho, dlog = _sme_advance(model, rho, int(dn), record.dt, t)
-                log_lam += dlog
-                states.append(DensityState(rho, log_lam, t))
+            states = _euler_replay(model, record, rho0)
     out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "filtered_trajectory.csv"
     _trajectory_csv(traj_path, config, record.times, states)

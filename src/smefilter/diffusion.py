@@ -13,9 +13,7 @@ cross-validation:
   has a constant slope within each record step and commutes with ``L``, so
   in the original frame the flow of a step is linear and time-invariant:
   it is solved exactly, as the exponential of its ``n^2 x n^2`` generator,
-  which depends on the step's increment only.  The maps of a block of
-  record steps are built together with one stacked exponential and then
-  applied one after another;
+  which depends on the step's increment only;
 * ``robust_step`` / ``robust_filter`` -- an implicit Euler discretization of
   the pathwise equation, transformed back so each step solves the linear
   matrix system ``A X + X B - C X D = E(dy) X_prev E(dy)^dag`` with
@@ -28,14 +26,23 @@ cross-validation:
   ``dt`` only: it is LU-factored once, inverted once, and its inverse is
   applied to every step's right-hand side as a stacked matrix-vector product.
 
-Unnormalized solutions grow or decay exponentially, so every stepper
-renormalizes each step and accumulates ``log_lambda``, the log of the
-normalization factor; ``rho_tilde = exp(log_lambda) * rho`` losslessly.
+Unnormalized solutions grow or decay exponentially, so every step maps the
+normalized state to an unnormalized one and then takes one shared tail:
+:func:`_renormalize` for a single state, :func:`_renormalize_many` for a
+stack.  It checks the state finite and its trace positive, renormalizes,
+hermitizes and returns ``log tr``, which the robust, pathwise and jump
+steps add to ``log_lambda``; ``rho_tilde = exp(log_lambda) * rho``
+losslessly.
+
+The robust and pathwise schemes each have one single-state step,
+``(rho, dy, t, made=None) -> (rho, dlog)``, which the online run and the
+replay :func:`_blockwise` share; ``made`` is a prebuilt exponential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -71,6 +78,42 @@ class NonFiniteStateError(ArithmeticError):
 def _batch_element(b: int) -> str:
     """How a batched step names its element ``b`` in an error message."""
     return f"batch element {b}"
+
+
+def _renormalize(x: np.ndarray, t, what: str):
+    """The tail of every single-state step: ``x`` divided by its trace and
+    hermitized, and ``log tr(x)``.  Raises :class:`NonFiniteStateError` at
+    ``t`` when ``x`` is not finite or its trace is not positive."""
+    if not np.isfinite(x).all():
+        raise NonFiniteStateError(t, f"{what} blew up")
+    tr = float(np.trace(x).real)
+    if not tr > 0.0:
+        raise NonFiniteStateError(t, f"{what} {_failure(x)} (trace {tr})")
+    return (0.5 / tr) * (x + x.conj().T), float(np.log(tr))
+
+
+def _renormalize_many(x: np.ndarray, t, what: str, where=_batch_element):
+    """:func:`_renormalize` for a stack of states ``x[b]``, each rounded as
+    in a stack of one; returns the new states and the log traces.  Errors
+    name the first failing element as ``where(b)``, or none when ``where``
+    is ``None``."""
+    if np.isfinite(x).all():
+        tr = np.trace(x, axis1=1, axis2=2).real
+        if (tr > 0.0).all():
+            return (0.5 / tr)[:, None, None] * (x + x.conj().transpose(0, 2, 1)), np.log(tr)
+    b = next(b for b, xb in enumerate(x) if not (np.isfinite(xb).all() and np.trace(xb).real > 0.0))
+    of = "" if where is None else f" of {where(b)}"
+    raise NonFiniteStateError(t, f"{what}{of} {_failure(x[b])}")
+
+
+def _failure(x: np.ndarray) -> str:
+    """How the tail names the failure of the state ``x``: "blew up" when it
+    is not finite or its growth has swamped its trace, which then lies below
+    the rounding error of its diagonal's sum; "collapsed" otherwise."""
+    if not np.isfinite(x).all():
+        return "blew up"
+    swamped = abs(np.trace(x).real) < np.finfo(float).eps * np.abs(np.diagonal(x).real).sum()
+    return "blew up" if swamped else "collapsed"
 
 
 @dataclass(frozen=True)
@@ -120,6 +163,16 @@ def _step_width(dt) -> float:
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     return dt
+
+
+def _step_count(dt, T) -> int:
+    """The number of steps of width ``dt`` in a run of length ``T``,
+    ``round(T / dt)``; ``dt`` is checked as :func:`_step_width` checks it,
+    and ``T`` finite and at least ``dt``."""
+    dt, T = _step_width(dt), float(T)
+    if not dt <= T < np.inf:
+        raise ValueError(f"T must be finite and at least dt = {dt}, got {T}")
+    return int(round(T / dt))
 
 
 def _grid(dt, t0) -> tuple[float, float]:
@@ -330,11 +383,11 @@ class PathwiseIntegrator:
     depends on ``dy`` only: not on the time and not on the record value.
 
     The state is carried normalized: :meth:`advance` applies the map of one
-    step and :meth:`recover_state` renormalizes, hermitizes and adds the log
-    trace to ``log_lambda``.  :meth:`step_maps` builds the maps of many steps
-    with one :func:`expm_many` call, which treats each element as
-    :func:`expm` treats it alone, so :func:`pathwise_filter`, applying the
-    maps of ``_MAP_BLOCK`` steps at a time, is bitwise the online run.
+    step, and :func:`_pathwise_advance` follows it with the shared tail.
+    :meth:`step_maps` builds the maps of many steps with one
+    :func:`expm_many` call, which treats each element as :func:`expm` treats
+    it alone, so :func:`pathwise_filter`, applying the maps of
+    ``_MAP_BLOCK`` steps at a time, is bitwise the online run.
     ``substeps`` is validated for the callers that pass it but not used.
     """
 
@@ -371,51 +424,46 @@ class PathwiseIntegrator:
         return (step_map @ rho.reshape(-1, order="F")).reshape(rho.shape, order="F")
 
     def recover_state(self, r: np.ndarray, log_lambda: float, t: float) -> DensityState:
-        """Normalize and hermitize the unnormalized state ``r`` at time ``t``,
-        adding ``log tr(r)`` to ``log_lambda``.
-
-        Raises :class:`NonFiniteStateError` at ``t`` when ``r`` is not finite
-        or its trace is not positive.
-        """
-        if not np.isfinite(r).all():
-            raise NonFiniteStateError(t, "pathwise state blew up")
-        tr = float(np.trace(r).real)
-        if tr <= 0.0:
-            raise NonFiniteStateError(t, f"pathwise state collapsed (trace {tr})")
-        return DensityState((0.5 / tr) * (r + r.conj().T), log_lambda + float(np.log(tr)), t)
+        """``r`` at time ``t`` through :func:`_renormalize`, its log trace
+        added to ``log_lambda``."""
+        rho, dlog = _renormalize(r, t, "pathwise state")
+        return DensityState(rho, log_lambda + dlog, t)
 
 
-def _blockwise(build, increments):
-    """Each step's ``(k, dy, made)``, where ``made`` is what ``build`` gives
-    for ``dy`` when applied to ``_MAP_BLOCK`` increments at a time.  In a
-    block that ``build`` rejects, ``made`` is ``None``: each step then
-    builds its own, so the step at fault raises with its time."""
-    for lo in range(0, len(increments), _MAP_BLOCK):
-        dys = increments[lo : lo + _MAP_BLOCK]
+def _pathwise_advance(integrator: PathwiseIntegrator, rho: np.ndarray, dy: float, t: float, step_map=None):
+    """The single-state pathwise step: :meth:`PathwiseIntegrator.advance`,
+    then :func:`_renormalize`; returns the new state and its log trace."""
+    return _renormalize(integrator.advance(rho, dy, t, step_map), t, "pathwise state")
+
+
+def _blockwise(step, build, record: MeasurementRecord, rho0):
+    """The states at every grid point of ``record`` (initial state included)
+    of the single-state ``step(rho, dy, t, made)`` from the normalized
+    ``rho0``.  ``made`` is what ``build`` gives for ``dy``, built for
+    ``_MAP_BLOCK`` increments at a time; in a block that ``build`` rejects it
+    is ``None``, so each step builds its own and the one at fault raises."""
+    times = record.times.tolist()
+    rho, log_lam = _normalized_density(rho0), 0.0
+    out = [DensityState(rho, log_lam, times[0])]
+    for lo in range(0, record.n_steps, _MAP_BLOCK):
+        dys = record.increments[lo : lo + _MAP_BLOCK]
         try:
             made = build(dys)
         except ValueError:
             made = [None] * len(dys)
-        yield from zip(range(lo, lo + len(dys)), dys.tolist(), made)
+        for k, dy, m in zip(range(lo, lo + len(dys)), dys.tolist(), made):
+            rho, dlog = step(rho, dy, times[k + 1], m)
+            log_lam += dlog
+            out.append(DensityState(rho, log_lam, times[k + 1]))
+    return out
 
 
 def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4, tol: float = 1e-12):
-    """Pathwise filter: the exact step map of every record step, applied
-    with renormalization, yielding normalized states with log-normalization
-    at every grid point (initial state included).
-
-    The maps of ``_MAP_BLOCK`` steps are built at a time, each bitwise the
-    map :meth:`PathwiseIntegrator.advance` builds for its step alone; a
-    failing step raises :class:`NonFiniteStateError` at its time."""
+    """Pathwise filter: :func:`_pathwise_advance` along a record through
+    :func:`_blockwise`, each step map bitwise the one its step builds alone;
+    a failing step raises :class:`NonFiniteStateError` at its time."""
     stepper = PathwiseIntegrator(model, record.dt, substeps, tol)
-    times = record.times.tolist()
-    state = DensityState(_normalized_density(rho0), 0.0, times[0])
-    out = [state]
-    for k, dy, step_map in _blockwise(stepper.step_maps, record.increments):
-        t = times[k + 1]
-        state = stepper.recover_state(stepper.advance(state.rho, dy, t, step_map), state.log_lambda, t)
-        out.append(state)
-    return out
+    return _blockwise(partial(_pathwise_advance, stepper), stepper.step_maps, record, rho0)
 
 
 class RobustStepper:
@@ -482,11 +530,7 @@ class RobustStepper:
         rhs = e @ rho @ e.conj().transpose(0, 2, 1)
         cols = rhs.transpose(0, 2, 1).reshape(nb, n * n, 1)  # cols[b] is vec(rhs[b]) as a column
         x = np.matmul(self._inverse, cols).reshape(nb, n, n).transpose(0, 2, 1)
-        tr = np.trace(x, axis1=1, axis2=2).real
-        bad = np.flatnonzero(~(np.isfinite(tr) & (tr > 0.0) & np.isfinite(x).all(axis=(1, 2))))
-        if bad.size:
-            raise NonFiniteStateError(t, f"implicit filter state of {where(bad[0])} collapsed")
-        return (0.5 / tr)[:, None, None] * (x + x.conj().transpose(0, 2, 1)), np.log(tr)
+        return _renormalize_many(x, t, "implicit filter state", where)
 
 
 def robust_step(model, state_prev, dy: float, dt: float, tol: float = 1e-12) -> np.ndarray:
@@ -504,33 +548,18 @@ def robust_step(model, state_prev, dy: float, dt: float, tol: float = 1e-12) -> 
 
 
 def _robust_advance(stepper: RobustStepper, rho: np.ndarray, dy: float, t: float, e: np.ndarray | None = None):
-    """Normalized update: step, renormalize, hermitize; returns the new state
-    and the log of the per-step normalization factor.  ``e`` is passed on to
-    :meth:`RobustStepper.propagate`."""
-    x = stepper.propagate(rho, dy, e)
-    tr = float(np.trace(x).real)
-    if not np.isfinite(tr) or tr <= 0.0 or not np.isfinite(x).all():
-        raise NonFiniteStateError(t, "implicit filter state collapsed")
-    return (0.5 / tr) * (x + x.conj().T), float(np.log(tr))
+    """The single-state robust step: :meth:`RobustStepper.propagate`, then
+    :func:`_renormalize`; returns the new state and its log trace.  ``e`` is
+    passed on to :meth:`RobustStepper.propagate`."""
+    return _renormalize(stepper.propagate(rho, dy, e), t, "implicit filter state")
 
 
 def robust_filter(model, record: MeasurementRecord, rho0, tol: float = 1e-12):
-    """Iterate the implicit step along a record, renormalizing every step and
-    accumulating ``log_lambda``; returns normalized states at every grid
-    point (initial state included).
-
-    The exponentials ``E(dy)`` of ``_MAP_BLOCK`` steps are computed at a
-    time, each bitwise as a step alone computes it."""
-    rho = _normalized_density(rho0)
+    """Robust filter: :func:`_robust_advance` along a record through
+    :func:`_blockwise`, each ``E(dy)`` bitwise the one its step computes
+    alone."""
     stepper = RobustStepper(model, record.dt, tol)
-    times = record.times.tolist()
-    log_lam = 0.0
-    out = [DensityState(rho, 0.0, times[0])]
-    for k, dy, e in _blockwise(stepper.exponentials, record.increments):
-        rho, dlog = _robust_advance(stepper, rho, dy, times[k + 1], e)
-        log_lam += dlog
-        out.append(DensityState(rho, log_lam, times[k + 1]))
-    return out
+    return _blockwise(partial(_robust_advance, stepper), stepper.exponentials, record, rho0)
 
 
 def _em_vectorized_operators(model, dt: float):
@@ -611,8 +640,7 @@ def em_normalized(model, dt: float, nu_increments, rho0, t0: float = 0.0):
     Returns ``(states, record)``; ``log_lambda`` accumulates the discrete
     log-likelihood ``(m dy - m^2 dt / 2) / kappa^2``.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = _step_width(dt)
     dnu = np.asarray(nu_increments, dtype=float)
     if dnu.ndim != 1 or not np.isfinite(dnu).all():
         raise ValueError("nu_increments must be a finite one-dimensional array")
@@ -629,14 +657,11 @@ def em_normalized(model, dt: float, nu_increments, rho0, t0: float = 0.0):
         lr = L @ rho
         drift = lr @ Ld - K @ rho - rho @ dagger(K)
         diff = (lr + rho @ Ld - m * rho) / kappa
-        rho = rho + drift * dt + diff * dn
-        tr = float(np.trace(rho).real)
-        if not np.isfinite(tr) or tr <= 0.0 or not np.isfinite(rho).all():
-            raise NonFiniteStateError(t0 + (k + 1) * dt, "normalized state blew up")
-        rho = (0.5 / tr) * (rho + rho.conj().T)
+        t = t0 + (k + 1) * dt
+        rho, _ = _renormalize(rho + drift * dt + diff * dn, t, "normalized state")
         log_lam += (m * dy - 0.5 * m * m * dt) / kappa**2
         dys[k] = dy
-        states.append(DensityState(rho, log_lam, t0 + (k + 1) * dt))
+        states.append(DensityState(rho, log_lam, t))
     return states, MeasurementRecord(dt, dys, t0)
 
 

@@ -10,9 +10,14 @@ whose exact one-step propagator is a single matrix exponential, computed
 once per record; a count applies the jump map ``rho -> C rho C^dag``.  That
 needs no ``C^-1``, so non-invertible jump operators such as ``C = sigma``
 are solved as well; only the gauge-frame state ``r = A rho~ A^dag`` itself
-needs ``C`` invertible.  An online ``pathwise`` run draws its counts from
-that exact state and steps it once per step; an online ``em`` run draws them
-from its explicit-Euler state.
+needs ``C`` invertible.
+
+Each scheme has one stack step ``(rho, dn, t, where) -> (rho, dlog)``,
+ending in the shared tail ``diffusion._renormalize_many``: the Euler step
+:func:`_euler_step_many` for ``em``, the exact :func:`_exact_step_many` for
+``pathwise``.  Online runs draw each count from the state they evolve, then
+take it; ensembles take it on the whole stack, single runs, replays
+(:func:`_replay`) and :func:`jump_sme_step` on a stack of one.
 
 Within one step the drift is applied first, then the count map; the two
 orders differ only at higher order in ``dt``, and a fixed convention keeps
@@ -22,6 +27,7 @@ runs deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +40,9 @@ from .diffusion import (
     _grid,
     _normalized_density,
     _read_record,
+    _renormalize_many,
+    _step_count,
+    _step_width,
     _write_record,
     recover,  # noqa: F401  (bench/spans.py traces this name in this module)
 )
@@ -135,48 +144,16 @@ class JumpGauge:
         self.count += 1
 
 
-def _sme_advance(model, rho: np.ndarray, dn: int, dt: float, t: float | None = None):
-    """Drift-then-count Euler update of the normalized state over a step
-    ending at time ``t``, which errors name when it is given.
-
-    Also returns the log of the step's normalization factor, i.e. the trace
-    growth the matching linear (unnormalized) step would have produced:
-    the drift multiplies the trace by ``1 + dt eta lam (1 - tr(J rho))`` and a
-    count multiplies it by ``tr(J rho)`` of the post-drift state.
-    """
-    C, G, lam, eta = model.C, model.G, model.lam, model.eta
-    j_rho = C @ rho @ dagger(C)
-    tr_j = float(np.trace(j_rho).real)
-    drift = -(G @ rho) - (rho @ dagger(G)) + (1.0 - eta) * lam * j_rho + eta * lam * tr_j * rho
-    out = rho + dt * drift
-    dlog = float(np.log1p(dt * eta * lam * (1.0 - tr_j)))
-    if dn:
-        j_out = C @ out @ dagger(C)
-        tr_jo = float(np.trace(j_out).real)
-        if not np.isfinite(tr_jo) or tr_jo <= 1e-300:
-            at = "" if t is None else f" at t = {t:.6g}"
-            raise InvalidCountingRecordError(
-                f"count arrived where tr(C rho C^dag) = {tr_jo:.3e}{at}: record is invalid for this model"
-            )
-        dlog += float(np.log(tr_jo / float(np.trace(out).real)))
-        out = j_out / tr_jo
-    tr = float(np.trace(out).real)
-    if not np.isfinite(tr) or tr <= 0.0 or not np.isfinite(out).all():
-        raise NonFiniteStateError(t, "normalized jump state blew up")
-    return (0.5 / tr) * (out + out.conj().T), dlog
-
-
 def jump_sme_step(model, rho, dn: int, dt: float) -> np.ndarray:
     """One explicit Euler step of the normalized counting-record equation:
     drift ``[-G rho - rho G^dag + (1-eta) lam J rho + eta lam rho tr(J rho)] dt``
     followed, when ``dn = 1``, by the count map ``rho -> J rho / tr(J rho)``,
-    then renormalization."""
+    then renormalization.  It is :func:`_euler_step_many` on a stack of one;
+    its errors name no time."""
     if dn not in (0, 1):
         raise ValueError(f"dn must be 0 or 1, got {dn}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    out, _ = _sme_advance(model, as_square(rho), int(dn), float(dt))
-    return out
+    rho, _ = _euler_step_many(model, as_square(rho)[None], np.array([dn]), _step_width(dt), None, None)
+    return rho[0]
 
 
 def jump_unnorm_step(model, rho_tilde, dn: int, dt: float) -> np.ndarray:
@@ -185,8 +162,7 @@ def jump_unnorm_step(model, rho_tilde, dn: int, dt: float) -> np.ndarray:
     then ``rho~ -> J rho~`` when ``dn = 1``."""
     if dn not in (0, 1):
         raise ValueError(f"dn must be 0 or 1, got {dn}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = _step_width(dt)
     rt = as_square(rho_tilde)
     C, G, lam, eta = model.C, model.G, model.lam, model.eta
     drift = -(G @ rt) - (rt @ dagger(G)) + (1.0 - eta) * lam * (C @ rt @ dagger(C)) + eta * lam * rt
@@ -230,27 +206,20 @@ def _count_probabilities(model, intensity: np.ndarray, dt: float, t: float | Non
     return p
 
 
-def _sample_many(model, rho: np.ndarray, u: np.ndarray, dt: float, t: float, where=_batch_element):
-    """One step of an online ``em`` counting run for a stack of states
-    ``rho[b]`` at time ``t`` with uniforms ``u[b]``: a count registers when
-    ``u[b]`` is below the count probability, and each state takes the
-    explicit-Euler update of :func:`_sme_advance`, with ``C rho C^dag``
-    built once for both.  Returns the counts (booleans), the new states and
-    the log normalization factors.
+def _euler_step_many(model, rho: np.ndarray, dn: np.ndarray, dt: float, t, where=_batch_element):
+    """The explicit-Euler step of :func:`jump_sme_step` for a stack of states
+    ``rho[b]`` with counts ``dn[b]``, over a step of width ``dt`` ending at
+    time ``t``.  Each element is bitwise its step in a stack of one.
 
-    Every element takes the arithmetic of the one-state update, and stacked
-    products of small matrices round as single ones do, so each result is
-    bitwise what :func:`_sme_advance` gives for that element alone, whatever
-    else is in the stack.  The count map is applied to the counted elements
-    only.  Errors name the failing element as ``where(b)``: the
-    count-probability check at ``t``, the others at the step's end
-    ``t + dt``.
+    Returns the new states and the log trace growth of the matching linear
+    step: ``log(1 + dt eta lam (1 - tr(J rho)))`` for the drift, plus on a
+    count ``log tr(J rho)`` of the post-drift state.  Errors name the
+    failing element as ``where(b)`` and the time ``t``; ``None`` names none.
     """
     C, G, lam, eta = model.C, model.G, model.lam, model.eta
     c_dag = dagger(C)
     j_rho = C @ rho @ c_dag
     tr_j = np.trace(j_rho, axis1=1, axis2=2).real
-    dn = u < _count_probabilities(model, tr_j, dt, t, where)
     drift = -(G @ rho) - (rho @ dagger(G)) + (1.0 - eta) * lam * j_rho + (eta * lam * tr_j)[:, None, None] * rho
     out = rho + dt * drift
     dlog = np.log1p(dt * eta * lam * (1.0 - tr_j))
@@ -262,17 +231,29 @@ def _sample_many(model, rho: np.ndarray, u: np.ndarray, dt: float, t: float, whe
         bad = ~(np.isfinite(tr_jo) & (tr_jo > 1e-300))
         if bad.any():
             b = int(bad.argmax())
+            of = "" if where is None else f" for {where(hit[b])}"
+            at = "" if t is None else f" at t = {t:.6g}"
             raise InvalidCountingRecordError(
-                f"count arrived where tr(C rho C^dag) = {tr_jo[b]:.3e} for {where(hit[b])} at t = {t + dt:.6g}: "
-                "record is invalid for this model"
+                f"count arrived where tr(C rho C^dag) = {tr_jo[b]:.3e}{of}{at}: record is invalid for this model"
             )
         dlog[hit] += np.log(tr_jo / np.trace(before, axis1=1, axis2=2).real)
         out[hit] = j_out / tr_jo[:, None, None]
-    tr = np.trace(out, axis1=1, axis2=2).real
-    bad = ~(np.isfinite(tr) & (tr > 0.0) & np.isfinite(out).all(axis=(1, 2)))
-    if bad.any():
-        raise NonFiniteStateError(t + dt, f"normalized jump state of {where(int(bad.argmax()))} blew up")
-    return dn, (0.5 / tr)[:, None, None] * (out + out.conj().transpose(0, 2, 1)), dlog
+    return _renormalize_many(out, t, "normalized jump state", where)[0], dlog
+
+
+def _sample_many(model, rho: np.ndarray, u: np.ndarray, dt: float, t: float, where=_batch_element):
+    """One step of an online ``em`` counting run for a stack of states
+    ``rho[b]`` at time ``t`` with uniforms ``u[b]``: a count registers when
+    ``u[b]`` is below the count probability ``eta lam tr(C rho C^dag) dt``,
+    and each state then takes :func:`_euler_step_many` to ``t + dt``.
+    Returns the counts (booleans), the new states and the log normalization
+    factors.  Errors name the failing element as ``where(b)``: the
+    count-probability check at ``t``, the others at the step's end
+    ``t + dt``.
+    """
+    tr_j = np.trace(model.C @ rho @ dagger(model.C), axis1=1, axis2=2).real
+    dn = u < _count_probabilities(model, tr_j, dt, t, where)
+    return (dn,) + _euler_step_many(model, rho, dn, dt, t + dt, where)
 
 
 def _exact_propagator(model, dt: float):
@@ -316,19 +297,17 @@ def _exact_step_many(jump_map, phi, rho: np.ndarray, dn: np.ndarray, t: float, w
         hit = np.flatnonzero(dn)
         v[hit] = jump_map @ v[hit]
     x = v.reshape(nb, n, n).transpose(0, 2, 1)
-    if not np.isfinite(v).all():
-        bad = ~np.isfinite(x).all(axis=(1, 2))
-        raise NonFiniteStateError(t, f"pathwise jump state of {where(int(bad.argmax()))} blew up")
-    tr = np.trace(x, axis1=1, axis2=2).real
-    if not (tr > 1e-300).all():
-        b = int((~(tr > 1e-300)).argmax())
-        if dn[b]:
-            raise InvalidCountingRecordError(
-                f"count arrived at t = {t:.6g} where tr(C rho C^dag) = {tr[b]:.3e} for {where(b)}: "
-                "record is invalid for this model"
-            )
-        raise NonFiniteStateError(t, f"pathwise jump state of {where(b)} collapsed")
-    return (0.5 / tr)[:, None, None] * (x + x.conj().transpose(0, 2, 1)), np.log(tr)
+    try:
+        return _renormalize_many(x, t, "pathwise jump state", where)
+    except NonFiniteStateError:
+        for b in np.flatnonzero(dn):  # a count on a state that C annihilates is the record's fault
+            tr = np.trace(x[b]).real if np.isfinite(x[b]).all() else np.nan
+            if tr <= 0.0:
+                raise InvalidCountingRecordError(
+                    f"count arrived at t = {t:.6g} where tr(C rho C^dag) = {tr:.3e} for {where(b)}: "
+                    "record is invalid for this model"
+                ) from None
+        raise
 
 
 def _exact_sample_many(model, cdc, jump_map, phi, rho, u: np.ndarray, dt: float, t: float, where=_batch_element):
@@ -397,12 +376,31 @@ def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: floa
     ``run_trajectory(model, "pathwise", ...)`` samples with this seed, and
     deterministic given the seed.  Errors name the step and its time.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n = int(round(T / dt))
-    if n < 1:
-        raise ValueError(f"time length {T} covers no full step of dt = {dt}")
-    return _online_run(model, "pathwise", rho0, dt, n, seed, t0)[0]
+    return _online_run(model, "pathwise", rho0, dt, _step_count(dt, T), seed, t0)[0]
+
+
+def _replay(step, rho: np.ndarray, log_lam: float, record: CountingRecord) -> list[DensityState]:
+    """The states along ``record`` from ``rho`` with ``log_lam`` at its
+    start: the stack step ``step(rho, dn, t, where)`` of a scheme on a stack
+    of one, naming the step, counted from 1, in its errors."""
+    times = record.times.tolist()
+    states = [DensityState(rho, log_lam, times[0])]
+    stack = rho[None]
+    for k, dn in enumerate(record.counts[:, None]):
+        stack, dlog = step(stack, dn, times[k + 1], lambda _b, k=k: f"step {k + 1}")
+        log_lam += float(dlog[0])
+        states.append(DensityState(stack[0], log_lam, times[k + 1]))
+    return states
+
+
+def _euler_replay(model, record: CountingRecord, rho0) -> list[DensityState]:
+    """Replay ``record`` through :func:`_euler_step_many` from the normalized
+    ``rho0``: the states of the online ``em`` run that sampled it, bitwise."""
+
+    def step(rho, dn, t, where):
+        return _euler_step_many(model, rho, dn, record.dt, t, where)
+
+    return _replay(step, _normalized_density(rho0), 0.0, record)
 
 
 def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
@@ -437,26 +435,18 @@ def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     rho, log_lam = _exact_start(r0)
-    jump_map, phi = _exact_propagator(model, record.dt)
-    gauge = JumpGauge.identity(model) if model.C_inv is not None else None
-    times = record.times
-    recovered = [DensityState(rho, log_lam, float(times[0]))]
-    gauges = None if gauge is None else [gauge.a]
-    stack = rho[None]
-    for k, dn in enumerate(record.counts[:, None]):
-        t = float(times[k + 1])
-        stack, dlog = _exact_step_many(jump_map, phi, stack, dn, t, lambda _b, k=k: f"step {k + 1}")
-        log_lam += float(dlog[0])
-        recovered.append(DensityState(stack[0], log_lam, t))
-        if dn[0] and gauge is not None:
-            gauge.advance()
-            gauges.append(gauge.a)
-    if gauge is None:
+    recovered = _replay(partial(_exact_step_many, *_exact_propagator(model, record.dt)), rho, log_lam, record)
+    if model.C_inv is None:
         return None, recovered
+    gauge = JumpGauge.identity(model)
+    gauges = [gauge.a]
+    for _ in range(record.total):
+        gauge.advance()
+        gauges.append(gauge.a)
     a = np.stack(gauges)[record.cumulative_counts()]
     scale = np.exp([s.log_lambda for s in recovered])[:, None, None]
     r = scale * (a @ np.stack([s.rho for s in recovered]) @ a.conj().transpose(0, 2, 1))
-    return [PathwiseState(rk, float(tk)) for rk, tk in zip(r, times)], recovered
+    return [PathwiseState(rk, float(tk)) for rk, tk in zip(r, record.times)], recovered
 
 
 def jump_pathwise_schrodinger_rhs(model, a_t, a_t_inv, phi) -> np.ndarray:

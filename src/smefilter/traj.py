@@ -5,21 +5,24 @@ A trajectory is a pure function of ``(model, scheme, dt, T, rho0, seed)``:
 the driving record is generated online from the filtered state itself
 (``dy_n = m_(n-1) dt + kappa dnu_n`` with ``dnu ~ N(0, dt)`` for diffusion;
 for jumps a per-step Bernoulli count with probability
-``eta lam tr(C rho C^dag) dt``, drawn from the state the run evolves, which
-for ``pathwise`` is the exact pathwise state, stepped once per step) and
+``eta lam tr(C rho C^dag) dt``, drawn from the state the run evolves) and
 returned alongside the states so that offline replays can cross-check the
-run.  Ensembles give trajectory ``i`` the seed ``base_seed + i``.  Jump
-ensembles (``em`` and ``pathwise``) and robust diffusion ensembles run on
-one batched engine, ``_run_batched``, which steps all trajectories together
-as one stack of states with the scheme's stack step and keeps only the
-running state sum and the final states; diffusion ``em`` and ``pathwise``
-ensembles run their trajectories one after another.  Either way each
-trajectory's states are bitwise those of ``run_trajectory`` with its seed.
+run: each takes its scheme's one step, as the replay does.  Robust and
+pathwise diffusion runs share one loop over the single-state step; a jump
+run is ``jump._online_run``.  Ensembles give trajectory ``i`` the seed
+``base_seed + i``.  Jump ensembles (``em`` and ``pathwise``) and robust
+diffusion ensembles run on one batched engine, ``_run_batched``, which
+steps all trajectories together as one stack of states with the scheme's
+stack step and keeps only the running state sum and the final states;
+diffusion ``em`` and ``pathwise`` ensembles run their trajectories one after
+another.  Either way each trajectory's states are bitwise those of
+``run_trajectory`` with its seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +32,9 @@ from .diffusion import (
     PathwiseIntegrator,
     RobustStepper,
     _normalized_density,
+    _pathwise_advance,
     _robust_advance,
+    _step_count,
     em_normalized,
     pathwise_filter,
     robust_filter,
@@ -133,9 +138,14 @@ def _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> Tra
     dnu = rng.normal(0.0, np.sqrt(dt), n)
     if scheme == "em":
         states, record = em_normalized(model, dt, dnu, rho0)
-    elif scheme == "robust":
+    else:
+        if scheme == "robust":
+            step = partial(_robust_advance, RobustStepper(model, dt))
+        elif scheme == "pathwise":
+            step = partial(_pathwise_advance, PathwiseIntegrator(model, dt, substeps))
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
         rho = _normalized_density(rho0)
-        stepper = RobustStepper(model, dt)
         l_sum = model.L + dagger(model.L)
         states = [DensityState(rho, 0.0, 0.0)]
         dys = np.empty(n)
@@ -143,27 +153,11 @@ def _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> Tra
         for k in range(n):
             m = float(np.einsum("ij,ji->", l_sum, rho).real)
             dy = m * dt + model.kappa * dnu[k]
-            rho, dlog = _robust_advance(stepper, rho, dy, (k + 1) * dt)
+            rho, dlog = step(rho, dy, (k + 1) * dt)
             log_lam += dlog
             dys[k] = dy
             states.append(DensityState(rho, log_lam, (k + 1) * dt))
         record = MeasurementRecord(dt, dys)
-    elif scheme == "pathwise":
-        integrator = PathwiseIntegrator(model, dt, substeps)
-        l_sum = model.L + dagger(model.L)
-        state = DensityState(_normalized_density(rho0), 0.0, 0.0)
-        states = [state]
-        dys = np.empty(n)
-        for k in range(n):
-            m = float(np.einsum("ij,ji->", l_sum, state.rho).real)
-            dy = m * dt + model.kappa * dnu[k]
-            t = (k + 1) * dt
-            state = integrator.recover_state(integrator.advance(state.rho, dy, t), state.log_lambda, t)
-            dys[k] = dy
-            states.append(state)
-        record = MeasurementRecord(dt, dys)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     return TrajectoryResult(
         times=record.times,
         states=states,
@@ -276,14 +270,6 @@ def _run_batched(step, start, log0, draw, n, n_traj, base_seed):
         log_lam += dlog
         sum_rho[k + 1] = rho.sum(axis=0)
     return sum_rho, rho, log_lam
-
-
-def _step_count(dt: float, T: float) -> int:
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if T < dt:
-        raise ValueError(f"T = {T} must be at least dt = {dt}")
-    return int(round(T / dt))
 
 
 def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int, substeps: int = 4) -> TrajectoryResult:

@@ -144,10 +144,14 @@ class TestFilter:
         cmd_filter(cfg, sim_dir / "measurement_record.csv", flt_dir)
         assert data_rows(sim_dir / "trajectory.csv") == data_rows(flt_dir / "filtered_trajectory.csv")
 
-    def test_jump_replay_reproduces_states_bitwise(self, tmp_path):
-        cfg = parse_config(FAST_JUMP)
+    @pytest.mark.parametrize("c", ["pauli_x", "sigma"])
+    def test_jump_replay_reproduces_states_bitwise(self, tmp_path, c):
+        cfg = parse_config(json.dumps(
+            {"mode": "jump", "scheme": "em", "C": c, "E": "pauli_x", "dt": 0.01, "T": 3.0, "seed": 5}
+        ))
         sim_dir, flt_dir = tmp_path / "sim", tmp_path / "flt"
         cmd_simulate(cfg, sim_dir)
+        assert sum(int(r.split(",")[1]) for r in data_rows(sim_dir / "counting_record.csv")[1:]) > 0
         cmd_filter(cfg, sim_dir / "counting_record.csv", flt_dir)
         assert data_rows(sim_dir / "trajectory.csv") == data_rows(flt_dir / "filtered_trajectory.csv")
 

@@ -10,9 +10,9 @@ from smefilter.jump import (
     InvalidCountingRecordError,
     JumpGauge,
     _exact_propagator,
+    _euler_step_many,
     _exact_step_many,
     _sample_many,
-    _sme_advance,
     count_probability,
     jump_pathwise_schrodinger_rhs,
     jump_pathwise_solve,
@@ -122,10 +122,10 @@ class TestSampling:
             count_probability(m, RHO_PLUS, 0.01)
 
     def test_sampler_matches_reference_loop_bitwise(self):
-        # the online em run builds C rho C^dag once per step; this loop
-        # builds it in _sme_advance, and count_probability rounds the
-        # probability as the pathwise run does, an ulp or so from the em
-        # run's own, which no uniform of this seed falls between
+        # the online em run draws its count from tr(C rho C^dag); this loop
+        # takes count_probability, which rounds the probability as the
+        # pathwise run does, an ulp or so from the em run's own, which no
+        # uniform of this seed falls between
         m = unitary_jump_model(theta=0.9, lam=2.0)
         dt, n, seed = 0.01, 400, 21
         uniforms = np.random.default_rng(seed).random(n)
@@ -133,8 +133,9 @@ class TestSampling:
         counts, rhos, logs, log_lam = [], [rho], [0.0], 0.0
         for k in range(n):
             dn = 1 if uniforms[k] < count_probability(m, rho, dt, k * dt) else 0
-            rho, dlog = _sme_advance(m, rho, dn, dt)
-            log_lam += dlog
+            step, dlog = _euler_step_many(m, rho[None], np.array([dn]), dt, (k + 1) * dt)
+            rho = step[0]
+            log_lam += float(dlog[0])
             counts.append(dn)
             rhos.append(rho)
             logs.append(log_lam)

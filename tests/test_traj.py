@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,12 +7,25 @@ import pytest
 from smefilter.diffusion import (
     MeasurementRecord,
     NonFiniteStateError,
+    PathwiseIntegrator,
     RobustStepper,
     _MAP_BLOCK,
+    _pathwise_advance,
+    _robust_advance,
+    em_normalized,
     pathwise_filter,
     robust_filter,
 )
-from smefilter.jump import CountingRecord, InvalidCountingRecordError, sample_counting_record
+from smefilter.jump import (
+    CountingRecord,
+    InvalidCountingRecordError,
+    _euler_step_many,
+    _exact_propagator,
+    _exact_step_many,
+    jump_sme_step,
+    jump_unnorm_step,
+    sample_counting_record,
+)
 from smefilter.linalg import dagger, max_abs
 from smefilter.model import (
     SIGMA,
@@ -404,3 +418,66 @@ class TestLipschitzReport:
         rec = MeasurementRecord(0.01, np.zeros(10))
         with pytest.raises(ValueError, match="nonnegative"):
             lipschitz_report(m, rec, [-1e-3], RHO_PLUS)
+
+
+WIDTH = "dt must be finite and positive"
+LENGTH = "T must be finite and at least dt = 0.01"
+STEP_COUNT_ENTRIES = {
+    "run_trajectory-dt": (lambda x: run_trajectory(driven_atom_model(), "em", x, 1.0, RHO_PLUS, seed=1), WIDTH),
+    "run_trajectory-T": (lambda x: run_trajectory(driven_atom_model(), "em", 0.01, x, RHO_PLUS, seed=1), LENGTH),
+    "em_normalized": (lambda x: em_normalized(driven_atom_model(), x, np.zeros(3), RHO_PLUS), WIDTH),
+    "jump_sme_step": (lambda x: jump_sme_step(criterion9_jump_model(), RHO_PLUS, 0, x), WIDTH),
+    "jump_unnorm_step": (lambda x: jump_unnorm_step(criterion9_jump_model(), RHO_PLUS, 0, x), WIDTH),
+    "sample_counting_record-dt": (lambda x: sample_counting_record(criterion9_jump_model(), RHO_PLUS, x, 1, 1), WIDTH),
+    "sample_counting_record-T": (lambda x: sample_counting_record(criterion9_jump_model(), RHO_PLUS, 0.01, x, 1), LENGTH),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", STEP_COUNT_ENTRIES)
+def test_non_finite_step_width_and_length_rejected(entry, bad):
+    # RuntimeWarnings are errors here, so a width that reaches the arithmetic fails too
+    call, message = STEP_COUNT_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"{message}, got {bad}"):
+        call(bad)
+
+
+def _stack(x):
+    return np.stack([RHO_PLUS, x])
+
+
+def _em_normalized_step(x, t):
+    # no coupling and K = -x/dt: one step takes RHO_PLUS to RHO_PLUS + 2 x RHO_PLUS
+    model = SimpleNamespace(K=-x / 0.01, L=np.zeros((2, 2), dtype=complex), kappa=1.0)
+    em_normalized(model, 0.01, np.zeros(1), RHO_PLUS, t0=t - 0.01)
+
+
+SINGLE_STEPS = {
+    "robust": lambda x, t: _robust_advance(RobustStepper(driven_atom_model(), 0.01), x, 0.1, t),
+    "pathwise": lambda x, t: _pathwise_advance(PathwiseIntegrator(driven_atom_model(), 0.01), x, 0.1, t),
+    "em_normalized": _em_normalized_step,
+    "jump_sme_step": lambda x, t: jump_sme_step(criterion9_jump_model(), x, 0, 0.01),
+}
+STACK_STEPS = {
+    "advance_many": lambda x, t: RobustStepper(driven_atom_model(), 0.01).advance_many(_stack(x), np.full(2, 0.1), t),
+    "euler_step_many": lambda x, t: _euler_step_many(criterion9_jump_model(), _stack(x), np.zeros(2, bool), 0.01, t),
+    "exact_step_many": lambda x, t: _exact_step_many(
+        *_exact_propagator(criterion9_jump_model(), 0.01), _stack(x), np.zeros(2, bool), t
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["blew up", "collapsed"])
+@pytest.mark.parametrize("step", [*SINGLE_STEPS, *STACK_STEPS])
+def test_shared_tail_errors_name_the_failure_and_time(step, kind):
+    # a NaN state "blew up"; the negated identity, whose trace is -2, "collapsed"
+    x = np.full((2, 2), np.nan, dtype=complex) if kind == "blew up" else -np.eye(2, dtype=complex)
+    with pytest.raises(NonFiniteStateError) as err:
+        {**SINGLE_STEPS, **STACK_STEPS}[step](x, 0.37)
+    message = str(err.value)
+    if step == "jump_sme_step":  # it takes no time
+        assert err.value.time is None and message.startswith(f"normalized jump state {kind}")
+    else:
+        assert err.value.time == pytest.approx(0.37)
+        assert message.endswith(f" of batch element 1 {kind} at t = 0.37" if step in STACK_STEPS else " at t = 0.37")
+        assert f" {kind}" in message
