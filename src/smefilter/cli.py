@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from . import __version__
 from .diffusion import (
     MeasurementRecord,
     _normalized_density,
+    _write_csv,
     em_unnormalized,
     pathwise_filter,
     read_measurement_record,
@@ -268,10 +269,6 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
-def _f(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _provenance_comments(config: RunConfig) -> list[str]:
     return [
         f"version: {__version__}",
@@ -284,23 +281,32 @@ def _provenance_object(config: RunConfig) -> dict:
     return {"version": __version__, "seed": config.seed, "config": config.to_dict()}
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _state_columns(rhos) -> list[np.ndarray]:
+    """The Bloch coordinates ``x``, ``y``, ``z`` and the purity of each state
+    of the stack ``rhos``, as four columns; each entry is bitwise what
+    :func:`_bloch_fast` and :func:`purity` give for its state alone."""
+    r = np.asarray(rhos, dtype=complex)
+    return [
+        2.0 * r[:, 1, 0].real,
+        2.0 * r[:, 1, 0].imag,
+        (r[:, 0, 0] - r[:, 1, 1]).real,
+        np.einsum("bij,bji->b", r, r).real,
+    ]
+
+
+def _float_csv(path: Path, config: RunConfig, header: str, columns) -> None:
+    """A CSV of float columns with the run's provenance comments."""
+    _write_csv(path, _provenance_comments(config), header, columns, ["%.17g"] * len(columns))
+
+
 def _trajectory_csv(path: Path, config: RunConfig, times, states) -> None:
-    lines = [f"# {c}" for c in _provenance_comments(config)]
-    lines.append("t,x,y,z,log_lambda,purity")
-    for t, st in zip(times, states):
-        b = _bloch_fast(st.rho)
-        lines.append(
-            f"{_f(t)},{_f(b.x)},{_f(b.y)},{_f(b.z)},{_f(st.log_lambda)},{_f(purity(st.rho))}"
-        )
-    _write_lines(path, lines)
+    x, y, z, pur = _state_columns([st.rho for st in states])
+    log_lambda = np.array([st.log_lambda for st in states])
+    _float_csv(path, config, "t,x,y,z,log_lambda,purity", [times, x, y, z, log_lambda, pur])
 
 
 def _write_record(path: Path, config: RunConfig, record) -> None:
@@ -344,18 +350,15 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> list[Path]:
             model, config.scheme, config.dt, config.T, rho0, config.n_traj, config.seed, config.substeps
         )
         mean_path = out_dir / "mean_path.csv"
-        lines = [f"# {c}" for c in _provenance_comments(config)]
-        lines.append("t,x,y,z,purity")
-        for t, rho in zip(ens.times, ens.mean_rho_path):
-            b = _bloch_fast(rho)
-            lines.append(f"{_f(t)},{_f(b.x)},{_f(b.y)},{_f(b.z)},{_f(purity(rho))}")
-        _write_lines(mean_path, lines)
+        _float_csv(mean_path, config, "t,x,y,z,purity", [ens.times, *_state_columns(ens.mean_rho_path)])
         final_path = out_dir / "final_bloch.csv"
-        lines = [f"# {c}" for c in _provenance_comments(config)]
-        lines.append("trajectory,x,y,z,purity")
-        for i, (b, st) in enumerate(zip(ens.final_bloch, ens.final_states)):
-            lines.append(f"{i},{_f(b.x)},{_f(b.y)},{_f(b.z)},{_f(purity(st.rho))}")
-        _write_lines(final_path, lines)
+        _write_csv(
+            final_path,
+            _provenance_comments(config),
+            "trajectory,x,y,z,purity",
+            [np.arange(ens.n_traj), *_state_columns([st.rho for st in ens.final_states])],
+            ["%d"] + ["%.17g"] * 4,
+        )
         summary.update(
             {
                 "n_traj": ens.n_traj,
@@ -445,11 +448,7 @@ def cmd_converge(config: RunConfig, out_dir: Path) -> list[Path]:
     rows = convergence_report(model, record, config.deltas, config.initial_state())
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "convergence_report.csv"
-    lines = [f"# {c}" for c in _provenance_comments(config)]
-    lines.append("delta,sup_error,w_sliding,w_initial")
-    for r in rows:
-        lines.append(f"{_f(r.delta)},{_f(r.sup_error)},{_f(r.w_sliding)},{_f(r.w_initial)}")
-    _write_lines(path, lines)
+    _float_csv(path, config, "delta,sup_error,w_sliding,w_initial", np.array([astuple(r) for r in rows]).T)
     return [path]
 
 
@@ -464,11 +463,7 @@ def cmd_lipschitz(config: RunConfig, out_dir: Path) -> list[Path]:
     rows = lipschitz_report(model, record, config.epsilons, config.initial_state())
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "lipschitz_report.csv"
-    lines = [f"# {c}" for c in _provenance_comments(config)]
-    lines.append("epsilon,sup_gap_rho,sup_gap_rho_tilde,ratio")
-    for r in rows:
-        lines.append(f"{_f(r.epsilon)},{_f(r.sup_gap_rho)},{_f(r.sup_gap_rho_tilde)},{_f(r.ratio)}")
-    _write_lines(path, lines)
+    _float_csv(path, config, "epsilon,sup_gap_rho,sup_gap_rho_tilde,ratio", np.array([astuple(r) for r in rows]).T)
     return [path]
 
 

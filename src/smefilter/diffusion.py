@@ -65,6 +65,11 @@ from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in thi
 # with 64 and 0.108 s with 256; larger blocks ran no faster (2-core Xeon).
 _MAP_BLOCK = 256
 
+# Rows :func:`_write_csv` formats and writes at a time.  It bounds the
+# Python numbers and text held in memory; writing a 10,001-row trajectory
+# took the same time at 256 to 4096 rows a block.
+_CSV_BLOCK = 1024
+
 
 class NonFiniteStateError(ArithmeticError):
     """Integration produced a non-finite or collapsed state."""
@@ -253,56 +258,97 @@ class MeasurementRecord:
         return float((windows.max(axis=1) - windows.min(axis=1)).max())
 
 
+def _write_csv(
+    path, comments: Sequence[str], header: str, columns: Sequence[np.ndarray], formats: Sequence[str]
+) -> None:
+    """Write a CSV file: a ``# <comment>`` line per comment, the header, and
+    row ``k`` of the equal-length one-dimensional arrays ``columns``, with
+    column ``j`` in the ``%``-format ``formats[j]``.  Rows are converted to
+    Python numbers, formatted and written :data:`_CSV_BLOCK` at a time, so
+    neither a whole column of Python numbers nor a whole-file string is
+    ever built."""
+    row = ",".join(formats) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"# {c}\n" for c in comments) + header + "\n")
+        for k in range(0, min(map(len, columns), default=0), _CSV_BLOCK):
+            block = zip(*[c[k : k + _CSV_BLOCK].tolist() for c in columns])
+            fh.write("".join([row % r for r in block]))
+
+
 def _write_record(path, kind: str, column: str, record, values, cell: str, comments: Sequence[str]) -> None:
     """Write a uniformly sampled record as CSV: a ``# format: <kind> v1``
     line, its ``dt`` and ``t0``, the comments, the header ``t,<column>`` and
     one row per step with the step's end time and ``values[k]`` in the
-    format ``cell``."""
-    lines = [f"# format: {kind} v1", f"# dt: {record.dt:.17g}", f"# t0: {record.t0:.17g}"]
-    lines += [f"# {c}" for c in comments]
-    lines.append(f"t,{column}")
-    lines += [f"{t:.17g},{v:{cell}}" for t, v in zip(record.times[1:], values)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ``%``-format ``cell``."""
+    head = [f"format: {kind} v1", f"dt: {record.dt:.17g}", f"t0: {record.t0:.17g}", *comments]
+    _write_csv(path, head, f"t,{column}", [record.times[1:], values], ("%.17g", cell))
+
+
+def _setting(s: str):
+    """The ``(key, value)`` of a ``# dt:`` or ``# t0:`` comment line ``s``,
+    or ``None`` for any other comment."""
+    body = s[1:].strip()
+    return (body[:2], float(body[3:])) if body[:3] in ("dt:", "t0:") else None
+
+
+def _cells(s: str, column: str) -> list[str]:
+    """The two cells of the data line ``s`` of a ``t,<column>`` record."""
+    cells = s.split(",")
+    if len(cells) != 2:
+        raise ValueError(f"expected 2 columns 't,{column}', got {len(cells)}")
+    return cells
+
+
+def _first_bad_line(lines: list[str], column: str, parse) -> tuple[int, ValueError]:
+    """The number and error of the first of the stripped ``lines`` that fails
+    a check of :func:`_read_record`; called only once a read has failed."""
+    header = None
+    for lineno, s in enumerate(lines, 1):
+        try:
+            if s[:1] == "#":
+                _setting(s)
+            elif s and header is None:
+                header = s
+                if s != f"t,{column}":
+                    raise ValueError(f"expected header 't,{column}', got {s!r}")
+            elif s:
+                t, v = _cells(s, column)
+                float(t), parse(v)
+        except ValueError as exc:
+            return lineno, exc
+    raise AssertionError("every failed read has a bad line")
 
 
 def _read_record(path, column: str, parse):
     """Read a CSV written by :func:`_write_record` with header
     ``t,<column>``, parsing each value with ``parse``.  Returns ``dt``,
     ``t0`` and the values; ``dt`` and ``t0`` missing from the comments are
-    inferred from the row times.  A malformed line raises naming its number."""
-    dt = None
-    t0 = None
-    times: list[float] = []
-    values: list = []
-    saw_header = False
+    inferred from the row times.
+
+    ``#`` lines are comments wherever they stand, and the last ``# dt:`` and
+    ``# t0:`` among them count; blank lines are skipped.  The first other
+    line is the header, and each line after it a row of two cells.  The
+    whole file is parsed column by column in one pass; only when that fails
+    is it scanned for the first bad line, which the error names by number.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            s = line.strip()
-            try:
-                if not s:
-                    continue
-                if s.startswith("#"):
-                    body = s[1:].strip()
-                    if body.startswith("dt:"):
-                        dt = float(body[3:])
-                    elif body.startswith("t0:"):
-                        t0 = float(body[3:])
-                    continue
-                if not saw_header:
-                    if s != f"t,{column}":
-                        raise ValueError(f"expected header 't,{column}', got {s!r}")
-                    saw_header = True
-                    continue
-                cells = s.split(",")
-                if len(cells) != 2:
-                    raise ValueError(f"expected 2 columns 't,{column}', got {len(cells)}")
-                times.append(float(cells[0]))
-                values.append(parse(cells[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    if not saw_header:
+        # lines as iterating the file gives them: splitlines() would also
+        # split at form feeds and other separators a row's cell may hold
+        lines = [s.strip() for s in fh.read().split("\n")]
+    rows = [s for s in lines if s and s[0] != "#"]
+    try:
+        settings = dict(filter(None, [_setting(s) for s in lines if s[:1] == "#"]))
+        if rows and rows[0] != f"t,{column}":
+            raise ValueError  # the scan below words it
+        cells = [_cells(s, column) for s in rows[1:]]
+        times = [float(c[0]) for c in cells]
+        values = [parse(c[1]) for c in cells]
+    except ValueError:
+        lineno, exc = _first_bad_line(lines, column, parse)
+        raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    if not rows:
         raise ValueError(f"file contains no 't,{column}' header")
+    dt, t0 = settings.get("dt"), settings.get("t0")
     if dt is None:
         if len(times) < 2:
             raise ValueError("cannot infer dt: need a '# dt:' comment or at least two rows")
@@ -314,7 +360,7 @@ def _read_record(path, column: str, parse):
 
 def write_measurement_record(path, record: MeasurementRecord, comments: Sequence[str] = ()) -> None:
     """Write a record as CSV with header ``t,dy`` (times are interval ends)."""
-    _write_record(path, "measurement-record", "dy", record, record.increments, ".17g", comments)
+    _write_record(path, "measurement-record", "dy", record, record.increments, "%.17g", comments)
 
 
 def read_measurement_record(path) -> MeasurementRecord:

@@ -102,7 +102,7 @@ class CountingRecord:
 
 def write_counting_record(path, record: CountingRecord, comments: Sequence[str] = ()) -> None:
     """Write a record as CSV with header ``t,dN`` (times are interval ends)."""
-    _write_record(path, "counting-record", "dN", record, record.counts, "d", comments)
+    _write_record(path, "counting-record", "dN", record, record.counts, "%d", comments)
 
 
 def read_counting_record(path) -> CountingRecord:
@@ -206,6 +206,18 @@ def _count_probabilities(model, intensity: np.ndarray, dt: float, t: float | Non
     return p
 
 
+def _invalid_count(t, tr: float, b: int, where) -> InvalidCountingRecordError:
+    """The error for a count arriving at time ``t`` on element ``b`` of a
+    stack, whose ``tr(C rho C^dag)`` is ``tr``; it names the element as
+    ``where(b)``, and ``None`` for ``t`` or ``where`` names no time or
+    element."""
+    at = "" if t is None else f" at t = {t:.6g}"
+    of = "" if where is None else f" for {where(b)}"
+    return InvalidCountingRecordError(
+        f"count arrived{at} where tr(C rho C^dag) = {tr:.3e}{of}: record is invalid for this model"
+    )
+
+
 def _euler_step_many(model, rho: np.ndarray, dn: np.ndarray, dt: float, t, where=_batch_element):
     """The explicit-Euler step of :func:`jump_sme_step` for a stack of states
     ``rho[b]`` with counts ``dn[b]``, over a step of width ``dt`` ending at
@@ -231,11 +243,7 @@ def _euler_step_many(model, rho: np.ndarray, dn: np.ndarray, dt: float, t, where
         bad = ~(np.isfinite(tr_jo) & (tr_jo > 1e-300))
         if bad.any():
             b = int(bad.argmax())
-            of = "" if where is None else f" for {where(hit[b])}"
-            at = "" if t is None else f" at t = {t:.6g}"
-            raise InvalidCountingRecordError(
-                f"count arrived where tr(C rho C^dag) = {tr_jo[b]:.3e}{of}{at}: record is invalid for this model"
-            )
+            raise _invalid_count(t, tr_jo[b], hit[b], where)
         dlog[hit] += np.log(tr_jo / np.trace(before, axis1=1, axis2=2).real)
         out[hit] = j_out / tr_jo[:, None, None]
     return _renormalize_many(out, t, "normalized jump state", where)[0], dlog
@@ -303,10 +311,7 @@ def _exact_step_many(jump_map, phi, rho: np.ndarray, dn: np.ndarray, t: float, w
         for b in np.flatnonzero(dn):  # a count on a state that C annihilates is the record's fault
             tr = np.trace(x[b]).real if np.isfinite(x[b]).all() else np.nan
             if tr <= 0.0:
-                raise InvalidCountingRecordError(
-                    f"count arrived at t = {t:.6g} where tr(C rho C^dag) = {tr:.3e} for {where(b)}: "
-                    "record is invalid for this model"
-                ) from None
+                raise _invalid_count(t, tr, b, where) from None
         raise
 
 

@@ -54,8 +54,11 @@ def hermitian_residual(a) -> float:
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within ``1e-9 * (1 + max_abs(a))``."""
+    """Validate that ``a`` is finite, then Hermitian within
+    ``1e-9 * (1 + max_abs(a))``."""
     m = as_square(a)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
     res = hermitian_residual(m)
     limit = 1e-9 * (1.0 + max_abs(m))
     if res > limit:

@@ -3,10 +3,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from smefilter import __version__
 from smefilter.cli import (
     RunConfig,
+    _provenance_comments,
+    _state_columns,
+    _trajectory_csv,
     cmd_converge,
     cmd_filter,
     cmd_lipschitz,
@@ -14,7 +20,10 @@ from smefilter.cli import (
     main,
     parse_config,
 )
-from smefilter.diffusion import DensityState
+from smefilter.diffusion import _CSV_BLOCK, DensityState, MeasurementRecord, write_measurement_record
+from smefilter.jump import CountingRecord, write_counting_record
+from smefilter.model import purity
+from smefilter.traj import _bloch_fast, run_ensemble, run_trajectory
 
 FAST_DIFFUSION = json.dumps({"dt": 0.01, "T": 0.5, "seed": 42})
 FAST_JUMP = json.dumps({"mode": "jump", "scheme": "em", "C": "pauli_x", "dt": 0.01, "T": 0.5, "seed": 7})
@@ -272,3 +281,127 @@ def test_runconfig_echo_roundtrip():
     assert echo["C"] == "sigma" and echo["lambda"] == 0.5
     again = parse_config(json.dumps(echo))
     assert again == cfg
+
+
+# The per-row formatting the column-wise CSV writer replaced, kept as the
+# reference its bytes must equal: one _bloch_fast and one purity call per
+# state, and one f-string per value.
+def _f(x):
+    return f"{x:.17g}"
+
+
+def reference_csv(comments, header, rows):
+    return ("\n".join([f"# {c}" for c in comments] + [header] + rows) + "\n").encode()
+
+
+def reference_state_cells(rho):
+    b = _bloch_fast(rho)
+    return f"{_f(b.x)},{_f(b.y)},{_f(b.z)}", _f(purity(rho))
+
+
+def reference_trajectory(config, times, states):
+    rows = []
+    for t, s in zip(times, states):
+        bloch, pur = reference_state_cells(s.rho)
+        rows.append(f"{_f(t)},{bloch},{_f(s.log_lambda)},{pur}")
+    return reference_csv(_provenance_comments(config), "t,x,y,z,log_lambda,purity", rows)
+
+
+def reference_record(record, column, values, cell, comments):
+    head = [f"format: {column[0]} v1", f"dt: {record.dt:.17g}", f"t0: {record.t0:.17g}", *comments]
+    rows = [f"{t:.17g},{v:{cell}}" for t, v in zip(record.times[1:], values)]
+    return reference_csv(head, f"t,{column[1]}", rows)
+
+
+# Values at the edges of the float range: signed zeros, subnormals, the
+# largest and smallest normals, and 1e+-300.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e300, -1e-300, 0.1]
+
+
+def edge_states(n, rows, rng):
+    """``rows`` ``n``-level matrices: random ones at scales from 1e-300 to
+    1e300, then ones built from the edge values up to 1e300 (twice the
+    largest float overflows)."""
+    scale = 10.0 ** rng.integers(-300, 301, size=(rows, 1, 1))
+    rho = scale * (rng.normal(size=(rows, n, n)) + 1j * rng.normal(size=(rows, n, n)))
+    for k, v in enumerate(v for v in EDGE_VALUES if abs(v) <= 1e300):
+        rho[k] = v * np.eye(n)
+        rho[k, 1, 0] = complex(v, -v)
+    return rho
+
+
+class TestCsvBytes:
+    """Every CSV equals, byte for byte, what the per-row formatting wrote."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_trajectory_csv_matches_per_row_reference(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        rows = 2 * _CSV_BLOCK + 3
+        rho = edge_states(n, rows, rng)
+        times = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 301, size=rows)
+        times[: len(EDGE_VALUES)] = EDGE_VALUES
+        log_lambda = -times[::-1]
+        states = [DensityState(r, float(v), 0.0) for r, v in zip(rho, log_lambda)]
+        config = parse_config(FAST_DIFFUSION)
+        _trajectory_csv(tmp_path / "t.csv", config, times, states)
+        assert (tmp_path / "t.csv").read_bytes() == reference_trajectory(config, times, states)
+
+    @pytest.mark.parametrize("extra", [{}, {"mode": "jump", "scheme": "pathwise", "C": "sigma", "E": "pauli_x"}])
+    def test_simulate_csvs_match_per_row_reference(self, tmp_path, extra):
+        # over two write blocks of rows, single run and ensemble
+        raw = {"dt": 0.001, "T": 2.1, "seed": 3, **extra}
+        single = parse_config(json.dumps(raw))
+        cmd_simulate(single, tmp_path / "single")
+        model, rho0 = single.build_model(), single.initial_state()
+        res = run_trajectory(model, single.scheme, single.dt, single.T, rho0, single.seed)
+        assert len(res.states) > 2 * _CSV_BLOCK
+        want = reference_trajectory(single, res.times, res.states)
+        assert (tmp_path / "single" / "trajectory.csv").read_bytes() == want
+
+        ensemble = parse_config(json.dumps({**raw, "n_traj": 3}))
+        cmd_simulate(ensemble, tmp_path / "ensemble")
+        ens = run_ensemble(model, ensemble.scheme, ensemble.dt, ensemble.T, rho0, 3, ensemble.seed)
+        comments = _provenance_comments(ensemble)
+        rows = []
+        for t, rho in zip(ens.times, ens.mean_rho_path):
+            bloch, pur = reference_state_cells(rho)
+            rows.append(f"{_f(t)},{bloch},{pur}")
+        want = reference_csv(comments, "t,x,y,z,purity", rows)
+        assert (tmp_path / "ensemble" / "mean_path.csv").read_bytes() == want
+        rows = [f"{i},{_f(b.x)},{_f(b.y)},{_f(b.z)},{_f(purity(s.rho))}"
+                for i, (b, s) in enumerate(zip(ens.final_bloch, ens.final_states))]
+        want = reference_csv(comments, "trajectory,x,y,z,purity", rows)
+        assert (tmp_path / "ensemble" / "final_bloch.csv").read_bytes() == want
+
+    def test_records_match_per_row_reference(self, tmp_path):
+        rng = np.random.default_rng(4)
+        rows = 2 * _CSV_BLOCK + 3
+        increments = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 301, size=rows)
+        increments[: len(EDGE_VALUES)] = EDGE_VALUES
+        comments = ["origin: test", "seed: 4"]
+        for record in (MeasurementRecord(1e-3, increments, t0=-0.0), MeasurementRecord(0.1, increments, t0=1e300)):
+            write_measurement_record(tmp_path / "m.csv", record, comments)
+            want = reference_record(record, ("measurement-record", "dy"), increments, ".17g", comments)
+            assert (tmp_path / "m.csv").read_bytes() == want
+        counts = (rng.random(rows) < 0.3).astype(int)
+        record = CountingRecord(0.01, counts, t0=5e-324)
+        write_counting_record(tmp_path / "c.csv", record, comments)
+        want = reference_record(record, ("counting-record", "dN"), counts, "d", comments)
+        assert (tmp_path / "c.csv").read_bytes() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: arrays(
+            complex,
+            st.tuples(st.integers(1, 9), st.just(n), st.just(n)),
+            elements=st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False),
+        )
+    )
+)
+def test_batched_state_columns_equal_per_state_bitwise(rho):
+    x, y, z, pur = _state_columns(rho)
+    for b, r in enumerate(rho):
+        bloch = _bloch_fast(r)
+        assert (x[b], y[b], z[b], pur[b]) == (bloch.x, bloch.y, bloch.z, purity(r))

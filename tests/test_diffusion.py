@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -48,6 +49,10 @@ def random_state(rng, n=2):
 
 def brownian_record(rng, model, dt, n):
     return MeasurementRecord(dt, rng.normal(0.0, model.kappa * np.sqrt(dt), n))
+
+
+# 5,000 well-formed rows, lines 4 to 5003 after a dt comment, a header and one row.
+GOOD_ROWS = "".join(f"{0.1 * k:.17g},0\n" for k in range(2, 5002))
 
 
 class TestMeasurementRecord:
@@ -105,13 +110,35 @@ class TestMeasurementRecord:
             (read_measurement_record, "t,dy", "0.2,abc", "line 4: could not convert"),
             (read_counting_record, "t,dN", "0.2,0.5", "line 4: invalid literal for int"),
             (read_measurement_record, "t,dy", "# dt: abc", "line 4: could not convert"),
+            (read_measurement_record, "t,dy", GOOD_ROWS + "0.2,abc", "line 5004: could not convert"),
+            (read_measurement_record, "t,dy", GOOD_ROWS + "0.2", "line 5004: expected 2 columns 't,dy', got 1"),
+            (read_measurement_record, "t,dy", "\n \n0.2,0.5\n\n0.3,abc", "line 8: could not convert"),
+            (read_counting_record, "t,dN", GOOD_ROWS + "\n# note\n0.2,0.5", "line 5006: invalid literal for int"),
+            (read_measurement_record, "t,dN", "0.2,0.5", "line 2: expected header 't,dy', got 't,dN'"),
         ],
     )
     def test_csv_malformed_row_names_line(self, tmp_path, read, header, row, match):
         path = tmp_path / "bad.csv"
         path.write_text(f"# dt: 0.1\n{header}\n0.1,0\n{row}\n")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {match}"):
             read(path)
+
+    def test_csv_comments_and_blank_lines_anywhere(self, tmp_path):
+        # a dt or t0 comment counts wherever it stands, the last one winning,
+        # and blank lines between rows are skipped
+        path = tmp_path / "record.csv"
+        path.write_text("\n# dt: 0.1\nt,dy\n\n0.35,1.5\n# dt: 0.25\n  \n0.6,-2\n# t0: 0.1\n\n")
+        rec = read_measurement_record(path)
+        assert (rec.dt, rec.t0) == (0.25, 0.1)
+        assert rec.increments.tolist() == [1.5, -2.0]
+        path.write_text("# dt: 0.5\nt,dN\n0.5,1\n\n1,0\n")
+        assert read_counting_record(path).counts.tolist() == [1, 0]
+
+    def test_csv_without_header_rejected(self, tmp_path):
+        path = tmp_path / "record.csv"
+        path.write_text("# dt: 0.1\n\n")
+        with pytest.raises(ValueError, match="^file contains no 't,dy' header$"):
+            read_measurement_record(path)
 
 
 class TestGauge:

@@ -13,6 +13,7 @@ from smefilter.diffusion import (
     _pathwise_advance,
     _robust_advance,
     em_normalized,
+    em_unnormalized,
     pathwise_filter,
     robust_filter,
 )
@@ -22,6 +23,7 @@ from smefilter.jump import (
     _euler_step_many,
     _exact_propagator,
     _exact_step_many,
+    jump_pathwise_solve,
     jump_sme_step,
     jump_unnorm_step,
     sample_counting_record,
@@ -298,8 +300,8 @@ class TestRunEnsemble:
             run_ensemble(m, "em", 0.05, 2.0, RHO_PLUS, 8, base_seed=5)
         b, step, replay = check_replays_failure(m, 0.05, 5, 8, err)
         assert b > 0
-        assert f"at t = {step * 0.05:.6g}:" in str(err.value)
-        assert f"at t = {step * 0.05:.6g}:" in str(replay.value)
+        assert str(err.value).startswith(f"count arrived at t = {step * 0.05:.6g} where")
+        assert str(replay.value).startswith(f"count arrived at t = {step * 0.05:.6g} where")
 
     def test_blown_up_state_names_trajectory(self):
         # with no jump operator nothing is counted, and explicit Euler on a
@@ -440,6 +442,49 @@ def test_non_finite_step_width_and_length_rejected(entry, bad):
     call, message = STEP_COUNT_ENTRIES[entry]
     with pytest.raises(ValueError, match=f"{message}, got {bad}"):
         call(bad)
+
+
+STATE_ENTRIES = {
+    **{
+        f"run_trajectory-{scheme}": (
+            lambda x, scheme=scheme: run_trajectory(driven_atom_model(), scheme, 0.01, 0.1, x, seed=1),
+            "rho0",
+        )
+        for scheme in ("robust", "em", "pathwise")
+    },
+    **{
+        f"run_trajectory-jump-{scheme}": (
+            lambda x, scheme=scheme: run_trajectory(criterion9_jump_model(), scheme, 0.01, 0.1, x, seed=1),
+            "rho0",
+        )
+        for scheme in ("em", "pathwise")
+    },
+    "run_ensemble-robust": (lambda x: run_ensemble(driven_atom_model(), "robust", 0.01, 0.1, x, 2, 1), "rho0"),
+    "run_ensemble-jump": (lambda x: run_ensemble(criterion9_jump_model(), "em", 0.01, 0.1, x, 2, 1), "rho0"),
+    "robust_filter": (lambda x: robust_filter(driven_atom_model(), MeasurementRecord(0.01, np.zeros(3)), x), "rho0"),
+    "jump_pathwise_solve": (
+        lambda x: jump_pathwise_solve(criterion9_jump_model(), CountingRecord(0.01, np.zeros(3, int)), x),
+        "r0",
+    ),
+    "em_unnormalized": (
+        lambda x: em_unnormalized(driven_atom_model(), MeasurementRecord(0.01, np.zeros(3)), x),
+        "rho_tilde0",
+    ),
+    "build_diffusion_model": (lambda x: build_diffusion_model(x, SIGMA, 0.5), "H"),
+    "build_jump_model": (lambda x: build_jump_model(SIGMA, x, 1.0, 0.5), "E"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", STATE_ENTRIES)
+def test_non_finite_state_or_operator_rejected_by_name(entry, bad):
+    # one bad diagonal entry; RuntimeWarnings are errors here, so a check
+    # that reached the arithmetic first would fail with one of those
+    call, name = STATE_ENTRIES[entry]
+    x = RHO_PLUS.copy()
+    x[1, 1] = bad
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        call(x)
 
 
 def _stack(x):
