@@ -317,6 +317,19 @@ def _write_record(path: Path, config: RunConfig, record) -> None:
         write_counting_record(path, record, comments)
 
 
+def _run_summary(record, states) -> dict:
+    """The ``summary.json`` fields of a single run or replay: its step count
+    and the Bloch vector, purity and ``log_lambda`` of its final state."""
+    final = states[-1]
+    b = _bloch_fast(final.rho)
+    return {
+        "n_steps": record.n_steps,
+        "final_bloch": {"x": b.x, "y": b.y, "z": b.z},
+        "final_purity": purity(final.rho),
+        "final_log_lambda": final.log_lambda,
+    }
+
+
 def cmd_simulate(config: RunConfig, out_dir: Path) -> list[Path]:
     """Run the configured experiment online and write trajectory/ensemble
     CSVs plus a summary JSON."""
@@ -332,16 +345,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> list[Path]:
         record_name = "measurement_record.csv" if config.mode == "diffusion" else "counting_record.csv"
         record_path = out_dir / record_name
         _write_record(record_path, config, res.record)
-        final = res.states[-1]
-        b = _bloch_fast(final.rho)
-        summary.update(
-            {
-                "n_steps": res.record.n_steps,
-                "final_bloch": {"x": b.x, "y": b.y, "z": b.z},
-                "final_purity": purity(final.rho),
-                "final_log_lambda": final.log_lambda,
-            }
-        )
+        summary.update(_run_summary(res.record, res.states))
         summary_path = out_dir / "summary.json"
         _write_json(summary_path, summary)
         written += [traj_path, record_path, summary_path]
@@ -411,17 +415,8 @@ def cmd_filter(config: RunConfig, record_path: Path, out_dir: Path) -> list[Path
     out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "filtered_trajectory.csv"
     _trajectory_csv(traj_path, config, record.times, states)
-    final = states[-1]
-    b = _bloch_fast(final.rho)
     summary = _provenance_object(config)
-    summary.update(
-        {
-            "n_steps": record.n_steps,
-            "final_bloch": {"x": b.x, "y": b.y, "z": b.z},
-            "final_purity": purity(final.rho),
-            "final_log_lambda": final.log_lambda,
-        }
-    )
+    summary.update(_run_summary(record, states))
     summary_path = out_dir / "summary.json"
     _write_json(summary_path, summary)
     return [traj_path, summary_path]

@@ -36,7 +36,12 @@ losslessly.
 
 The robust and pathwise schemes each have one single-state step,
 ``(rho, dy, t, made=None) -> (rho, dlog)``, which the online run and the
-replay :func:`_blockwise` share; ``made`` is a prebuilt exponential.
+replay :func:`_blockwise` share; ``made`` is a prebuilt exponential.  Every
+scheme also has one stack step, which ensembles take:
+:meth:`RobustStepper.advance_many`, :meth:`PathwiseIntegrator.advance_many`
+and :func:`_em_step_many`, on which :func:`em_normalized` runs as a stack of
+one.  The robust, pathwise and exact jump stack steps apply their linear
+maps through one kernel, :func:`_apply_maps`.
 """
 
 from __future__ import annotations
@@ -109,6 +114,22 @@ def _renormalize_many(x: np.ndarray, t, what: str, where=_batch_element):
     b = next(b for b, xb in enumerate(x) if not (np.isfinite(xb).all() and np.trace(xb).real > 0.0))
     of = "" if where is None else f" of {where(b)}"
     raise NonFiniteStateError(t, f"{what}{of} {_failure(x[b])}")
+
+
+def _apply_maps(maps: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The states ``unvec(maps[b] @ vec(rho[b]))`` of a stack ``rho[b]``
+    under ``n^2 x n^2`` maps on column-stacked vectors: one map for the whole
+    stack, or a stack of maps, one per state.
+
+    Each vector is one ``(n^2, 1)`` column of a single broadcast
+    ``np.matmul``, so each result is bitwise the matrix-vector product of its
+    state alone, whatever else is in the stack; one matrix-matrix product
+    with all vectors as its columns would round differently.  The reshapes
+    only move data.
+    """
+    nb, n = rho.shape[0], rho.shape[1]
+    cols = rho.transpose(0, 2, 1).reshape(nb, n * n, 1)  # cols[b] is vec(rho[b]) as a column
+    return np.matmul(maps, cols).reshape(nb, n, n).transpose(0, 2, 1)
 
 
 def _failure(x: np.ndarray) -> str:
@@ -433,8 +454,9 @@ class PathwiseIntegrator:
     :meth:`step_maps` builds the maps of many steps with one
     :func:`expm_many` call, which treats each element as :func:`expm` treats
     it alone, so :func:`pathwise_filter`, applying the maps of
-    ``_MAP_BLOCK`` steps at a time, is bitwise the online run.
-    ``substeps`` is validated for the callers that pass it but not used.
+    ``_MAP_BLOCK`` steps at a time, and :meth:`advance_many`, stepping a
+    stack of states, are bitwise the online run.  ``substeps`` is validated
+    for the callers that pass it but not used.
     """
 
     def __init__(self, model, dt: float, substeps: int = 4, tol: float = 1e-12):
@@ -468,6 +490,25 @@ class PathwiseIntegrator:
             except ValueError as exc:
                 raise NonFiniteStateError(t, f"pathwise state blew up ({exc})") from None
         return (step_map @ rho.reshape(-1, order="F")).reshape(rho.shape, order="F")
+
+    def advance_many(self, rho: np.ndarray, dy: np.ndarray, t: float, where=_batch_element):
+        """:func:`_pathwise_advance` for a stack of states ``rho[b]`` with
+        increments ``dy[b]``, ending at time ``t``: the maps of
+        :meth:`step_maps` through :func:`_apply_maps`, then
+        :func:`_renormalize_many`.  Each element is bitwise its single-state
+        step.  Returns the new states and the log normalization factors;
+        errors name the failing element as ``where(b)``, and a map out of
+        :func:`expm`'s range raises :class:`NonFiniteStateError` at ``t``."""
+        try:
+            maps = self.step_maps(dy)
+        except ValueError:
+            for b, dy_b in enumerate(np.asarray(dy, dtype=float).tolist()):
+                try:
+                    expm(self._drift + dy_b * self._coupling, self._tol)
+                except ValueError as exc:
+                    raise NonFiniteStateError(t, f"pathwise state of {where(b)} blew up ({exc})") from None
+            raise
+        return _renormalize_many(_apply_maps(maps, rho), t, "pathwise state", where)
 
     def recover_state(self, r: np.ndarray, log_lambda: float, t: float) -> DensityState:
         """``r`` at time ``t`` through :func:`_renormalize`, its log trace
@@ -561,22 +602,18 @@ class RobustStepper:
         returns the new states and the log normalization factors.
 
         Each element's result is bitwise what :func:`_robust_advance` gives
-        for it alone.  The exponentials come from :func:`expm_many`, and the
-        inverse is applied as a stack of matrix-vector products, each
-        rounded as :meth:`propagate`'s product; one matrix-matrix product
-        with all right-hand sides as its columns would round differently.
-        Errors name the failing element as ``where(b)``.
+        for it alone: the exponentials come from :func:`expm_many`, and
+        :func:`_apply_maps` applies the inverse to each right-hand side as
+        :meth:`propagate` does.  Errors name the failing element as
+        ``where(b)``.
         """
-        nb, n = rho.shape[0], self._n
         dy = np.asarray(dy, dtype=float)
         bad = np.flatnonzero(~np.isfinite(dy))
         if bad.size:
             raise ValueError(f"record increment dy = {dy[bad[0]]} of {where(bad[0])} is not finite at t = {t:.6g}")
         e = self.exponentials(dy)
         rhs = e @ rho @ e.conj().transpose(0, 2, 1)
-        cols = rhs.transpose(0, 2, 1).reshape(nb, n * n, 1)  # cols[b] is vec(rhs[b]) as a column
-        x = np.matmul(self._inverse, cols).reshape(nb, n, n).transpose(0, 2, 1)
-        return _renormalize_many(x, t, "implicit filter state", where)
+        return _renormalize_many(_apply_maps(self._inverse, rhs), t, "implicit filter state", where)
 
 
 def robust_step(model, state_prev, dy: float, dt: float, tol: float = 1e-12) -> np.ndarray:
@@ -678,10 +715,34 @@ def em_unnormalized(model, record: MeasurementRecord, rho_tilde0, sample_every: 
     return em_unnormalized_many(model, [record], rho_tilde0, sample_every)[0]
 
 
+def _em_step_many(model, rho: np.ndarray, dnu: np.ndarray, dt: float, t: float, where=_batch_element):
+    """One explicit Euler-Maruyama step of :func:`em_normalized` for a stack
+    of states ``rho[b]`` with innovation increments ``dnu[b]``, over a step
+    of width ``dt`` ending at time ``t``.  Each element is bitwise its step
+    in a stack of one.
+
+    Returns the record increments ``dy = m dt + kappa dnu``, with ``m`` the
+    measured mean ``tr((L + L^dag) rho)``, the new states, and the discrete
+    log-likelihood increments ``(m dy - m^2 dt / 2) / kappa^2``.  Errors
+    name the failing element as ``where(b)`` and the time ``t``.
+    """
+    K, L, kappa = model.K, model.L, model.kappa
+    Ld = dagger(L)
+    m = np.einsum("ij,bji->b", L + Ld, rho).real
+    dy = m * dt + kappa * dnu
+    lr = L @ rho
+    drift = lr @ Ld - K @ rho - rho @ dagger(K)
+    diff = (lr + rho @ Ld - m[:, None, None] * rho) / kappa
+    x = rho + drift * dt + diff * dnu[:, None, None]
+    return dy, _renormalize_many(x, t, "normalized state", where)[0], (m * dy - 0.5 * m * m * dt) / kappa**2
+
+
 def em_normalized(model, dt: float, nu_increments, rho0, t0: float = 0.0):
     """Explicit Euler-Maruyama for the normalized nonlinear equation, driven
     by innovation increments ``dnu ~ N(0, dt)``; synthesizes the record
-    ``dy_n = m_(n-1) dt + kappa dnu_n`` alongside.
+    ``dy_n = m_(n-1) dt + kappa dnu_n`` alongside.  Each step is
+    :func:`_em_step_many` on a stack of one; its errors name the step,
+    counted from 1, and its time.
 
     Returns ``(states, record)``; ``log_lambda`` accumulates the discrete
     log-likelihood ``(m dy - m^2 dt / 2) / kappa^2``.
@@ -690,24 +751,16 @@ def em_normalized(model, dt: float, nu_increments, rho0, t0: float = 0.0):
     dnu = np.asarray(nu_increments, dtype=float)
     if dnu.ndim != 1 or not np.isfinite(dnu).all():
         raise ValueError("nu_increments must be a finite one-dimensional array")
-    rho = _normalized_density(rho0)
-    K, L, kappa = model.K, model.L, model.kappa
-    Ld = dagger(L)
-    l_sum = L + Ld
-    states = [DensityState(rho, 0.0, t0)]
+    stack = _normalized_density(rho0)[None]
+    states = [DensityState(stack[0], 0.0, t0)]
     dys = np.empty(dnu.size)
     log_lam = 0.0
-    for k, dn in enumerate(dnu):
-        m = float(np.einsum("ij,ji->", l_sum, rho).real)
-        dy = m * dt + kappa * dn
-        lr = L @ rho
-        drift = lr @ Ld - K @ rho - rho @ dagger(K)
-        diff = (lr + rho @ Ld - m * rho) / kappa
+    for k, dn in enumerate(dnu[:, None]):
         t = t0 + (k + 1) * dt
-        rho, _ = _renormalize(rho + drift * dt + diff * dn, t, "normalized state")
-        log_lam += (m * dy - 0.5 * m * m * dt) / kappa**2
-        dys[k] = dy
-        states.append(DensityState(rho, log_lam, t))
+        dy, stack, dlog = _em_step_many(model, stack, dn, dt, t, lambda _b, k=k: f"step {k + 1}")
+        log_lam += float(dlog[0])
+        dys[k] = dy[0]
+        states.append(DensityState(stack[0], log_lam, t))
     return states, MeasurementRecord(dt, dys, t0)
 
 

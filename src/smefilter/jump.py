@@ -36,6 +36,7 @@ from .diffusion import (
     DensityState,
     NonFiniteStateError,
     PathwiseState,
+    _apply_maps,
     _batch_element,
     _grid,
     _normalized_density,
@@ -294,17 +295,15 @@ def _exact_step_many(jump_map, phi, rho: np.ndarray, dn: np.ndarray, t: float, w
     ``rho[b]`` with counts ``dn[b]``, ending at time ``t``; returns the new
     states and the log traces added to ``log_lambda``.
 
-    ``Phi`` multiplies each element's vector as one column, so each result
-    is bitwise what the step gives for that element alone, whatever else is
-    in the stack: a product of the whole stack with ``Phi^T`` would round
-    differently.  Errors name the failing element as ``where(b)``.
+    ``Phi``, and on a count the jump map, go through
+    :func:`diffusion._apply_maps`, so each result is bitwise what the step
+    gives for that element alone, whatever else is in the stack.  Errors
+    name the failing element as ``where(b)``.
     """
-    nb, n = rho.shape[0], rho.shape[1]
-    v = phi @ rho.transpose(0, 2, 1).reshape(nb, n * n, 1)  # v[b] is Phi vec(rho[b])
+    x = _apply_maps(phi, rho)
     if dn.any():
         hit = np.flatnonzero(dn)
-        v[hit] = jump_map @ v[hit]
-    x = v.reshape(nb, n, n).transpose(0, 2, 1)
+        x[hit] = _apply_maps(jump_map, x[hit])
     try:
         return _renormalize_many(x, t, "pathwise jump state", where)
     except NonFiniteStateError:

@@ -53,12 +53,18 @@ def hermitian_residual(a) -> float:
     return max_abs(m - dagger(m))
 
 
-def require_hermitian(a, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is finite, then Hermitian within
-    ``1e-9 * (1 + max_abs(a))``."""
+def require_finite(a, name: str = "matrix") -> np.ndarray:
+    """Coerce ``a`` as :func:`as_square` does and validate that it is finite."""
     m = as_square(a)
     if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
+    return m
+
+
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
+    """Validate that ``a`` is finite, then Hermitian within
+    ``1e-9 * (1 + max_abs(a))``."""
+    m = require_finite(a, name)
     res = hermitian_residual(m)
     limit = 1e-9 * (1.0 + max_abs(m))
     if res > limit:

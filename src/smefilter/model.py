@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_square, dagger, max_abs, require_hermitian
+from .linalg import as_square, dagger, max_abs, require_finite, require_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -94,7 +94,7 @@ class BlochVector:
 def build_diffusion_model(H, L, eta: float) -> DiffusionModel:
     """Validate inputs and derive ``K`` and ``kappa``."""
     Hm = require_hermitian(H, "H")
-    Lm = as_square(L)
+    Lm = require_finite(L, "L")
     if Lm.shape != Hm.shape:
         raise ValueError(f"H and L dimensions differ: {Hm.shape} vs {Lm.shape}")
     if not 0.0 < eta <= 1.0:
@@ -109,7 +109,7 @@ def build_diffusion_model(H, L, eta: float) -> DiffusionModel:
 
 def build_jump_model(C, E, lam: float, eta: float) -> JumpModel:
     """Validate inputs, derive ``G`` and ``H``, and record invertibility of ``C``."""
-    Cm = as_square(C)
+    Cm = require_finite(C, "C")
     Em = require_hermitian(E, "E")
     if Em.shape != Cm.shape:
         raise ValueError(f"C and E dimensions differ: {Cm.shape} vs {Em.shape}")

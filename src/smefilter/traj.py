@@ -8,15 +8,13 @@ for jumps a per-step Bernoulli count with probability
 ``eta lam tr(C rho C^dag) dt``, drawn from the state the run evolves) and
 returned alongside the states so that offline replays can cross-check the
 run: each takes its scheme's one step, as the replay does.  Robust and
-pathwise diffusion runs share one loop over the single-state step; a jump
-run is ``jump._online_run``.  Ensembles give trajectory ``i`` the seed
-``base_seed + i``.  Jump ensembles (``em`` and ``pathwise``) and robust
-diffusion ensembles run on one batched engine, ``_run_batched``, which
-steps all trajectories together as one stack of states with the scheme's
-stack step and keeps only the running state sum and the final states;
-diffusion ``em`` and ``pathwise`` ensembles run their trajectories one after
-another.  Either way each trajectory's states are bitwise those of
-``run_trajectory`` with its seed.
+pathwise diffusion runs share one loop over the single-state step, an
+``em`` run is ``em_normalized``, and a jump run is ``jump._online_run``.
+Ensembles give trajectory ``i`` the seed ``base_seed + i`` and run on one
+batched engine, ``_run_batched``, for every scheme: it steps all
+trajectories together as one stack of states with the scheme's stack step
+and keeps only the running state sum and the final states.  Each
+trajectory's states are bitwise those of ``run_trajectory`` with its seed.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from .diffusion import (
     MeasurementRecord,
     PathwiseIntegrator,
     RobustStepper,
+    _em_step_many,
     _normalized_density,
     _pathwise_advance,
     _robust_advance,
@@ -133,39 +132,32 @@ def _bloch_path(states: list[DensityState]) -> list[BlochVector] | None:
     return [_bloch_fast(s.rho) for s in states]
 
 
-def _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> TrajectoryResult:
+def _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps):
+    """One online diffusion run: its record and its states."""
     rng = np.random.default_rng(seed)
     dnu = rng.normal(0.0, np.sqrt(dt), n)
     if scheme == "em":
         states, record = em_normalized(model, dt, dnu, rho0)
+        return record, states
+    if scheme == "robust":
+        step = partial(_robust_advance, RobustStepper(model, dt))
+    elif scheme == "pathwise":
+        step = partial(_pathwise_advance, PathwiseIntegrator(model, dt, substeps))
     else:
-        if scheme == "robust":
-            step = partial(_robust_advance, RobustStepper(model, dt))
-        elif scheme == "pathwise":
-            step = partial(_pathwise_advance, PathwiseIntegrator(model, dt, substeps))
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-        rho = _normalized_density(rho0)
-        l_sum = model.L + dagger(model.L)
-        states = [DensityState(rho, 0.0, 0.0)]
-        dys = np.empty(n)
-        log_lam = 0.0
-        for k in range(n):
-            m = float(np.einsum("ij,ji->", l_sum, rho).real)
-            dy = m * dt + model.kappa * dnu[k]
-            rho, dlog = step(rho, dy, (k + 1) * dt)
-            log_lam += dlog
-            dys[k] = dy
-            states.append(DensityState(rho, log_lam, (k + 1) * dt))
-        record = MeasurementRecord(dt, dys)
-    return TrajectoryResult(
-        times=record.times,
-        states=states,
-        bloch=_bloch_path(states),
-        record=record,
-        seed=int(seed),
-        scheme=scheme,
-    )
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    rho = _normalized_density(rho0)
+    l_sum = model.L + dagger(model.L)
+    states = [DensityState(rho, 0.0, 0.0)]
+    dys = np.empty(n)
+    log_lam = 0.0
+    for k in range(n):
+        m = float(np.einsum("ij,ji->", l_sum, rho).real)
+        dy = m * dt + model.kappa * dnu[k]
+        rho, dlog = step(rho, dy, (k + 1) * dt)
+        log_lam += dlog
+        dys[k] = dy
+        states.append(DensityState(rho, log_lam, (k + 1) * dt))
+    return MeasurementRecord(dt, dys), states
 
 
 def _check_jump_scheme(scheme, substeps) -> None:
@@ -177,23 +169,15 @@ def _check_jump_scheme(scheme, substeps) -> None:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
 
 
-def _run_jump_trajectory(model, scheme, dt, n, rho0, seed, substeps) -> TrajectoryResult:
-    """One online counting run: ``jump._online_run``, which draws each
-    step's count from the state it evolves and steps that state once (the
-    explicit-Euler state for ``em``, the exact pathwise state for
-    ``pathwise``).  Its errors name the step and its time.  Replaying the
-    record of a ``pathwise`` run through ``jump_pathwise_solve`` gives its
-    states bitwise."""
+def _run_jump_trajectory(model, scheme, dt, n, rho0, seed, substeps):
+    """One online counting run, its record and its states:
+    ``jump._online_run``, which draws each step's count from the state it
+    evolves and steps that state once (the explicit-Euler state for ``em``,
+    the exact pathwise state for ``pathwise``).  Its errors name the step
+    and its time.  Replaying the record of a ``pathwise`` run through
+    ``jump_pathwise_solve`` gives its states bitwise."""
     _check_jump_scheme(scheme, substeps)
-    record, states = _online_run(model, scheme, rho0, dt, n, seed)
-    return TrajectoryResult(
-        times=record.times,
-        states=states,
-        bloch=_bloch_path(states),
-        record=record,
-        seed=int(seed),
-        scheme=scheme,
-    )
+    return _online_run(model, scheme, rho0, dt, n, seed)
 
 
 def _draws(base_seed, n_traj, n, draw):
@@ -226,9 +210,9 @@ def _batched_step(model, scheme, dt, rho0, substeps):
     ``step(rho, x, k, where)`` takes the stack ``rho`` through step ``k``
     (from 0) with the draws ``x`` and returns the new stack and the log
     normalization factors, naming trajectory ``b`` in errors as
-    ``where(b)``.  Robust runs take ``RobustStepper.advance_many``, ending
-    at ``(k + 1) dt``; jump runs take a single run's step,
-    ``jump._online_step``, starting at ``k dt``.
+    ``where(b)``.  Diffusion runs take ``_em_step_many`` or the stepper's
+    ``advance_many``, ending at ``(k + 1) dt``; jump runs take a single
+    run's step, ``jump._online_step``, starting at ``k dt``.
     """
     if isinstance(model, JumpModel):
         _check_jump_scheme(scheme, substeps)
@@ -239,14 +223,25 @@ def _batched_step(model, scheme, dt, rho0, substeps):
 
         return step, start, log0, lambda g, size: g.random(size)
     start = _normalized_density(rho0)
-    stepper = RobustStepper(model, dt)
-    l_sum = model.L + dagger(model.L)
+    if scheme == "em":
+
+        def step(rho, dnu, k, where):
+            return _em_step_many(model, rho, dnu, dt, (k + 1) * dt, where)[1:]
+
+    else:
+        if scheme == "robust":
+            stepper = RobustStepper(model, dt)
+        elif scheme == "pathwise":
+            stepper = PathwiseIntegrator(model, dt, substeps)
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        l_sum = model.L + dagger(model.L)
+
+        def step(rho, dnu, k, where):
+            m = np.einsum("ij,bji->b", l_sum, rho).real
+            return stepper.advance_many(rho, m * dt + model.kappa * dnu, (k + 1) * dt, where)
+
     scale = np.sqrt(dt)
-
-    def step(rho, dnu, k, where):
-        m = np.einsum("ij,bji->b", l_sum, rho).real
-        return stepper.advance_many(rho, m * dt + model.kappa * dnu, (k + 1) * dt, where)
-
     return step, start, 0.0, lambda g, size: g.normal(0.0, scale, size)
 
 
@@ -282,10 +277,19 @@ def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int, sub
     """
     n = _step_count(dt, T)
     if isinstance(model, DiffusionModel):
-        return _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps)
-    if isinstance(model, JumpModel):
-        return _run_jump_trajectory(model, scheme, dt, n, rho0, seed, substeps)
-    raise TypeError(f"expected DiffusionModel or JumpModel, got {type(model).__name__}")
+        record, states = _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps)
+    elif isinstance(model, JumpModel):
+        record, states = _run_jump_trajectory(model, scheme, dt, n, rho0, seed, substeps)
+    else:
+        raise TypeError(f"expected DiffusionModel or JumpModel, got {type(model).__name__}")
+    return TrajectoryResult(
+        times=record.times,
+        states=states,
+        bloch=_bloch_path(states),
+        record=record,
+        seed=int(seed),
+        scheme=scheme,
+    )
 
 
 def run_ensemble(
@@ -301,37 +305,22 @@ def run_ensemble(
     """Run ``n_traj`` independent trajectories with seeds ``base_seed + i``;
     aggregates the mean state path and final-time Bloch statistics.
 
-    Jump ensembles and robust diffusion ensembles step all trajectories
-    together as one stack, on the one batched engine with the scheme's
-    stack step; diffusion ``em`` and ``pathwise`` ensembles run them one
-    after another.  The results are the same either way: trajectory ``i`` ends
-    bitwise where ``run_trajectory`` with seed ``base_seed + i`` ends, and
-    the mean path sums states in trajectory order.  A failure in a batched
-    ensemble names the trajectory, its seed, the step and the time.
+    Every scheme runs on the one batched engine, which steps all
+    trajectories together as one stack with the scheme's stack step.
+    Trajectory ``i`` ends bitwise where ``run_trajectory`` with seed
+    ``base_seed + i`` ends, and the mean path sums states in trajectory
+    order.  A failure names the trajectory, its seed, the step and the time.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    if isinstance(model, JumpModel) or (isinstance(model, DiffusionModel) and scheme == "robust"):
-        n = _step_count(dt, T)
-        step, start, log0, draw = _batched_step(model, scheme, dt, rho0, substeps)
-        sum_rho, rho, log_lam = _run_batched(step, start, log0, draw, n, n_traj, base_seed)
-        times = dt * np.arange(n + 1)
-        final_states = [DensityState(r, float(lam), n * dt) for r, lam in zip(rho, log_lam)]
-        final_bloch = [_bloch_fast(r) for r in rho]
-    else:
-        sum_rho = None
-        times = None
-        final_states = []
-        final_bloch = []
-        for i in range(n_traj):
-            res = run_trajectory(model, scheme, dt, T, rho0, base_seed + i, substeps)
-            if sum_rho is None:
-                times = res.times
-                sum_rho = np.stack([s.rho for s in res.states]).astype(complex)
-            else:
-                sum_rho += np.stack([s.rho for s in res.states])
-            final_states.append(res.states[-1])
-            final_bloch.append(res.bloch[-1] if res.bloch is not None else _bloch_fast(res.states[-1].rho))
+    if not isinstance(model, (DiffusionModel, JumpModel)):
+        raise TypeError(f"expected DiffusionModel or JumpModel, got {type(model).__name__}")
+    n = _step_count(dt, T)
+    step, start, log0, draw = _batched_step(model, scheme, dt, rho0, substeps)
+    sum_rho, rho, log_lam = _run_batched(step, start, log0, draw, n, n_traj, base_seed)
+    times = dt * np.arange(n + 1)
+    final_states = [DensityState(r, float(lam), n * dt) for r, lam in zip(rho, log_lam)]
+    final_bloch = [_bloch_fast(r) for r in rho]
     mean_rho_path = [sum_rho[k] / n_traj for k in range(sum_rho.shape[0])]
     coords = {
         "x": np.array([b.x for b in final_bloch]),

@@ -32,7 +32,7 @@ from smefilter.jump import read_counting_record
 from smefilter.linalg import dagger, expm, kron, max_abs, vec
 from smefilter.model import build_diffusion_model, purity, rho_from_bloch, two_level_model
 from smefilter.ode import rk4_step
-from smefilter.traj import master_propagate, run_trajectory
+from smefilter.traj import _DRAW_BLOCK, SCHEMES, master_propagate, run_ensemble, run_trajectory
 
 RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)
 
@@ -321,9 +321,15 @@ class TestPathwiseBlocks:
         with pytest.raises(NonFiniteStateError, match="pathwise state blew up") as err:
             pathwise_filter(driven_atom_model(), rec, RHO_PLUS, substeps=2)
         assert err.value.time == rec.times[k + 1]
-        # the online step names the time it is given
-        with pytest.raises(NonFiniteStateError, match="pathwise state blew up .* at t = 0.7"):
-            PathwiseIntegrator(driven_atom_model(), 0.01).advance(RHO_PLUS, 1e40, 0.7)
+        # the online step names the time it is given, and the stack step the
+        # element whose map is out of range, in the same words
+        stepper = PathwiseIntegrator(driven_atom_model(), 0.01)
+        with pytest.raises(NonFiniteStateError, match="pathwise state blew up .* at t = 0.7") as single:
+            stepper.advance(RHO_PLUS, 1e40, 0.7)
+        with pytest.raises(NonFiniteStateError) as stacked:
+            stepper.advance_many(np.stack([RHO_PLUS] * 3), np.array([0.0, 1e40, 1e40]), 0.7)
+        assert stacked.value.time == single.value.time
+        assert str(stacked.value) == str(single.value).replace("state", "state of batch element 1", 1)
 
     def test_blow_up_raises_without_warnings(self):
         # expm rejects the 1e40 step itself: numpy's overflow warnings from
@@ -337,6 +343,8 @@ class TestPathwiseBlocks:
                 pathwise_filter(driven_atom_model(), rec, RHO_PLUS, substeps=2)
             with pytest.raises(NonFiniteStateError, match="pathwise state blew up"):
                 PathwiseIntegrator(driven_atom_model(), 0.01).advance(RHO_PLUS, 1e40, 0.7)
+            with pytest.raises(NonFiniteStateError, match="pathwise state of batch element 0 blew up"):
+                PathwiseIntegrator(driven_atom_model(), 0.01).advance_many(RHO_PLUS[None], np.array([1e40]), 0.7)
 
     def test_collapse_names_its_time(self):
         stepper = PathwiseIntegrator(driven_atom_model(), 0.01)
@@ -900,3 +908,32 @@ def test_robust_batch_is_each_step_alone_and_near_the_solve(model, dt, nb, seed)
         one, one_dlog = _robust_advance(stepper, rhos[b], float(dys[b]), 1.0)
         assert new[b].tobytes() == one.tobytes() and dlog[b] == one_dlog
         assert max_abs(new[b] - assembled_robust_step(model, rhos[b], e[b], dt)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    model=small_diffusion_models(),
+    scheme=hst.sampled_from(SCHEMES),
+    n_traj=hst.integers(1, 40),
+    base_seed=hst.integers(0, 2**32 - 1),
+)
+@example(model=driven_atom_model(0.3, 0.5), scheme="pathwise", n_traj=37, base_seed=11)
+@example(model=three_level_model(np.random.default_rng(5)), scheme="em", n_traj=23, base_seed=2**32 - 5)
+def test_batched_ensemble_matches_single_runs_bitwise(model, scheme, n_traj, base_seed):
+    # Every scheme's ensemble steps its trajectories as one stack; each must
+    # end bitwise where its single run ends, over more steps than one block
+    # of innovation draws, and the mean path must sum them in order.
+    dt = 0.01
+    T = (_DRAW_BLOCK + 44) * dt
+    rho0 = random_state(np.random.default_rng(base_seed), model.dim)
+    ens = run_ensemble(model, scheme, dt, T, rho0, n_traj, base_seed)
+    total = None
+    for i in range(n_traj):
+        single = run_trajectory(model, scheme, dt, T, rho0, base_seed + i)
+        assert np.array_equal(ens.final_states[i].rho, single.states[-1].rho)
+        assert ens.final_states[i].log_lambda == single.states[-1].log_lambda
+        assert ens.final_states[i].t == single.states[-1].t
+        path = np.stack([s.rho for s in single.states])
+        total = path.copy() if total is None else total + path
+    assert np.array_equal(ens.times, single.times)
+    assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([t / n_traj for t in total]))

@@ -10,6 +10,7 @@ from smefilter.diffusion import (
     PathwiseIntegrator,
     RobustStepper,
     _MAP_BLOCK,
+    _em_step_many,
     _pathwise_advance,
     _robust_advance,
     em_normalized,
@@ -314,6 +315,37 @@ class TestRunEnsemble:
         assert replay.value.time == err.value.time
         assert f"blew up at t = {step * 0.05:.6g}" in str(replay.value)
 
+    def test_diffusion_em_blow_up_names_trajectory(self):
+        # explicit Euler-Maruyama on a fast rotation grows until it
+        # overflows; the innovations differ, and the first trajectory to
+        # fail is not trajectory 0
+        m = build_diffusion_model(10.0 * SIGMA_Y, SIGMA, 1.0)
+        with pytest.raises(NonFiniteStateError, match="blew up") as err:
+            run_ensemble(m, "em", 0.05, 5.0, RHO_PLUS, 8, base_seed=5)
+        b, step, replay = check_replays_failure(m, 0.05, 5, 8, err)
+        assert b > 0
+        assert err.value.time == pytest.approx(step * 0.05)
+        assert replay.value.time == err.value.time
+        at = f"blew up at t = {step * 0.05:.6g}"
+        assert str(err.value) == f"normalized state of trajectory {b} (seed {5 + b}) in step {step} {at}"
+        assert str(replay.value) == f"normalized state of step {step} {at}"
+
+    @pytest.mark.parametrize(
+        "model, scheme",
+        [
+            *[(driven_atom_model(0.3), s) for s in ("robust", "em", "pathwise")],
+            *[(criterion9_jump_model(), s) for s in ("em", "pathwise")],
+        ],
+    )
+    def test_ensembles_never_run_single_trajectories(self, model, scheme, monkeypatch):
+        # every ensemble runs on the batched engine, never trajectory by trajectory
+        def single_run(*args, **kwargs):
+            raise AssertionError("run_ensemble ran a single trajectory")
+
+        monkeypatch.setattr("smefilter.traj.run_trajectory", single_run)
+        ens = run_ensemble(model, scheme, 0.01, 0.5, RHO_PLUS, 2, base_seed=3)
+        assert len(ens.final_states) == 2 and len(ens.mean_rho_path) == 51
+
     def test_robust_collapse_names_trajectory(self):
         stepper = RobustStepper(driven_atom_model(), 0.01)
         rhos = np.stack([RHO_PLUS, -np.eye(2, dtype=complex)])
@@ -459,7 +491,13 @@ STATE_ENTRIES = {
         )
         for scheme in ("em", "pathwise")
     },
-    "run_ensemble-robust": (lambda x: run_ensemble(driven_atom_model(), "robust", 0.01, 0.1, x, 2, 1), "rho0"),
+    **{
+        f"run_ensemble-{scheme}": (
+            lambda x, scheme=scheme: run_ensemble(driven_atom_model(), scheme, 0.01, 0.1, x, 2, 1),
+            "rho0",
+        )
+        for scheme in ("robust", "em", "pathwise")
+    },
     "run_ensemble-jump": (lambda x: run_ensemble(criterion9_jump_model(), "em", 0.01, 0.1, x, 2, 1), "rho0"),
     "robust_filter": (lambda x: robust_filter(driven_atom_model(), MeasurementRecord(0.01, np.zeros(3)), x), "rho0"),
     "jump_pathwise_solve": (
@@ -472,6 +510,8 @@ STATE_ENTRIES = {
     ),
     "build_diffusion_model": (lambda x: build_diffusion_model(x, SIGMA, 0.5), "H"),
     "build_jump_model": (lambda x: build_jump_model(SIGMA, x, 1.0, 0.5), "E"),
+    "build_diffusion_model-L": (lambda x: build_diffusion_model(SIGMA_X, x, 0.5), "L"),
+    "build_jump_model-C": (lambda x: build_jump_model(x, SIGMA_X, 1.0, 0.5), "C"),
 }
 
 
@@ -505,6 +545,10 @@ SINGLE_STEPS = {
 }
 STACK_STEPS = {
     "advance_many": lambda x, t: RobustStepper(driven_atom_model(), 0.01).advance_many(_stack(x), np.full(2, 0.1), t),
+    "pathwise_advance_many": lambda x, t: PathwiseIntegrator(driven_atom_model(), 0.01).advance_many(
+        _stack(x), np.full(2, 0.1), t
+    ),
+    "em_step_many": lambda x, t: _em_step_many(driven_atom_model(), _stack(x), np.zeros(2), 0.01, t),
     "euler_step_many": lambda x, t: _euler_step_many(criterion9_jump_model(), _stack(x), np.zeros(2, bool), 0.01, t),
     "exact_step_many": lambda x, t: _exact_step_many(
         *_exact_propagator(criterion9_jump_model(), 0.01), _stack(x), np.zeros(2, bool), t
