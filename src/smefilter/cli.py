@@ -23,20 +23,14 @@ import numpy as np
 from . import __version__
 from .diffusion import (
     MeasurementRecord,
-    _normalized_density,
+    _blockwise,
+    _diffusion_steps,
     _write_csv,
-    em_unnormalized,
-    pathwise_filter,
     read_measurement_record,
-    robust_filter,
+    robust_filter,  # noqa: F401  (bench/spans.py traces this name in this module)
     write_measurement_record,
 )
-from .jump import (
-    _euler_replay,
-    jump_pathwise_solve,
-    read_counting_record,
-    write_counting_record,
-)
+from .jump import _jump_steps, _replay, read_counting_record, write_counting_record
 from .model import IDENTITY_2, SIGMA, SIGMA_X, SIGMA_Y, SIGMA_Z, build_jump_model, purity, two_level_model
 from .traj import (
     SCHEMES,
@@ -386,7 +380,9 @@ def _record_header(path: Path) -> str:
 
 
 def cmd_filter(config: RunConfig, record_path: Path, out_dir: Path) -> list[Path]:
-    """Replay a stored record offline through the configured filter."""
+    """Replay a stored record offline through the configured scheme's steps,
+    the ones its online run takes, so the replay of a run's record gives
+    that run's states bitwise."""
     header = _record_header(record_path)
     if header == "t,dy":
         kind = "diffusion"
@@ -400,18 +396,11 @@ def cmd_filter(config: RunConfig, record_path: Path, out_dir: Path) -> list[Path
     rho0 = config.initial_state()
     if kind == "diffusion":
         record = read_measurement_record(record_path)
-        if config.scheme == "robust":
-            states = robust_filter(model, record, rho0)
-        elif config.scheme == "pathwise":
-            states = pathwise_filter(model, record, rho0, config.substeps)
-        else:
-            states = em_unnormalized(model, record, rho0)
+        states = _blockwise(_diffusion_steps(model, config.scheme, record.dt, config.substeps), record, rho0)
     else:
         record = read_counting_record(record_path)
-        if config.scheme == "pathwise":
-            _, states = jump_pathwise_solve(model, record, _normalized_density(rho0), config.substeps)
-        else:
-            states = _euler_replay(model, record, rho0)
+        steps = _jump_steps(model, config.scheme, record.dt, rho0, config.substeps)
+        states = _replay(steps.replay, steps.start, steps.log0, record)
     out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "filtered_trajectory.csv"
     _trajectory_csv(traj_path, config, record.times, states)

@@ -4,7 +4,8 @@ Three routes to the same conditional state are implemented, enabling
 cross-validation:
 
 * ``em_normalized`` / ``em_unnormalized`` -- explicit Euler-Maruyama
-  integration of the nonlinear and linear stochastic master equations;
+  integration of the nonlinear and linear stochastic master equations; the
+  linear one serves only as an independent oracle;
 * ``PathwiseIntegrator`` / ``pathwise_filter`` -- the stochastic-integral-free
   reformulation: a gauge transform ``A_t = exp(-(L/k^2) y_t + (L^2/2k^2) t)``
   turns the linear equation into an ordinary differential equation for
@@ -34,21 +35,20 @@ hermitizes and returns ``log tr``, which the robust, pathwise and jump
 steps add to ``log_lambda``; ``rho_tilde = exp(log_lambda) * rho``
 losslessly.
 
-The robust and pathwise schemes each have one single-state step,
-``(rho, dy, t, made=None) -> (rho, dlog)``, which the online run and the
-replay :func:`_blockwise` share; ``made`` is a prebuilt exponential.  Every
-scheme also has one stack step, which ensembles take:
-:meth:`RobustStepper.advance_many`, :meth:`PathwiseIntegrator.advance_many`
-and :func:`_em_step_many`, on which :func:`em_normalized` runs as a stack of
-one.  The robust, pathwise and exact jump stack steps apply their linear
-maps through one kernel, :func:`_apply_maps`.
+Each scheme has one step shape: every step takes the record increment
+``dy`` of its step, and :func:`_diffusion_steps` chooses a scheme's steps
+in one place.  Its single-state step serves online runs
+(:func:`_innovation_run`, which forms ``dy`` from the innovation) and
+replays (:func:`_blockwise`) alike, so every replay of a run's record is
+bitwise that run; its stack step serves ensembles, each element bitwise
+its single-state step.  The robust, pathwise and exact jump stack steps
+apply their linear maps through one kernel, :func:`_apply_maps`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -69,6 +69,8 @@ from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in thi
 # call (3000 oracle steps) took a median 0.150 s with 16 steps a block, 0.117 s
 # with 64 and 0.108 s with 256; larger blocks ran no faster (2-core Xeon).
 _MAP_BLOCK = 256
+
+SCHEMES = ("robust", "em", "pathwise")
 
 # Rows :func:`_write_csv` formats and writes at a time.  It bounds the
 # Python numbers and text held in memory; writing a 10,001-row trajectory
@@ -523,23 +525,26 @@ def _pathwise_advance(integrator: PathwiseIntegrator, rho: np.ndarray, dy: float
     return _renormalize(integrator.advance(rho, dy, t, step_map), t, "pathwise state")
 
 
-def _blockwise(step, build, record: MeasurementRecord, rho0):
+def _blockwise(steps, record: MeasurementRecord, rho0):
     """The states at every grid point of ``record`` (initial state included)
-    of the single-state ``step(rho, dy, t, made)`` from the normalized
-    ``rho0``.  ``made`` is what ``build`` gives for ``dy``, built for
-    ``_MAP_BLOCK`` increments at a time; in a block that ``build`` rejects it
-    is ``None``, so each step builds its own and the one at fault raises."""
+    of a scheme's single-state ``steps.step`` (see :func:`_diffusion_steps`)
+    from the normalized ``rho0``, naming the step, counted from 1, in its
+    errors.  ``made`` is what ``steps.build`` gives for ``dy``, built for
+    ``_MAP_BLOCK`` increments at a time; it is ``None`` without a builder and
+    in a block that the builder rejects, so each step builds its own and the
+    one at fault raises."""
+    step, build = steps.step, steps.build
     times = record.times.tolist()
     rho, log_lam = _normalized_density(rho0), 0.0
     out = [DensityState(rho, log_lam, times[0])]
     for lo in range(0, record.n_steps, _MAP_BLOCK):
         dys = record.increments[lo : lo + _MAP_BLOCK]
         try:
-            made = build(dys)
+            made = build(dys) if build else [None] * len(dys)
         except ValueError:
             made = [None] * len(dys)
         for k, dy, m in zip(range(lo, lo + len(dys)), dys.tolist(), made):
-            rho, dlog = step(rho, dy, times[k + 1], m)
+            rho, dlog = step(rho, dy, times[k + 1], m, lambda _b, k=k: f"step {k + 1}")
             log_lam += dlog
             out.append(DensityState(rho, log_lam, times[k + 1]))
     return out
@@ -549,8 +554,7 @@ def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4, t
     """Pathwise filter: :func:`_pathwise_advance` along a record through
     :func:`_blockwise`, each step map bitwise the one its step builds alone;
     a failing step raises :class:`NonFiniteStateError` at its time."""
-    stepper = PathwiseIntegrator(model, record.dt, substeps, tol)
-    return _blockwise(partial(_pathwise_advance, stepper), stepper.step_maps, record, rho0)
+    return _blockwise(_diffusion_steps(model, "pathwise", record.dt, substeps, tol), record, rho0)
 
 
 class RobustStepper:
@@ -641,8 +645,7 @@ def robust_filter(model, record: MeasurementRecord, rho0, tol: float = 1e-12):
     """Robust filter: :func:`_robust_advance` along a record through
     :func:`_blockwise`, each ``E(dy)`` bitwise the one its step computes
     alone."""
-    stepper = RobustStepper(model, record.dt, tol)
-    return _blockwise(partial(_robust_advance, stepper), stepper.exponentials, record, rho0)
+    return _blockwise(_diffusion_steps(model, "robust", record.dt, tol=tol), record, rho0)
 
 
 def _em_vectorized_operators(model, dt: float):
@@ -715,53 +718,108 @@ def em_unnormalized(model, record: MeasurementRecord, rho_tilde0, sample_every: 
     return em_unnormalized_many(model, [record], rho_tilde0, sample_every)[0]
 
 
-def _em_step_many(model, rho: np.ndarray, dnu: np.ndarray, dt: float, t: float, where=_batch_element):
-    """One explicit Euler-Maruyama step of :func:`em_normalized` for a stack
-    of states ``rho[b]`` with innovation increments ``dnu[b]``, over a step
-    of width ``dt`` ending at time ``t``.  Each element is bitwise its step
-    in a stack of one.
-
-    Returns the record increments ``dy = m dt + kappa dnu``, with ``m`` the
-    measured mean ``tr((L + L^dag) rho)``, the new states, and the discrete
-    log-likelihood increments ``(m dy - m^2 dt / 2) / kappa^2``.  Errors
-    name the failing element as ``where(b)`` and the time ``t``.
-    """
+def _em_step_many(model, rho: np.ndarray, dy: np.ndarray, dt: float, t: float, where=_batch_element):
+    """One explicit Euler-Maruyama step of the normalized equation for a
+    stack of states ``rho[b]`` with record increments ``dy[b]``, over a step
+    of width ``dt`` ending at time ``t``, driven by the innovation
+    ``dnu = (dy - m dt) / kappa`` with ``m = tr((L + L^dag) rho)``.  Each
+    element is bitwise its step in a stack of one.  Returns the new states
+    and the log-likelihood increments ``(m dy - m^2 dt / 2) / kappa^2``;
+    errors name the failing element as ``where(b)`` and the time ``t``."""
     K, L, kappa = model.K, model.L, model.kappa
     Ld = dagger(L)
     m = np.einsum("ij,bji->b", L + Ld, rho).real
-    dy = m * dt + kappa * dnu
+    dnu = (dy - m * dt) / kappa
     lr = L @ rho
     drift = lr @ Ld - K @ rho - rho @ dagger(K)
     diff = (lr + rho @ Ld - m[:, None, None] * rho) / kappa
     x = rho + drift * dt + diff * dnu[:, None, None]
-    return dy, _renormalize_many(x, t, "normalized state", where)[0], (m * dy - 0.5 * m * m * dt) / kappa**2
+    return _renormalize_many(x, t, "normalized state", where)[0], (m * dy - 0.5 * m * m * dt) / kappa**2
+
+
+class _Steps(NamedTuple):
+    """The steps of a diffusion scheme (see :func:`_diffusion_steps`)."""
+
+    step: Callable
+    build: Callable | None
+    many: Callable
+
+
+def _diffusion_steps(model, scheme: str, dt: float, substeps: int = 4, tol: float = 1e-12) -> _Steps:
+    """The steps of the diffusion ``scheme`` over steps of width ``dt``, each
+    taking its record increment ``dy`` and ending at time ``t``:
+
+    * ``step(rho, dy, t, made, where) -> (rho, dlog)``, the single-state step
+      of online runs and replays: :func:`_robust_advance` or
+      :func:`_pathwise_advance`, taking ``made`` from ``build``, or
+      :func:`_em_step_many` on a stack of one, naming its step ``where(0)``;
+    * ``build(dys)``: :meth:`RobustStepper.exponentials` or
+      :meth:`PathwiseIntegrator.step_maps`, and ``None`` for ``em``;
+    * ``many(rho, dy, t, where) -> (rho, dlog)``, the stack step of
+      ensembles, each element bitwise its single-state step.
+    """
+    if scheme == "robust":
+        stepper = RobustStepper(model, dt, tol)
+        return _Steps(
+            lambda rho, dy, t, e, _where: _robust_advance(stepper, rho, dy, t, e),
+            stepper.exponentials,
+            stepper.advance_many,
+        )
+    if scheme == "pathwise":
+        integrator = PathwiseIntegrator(model, dt, substeps, tol)
+        return _Steps(
+            lambda rho, dy, t, p, _where: _pathwise_advance(integrator, rho, dy, t, p),
+            integrator.step_maps,
+            integrator.advance_many,
+        )
+    if scheme != "em":
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+
+    def many(rho, dy, t, where):
+        return _em_step_many(model, rho, dy, dt, t, where)
+
+    def step(rho, dy, t, _made, where):
+        x, dlog = many(rho[None], np.array([dy]), t, where)
+        return x[0], float(dlog[0])
+
+    return _Steps(step, None, many)
+
+
+def _innovation_run(model, steps: _Steps, dt: float, dnu: np.ndarray, rho0, t0: float = 0.0):
+    """One online diffusion run from the normalized ``rho0`` at ``t0``,
+    driven by the innovations ``dnu``: each step forms its record increment
+    ``dy = m dt + kappa dnu`` from the measured mean ``m = tr((L + L^dag)
+    rho)`` of the state it evolves and takes the single-state ``steps.step``
+    (see :func:`_diffusion_steps`) as :func:`_blockwise` does, so a replay
+    of the record is bitwise this run.  Returns the record and the states."""
+    rho, log_lam = _normalized_density(rho0), 0.0
+    l_sum = model.L + dagger(model.L)
+    times = (t0 + dt * np.arange(dnu.size + 1)).tolist()
+    states = [DensityState(rho, log_lam, times[0])]
+    dys = np.empty(dnu.size)
+    for k, dn in enumerate(dnu.tolist()):
+        m = float(np.einsum("ij,ji->", l_sum, rho).real)
+        dys[k] = dy = m * dt + model.kappa * dn
+        rho, dlog = steps.step(rho, dy, times[k + 1], None, lambda _b, k=k: f"step {k + 1}")
+        log_lam += dlog
+        states.append(DensityState(rho, log_lam, times[k + 1]))
+    return MeasurementRecord(dt, dys, t0), states
 
 
 def em_normalized(model, dt: float, nu_increments, rho0, t0: float = 0.0):
     """Explicit Euler-Maruyama for the normalized nonlinear equation, driven
-    by innovation increments ``dnu ~ N(0, dt)``; synthesizes the record
-    ``dy_n = m_(n-1) dt + kappa dnu_n`` alongside.  Each step is
-    :func:`_em_step_many` on a stack of one; its errors name the step,
-    counted from 1, and its time.
-
-    Returns ``(states, record)``; ``log_lambda`` accumulates the discrete
-    log-likelihood ``(m dy - m^2 dt / 2) / kappa^2``.
+    by innovation increments ``dnu ~ N(0, dt)``: the online run
+    :func:`_innovation_run` of the ``em`` step, which synthesizes the record
+    ``dy_n = m_(n-1) dt + kappa dnu_n``; its errors name the step, counted
+    from 1, and its time.  Returns ``(states, record)``; ``log_lambda``
+    accumulates the discrete log-likelihood ``(m dy - m^2 dt / 2) / kappa^2``.
     """
     dt = _step_width(dt)
     dnu = np.asarray(nu_increments, dtype=float)
     if dnu.ndim != 1 or not np.isfinite(dnu).all():
         raise ValueError("nu_increments must be a finite one-dimensional array")
-    stack = _normalized_density(rho0)[None]
-    states = [DensityState(stack[0], 0.0, t0)]
-    dys = np.empty(dnu.size)
-    log_lam = 0.0
-    for k, dn in enumerate(dnu[:, None]):
-        t = t0 + (k + 1) * dt
-        dy, stack, dlog = _em_step_many(model, stack, dn, dt, t, lambda _b, k=k: f"step {k + 1}")
-        log_lam += float(dlog[0])
-        dys[k] = dy[0]
-        states.append(DensityState(stack[0], log_lam, t))
-    return states, MeasurementRecord(dt, dys, t0)
+    record, states = _innovation_run(model, _diffusion_steps(model, "em", dt), dt, dnu, rho0, t0)
+    return states, record
 
 
 def pathwise_schrodinger_rhs(model, a_t, a_t_inv, phi) -> np.ndarray:

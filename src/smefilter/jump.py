@@ -9,15 +9,17 @@ route the gauge ``A = C^(-N_t)`` is piecewise constant and commutes with
 whose exact one-step propagator is a single matrix exponential, computed
 once per record; a count applies the jump map ``rho -> C rho C^dag``.  That
 needs no ``C^-1``, so non-invertible jump operators such as ``C = sigma``
-are solved as well; only the gauge-frame state ``r = A rho~ A^dag`` itself
-needs ``C`` invertible.
+are solved as well; only the gauge-frame state ``r = A rho~ A^dag``, which
+:func:`jump_pathwise_solve` alone builds, needs ``C`` invertible.
 
 Each scheme has one stack step ``(rho, dn, t, where) -> (rho, dlog)``,
 ending in the shared tail ``diffusion._renormalize_many``: the Euler step
 :func:`_euler_step_many` for ``em``, the exact :func:`_exact_step_many` for
-``pathwise``.  Online runs draw each count from the state they evolve, then
-take it; ensembles take it on the whole stack, single runs, replays
-(:func:`_replay`) and :func:`jump_sme_step` on a stack of one.
+``pathwise``.  :func:`_jump_steps` chooses it, with the online step that
+draws each count from the state it evolves and then takes it
+(:func:`_sampler`), in one place.  Ensembles take these steps on the whole
+stack; single runs, replays (:func:`_replay`) and :func:`jump_sme_step` on a
+stack of one, so every replay of a run's record is bitwise that run.
 
 Within one step the drift is applied first, then the count map; the two
 orders differ only at higher order in ``dt``, and a fixed convention keeps
@@ -28,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .diffusion import (
+    SCHEMES,
     DensityState,
     NonFiniteStateError,
     PathwiseState,
@@ -250,19 +253,20 @@ def _euler_step_many(model, rho: np.ndarray, dn: np.ndarray, dt: float, t, where
     return _renormalize_many(out, t, "normalized jump state", where)[0], dlog
 
 
-def _sample_many(model, rho: np.ndarray, u: np.ndarray, dt: float, t: float, where=_batch_element):
-    """One step of an online ``em`` counting run for a stack of states
-    ``rho[b]`` at time ``t`` with uniforms ``u[b]``: a count registers when
-    ``u[b]`` is below the count probability ``eta lam tr(C rho C^dag) dt``,
-    and each state then takes :func:`_euler_step_many` to ``t + dt``.
-    Returns the counts (booleans), the new states and the log normalization
-    factors.  Errors name the failing element as ``where(b)``: the
-    count-probability check at ``t``, the others at the step's end
-    ``t + dt``.
-    """
-    tr_j = np.trace(model.C @ rho @ dagger(model.C), axis1=1, axis2=2).real
-    dn = u < _count_probabilities(model, tr_j, dt, t, where)
-    return (dn,) + _euler_step_many(model, rho, dn, dt, t + dt, where)
+def _sampler(model, intensity, replay, dt: float):
+    """The online step ``sample(rho, u, t, where) -> (dn, rho, dlog)`` from
+    time ``t`` of a stack of states ``rho[b]`` with uniforms ``u[b]``: a
+    count registers when ``u[b]`` is below the count probability
+    ``eta lam intensity(rho)[b] dt``, and the stack then takes the step
+    ``replay(rho, dn, t + dt, where)``.  Errors name the failing element as
+    ``where(b)``: the count-probability check at ``t``, the others at the
+    step's end ``t + dt``."""
+
+    def sample(rho, u, t, where=_batch_element):
+        dn = u < _count_probabilities(model, intensity(rho), dt, t, where)
+        return (dn, *replay(rho, dn, t + dt, where))
+
+    return sample
 
 
 def _exact_propagator(model, dt: float):
@@ -314,56 +318,62 @@ def _exact_step_many(jump_map, phi, rho: np.ndarray, dn: np.ndarray, t: float, w
         raise
 
 
-def _exact_sample_many(model, cdc, jump_map, phi, rho, u: np.ndarray, dt: float, t: float, where=_batch_element):
-    """One step of an online ``pathwise`` counting run for a stack of exact,
-    normalized states ``rho[b]`` at time ``t`` with uniforms ``u[b]``: a
-    count registers when ``u[b]`` is below the count probability of
-    ``rho[b]`` itself, as :func:`count_probability` computes it from
-    ``cdc = C^dag C``, and each state then takes the exact step
-    :func:`_exact_step_many`, which :func:`jump_pathwise_solve` replays.
-    Returns what :func:`_sample_many` returns, the log factors being the log
-    traces of the exact step; errors are named as there.
-    """
-    dn = u < _count_probabilities(model, _intensities(cdc, rho), dt, t, where)
-    rho, dlog = _exact_step_many(jump_map, phi, rho, dn, t + dt, where)
-    return dn, rho, dlog
+class _JumpSteps(NamedTuple):
+    """The steps of one counting scheme; see :func:`_jump_steps`."""
+
+    sample: Callable
+    replay: Callable
+    start: np.ndarray
+    log0: float
 
 
-def _online_step(model, scheme: str, dt: float, rho0):
-    """The stack step of an online counting run of ``scheme`` with its start
-    state and ``log_lambda``: for ``em`` the Euler sampler step
-    :func:`_sample_many` from the normalized ``rho0`` and 0, for
-    ``pathwise`` the fused exact step :func:`_exact_sample_many` from the
-    start of :func:`jump_pathwise_solve`.  The step is called as
-    ``step(rho, u, t, where)`` and returns ``(dn, rho, dlog)``."""
+def _jump_steps(model, scheme: str, dt: float, rho0, substeps: int = 4) -> _JumpSteps:
+    """The stack steps of the counting ``scheme`` over steps of width ``dt``
+    and its start state and ``log_lambda`` from ``rho0``.  ``replay(rho, dn,
+    t, where) -> (rho, dlog)`` steps to time ``t`` with the counts ``dn``:
+    :func:`_euler_step_many` from the normalized ``rho0`` and 0 for ``em``,
+    :func:`_exact_step_many` from the start of :func:`jump_pathwise_solve`
+    for ``pathwise``.  ``sample`` (see :func:`_sampler`) draws each count
+    from the state it evolves, with the intensity ``tr(C rho C^dag)`` of
+    :func:`count_probability` for ``pathwise``, and takes ``replay``.
+    Single runs, ensembles and replays all take these steps."""
+    if scheme == "robust":
+        raise ValueError("scheme 'robust' applies to diffusion models; use 'em' or 'pathwise'")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if scheme == "pathwise" and substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
     start = _normalized_density(rho0)
     if scheme == "em":
-        return (lambda rho, u, t, where: _sample_many(model, rho, u, dt, t, where)), start, 0.0
-    cdc = dagger(model.C) @ model.C
-    jump_map, phi = _exact_propagator(model, dt)
+        c_dag = dagger(model.C)
 
-    def step(rho, u, t, where):
-        return _exact_sample_many(model, cdc, jump_map, phi, rho, u, dt, t, where)
+        def intensity(rho):
+            return np.trace(model.C @ rho @ c_dag, axis1=1, axis2=2).real
 
-    rho, log_lam = _exact_start(start)
-    return step, rho, log_lam
+        def replay(rho, dn, t, where):
+            return _euler_step_many(model, rho, dn, dt, t, where)
+
+        return _JumpSteps(_sampler(model, intensity, replay, dt), replay, start, 0.0)
+    replay = partial(_exact_step_many, *_exact_propagator(model, dt))
+    intensity = partial(_intensities, dagger(model.C) @ model.C)
+    return _JumpSteps(_sampler(model, intensity, replay, dt), replay, *_exact_start(start))
 
 
-def _online_run(model, scheme: str, rho0, dt: float, n: int, seed: int, t0: float = 0.0):
-    """One online counting run of ``scheme`` over ``n`` steps from ``t0``:
-    the step of :func:`_online_step` on a stack of one state, with one
-    uniform per step from ``default_rng(seed)``.  A batched ensemble takes
-    the same step, so each of its trajectories is bitwise this run.  Errors
-    name the step, counted from 1, and its time.  Returns the counting
-    record and the states at every grid point."""
-    step, rho, log_lam = _online_step(model, scheme, dt, rho0)
+def _online_run(steps: _JumpSteps, dt: float, n: int, seed: int, t0: float = 0.0):
+    """One online counting run over ``n`` steps from ``t0``: the ``sample``
+    step of :func:`_jump_steps` on a stack of one state, with one uniform
+    per step from ``default_rng(seed)``.  A batched ensemble takes the same
+    step, so each of its trajectories is bitwise this run.  Errors name the
+    step, counted from 1, and its time.  Returns the counting record and the
+    states at every grid point."""
     uniforms = np.random.default_rng(seed).random(n)
     times = t0 + dt * np.arange(n + 1)
     counts = np.zeros(n, dtype=int)
-    states = [DensityState(rho, log_lam, float(times[0]))]
-    stack = rho[None]
+    log_lam = steps.log0
+    states = [DensityState(steps.start, log_lam, float(times[0]))]
+    stack = steps.start[None]
     for k in range(n):
-        dn, stack, dlog = step(stack, uniforms[k : k + 1], float(times[k]), lambda _b, k=k: f"step {k + 1}")
+        dn, stack, dlog = steps.sample(stack, uniforms[k : k + 1], float(times[k]), lambda _b, k=k: f"step {k + 1}")
         counts[k] = dn[0]
         log_lam += float(dlog[0])
         states.append(DensityState(stack[0], log_lam, float(times[k + 1])))
@@ -380,7 +390,8 @@ def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: floa
     ``run_trajectory(model, "pathwise", ...)`` samples with this seed, and
     deterministic given the seed.  Errors name the step and its time.
     """
-    return _online_run(model, "pathwise", rho0, dt, _step_count(dt, T), seed, t0)[0]
+    n = _step_count(dt, T)
+    return _online_run(_jump_steps(model, "pathwise", dt, rho0), dt, n, seed, t0)[0]
 
 
 def _replay(step, rho: np.ndarray, log_lam: float, record: CountingRecord) -> list[DensityState]:
@@ -395,16 +406,6 @@ def _replay(step, rho: np.ndarray, log_lam: float, record: CountingRecord) -> li
         log_lam += float(dlog[0])
         states.append(DensityState(stack[0], log_lam, times[k + 1]))
     return states
-
-
-def _euler_replay(model, record: CountingRecord, rho0) -> list[DensityState]:
-    """Replay ``record`` through :func:`_euler_step_many` from the normalized
-    ``rho0``: the states of the online ``em`` run that sampled it, bitwise."""
-
-    def step(rho, dn, t, where):
-        return _euler_step_many(model, rho, dn, record.dt, t, where)
-
-    return _replay(step, _normalized_density(rho0), 0.0, record)
 
 
 def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):

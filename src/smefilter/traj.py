@@ -6,13 +6,13 @@ the driving record is generated online from the filtered state itself
 (``dy_n = m_(n-1) dt + kappa dnu_n`` with ``dnu ~ N(0, dt)`` for diffusion;
 for jumps a per-step Bernoulli count with probability
 ``eta lam tr(C rho C^dag) dt``, drawn from the state the run evolves) and
-returned alongside the states so that offline replays can cross-check the
-run: each takes its scheme's one step, as the replay does.  Robust and
-pathwise diffusion runs share one loop over the single-state step, an
-``em`` run is ``em_normalized``, and a jump run is ``jump._online_run``.
-Ensembles give trajectory ``i`` the seed ``base_seed + i`` and run on one
-batched engine, ``_run_batched``, for every scheme: it steps all
-trajectories together as one stack of states with the scheme's stack step
+returned alongside the states, so that an offline replay of the record
+gives the run's states bitwise.  The steps of every scheme are chosen in
+one place per record kind, ``diffusion._diffusion_steps`` and
+``jump._jump_steps``; single runs and replays take their single-state or
+stack-of-one steps, and ensembles their stack steps.  Ensembles give
+trajectory ``i`` the seed ``base_seed + i`` and run on one batched engine,
+``_run_batched``: it steps all trajectories together as one stack of states
 and keeps only the running state sum and the final states.  Each
 trajectory's states are bitwise those of ``run_trajectory`` with its seed.
 """
@@ -20,21 +20,18 @@ trajectory's states are bitwise those of ``run_trajectory`` with its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .diffusion import (
+    SCHEMES,  # noqa: F401  (re-exported: the diffusion schemes, which run_trajectory takes)
     DensityState,
     MeasurementRecord,
-    PathwiseIntegrator,
-    RobustStepper,
-    _em_step_many,
+    _diffusion_steps,
+    _innovation_run,
     _normalized_density,
-    _pathwise_advance,
-    _robust_advance,
+    _robust_advance,  # noqa: F401  (bench/spans.py traces this name in this module)
     _step_count,
-    em_normalized,
     pathwise_filter,
     robust_filter,
 )
@@ -43,15 +40,13 @@ from .diffusion import (
 # here, as it does ``run_trajectory``, so they stay bound in this module.
 from .jump import (  # noqa: F401
     CountingRecord,
+    _jump_steps,
     _online_run,
-    _online_step,
     jump_pathwise_solve,
     sample_counting_record,
 )
 from .linalg import dagger, max_abs
 from .model import BlochVector, DiffusionModel, JumpModel, purity
-
-SCHEMES = ("robust", "em", "pathwise")
 
 # Steps of random numbers a batched ensemble draws per trajectory at a time;
 # it bounds the draw buffer at this many steps whatever the run length.
@@ -74,14 +69,14 @@ class TrajectoryResult:
 @dataclass(frozen=True)
 class EnsembleResult:
     """Aggregate of independent trajectories: the mean normalized state path,
-    the final-time states and Bloch vectors per trajectory, and final-time
-    Bloch statistics."""
+    the final-time states and, for 2x2 systems, Bloch vectors per trajectory
+    and final-time Bloch statistics."""
 
     n_traj: int
     times: np.ndarray
     mean_rho_path: list[np.ndarray]
     final_states: list[DensityState]
-    final_bloch: list[BlochVector]
+    final_bloch: list[BlochVector] | None
     summary: dict
     base_seed: int
     scheme: str
@@ -132,52 +127,18 @@ def _bloch_path(states: list[DensityState]) -> list[BlochVector] | None:
     return [_bloch_fast(s.rho) for s in states]
 
 
+def _bloch_coords(bloch: list[BlochVector]) -> dict[str, np.ndarray]:
+    """The ``x``, ``y`` and ``z`` coordinates of Bloch vectors, as arrays."""
+    return {c: np.array([getattr(b, c) for b in bloch]) for c in "xyz"}
+
+
 def _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps):
-    """One online diffusion run: its record and its states."""
-    rng = np.random.default_rng(seed)
-    dnu = rng.normal(0.0, np.sqrt(dt), n)
-    if scheme == "em":
-        states, record = em_normalized(model, dt, dnu, rho0)
-        return record, states
-    if scheme == "robust":
-        step = partial(_robust_advance, RobustStepper(model, dt))
-    elif scheme == "pathwise":
-        step = partial(_pathwise_advance, PathwiseIntegrator(model, dt, substeps))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    rho = _normalized_density(rho0)
-    l_sum = model.L + dagger(model.L)
-    states = [DensityState(rho, 0.0, 0.0)]
-    dys = np.empty(n)
-    log_lam = 0.0
-    for k in range(n):
-        m = float(np.einsum("ij,ji->", l_sum, rho).real)
-        dy = m * dt + model.kappa * dnu[k]
-        rho, dlog = step(rho, dy, (k + 1) * dt)
-        log_lam += dlog
-        dys[k] = dy
-        states.append(DensityState(rho, log_lam, (k + 1) * dt))
-    return MeasurementRecord(dt, dys), states
-
-
-def _check_jump_scheme(scheme, substeps) -> None:
-    if scheme == "robust":
-        raise ValueError("scheme 'robust' applies to diffusion models; use 'em' or 'pathwise'")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if scheme == "pathwise" and substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-
-
-def _run_jump_trajectory(model, scheme, dt, n, rho0, seed, substeps):
-    """One online counting run, its record and its states:
-    ``jump._online_run``, which draws each step's count from the state it
-    evolves and steps that state once (the explicit-Euler state for ``em``,
-    the exact pathwise state for ``pathwise``).  Its errors name the step
-    and its time.  Replaying the record of a ``pathwise`` run through
-    ``jump_pathwise_solve`` gives its states bitwise."""
-    _check_jump_scheme(scheme, substeps)
-    return _online_run(model, scheme, rho0, dt, n, seed)
+    """One online diffusion run, its record and its states:
+    ``diffusion._innovation_run`` of the scheme's steps, with the
+    innovations ``dnu ~ N(0, dt)`` drawn from ``default_rng(seed)``."""
+    steps = _diffusion_steps(model, scheme, dt, substeps)
+    dnu = np.random.default_rng(seed).normal(0.0, np.sqrt(dt), n)
+    return _innovation_run(model, steps, dt, dnu, rho0)
 
 
 def _draws(base_seed, n_traj, n, draw):
@@ -210,39 +171,27 @@ def _batched_step(model, scheme, dt, rho0, substeps):
     ``step(rho, x, k, where)`` takes the stack ``rho`` through step ``k``
     (from 0) with the draws ``x`` and returns the new stack and the log
     normalization factors, naming trajectory ``b`` in errors as
-    ``where(b)``.  Diffusion runs take ``_em_step_many`` or the stepper's
-    ``advance_many``, ending at ``(k + 1) dt``; jump runs take a single
-    run's step, ``jump._online_step``, starting at ``k dt``.
+    ``where(b)``.  Diffusion runs take the stack step of
+    ``diffusion._diffusion_steps`` on the record increments their single
+    runs form, ending at ``(k + 1) dt``; jump runs take the sampler step of
+    ``jump._jump_steps``, starting at ``k dt``.
     """
     if isinstance(model, JumpModel):
-        _check_jump_scheme(scheme, substeps)
-        jump_step, start, log0 = _online_step(model, scheme, dt, rho0)
+        steps = _jump_steps(model, scheme, dt, rho0, substeps)
 
         def step(rho, u, k, where):
-            return jump_step(rho, u, k * dt, where)[1:]
+            return steps.sample(rho, u, k * dt, where)[1:]
 
-        return step, start, log0, lambda g, size: g.random(size)
-    start = _normalized_density(rho0)
-    if scheme == "em":
+        return step, steps.start, steps.log0, lambda g, size: g.random(size)
+    many = _diffusion_steps(model, scheme, dt, substeps).many
+    l_sum = model.L + dagger(model.L)
 
-        def step(rho, dnu, k, where):
-            return _em_step_many(model, rho, dnu, dt, (k + 1) * dt, where)[1:]
-
-    else:
-        if scheme == "robust":
-            stepper = RobustStepper(model, dt)
-        elif scheme == "pathwise":
-            stepper = PathwiseIntegrator(model, dt, substeps)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-        l_sum = model.L + dagger(model.L)
-
-        def step(rho, dnu, k, where):
-            m = np.einsum("ij,bji->b", l_sum, rho).real
-            return stepper.advance_many(rho, m * dt + model.kappa * dnu, (k + 1) * dt, where)
+    def step(rho, dnu, k, where):
+        m = np.einsum("ij,bji->b", l_sum, rho).real
+        return many(rho, m * dt + model.kappa * dnu, (k + 1) * dt, where)
 
     scale = np.sqrt(dt)
-    return step, start, 0.0, lambda g, size: g.normal(0.0, scale, size)
+    return step, _normalized_density(rho0), 0.0, lambda g, size: g.normal(0.0, scale, size)
 
 
 def _run_batched(step, start, log0, draw, n, n_traj, base_seed):
@@ -270,16 +219,14 @@ def _run_batched(step, start, log0, draw, n, n_traj, base_seed):
 def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int, substeps: int = 4) -> TrajectoryResult:
     """Run one trajectory, generating the driving record online.
 
-    Replaying the returned record offline through the matching filter
-    (``robust_filter``, ``pathwise_filter``, or ``jump_pathwise_solve``)
-    reproduces the same states bit for bit, since both paths share the same
-    steppers.
+    Replaying the returned record offline with the scheme's steps, as
+    ``smefilter filter`` does, reproduces the same states bit for bit.
     """
     n = _step_count(dt, T)
     if isinstance(model, DiffusionModel):
         record, states = _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps)
     elif isinstance(model, JumpModel):
-        record, states = _run_jump_trajectory(model, scheme, dt, n, rho0, seed, substeps)
+        record, states = _online_run(_jump_steps(model, scheme, dt, rho0, substeps), dt, n, seed)
     else:
         raise TypeError(f"expected DiffusionModel or JumpModel, got {type(model).__name__}")
     return TrajectoryResult(
@@ -320,18 +267,14 @@ def run_ensemble(
     sum_rho, rho, log_lam = _run_batched(step, start, log0, draw, n, n_traj, base_seed)
     times = dt * np.arange(n + 1)
     final_states = [DensityState(r, float(lam), n * dt) for r, lam in zip(rho, log_lam)]
-    final_bloch = [_bloch_fast(r) for r in rho]
+    final_bloch = _bloch_path(final_states)
     mean_rho_path = [sum_rho[k] / n_traj for k in range(sum_rho.shape[0])]
-    coords = {
-        "x": np.array([b.x for b in final_bloch]),
-        "y": np.array([b.y for b in final_bloch]),
-        "z": np.array([b.z for b in final_bloch]),
-    }
-    summary = {
-        "final_bloch_mean": {c: float(v.mean()) for c, v in coords.items()},
-        "final_bloch_stddev": {c: float(v.std()) for c, v in coords.items()},
-        "mean_purity": float(np.mean([purity(s.rho) for s in final_states])),
-    }
+    summary = {}
+    if final_bloch is not None:
+        coords = _bloch_coords(final_bloch)
+        summary["final_bloch_mean"] = {c: float(v.mean()) for c, v in coords.items()}
+        summary["final_bloch_stddev"] = {c: float(v.std()) for c, v in coords.items()}
+    summary["mean_purity"] = float(np.mean([purity(s.rho) for s in final_states]))
     return EnsembleResult(
         n_traj=n_traj,
         times=times,
@@ -347,12 +290,12 @@ def run_ensemble(
 def steady_state_stats(ensemble: EnsembleResult, threshold: float = 0.6, bins: int = 41) -> dict:
     """Fixed-bin histograms of the final-time Bloch coordinates over [-1, 1],
     the fraction of trajectories beyond ``threshold`` in |x| and |z|, and the
-    mean purity."""
-    coords = {
-        "x": np.array([b.x for b in ensemble.final_bloch]),
-        "y": np.array([b.y for b in ensemble.final_bloch]),
-        "z": np.array([b.z for b in ensemble.final_bloch]),
-    }
+    mean purity.  Raises for an ensemble of a model of dimension other than
+    2, which has no Bloch vectors."""
+    if ensemble.final_bloch is None:
+        dim = ensemble.final_states[0].rho.shape[0]
+        raise ValueError(f"steady-state Bloch statistics need a 2-level model, got dimension {dim}")
+    coords = _bloch_coords(ensemble.final_bloch)
     histograms = {}
     for name, vals in coords.items():
         counts, edges = np.histogram(vals, bins=bins, range=(-1.0, 1.0))

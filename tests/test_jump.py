@@ -12,7 +12,7 @@ from smefilter.jump import (
     _exact_propagator,
     _euler_step_many,
     _exact_step_many,
-    _sample_many,
+    _jump_steps,
     count_probability,
     jump_pathwise_schrodinger_rhs,
     jump_pathwise_solve,
@@ -196,7 +196,7 @@ class TestBatchedSteps:
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
         rho = np.stack([RHO_PLUS, GROUND, RHO_PLUS])
         with pytest.raises(InvalidCountingRecordError, match="at t = 0.31 .* for batch element 1:"):
-            _sample_many(m, rho, np.array([2.0, -1.0, 2.0]), 0.01, 0.3)
+            _jump_steps(m, "em", 0.01, RHO_PLUS).sample(rho, np.array([2.0, -1.0, 2.0]), 0.3)
 
     def test_exact_count_on_annihilated_state_names_element(self):
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)

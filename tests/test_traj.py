@@ -10,6 +10,8 @@ from smefilter.diffusion import (
     PathwiseIntegrator,
     RobustStepper,
     _MAP_BLOCK,
+    _blockwise,
+    _diffusion_steps,
     _em_step_many,
     _pathwise_advance,
     _robust_advance,
@@ -133,6 +135,17 @@ class TestRunTrajectory:
         replay = robust_filter(m, res.record, RHO_PLUS)
         assert all(np.array_equal(a.rho, b.rho) for a, b in zip(res.states, replay))
         assert all(a.log_lambda == b.log_lambda for a, b in zip(res.states, replay))
+
+    def test_offline_em_replay_bitwise(self):
+        # the em step takes the record increment, as the robust and pathwise
+        # steps do, so a replay of the record is the online run; the run
+        # spans more than one block of the replay
+        m = driven_atom_model()
+        res = run_trajectory(m, "em", 0.01, (_MAP_BLOCK + 44) * 0.01, RHO_PLUS, seed=8)
+        replay = _blockwise(_diffusion_steps(m, "em", 0.01), res.record, RHO_PLUS)
+        assert len(replay) == len(res.states)
+        assert all(np.array_equal(a.rho, b.rho) for a, b in zip(res.states, replay))
+        assert all(a.log_lambda == b.log_lambda and a.t == b.t for a, b in zip(res.states, replay))
 
     def test_offline_pathwise_replay_bitwise(self):
         # the replay builds its step maps a block at a time; the online run
@@ -371,6 +384,20 @@ class TestRunEnsemble:
         for b in ens.final_bloch:
             assert b.norm() <= 1.0 + 1e-9
 
+    def test_other_dimensions_report_no_bloch_vectors(self):
+        # a 3-level model has no Bloch vector: neither a single run nor an
+        # ensemble may report one, and the steady-state statistics refuse it
+        lower = np.zeros((3, 3), dtype=complex)
+        lower[0, 1] = lower[1, 2] = 1.0
+        m = build_diffusion_model(np.diag([0.0, 1.0, 2.0]).astype(complex), lower, 0.8)
+        rho0 = np.full((3, 3), 1.0 / 3.0, dtype=complex)
+        ens = run_ensemble(m, "robust", 0.01, 0.5, rho0, 4, base_seed=3)
+        assert run_trajectory(m, "robust", 0.01, 0.5, rho0, seed=3).bloch is None
+        assert ens.final_bloch is None
+        assert set(ens.summary) == {"mean_purity"}
+        with pytest.raises(ValueError, match="need a 2-level model, got dimension 3"):
+            steady_state_stats(ens)
+
     def test_n_traj_validated(self):
         with pytest.raises(ValueError, match="n_traj"):
             run_ensemble(driven_atom_model(), "robust", 0.01, 1.0, RHO_PLUS, 0, base_seed=0)
@@ -548,7 +575,7 @@ STACK_STEPS = {
     "pathwise_advance_many": lambda x, t: PathwiseIntegrator(driven_atom_model(), 0.01).advance_many(
         _stack(x), np.full(2, 0.1), t
     ),
-    "em_step_many": lambda x, t: _em_step_many(driven_atom_model(), _stack(x), np.zeros(2), 0.01, t),
+    "em_step_many": lambda x, t: _em_step_many(driven_atom_model(), _stack(x), np.full(2, 0.1), 0.01, t),
     "euler_step_many": lambda x, t: _euler_step_many(criterion9_jump_model(), _stack(x), np.zeros(2, bool), 0.01, t),
     "exact_step_many": lambda x, t: _exact_step_many(
         *_exact_propagator(criterion9_jump_model(), 0.01), _stack(x), np.zeros(2, bool), t
