@@ -23,18 +23,17 @@ import numpy as np
 from . import __version__
 from .diffusion import (
     MeasurementRecord,
-    _blockwise,
-    _diffusion_steps,
     _write_csv,
     read_measurement_record,
     robust_filter,  # noqa: F401  (bench/spans.py traces this name in this module)
     write_measurement_record,
 )
-from .jump import _jump_steps, _replay, read_counting_record, write_counting_record
+from .jump import read_counting_record, write_counting_record
 from .model import IDENTITY_2, SIGMA, SIGMA_X, SIGMA_Y, SIGMA_Z, build_jump_model, purity, two_level_model
 from .traj import (
     SCHEMES,
     _bloch_fast,
+    _scheme_steps,
     convergence_report,
     lipschitz_report,
     run_ensemble,
@@ -146,6 +145,8 @@ def _parse_operator(spec, field: str) -> np.ndarray:
                 else:
                     raise ValueError(f"{field}[{i}][{j}]: expected a number or [re, im] pair")
             rows.append(out_row)
+        if len(rows) != 2:  # initial_state and the Bloch columns are 2-level
+            raise ValueError(f"{field}: expected a 2x2 matrix, got {len(rows)}x{len(rows)}")
         return np.array(rows, dtype=complex)
     raise ValueError(f"{field}: expected an operator name or a nested-list matrix")
 
@@ -392,15 +393,9 @@ def cmd_filter(config: RunConfig, record_path: Path, out_dir: Path) -> list[Path
         raise ValueError(f"{record_path}: unrecognized record header {header!r}")
     if kind != config.mode:
         raise ValueError(f"record is a {kind} record but config mode is '{config.mode}'")
-    model = config.build_model()
-    rho0 = config.initial_state()
-    if kind == "diffusion":
-        record = read_measurement_record(record_path)
-        states = _blockwise(_diffusion_steps(model, config.scheme, record.dt, config.substeps), record, rho0)
-    else:
-        record = read_counting_record(record_path)
-        steps = _jump_steps(model, config.scheme, record.dt, rho0, config.substeps)
-        states = _replay(steps.replay, steps.start, steps.log0, record)
+    record = read_measurement_record(record_path) if kind == "diffusion" else read_counting_record(record_path)
+    steps = _scheme_steps(config.build_model(), config.scheme, record.dt, config.initial_state(), config.substeps)
+    states = steps.replay(record)
     out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "filtered_trajectory.csv"
     _trajectory_csv(traj_path, config, record.times, states)

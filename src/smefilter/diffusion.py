@@ -35,14 +35,17 @@ hermitizes and returns ``log tr``, which the robust, pathwise and jump
 steps add to ``log_lambda``; ``rho_tilde = exp(log_lambda) * rho``
 losslessly.
 
-Each scheme has one step shape: every step takes the record increment
-``dy`` of its step, and :func:`_diffusion_steps` chooses a scheme's steps
-in one place.  Its single-state step serves online runs
-(:func:`_innovation_run`, which forms ``dy`` from the innovation) and
-replays (:func:`_blockwise`) alike, so every replay of a run's record is
-bitwise that run; its stack step serves ensembles, each element bitwise
-its single-state step.  The robust, pathwise and exact jump stack steps
-apply their linear maps through one kernel, :func:`_apply_maps`.
+The schemes of both record kinds share one interface, :class:`_Steps`:
+a start state and ``log_lambda``, the numbers a run draws, an online run,
+a replay and an ensemble's stack step, built from a scheme's pieces by
+:func:`_steps`.  :func:`_diffusion_steps` builds the diffusion schemes,
+whose every step takes the record increment ``dy`` of its step, and
+``jump._jump_steps`` the counting ones.  Online runs and replays step
+through one loop, :func:`_trajectory`, with the scheme's single-state
+step, so every replay of a run's record is bitwise that run; the stack
+step gives each element of an ensemble's stack the same arithmetic.  The
+robust, pathwise and exact jump stack steps apply their linear maps
+through one kernel, :func:`_apply_maps`.
 """
 
 from __future__ import annotations
@@ -116,6 +119,13 @@ def _renormalize_many(x: np.ndarray, t, what: str, where=_batch_element):
     b = next(b for b, xb in enumerate(x) if not (np.isfinite(xb).all() and np.trace(xb).real > 0.0))
     of = "" if where is None else f" of {where(b)}"
     raise NonFiniteStateError(t, f"{what}{of} {_failure(x[b])}")
+
+
+def _traces(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``tr(a rho)`` of a single state, or of each state ``rho[b]`` of a
+    stack, each rounded as it is alone: the measured mean of a diffusion
+    step and the count intensity of a jump step."""
+    return np.einsum("ij,ji->" if rho.ndim == 2 else "ij,bji->b", a, rho).real
 
 
 def _apply_maps(maps: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -392,6 +402,15 @@ def read_measurement_record(path) -> MeasurementRecord:
     return MeasurementRecord(dt, np.array(values), t0)
 
 
+def _of_dimension(x, dim: int, name: str) -> np.ndarray:
+    """``x`` as a square matrix, checked to have the model's dimension
+    ``dim``; the error names it ``name``."""
+    m = as_square(x)
+    if m.shape[0] != dim:
+        raise ValueError(f"{name} is {m.shape[0]}x{m.shape[1]} but the model has dimension {dim}")
+    return m
+
+
 def _normalized_density(rho0, name: str = "rho0") -> np.ndarray:
     m = require_hermitian(rho0, name)
     tr = float(np.trace(m).real)
@@ -525,36 +544,12 @@ def _pathwise_advance(integrator: PathwiseIntegrator, rho: np.ndarray, dy: float
     return _renormalize(integrator.advance(rho, dy, t, step_map), t, "pathwise state")
 
 
-def _blockwise(steps, record: MeasurementRecord, rho0):
-    """The states at every grid point of ``record`` (initial state included)
-    of a scheme's single-state ``steps.step`` (see :func:`_diffusion_steps`)
-    from the normalized ``rho0``, naming the step, counted from 1, in its
-    errors.  ``made`` is what ``steps.build`` gives for ``dy``, built for
-    ``_MAP_BLOCK`` increments at a time; it is ``None`` without a builder and
-    in a block that the builder rejects, so each step builds its own and the
-    one at fault raises."""
-    step, build = steps.step, steps.build
-    times = record.times.tolist()
-    rho, log_lam = _normalized_density(rho0), 0.0
-    out = [DensityState(rho, log_lam, times[0])]
-    for lo in range(0, record.n_steps, _MAP_BLOCK):
-        dys = record.increments[lo : lo + _MAP_BLOCK]
-        try:
-            made = build(dys) if build else [None] * len(dys)
-        except ValueError:
-            made = [None] * len(dys)
-        for k, dy, m in zip(range(lo, lo + len(dys)), dys.tolist(), made):
-            rho, dlog = step(rho, dy, times[k + 1], m, lambda _b, k=k: f"step {k + 1}")
-            log_lam += dlog
-            out.append(DensityState(rho, log_lam, times[k + 1]))
-    return out
-
-
 def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4, tol: float = 1e-12):
-    """Pathwise filter: :func:`_pathwise_advance` along a record through
-    :func:`_blockwise`, each step map bitwise the one its step builds alone;
-    a failing step raises :class:`NonFiniteStateError` at its time."""
-    return _blockwise(_diffusion_steps(model, "pathwise", record.dt, substeps, tol), record, rho0)
+    """Pathwise filter: the replay of a record with :func:`_pathwise_advance`
+    (see :func:`_diffusion_steps`), each step map bitwise the one its step
+    builds alone; a failing step raises :class:`NonFiniteStateError` at its
+    time."""
+    return _diffusion_steps(model, "pathwise", record.dt, rho0, substeps, tol).replay(record)
 
 
 class RobustStepper:
@@ -642,10 +637,10 @@ def _robust_advance(stepper: RobustStepper, rho: np.ndarray, dy: float, t: float
 
 
 def robust_filter(model, record: MeasurementRecord, rho0, tol: float = 1e-12):
-    """Robust filter: :func:`_robust_advance` along a record through
-    :func:`_blockwise`, each ``E(dy)`` bitwise the one its step computes
-    alone."""
-    return _blockwise(_diffusion_steps(model, "robust", record.dt, tol=tol), record, rho0)
+    """Robust filter: the replay of a record with :func:`_robust_advance`
+    (see :func:`_diffusion_steps`), each ``E(dy)`` bitwise the one its step
+    computes alone."""
+    return _diffusion_steps(model, "robust", record.dt, rho0, tol=tol).replay(record)
 
 
 def _em_vectorized_operators(model, dt: float):
@@ -678,7 +673,7 @@ def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
     n_steps = first.n_steps
     if sample_every < 1 or n_steps % sample_every != 0:
         raise ValueError(f"sample_every {sample_every} does not divide {n_steps} steps")
-    init = require_hermitian(rho_tilde0, "rho_tilde0")
+    init = require_hermitian(_of_dimension(rho_tilde0, model.dim, "rho_tilde0"), "rho_tilde0")
     tr0 = float(np.trace(init).real)
     if tr0 <= 0.0:
         raise ValueError("rho_tilde0 must have positive trace")
@@ -728,7 +723,7 @@ def _em_step_many(model, rho: np.ndarray, dy: np.ndarray, dt: float, t: float, w
     errors name the failing element as ``where(b)`` and the time ``t``."""
     K, L, kappa = model.K, model.L, model.kappa
     Ld = dagger(L)
-    m = np.einsum("ij,bji->b", L + Ld, rho).real
+    m = _traces(L + Ld, rho)
     dnu = (dy - m * dt) / kappa
     lr = L @ rho
     drift = lr @ Ld - K @ rho - rho @ dagger(K)
@@ -738,89 +733,148 @@ def _em_step_many(model, rho: np.ndarray, dy: np.ndarray, dt: float, t: float, w
 
 
 class _Steps(NamedTuple):
-    """The steps of a diffusion scheme (see :func:`_diffusion_steps`)."""
+    """The steps of one scheme over one record kind from one start state,
+    the same for online runs, replays and ensembles (see :func:`_steps`)."""
 
-    step: Callable
-    build: Callable | None
+    start: np.ndarray
+    log0: float
+    draw: Callable
+    run: Callable
+    replay: Callable
     many: Callable
 
 
-def _diffusion_steps(model, scheme: str, dt: float, substeps: int = 4, tol: float = 1e-12) -> _Steps:
-    """The steps of the diffusion ``scheme`` over steps of width ``dt``, each
-    taking its record increment ``dy`` and ending at time ``t``:
+def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: np.ndarray, build=None):
+    """The one loop that steps a single trajectory, online or in a replay.
 
-    * ``step(rho, dy, t, made, where) -> (rho, dlog)``, the single-state step
-      of online runs and replays: :func:`_robust_advance` or
-      :func:`_pathwise_advance`, taking ``made`` from ``build``, or
-      :func:`_em_step_many` on a stack of one, naming its step ``where(0)``;
-    * ``build(dys)``: :meth:`RobustStepper.exponentials` or
-      :meth:`PathwiseIntegrator.step_maps`, and ``None`` for ``em``;
-    * ``many(rho, dy, t, where) -> (rho, dlog)``, the stack step of
-      ensembles, each element bitwise its single-state step.
+    It starts from ``start`` with ``log_lambda = log0`` at ``t0``; step
+    ``k`` takes ``step(rho, x, t, made, where) -> (rho, dlog)`` with
+    ``x = xs[k]``, ending at ``t = t0 + (k + 1) dt``, and ``where`` names
+    it ``step k + 1`` in its errors.  ``made`` is what ``build`` gives
+    for ``xs``, built for ``_MAP_BLOCK`` steps at a time; it is ``None``
+    without a builder and in a block that the builder rejects, so each step
+    builds its own and the one at fault raises.  Returns the states at every
+    grid point, the start included."""
+    times = (t0 + dt * np.arange(len(xs) + 1)).tolist()
+    rho, log_lam = start, log0
+    states = [DensityState(rho, log_lam, times[0])]
+    for lo in range(0, len(xs), _MAP_BLOCK):
+        block = xs[lo : lo + _MAP_BLOCK]
+        try:
+            made = build(block) if build else [None] * len(block)
+        except ValueError:
+            made = [None] * len(block)
+        for k, x, m in zip(range(lo, lo + len(block)), block.tolist(), made):
+            rho, dlog = step(rho, x, times[k + 1], m, lambda _b, k=k: f"step {k + 1}")
+            log_lam += dlog
+            states.append(DensityState(rho, log_lam, times[k + 1]))
+    return states
+
+
+def _steps(record, field: str, dt: float, start, log0: float, draw, observe, stack, step=None, build=None) -> _Steps:
+    """The :class:`_Steps` of a scheme over steps of width ``dt`` from the
+    normalized ``start`` with ``log_lambda = log0``, made of its pieces:
+
+    * ``draw(rng, size)``: the numbers ``x`` a run draws for ``size`` steps;
+    * ``observe(rho, x, t, where) -> v``: the record values of a step ending
+      at time ``t`` that the draws ``x`` give for one state or a stack;
+    * ``stack(rho, v, t, where) -> (rho, dlog)``: the step of a stack of
+      states ``rho[b]`` with record values ``v[b]``, ending at ``t``;
+    * ``step(rho, v, t, made, where) -> (rho, dlog)``: the step of a single
+      state, bitwise its ``stack`` step, with ``made`` what ``build`` gives
+      for ``v`` (see :func:`_trajectory`); ``stack`` on a stack of one when
+      ``None``.
+
+    Errors name the failing element of a stack, or the step of a single run,
+    as ``where(b)``.  ``record(dt, values, t0)`` is the record kind, and
+    ``field`` the attribute that holds its values.  ``run(xs, t0=0.0) ->
+    (record, states)`` is an online run with the draws ``xs`` and
+    ``replay(record) -> states`` the replay of a record, both through
+    :func:`_trajectory` with the single-state step, so every replay of a
+    run's record is bitwise that run.  ``many(rho, x, k, where) -> (rho,
+    dlog)`` takes an ensemble's stack through step ``k`` (from 0, ending at
+    ``(k + 1) dt``) with the draws ``x``, each element bitwise its run.
     """
+    if step is None:
+
+        def step(rho, v, t, _made, where):
+            x, dlog = stack(rho[None], np.array([v]), t, where)
+            return x[0], float(dlog[0])
+
+    def run(xs, t0=0.0):
+        values = []
+
+        def online(rho, x, t, _made, where):
+            v = observe(rho, x, t, where)
+            values.append(v)
+            return step(rho, v, t, None, where)
+
+        states = _trajectory(online, start, log0, dt, t0, xs)
+        return record(dt, np.array(values), t0), states
+
+    def replay(rec):
+        return _trajectory(step, start, log0, rec.dt, rec.t0, getattr(rec, field), build)
+
+    def many(rho, x, k, where):
+        t = (k + 1) * dt
+        return stack(rho, observe(rho, x, t, where), t, where)
+
+    return _Steps(start, log0, draw, run, replay, many)
+
+
+def _diffusion_steps(model, scheme: str, dt: float, rho0, substeps: int = 4, tol: float = 1e-12) -> _Steps:
+    """The steps (see :func:`_steps`) of the diffusion ``scheme`` over steps
+    of width ``dt``, from the normalized ``rho0`` with ``log_lambda = 0``.
+
+    A run draws innovations ``dnu ~ N(0, dt)`` and forms the record
+    increment ``dy = m dt + kappa dnu`` of each step from the measured mean
+    ``m = tr((L + L^dag) rho)`` of the state it evolves; every step takes
+    ``dy``.  The single-state steps are :func:`_robust_advance`, with ``E(dy)``
+    prebuilt by :meth:`RobustStepper.exponentials` in a replay, and
+    :func:`_pathwise_advance`, with the maps of
+    :meth:`PathwiseIntegrator.step_maps`; the stack steps are
+    :meth:`RobustStepper.advance_many`, :meth:`PathwiseIntegrator.advance_many`
+    and :func:`_em_step_many`, which ``em`` also takes on a stack of one.
+    """
+    dt = _step_width(dt)
+    start = _normalized_density(_of_dimension(rho0, model.L.shape[0], "rho0"))
+    step = build = None
     if scheme == "robust":
         stepper = RobustStepper(model, dt, tol)
-        return _Steps(
-            lambda rho, dy, t, e, _where: _robust_advance(stepper, rho, dy, t, e),
-            stepper.exponentials,
-            stepper.advance_many,
-        )
-    if scheme == "pathwise":
+        stack, build = stepper.advance_many, stepper.exponentials
+        step = lambda rho, dy, t, e, _where: _robust_advance(stepper, rho, dy, t, e)
+    elif scheme == "pathwise":
         integrator = PathwiseIntegrator(model, dt, substeps, tol)
-        return _Steps(
-            lambda rho, dy, t, p, _where: _pathwise_advance(integrator, rho, dy, t, p),
-            integrator.step_maps,
-            integrator.advance_many,
-        )
-    if scheme != "em":
+        stack, build = integrator.advance_many, integrator.step_maps
+        step = lambda rho, dy, t, p, _where: _pathwise_advance(integrator, rho, dy, t, p)
+    elif scheme == "em":
+        stack = lambda rho, dy, t, where: _em_step_many(model, rho, dy, dt, t, where)
+    else:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    l_sum, scale = model.L + dagger(model.L), np.sqrt(dt)
 
-    def many(rho, dy, t, where):
-        return _em_step_many(model, rho, dy, dt, t, where)
+    def observe(rho, dnu, _t, _where):
+        return _traces(l_sum, rho) * dt + model.kappa * dnu
 
-    def step(rho, dy, t, _made, where):
-        x, dlog = many(rho[None], np.array([dy]), t, where)
-        return x[0], float(dlog[0])
+    def draw(rng, size):
+        return rng.normal(0.0, scale, size)
 
-    return _Steps(step, None, many)
-
-
-def _innovation_run(model, steps: _Steps, dt: float, dnu: np.ndarray, rho0, t0: float = 0.0):
-    """One online diffusion run from the normalized ``rho0`` at ``t0``,
-    driven by the innovations ``dnu``: each step forms its record increment
-    ``dy = m dt + kappa dnu`` from the measured mean ``m = tr((L + L^dag)
-    rho)`` of the state it evolves and takes the single-state ``steps.step``
-    (see :func:`_diffusion_steps`) as :func:`_blockwise` does, so a replay
-    of the record is bitwise this run.  Returns the record and the states."""
-    rho, log_lam = _normalized_density(rho0), 0.0
-    l_sum = model.L + dagger(model.L)
-    times = (t0 + dt * np.arange(dnu.size + 1)).tolist()
-    states = [DensityState(rho, log_lam, times[0])]
-    dys = np.empty(dnu.size)
-    for k, dn in enumerate(dnu.tolist()):
-        m = float(np.einsum("ij,ji->", l_sum, rho).real)
-        dys[k] = dy = m * dt + model.kappa * dn
-        rho, dlog = steps.step(rho, dy, times[k + 1], None, lambda _b, k=k: f"step {k + 1}")
-        log_lam += dlog
-        states.append(DensityState(rho, log_lam, times[k + 1]))
-    return MeasurementRecord(dt, dys, t0), states
+    return _steps(MeasurementRecord, "increments", dt, start, 0.0, draw, observe, stack, step, build)
 
 
 def em_normalized(model, dt: float, nu_increments, rho0, t0: float = 0.0):
     """Explicit Euler-Maruyama for the normalized nonlinear equation, driven
-    by innovation increments ``dnu ~ N(0, dt)``: the online run
-    :func:`_innovation_run` of the ``em`` step, which synthesizes the record
+    by innovation increments ``dnu ~ N(0, dt)``: the online ``em`` run of
+    :func:`_diffusion_steps`, which synthesizes the record
     ``dy_n = m_(n-1) dt + kappa dnu_n``; its errors name the step, counted
     from 1, and its time.  Returns ``(states, record)``; ``log_lambda``
     accumulates the discrete log-likelihood ``(m dy - m^2 dt / 2) / kappa^2``.
     """
-    dt = _step_width(dt)
     dnu = np.asarray(nu_increments, dtype=float)
     if dnu.ndim != 1 or not np.isfinite(dnu).all():
         raise ValueError("nu_increments must be a finite one-dimensional array")
-    record, states = _innovation_run(model, _diffusion_steps(model, "em", dt), dt, dnu, rho0, t0)
+    record, states = _diffusion_steps(model, "em", dt, rho0).run(dnu, t0)
     return states, record
-
 
 def pathwise_schrodinger_rhs(model, a_t, a_t_inv, phi) -> np.ndarray:
     """Pure-state reduction of the pathwise flow, ``dphi/dt = -(A K A^-1) phi``;

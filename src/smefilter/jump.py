@@ -15,11 +15,14 @@ are solved as well; only the gauge-frame state ``r = A rho~ A^dag``, which
 Each scheme has one stack step ``(rho, dn, t, where) -> (rho, dlog)``,
 ending in the shared tail ``diffusion._renormalize_many``: the Euler step
 :func:`_euler_step_many` for ``em``, the exact :func:`_exact_step_many` for
-``pathwise``.  :func:`_jump_steps` chooses it, with the online step that
-draws each count from the state it evolves and then takes it
-(:func:`_sampler`), in one place.  Ensembles take these steps on the whole
-stack; single runs, replays (:func:`_replay`) and :func:`jump_sme_step` on a
-stack of one, so every replay of a run's record is bitwise that run.
+``pathwise``.  :func:`_jump_steps` builds a scheme's steps, the interface
+``diffusion._Steps`` that the diffusion schemes share, around it: a run
+draws one uniform per step and counts when it falls below the count
+probability of the state the run evolves.  Ensembles take the stack step
+on the whole stack; single runs and replays, through the one
+single-trajectory loop ``diffusion._trajectory``, and :func:`jump_sme_step`
+take it on a stack of one, so every replay of a run's record is bitwise
+that run.
 
 Within one step the drift is applied first, then the count map; the two
 orders differ only at higher order in ``dt``, and a fixed convention keeps
@@ -30,23 +33,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .diffusion import (
     SCHEMES,
-    DensityState,
     NonFiniteStateError,
     PathwiseState,
     _apply_maps,
     _batch_element,
     _grid,
     _normalized_density,
+    _of_dimension,
     _read_record,
     _renormalize_many,
     _step_count,
     _step_width,
+    _Steps,
+    _steps,
+    _traces,
     _write_record,
     recover,  # noqa: F401  (bench/spans.py traces this name in this module)
 )
@@ -185,28 +191,22 @@ def count_probability(model, rho, dt: float, t: float | None = None) -> float:
     Raises when the probability reaches 0.1: the per-step Bernoulli
     approximation of the point process degrades there, so decrease ``dt``.
     """
-    intensity = _intensities(dagger(model.C) @ model.C, np.asarray(rho, dtype=complex)[None])
-    return float(_count_probabilities(model, intensity, dt, t)[0])
-
-
-def _intensities(cdc: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The count intensities ``tr(C rho[b] C^dag) = tr(C^dag C rho[b])`` of
-    a stack of states, from ``cdc = C^dag C``; each element rounds as it
-    does in a stack of one."""
-    return np.einsum("ij,bji->b", cdc, rho).real
+    intensity = _traces(dagger(model.C) @ model.C, np.asarray(rho, dtype=complex))
+    return float(_count_probabilities(model, intensity, dt, t))
 
 
 def _count_probabilities(model, intensity: np.ndarray, dt: float, t: float | None, where=None) -> np.ndarray:
-    """The count probabilities ``eta lam intensity[b] dt`` of a stack in a
-    step starting at time ``t``, checked as :func:`count_probability`
-    checks one; the error names the failing element as ``where(b)``."""
+    """The count probabilities ``eta lam intensity[b] dt`` of a stack, or
+    the one of a single state, in a step starting at time ``t``, checked as
+    :func:`count_probability` checks one; the error names the failing
+    element as ``where(b)``."""
     p = model.eta * model.lam * intensity * dt
     bad = p >= 0.1
     if bad.any():
-        b = int(bad.argmax())
+        b = int(np.argmax(bad))
         of = "" if where is None else f" for {where(b)}"
         at = "" if t is None else f" at t = {t:.6g}"
-        raise ValueError(f"per-step count probability {p[b]:.3f} >= 0.1{of}{at}; use a smaller dt")
+        raise ValueError(f"per-step count probability {np.ravel(p)[b]:.3f} >= 0.1{of}{at}; use a smaller dt")
     return p
 
 
@@ -251,22 +251,6 @@ def _euler_step_many(model, rho: np.ndarray, dn: np.ndarray, dt: float, t, where
         dlog[hit] += np.log(tr_jo / np.trace(before, axis1=1, axis2=2).real)
         out[hit] = j_out / tr_jo[:, None, None]
     return _renormalize_many(out, t, "normalized jump state", where)[0], dlog
-
-
-def _sampler(model, intensity, replay, dt: float):
-    """The online step ``sample(rho, u, t, where) -> (dn, rho, dlog)`` from
-    time ``t`` of a stack of states ``rho[b]`` with uniforms ``u[b]``: a
-    count registers when ``u[b]`` is below the count probability
-    ``eta lam intensity(rho)[b] dt``, and the stack then takes the step
-    ``replay(rho, dn, t + dt, where)``.  Errors name the failing element as
-    ``where(b)``: the count-probability check at ``t``, the others at the
-    step's end ``t + dt``."""
-
-    def sample(rho, u, t, where=_batch_element):
-        dn = u < _count_probabilities(model, intensity(rho), dt, t, where)
-        return (dn, *replay(rho, dn, t + dt, where))
-
-    return sample
 
 
 def _exact_propagator(model, dt: float):
@@ -318,66 +302,57 @@ def _exact_step_many(jump_map, phi, rho: np.ndarray, dn: np.ndarray, t: float, w
         raise
 
 
-class _JumpSteps(NamedTuple):
-    """The steps of one counting scheme; see :func:`_jump_steps`."""
+def _counting_steps(model, dt: float, start, log0: float, intensity, stack) -> _Steps:
+    """The steps (see ``diffusion._steps``) of a counting scheme over steps
+    of width ``dt`` from ``start`` with ``log0``, with the stack step
+    ``stack(rho, dn, t, where) -> (rho, dlog)``.  A run draws one uniform
+    ``u`` per step and counts when it is below the count probability
+    ``eta lam intensity(rho) dt`` of the state at the step's start, the
+    time that the probability check names."""
 
-    sample: Callable
-    replay: Callable
-    start: np.ndarray
-    log0: float
+    def observe(rho, u, t, where):
+        return u < _count_probabilities(model, intensity(rho), dt, t - dt, where)
+
+    def draw(rng, size):
+        return rng.random(size)
+
+    return _steps(CountingRecord, "counts", dt, start, log0, draw, observe, stack)
 
 
-def _jump_steps(model, scheme: str, dt: float, rho0, substeps: int = 4) -> _JumpSteps:
-    """The stack steps of the counting ``scheme`` over steps of width ``dt``
-    and its start state and ``log_lambda`` from ``rho0``.  ``replay(rho, dn,
-    t, where) -> (rho, dlog)`` steps to time ``t`` with the counts ``dn``:
-    :func:`_euler_step_many` from the normalized ``rho0`` and 0 for ``em``,
-    :func:`_exact_step_many` from the start of :func:`jump_pathwise_solve`
-    for ``pathwise``.  ``sample`` (see :func:`_sampler`) draws each count
-    from the state it evolves, with the intensity ``tr(C rho C^dag)`` of
-    :func:`count_probability` for ``pathwise``, and takes ``replay``.
-    Single runs, ensembles and replays all take these steps."""
+def _exact_steps(model, dt: float, start, log0: float) -> _Steps:
+    """The steps of the exact ``pathwise`` counting scheme from ``start``
+    with ``log0`` (see :func:`_exact_start`): :func:`_exact_step_many`, with
+    the intensity ``tr(C^dag C rho)`` of :func:`count_probability`."""
+    stack = partial(_exact_step_many, *_exact_propagator(model, dt))
+    return _counting_steps(model, dt, start, log0, partial(_traces, dagger(model.C) @ model.C), stack)
+
+
+def _jump_steps(model, scheme: str, dt: float, rho0, substeps: int = 4) -> _Steps:
+    """The steps of the counting ``scheme`` over steps of width ``dt``, from
+    ``rho0``: :func:`_euler_step_many` from the normalized ``rho0`` with
+    ``log_lambda = 0`` for ``em``, whose count probability takes
+    ``tr(C rho C^dag)``, and the exact :func:`_exact_steps` from the start of
+    :func:`jump_pathwise_solve` for ``pathwise``.  Single runs, replays and
+    ensembles all take these steps."""
     if scheme == "robust":
         raise ValueError("scheme 'robust' applies to diffusion models; use 'em' or 'pathwise'")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if scheme == "pathwise" and substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    start = _normalized_density(rho0)
-    if scheme == "em":
-        c_dag = dagger(model.C)
+    dt = _step_width(dt)
+    start = _normalized_density(_of_dimension(rho0, model.dim, "rho0"))
+    if scheme == "pathwise":
+        return _exact_steps(model, dt, *_exact_start(start))
+    c_dag = dagger(model.C)
 
-        def intensity(rho):
-            return np.trace(model.C @ rho @ c_dag, axis1=1, axis2=2).real
+    def intensity(rho):
+        return np.trace(model.C @ rho @ c_dag, axis1=-2, axis2=-1).real
 
-        def replay(rho, dn, t, where):
-            return _euler_step_many(model, rho, dn, dt, t, where)
+    def stack(rho, dn, t, where):
+        return _euler_step_many(model, rho, dn, dt, t, where)
 
-        return _JumpSteps(_sampler(model, intensity, replay, dt), replay, start, 0.0)
-    replay = partial(_exact_step_many, *_exact_propagator(model, dt))
-    intensity = partial(_intensities, dagger(model.C) @ model.C)
-    return _JumpSteps(_sampler(model, intensity, replay, dt), replay, *_exact_start(start))
-
-
-def _online_run(steps: _JumpSteps, dt: float, n: int, seed: int, t0: float = 0.0):
-    """One online counting run over ``n`` steps from ``t0``: the ``sample``
-    step of :func:`_jump_steps` on a stack of one state, with one uniform
-    per step from ``default_rng(seed)``.  A batched ensemble takes the same
-    step, so each of its trajectories is bitwise this run.  Errors name the
-    step, counted from 1, and its time.  Returns the counting record and the
-    states at every grid point."""
-    uniforms = np.random.default_rng(seed).random(n)
-    times = t0 + dt * np.arange(n + 1)
-    counts = np.zeros(n, dtype=int)
-    log_lam = steps.log0
-    states = [DensityState(steps.start, log_lam, float(times[0]))]
-    stack = steps.start[None]
-    for k in range(n):
-        dn, stack, dlog = steps.sample(stack, uniforms[k : k + 1], float(times[k]), lambda _b, k=k: f"step {k + 1}")
-        counts[k] = dn[0]
-        log_lam += float(dlog[0])
-        states.append(DensityState(stack[0], log_lam, float(times[k + 1])))
-    return CountingRecord(dt, counts, t0), states
+    return _counting_steps(model, dt, start, 0.0, intensity, stack)
 
 
 def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: float = 0.0) -> CountingRecord:
@@ -391,21 +366,8 @@ def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: floa
     deterministic given the seed.  Errors name the step and its time.
     """
     n = _step_count(dt, T)
-    return _online_run(_jump_steps(model, "pathwise", dt, rho0), dt, n, seed, t0)[0]
-
-
-def _replay(step, rho: np.ndarray, log_lam: float, record: CountingRecord) -> list[DensityState]:
-    """The states along ``record`` from ``rho`` with ``log_lam`` at its
-    start: the stack step ``step(rho, dn, t, where)`` of a scheme on a stack
-    of one, naming the step, counted from 1, in its errors."""
-    times = record.times.tolist()
-    states = [DensityState(rho, log_lam, times[0])]
-    stack = rho[None]
-    for k, dn in enumerate(record.counts[:, None]):
-        stack, dlog = step(stack, dn, times[k + 1], lambda _b, k=k: f"step {k + 1}")
-        log_lam += float(dlog[0])
-        states.append(DensityState(stack[0], log_lam, times[k + 1]))
-    return states
+    steps = _jump_steps(model, "pathwise", dt, rho0)
+    return steps.run(steps.draw(np.random.default_rng(seed), n), t0)[0]
 
 
 def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
@@ -420,9 +382,9 @@ def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
     and ``Phi = expm(dt Gen)`` is the exact propagator over one step, built
     once.  Each step applies ``Phi``, then ``conj(C) (x) C`` on a count,
     renormalizes (adding the log of the trace to ``log_lambda``) and
-    hermitizes: it is :func:`_exact_step_many` on a stack of one state, the
-    step an online ``pathwise`` run takes, so replaying that run's record
-    gives its states bitwise.
+    hermitizes: this is the replay of :func:`_exact_steps` from ``r0``, the
+    step an online ``pathwise`` run takes on a stack of one state, so
+    replaying that run's record gives its states bitwise.
 
     Returns ``(r_path, recovered)``: the recovered normalized states with
     ``log_lambda`` at every grid point (``r0`` need not be normalized; its
@@ -439,8 +401,7 @@ def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    rho, log_lam = _exact_start(r0)
-    recovered = _replay(partial(_exact_step_many, *_exact_propagator(model, record.dt)), rho, log_lam, record)
+    recovered = _exact_steps(model, record.dt, *_exact_start(_of_dimension(r0, model.dim, "r0"))).replay(record)
     if model.C_inv is None:
         return None, recovered
     gauge = JumpGauge.identity(model)

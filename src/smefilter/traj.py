@@ -2,19 +2,19 @@
 diagnostics.
 
 A trajectory is a pure function of ``(model, scheme, dt, T, rho0, seed)``:
-the driving record is generated online from the filtered state itself
-(``dy_n = m_(n-1) dt + kappa dnu_n`` with ``dnu ~ N(0, dt)`` for diffusion;
-for jumps a per-step Bernoulli count with probability
-``eta lam tr(C rho C^dag) dt``, drawn from the state the run evolves) and
-returned alongside the states, so that an offline replay of the record
-gives the run's states bitwise.  The steps of every scheme are chosen in
-one place per record kind, ``diffusion._diffusion_steps`` and
-``jump._jump_steps``; single runs and replays take their single-state or
-stack-of-one steps, and ensembles their stack steps.  Ensembles give
+the driving record, a diffusion record of increments ``dy`` or a counting
+record, is generated online from the filtered state itself and returned
+alongside the states, so that an offline replay of the record gives the
+run's states bitwise.  A scheme's steps come from one factory per record
+kind, ``diffusion._diffusion_steps`` or ``jump._jump_steps``, as one
+interface, ``diffusion._Steps``: a single run is
+``steps.run(steps.draw(rng, n))``, and only the record kind's module knows
+what a run draws and how the record follows from the draws.  Ensembles give
 trajectory ``i`` the seed ``base_seed + i`` and run on one batched engine,
 ``_run_batched``: it steps all trajectories together as one stack of states
-and keeps only the running state sum and the final states.  Each
-trajectory's states are bitwise those of ``run_trajectory`` with its seed.
+with ``steps.many`` and keeps only the running state sum and the final
+states.  Each trajectory's states are bitwise those of ``run_trajectory``
+with its seed.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .diffusion import (
     DensityState,
     MeasurementRecord,
     _diffusion_steps,
-    _innovation_run,
-    _normalized_density,
     _robust_advance,  # noqa: F401  (bench/spans.py traces this name in this module)
     _step_count,
     pathwise_filter,
@@ -41,7 +39,6 @@ from .diffusion import (
 from .jump import (  # noqa: F401
     CountingRecord,
     _jump_steps,
-    _online_run,
     jump_pathwise_solve,
     sample_counting_record,
 )
@@ -132,15 +129,6 @@ def _bloch_coords(bloch: list[BlochVector]) -> dict[str, np.ndarray]:
     return {c: np.array([getattr(b, c) for b in bloch]) for c in "xyz"}
 
 
-def _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps):
-    """One online diffusion run, its record and its states:
-    ``diffusion._innovation_run`` of the scheme's steps, with the
-    innovations ``dnu ~ N(0, dt)`` drawn from ``default_rng(seed)``."""
-    steps = _diffusion_steps(model, scheme, dt, substeps)
-    dnu = np.random.default_rng(seed).normal(0.0, np.sqrt(dt), n)
-    return _innovation_run(model, steps, dt, dnu, rho0)
-
-
 def _draws(base_seed, n_traj, n, draw):
     """Each step's random numbers for a batched ensemble: row ``k`` holds
     step ``k``'s number for every trajectory.
@@ -163,54 +151,34 @@ def _trajectory_in(base_seed, step):
     return lambda b: f"trajectory {b} (seed {base_seed + b}) in step {step}"
 
 
-def _batched_step(model, scheme, dt, rho0, substeps):
-    """The stack step of a batched ensemble of ``scheme``, its start state
-    and ``log_lambda``, and ``draw(rng, size)``, which draws a trajectory's
-    numbers as its single run draws them.
-
-    ``step(rho, x, k, where)`` takes the stack ``rho`` through step ``k``
-    (from 0) with the draws ``x`` and returns the new stack and the log
-    normalization factors, naming trajectory ``b`` in errors as
-    ``where(b)``.  Diffusion runs take the stack step of
-    ``diffusion._diffusion_steps`` on the record increments their single
-    runs form, ending at ``(k + 1) dt``; jump runs take the sampler step of
-    ``jump._jump_steps``, starting at ``k dt``.
-    """
+def _scheme_steps(model, scheme: str, dt: float, rho0, substeps: int):
+    """The steps of ``scheme`` for the record kind of ``model``:
+    ``diffusion._diffusion_steps`` or ``jump._jump_steps``."""
+    if isinstance(model, DiffusionModel):
+        return _diffusion_steps(model, scheme, dt, rho0, substeps)
     if isinstance(model, JumpModel):
-        steps = _jump_steps(model, scheme, dt, rho0, substeps)
-
-        def step(rho, u, k, where):
-            return steps.sample(rho, u, k * dt, where)[1:]
-
-        return step, steps.start, steps.log0, lambda g, size: g.random(size)
-    many = _diffusion_steps(model, scheme, dt, substeps).many
-    l_sum = model.L + dagger(model.L)
-
-    def step(rho, dnu, k, where):
-        m = np.einsum("ij,bji->b", l_sum, rho).real
-        return many(rho, m * dt + model.kappa * dnu, (k + 1) * dt, where)
-
-    scale = np.sqrt(dt)
-    return step, _normalized_density(rho0), 0.0, lambda g, size: g.normal(0.0, scale, size)
+        return _jump_steps(model, scheme, dt, rho0, substeps)
+    raise TypeError(f"expected DiffusionModel or JumpModel, got {type(model).__name__}")
 
 
-def _run_batched(step, start, log0, draw, n, n_traj, base_seed):
+def _run_batched(steps, n: int, n_traj: int, base_seed: int):
     """Step the trajectories of an ensemble as one stack of states.
 
     Trajectory ``i`` draws its numbers from its own generator seeded
-    ``base_seed + i`` (see :func:`_draws`), and ``step`` gives each element
-    of the stack the arithmetic of a single run, so every state is bitwise
-    the one ``run_trajectory`` computes for that seed.  Returns the state
-    sums over trajectories at every grid point (added in trajectory order,
-    as a loop over trajectories adds them), the final states and their
-    ``log_lambda``.
+    ``base_seed + i`` (see :func:`_draws`), and the stack step
+    ``steps.many`` gives each element of the stack the arithmetic of a
+    single run, so every state is bitwise the one ``run_trajectory``
+    computes for that seed.  Returns the state sums over trajectories at
+    every grid point (added in trajectory order, as a loop over
+    trajectories adds them), the final states and their ``log_lambda``.
     """
+    start = steps.start
     rho = np.broadcast_to(start, (n_traj,) + start.shape).copy()
-    log_lam = np.full(n_traj, log0)
+    log_lam = np.full(n_traj, steps.log0)
     sum_rho = np.empty((n + 1,) + start.shape, dtype=complex)
     sum_rho[0] = rho.sum(axis=0)
-    for k, x in enumerate(_draws(base_seed, n_traj, n, draw)):
-        rho, dlog = step(rho, x, k, _trajectory_in(base_seed, k + 1))
+    for k, x in enumerate(_draws(base_seed, n_traj, n, steps.draw)):
+        rho, dlog = steps.many(rho, x, k, _trajectory_in(base_seed, k + 1))
         log_lam += dlog
         sum_rho[k + 1] = rho.sum(axis=0)
     return sum_rho, rho, log_lam
@@ -223,12 +191,8 @@ def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int, sub
     ``smefilter filter`` does, reproduces the same states bit for bit.
     """
     n = _step_count(dt, T)
-    if isinstance(model, DiffusionModel):
-        record, states = _run_diffusion_trajectory(model, scheme, dt, n, rho0, seed, substeps)
-    elif isinstance(model, JumpModel):
-        record, states = _online_run(_jump_steps(model, scheme, dt, rho0, substeps), dt, n, seed)
-    else:
-        raise TypeError(f"expected DiffusionModel or JumpModel, got {type(model).__name__}")
+    steps = _scheme_steps(model, scheme, dt, rho0, substeps)
+    record, states = steps.run(steps.draw(np.random.default_rng(seed), n))
     return TrajectoryResult(
         times=record.times,
         states=states,
@@ -260,11 +224,8 @@ def run_ensemble(
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    if not isinstance(model, (DiffusionModel, JumpModel)):
-        raise TypeError(f"expected DiffusionModel or JumpModel, got {type(model).__name__}")
     n = _step_count(dt, T)
-    step, start, log0, draw = _batched_step(model, scheme, dt, rho0, substeps)
-    sum_rho, rho, log_lam = _run_batched(step, start, log0, draw, n, n_traj, base_seed)
+    sum_rho, rho, log_lam = _run_batched(_scheme_steps(model, scheme, dt, rho0, substeps), n, n_traj, base_seed)
     times = dt * np.arange(n + 1)
     final_states = [DensityState(r, float(lam), n * dt) for r, lam in zip(rho, log_lam)]
     final_bloch = _bloch_path(final_states)

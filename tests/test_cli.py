@@ -66,6 +66,14 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="C"):
             parse_config('{"mode": "jump", "scheme": "em", "C": "hadamard"}')
 
+    @pytest.mark.parametrize("field", ["C", "E"])
+    def test_jump_operator_must_be_two_by_two(self, field):
+        # the CLI's initial state and its Bloch columns are 2-level only
+        ops = {"C": "pauli_x", "E": "zero", field: np.eye(3).tolist()}
+        config = {"mode": "jump", "scheme": "pathwise", "T": 0.1, **ops}
+        with pytest.raises(ValueError, match=f"^{field}: expected a 2x2 matrix, got 3x3"):
+            parse_config(json.dumps(config))
+
     def test_jump_requires_c(self):
         with pytest.raises(ValueError, match="C: required"):
             parse_config('{"mode": "jump", "scheme": "em"}')

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from smefilter.diffusion import NonFiniteStateError, _normalized_density
+from smefilter.diffusion import NonFiniteStateError, _batch_element, _normalized_density
 from smefilter.jump import (
     CountingRecord,
     InvalidCountingRecordError,
@@ -196,7 +196,7 @@ class TestBatchedSteps:
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
         rho = np.stack([RHO_PLUS, GROUND, RHO_PLUS])
         with pytest.raises(InvalidCountingRecordError, match="at t = 0.31 .* for batch element 1:"):
-            _jump_steps(m, "em", 0.01, RHO_PLUS).sample(rho, np.array([2.0, -1.0, 2.0]), 0.3)
+            _jump_steps(m, "em", 0.01, RHO_PLUS).many(rho, np.array([2.0, -1.0, 2.0]), 30, _batch_element)
 
     def test_exact_count_on_annihilated_state_names_element(self):
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)

@@ -10,7 +10,6 @@ from smefilter.diffusion import (
     PathwiseIntegrator,
     RobustStepper,
     _MAP_BLOCK,
-    _blockwise,
     _diffusion_steps,
     _em_step_many,
     _pathwise_advance,
@@ -142,7 +141,7 @@ class TestRunTrajectory:
         # spans more than one block of the replay
         m = driven_atom_model()
         res = run_trajectory(m, "em", 0.01, (_MAP_BLOCK + 44) * 0.01, RHO_PLUS, seed=8)
-        replay = _blockwise(_diffusion_steps(m, "em", 0.01), res.record, RHO_PLUS)
+        replay = _diffusion_steps(m, "em", 0.01, RHO_PLUS).replay(res.record)
         assert len(replay) == len(res.states)
         assert all(np.array_equal(a.rho, b.rho) for a, b in zip(res.states, replay))
         assert all(a.log_lambda == b.log_lambda and a.t == b.t for a, b in zip(res.states, replay))
@@ -217,13 +216,6 @@ class TestRunTrajectory:
 
 
 class TestRunEnsemble:
-    def test_single_trajectory_matches(self):
-        m = driven_atom_model()
-        ens = run_ensemble(m, "robust", 0.01, 1.0, RHO_PLUS, 1, base_seed=12)
-        single = run_trajectory(m, "robust", 0.01, 1.0, RHO_PLUS, seed=12)
-        assert np.array_equal(ens.mean_rho_path[-1], single.states[-1].rho)
-        assert ens.final_bloch[0] == single.bloch[-1]
-
     def test_robust_batch_matches_sequential_runs_bitwise(self):
         # a generic phase, more steps than one block of innovation draws, and
         # more trajectories than numpy sums pairwise
@@ -242,20 +234,20 @@ class TestRunEnsemble:
             total += np.stack([s.rho for s in single.states])
         assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([t / n_traj for t in total]))
 
-    def test_single_pathwise_trajectory_matches(self):
-        m = driven_atom_model()
-        ens = run_ensemble(m, "pathwise", 0.01, 0.5, RHO_PLUS, 1, base_seed=12, substeps=3)
-        single = run_trajectory(m, "pathwise", 0.01, 0.5, RHO_PLUS, seed=12, substeps=3)
-        assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([s.rho for s in single.states]))
-        assert ens.final_states[0].log_lambda == single.states[-1].log_lambda
-        assert np.array_equal(ens.times, single.times)
-
-    @pytest.mark.parametrize("scheme", ["em", "pathwise"])
-    def test_single_jump_trajectory_matches(self, scheme):
-        m = criterion9_jump_model()
-        ens = run_ensemble(m, scheme, 0.01, 3.0, RHO_PLUS, 1, base_seed=12)
-        single = run_trajectory(m, scheme, 0.01, 3.0, RHO_PLUS, seed=12)
-        assert single.record.total > 0
+    @pytest.mark.parametrize(
+        "model, scheme, T",
+        [
+            *[(driven_atom_model(), s, 1.0) for s in ("robust", "em", "pathwise")],
+            *[(criterion9_jump_model(), s, 3.0) for s in ("em", "pathwise")],
+        ],
+    )
+    def test_single_trajectory_matches(self, model, scheme, T):
+        # a 1-trajectory ensemble is its run: every state of the mean path
+        # and the final state, log_lambda, time and Bloch vector, bitwise
+        ens = run_ensemble(model, scheme, 0.01, T, RHO_PLUS, 1, base_seed=12, substeps=3)
+        single = run_trajectory(model, scheme, 0.01, T, RHO_PLUS, seed=12, substeps=3)
+        if isinstance(single.record, CountingRecord):
+            assert single.record.total > 0
         assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([s.rho for s in single.states]))
         assert np.array_equal(ens.final_states[0].rho, single.states[-1].rho)
         assert ens.final_states[0].log_lambda == single.states[-1].log_lambda
@@ -552,6 +544,14 @@ def test_non_finite_state_or_operator_rejected_by_name(entry, bad):
     x[1, 1] = bad
     with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
         call(x)
+
+
+@pytest.mark.parametrize("entry", [e for e in STATE_ENTRIES if not e.startswith("build_")])
+def test_state_of_another_dimension_rejected_by_name(entry):
+    # a valid 3-level state for a 2-level model
+    call, name = STATE_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{name} is 3x3 but the model has dimension 2$"):
+        call(np.eye(3, dtype=complex) / 3.0)
 
 
 def _stack(x):
