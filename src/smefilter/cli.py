@@ -8,6 +8,14 @@ response table).  Identical config and seed produce byte-identical outputs;
 every output file embeds the config echo, the seed, and the package version.
 Floats in CSV files are written with 17 significant digits (round-trip exact
 for 64-bit floats).
+
+One table, ``_KEYS``, states each config key once: the ``RunConfig``
+attribute that holds it, the check that reads its value and the mode it
+belongs to.  Parsing, the unknown-key and wrong-mode rejections and the
+config echo all derive from it, and ``RunConfig``'s field defaults are the
+only defaults.  ``T`` must be a whole number of ``dt`` steps, and for
+``converge`` of ``fine_dt`` steps, by the one grid rule
+:func:`diffusion._step_count`.
 """
 
 from __future__ import annotations
@@ -16,13 +24,16 @@ import argparse
 import json
 import sys
 from dataclasses import astuple, dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .diffusion import (
     MeasurementRecord,
+    _step_count,
     _write_csv,
     read_measurement_record,
     robust_filter,  # noqa: F401  (bench/spans.py traces this name in this module)
@@ -54,8 +65,6 @@ _OPERATORS = {
     "sigma_dag": SIGMA.conj().T,
 }
 
-_ALPHA_DEFAULT = 7.0 / np.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -66,7 +75,7 @@ class RunConfig:
     mode: str = "diffusion"
     scheme: str = "robust"
     gamma: float = 1.0
-    alpha: float = _ALPHA_DEFAULT
+    alpha: float = 7.0 / np.sqrt(2.0)
     delta: float = 0.0
     phi: float = 0.0
     eta: float = 0.85
@@ -85,26 +94,9 @@ class RunConfig:
     epsilons: tuple = (1e-2, 1e-3, 1e-4)
 
     def to_dict(self) -> dict:
-        d = {
-            "mode": self.mode,
-            "scheme": self.scheme,
-            "eta": self.eta,
-            "dt": self.dt,
-            "T": self.T,
-            "n_traj": self.n_traj,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "substeps": self.substeps,
-            "deltas": list(self.deltas),
-            "fine_dt": self.fine_dt,
-            "record_kind": self.record_kind,
-            "epsilons": list(self.epsilons),
-        }
-        if self.mode == "diffusion":
-            d.update({"gamma": self.gamma, "alpha": self.alpha, "Delta": self.delta, "phi": self.phi})
-        else:
-            d.update({"C": self.c_spec, "E": self.e_spec, "lambda": self.lam})
-        return d
+        """The config echo: every key of the config's mode, lists as lists."""
+        d = {key: getattr(self, k.attr) for key, k in _KEYS.items() if k.mode in (None, self.mode)}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in d.items()}
 
     def build_model(self):
         if self.mode == "diffusion":
@@ -151,10 +143,7 @@ def _parse_operator(spec, field: str) -> np.ndarray:
     raise ValueError(f"{field}: expected an operator name or a nested-list matrix")
 
 
-def _require_number(raw: dict, key: str, default: float, positive: bool = False) -> float:
-    if key not in raw:
-        return default
-    v = raw[key]
+def _require_number(key: str, v, positive: bool = False) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{key}: expected a number, got {v!r}")
     v = float(v)
@@ -165,10 +154,7 @@ def _require_number(raw: dict, key: str, default: float, positive: bool = False)
     return v
 
 
-def _require_int(raw: dict, key: str, default: int, minimum: int | None = None) -> int:
-    if key not in raw:
-        return default
-    v = raw[key]
+def _require_int(key: str, v, minimum: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"{key}: expected an integer, got {v!r}")
     if minimum is not None and v < minimum:
@@ -176,17 +162,13 @@ def _require_int(raw: dict, key: str, default: int, minimum: int | None = None) 
     return v
 
 
-def _require_choice(raw: dict, key: str, default: str, choices) -> str:
-    v = raw.get(key, default)
+def _require_choice(key: str, v, choices) -> str:
     if v not in choices:
         raise ValueError(f"{key}: expected one of {list(choices)}, got {v!r}")
     return v
 
 
-def _require_float_list(raw: dict, key: str, default: tuple) -> tuple:
-    if key not in raw:
-        return default
-    v = raw[key]
+def _require_float_list(key: str, v) -> tuple:
     if not isinstance(v, list) or not v:
         raise ValueError(f"{key}: expected a non-empty list of numbers")
     out = []
@@ -197,69 +179,85 @@ def _require_float_list(raw: dict, key: str, default: tuple) -> tuple:
     return tuple(out)
 
 
-_KNOWN_KEYS = {
-    "mode", "scheme", "gamma", "alpha", "Delta", "phi", "eta",
-    "C", "E", "lambda", "dt", "T", "n_traj", "seed", "output_dir",
-    "substeps", "deltas", "fine_dt", "record_kind", "epsilons",
+def _require_string(key: str, v) -> str:
+    if not isinstance(v, str):
+        raise ValueError(f"{key}: expected a string, got {v!r}")
+    return v
+
+
+def _operator_spec(key: str, v):
+    """An operator name or matrix as given; :meth:`RunConfig.build_model`
+    checks it."""
+    return v
+
+
+class _Key(NamedTuple):
+    attr: str  # the RunConfig attribute that holds the key's value
+    check: Callable  # (key, value) -> the value as held, or ValueError naming the key
+    mode: str | None  # the one mode the key is valid with, None for both
+
+
+_POSITIVE = partial(_require_number, positive=True)
+_AT_LEAST_ONE = partial(_require_int, minimum=1)
+
+# Every config key; RunConfig's field defaults stand for the absent ones.
+_KEYS = {
+    "mode": _Key("mode", partial(_require_choice, choices=_MODES), None),
+    "scheme": _Key("scheme", partial(_require_choice, choices=SCHEMES), None),
+    "gamma": _Key("gamma", _POSITIVE, "diffusion"),
+    "alpha": _Key("alpha", _require_number, "diffusion"),
+    "Delta": _Key("delta", _require_number, "diffusion"),
+    "phi": _Key("phi", _require_number, "diffusion"),
+    "eta": _Key("eta", _require_number, None),
+    "C": _Key("c_spec", _operator_spec, "jump"),
+    "E": _Key("e_spec", _operator_spec, "jump"),
+    "lambda": _Key("lam", _POSITIVE, "jump"),
+    "dt": _Key("dt", _POSITIVE, None),
+    "T": _Key("T", _POSITIVE, None),
+    "n_traj": _Key("n_traj", _AT_LEAST_ONE, None),
+    "seed": _Key("seed", _require_int, None),
+    "output_dir": _Key("output_dir", _require_string, None),
+    "substeps": _Key("substeps", _AT_LEAST_ONE, None),
+    "deltas": _Key("deltas", _require_float_list, None),
+    "fine_dt": _Key("fine_dt", _POSITIVE, None),
+    "record_kind": _Key("record_kind", partial(_require_choice, choices=_RECORD_KINDS), None),
+    "epsilons": _Key("epsilons", _require_float_list, None),
 }
+
+
+def _steps_of(key: str, dt: float, T: float) -> int:
+    """The number of steps of width ``dt`` in ``T``, by the one grid rule
+    :func:`_step_count`; its error is prefixed with the config key ``key``."""
+    try:
+        return _step_count(dt, T)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config; an empty object yields the default
-    experiment.  Unknown keys are rejected, and model constraints are
-    re-validated by building the model once."""
+    experiment.  Unknown keys and keys of the other mode are rejected, and
+    model constraints are re-validated by building the model once."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
+    unknown = sorted(set(raw) - set(_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    mode = _require_choice(raw, "mode", "diffusion", _MODES)
-    scheme = _require_choice(raw, "scheme", "robust", SCHEMES)
-    if mode == "jump" and scheme == "robust":
+    config = RunConfig(**{_KEYS[key].attr: _KEYS[key].check(key, value) for key, value in raw.items()})
+    for key in raw:
+        if _KEYS[key].mode not in (None, config.mode):
+            raise ValueError(f"{key}: only valid with mode '{_KEYS[key].mode}'")
+    if config.mode == "jump" and config.scheme == "robust":
         raise ValueError("scheme: 'robust' applies to diffusion mode; use 'em' or 'pathwise'")
-    if mode == "diffusion":
-        for key in ("C", "E", "lambda"):
-            if key in raw:
-                raise ValueError(f"{key}: only valid with mode 'jump'")
-    else:
-        for key in ("gamma", "alpha", "Delta", "phi"):
-            if key in raw:
-                raise ValueError(f"{key}: only valid with mode 'diffusion'")
-        if "C" not in raw:
-            raise ValueError("C: required for mode 'jump'")
-    eta = _require_number(raw, "eta", 0.85)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta: must lie in (0, 1], got {eta}")
-    dt = _require_number(raw, "dt", 0.01, positive=True)
-    T = _require_number(raw, "T", 25.0, positive=True)
-    if T < dt:
-        raise ValueError(f"T: must be at least dt = {dt}, got {T}")
-    config = RunConfig(
-        mode=mode,
-        scheme=scheme,
-        gamma=_require_number(raw, "gamma", 1.0, positive=True),
-        alpha=_require_number(raw, "alpha", _ALPHA_DEFAULT),
-        delta=_require_number(raw, "Delta", 0.0),
-        phi=_require_number(raw, "phi", 0.0),
-        eta=eta,
-        c_spec=raw.get("C"),
-        e_spec=raw.get("E", "zero"),
-        lam=_require_number(raw, "lambda", 1.0, positive=True),
-        dt=dt,
-        T=T,
-        n_traj=_require_int(raw, "n_traj", 1, minimum=1),
-        seed=_require_int(raw, "seed", 0),
-        output_dir=str(raw.get("output_dir", ".")),
-        substeps=_require_int(raw, "substeps", 4, minimum=1),
-        deltas=_require_float_list(raw, "deltas", (0.04, 0.02, 0.01)),
-        fine_dt=_require_number(raw, "fine_dt", 0.001, positive=True),
-        record_kind=_require_choice(raw, "record_kind", "smooth", _RECORD_KINDS),
-        epsilons=_require_float_list(raw, "epsilons", (1e-2, 1e-3, 1e-4)),
-    )
+    if config.mode == "jump" and "C" not in raw:
+        raise ValueError("C: required for mode 'jump'")
+    if not 0.0 < config.eta <= 1.0:
+        raise ValueError(f"eta: must lie in (0, 1], got {config.eta}")
+    _steps_of("T", config.dt, config.T)
     config.build_model()
     return config
 
@@ -406,15 +404,17 @@ def cmd_filter(config: RunConfig, record_path: Path, out_dir: Path) -> list[Path
     return [traj_path, summary_path]
 
 
-def _diagnostic_record(config: RunConfig, model) -> MeasurementRecord:
-    n = int(round(config.T / config.fine_dt))
-    if config.record_kind == "smooth":
-        times = config.fine_dt * np.arange(n + 1)
-        return MeasurementRecord(config.fine_dt, np.diff(np.sin(times)))
+def _diagnostic_record(config: RunConfig, model, key: str, kind: str) -> MeasurementRecord:
+    """A record over ``[0, T]`` on steps of width ``config.<key>``: the
+    increments of ``sin t`` (``kind`` ``"smooth"``) or a Brownian path of the
+    config's seed (``"brownian"``).  A ``T`` that is not a whole number of
+    these steps is rejected naming ``key``."""
+    dt = getattr(config, key)
+    n = _steps_of(key, dt, config.T)
+    if kind == "smooth":
+        return MeasurementRecord(dt, np.diff(np.sin(dt * np.arange(n + 1))))
     rng = np.random.default_rng(config.seed)
-    return MeasurementRecord(
-        config.fine_dt, rng.normal(0.0, model.kappa * np.sqrt(config.fine_dt), n)
-    )
+    return MeasurementRecord(dt, rng.normal(0.0, model.kappa * np.sqrt(dt), n))
 
 
 def cmd_converge(config: RunConfig, out_dir: Path) -> list[Path]:
@@ -423,7 +423,7 @@ def cmd_converge(config: RunConfig, out_dir: Path) -> list[Path]:
     if config.mode != "diffusion":
         raise ValueError("converge diagnostic applies to diffusion mode")
     model = config.build_model()
-    record = _diagnostic_record(config, model)
+    record = _diagnostic_record(config, model, "fine_dt", config.record_kind)
     rows = convergence_report(model, record, config.deltas, config.initial_state())
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "convergence_report.csv"
@@ -436,9 +436,7 @@ def cmd_lipschitz(config: RunConfig, out_dir: Path) -> list[Path]:
     if config.mode != "diffusion":
         raise ValueError("lipschitz diagnostic applies to diffusion mode")
     model = config.build_model()
-    n = int(round(config.T / config.dt))
-    rng = np.random.default_rng(config.seed)
-    record = MeasurementRecord(config.dt, rng.normal(0.0, model.kappa * np.sqrt(config.dt), n))
+    record = _diagnostic_record(config, model, "dt", "brownian")
     rows = lipschitz_report(model, record, config.epsilons, config.initial_state())
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "lipschitz_report.csv"

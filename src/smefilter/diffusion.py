@@ -204,13 +204,18 @@ def _step_width(dt) -> float:
 
 
 def _step_count(dt, T) -> int:
-    """The number of steps of width ``dt`` in a run of length ``T``,
-    ``round(T / dt)``; ``dt`` is checked as :func:`_step_width` checks it,
-    and ``T`` finite and at least ``dt``."""
+    """The number ``T / dt`` of steps of width ``dt`` in a run of length
+    ``T``, the one grid rule of every run: ``dt`` is checked as
+    :func:`_step_width` checks it, ``T`` finite and at least ``dt``, and
+    ``T / dt`` a whole number up to rounding (``2.5 / 0.01`` is
+    249.99999999999997, which counts as 250)."""
     dt, T = _step_width(dt), float(T)
     if not dt <= T < np.inf:
         raise ValueError(f"T must be finite and at least dt = {dt}, got {T}")
-    return int(round(T / dt))
+    n = round(T / dt)
+    if abs(T / dt - n) > 1e-9 * n:
+        raise ValueError(f"T must be a whole number of steps of dt = {dt}, got {T}")
+    return n
 
 
 def _grid(dt, t0) -> tuple[float, float]:
@@ -317,41 +322,6 @@ def _write_record(path, kind: str, column: str, record, values, cell: str, comme
     _write_csv(path, head, f"t,{column}", [record.times[1:], values], ("%.17g", cell))
 
 
-def _setting(s: str):
-    """The ``(key, value)`` of a ``# dt:`` or ``# t0:`` comment line ``s``,
-    or ``None`` for any other comment."""
-    body = s[1:].strip()
-    return (body[:2], float(body[3:])) if body[:3] in ("dt:", "t0:") else None
-
-
-def _cells(s: str, column: str) -> list[str]:
-    """The two cells of the data line ``s`` of a ``t,<column>`` record."""
-    cells = s.split(",")
-    if len(cells) != 2:
-        raise ValueError(f"expected 2 columns 't,{column}', got {len(cells)}")
-    return cells
-
-
-def _first_bad_line(lines: list[str], column: str, parse) -> tuple[int, ValueError]:
-    """The number and error of the first of the stripped ``lines`` that fails
-    a check of :func:`_read_record`; called only once a read has failed."""
-    header = None
-    for lineno, s in enumerate(lines, 1):
-        try:
-            if s[:1] == "#":
-                _setting(s)
-            elif s and header is None:
-                header = s
-                if s != f"t,{column}":
-                    raise ValueError(f"expected header 't,{column}', got {s!r}")
-            elif s:
-                t, v = _cells(s, column)
-                float(t), parse(v)
-        except ValueError as exc:
-            return lineno, exc
-    raise AssertionError("every failed read has a bad line")
-
-
 def _read_record(path, column: str, parse):
     """Read a CSV written by :func:`_write_record` with header
     ``t,<column>``, parsing each value with ``parse``.  Returns ``dt``,
@@ -360,26 +330,33 @@ def _read_record(path, column: str, parse):
 
     ``#`` lines are comments wherever they stand, and the last ``# dt:`` and
     ``# t0:`` among them count; blank lines are skipped.  The first other
-    line is the header, and each line after it a row of two cells.  The
-    whole file is parsed column by column in one pass; only when that fails
-    is it scanned for the first bad line, which the error names by number.
+    line is the header, and each line after it a row of two cells.  A
+    malformed file is rejected naming its first bad line by number.
     """
+    settings, header, times, values = {}, None, [], []
     with open(path, "r", encoding="utf-8") as fh:
-        # lines as iterating the file gives them: splitlines() would also
-        # split at form feeds and other separators a row's cell may hold
-        lines = [s.strip() for s in fh.read().split("\n")]
-    rows = [s for s in lines if s and s[0] != "#"]
-    try:
-        settings = dict(filter(None, [_setting(s) for s in lines if s[:1] == "#"]))
-        if rows and rows[0] != f"t,{column}":
-            raise ValueError  # the scan below words it
-        cells = [_cells(s, column) for s in rows[1:]]
-        times = [float(c[0]) for c in cells]
-        values = [parse(c[1]) for c in cells]
-    except ValueError:
-        lineno, exc = _first_bad_line(lines, column, parse)
-        raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    if not rows:
+        for lineno, line in enumerate(fh, 1):
+            s = line.strip()
+            try:
+                if s[:1] == "#":
+                    body = s[1:].strip()
+                    if body[:3] in ("dt:", "t0:"):
+                        settings[body[:2]] = float(body[3:])
+                elif not s:
+                    continue
+                elif header is None:
+                    header = s
+                    if s != f"t,{column}":
+                        raise ValueError(f"expected header 't,{column}', got {s!r}")
+                else:
+                    cells = s.split(",")
+                    if len(cells) != 2:
+                        raise ValueError(f"expected 2 columns 't,{column}', got {len(cells)}")
+                    times.append(float(cells[0]))
+                    values.append(parse(cells[1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    if header is None:
         raise ValueError(f"file contains no 't,{column}' header")
     dt, t0 = settings.get("dt"), settings.get("t0")
     if dt is None:

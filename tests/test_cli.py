@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from smefilter import __version__
 from smefilter.cli import (
+    _KEYS,
     RunConfig,
     _provenance_comments,
     _state_columns,
@@ -27,6 +28,15 @@ from smefilter.traj import _bloch_fast, run_ensemble, run_trajectory
 
 FAST_DIFFUSION = json.dumps({"dt": 0.01, "T": 0.5, "seed": 42})
 FAST_JUMP = json.dumps({"mode": "jump", "scheme": "em", "C": "pauli_x", "dt": 0.01, "T": 0.5, "seed": 7})
+JUMP_BASE = {"mode": "jump", "scheme": "em", "C": "pauli_x"}
+C_MATRIX = [[0.6, [0, -0.8]], [[0, -0.8], 0.6]]
+
+# a value of the wrong type for every config key
+WRONG_TYPES = {
+    "mode": 1, "scheme": ["em"], "gamma": "1", "alpha": None, "Delta": True, "phi": [0.0], "eta": "0.85",
+    "C": 5, "E": {"re": 1}, "lambda": "2", "dt": "fast", "T": None, "n_traj": 2.0, "seed": 1.5,
+    "output_dir": 5, "substeps": "4", "deltas": 0.01, "fine_dt": [1e-3], "record_kind": 1, "epsilons": "1e-2",
+}
 
 
 def data_rows(path):
@@ -82,21 +92,36 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="robust"):
             parse_config('{"mode": "jump", "C": "pauli_x"}')
 
-    def test_mode_specific_keys_policed(self):
-        with pytest.raises(ValueError, match="lambda"):
-            parse_config('{"lambda": 2.0}')
-        with pytest.raises(ValueError, match="gamma"):
-            parse_config('{"mode": "jump", "scheme": "em", "C": "pauli_x", "gamma": 2.0}')
+    @pytest.mark.parametrize(
+        "key, mode",
+        [("gamma", "diffusion"), ("alpha", "diffusion"), ("Delta", "diffusion"), ("phi", "diffusion"),
+         ("C", "jump"), ("E", "jump"), ("lambda", "jump")],
+    )
+    def test_mode_specific_keys_policed(self, key, mode):
+        # a valid value, given in the other mode
+        base = JUMP_BASE if mode == "diffusion" else {"mode": "diffusion"}
+        value = {"C": "pauli_x", "E": "pauli_x"}.get(key, 0.5)
+        with pytest.raises(ValueError, match=f"^{key}: only valid with mode '{mode}'$"):
+            parse_config(json.dumps({**base, key: value}))
 
-    def test_type_errors_name_field(self):
-        with pytest.raises(ValueError, match="dt"):
-            parse_config('{"dt": "fast"}')
-        with pytest.raises(ValueError, match="n_traj"):
-            parse_config('{"n_traj": 0}')
-        with pytest.raises(ValueError, match="seed"):
-            parse_config('{"seed": 1.5}')
-        with pytest.raises(ValueError, match="not valid JSON"):
-            parse_config("{")
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            *[
+                (json.dumps({**(JUMP_BASE if _KEYS[key].mode == "jump" else {}), key: WRONG_TYPES[key]}), f"^{key}:")
+                for key in _KEYS
+            ],
+            ('{"dt": "fast"}', "^dt: expected a number, got 'fast'$"),
+            ('{"n_traj": 0}', "^n_traj: must be >= 1, got 0$"),
+            ('{"T": 0.1, "dt": 0.03}', r"^T: T must be a whole number of steps of dt = 0\.03, got 0\.1$"),
+            ('{"T": 0.005}', r"^T: T must be finite and at least dt = 0\.01, got 0\.005$"),
+            ("{", "not valid JSON"),
+        ],
+        ids=[*_KEYS, "dt-text", "n_traj-zero", "T-off-grid", "T-below-dt", "json"],
+    )
+    def test_type_errors_name_field(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_config(text)
 
 
 class TestSimulate:
@@ -244,6 +269,19 @@ class TestDiagnostics:
         assert rows[0] == "epsilon,sup_gap_rho,sup_gap_rho_tilde,ratio"
         assert len(rows) == 3
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"fine_dt": 0.05, "T": 0.02, "deltas": [0.05]}, "T must be finite and at least dt = 0.05, got 0.02"),
+            ({"fine_dt": 0.03, "T": 0.1, "deltas": [0.03]}, "T must be a whole number of steps of dt = 0.03, got 0.1"),
+        ],
+        ids=["shorter", "off-grid"],
+    )
+    def test_converge_grid_names_fine_dt(self, tmp_path, fields, message):
+        cfg = parse_config(json.dumps(fields))
+        with pytest.raises(ValueError, match=f"^fine_dt: {re.escape(message)}$"):
+            cmd_converge(cfg, tmp_path)
+
     def test_diagnostics_require_diffusion_mode(self, tmp_path):
         cfg = parse_config(FAST_JUMP)
         with pytest.raises(ValueError, match="diffusion"):
@@ -291,10 +329,21 @@ class TestMain:
         assert len(rows) == 2502
 
 
-def test_runconfig_echo_roundtrip():
-    cfg = parse_config('{"mode": "jump", "scheme": "em", "C": "sigma", "lambda": 0.5, "eta": 0.9}')
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"mode": "jump", "scheme": "em", "C": "sigma", "lambda": 0.5, "eta": 0.9},
+        {},
+        # 2.5 / 0.01 is 249.99999999999997, a whole number of steps up to rounding
+        {"mode": "jump", "scheme": "pathwise", "C": C_MATRIX, "E": "pauli_x", "T": 2.5, "dt": 0.01},
+    ],
+    ids=["jump-sigma", "default", "jump-matrix"],
+)
+def test_runconfig_echo_roundtrip(fields):
+    cfg = parse_config(json.dumps(fields))
     echo = cfg.to_dict()
-    assert echo["C"] == "sigma" and echo["lambda"] == 0.5
+    assert {key: echo[key] for key in fields} == fields
+    assert ("C" in echo, "gamma" in echo) == (cfg.mode == "jump", cfg.mode == "diffusion")
     again = parse_config(json.dumps(echo))
     assert again == cfg
 

@@ -495,6 +495,14 @@ def test_non_finite_step_width_and_length_rejected(entry, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("entry", ["run_trajectory-T", "sample_counting_record-T"])
+def test_length_off_the_step_grid_rejected(entry):
+    # 0.015 / 0.01 is 1.4999999999999998 steps
+    call, _ = STEP_COUNT_ENTRIES[entry]
+    with pytest.raises(ValueError, match=r"^T must be a whole number of steps of dt = 0\.01, got 0\.015$"):
+        call(0.015)
+
+
 STATE_ENTRIES = {
     **{
         f"run_trajectory-{scheme}": (
