@@ -24,8 +24,11 @@ cross-validation:
 
   vectorized via ``[(I (x) A) + (B^T (x) I) - (D^T (x) C)] vec(X) = vec(rhs)``
   (plain transposes, no conjugation).  The system depends on the model and
-  ``dt`` only: it is LU-factored once, inverted once, and its inverse is
-  applied to every step's right-hand side as a stacked matrix-vector product.
+  ``dt`` only: it is LU-factored once and inverted once, to ``S``.  ``E(dy)``
+  is a function of ``L``, ``sum_{j<n} c_j(dy) L^j`` by Cayley-Hamilton, with
+  coefficients in closed form for ``n = 2``, so a step is one fixed
+  ``n^2 x n^4`` map ``M = [S (conj(L^j) (x) L^k)]`` applied to
+  ``w (x) vec(rho)``, with weights ``w_jk = conj(c_j) c_k``.
 
 Unnormalized solutions grow or decay exponentially, so every step maps the
 normalized state to an unnormalized one and then takes one shared tail:
@@ -67,10 +70,11 @@ from .linalg import (
 )
 from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in this module)
 
-# Record steps whose step maps ``pathwise_filter``, and whose exponentials
-# ``robust_filter``, build at a time with one ``expm_many`` call.  A `converge`
-# call (3000 oracle steps) took a median 0.150 s with 16 steps a block, 0.117 s
-# with 64 and 0.108 s with 256; larger blocks ran no faster (2-core Xeon).
+# Record steps whose step maps ``pathwise_filter`` builds at a time with one
+# ``expm_many`` call, and whose weights ``robust_filter`` builds with one
+# ``RobustStepper.weights`` call.  A `converge` call (3000 oracle steps) took
+# a median 0.150 s with 16 steps a block, 0.117 s with 64 and 0.108 s with
+# 256; larger blocks ran no faster (2-core Xeon).
 _MAP_BLOCK = 256
 
 SCHEMES = ("robust", "em", "pathwise")
@@ -128,20 +132,23 @@ def _traces(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ji->" if rho.ndim == 2 else "ij,bji->b", a, rho).real
 
 
-def _apply_maps(maps: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _apply_maps(maps: np.ndarray, rho: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """The states ``unvec(maps[b] @ vec(rho[b]))`` of a stack ``rho[b]``
     under ``n^2 x n^2`` maps on column-stacked vectors: one map for the whole
-    stack, or a stack of maps, one per state.
+    stack, or a stack of maps, one per state.  With ``weights``, a ``(B, m)``
+    array, the maps are ``n^2 x m n^2`` and take the vectors
+    ``weights[b] (x) vec(rho[b])`` instead (see :class:`RobustStepper`).
 
-    Each vector is one ``(n^2, 1)`` column of a single broadcast
-    ``np.matmul``, so each result is bitwise the matrix-vector product of its
-    state alone, whatever else is in the stack; one matrix-matrix product
-    with all vectors as its columns would round differently.  The reshapes
-    only move data.
+    Each vector is one column of a single broadcast ``np.matmul``, so each
+    result is bitwise the matrix-vector product of its state alone, whatever
+    else is in the stack; one matrix-matrix product with all vectors as its
+    columns would round differently.  The reshapes only move data.
     """
     nb, n = rho.shape[0], rho.shape[1]
-    cols = rho.transpose(0, 2, 1).reshape(nb, n * n, 1)  # cols[b] is vec(rho[b]) as a column
-    return np.matmul(maps, cols).reshape(nb, n, n).transpose(0, 2, 1)
+    cols = rho.transpose(0, 2, 1).reshape(nb, 1, n * n)  # cols[b] is vec(rho[b]) as a row
+    if weights is not None:
+        cols = weights[:, :, None] * cols  # row i of cols[b] is weights[b, i] vec(rho[b])
+    return np.matmul(maps, cols.reshape(nb, -1, 1)).reshape(nb, n, n).transpose(0, 2, 1)
 
 
 def _failure(x: np.ndarray) -> str:
@@ -530,11 +537,18 @@ def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4, t
 
 
 class RobustStepper:
-    """Implicit filter step with the record-independent system inverted once.
+    """Implicit filter step as one fixed map of coefficient-weighted states.
 
     The implicit matrix ``(I (x) A) + (B^T (x) I) - (D^T (x) C)`` depends only
-    on the model and ``dt``, so it is LU-factored once and inverted once; each
-    step computes ``E(dy)``, forms the right-hand side and applies the inverse.
+    on the model and ``dt``, so it is LU-factored once and inverted once, to
+    ``S``.  ``E(dy) = exp((dy/k^2) L - (dt/2k^2) L^2)`` is a function of ``L``,
+    so by Cayley-Hamilton it is ``sum_{j<n} c_j(dy) L^j`` (see
+    :meth:`coefficients`), and the step's unnormalized state is
+    ``vec(X) = S vec(E rho E^dag) = M (w (x) vec(rho))`` with the weights
+    ``w_jk = conj(c_j) c_k`` of :meth:`weights` and the fixed ``n^2 x n^4``
+    matrix ``M = [S (conj(L^j) (x) L^k)]``, built once.  A step makes no
+    matrix exponential of its own for ``n = 2``, and no matrix product but
+    the one with ``M``.
     """
 
     def __init__(self, model, dt: float, tol: float = 1e-12):
@@ -550,26 +564,76 @@ class RobustStepper:
             - (1.0 - 1.0 / k2) * dt * kron(L.conj(), L)
         )
         self._factors = scipy.linalg.lu_factor(system, check_finite=False)
-        self._inverse = scipy.linalg.lu_solve(self._factors, np.eye(n * n, dtype=complex), check_finite=False)
-        self._l_scaled = L / k2
-        self._drift = (L @ L) * (dt / (2.0 * k2))
+        inverse = scipy.linalg.lu_solve(self._factors, np.eye(n * n, dtype=complex), check_finite=False)
+        powers = [eye]
+        for _ in range(n - 1):
+            powers.append(powers[-1] @ L)
+        self._map = np.hstack([inverse @ kron(lj.conj(), lk) for lj in powers for lk in powers])
+        # E(dy) = exp(a X - b X^2) at X = L, with a = dy/k^2 and b = dt/2k^2
+        self._inv_k2, b = 1.0 / k2, dt / (2.0 * k2)
+        if n == 2:
+            # L's eigenvalues mid -+ q, with q^2 from the entries, so that a
+            # (nearly) defective L gives a (nearly) zero delta; |lam2| <=
+            # |lam1|, so that c0 = f(lam2) - c1 lam2 cancels least
+            (l00, l01), (l10, l11) = L.tolist()
+            mid, q = 0.5 * (l00 + l11), complex(np.sqrt(0.25 * (l00 - l11) ** 2 + l01 * l10))
+            lam1, lam2 = sorted((mid + q, mid - q), key=abs, reverse=True)
+            self._lam2, self._delta = lam2, lam1 - lam2
+            self._shift, self._lam2_drift = (lam1 + lam2) * b, lam2 * lam2 * b
+        else:
+            # the companion matrix of L's characteristic polynomial: its
+            # functions' first columns are the coefficients of the same
+            # functions of L in powers of L
+            p = np.poly(L)
+            cm = np.zeros((n, n), dtype=complex)
+            cm[1:, :-1] = np.eye(n - 1)
+            cm[:, -1] = -p[:0:-1]
+            self._companion, self._companion_drift = cm, (cm @ cm) * b
         self._n = n
         self._tol = float(tol)
 
-    def exponentials(self, dy) -> np.ndarray:
-        """The stack of ``E(dy[b])``, each bitwise what :meth:`propagate`
-        computes for its increment alone."""
-        return expm_many(self._l_scaled * np.asarray(dy, dtype=float)[:, None, None] - self._drift, self._tol)
+    def coefficients(self, dy) -> np.ndarray:
+        """The ``(B, n)`` coefficients ``c[b]`` with ``E(dy[b]) = sum_j
+        c[b, j] L^j``; each row is bitwise the one of its increment alone.
 
-    def propagate(self, state_prev: np.ndarray, dy: float, e: np.ndarray | None = None) -> np.ndarray:
-        """One implicit step of the unnormalized filter recursion; ``e`` is
-        ``E(dy)`` when it has been computed already (see :meth:`exponentials`)."""
+        For ``n = 2``, with ``L``'s eigenvalues ``lam1, lam2``, ``delta = lam1
+        - lam2``, ``s = dy/k^2 - (lam1 + lam2) dt/2k^2`` and ``f(lam) =
+        exp(lam dy/k^2 - lam^2 dt/2k^2)``, they are the divided difference
+        ``c1 = (f(lam1) - f(lam2)) / delta = f(lam2) expm1(delta s) / delta``,
+        which is ``f(lam2) s`` at ``delta = 0`` (an ``L`` with one eigenvalue,
+        such as the defective ``sigma``), and ``c0 = f(lam2) - c1 lam2``.  For
+        ``n > 2`` they are the first columns of the same exponentials of the
+        companion matrix, from :func:`expm_many`.
+        """
+        a = np.asarray(dy, dtype=float) * self._inv_k2
+        if self._n > 2:
+            return expm_many(a[:, None, None] * self._companion - self._companion_drift, self._tol)[:, :, 0]
+        s = a - self._shift
+        if self._delta:
+            s = np.expm1(self._delta * s) / self._delta
+        f2 = np.exp(self._lam2 * a - self._lam2_drift)
+        c = np.empty((a.size, 2), dtype=complex)
+        c1 = np.multiply(f2, s, out=c[:, 1])
+        np.subtract(f2, c1 * self._lam2, out=c[:, 0])
+        return c
+
+    def weights(self, dy) -> np.ndarray:
+        """The ``(B, n^2)`` weights ``w[b, j n + k] = conj(c_j) c_k`` of the
+        increments ``dy[b]`` (see :meth:`coefficients`), each row bitwise the
+        one of its increment alone."""
+        c = self.coefficients(dy)
+        return (c.conj()[:, :, None] * c[:, None, :]).reshape(c.shape[0], -1)
+
+    def propagate(self, state_prev: np.ndarray, dy: float, w: np.ndarray | None = None) -> np.ndarray:
+        """One implicit step of the unnormalized filter recursion, ``M (w (x)
+        vec(rho))``; ``w`` is the step's row of :meth:`weights` when it has
+        been built already."""
         if not np.isfinite(dy):
             raise ValueError(f"record increment dy = {dy} is not finite")
-        if e is None:
-            e = expm(self._l_scaled * dy - self._drift, self._tol)
-        rhs = e @ state_prev @ e.conj().T
-        x = self._inverse @ rhs.reshape(-1, order="F")
+        if w is None:
+            w = self.weights(np.array([dy]))[0]
+        v = state_prev.reshape(-1, order="F")
+        x = self._map @ (w[:, None] * v).reshape(-1)
         return x.reshape((self._n, self._n), order="F")
 
     def advance_many(self, rho: np.ndarray, dy: np.ndarray, t: float, where=_batch_element):
@@ -577,19 +641,16 @@ class RobustStepper:
         states ``rho[b]`` with increments ``dy[b]``, ending at time ``t``;
         returns the new states and the log normalization factors.
 
-        Each element's result is bitwise what :func:`_robust_advance` gives
-        for it alone: the exponentials come from :func:`expm_many`, and
-        :func:`_apply_maps` applies the inverse to each right-hand side as
-        :meth:`propagate` does.  Errors name the failing element as
-        ``where(b)``.
+        :func:`_apply_maps` takes each vector ``w[b] (x) vec(rho[b])`` as one
+        ``(n^4, 1)`` column of a single broadcast ``np.matmul`` with ``M``, so
+        each element's result is bitwise what :func:`_robust_advance` gives
+        for it alone.  Errors name the failing element as ``where(b)``.
         """
         dy = np.asarray(dy, dtype=float)
         bad = np.flatnonzero(~np.isfinite(dy))
         if bad.size:
             raise ValueError(f"record increment dy = {dy[bad[0]]} of {where(bad[0])} is not finite at t = {t:.6g}")
-        e = self.exponentials(dy)
-        rhs = e @ rho @ e.conj().transpose(0, 2, 1)
-        return _renormalize_many(_apply_maps(self._inverse, rhs), t, "implicit filter state", where)
+        return _renormalize_many(_apply_maps(self._map, rho, self.weights(dy)), t, "implicit filter state", where)
 
 
 def robust_step(model, state_prev, dy: float, dt: float, tol: float = 1e-12) -> np.ndarray:
@@ -606,16 +667,16 @@ def robust_step(model, state_prev, dy: float, dt: float, tol: float = 1e-12) -> 
     return RobustStepper(model, dt, tol).propagate(prev, dy)
 
 
-def _robust_advance(stepper: RobustStepper, rho: np.ndarray, dy: float, t: float, e: np.ndarray | None = None):
+def _robust_advance(stepper: RobustStepper, rho: np.ndarray, dy: float, t: float, w: np.ndarray | None = None):
     """The single-state robust step: :meth:`RobustStepper.propagate`, then
-    :func:`_renormalize`; returns the new state and its log trace.  ``e`` is
+    :func:`_renormalize`; returns the new state and its log trace.  ``w`` is
     passed on to :meth:`RobustStepper.propagate`."""
-    return _renormalize(stepper.propagate(rho, dy, e), t, "implicit filter state")
+    return _renormalize(stepper.propagate(rho, dy, w), t, "implicit filter state")
 
 
 def robust_filter(model, record: MeasurementRecord, rho0, tol: float = 1e-12):
     """Robust filter: the replay of a record with :func:`_robust_advance`
-    (see :func:`_diffusion_steps`), each ``E(dy)`` bitwise the one its step
+    (see :func:`_diffusion_steps`), each step's weights bitwise the ones it
     computes alone."""
     return _diffusion_steps(model, "robust", record.dt, rho0, tol=tol).replay(record)
 
@@ -806,8 +867,8 @@ def _diffusion_steps(model, scheme: str, dt: float, rho0, substeps: int = 4, tol
     A run draws innovations ``dnu ~ N(0, dt)`` and forms the record
     increment ``dy = m dt + kappa dnu`` of each step from the measured mean
     ``m = tr((L + L^dag) rho)`` of the state it evolves; every step takes
-    ``dy``.  The single-state steps are :func:`_robust_advance`, with ``E(dy)``
-    prebuilt by :meth:`RobustStepper.exponentials` in a replay, and
+    ``dy``.  The single-state steps are :func:`_robust_advance`, with its
+    weights prebuilt by :meth:`RobustStepper.weights` in a replay, and
     :func:`_pathwise_advance`, with the maps of
     :meth:`PathwiseIntegrator.step_maps`; the stack steps are
     :meth:`RobustStepper.advance_many`, :meth:`PathwiseIntegrator.advance_many`
@@ -818,8 +879,8 @@ def _diffusion_steps(model, scheme: str, dt: float, rho0, substeps: int = 4, tol
     step = build = None
     if scheme == "robust":
         stepper = RobustStepper(model, dt, tol)
-        stack, build = stepper.advance_many, stepper.exponentials
-        step = lambda rho, dy, t, e, _where: _robust_advance(stepper, rho, dy, t, e)
+        stack, build = stepper.advance_many, stepper.weights
+        step = lambda rho, dy, t, w, _where: _robust_advance(stepper, rho, dy, t, w)
     elif scheme == "pathwise":
         integrator = PathwiseIntegrator(model, dt, substeps, tol)
         stack, build = integrator.advance_many, integrator.step_maps

@@ -444,20 +444,23 @@ def three_level_model(rng):
 class TestRobustStepperSolve:
     @pytest.mark.parametrize("phi", [0.0, 0.3, 1.1, "3-level"])
     def test_propagate_applies_inverse_near_lu_solve(self, phi):
-        # propagate applies the inverse built once from the LU factors; the
-        # oracle is scipy.linalg.lu_solve on the same factors and right-hand side
+        # propagate applies one fixed map, built from the inverse of the LU
+        # factors, to the step's weights times the state; the oracle is
+        # scipy.linalg.lu_solve on the same factors, with E(dy) from expm
         rng = np.random.default_rng(29)
         if phi == "3-level":
             m, n = three_level_model(rng), 3
         else:
             m, n = two_level_model(1.0, 7.0 / np.sqrt(2.0), 0.5, phi, 0.6), 2
         stepper = RobustStepper(m, 0.01)
+        k2 = m.kappa**2
         for _ in range(1500):
             rho, dy = random_state(rng, n), float(rng.normal(0.0, 0.3))
-            e = expm(stepper._l_scaled * dy - stepper._drift, stepper._tol)
+            e = expm(m.L * (dy / k2) - (m.L @ m.L) * (0.01 / (2.0 * k2)))
             rhs = (e @ rho @ e.conj().T).reshape(-1, order="F")
             got = stepper.propagate(rho, dy).reshape(-1, order="F")
-            assert np.array_equal(got, stepper._inverse @ rhs)
+            w = stepper.weights(np.array([dy]))[0]
+            assert np.array_equal(got, stepper._map @ np.kron(w, vec(rho)))
             assert max_abs(got - scipy.linalg.lu_solve(stepper._factors, rhs, check_finite=False)) <= 1e-13
 
 
@@ -500,6 +503,95 @@ class TestRobustStepperBatch:
         stepper = RobustStepper(driven_atom_model(), 0.01)
         with pytest.raises(ValueError, match="finite"):
             stepper.advance_many(np.stack([RHO_PLUS, RHO_PLUS]), np.array([0.0, np.nan]), 0.01)
+
+
+def _mp_exponential(L, dy, k2, dt):
+    """``E(dy) = exp((dy/k^2) L - (dt/2k^2) L^2)`` by ``mpmath.expm`` at 50
+    digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        lm = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in L])
+        e = mpmath.expm(lm * (mpmath.mpf(dy) / k2) - (lm * lm) * (mpmath.mpf(dt) / (2 * mpmath.mpf(k2))))
+        return np.array([[complex(e[i, j]) for j in range(L.shape[0])] for i in range(L.shape[0])])
+
+
+def _coupling_cases():
+    rng = np.random.default_rng(61)
+    cases = [(f"random-{i}", rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) for i in range(4)]
+    cases.append(("nilpotent", np.array([[0.0, 1.3 - 0.4j], [0.0, 0.0]])))
+    cases.append(("scalar", 0.7 * np.eye(2, dtype=complex)))
+    for eps in (1.04e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+        cases.append((f"near-defective-{eps:g}", np.array([[1.0, 0.3], [0.0, 1.0 + eps]], dtype=complex)))
+    return cases
+
+
+class TestRobustCoefficients:
+    # dy up to 10 in size; (eta, dt) = (1/1.1565, 0.02725) is where
+    # scipy.linalg.expm is off by 1.1e-3 relative for the eps = 1.04e-14 case
+    DYS = (-10.0, -5.2146, -1.0, -0.01, 0.0, 0.3, 2.5, 10.0)
+    GRIDS = ((1.0 / 1.1565, 0.02725), (1.0, 0.01), (0.5, 0.2))
+
+    @pytest.mark.parametrize("name, L", _coupling_cases(), ids=[c[0] for c in _coupling_cases()])
+    def test_closed_form_is_the_exponential(self, name, L):
+        for eta, dt in self.GRIDS:
+            m = build_diffusion_model(np.zeros((2, 2)), L, eta)
+            stepper, k2 = RobustStepper(m, dt), m.kappa**2
+            c = stepper.coefficients(np.array(self.DYS))
+            for dy, (c0, c1) in zip(self.DYS, c):
+                got = c0 * np.eye(2) + c1 * L
+                for want in (_mp_exponential(L, dy, k2, dt), expm(L * (dy / k2) - (L @ L) * (dt / (2.0 * k2)))):
+                    assert max_abs(got - want) <= 1e-13 * max_abs(want), (name, eta, dt, dy)
+
+    def test_companion_coefficients_of_three_levels(self):
+        # n > 2: the first column of the companion matrix's exponential
+        rng = np.random.default_rng(62)
+        for _ in range(3):
+            L = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            m = build_diffusion_model(np.zeros((3, 3)), L, 0.8)
+            for dy, c in zip(self.DYS, RobustStepper(m, 0.05).coefficients(np.array(self.DYS))):
+                got = c[0] * np.eye(3) + c[1] * L + c[2] * (L @ L)
+                want = _mp_exponential(L, dy, m.kappa**2, 0.05)
+                assert max_abs(got - want) <= 1e-12 * max_abs(want)
+
+    def test_coefficients_of_sigma_are_exact(self):
+        # the driven atom's nilpotent coupling: E(dy) = I + (dy/k^2) L, c0 exactly 1
+        m = driven_atom_model(0.3)
+        dys = np.array([-0.7, 0.0, 0.013])
+        c = RobustStepper(m, 0.01).coefficients(dys)
+        assert np.array_equal(c[:, 0], np.ones(3)) and np.array_equal(c[:, 1], dys * (1.0 / m.kappa**2))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_robust_stack_of_1000_is_each_step_alone(dim):
+    # each element of one 1000-state step is bitwise its step alone, and its
+    # result in the reversed stack and in a sliced stack
+    rng = np.random.default_rng(70 + dim)
+    m = driven_atom_model(0.3, 0.6) if dim == 2 else three_level_model(rng)
+    stepper = RobustStepper(m, 0.01)
+    rhos = np.stack([random_state(rng, dim) for _ in range(1000)])
+    dys = rng.normal(0.0, 0.3, 1000)
+    dys[[4, 500]] = 0.0
+    new, dlog = stepper.advance_many(rhos, dys, 0.5)
+    rev, rev_dlog = stepper.advance_many(rhos[::-1], dys[::-1], 0.5)
+    part, part_dlog = stepper.advance_many(rhos[3:800:7], dys[3:800:7], 0.5)
+    assert np.array_equal(rev[::-1], new) and np.array_equal(rev_dlog[::-1], dlog)
+    assert np.array_equal(part, new[3:800:7]) and np.array_equal(part_dlog, dlog[3:800:7])
+    for b in range(1000):
+        one, one_dlog = _robust_advance(stepper, rhos[b], float(dys[b]), 0.5)
+        assert new[b].tobytes() == one.tobytes() and dlog[b] == one_dlog
+
+
+def test_two_level_robust_runs_take_no_matrix_exponential(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a robust step took a matrix exponential")
+
+    monkeypatch.setattr(smefilter.diffusion, "expm", refuse)
+    monkeypatch.setattr(smefilter.diffusion, "expm_many", refuse)
+    for m in (driven_atom_model(0.3), build_diffusion_model(np.diag([0.5, -0.5]), [[0.3, 1.0], [0.2j, -0.1]], 0.7)):
+        ens = run_ensemble(m, "robust", 0.01, 0.5, RHO_PLUS, 5, base_seed=4)
+        online = run_trajectory(m, "robust", 0.01, 3.0, RHO_PLUS, seed=4)
+        replay = robust_filter(m, online.record, RHO_PLUS)
+        assert len(ens.final_states) == 5 and replay[-1].rho.tobytes() == online.states[-1].rho.tobytes()
 
 
 class TestRobustFilter:
@@ -903,11 +995,12 @@ def test_robust_batch_is_each_step_alone_and_near_the_solve(model, dt, nb, seed)
     rhos = np.stack([random_state(rng, model.dim) for _ in range(nb)])
     dys = rng.normal(0.0, model.kappa * np.sqrt(dt), nb)
     new, dlog = stepper.advance_many(rhos, dys, 1.0)
-    e = stepper.exponentials(dys)
+    k2 = model.kappa**2
     for b in range(nb):
         one, one_dlog = _robust_advance(stepper, rhos[b], float(dys[b]), 1.0)
         assert new[b].tobytes() == one.tobytes() and dlog[b] == one_dlog
-        assert max_abs(new[b] - assembled_robust_step(model, rhos[b], e[b], dt)) <= 1e-12
+        e = expm(model.L * (dys[b] / k2) - (model.L @ model.L) * (dt / (2.0 * k2)))
+        assert max_abs(new[b] - assembled_robust_step(model, rhos[b], e, dt)) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
