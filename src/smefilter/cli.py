@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -35,16 +35,16 @@ from .diffusion import (
     MeasurementRecord,
     _step_count,
     _write_csv,
-    read_measurement_record,
+    read_measurement_record,  # noqa: F401  (bench/spans.py traces this name in this module)
+    read_record,
     robust_filter,  # noqa: F401  (bench/spans.py traces this name in this module)
-    write_measurement_record,
+    write_record,
 )
-from .jump import read_counting_record, write_counting_record
-from .model import IDENTITY_2, SIGMA, SIGMA_X, SIGMA_Y, SIGMA_Z, build_jump_model, purity, two_level_model
+from .model import IDENTITY_2, SIGMA, SIGMA_X, SIGMA_Y, SIGMA_Z, build_jump_model, two_level_model
 from .traj import (
     SCHEMES,
-    _bloch_fast,
     _scheme_steps,
+    _state_columns,
     convergence_report,
     lipschitz_report,
     run_ensemble,
@@ -278,19 +278,6 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _state_columns(rhos) -> list[np.ndarray]:
-    """The Bloch coordinates ``x``, ``y``, ``z`` and the purity of each state
-    of the stack ``rhos``, as four columns; each entry is bitwise what
-    :func:`_bloch_fast` and :func:`purity` give for its state alone."""
-    r = np.asarray(rhos, dtype=complex)
-    return [
-        2.0 * r[:, 1, 0].real,
-        2.0 * r[:, 1, 0].imag,
-        (r[:, 0, 0] - r[:, 1, 1]).real,
-        np.einsum("bij,bji->b", r, r).real,
-    ]
-
-
 def _float_csv(path: Path, config: RunConfig, header: str, columns) -> None:
     """A CSV of float columns with the run's provenance comments."""
     _write_csv(path, _provenance_comments(config), header, columns, ["%.17g"] * len(columns))
@@ -302,23 +289,15 @@ def _trajectory_csv(path: Path, config: RunConfig, times, states) -> None:
     _float_csv(path, config, "t,x,y,z,log_lambda,purity", [times, x, y, z, log_lambda, pur])
 
 
-def _write_record(path: Path, config: RunConfig, record) -> None:
-    comments = _provenance_comments(config)
-    if isinstance(record, MeasurementRecord):
-        write_measurement_record(path, record, comments)
-    else:
-        write_counting_record(path, record, comments)
-
-
 def _run_summary(record, states) -> dict:
     """The ``summary.json`` fields of a single run or replay: its step count
     and the Bloch vector, purity and ``log_lambda`` of its final state."""
     final = states[-1]
-    b = _bloch_fast(final.rho)
+    x, y, z, pur = (float(c[0]) for c in _state_columns([final.rho]))
     return {
         "n_steps": record.n_steps,
-        "final_bloch": {"x": b.x, "y": b.y, "z": b.z},
-        "final_purity": purity(final.rho),
+        "final_bloch": {"x": x, "y": y, "z": z},
+        "final_purity": pur,
         "final_log_lambda": final.log_lambda,
     }
 
@@ -335,9 +314,8 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> list[Path]:
         res = run_trajectory(model, config.scheme, config.dt, config.T, rho0, config.seed, config.substeps)
         traj_path = out_dir / "trajectory.csv"
         _trajectory_csv(traj_path, config, res.times, res.states)
-        record_name = "measurement_record.csv" if config.mode == "diffusion" else "counting_record.csv"
-        record_path = out_dir / record_name
-        _write_record(record_path, config, res.record)
+        record_path = out_dir / res.record.file_name
+        write_record(record_path, res.record, _provenance_comments(config))
         summary.update(_run_summary(res.record, res.states))
         summary_path = out_dir / "summary.json"
         _write_json(summary_path, summary)
@@ -369,29 +347,13 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> list[Path]:
     return written
 
 
-def _record_header(path: Path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            s = line.strip()
-            if s and not s.startswith("#"):
-                return s
-    raise ValueError(f"{path}: no header line found")
-
-
 def cmd_filter(config: RunConfig, record_path: Path, out_dir: Path) -> list[Path]:
     """Replay a stored record offline through the configured scheme's steps,
     the ones its online run takes, so the replay of a run's record gives
     that run's states bitwise."""
-    header = _record_header(record_path)
-    if header == "t,dy":
-        kind = "diffusion"
-    elif header == "t,dN":
-        kind = "jump"
-    else:
-        raise ValueError(f"{record_path}: unrecognized record header {header!r}")
-    if kind != config.mode:
-        raise ValueError(f"record is a {kind} record but config mode is '{config.mode}'")
-    record = read_measurement_record(record_path) if kind == "diffusion" else read_counting_record(record_path)
+    record = read_record(record_path)
+    if record.mode != config.mode:
+        raise ValueError(f"record is a {record.mode} record but config mode is '{config.mode}'")
     steps = _scheme_steps(config.build_model(), config.scheme, record.dt, config.initial_state(), config.substeps)
     states = steps.replay(record)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -417,6 +379,15 @@ def _diagnostic_record(config: RunConfig, model, key: str, kind: str) -> Measure
     return MeasurementRecord(dt, rng.normal(0.0, model.kappa * np.sqrt(dt), n))
 
 
+def _report_csv(path: Path, config: RunConfig, rows) -> list[Path]:
+    """Write a diagnostic table, one row per dataclass in ``rows``, headed by
+    the dataclass's field names."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = ",".join(f.name for f in fields(rows[0]))
+    _float_csv(path, config, header, np.array([astuple(r) for r in rows]).T)
+    return [path]
+
+
 def cmd_converge(config: RunConfig, out_dir: Path) -> list[Path]:
     """Step-size error table for the implicit filter against the fine
     pathwise oracle on one record."""
@@ -425,10 +396,7 @@ def cmd_converge(config: RunConfig, out_dir: Path) -> list[Path]:
     model = config.build_model()
     record = _diagnostic_record(config, model, "fine_dt", config.record_kind)
     rows = convergence_report(model, record, config.deltas, config.initial_state())
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "convergence_report.csv"
-    _float_csv(path, config, "delta,sup_error,w_sliding,w_initial", np.array([astuple(r) for r in rows]).T)
-    return [path]
+    return _report_csv(out_dir / "convergence_report.csv", config, rows)
 
 
 def cmd_lipschitz(config: RunConfig, out_dir: Path) -> list[Path]:
@@ -438,10 +406,7 @@ def cmd_lipschitz(config: RunConfig, out_dir: Path) -> list[Path]:
     model = config.build_model()
     record = _diagnostic_record(config, model, "dt", "brownian")
     rows = lipschitz_report(model, record, config.epsilons, config.initial_state())
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "lipschitz_report.csv"
-    _float_csv(path, config, "epsilon,sup_gap_rho,sup_gap_rho_tilde,ratio", np.array([astuple(r) for r in rows]).T)
-    return [path]
+    return _report_csv(out_dir / "lipschitz_report.csv", config, rows)
 
 
 def main(argv=None) -> int:

@@ -38,6 +38,11 @@ hermitizes and returns ``log tr``, which the robust, pathwise and jump
 steps add to ``log_lambda``; ``rho_tilde = exp(log_lambda) * rho``
 losslessly.
 
+Both record kinds, :class:`MeasurementRecord` (increments ``dy``) and
+:class:`CountingRecord` (counts ``dN``), derive from :class:`Record` and
+state their CSV format once; :func:`write_record` and :func:`read_record`,
+which picks the kind by the file's header, serve both.
+
 The schemes of both record kinds share one interface, :class:`_Steps`:
 a start state and ``log_lambda``, the numbers a run draws, an online run,
 a replay and an ensemble's stack step, built from a scheme's pieces by
@@ -225,17 +230,47 @@ def _step_count(dt, T) -> int:
     return n
 
 
-def _grid(dt, t0) -> tuple[float, float]:
-    """A record's step width and start time as floats, checked finite and,
-    for ``dt``, positive."""
-    dt, t0 = _step_width(dt), float(t0)
-    if not np.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0}")
-    return dt, t0
+class Record:
+    """A uniformly sampled record: one value per step of width ``dt`` from
+    ``t0``, in the kind's attribute ``field``, read as :attr:`values`.
+
+    Each kind states its format once, as class attributes: the
+    ``format_name`` of its ``# format:`` line, the CSV ``column`` of its
+    values, their ``%``-format ``cell`` and ``parse``, the run ``mode`` it
+    drives and the ``file_name`` a run writes it to.  Its ``_checked``
+    returns its own checked copy of the values.
+    """
+
+    def __post_init__(self):
+        dt, t0 = _step_width(self.dt), float(self.t0)
+        if not np.isfinite(t0):
+            raise ValueError(f"t0 must be finite, got {t0}")
+        values = np.asarray(self.values)
+        if values.ndim != 1:
+            raise ValueError(f"{self.field} must be one-dimensional, got shape {values.shape}")
+        values = self._checked(values)
+        values.setflags(write=False)
+        object.__setattr__(self, self.field, values)
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t0", t0)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The record's values, one per step."""
+        return getattr(self, self.field)
+
+    @property
+    def n_steps(self) -> int:
+        return int(self.values.size)
+
+    @property
+    def times(self) -> np.ndarray:
+        """Grid ``t0, t0 + dt, ..., t0 + n dt`` (length ``n_steps + 1``)."""
+        return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(Record):
     """Uniformly sampled scalar record: increments ``dy_n`` over steps of
     width ``dt`` starting at ``t0``.  The continuous path ``y_t`` is the
     piecewise-linear interpolant of the cumulative sums with ``y(t0) = 0``."""
@@ -244,26 +279,15 @@ class MeasurementRecord:
     increments: np.ndarray
     t0: float = 0.0
 
-    def __post_init__(self):
-        dt, t0 = _grid(self.dt, self.t0)
-        inc = np.array(self.increments, dtype=float)
-        if inc.ndim != 1:
-            raise ValueError(f"increments must be one-dimensional, got shape {inc.shape}")
+    format_name, column, field, cell, parse = "measurement-record", "dy", "increments", "%.17g", float
+    mode, file_name = "diffusion", "measurement_record.csv"
+
+    @staticmethod
+    def _checked(values: np.ndarray) -> np.ndarray:
+        inc = values.astype(float)
         if not np.isfinite(inc).all():
             raise ValueError("record increments must be finite")
-        inc.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t0", t0)
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.increments.size)
-
-    @property
-    def times(self) -> np.ndarray:
-        """Grid ``t0, t0 + dt, ..., t0 + n dt`` (length ``n_steps + 1``)."""
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
+        return inc
 
     @property
     def duration(self) -> float:
@@ -303,6 +327,44 @@ class MeasurementRecord:
         return float((windows.max(axis=1) - windows.min(axis=1)).max())
 
 
+@dataclass(frozen=True)
+class CountingRecord(Record):
+    """Uniformly sampled counting record: per-step increments ``dN in {0, 1}``
+    over steps of width ``dt`` starting at ``t0``."""
+
+    dt: float
+    counts: np.ndarray
+    t0: float = 0.0
+
+    format_name, column, field, cell, parse = "counting-record", "dN", "counts", "%d", int
+    mode, file_name = "jump", "counting_record.csv"
+
+    @staticmethod
+    def _checked(values: np.ndarray) -> np.ndarray:
+        if values.size and not np.isin(values, (0, 1)).all():
+            raise ValueError("count increments must all be 0 or 1")
+        return values.astype(int)
+
+    def cumulative_counts(self) -> np.ndarray:
+        """Nondecreasing count ``N`` at the grid points, ``N[0] = 0``."""
+        n = np.zeros(self.n_steps + 1, dtype=int)
+        np.cumsum(self.counts, out=n[1:])
+        return n
+
+    @property
+    def jump_times(self) -> np.ndarray:
+        """Times at which a count is registered (step end times)."""
+        return self.times[1:][self.counts == 1]
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+
+# The record kinds that :func:`read_record` tells apart by their headers.
+_RECORD_KINDS = (MeasurementRecord, CountingRecord)
+
+
 def _write_csv(
     path, comments: Sequence[str], header: str, columns: Sequence[np.ndarray], formats: Sequence[str]
 ) -> None:
@@ -320,26 +382,29 @@ def _write_csv(
             fh.write("".join([row % r for r in block]))
 
 
-def _write_record(path, kind: str, column: str, record, values, cell: str, comments: Sequence[str]) -> None:
-    """Write a uniformly sampled record as CSV: a ``# format: <kind> v1``
+def write_record(path, record: Record, comments: Sequence[str] = ()) -> None:
+    """Write a record of any kind as CSV: a ``# format: <format_name> v1``
     line, its ``dt`` and ``t0``, the comments, the header ``t,<column>`` and
-    one row per step with the step's end time and ``values[k]`` in the
-    ``%``-format ``cell``."""
-    head = [f"format: {kind} v1", f"dt: {record.dt:.17g}", f"t0: {record.t0:.17g}", *comments]
-    _write_csv(path, head, f"t,{column}", [record.times[1:], values], ("%.17g", cell))
+    one row per step with the step's end time and its value in the kind's
+    ``cell`` format."""
+    head = [f"format: {record.format_name} v1", f"dt: {record.dt:.17g}", f"t0: {record.t0:.17g}", *comments]
+    _write_csv(path, head, f"t,{record.column}", [record.times[1:], record.values], ("%.17g", record.cell))
 
 
-def _read_record(path, column: str, parse):
-    """Read a CSV written by :func:`_write_record` with header
-    ``t,<column>``, parsing each value with ``parse``.  Returns ``dt``,
-    ``t0`` and the values; ``dt`` and ``t0`` missing from the comments are
-    inferred from the row times.
+def read_record(path, kind: type[Record] | None = None) -> Record:
+    """Read a CSV written by :func:`write_record` as a record of the class
+    ``kind``, or, when ``kind`` is ``None``, of the kind of
+    :data:`_RECORD_KINDS` whose header ``t,<column>`` the file has.  ``dt``
+    and ``t0`` missing from the comments are inferred from the row times.
 
     ``#`` lines are comments wherever they stand, and the last ``# dt:`` and
     ``# t0:`` among them count; blank lines are skipped.  The first other
-    line is the header, and each line after it a row of two cells.  A
-    malformed file is rejected naming its first bad line by number.
+    line is the header, and each line after it a row of two cells, the
+    value parsed with the kind's ``parse``.  A malformed file is rejected
+    naming its path and its first bad line by number.
     """
+    kinds = _RECORD_KINDS if kind is None else (kind,)
+    headers = " or ".join(f"'t,{k.column}'" for k in kinds)
     settings, header, times, values = {}, None, [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -353,37 +418,37 @@ def _read_record(path, column: str, parse):
                     continue
                 elif header is None:
                     header = s
-                    if s != f"t,{column}":
-                        raise ValueError(f"expected header 't,{column}', got {s!r}")
+                    kind = next((k for k in kinds if s == f"t,{k.column}"), None)
+                    if kind is None:
+                        raise ValueError(f"expected header {headers}, got {s!r}")
                 else:
                     cells = s.split(",")
                     if len(cells) != 2:
-                        raise ValueError(f"expected 2 columns 't,{column}', got {len(cells)}")
+                        raise ValueError(f"expected 2 columns {header!r}, got {len(cells)}")
                     times.append(float(cells[0]))
-                    values.append(parse(cells[1]))
+                    values.append(kind.parse(cells[1]))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
     if header is None:
-        raise ValueError(f"file contains no 't,{column}' header")
+        raise ValueError(f"{path}: file contains no {headers} header")
     dt, t0 = settings.get("dt"), settings.get("t0")
     if dt is None:
         if len(times) < 2:
-            raise ValueError("cannot infer dt: need a '# dt:' comment or at least two rows")
+            raise ValueError(f"{path}: cannot infer dt: need a '# dt:' comment or at least two rows")
         dt = times[1] - times[0]
     if t0 is None:
         t0 = (times[0] - dt) if times else 0.0
-    return dt, t0, values
+    return kind(dt, values, t0)
 
 
 def write_measurement_record(path, record: MeasurementRecord, comments: Sequence[str] = ()) -> None:
     """Write a record as CSV with header ``t,dy`` (times are interval ends)."""
-    _write_record(path, "measurement-record", "dy", record, record.increments, "%.17g", comments)
+    write_record(path, record, comments)
 
 
 def read_measurement_record(path) -> MeasurementRecord:
     """Read a CSV written by :func:`write_measurement_record`."""
-    dt, t0, values = _read_record(path, "dy", float)
-    return MeasurementRecord(dt, np.array(values), t0)
+    return read_record(path, MeasurementRecord)
 
 
 def _of_dimension(x, dim: int, name: str) -> np.ndarray:
@@ -809,7 +874,7 @@ def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: 
     return states
 
 
-def _steps(record, field: str, dt: float, start, log0: float, draw, observe, stack, step=None, build=None) -> _Steps:
+def _steps(record: type[Record], dt: float, start, log0: float, draw, observe, stack, step=None, build=None) -> _Steps:
     """The :class:`_Steps` of a scheme over steps of width ``dt`` from the
     normalized ``start`` with ``log_lambda = log0``, made of its pieces:
 
@@ -824,9 +889,8 @@ def _steps(record, field: str, dt: float, start, log0: float, draw, observe, sta
       ``None``.
 
     Errors name the failing element of a stack, or the step of a single run,
-    as ``where(b)``.  ``record(dt, values, t0)`` is the record kind, and
-    ``field`` the attribute that holds its values.  ``run(xs, t0=0.0) ->
-    (record, states)`` is an online run with the draws ``xs`` and
+    as ``where(b)``.  ``record`` is the :class:`Record` kind.  ``run(xs,
+    t0=0.0) -> (record, states)`` is an online run with the draws ``xs`` and
     ``replay(record) -> states`` the replay of a record, both through
     :func:`_trajectory` with the single-state step, so every replay of a
     run's record is bitwise that run.  ``many(rho, x, k, where) -> (rho,
@@ -851,7 +915,7 @@ def _steps(record, field: str, dt: float, start, log0: float, draw, observe, sta
         return record(dt, np.array(values), t0), states
 
     def replay(rec):
-        return _trajectory(step, start, log0, rec.dt, rec.t0, getattr(rec, field), build)
+        return _trajectory(step, start, log0, rec.dt, rec.t0, rec.values, build)
 
     def many(rho, x, k, where):
         t = (k + 1) * dt
@@ -897,7 +961,7 @@ def _diffusion_steps(model, scheme: str, dt: float, rho0, substeps: int = 4, tol
     def draw(rng, size):
         return rng.normal(0.0, scale, size)
 
-    return _steps(MeasurementRecord, "increments", dt, start, 0.0, draw, observe, stack, step, build)
+    return _steps(MeasurementRecord, dt, start, 0.0, draw, observe, stack, step, build)
 
 
 def em_normalized(model, dt: float, nu_increments, rho0, t0: float = 0.0):

@@ -3,14 +3,16 @@
 The counting analog of the diffusion machinery: explicit steppers for the
 normalized and linear (unnormalized) jump equations, the pathwise route, and
 online runs that draw each step's count with probability
-``eta lam tr(C rho C^dag) dt`` from the state they evolve.  In the pathwise
-route the gauge ``A = C^(-N_t)`` is piecewise constant and commutes with
-``C``, so between counts the state follows a linear, time-invariant flow
-whose exact one-step propagator is a single matrix exponential, computed
-once per record; a count applies the jump map ``rho -> C rho C^dag``.  That
-needs no ``C^-1``, so non-invertible jump operators such as ``C = sigma``
-are solved as well; only the gauge-frame state ``r = A rho~ A^dag``, which
-:func:`jump_pathwise_solve` alone builds, needs ``C`` invertible.
+``eta lam tr(C rho C^dag) dt`` from the state they evolve.  The record kind
+:class:`CountingRecord` lives beside the diffusion one in ``diffusion`` and
+is re-exported here.  In the pathwise route the gauge ``A = C^(-N_t)`` is
+piecewise constant and commutes with ``C``, so between counts the state
+follows a linear, time-invariant flow whose exact one-step propagator is a
+single matrix exponential, computed once per record; a count applies the
+jump map ``rho -> C rho C^dag``.  That needs no ``C^-1``, so non-invertible
+jump operators such as ``C = sigma`` are solved as well; only the
+gauge-frame state ``r = A rho~ A^dag``, which :func:`jump_pathwise_solve`
+alone builds, needs ``C`` invertible.
 
 Each scheme has one stack step ``(rho, dn, t, where) -> (rho, dlog)``,
 ending in the shared tail ``diffusion._renormalize_many``: the Euler step
@@ -39,22 +41,22 @@ import numpy as np
 
 from .diffusion import (
     SCHEMES,
+    CountingRecord,
     NonFiniteStateError,
     PathwiseState,
     _apply_maps,
     _batch_element,
-    _grid,
     _normalized_density,
     _of_dimension,
-    _read_record,
     _renormalize_many,
     _step_count,
     _step_width,
     _Steps,
     _steps,
     _traces,
-    _write_record,
+    read_record,
     recover,  # noqa: F401  (bench/spans.py traces this name in this module)
+    write_record,
 )
 from .linalg import as_square, dagger, expm, kron, require_hermitian
 from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in this module)
@@ -64,61 +66,14 @@ class InvalidCountingRecordError(ValueError):
     """A count appears where the jump map annihilates the state."""
 
 
-@dataclass(frozen=True)
-class CountingRecord:
-    """Uniformly sampled counting record: per-step increments ``dN in {0, 1}``
-    over steps of width ``dt`` starting at ``t0``."""
-
-    dt: float
-    counts: np.ndarray
-    t0: float = 0.0
-
-    def __post_init__(self):
-        dt, t0 = _grid(self.dt, self.t0)
-        c = np.asarray(self.counts)
-        if c.ndim != 1:
-            raise ValueError(f"counts must be one-dimensional, got shape {c.shape}")
-        if c.size and not np.isin(c, (0, 1)).all():
-            raise ValueError("count increments must all be 0 or 1")
-        c = c.astype(int)
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t0", t0)
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.counts.size)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
-
-    def cumulative_counts(self) -> np.ndarray:
-        """Nondecreasing count ``N`` at the grid points, ``N[0] = 0``."""
-        n = np.zeros(self.n_steps + 1, dtype=int)
-        np.cumsum(self.counts, out=n[1:])
-        return n
-
-    @property
-    def jump_times(self) -> np.ndarray:
-        """Times at which a count is registered (step end times)."""
-        return self.times[1:][self.counts == 1]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 def write_counting_record(path, record: CountingRecord, comments: Sequence[str] = ()) -> None:
     """Write a record as CSV with header ``t,dN`` (times are interval ends)."""
-    _write_record(path, "counting-record", "dN", record, record.counts, "%d", comments)
+    write_record(path, record, comments)
 
 
 def read_counting_record(path) -> CountingRecord:
     """Read a CSV written by :func:`write_counting_record`."""
-    dt, t0, values = _read_record(path, "dN", int)
-    return CountingRecord(dt, np.array(values, dtype=int), t0)
+    return read_record(path, CountingRecord)
 
 
 @dataclass
@@ -316,7 +271,7 @@ def _counting_steps(model, dt: float, start, log0: float, intensity, stack) -> _
     def draw(rng, size):
         return rng.random(size)
 
-    return _steps(CountingRecord, "counts", dt, start, log0, draw, observe, stack)
+    return _steps(CountingRecord, dt, start, log0, draw, observe, stack)
 
 
 def _exact_steps(model, dt: float, start, log0: float) -> _Steps:
@@ -390,8 +345,9 @@ def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
     ``log_lambda`` at every grid point (``r0`` need not be normalized; its
     log trace is the initial ``log_lambda``), and the gauge-frame states
     ``r = A rho~ A^dag``, continuous across counts.  ``r_path`` is ``None``
-    when ``C`` is not invertible, since the gauge frame does not exist then;
-    the recovered states never need ``C^-1``.
+    when ``C`` is not invertible, since the gauge frame does not exist then,
+    or when ``C^(-N)`` or ``exp(log_lambda)`` has left the range of floats,
+    so that a state is not finite; the recovered states never need ``C^-1``.
 
     ``substeps`` is validated for the callers that pass it but not used:
     the flow between grid points is exact.  Raises
@@ -404,14 +360,17 @@ def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
     recovered = _exact_steps(model, record.dt, *_exact_start(_of_dimension(r0, model.dim, "r0"))).replay(record)
     if model.C_inv is None:
         return None, recovered
-    gauge = JumpGauge.identity(model)
-    gauges = [gauge.a]
-    for _ in range(record.total):
-        gauge.advance()
-        gauges.append(gauge.a)
-    a = np.stack(gauges)[record.cumulative_counts()]
-    scale = np.exp([s.log_lambda for s in recovered])[:, None, None]
-    r = scale * (a @ np.stack([s.rho for s in recovered]) @ a.conj().transpose(0, 2, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a frame out of range is dropped below
+        gauge = JumpGauge.identity(model)
+        gauges = [gauge.a]
+        for _ in range(record.total):
+            gauge.advance()
+            gauges.append(gauge.a)
+        a = np.stack(gauges)[record.cumulative_counts()]
+        scale = np.exp([s.log_lambda for s in recovered])[:, None, None]
+        r = scale * (a @ np.stack([s.rho for s in recovered]) @ a.conj().transpose(0, 2, 1))
+    if not np.isfinite(r).all():
+        return None, recovered
     return [PathwiseState(rk, float(tk)) for rk, tk in zip(r, record.times)], recovered
 
 

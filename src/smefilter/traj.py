@@ -27,6 +27,7 @@ from .diffusion import (
     SCHEMES,  # noqa: F401  (re-exported: the diffusion schemes, which run_trajectory takes)
     DensityState,
     MeasurementRecord,
+    Record,
     _diffusion_steps,
     _robust_advance,  # noqa: F401  (bench/spans.py traces this name in this module)
     _step_count,
@@ -37,13 +38,13 @@ from .diffusion import (
 # ``jump_pathwise_solve``, but bench/spans.py traces them under these names
 # here, as it does ``run_trajectory``, so they stay bound in this module.
 from .jump import (  # noqa: F401
-    CountingRecord,
+    CountingRecord,  # re-exported
     _jump_steps,
     jump_pathwise_solve,
     sample_counting_record,
 )
 from .linalg import dagger, max_abs
-from .model import BlochVector, DiffusionModel, JumpModel, purity
+from .model import BlochVector, DiffusionModel, JumpModel
 
 # Steps of random numbers a batched ensemble draws per trajectory at a time;
 # it bounds the draw buffer at this many steps whatever the run length.
@@ -58,7 +59,7 @@ class TrajectoryResult:
     times: np.ndarray
     states: list[DensityState]
     bloch: list[BlochVector] | None
-    record: MeasurementRecord | CountingRecord
+    record: Record
     seed: int
     scheme: str
 
@@ -108,25 +109,29 @@ def master_propagate(H, L, rho0, dt: float, n_steps: int) -> list[np.ndarray]:
     return out
 
 
+def _state_columns(rhos) -> list[np.ndarray]:
+    """The Bloch coordinates ``x``, ``y``, ``z`` and the purity of each state
+    of the stack ``rhos``, as four columns: the one computation of these for
+    run outputs.  Each entry is bitwise its state's in a stack of one, and
+    each purity bitwise :func:`model.purity`.  A 1-level state has no Bloch
+    coordinates: they are NaN."""
+    r = np.asarray(rhos, dtype=complex)
+    purities = np.einsum("bij,bji->b", r, r).real
+    if r.shape[1] < 2:
+        return [np.full(len(r), np.nan)] * 3 + [purities]
+    return [2.0 * r[:, 1, 0].real, 2.0 * r[:, 1, 0].imag, (r[:, 0, 0] - r[:, 1, 1]).real, purities]
+
+
 def _bloch_fast(rho: np.ndarray) -> BlochVector:
-    """Bloch coordinates without validation (hot path; tests check agreement
-    with the validating converter)."""
-    return BlochVector(
-        x=2.0 * float(rho[1, 0].real),
-        y=2.0 * float(rho[1, 0].imag),
-        z=float((rho[0, 0] - rho[1, 1]).real),
-    )
+    """The Bloch vector of one state, unvalidated: :func:`_state_columns` on
+    a stack of one (tests check it against the validating converter)."""
+    return _bloch_path(_state_columns([rho]))[0]
 
 
-def _bloch_path(states: list[DensityState]) -> list[BlochVector] | None:
-    if states[0].rho.shape[0] != 2:
-        return None
-    return [_bloch_fast(s.rho) for s in states]
-
-
-def _bloch_coords(bloch: list[BlochVector]) -> dict[str, np.ndarray]:
-    """The ``x``, ``y`` and ``z`` coordinates of Bloch vectors, as arrays."""
-    return {c: np.array([getattr(b, c) for b in bloch]) for c in "xyz"}
+def _bloch_path(columns: list[np.ndarray], dim: int = 2) -> list[BlochVector] | None:
+    """The Bloch vectors of a stack of ``dim``-level states from its
+    :func:`_state_columns`, or ``None`` unless ``dim`` is 2."""
+    return list(map(BlochVector, *(c.tolist() for c in columns[:3]))) if dim == 2 else None
 
 
 def _draws(base_seed, n_traj, n, draw):
@@ -196,7 +201,7 @@ def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int, sub
     return TrajectoryResult(
         times=record.times,
         states=states,
-        bloch=_bloch_path(states),
+        bloch=_bloch_path(_state_columns([s.rho for s in states]), states[0].rho.shape[0]),
         record=record,
         seed=int(seed),
         scheme=scheme,
@@ -228,14 +233,14 @@ def run_ensemble(
     sum_rho, rho, log_lam = _run_batched(_scheme_steps(model, scheme, dt, rho0, substeps), n, n_traj, base_seed)
     times = dt * np.arange(n + 1)
     final_states = [DensityState(r, float(lam), n * dt) for r, lam in zip(rho, log_lam)]
-    final_bloch = _bloch_path(final_states)
+    columns = _state_columns(rho)
+    final_bloch = _bloch_path(columns, rho.shape[1])
     mean_rho_path = [sum_rho[k] / n_traj for k in range(sum_rho.shape[0])]
     summary = {}
     if final_bloch is not None:
-        coords = _bloch_coords(final_bloch)
-        summary["final_bloch_mean"] = {c: float(v.mean()) for c, v in coords.items()}
-        summary["final_bloch_stddev"] = {c: float(v.std()) for c, v in coords.items()}
-    summary["mean_purity"] = float(np.mean([purity(s.rho) for s in final_states]))
+        summary["final_bloch_mean"] = {c: float(v.mean()) for c, v in zip("xyz", columns)}
+        summary["final_bloch_stddev"] = {c: float(v.std()) for c, v in zip("xyz", columns)}
+    summary["mean_purity"] = float(columns[3].mean())
     return EnsembleResult(
         n_traj=n_traj,
         times=times,
@@ -251,12 +256,12 @@ def run_ensemble(
 def steady_state_stats(ensemble: EnsembleResult, threshold: float = 0.6, bins: int = 41) -> dict:
     """Fixed-bin histograms of the final-time Bloch coordinates over [-1, 1],
     the fraction of trajectories beyond ``threshold`` in |x| and |z|, and the
-    mean purity.  Raises for an ensemble of a model of dimension other than
-    2, which has no Bloch vectors."""
+    mean purity of the ensemble's summary.  Raises for an ensemble of a model
+    of dimension other than 2, which has no Bloch vectors."""
     if ensemble.final_bloch is None:
         dim = ensemble.final_states[0].rho.shape[0]
         raise ValueError(f"steady-state Bloch statistics need a 2-level model, got dimension {dim}")
-    coords = _bloch_coords(ensemble.final_bloch)
+    coords = dict(zip("xyz", _state_columns([s.rho for s in ensemble.final_states])))
     histograms = {}
     for name, vals in coords.items():
         counts, edges = np.histogram(vals, bins=bins, range=(-1.0, 1.0))
@@ -267,7 +272,7 @@ def steady_state_stats(ensemble: EnsembleResult, threshold: float = 0.6, bins: i
         "histograms": histograms,
         "fraction_abs_x_above": float(np.mean(np.abs(coords["x"]) > threshold)),
         "fraction_abs_z_above": float(np.mean(np.abs(coords["z"]) > threshold)),
-        "mean_purity": float(np.mean([purity(s.rho) for s in ensemble.final_states])),
+        "mean_purity": ensemble.summary["mean_purity"],
     }
 
 

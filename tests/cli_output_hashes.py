@@ -77,16 +77,21 @@ def write_set(out: Path) -> None:
     _call(out, "lipschitz", "default", {"T": 2.0, "seed": 9})
 
 
+def hashes(out: Path) -> list[str]:
+    """The ``sha256  relative/path`` line of every output file under ``out``,
+    sorted by path."""
+    commands = ("simulate", "filter", "converge", "lipschitz")
+    files = sorted(p for c in commands for p in (out / c).rglob("*") if p.is_file())
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out).as_posix()}" for p in files]
+
+
 def main_hashes(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: cli_output_hashes.py OUT_DIR", file=sys.stderr)
         return 2
     out = Path(argv[0])
     write_set(out)
-    commands = ("simulate", "filter", "converge", "lipschitz")
-    files = sorted(p for c in commands for p in (out / c).rglob("*") if p.is_file())
-    for p in files:
-        print(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out).as_posix()}")
+    print("\n".join(hashes(out)))
     return 0
 
 

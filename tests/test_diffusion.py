@@ -115,6 +115,7 @@ class TestMeasurementRecord:
             (read_measurement_record, "t,dy", "\n \n0.2,0.5\n\n0.3,abc", "line 8: could not convert"),
             (read_counting_record, "t,dN", GOOD_ROWS + "\n# note\n0.2,0.5", "line 5006: invalid literal for int"),
             (read_measurement_record, "t,dN", "0.2,0.5", "line 2: expected header 't,dy', got 't,dN'"),
+            (read_counting_record, "t,dy", "0.2,0.5", "line 2: expected header 't,dN', got 't,dy'"),
         ],
     )
     def test_csv_malformed_row_names_line(self, tmp_path, read, header, row, match):
@@ -137,7 +138,7 @@ class TestMeasurementRecord:
     def test_csv_without_header_rejected(self, tmp_path):
         path = tmp_path / "record.csv"
         path.write_text("# dt: 0.1\n\n")
-        with pytest.raises(ValueError, match="^file contains no 't,dy' header$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: file contains no 't,dy' header$"):
             read_measurement_record(path)
 
 

@@ -352,6 +352,36 @@ class TestPathwiseSolve:
         assert r_path is None
         assert all(np.array_equal(a.rho, b.rho) for a, b in zip(recovered, res.states))
 
+    def test_gauge_frame_out_of_range_is_dropped(self):
+        # C = diag(2, 0.5): after 1,000 counts C^(-N) and exp(log_lambda)
+        # overflow, so the gauge frame is dropped without a RuntimeWarning
+        # (errors here), and the recovered states are the exact replay's
+        m = build_jump_model(np.diag([2.0, 0.5]), SIGMA_X, 1.0, 0.5)
+        rec = CountingRecord(0.01, np.arange(2000) % 2)
+        r_path, recovered = jump_pathwise_solve(m, rec, RHO_PLUS)
+        assert r_path is None
+        replay = _jump_steps(m, "pathwise", 0.01, RHO_PLUS).replay(rec)
+        assert len(recovered) == len(replay) == 2001
+        for got, want in zip(recovered, replay):
+            assert np.array_equal(got.rho, want.rho) and got.log_lambda == want.log_lambda
+            assert np.isfinite(got.rho).all()
+
+    def test_gauge_frame_in_range_is_unchanged(self):
+        # the criterion-9 model on a short record keeps its gauge-frame path,
+        # bitwise r = exp(log_lambda) A rho A^dag with A = C^(-N)
+        m = unitary_jump_model()
+        rec = sample_counting_record(m, RHO_PLUS, dt=0.01, T=3.0, seed=5)
+        assert rec.total > 0
+        r_path, recovered = jump_pathwise_solve(m, rec, RHO_PLUS)
+        gauges = [np.eye(2, dtype=complex)]
+        for _ in range(rec.total):
+            gauges.append(gauges[-1] @ m.C_inv)
+        a = np.stack(gauges)[rec.cumulative_counts()]
+        scale = np.exp([s.log_lambda for s in recovered])[:, None, None]
+        want = scale * (a @ np.stack([s.rho for s in recovered]) @ a.conj().transpose(0, 2, 1))
+        assert np.array_equal(np.stack([s.r for s in r_path]), want)
+        assert [s.t for s in r_path] == rec.times.tolist()
+
     def test_count_on_annihilated_state_rejected(self):
         # with no drive the ground state stays put, and C = sigma kills it
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)

@@ -390,6 +390,13 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="need a 2-level model, got dimension 3"):
             steady_state_stats(ens)
 
+    def test_one_level_model_reports_purity_only(self):
+        m = build_diffusion_model(np.zeros((1, 1)), np.array([[0.5]]), 0.8)
+        assert run_trajectory(m, "em", 0.01, 0.1, np.eye(1), seed=1).bloch is None
+        ens = run_ensemble(m, "em", 0.01, 0.1, np.eye(1), 3, base_seed=1)
+        assert ens.final_bloch is None
+        assert ens.summary == {"mean_purity": 1.0}
+
     def test_n_traj_validated(self):
         with pytest.raises(ValueError, match="n_traj"):
             run_ensemble(driven_atom_model(), "robust", 0.01, 1.0, RHO_PLUS, 0, base_seed=0)
