@@ -283,10 +283,9 @@ def _float_csv(path: Path, config: RunConfig, header: str, columns) -> None:
     _write_csv(path, _provenance_comments(config), header, columns, ["%.17g"] * len(columns))
 
 
-def _trajectory_csv(path: Path, config: RunConfig, times, states) -> None:
-    x, y, z, pur = _state_columns([st.rho for st in states])
-    log_lambda = np.array([st.log_lambda for st in states])
-    _float_csv(path, config, "t,x,y,z,log_lambda,purity", [times, x, y, z, log_lambda, pur])
+def _trajectory_csv(path: Path, config: RunConfig, states) -> None:
+    x, y, z, pur = _state_columns(states.rho)
+    _float_csv(path, config, "t,x,y,z,log_lambda,purity", [states.t, x, y, z, states.log_lambda, pur])
 
 
 def _run_summary(record, states) -> dict:
@@ -313,7 +312,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> list[Path]:
     if config.n_traj == 1:
         res = run_trajectory(model, config.scheme, config.dt, config.T, rho0, config.seed, config.substeps)
         traj_path = out_dir / "trajectory.csv"
-        _trajectory_csv(traj_path, config, res.times, res.states)
+        _trajectory_csv(traj_path, config, res.states)
         record_path = out_dir / res.record.file_name
         write_record(record_path, res.record, _provenance_comments(config))
         summary.update(_run_summary(res.record, res.states))
@@ -358,7 +357,7 @@ def cmd_filter(config: RunConfig, record_path: Path, out_dir: Path) -> list[Path
     states = steps.replay(record)
     out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "filtered_trajectory.csv"
-    _trajectory_csv(traj_path, config, record.times, states)
+    _trajectory_csv(traj_path, config, states)
     summary = _provenance_object(config)
     summary.update(_run_summary(record, states))
     summary_path = out_dir / "summary.json"

@@ -54,10 +54,16 @@ step, so every replay of a run's record is bitwise that run; the stack
 step gives each element of an ensemble's stack the same arithmetic.  The
 robust, pathwise and exact jump stack steps apply their linear maps
 through one kernel, :func:`_apply_maps`.
+
+A run's states are one :class:`StatePath`: arrays of ``rho``,
+``log_lambda`` and ``t`` over its grid points, which :func:`_trajectory`
+and :func:`em_unnormalized_many` fill in place.  Indexing it gives one
+:class:`DensityState`; writers and reports read the arrays.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -199,6 +205,34 @@ class DensityState:
         return self
 
 
+@dataclass(frozen=True, eq=False)
+class StatePath(abc.Sequence):
+    """The states of a run at its grid points, held as arrays: ``rho`` of
+    shape ``(m, n, n)``, ``log_lambda`` and ``t`` of shape ``(m,)``.
+
+    Indexing gives the :class:`DensityState` of one grid point, with
+    ``log_lambda`` and ``t`` as Python floats, and slicing a ``StatePath``;
+    ``len``, iteration and ``reversed`` come from :class:`Sequence`.  Code
+    that needs a whole path reads the arrays."""
+
+    rho: np.ndarray
+    log_lambda: np.ndarray
+    t: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return StatePath(self.rho[k], self.log_lambda[k], self.t[k])
+        return DensityState(self.rho[k], float(self.log_lambda[k]), float(self.t[k]))
+
+    def rho_tilde(self) -> np.ndarray:
+        """The unnormalized states ``exp(log_lambda) * rho``, each bitwise
+        its :meth:`DensityState.rho_tilde`."""
+        return np.exp(self.log_lambda)[:, None, None] * self.rho
+
+
 @dataclass(frozen=True)
 class PathwiseState:
     """Gauge-transformed unnormalized state ``r`` at time ``t``."""
@@ -269,7 +303,7 @@ class Record:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementRecord(Record):
     """Uniformly sampled scalar record: increments ``dy_n`` over steps of
     width ``dt`` starting at ``t0``.  The continuous path ``y_t`` is the
@@ -327,7 +361,7 @@ class MeasurementRecord(Record):
         return float((windows.max(axis=1) - windows.min(axis=1)).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountingRecord(Record):
     """Uniformly sampled counting record: per-step increments ``dN in {0, 1}``
     over steps of width ``dt`` starting at ``t0``."""
@@ -645,6 +679,15 @@ class RobustStepper:
             lam1, lam2 = sorted((mid + q, mid - q), key=abs, reverse=True)
             self._lam2, self._delta = lam2, lam1 - lam2
             self._shift, self._lam2_drift = (lam1 + lam2) * b, lam2 * lam2 * b
+            # the largest |a| at which the real parts slope a - offset of both
+            # exponents of coefficients() are within half the range of exp,
+            # negative when none is, kept as its square with its sign
+            half = 0.5 * np.log(np.finfo(float).max)
+            lines = [(lam2.real, self._lam2_drift.real), (self._delta.real, (self._delta * self._shift).real)]
+            limit = min(
+                (half + offset) / abs(slope) if slope else np.copysign(np.inf, half + offset) for slope, offset in lines
+            )
+            self._a_sq_in_range = np.copysign(limit * limit, limit)
         else:
             # the companion matrix of L's characteristic polynomial: its
             # functions' first columns are the coefficients of the same
@@ -666,13 +709,30 @@ class RobustStepper:
         exp(lam dy/k^2 - lam^2 dt/2k^2)``, they are the divided difference
         ``c1 = (f(lam1) - f(lam2)) / delta = f(lam2) expm1(delta s) / delta``,
         which is ``f(lam2) s`` at ``delta = 0`` (an ``L`` with one eigenvalue,
-        such as the defective ``sigma``), and ``c0 = f(lam2) - c1 lam2``.  For
-        ``n > 2`` they are the first columns of the same exponentials of the
-        companion matrix, from :func:`expm_many`.
+        such as the defective ``sigma``), and ``c0 = f(lam2) - c1 lam2``.
+        Both exponents, ``lam2 dy/k^2 - lam2^2 dt/2k^2`` and ``delta s``,
+        have real parts affine in ``dy``; only when the increments' sum of
+        squares could take one of them past half the range of ``exp`` are
+        they computed under ``np.errstate``, and rows that are not finite
+        become NaN, which passes through the step without a floating-point
+        warning, so the step's tail reports the state as blown up.  For
+        ``n != 2`` the coefficients are the first columns of the same
+        exponentials of the companion matrix, from :func:`expm_many`.
         """
         a = np.asarray(dy, dtype=float) * self._inv_k2
-        if self._n > 2:
+        if self._n != 2:
             return expm_many(a[:, None, None] * self._companion - self._companion_drift, self._tol)[:, :, 0]
+        # the sum of squares bounds every |a|; vdot gives inf, not a warning, on overflow
+        if np.vdot(a, a) <= self._a_sq_in_range:
+            return self._closed_form(a)
+        with np.errstate(all="ignore"):
+            c = self._closed_form(a)
+        c[~np.isfinite(c).all(axis=1)] = np.nan
+        return c
+
+    def _closed_form(self, a: np.ndarray) -> np.ndarray:
+        """The ``n = 2`` coefficients of :meth:`coefficients` at ``a =
+        dy/k^2``."""
         s = a - self._shift
         if self._delta:
             s = np.expm1(self._delta * s) / self._delta
@@ -762,7 +822,8 @@ def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
     """Euler-Maruyama integration of the linear (unnormalized) equation for
     several records sharing one grid, stepped together for speed.
 
-    Returns one state list per record.  States are renormalized every step
+    Returns one :class:`StatePath` per record, views of one
+    ``(records, samples, n, n)`` array.  States are renormalized every step
     with the log factor accumulated, so arbitrarily long runs neither
     overflow nor underflow; ``sample_every`` thins the stored output (it must
     divide the step count), while integration always uses the full grid.
@@ -791,7 +852,9 @@ def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
     logs = np.full(nb, np.log(tr0))
     dys = np.stack([rec.increments for rec in records], axis=1)
     times = first.times
-    outs = [[DensityState(rho_init.copy(), float(np.log(tr0)), float(times[0]))] for _ in range(nb)]
+    rhos = np.empty((nb, n_steps // sample_every + 1, n, n), dtype=complex)
+    out_logs = np.empty(rhos.shape[:2])
+    rhos[:, 0], out_logs[:, 0] = rho_init, logs
     for step in range(n_steps):
         v = step_mat @ v + (stoch @ v) * dys[step]
         v = 0.5 * (v + v[tperm].conj())
@@ -801,12 +864,10 @@ def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
         v /= tr
         logs += np.log(tr)
         if (step + 1) % sample_every == 0:
-            t = float(times[step + 1])
-            for b in range(nb):
-                outs[b].append(
-                    DensityState(v[:, b].reshape((n, n), order="F").copy(), float(logs[b]), t)
-                )
-    return outs
+            j = (step + 1) // sample_every
+            rhos[:, j] = v.T.reshape(nb, n, n).transpose(0, 2, 1)  # column b is vec(rho[b])
+            out_logs[:, j] = logs
+    return [StatePath(r, lam, times[::sample_every]) for r, lam in zip(rhos, out_logs)]
 
 
 def em_unnormalized(model, record: MeasurementRecord, rho_tilde0, sample_every: int = 1):
@@ -847,7 +908,7 @@ class _Steps(NamedTuple):
     many: Callable
 
 
-def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: np.ndarray, build=None):
+def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: np.ndarray, build=None) -> StatePath:
     """The one loop that steps a single trajectory, online or in a replay.
 
     It starts from ``start`` with ``log_lambda = log0`` at ``t0``; step
@@ -856,22 +917,30 @@ def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: 
     it ``step k + 1`` in its errors.  ``made`` is what ``build`` gives
     for ``xs``, built for ``_MAP_BLOCK`` steps at a time; it is ``None``
     without a builder and in a block that the builder rejects, so each step
-    builds its own and the one at fault raises.  Returns the states at every
-    grid point, the start included."""
-    times = (t0 + dt * np.arange(len(xs) + 1)).tolist()
+    builds its own and the one at fault raises.  Returns the
+    :class:`StatePath` of every grid point, the start included: each step
+    writes its state into arrays allocated before the first."""
+    times = t0 + dt * np.arange(len(xs) + 1)
+    rhos = np.empty((len(times),) + start.shape, dtype=complex)
+    logs = np.empty(len(times))
+    rhos[0], logs[0] = start, log0
     rho, log_lam = start, log0
-    states = [DensityState(rho, log_lam, times[0])]
+
+    def where(_b):  # called only while step k fails, so it reads that k
+        return f"step {k}"
+
     for lo in range(0, len(xs), _MAP_BLOCK):
         block = xs[lo : lo + _MAP_BLOCK]
         try:
             made = build(block) if build else [None] * len(block)
         except ValueError:
             made = [None] * len(block)
-        for k, x, m in zip(range(lo, lo + len(block)), block.tolist(), made):
-            rho, dlog = step(rho, x, times[k + 1], m, lambda _b, k=k: f"step {k + 1}")
+        ends = times[lo + 1 : lo + 1 + len(block)].tolist()
+        for k, x, m, t in zip(range(lo + 1, lo + 1 + len(block)), block.tolist(), made, ends):
+            rho, dlog = step(rho, x, t, m, where)
             log_lam += dlog
-            states.append(DensityState(rho, log_lam, times[k + 1]))
-    return states
+            rhos[k], logs[k] = rho, log_lam
+    return StatePath(rhos, logs, times)
 
 
 def _steps(record: type[Record], dt: float, start, log0: float, draw, observe, stack, step=None, build=None) -> _Steps:
@@ -893,9 +962,10 @@ def _steps(record: type[Record], dt: float, start, log0: float, draw, observe, s
     t0=0.0) -> (record, states)`` is an online run with the draws ``xs`` and
     ``replay(record) -> states`` the replay of a record, both through
     :func:`_trajectory` with the single-state step, so every replay of a
-    run's record is bitwise that run.  ``many(rho, x, k, where) -> (rho,
-    dlog)`` takes an ensemble's stack through step ``k`` (from 0, ending at
-    ``(k + 1) dt``) with the draws ``x``, each element bitwise its run.
+    run's record is bitwise that run; ``states`` is a :class:`StatePath`.
+    ``many(rho, x, k, where) -> (rho, dlog)`` takes an ensemble's stack
+    through step ``k`` (from 0, ending at ``(k + 1) dt``) with the draws
+    ``x``, each element bitwise its run.
     """
     if step is None:
 
@@ -969,8 +1039,9 @@ def em_normalized(model, dt: float, nu_increments, rho0, t0: float = 0.0):
     by innovation increments ``dnu ~ N(0, dt)``: the online ``em`` run of
     :func:`_diffusion_steps`, which synthesizes the record
     ``dy_n = m_(n-1) dt + kappa dnu_n``; its errors name the step, counted
-    from 1, and its time.  Returns ``(states, record)``; ``log_lambda``
-    accumulates the discrete log-likelihood ``(m dy - m^2 dt / 2) / kappa^2``.
+    from 1, and its time.  Returns ``(states, record)``, ``states`` a
+    :class:`StatePath`; ``log_lambda`` accumulates the discrete
+    log-likelihood ``(m dy - m^2 dt / 2) / kappa^2``.
     """
     dnu = np.asarray(nu_increments, dtype=float)
     if dnu.ndim != 1 or not np.isfinite(dnu).all():

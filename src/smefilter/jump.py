@@ -367,8 +367,8 @@ def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
             gauge.advance()
             gauges.append(gauge.a)
         a = np.stack(gauges)[record.cumulative_counts()]
-        scale = np.exp([s.log_lambda for s in recovered])[:, None, None]
-        r = scale * (a @ np.stack([s.rho for s in recovered]) @ a.conj().transpose(0, 2, 1))
+        scale = np.exp(recovered.log_lambda)[:, None, None]
+        r = scale * (a @ recovered.rho @ a.conj().transpose(0, 2, 1))
     if not np.isfinite(r).all():
         return None, recovered
     return [PathwiseState(rk, float(tk)) for rk, tk in zip(r, record.times)], recovered

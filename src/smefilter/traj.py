@@ -4,17 +4,17 @@ diagnostics.
 A trajectory is a pure function of ``(model, scheme, dt, T, rho0, seed)``:
 the driving record, a diffusion record of increments ``dy`` or a counting
 record, is generated online from the filtered state itself and returned
-alongside the states, so that an offline replay of the record gives the
-run's states bitwise.  A scheme's steps come from one factory per record
-kind, ``diffusion._diffusion_steps`` or ``jump._jump_steps``, as one
-interface, ``diffusion._Steps``: a single run is
-``steps.run(steps.draw(rng, n))``, and only the record kind's module knows
-what a run draws and how the record follows from the draws.  Ensembles give
-trajectory ``i`` the seed ``base_seed + i`` and run on one batched engine,
-``_run_batched``: it steps all trajectories together as one stack of states
-with ``steps.many`` and keeps only the running state sum and the final
-states.  Each trajectory's states are bitwise those of ``run_trajectory``
-with its seed.
+alongside its states, one ``diffusion.StatePath``, so that an offline
+replay of the record gives the run's states bitwise.  A scheme's steps
+come from one factory per record kind, ``diffusion._diffusion_steps`` or
+``jump._jump_steps``, as one interface, ``diffusion._Steps``: a single run
+is ``steps.run(steps.draw(rng, n))``, and only the record kind's module
+knows what a run draws and how the record follows from the draws.
+Ensembles give trajectory ``i`` the seed ``base_seed + i`` and run on one
+batched engine, ``_run_batched``: it steps all trajectories together as
+one stack of states with ``steps.many`` and keeps only the running state
+sum, one array over the grid, and the final states.  Each trajectory's
+states are bitwise those of ``run_trajectory`` with its seed.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .diffusion import (
     DensityState,
     MeasurementRecord,
     Record,
+    StatePath,
     _diffusion_steps,
     _robust_advance,  # noqa: F401  (bench/spans.py traces this name in this module)
     _step_count,
@@ -53,11 +54,12 @@ _DRAW_BLOCK = 256
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """One filtered run: uniform time grid, normalized states, Bloch path for
-    2x2 systems, the driving record, and the seed that produced it."""
+    """One filtered run: uniform time grid, the :class:`StatePath` of its
+    normalized states, Bloch path for 2x2 systems, the driving record, and
+    the seed that produced it."""
 
     times: np.ndarray
-    states: list[DensityState]
+    states: StatePath
     bloch: list[BlochVector] | None
     record: Record
     seed: int
@@ -66,13 +68,14 @@ class TrajectoryResult:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Aggregate of independent trajectories: the mean normalized state path,
-    the final-time states and, for 2x2 systems, Bloch vectors per trajectory
-    and final-time Bloch statistics."""
+    """Aggregate of independent trajectories: the mean normalized state at
+    every grid point as one ``(m, n, n)`` array, the final-time states and,
+    for 2x2 systems, Bloch vectors per trajectory and final-time Bloch
+    statistics."""
 
     n_traj: int
     times: np.ndarray
-    mean_rho_path: list[np.ndarray]
+    mean_rho_path: np.ndarray
     final_states: list[DensityState]
     final_bloch: list[BlochVector] | None
     summary: dict
@@ -201,7 +204,7 @@ def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int, sub
     return TrajectoryResult(
         times=record.times,
         states=states,
-        bloch=_bloch_path(_state_columns([s.rho for s in states]), states[0].rho.shape[0]),
+        bloch=_bloch_path(_state_columns(states.rho), states.rho.shape[1]),
         record=record,
         seed=int(seed),
         scheme=scheme,
@@ -235,7 +238,7 @@ def run_ensemble(
     final_states = [DensityState(r, float(lam), n * dt) for r, lam in zip(rho, log_lam)]
     columns = _state_columns(rho)
     final_bloch = _bloch_path(columns, rho.shape[1])
-    mean_rho_path = [sum_rho[k] / n_traj for k in range(sum_rho.shape[0])]
+    mean_rho_path = sum_rho / n_traj
     summary = {}
     if final_bloch is not None:
         summary["final_bloch_mean"] = {c: float(v.mean()) for c, v in zip("xyz", columns)}
@@ -314,9 +317,7 @@ def convergence_report(
         if factor < 1 or abs(ratio - factor) > 1e-9:
             raise ValueError(f"delta {delta} is not an integer multiple of the fine step {y_fine.dt}")
         approx = robust_filter(model, y_fine.coarsen(factor), rho0)
-        sup_error = max(
-            max_abs(approx[i].rho - oracle[i * factor].rho) for i in range(len(approx))
-        )
+        sup_error = max_abs(approx.rho - oracle.rho[::factor])
         rows.append(
             ConvergenceRow(
                 delta=float(delta),
@@ -347,7 +348,7 @@ def lipschitz_report(model, record: MeasurementRecord, epsilons, rho0=None) -> l
     if rho0 is None:
         rho0 = np.eye(model.dim, dtype=complex) / model.dim
     base = robust_filter(model, record, rho0)
-    base_tilde = [s.rho_tilde() for s in base]
+    base_tilde = base.rho_tilde()
     shape = np.sin(2.0 * np.pi * (record.times - record.t0) / record.duration)
     shape_inc = np.diff(shape)
     rows = []
@@ -359,7 +360,7 @@ def lipschitz_report(model, record: MeasurementRecord, epsilons, rho0=None) -> l
             continue
         perturbed = MeasurementRecord(record.dt, record.increments + eps * shape_inc, record.t0)
         other = robust_filter(model, perturbed, rho0)
-        gap_rho = max(max_abs(a.rho - b.rho) for a, b in zip(base, other))
-        gap_tilde = max(max_abs(x - b.rho_tilde()) for x, b in zip(base_tilde, other))
+        gap_rho = max_abs(base.rho - other.rho)
+        gap_tilde = max_abs(base_tilde - other.rho_tilde())
         rows.append(LipschitzRow(float(eps), float(gap_rho), float(gap_tilde), float(gap_rho / eps)))
     return rows

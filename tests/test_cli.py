@@ -21,7 +21,7 @@ from smefilter.cli import (
     main,
     parse_config,
 )
-from smefilter.diffusion import _CSV_BLOCK, DensityState, MeasurementRecord, write_measurement_record
+from smefilter.diffusion import _CSV_BLOCK, DensityState, MeasurementRecord, StatePath, write_measurement_record
 from smefilter.jump import CountingRecord, write_counting_record
 from smefilter.model import purity
 from smefilter.traj import _bloch_fast, run_ensemble, run_trajectory
@@ -406,9 +406,9 @@ class TestCsvBytes:
         times = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 301, size=rows)
         times[: len(EDGE_VALUES)] = EDGE_VALUES
         log_lambda = -times[::-1]
-        states = [DensityState(r, float(v), 0.0) for r, v in zip(rho, log_lambda)]
+        states = StatePath(rho, log_lambda, times)
         config = parse_config(FAST_DIFFUSION)
-        _trajectory_csv(tmp_path / "t.csv", config, times, states)
+        _trajectory_csv(tmp_path / "t.csv", config, states)
         assert (tmp_path / "t.csv").read_bytes() == reference_trajectory(config, times, states)
 
     @pytest.mark.parametrize("extra", [{}, {"mode": "jump", "scheme": "pathwise", "C": "sigma", "E": "pauli_x"}])

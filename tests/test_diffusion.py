@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from smefilter.diffusion import (
     NonFiniteStateError,
     PathwiseIntegrator,
     RobustStepper,
+    StatePath,
     _MAP_BLOCK,
     _robust_advance,
     em_normalized,
@@ -554,6 +556,36 @@ class TestRobustCoefficients:
                 want = _mp_exponential(L, dy, m.kappa**2, 0.05)
                 assert max_abs(got - want) <= 1e-12 * max_abs(want)
 
+    @pytest.mark.parametrize("L", [[[0.3, 1.0], [0.2j, -0.1]], [[0.0, 1.3 - 0.4j], [0.0, 0.0]]])
+    def test_in_range_coefficients_are_the_closed_form_bitwise(self, L):
+        # the closed form of the docstring, evaluated without a range check
+        stepper = RobustStepper(build_diffusion_model(np.zeros((2, 2)), L, 0.7), 0.01)
+        a = np.array(self.DYS) * stepper._inv_k2
+        s = a - stepper._shift
+        if stepper._delta:
+            s = np.expm1(stepper._delta * s) / stepper._delta
+        f2 = np.exp(stepper._lam2 * a - stepper._lam2_drift)
+        c1 = f2 * s
+        want = np.stack([f2 - c1 * stepper._lam2, c1], axis=1)
+        assert stepper.coefficients(np.array(self.DYS)).tobytes() == want.tobytes()
+
+    def test_out_of_range_exponent_blows_up_without_a_warning(self):
+        # exp((lam dy - lam^2 dt/2) / k^2) overflows: the step reports a
+        # blown-up state at its time, under the suite's error::RuntimeWarning
+        stepper = RobustStepper(build_diffusion_model(np.diag([0.5, -0.5]), [[0.3, 1.0], [0.2j, -0.1]], 0.7), 0.01)
+        dys = np.array([0.1, 1e40, -0.2, 1e200])  # the increments' sum of squares overflows too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError, match="blew up") as err:
+                _robust_advance(stepper, RHO_PLUS, 1e40, 0.37)
+            assert err.value.time == 0.37
+            with pytest.raises(NonFiniteStateError, match="of batch element 1 blew up") as err:
+                stepper.advance_many(np.stack([RHO_PLUS] * 4), dys, 0.37)
+            assert err.value.time == 0.37
+            c = stepper.coefficients(dys)
+        assert np.isnan(c[[1, 3]]).all()
+        assert c[[0, 2]].tobytes() == stepper.coefficients(dys[[0, 2]]).tobytes()
+
     def test_coefficients_of_sigma_are_exact(self):
         # the driven atom's nilpotent coupling: E(dy) = I + (dy/k^2) L, c0 exactly 1
         m = driven_atom_model(0.3)
@@ -674,8 +706,11 @@ class TestEmUnnormalized:
         rec = brownian_record(rng, m, 0.01, 40)
         full = em_unnormalized(m, rec, RHO_PLUS)
         thin = em_unnormalized(m, rec, RHO_PLUS, sample_every=10)
-        assert len(thin) == 5
-        assert all(np.array_equal(a.rho, b.rho) for a, b in zip(full[::10], thin))
+        assert isinstance(thin, StatePath) and len(thin) == 5
+        every_tenth = full[::10]
+        assert thin.rho.tobytes() == every_tenth.rho.tobytes()
+        assert thin.log_lambda.tobytes() == every_tenth.log_lambda.tobytes()
+        assert thin.t.tobytes() == every_tenth.t.tobytes() == rec.times[::10].tobytes()
         with pytest.raises(ValueError, match="sample_every"):
             em_unnormalized(m, rec, RHO_PLUS, sample_every=7)
 
@@ -1031,3 +1066,54 @@ def test_batched_ensemble_matches_single_runs_bitwise(model, scheme, n_traj, bas
         total = path.copy() if total is None else total + path
     assert np.array_equal(ens.times, single.times)
     assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([t / n_traj for t in total]))
+
+
+def some_states(rng, m):
+    return StatePath(
+        np.stack([random_state(rng) for _ in range(m)]), rng.normal(size=m), 0.5 + 0.01 * np.arange(m)
+    )
+
+
+class TestStatePath:
+    def test_sequence_agrees_with_a_list_of_states(self):
+        path = some_states(np.random.default_rng(90), 23)
+        states = [DensityState(r, float(lam), float(t)) for r, lam, t in zip(path.rho, path.log_lambda, path.t)]
+
+        def same(a, b):
+            return a.rho.tobytes() == b.rho.tobytes() and (a.log_lambda, a.t) == (b.log_lambda, b.t)
+
+        assert len(path) == 23
+        for k in [*range(-23, 23), np.int64(4)]:
+            assert type(path[k].log_lambda) is float and type(path[k].t) is float
+            assert same(path[k], states[k])
+        for k in (23, -24):
+            with pytest.raises(IndexError):
+                path[k]
+        for part in (slice(None, None, 10), slice(3, -2), slice(None, None, -3), slice(5, 2), slice(-4, None)):
+            assert isinstance(path[part], StatePath) and len(path[part]) == len(states[part])
+            assert all(same(a, b) for a, b in zip(path[part], states[part]))
+        assert all(same(a, b) for a, b in zip(path, states))
+        assert all(same(a, b) for a, b in zip(reversed(path), states[::-1]))
+
+    def test_rho_tilde_is_each_states_bitwise(self):
+        path = some_states(np.random.default_rng(91), 9)
+        assert path.rho_tilde().tobytes() == np.stack([s.rho_tilde() for s in path]).tobytes()
+
+
+@pytest.mark.parametrize("run_filter", [robust_filter, pathwise_filter])
+def test_filter_holds_no_object_per_step(run_filter):
+    # the states of a 20,000-step replay are arrays: 80 B a step for 2x2
+    # states, against 345 B when each step held its own DensityState
+    m = driven_atom_model()
+    n = 20_000
+    rec = brownian_record(np.random.default_rng(92), m, 0.01, n)
+    run_filter(m, MeasurementRecord(0.01, rec.increments[:300]), RHO_PLUS)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        states = run_filter(m, rec, RHO_PLUS)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(states) == n + 1
+    assert held / n <= 150, f"{held / n:.0f} B per step"

@@ -19,6 +19,11 @@ CONFIGS = {
 }
 
 
+def test_records_of_two_kinds_are_unequal():
+    counts = KINDS[CountingRecord]
+    assert (MeasurementRecord(0.1, counts) == CountingRecord(0.1, counts)) is False
+
+
 def assert_same(back, record):
     assert type(back) is type(record)
     assert (back.dt, back.t0) == (record.dt, record.t0)
@@ -35,6 +40,16 @@ class TestEveryKind:
         write_record(path, record, ["origin: test"])
         assert_same(read_record(path), record)
         assert_same(read_record(path, kind), record)
+
+    def test_comparison_gives_a_bool(self, kind):
+        # the comparison of the value arrays raised "truth value ... is ambiguous"
+        values = KINDS[kind]
+        record = kind(0.1, values, 2.0)
+        changed = values.copy()
+        changed[1] = 1 - changed[1]
+        assert (record == record) is True
+        for other in (kind(0.2, values, 2.0), kind(0.1, values, 2.5), kind(0.1, changed, 2.0), None):
+            assert (record == other) is False and (record != other) is True
 
     def test_zero_step_record_takes_dt_from_its_comment(self, tmp_path, kind):
         path = tmp_path / "record.csv"

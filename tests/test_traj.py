@@ -397,6 +397,21 @@ class TestRunEnsemble:
         assert ens.final_bloch is None
         assert ens.summary == {"mean_purity": 1.0}
 
+    @pytest.mark.parametrize("scheme", ["robust", "em", "pathwise"])
+    def test_one_level_model_runs_every_scheme(self, scheme):
+        # a robust run of a 1-level model raised AttributeError: its stepper
+        # built the closed-form n = 2 branch only, but took it for n = 1
+        m = build_diffusion_model(np.zeros((1, 1)), np.array([[0.5]]), 0.8)
+        res = run_trajectory(m, scheme, 0.01, 0.5, np.eye(1), seed=3)
+        assert res.states.rho.shape == (51, 1, 1) and np.isfinite(res.states.log_lambda).all()
+        replay = _diffusion_steps(m, scheme, 0.01, np.eye(1)).replay(res.record)
+        assert replay.rho.tobytes() == res.states.rho.tobytes()
+        assert replay.log_lambda.tobytes() == res.states.log_lambda.tobytes()
+        ens = run_ensemble(m, scheme, 0.01, 0.5, np.eye(1), 1, base_seed=3)
+        assert ens.final_states[0].rho.tobytes() == res.states[-1].rho.tobytes()
+        assert ens.final_states[0].log_lambda == res.states[-1].log_lambda
+        assert ens.mean_rho_path.tobytes() == res.states.rho.tobytes()
+
     def test_n_traj_validated(self):
         with pytest.raises(ValueError, match="n_traj"):
             run_ensemble(driven_atom_model(), "robust", 0.01, 1.0, RHO_PLUS, 0, base_seed=0)
