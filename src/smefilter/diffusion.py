@@ -26,16 +26,29 @@ cross-validation:
   (plain transposes, no conjugation).  The system depends on the model and
   ``dt`` only: it is LU-factored once and inverted once, to ``S``.  ``E(dy)``
   is a function of ``L``, ``sum_{j<n} c_j(dy) L^j`` by Cayley-Hamilton, with
-  coefficients in closed form for ``n = 2``, so a step is one fixed
-  ``n^2 x n^4`` map ``M = [S (conj(L^j) (x) L^k)]`` applied to
-  ``w (x) vec(rho)``, with weights ``w_jk = conj(c_j) c_k``.
+  coefficients in closed form for ``n = 2``, so a step is one fixed real
+  ``n^2 x n^4`` map ``M`` applied to ``u (x) s``, with ``n^2`` real weights
+  ``u`` made of ``conj(c_j) c_k`` (see :class:`RobustStepper`).
+
+Every stepper carries its state as the ``n^2`` real coordinates ``s`` of
+``rho`` in one Hermitian basis, ``linalg.hermitian_basis(n)``: the Pauli
+matrices for ``n = 2`` (``s = tr(rho) (1, x, y, z)``) and the generalized
+Gell-Mann matrices otherwise, with ``s[0] = tr(rho)``.  Every step map
+takes Hermitian matrices to Hermitian matrices, so in these coordinates it
+is a real ``n^2 x n^2`` matrix, and the measured mean and the count
+intensity are real linear functionals; a state is Hermitian by
+construction.  The maps that do not depend on the record are built once;
+the pathwise and robust ones of a step, from its increment, for a block of
+steps at a time in a replay.  A run converts its start state to
+coordinates once and its states back to matrices once.
 
 Unnormalized solutions grow or decay exponentially, so every step maps the
-normalized state to an unnormalized one and then takes one shared tail:
-:func:`_renormalize` for a single state, :func:`_renormalize_many` for a
-stack.  It checks the state finite and its trace positive, renormalizes,
-hermitizes and returns ``log tr``, which the robust, pathwise and jump
-steps add to ``log_lambda``; ``rho_tilde = exp(log_lambda) * rho``
+normalized coordinates to unnormalized ones and then takes one shared real
+tail, :func:`_renormalize`, for a single state or a stack: it checks that
+the trace ``s[0]`` is above the rounding error of the largest coordinate
+(so the state is finite, its trace positive and not swamped by its growth)
+and returns ``s / s[0]`` and ``log s[0]``, which the robust, pathwise and
+jump steps add to ``log_lambda``; ``rho_tilde = exp(log_lambda) * rho``
 losslessly.
 
 Both record kinds, :class:`MeasurementRecord` (increments ``dy``) and
@@ -51,18 +64,21 @@ whose every step takes the record increment ``dy`` of its step, and
 ``jump._jump_steps`` the counting ones.  Online runs and replays step
 through one loop, :func:`_trajectory`, with the scheme's single-state
 step, so every replay of a run's record is bitwise that run; the stack
-step gives each element of an ensemble's stack the same arithmetic.  The
-robust, pathwise and exact jump stack steps apply their linear maps
-through one kernel, :func:`_apply_maps`.
+step gives each element of an ensemble's stack the same arithmetic.  Every
+step applies its real maps and functionals through one kernel,
+:func:`_apply_maps`, which gives each state of a stack one matrix-vector
+product.
 
 A run's states are one :class:`StatePath`: arrays of ``rho``,
 ``log_lambda`` and ``t`` over its grid points, which :func:`_trajectory`
-and :func:`em_unnormalized_many` fill in place.  Indexing it gives one
-:class:`DensityState`; writers and reports read the arrays.
+and :func:`em_unnormalized_many` convert from coordinates at the end of a
+run.  Indexing it gives one :class:`DensityState`; writers and reports read
+the arrays.
 """
 
 from __future__ import annotations
 
+import math
 from collections import abc
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -75,6 +91,7 @@ from .linalg import (
     dagger,
     expm,
     expm_many,
+    hermitian_basis,
     hermitian_residual,
     kron,
     require_hermitian,
@@ -82,11 +99,13 @@ from .linalg import (
 from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in this module)
 
 # Record steps whose step maps ``pathwise_filter`` builds at a time with one
-# ``expm_many`` call, and whose weights ``robust_filter`` builds with one
-# ``RobustStepper.weights`` call.  A `converge` call (3000 oracle steps) took
+# ``expm_many`` call, and ``robust_filter`` with one
+# ``RobustStepper.step_maps`` call.  A `converge` call (3000 oracle steps) took
 # a median 0.150 s with 16 steps a block, 0.117 s with 64 and 0.108 s with
 # 256; larger blocks ran no faster (2-core Xeon).
 _MAP_BLOCK = 256
+
+_EPS = float(np.finfo(float).eps)
 
 SCHEMES = ("robust", "em", "pathwise")
 
@@ -110,66 +129,67 @@ def _batch_element(b: int) -> str:
     return f"batch element {b}"
 
 
-def _renormalize(x: np.ndarray, t, what: str):
-    """The tail of every single-state step: ``x`` divided by its trace and
-    hermitized, and ``log tr(x)``.  Raises :class:`NonFiniteStateError` at
-    ``t`` when ``x`` is not finite or its trace is not positive."""
-    if not np.isfinite(x).all():
-        raise NonFiniteStateError(t, f"{what} blew up")
-    tr = float(np.trace(x).real)
-    if not tr > 0.0:
-        raise NonFiniteStateError(t, f"{what} {_failure(x)} (trace {tr})")
-    return (0.5 / tr) * (x + x.conj().T), float(np.log(tr))
+def _renormalize(x: np.ndarray, t, what: str, where=None):
+    """The one tail of every step, on the coordinates ``x`` of a single
+    state, shape ``(n^2,)``, or of a stack, ``(B, n^2)``: the states
+    divided by their traces ``x[..., 0]``, and the log traces, each rounded
+    as it is alone (a single state's check reads Python floats, which is
+    faster and changes no result).
 
-
-def _renormalize_many(x: np.ndarray, t, what: str, where=_batch_element):
-    """:func:`_renormalize` for a stack of states ``x[b]``, each rounded as
-    in a stack of one; returns the new states and the log traces.  Errors
-    name the first failing element as ``where(b)``, or none when ``where``
-    is ``None``."""
-    if np.isfinite(x).all():
-        tr = np.trace(x, axis1=1, axis2=2).real
-        if (tr > 0.0).all():
-            return (0.5 / tr)[:, None, None] * (x + x.conj().transpose(0, 2, 1)), np.log(tr)
-    b = next(b for b, xb in enumerate(x) if not (np.isfinite(xb).all() and np.trace(xb).real > 0.0))
+    Raises :class:`NonFiniteStateError` at ``t`` when a state's trace is
+    not above the rounding error ``eps max_a |x_a|`` of its largest
+    coordinate: when the state is not finite, its trace is not positive, or
+    its growth has swamped its trace (see :func:`_failure`).  The error
+    names the first failing element of a stack, or a single state, as
+    ``where(b)``, or nothing when ``where`` is ``None``."""
+    if x.ndim == 1:
+        tr = float(x[0])
+        if float(np.abs(x).max()) * _EPS < tr:
+            return x / tr, np.log(tr)
+    # the largest coordinate of the stack against its smallest trace is
+    # enough, and faster than each state's own
+    elif np.abs(x).max() * _EPS < x[:, 0].min() or (np.abs(x).max(axis=1) * _EPS < x[:, 0]).all():
+        return x / x[:, :1], np.log(x[:, 0])
+    stack = x.reshape(-1, x.shape[-1])
+    b = next(b for b, xb in enumerate(stack) if not np.abs(xb).max() * _EPS < xb[0])
     of = "" if where is None else f" of {where(b)}"
-    raise NonFiniteStateError(t, f"{what}{of} {_failure(x[b])}")
+    trace = f" (trace {stack[b, 0]})" if x.ndim == 1 and np.isfinite(stack[b]).all() else ""
+    raise NonFiniteStateError(t, f"{what}{of} {_failure(stack[b])}{trace}")
 
 
-def _traces(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``tr(a rho)`` of a single state, or of each state ``rho[b]`` of a
-    stack, each rounded as it is alone: the measured mean of a diffusion
-    step and the count intensity of a jump step."""
-    return np.einsum("ij,ji->" if rho.ndim == 2 else "ij,bji->b", a, rho).real
+def _apply_maps(maps: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The coordinates ``maps @ s`` of a single state ``s`` or of each state
+    ``s[b]`` of a stack, under one real map for all or a stack of maps, one
+    per state; a functional is a map with one row.
 
-
-def _apply_maps(maps: np.ndarray, rho: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """The states ``unvec(maps[b] @ vec(rho[b]))`` of a stack ``rho[b]``
-    under ``n^2 x n^2`` maps on column-stacked vectors: one map for the whole
-    stack, or a stack of maps, one per state.  With ``weights``, a ``(B, m)``
-    array, the maps are ``n^2 x m n^2`` and take the vectors
-    ``weights[b] (x) vec(rho[b])`` instead (see :class:`RobustStepper`).
-
-    Each vector is one column of a single broadcast ``np.matmul``, so each
-    result is bitwise the matrix-vector product of its state alone, whatever
-    else is in the stack; one matrix-matrix product with all vectors as its
-    columns would round differently.  The reshapes only move data.
+    Each vector is one column of a single broadcast ``np.matmul``, a
+    matrix-vector product per state, so each result is bitwise the one of
+    its state alone, whatever else is in the stack; one matrix-matrix
+    product with all vectors as its columns would round differently.
     """
-    nb, n = rho.shape[0], rho.shape[1]
-    cols = rho.transpose(0, 2, 1).reshape(nb, 1, n * n)  # cols[b] is vec(rho[b]) as a row
-    if weights is not None:
-        cols = weights[:, :, None] * cols  # row i of cols[b] is weights[b, i] vec(rho[b])
-    return np.matmul(maps, cols.reshape(nb, -1, 1)).reshape(nb, n, n).transpose(0, 2, 1)
+    s = np.ascontiguousarray(s)
+    if s.ndim == 1:  # the same product as a stack's column, one call fewer
+        return np.matmul(maps, s)
+    return np.matmul(maps, s[..., None])[..., 0]
 
 
-def _failure(x: np.ndarray) -> str:
-    """How the tail names the failure of the state ``x``: "blew up" when it
-    is not finite or its growth has swamped its trace, which then lies below
-    the rounding error of its diagonal's sum; "collapsed" otherwise."""
-    if not np.isfinite(x).all():
+def _failure(s: np.ndarray) -> str:
+    """How the tail names the failure of the state of coordinates ``s``:
+    "blew up" when it is not finite or its growth has swamped its trace,
+    which then lies below the rounding error of its largest coordinate (no
+    density matrix comes near: its coordinates are at most ``sqrt(2)`` times
+    its trace); "collapsed" otherwise."""
+    if not np.isfinite(s).all():
         return "blew up"
-    swamped = abs(np.trace(x).real) < np.finfo(float).eps * np.abs(np.diagonal(x).real).sum()
-    return "blew up" if swamped else "collapsed"
+    largest = np.abs(s).max()
+    return "blew up" if 0.0 < largest and abs(s[0]) <= _EPS * largest else "collapsed"
+
+
+def _start(rho0, dim: int, name: str = "rho0") -> np.ndarray:
+    """The normalized coordinates of the start state ``rho0`` of a run of a
+    ``dim``-level model, checked as :func:`_normalized_density` checks it."""
+    s = hermitian_basis(dim).coords(_normalized_density(_of_dimension(rho0, dim, name), name))
+    return s / s[0]
 
 
 @dataclass(frozen=True)
@@ -181,6 +201,14 @@ class DensityState:
     rho: np.ndarray
     log_lambda: float
     t: float
+
+    def __eq__(self, other):
+        """Equal values: ``rho`` by :func:`numpy.array_equal`, and the same
+        ``log_lambda`` and ``t``; two states indexed from one
+        :class:`StatePath` are distinct objects with these values."""
+        if not isinstance(other, DensityState):
+            return NotImplemented
+        return np.array_equal(self.rho, other.rho) and (self.log_lambda, self.t) == (other.log_lambda, other.t)
 
     def rho_tilde(self) -> np.ndarray:
         return np.exp(self.log_lambda) * self.rho
@@ -549,13 +577,16 @@ class PathwiseIntegrator:
     flow is then linear and time-invariant in the original frame,
     ``rho~' = gain L rho~ L^dag - J rho~ - rho~ J^dag`` with
     ``J = K - (dy/(dt k^2)) L + L^2/(2k^2)`` and ``gain = 1 - 1/k^2``, so the
-    step maps ``vec(rho~)`` by ``P = expm(dt Gen)`` with ``Gen = gain
-    conj(L) (x) L - I (x) J - conj(J) (x) I`` (column stacking).  ``P``
-    depends on ``dy`` only: not on the time and not on the record value.
+    step maps ``vec(rho~)`` by ``expm(dt Gen)`` with ``Gen = gain
+    conj(L) (x) L - I (x) J - conj(J) (x) I`` (column stacking).  ``Gen``
+    takes Hermitian matrices to Hermitian matrices, so in the coordinates of
+    the Hermitian basis it is a real matrix, and the step's map is the real
+    ``P = expm(dt Gen)``.  ``P`` depends on ``dy`` only: not on the time and
+    not on the record value.
 
-    The state is carried normalized: :meth:`advance` applies the map of one
-    step, and :func:`_pathwise_advance` follows it with the shared tail.
-    :meth:`step_maps` builds the maps of many steps with one
+    The state is carried normalized, as coordinates: :meth:`advance` applies
+    the map of one step, and :func:`_pathwise_advance` follows it with the
+    shared tail.  :meth:`step_maps` builds the maps of many steps with one
     :func:`expm_many` call, which treats each element as :func:`expm` treats
     it alone, so :func:`pathwise_filter`, applying the maps of
     ``_MAP_BLOCK`` steps at a time, and :meth:`advance_many`, stepping a
@@ -570,39 +601,43 @@ class PathwiseIntegrator:
         n, L, k2 = model.dim, model.L, model.kappa**2
         eye = np.eye(n)
         j0 = model.K + (L @ L) / (2.0 * k2)
+        self._basis = basis = hermitian_basis(n)
         # dt Gen = drift + dy coupling
-        self._drift = dt * (
-            (1.0 - 1.0 / k2) * kron(L.conj(), L) - kron(eye, j0) - kron(j0.conj(), eye)
+        self._drift = basis.real_map(
+            dt * ((1.0 - 1.0 / k2) * kron(L.conj(), L) - kron(eye, j0) - kron(j0.conj(), eye))
         )
-        self._coupling = (kron(eye, L) + kron(L.conj(), eye)) / k2
+        self._coupling = basis.real_map((kron(eye, L) + kron(L.conj(), eye)) / k2)
         self._tol = float(tol)
 
     def step_maps(self, dy) -> np.ndarray:
-        """The maps ``P`` with ``vec(rho~_end) = P vec(rho~_start)`` of steps
-        with increments ``dy[b]``; returns a ``(B, n^2, n^2)`` stack."""
+        """The real maps ``P`` with ``s_end = P s_start`` of steps with
+        increments ``dy[b]``; returns a ``(B, n^2, n^2)`` stack."""
         dy = np.asarray(dy, dtype=float)
         return expm_many(self._drift + dy[:, None, None] * self._coupling, self._tol)
 
-    def advance(self, rho: np.ndarray, dy: float, t: float, step_map: np.ndarray | None = None) -> np.ndarray:
-        """The unnormalized state one step of increment ``dy`` after ``rho``,
-        ending at time ``t``; ``step_map`` is the step's map when it has been
-        built already.  Raises :class:`NonFiniteStateError` at ``t`` when the
-        map is out of :func:`expm`'s range."""
+    def advance(self, s: np.ndarray, dy: float, t: float, step_map: np.ndarray | None = None, where=None) -> np.ndarray:
+        """The unnormalized coordinates one step of increment ``dy`` after
+        the coordinates ``s``, ending at time ``t``; ``step_map`` is the
+        step's map when it has been built already.  Raises
+        :class:`NonFiniteStateError` at ``t`` when the map is out of
+        :func:`expm`'s range, naming the step as ``where(0)``."""
         if step_map is None:
             try:
                 step_map = expm(self._drift + dy * self._coupling, self._tol)
             except ValueError as exc:
-                raise NonFiniteStateError(t, f"pathwise state blew up ({exc})") from None
-        return (step_map @ rho.reshape(-1, order="F")).reshape(rho.shape, order="F")
+                of = "" if where is None else f" of {where(0)}"
+                raise NonFiniteStateError(t, f"pathwise state{of} blew up ({exc})") from None
+        return _apply_maps(step_map, s)
 
-    def advance_many(self, rho: np.ndarray, dy: np.ndarray, t: float, where=_batch_element):
-        """:func:`_pathwise_advance` for a stack of states ``rho[b]`` with
+    def advance_many(self, s: np.ndarray, dy: np.ndarray, t: float, where=_batch_element):
+        """:func:`_pathwise_advance` for a stack of coordinates ``s[b]`` with
         increments ``dy[b]``, ending at time ``t``: the maps of
         :meth:`step_maps` through :func:`_apply_maps`, then
-        :func:`_renormalize_many`.  Each element is bitwise its single-state
-        step.  Returns the new states and the log normalization factors;
-        errors name the failing element as ``where(b)``, and a map out of
-        :func:`expm`'s range raises :class:`NonFiniteStateError` at ``t``."""
+        :func:`_renormalize`.  Each element is bitwise its single-state
+        step.  Returns the new coordinates and the log normalization
+        factors; errors name the failing element as ``where(b)``, and a map
+        out of :func:`expm`'s range raises :class:`NonFiniteStateError` at
+        ``t``."""
         try:
             maps = self.step_maps(dy)
         except ValueError:
@@ -612,42 +647,52 @@ class PathwiseIntegrator:
                 except ValueError as exc:
                     raise NonFiniteStateError(t, f"pathwise state of {where(b)} blew up ({exc})") from None
             raise
-        return _renormalize_many(_apply_maps(maps, rho), t, "pathwise state", where)
+        return _renormalize(_apply_maps(maps, s), t, "pathwise state", where)
 
     def recover_state(self, r: np.ndarray, log_lambda: float, t: float) -> DensityState:
-        """``r`` at time ``t`` through :func:`_renormalize`, its log trace
-        added to ``log_lambda``."""
-        rho, dlog = _renormalize(r, t, "pathwise state")
-        return DensityState(rho, log_lambda + dlog, t)
+        """The unnormalized state ``r``, a matrix, at time ``t`` through
+        :func:`_renormalize`, its log trace added to ``log_lambda``."""
+        s, dlog = _renormalize(self._basis.coords(r), t, "pathwise state")
+        return DensityState(self._basis.matrices(s), log_lambda + float(dlog), t)
 
 
-def _pathwise_advance(integrator: PathwiseIntegrator, rho: np.ndarray, dy: float, t: float, step_map=None):
-    """The single-state pathwise step: :meth:`PathwiseIntegrator.advance`,
-    then :func:`_renormalize`; returns the new state and its log trace."""
-    return _renormalize(integrator.advance(rho, dy, t, step_map), t, "pathwise state")
+def _pathwise_advance(integrator: PathwiseIntegrator, s: np.ndarray, dy: float, t: float, step_map=None, where=None):
+    """The single-state pathwise step on coordinates:
+    :meth:`PathwiseIntegrator.advance`, then :func:`_renormalize`; returns
+    the new coordinates and their log trace.  Errors name the step as
+    ``where(0)``."""
+    return _renormalize(integrator.advance(s, dy, t, step_map, where), t, "pathwise state", where)
 
 
 def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4, tol: float = 1e-12):
     """Pathwise filter: the replay of a record with :func:`_pathwise_advance`
     (see :func:`_diffusion_steps`), each step map bitwise the one its step
-    builds alone; a failing step raises :class:`NonFiniteStateError` at its
-    time."""
+    builds alone; a failing step raises :class:`NonFiniteStateError`
+    naming the step and its time."""
     return _diffusion_steps(model, "pathwise", record.dt, rho0, substeps, tol).replay(record)
 
 
 class RobustStepper:
-    """Implicit filter step as one fixed map of coefficient-weighted states.
+    """Implicit filter step as one fixed real map of weighted coordinates.
 
     The implicit matrix ``(I (x) A) + (B^T (x) I) - (D^T (x) C)`` depends only
     on the model and ``dt``, so it is LU-factored once and inverted once, to
     ``S``.  ``E(dy) = exp((dy/k^2) L - (dt/2k^2) L^2)`` is a function of ``L``,
     so by Cayley-Hamilton it is ``sum_{j<n} c_j(dy) L^j`` (see
-    :meth:`coefficients`), and the step's unnormalized state is
-    ``vec(X) = S vec(E rho E^dag) = M (w (x) vec(rho))`` with the weights
-    ``w_jk = conj(c_j) c_k`` of :meth:`weights` and the fixed ``n^2 x n^4``
-    matrix ``M = [S (conj(L^j) (x) L^k)]``, built once.  A step makes no
-    matrix exponential of its own for ``n = 2``, and no matrix product but
-    the one with ``M``.
+    :meth:`coefficients`), and the step's unnormalized state is ``X = S(E rho
+    E^dag) = sum_jk conj(c_j) c_k S(L^k rho L^j^dag)``.  Pairing the terms
+    ``jk`` and ``kj``, which are each other's adjoints, it is a real
+    combination of Hermitian-preserving maps: ``S(L^j rho L^j^dag)`` with
+    weight ``|c_j|^2``, and, for ``j < k``, ``S(L^k rho L^j^dag + h.c.)`` and
+    ``S(i L^k rho L^j^dag + h.c.)`` with weights ``Re`` and ``Im`` of
+    ``conj(c_j) c_k``.  In the coordinates of the Hermitian basis each of
+    these ``n^2`` maps is a real ``n^2 x n^2`` matrix ``M_a``, and the step
+    is ``x = R(dy) s`` with the real step map ``R = sum_a u_a M_a`` of the
+    real weights ``u`` of :meth:`weights`: the fixed real ``n^2 x n^4``
+    matrix ``M = [M_0 ... M_(n^2-1)]``, built once, applied to ``u (x) s``.
+    :meth:`step_maps` builds ``R`` as one matrix-vector product of ``M``,
+    laid out ``n^4 x n^2``, with ``u``.  A step makes no matrix exponential
+    of its own for ``n = 2``, and no matrix product but these two.
     """
 
     def __init__(self, model, dt: float, tol: float = 1e-12):
@@ -667,7 +712,18 @@ class RobustStepper:
         powers = [eye]
         for _ in range(n - 1):
             powers.append(powers[-1] @ L)
-        self._map = np.hstack([inverse @ kron(lj.conj(), lk) for lj in powers for lk in powers])
+        # S(L^k rho L^j^dag) on column-stacked vectors
+        term = [[inverse @ kron(lj.conj(), lk) for lk in powers] for lj in powers]
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        maps = [term[j][j] for j in range(n)]
+        for j, k in pairs:
+            maps += [term[j][k] + term[k][j], 1j * (term[j][k] - term[k][j])]
+        # row i n^2 + j, column a: entry (i, j) of M_a
+        self._map = np.stack([hermitian_basis(n).real_map(m) for m in maps], axis=-1).reshape(n**4, n * n)
+        # where weights() finds u in the (re, im) pairs of conj(c_j) c_k, row by row
+        self._weight_index = np.array(
+            [2 * (j * n + j) for j in range(n)] + [2 * (j * n + k) + part for j, k in pairs for part in (0, 1)]
+        )
         # E(dy) = exp(a X - b X^2) at X = L, with a = dy/k^2 and b = dt/2k^2
         self._inv_k2, b = 1.0 / k2, dt / (2.0 * k2)
         if n == 2:
@@ -743,44 +799,54 @@ class RobustStepper:
         return c
 
     def weights(self, dy) -> np.ndarray:
-        """The ``(B, n^2)`` weights ``w[b, j n + k] = conj(c_j) c_k`` of the
-        increments ``dy[b]`` (see :meth:`coefficients`), each row bitwise the
-        one of its increment alone."""
+        """The ``(B, n^2)`` real weights ``u[b]`` of the increments ``dy[b]``
+        (see :meth:`coefficients`): ``|c_j|^2`` for each ``j``, then ``Re``
+        and ``Im`` of ``conj(c_j) c_k`` for each ``j < k``; each row bitwise
+        the one of its increment alone."""
         c = self.coefficients(dy)
-        return (c.conj()[:, :, None] * c[:, None, :]).reshape(c.shape[0], -1)
+        w = c.conj()[:, :, None] * c[:, None, :]
+        return w.reshape(c.shape[0], -1).view(float)[:, self._weight_index]
 
-    def propagate(self, state_prev: np.ndarray, dy: float, w: np.ndarray | None = None) -> np.ndarray:
-        """One implicit step of the unnormalized filter recursion, ``M (w (x)
-        vec(rho))``; ``w`` is the step's row of :meth:`weights` when it has
-        been built already."""
-        if not np.isfinite(dy):
+    def step_maps(self, dy) -> np.ndarray:
+        """The real maps ``R`` with ``x = R s`` of steps with increments
+        ``dy[b]``, a ``(B, n^2, n^2)`` stack: each one matrix-vector product
+        of ``M`` with its row of :meth:`weights`, so each is bitwise the
+        one of its increment alone."""
+        u = self.weights(dy)
+        return _apply_maps(self._map, u).reshape(u.shape[0], self._n * self._n, self._n * self._n)
+
+    def propagate(self, s: np.ndarray, dy: float, step_map: np.ndarray | None = None) -> np.ndarray:
+        """One implicit step of the unnormalized filter recursion on the
+        coordinates ``s``, ``R(dy) s``; ``step_map`` is the step's map from
+        :meth:`step_maps` when it has been built already."""
+        if not math.isfinite(dy):
             raise ValueError(f"record increment dy = {dy} is not finite")
-        if w is None:
-            w = self.weights(np.array([dy]))[0]
-        v = state_prev.reshape(-1, order="F")
-        x = self._map @ (w[:, None] * v).reshape(-1)
-        return x.reshape((self._n, self._n), order="F")
+        if step_map is None:
+            step_map = self.step_maps(np.array([dy]))[0]
+        return _apply_maps(step_map, s)
 
-    def advance_many(self, rho: np.ndarray, dy: np.ndarray, t: float, where=_batch_element):
+    def advance_many(self, s: np.ndarray, dy: np.ndarray, t: float, where=_batch_element):
         """The normalized update of :func:`_robust_advance` for a stack of
-        states ``rho[b]`` with increments ``dy[b]``, ending at time ``t``;
-        returns the new states and the log normalization factors.
+        coordinates ``s[b]`` with increments ``dy[b]``, ending at time
+        ``t``; returns the new coordinates and the log normalization
+        factors.
 
-        :func:`_apply_maps` takes each vector ``w[b] (x) vec(rho[b])`` as one
-        ``(n^4, 1)`` column of a single broadcast ``np.matmul`` with ``M``, so
-        each element's result is bitwise what :func:`_robust_advance` gives
-        for it alone.  Errors name the failing element as ``where(b)``.
+        The maps of :meth:`step_maps` go through :func:`_apply_maps`, one
+        matrix-vector product per state, so each element's result is
+        bitwise what :func:`_robust_advance` gives for it alone.  Errors
+        name the failing element as ``where(b)``.
         """
         dy = np.asarray(dy, dtype=float)
         bad = np.flatnonzero(~np.isfinite(dy))
         if bad.size:
             raise ValueError(f"record increment dy = {dy[bad[0]]} of {where(bad[0])} is not finite at t = {t:.6g}")
-        return _renormalize_many(_apply_maps(self._map, rho, self.weights(dy)), t, "implicit filter state", where)
+        return _renormalize(_apply_maps(self.step_maps(dy), s), t, "implicit filter state", where)
 
 
 def robust_step(model, state_prev, dy: float, dt: float, tol: float = 1e-12) -> np.ndarray:
-    """Single implicit step mapping the previous unnormalized state through
-    the solve of ``A X + X B - C X D = E(dy) X_prev E(dy)^dag``.
+    """Single implicit step mapping the previous unnormalized state, a
+    Hermitian matrix, through the solve of ``A X + X B - C X D = E(dy)
+    X_prev E(dy)^dag``.
 
     A zero-width step is a no-op.
     """
@@ -789,33 +855,39 @@ def robust_step(model, state_prev, dy: float, dt: float, tol: float = 1e-12) -> 
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if dt == 0.0:
         return prev.copy()
-    return RobustStepper(model, dt, tol).propagate(prev, dy)
+    basis = hermitian_basis(prev.shape[0])
+    return basis.matrices(RobustStepper(model, dt, tol).propagate(basis.coords(prev), dy))
 
 
-def _robust_advance(stepper: RobustStepper, rho: np.ndarray, dy: float, t: float, w: np.ndarray | None = None):
-    """The single-state robust step: :meth:`RobustStepper.propagate`, then
-    :func:`_renormalize`; returns the new state and its log trace.  ``w`` is
-    passed on to :meth:`RobustStepper.propagate`."""
-    return _renormalize(stepper.propagate(rho, dy, w), t, "implicit filter state")
+def _robust_advance(stepper: RobustStepper, s: np.ndarray, dy: float, t: float, step_map=None, where=None):
+    """The single-state robust step on coordinates:
+    :meth:`RobustStepper.propagate`, then :func:`_renormalize`; returns the
+    new coordinates and their log trace.  ``step_map`` is passed on to
+    :meth:`RobustStepper.propagate`; errors name the step as ``where(0)``."""
+    return _renormalize(stepper.propagate(s, dy, step_map), t, "implicit filter state", where)
 
 
 def robust_filter(model, record: MeasurementRecord, rho0, tol: float = 1e-12):
     """Robust filter: the replay of a record with :func:`_robust_advance`
-    (see :func:`_diffusion_steps`), each step's weights bitwise the ones it
-    computes alone."""
+    (see :func:`_diffusion_steps`), each step map bitwise the one its step
+    builds alone; a failing step raises :class:`NonFiniteStateError`
+    naming the step and its time."""
     return _diffusion_steps(model, "robust", record.dt, rho0, tol=tol).replay(record)
 
 
-def _em_vectorized_operators(model, dt: float):
-    """Step matrices of the linear stochastic equation in vectorized form:
-    the update is ``v -> (I + dt drift) v + dy (stoch v)``."""
-    n = model.dim
+def _em_maps(model) -> np.ndarray:
+    """The real map of the explicit Euler-Maruyama steps on coordinates,
+    ``(1 + 2 n^2) x n^2``: row 0 is the measured mean ``tr((L + L^dag)
+    rho)``, the next ``n^2`` rows the drift ``L rho L^dag - K rho - rho
+    K^dag`` and the last ``n^2`` the noise ``L rho + rho L^dag``, so one
+    product gives all three.  Only ``K``, ``L`` and the shape of ``L`` are
+    read from ``model``."""
     K, L = model.K, model.L
-    eye = np.eye(n, dtype=complex)
-    drift = kron(L.conj(), L) - kron(eye, K) - kron(K.conj(), eye)
-    step_mat = np.eye(n * n, dtype=complex) + dt * drift
-    stoch = (kron(eye, L) + kron(L.conj(), eye)) / model.kappa**2
-    return step_mat, stoch
+    basis = hermitian_basis(L.shape[0])
+    eye = np.eye(L.shape[0], dtype=complex)
+    drift = basis.real_map(kron(L.conj(), L) - kron(eye, K) - kron(K.conj(), eye))
+    noise = basis.real_map(kron(eye, L) + kron(L.conj(), eye))
+    return np.vstack([basis.functional(L + dagger(L)), drift, noise])
 
 
 def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
@@ -823,10 +895,13 @@ def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
     several records sharing one grid, stepped together for speed.
 
     Returns one :class:`StatePath` per record, views of one
-    ``(records, samples, n, n)`` array.  States are renormalized every step
-    with the log factor accumulated, so arbitrarily long runs neither
-    overflow nor underflow; ``sample_every`` thins the stored output (it must
-    divide the step count), while integration always uses the full grid.
+    ``(records, samples, n, n)`` array.  The states are carried as
+    coordinates (see :class:`linalg.HermitianBasis`), one column per record,
+    and each step is ``s -> (I + dt drift) s + (dy/k^2) noise s`` with the
+    real maps of :func:`_em_maps`.  States are renormalized every step with
+    the log factor accumulated, so arbitrarily long runs neither overflow
+    nor underflow; ``sample_every`` thins the stored output (it must divide
+    the step count), while integration always uses the full grid.
     """
     if not records:
         raise ValueError("need at least one record")
@@ -838,35 +913,33 @@ def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
     if sample_every < 1 or n_steps % sample_every != 0:
         raise ValueError(f"sample_every {sample_every} does not divide {n_steps} steps")
     init = require_hermitian(_of_dimension(rho_tilde0, model.dim, "rho_tilde0"), "rho_tilde0")
-    tr0 = float(np.trace(init).real)
-    if tr0 <= 0.0:
-        raise ValueError("rho_tilde0 must have positive trace")
     n = model.dim
-    step_mat, stoch = _em_vectorized_operators(model, first.dt)
-    idx = np.arange(n * n)
-    tperm = (idx // n) + (idx % n) * n
-    tr_idx = np.arange(n) * (n + 1)
+    basis = hermitian_basis(n)
+    s0 = basis.coords(init)
+    if s0[0] <= 0.0:
+        raise ValueError("rho_tilde0 must have positive trace")
+    maps = _em_maps(model)
+    step_mat = np.eye(n * n) + first.dt * maps[1 : 1 + n * n]
+    stoch = maps[1 + n * n :] / model.kappa**2
     nb = len(records)
-    rho_init = init / tr0
-    v = np.tile(rho_init.reshape(-1, order="F")[:, None], (1, nb))
-    logs = np.full(nb, np.log(tr0))
+    v = np.tile((s0 / s0[0])[:, None], (1, nb))
+    logs = np.full(nb, np.log(s0[0]))
     dys = np.stack([rec.increments for rec in records], axis=1)
     times = first.times
-    rhos = np.empty((nb, n_steps // sample_every + 1, n, n), dtype=complex)
-    out_logs = np.empty(rhos.shape[:2])
-    rhos[:, 0], out_logs[:, 0] = rho_init, logs
+    coords = np.empty((nb, n_steps // sample_every + 1, n * n))
+    out_logs = np.empty(coords.shape[:2])
+    coords[:, 0], out_logs[:, 0] = v.T, logs
     for step in range(n_steps):
         v = step_mat @ v + (stoch @ v) * dys[step]
-        v = 0.5 * (v + v[tperm].conj())
-        tr = v[tr_idx].sum(axis=0).real
+        tr = v[0]
         if not np.isfinite(tr).all() or (tr <= 0.0).any():
             raise NonFiniteStateError(float(times[step + 1]), "unnormalized state collapsed")
         v /= tr
         logs += np.log(tr)
         if (step + 1) % sample_every == 0:
             j = (step + 1) // sample_every
-            rhos[:, j] = v.T.reshape(nb, n, n).transpose(0, 2, 1)  # column b is vec(rho[b])
-            out_logs[:, j] = logs
+            coords[:, j], out_logs[:, j] = v.T, logs
+    rhos = basis.matrices(coords)
     return [StatePath(r, lam, times[::sample_every]) for r, lam in zip(rhos, out_logs)]
 
 
@@ -877,28 +950,28 @@ def em_unnormalized(model, record: MeasurementRecord, rho_tilde0, sample_every: 
     return em_unnormalized_many(model, [record], rho_tilde0, sample_every)[0]
 
 
-def _em_step_many(model, rho: np.ndarray, dy: np.ndarray, dt: float, t: float, where=_batch_element):
+def _em_step_many(
+    maps: np.ndarray, kappa: float, s: np.ndarray, dy: np.ndarray, dt: float, t: float, where=_batch_element
+):
     """One explicit Euler-Maruyama step of the normalized equation for a
-    stack of states ``rho[b]`` with record increments ``dy[b]``, over a step
-    of width ``dt`` ending at time ``t``, driven by the innovation
-    ``dnu = (dy - m dt) / kappa`` with ``m = tr((L + L^dag) rho)``.  Each
-    element is bitwise its step in a stack of one.  Returns the new states
-    and the log-likelihood increments ``(m dy - m^2 dt / 2) / kappa^2``;
-    errors name the failing element as ``where(b)`` and the time ``t``."""
-    K, L, kappa = model.K, model.L, model.kappa
-    Ld = dagger(L)
-    m = _traces(L + Ld, rho)
+    stack of coordinates ``s[b]`` with record increments ``dy[b]``, over a
+    step of width ``dt`` ending at time ``t``, with the maps of
+    :func:`_em_maps`: drift plus noise driven by the innovation ``dnu = (dy
+    - m dt) / kappa``, with ``m = tr((L + L^dag) rho)``.  Each element is
+    bitwise its step in a stack of one.  Returns the new coordinates and
+    the log-likelihood increments ``(m dy - m^2 dt / 2) / kappa^2``; errors
+    name the failing element as ``where(b)`` and the time ``t``."""
+    y = _apply_maps(maps, s)
+    m, drift, noise = y[:, 0], y[:, 1 : 1 + s.shape[1]], y[:, 1 + s.shape[1] :]
     dnu = (dy - m * dt) / kappa
-    lr = L @ rho
-    drift = lr @ Ld - K @ rho - rho @ dagger(K)
-    diff = (lr + rho @ Ld - m[:, None, None] * rho) / kappa
-    x = rho + drift * dt + diff * dnu[:, None, None]
-    return _renormalize_many(x, t, "normalized state", where)[0], (m * dy - 0.5 * m * m * dt) / kappa**2
+    x = s + drift * dt + ((noise - m[:, None] * s) / kappa) * dnu[:, None]
+    return _renormalize(x, t, "normalized state", where)[0], (m * dy - 0.5 * m * m * dt) / kappa**2
 
 
 class _Steps(NamedTuple):
     """The steps of one scheme over one record kind from one start state,
-    the same for online runs, replays and ensembles (see :func:`_steps`)."""
+    the same for online runs, replays and ensembles (see :func:`_steps`).
+    ``start`` holds the start state's coordinates."""
 
     start: np.ndarray
     log0: float
@@ -911,20 +984,21 @@ class _Steps(NamedTuple):
 def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: np.ndarray, build=None) -> StatePath:
     """The one loop that steps a single trajectory, online or in a replay.
 
-    It starts from ``start`` with ``log_lambda = log0`` at ``t0``; step
-    ``k`` takes ``step(rho, x, t, made, where) -> (rho, dlog)`` with
-    ``x = xs[k]``, ending at ``t = t0 + (k + 1) dt``, and ``where`` names
-    it ``step k + 1`` in its errors.  ``made`` is what ``build`` gives
-    for ``xs``, built for ``_MAP_BLOCK`` steps at a time; it is ``None``
-    without a builder and in a block that the builder rejects, so each step
-    builds its own and the one at fault raises.  Returns the
+    It starts from the coordinates ``start`` with ``log_lambda = log0`` at
+    ``t0``; step ``k`` takes ``step(s, x, t, made, where) -> (s, dlog)``
+    with ``x = xs[k]``, ending at ``t = t0 + (k + 1) dt``, and ``where``
+    names it ``step k + 1`` in its errors.  ``made`` is what ``build``
+    gives for ``xs``, built for ``_MAP_BLOCK`` steps at a time; it is
+    ``None`` without a builder and in a block that the builder rejects, so
+    each step builds its own and the one at fault raises.  Returns the
     :class:`StatePath` of every grid point, the start included: each step
-    writes its state into arrays allocated before the first."""
+    writes its coordinates into an array allocated before the first, which
+    is converted to matrices once, at the end."""
     times = t0 + dt * np.arange(len(xs) + 1)
-    rhos = np.empty((len(times),) + start.shape, dtype=complex)
+    coords = np.empty((len(times), start.size))
     logs = np.empty(len(times))
-    rhos[0], logs[0] = start, log0
-    rho, log_lam = start, log0
+    coords[0], logs[0] = start, log0
+    s, log_lam = start, log0
 
     def where(_b):  # called only while step k fails, so it reads that k
         return f"step {k}"
@@ -937,22 +1011,23 @@ def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: 
             made = [None] * len(block)
         ends = times[lo + 1 : lo + 1 + len(block)].tolist()
         for k, x, m, t in zip(range(lo + 1, lo + 1 + len(block)), block.tolist(), made, ends):
-            rho, dlog = step(rho, x, t, m, where)
+            s, dlog = step(s, x, t, m, where)
             log_lam += dlog
-            rhos[k], logs[k] = rho, log_lam
-    return StatePath(rhos, logs, times)
+            coords[k], logs[k] = s, log_lam
+    return StatePath(hermitian_basis(math.isqrt(start.size)).matrices(coords), logs, times)
 
 
 def _steps(record: type[Record], dt: float, start, log0: float, draw, observe, stack, step=None, build=None) -> _Steps:
     """The :class:`_Steps` of a scheme over steps of width ``dt`` from the
-    normalized ``start`` with ``log_lambda = log0``, made of its pieces:
+    normalized start coordinates ``start`` with ``log_lambda = log0``, made
+    of its pieces, all on coordinates:
 
     * ``draw(rng, size)``: the numbers ``x`` a run draws for ``size`` steps;
-    * ``observe(rho, x, t, where) -> v``: the record values of a step ending
+    * ``observe(s, x, t, where) -> v``: the record values of a step ending
       at time ``t`` that the draws ``x`` give for one state or a stack;
-    * ``stack(rho, v, t, where) -> (rho, dlog)``: the step of a stack of
-      states ``rho[b]`` with record values ``v[b]``, ending at ``t``;
-    * ``step(rho, v, t, made, where) -> (rho, dlog)``: the step of a single
+    * ``stack(s, v, t, where) -> (s, dlog)``: the step of a stack of
+      states ``s[b]`` with record values ``v[b]``, ending at ``t``;
+    * ``step(s, v, t, made, where) -> (s, dlog)``: the step of a single
       state, bitwise its ``stack`` step, with ``made`` what ``build`` gives
       for ``v`` (see :func:`_trajectory`); ``stack`` on a stack of one when
       ``None``.
@@ -963,23 +1038,23 @@ def _steps(record: type[Record], dt: float, start, log0: float, draw, observe, s
     ``replay(record) -> states`` the replay of a record, both through
     :func:`_trajectory` with the single-state step, so every replay of a
     run's record is bitwise that run; ``states`` is a :class:`StatePath`.
-    ``many(rho, x, k, where) -> (rho, dlog)`` takes an ensemble's stack
-    through step ``k`` (from 0, ending at ``(k + 1) dt``) with the draws
-    ``x``, each element bitwise its run.
+    ``many(s, x, k, where) -> (s, dlog)`` takes an ensemble's stack through
+    step ``k`` (from 0, ending at ``(k + 1) dt``) with the draws ``x``,
+    each element bitwise its run.
     """
     if step is None:
 
-        def step(rho, v, t, _made, where):
-            x, dlog = stack(rho[None], np.array([v]), t, where)
+        def step(s, v, t, _made, where):
+            x, dlog = stack(s[None], np.array([v]), t, where)
             return x[0], float(dlog[0])
 
     def run(xs, t0=0.0):
         values = []
 
-        def online(rho, x, t, _made, where):
-            v = observe(rho, x, t, where)
+        def online(s, x, t, _made, where):
+            v = observe(s, x, t, where)
             values.append(v)
-            return step(rho, v, t, None, where)
+            return step(s, v, t, None, where)
 
         states = _trajectory(online, start, log0, dt, t0, xs)
         return record(dt, np.array(values), t0), states
@@ -987,9 +1062,9 @@ def _steps(record: type[Record], dt: float, start, log0: float, draw, observe, s
     def replay(rec):
         return _trajectory(step, start, log0, rec.dt, rec.t0, rec.values, build)
 
-    def many(rho, x, k, where):
+    def many(s, x, k, where):
         t = (k + 1) * dt
-        return stack(rho, observe(rho, x, t, where), t, where)
+        return stack(s, observe(s, x, t, where), t, where)
 
     return _Steps(start, log0, draw, run, replay, many)
 
@@ -1000,33 +1075,35 @@ def _diffusion_steps(model, scheme: str, dt: float, rho0, substeps: int = 4, tol
 
     A run draws innovations ``dnu ~ N(0, dt)`` and forms the record
     increment ``dy = m dt + kappa dnu`` of each step from the measured mean
-    ``m = tr((L + L^dag) rho)`` of the state it evolves; every step takes
-    ``dy``.  The single-state steps are :func:`_robust_advance`, with its
-    weights prebuilt by :meth:`RobustStepper.weights` in a replay, and
-    :func:`_pathwise_advance`, with the maps of
-    :meth:`PathwiseIntegrator.step_maps`; the stack steps are
+    ``m = tr((L + L^dag) rho)`` of the state it evolves, a real functional
+    of its coordinates; every step takes ``dy``.  The single-state steps
+    are :func:`_robust_advance` and :func:`_pathwise_advance`, with the maps
+    of :meth:`RobustStepper.step_maps` and :meth:`PathwiseIntegrator.step_maps`
+    prebuilt in a replay; the stack steps are
     :meth:`RobustStepper.advance_many`, :meth:`PathwiseIntegrator.advance_many`
     and :func:`_em_step_many`, which ``em`` also takes on a stack of one.
     """
     dt = _step_width(dt)
-    start = _normalized_density(_of_dimension(rho0, model.L.shape[0], "rho0"))
+    n = model.L.shape[0]
+    start = _start(rho0, n)
     step = build = None
     if scheme == "robust":
         stepper = RobustStepper(model, dt, tol)
-        stack, build = stepper.advance_many, stepper.weights
-        step = lambda rho, dy, t, w, _where: _robust_advance(stepper, rho, dy, t, w)
+        stack, build = stepper.advance_many, stepper.step_maps
+        step = lambda s, dy, t, r, where: _robust_advance(stepper, s, dy, t, r, where)
     elif scheme == "pathwise":
         integrator = PathwiseIntegrator(model, dt, substeps, tol)
         stack, build = integrator.advance_many, integrator.step_maps
-        step = lambda rho, dy, t, p, _where: _pathwise_advance(integrator, rho, dy, t, p)
+        step = lambda s, dy, t, p, where: _pathwise_advance(integrator, s, dy, t, p, where)
     elif scheme == "em":
-        stack = lambda rho, dy, t, where: _em_step_many(model, rho, dy, dt, t, where)
+        em_maps = _em_maps(model)
+        stack = lambda s, dy, t, where: _em_step_many(em_maps, model.kappa, s, dy, dt, t, where)
     else:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    l_sum, scale = model.L + dagger(model.L), np.sqrt(dt)
+    mean, scale = hermitian_basis(n).functional(model.L + dagger(model.L))[None], np.sqrt(dt)
 
-    def observe(rho, dnu, _t, _where):
-        return _traces(l_sum, rho) * dt + model.kappa * dnu
+    def observe(s, dnu, _t, _where):
+        return _apply_maps(mean, s)[..., 0] * dt + model.kappa * dnu
 
     def draw(rng, size):
         return rng.normal(0.0, scale, size)

@@ -14,11 +14,16 @@ jump operators such as ``C = sigma`` are solved as well; only the
 gauge-frame state ``r = A rho~ A^dag``, which :func:`jump_pathwise_solve`
 alone builds, needs ``C`` invertible.
 
-Each scheme has one stack step ``(rho, dn, t, where) -> (rho, dlog)``,
-ending in the shared tail ``diffusion._renormalize_many``: the Euler step
-:func:`_euler_step_many` for ``em``, the exact :func:`_exact_step_many` for
-``pathwise``.  :func:`_jump_steps` builds a scheme's steps, the interface
-``diffusion._Steps`` that the diffusion schemes share, around it: a run
+Each scheme has one stack step ``(s, dn, t, where) -> (s, dlog)`` on the
+real coordinates ``s`` of the states in the Hermitian basis of
+``linalg.hermitian_basis``, ending in the shared real tail
+``diffusion._renormalize``: the Euler step :func:`_euler_step_many` for
+``em``, the exact :func:`_exact_step_many` for ``pathwise``.  The drift,
+the jump map ``rho -> C rho C^dag`` and the exact propagator are real
+``n^2 x n^2`` matrices, built once, and the count intensity
+``tr(C rho C^dag)`` a real functional.  :func:`_jump_steps` builds a
+scheme's steps, the interface ``diffusion._Steps`` that the diffusion
+schemes share, around it: a run
 draws one uniform per step and counts when it falls below the count
 probability of the state the run evolves.  Ensembles take the stack step
 on the whole stack; single runs and replays, through the one
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,19 +51,18 @@ from .diffusion import (
     PathwiseState,
     _apply_maps,
     _batch_element,
-    _normalized_density,
     _of_dimension,
-    _renormalize_many,
+    _renormalize,
     _step_count,
     _step_width,
     _Steps,
+    _start,
     _steps,
-    _traces,
     read_record,
     recover,  # noqa: F401  (bench/spans.py traces this name in this module)
     write_record,
 )
-from .linalg import as_square, dagger, expm, kron, require_hermitian
+from .linalg import as_square, dagger, expm, hermitian_basis, kron, require_hermitian
 from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in this module)
 
 
@@ -113,12 +117,16 @@ def jump_sme_step(model, rho, dn: int, dt: float) -> np.ndarray:
     """One explicit Euler step of the normalized counting-record equation:
     drift ``[-G rho - rho G^dag + (1-eta) lam J rho + eta lam rho tr(J rho)] dt``
     followed, when ``dn = 1``, by the count map ``rho -> J rho / tr(J rho)``,
-    then renormalization.  It is :func:`_euler_step_many` on a stack of one;
-    its errors name no time."""
+    then renormalization.  It is :func:`_euler_step_many` on a stack of one,
+    from the coordinates of the Hermitian part of ``rho``; its errors name
+    no time."""
     if dn not in (0, 1):
         raise ValueError(f"dn must be 0 or 1, got {dn}")
-    rho, _ = _euler_step_many(model, as_square(rho)[None], np.array([dn]), _step_width(dt), None, None)
-    return rho[0]
+    rho = as_square(rho)
+    basis = hermitian_basis(rho.shape[0])
+    maps = _euler_maps(model, _step_width(dt))
+    s, _ = _euler_step_many(maps, basis.coords(rho)[None], np.array([dn]), None, None)
+    return basis.matrices(s[0])
 
 
 def jump_unnorm_step(model, rho_tilde, dn: int, dt: float) -> np.ndarray:
@@ -141,13 +149,21 @@ def jump_unnorm_step(model, rho_tilde, dn: int, dt: float) -> np.ndarray:
 
 def count_probability(model, rho, dt: float, t: float | None = None) -> float:
     """Per-step count probability ``eta lam tr(C rho C^dag) dt`` of the
-    state ``rho``, rounded as an online ``pathwise`` run rounds it.
+    state ``rho``, rounded as an online ``pathwise`` run rounds it for the
+    coordinates of ``rho``.
 
     Raises when the probability reaches 0.1: the per-step Bernoulli
     approximation of the point process degrades there, so decrease ``dt``.
     """
-    intensity = _traces(dagger(model.C) @ model.C, np.asarray(rho, dtype=complex))
+    rho = as_square(rho)
+    intensity = _apply_maps(_intensity(model), hermitian_basis(rho.shape[0]).coords(rho))[0]
     return float(_count_probabilities(model, intensity, dt, t))
+
+
+def _intensity(model) -> np.ndarray:
+    """The count intensity ``tr(C rho C^dag)`` as a real functional of the
+    coordinates, a ``1 x n^2`` map."""
+    return hermitian_basis(model.dim).functional(dagger(model.C) @ model.C)[None]
 
 
 def _count_probabilities(model, intensity: np.ndarray, dt: float, t: float | None, where=None) -> np.ndarray:
@@ -177,96 +193,120 @@ def _invalid_count(t, tr: float, b: int, where) -> InvalidCountingRecordError:
     )
 
 
-def _euler_step_many(model, rho: np.ndarray, dn: np.ndarray, dt: float, t, where=_batch_element):
-    """The explicit-Euler step of :func:`jump_sme_step` for a stack of states
-    ``rho[b]`` with counts ``dn[b]``, over a step of width ``dt`` ending at
-    time ``t``.  Each element is bitwise its step in a stack of one.
+class _EulerMaps(NamedTuple):
+    """The real maps of the explicit-Euler counting step on coordinates:
+    ``step``, whose row 0 is the intensity ``tr(C rho C^dag)`` and whose
+    other ``n^2`` rows are the drift ``dt (-G rho - rho G^dag + (1-eta) lam
+    C rho C^dag)``, so one product gives both; ``jump``, the map ``rho -> C
+    rho C^dag``; and ``rate``, ``dt eta lam``."""
 
-    Returns the new states and the log trace growth of the matching linear
-    step: ``log(1 + dt eta lam (1 - tr(J rho)))`` for the drift, plus on a
-    count ``log tr(J rho)`` of the post-drift state.  Errors name the
+    step: np.ndarray
+    jump: np.ndarray
+    rate: float
+
+
+def _euler_maps(model, dt: float) -> _EulerMaps:
+    """The :class:`_EulerMaps` of ``model`` for steps of width ``dt``."""
+    C, G, lam, eta = model.C, model.G, model.lam, model.eta
+    basis = hermitian_basis(model.dim)
+    eye = np.eye(model.dim, dtype=complex)
+    jump_map = kron(C.conj(), C)
+    drift = -kron(eye, G) - kron(G.conj(), eye) + (1.0 - eta) * lam * jump_map
+    step = np.vstack([_intensity(model), basis.real_map(dt * drift)])
+    return _EulerMaps(step, basis.real_map(jump_map), dt * eta * lam)
+
+
+def _euler_step_many(maps: _EulerMaps, s: np.ndarray, dn: np.ndarray, t, where=_batch_element):
+    """The explicit-Euler step of :func:`jump_sme_step` for a stack of
+    coordinates ``s[b]`` with counts ``dn[b]``, with the maps of
+    :func:`_euler_maps` for a step ending at time ``t``.  Each element is
+    bitwise its step in a stack of one.
+
+    Returns the new coordinates and the log trace growth of the matching
+    linear step: ``log(1 + dt eta lam (1 - tr(J rho)))`` for the drift, plus
+    on a count ``log tr(J rho)`` of the post-drift state.  Errors name the
     failing element as ``where(b)`` and the time ``t``; ``None`` names none.
     """
-    C, G, lam, eta = model.C, model.G, model.lam, model.eta
-    c_dag = dagger(C)
-    j_rho = C @ rho @ c_dag
-    tr_j = np.trace(j_rho, axis1=1, axis2=2).real
-    drift = -(G @ rho) - (rho @ dagger(G)) + (1.0 - eta) * lam * j_rho + (eta * lam * tr_j)[:, None, None] * rho
-    out = rho + dt * drift
-    dlog = np.log1p(dt * eta * lam * (1.0 - tr_j))
+    y = _apply_maps(maps.step, s)
+    tr_j = y[:, 0]
+    out = s + y[:, 1:] + (maps.rate * tr_j)[:, None] * s
+    dlog = np.log1p(maps.rate * (1.0 - tr_j))
     if dn.any():
         hit = np.flatnonzero(dn)
         before = out[hit]
-        j_out = C @ before @ c_dag
-        tr_jo = np.trace(j_out, axis1=1, axis2=2).real
+        j_out = _apply_maps(maps.jump, before)
+        tr_jo = j_out[:, 0]
         bad = ~(np.isfinite(tr_jo) & (tr_jo > 1e-300))
         if bad.any():
             b = int(bad.argmax())
             raise _invalid_count(t, tr_jo[b], hit[b], where)
-        dlog[hit] += np.log(tr_jo / np.trace(before, axis1=1, axis2=2).real)
-        out[hit] = j_out / tr_jo[:, None, None]
-    return _renormalize_many(out, t, "normalized jump state", where)[0], dlog
+        dlog[hit] += np.log(tr_jo / before[:, 0])
+        out[hit] = j_out / tr_jo[:, None]
+    return _renormalize(out, t, "normalized jump state", where)[0], dlog
 
 
 def _exact_propagator(model, dt: float):
-    """The jump map ``conj(C) (x) C`` and the exact one-step propagator
-    ``Phi = expm(dt Gen)`` of :func:`jump_pathwise_solve` on column-stacked
-    vectors."""
+    """The jump map ``rho -> C rho C^dag`` and the exact one-step propagator
+    ``Phi = expm(dt Gen)`` of :func:`jump_pathwise_solve`, both real
+    matrices on coordinates: ``Gen`` takes Hermitian matrices to Hermitian
+    matrices, so its exponential is that of its real matrix."""
     n = model.dim
     C, G, lam, eta = model.C, model.G, model.lam, model.eta
+    basis = hermitian_basis(n)
     eye = np.eye(n, dtype=complex)
     jump_map = kron(C.conj(), C)
     generator = (
         (1.0 - eta) * lam * jump_map - kron(eye, G) - kron(G.conj(), eye) + eta * lam * np.eye(n * n)
     )
-    return jump_map, expm(dt * generator)
+    return basis.real_map(jump_map), expm(basis.real_map(dt * generator))
 
 
 def _exact_start(r0):
-    """The normalized, hermitized initial state of the exact solve and its
-    ``log_lambda``, the log of the trace of ``r0``."""
+    """The normalized coordinates of the Hermitian part of ``r0``, the
+    start of the exact solve, and its ``log_lambda``, the log of the trace
+    of ``r0``."""
     r = require_hermitian(r0, "r0")
-    tr = float(np.trace(r).real)
-    if tr <= 0.0:
+    s = hermitian_basis(r.shape[0]).coords(r)
+    if not s[0] > 0.0:
         raise ValueError("r0 must have positive trace")
-    rho = r / tr
-    return 0.5 * (rho + dagger(rho)), float(np.log(tr))
+    return s / s[0], float(np.log(s[0]))
 
 
-def _exact_step_many(jump_map, phi, rho: np.ndarray, dn: np.ndarray, t: float, where=_batch_element):
-    """One step of :func:`jump_pathwise_solve` for a stack of states
-    ``rho[b]`` with counts ``dn[b]``, ending at time ``t``; returns the new
-    states and the log traces added to ``log_lambda``.
+def _exact_step_many(jump_map, phi, s: np.ndarray, dn: np.ndarray, t: float, where=_batch_element):
+    """One step of :func:`jump_pathwise_solve` for a stack of coordinates
+    ``s[b]`` with counts ``dn[b]``, ending at time ``t``; returns the new
+    coordinates and the log traces added to ``log_lambda``.
 
     ``Phi``, and on a count the jump map, go through
     :func:`diffusion._apply_maps`, so each result is bitwise what the step
     gives for that element alone, whatever else is in the stack.  Errors
     name the failing element as ``where(b)``.
     """
-    x = _apply_maps(phi, rho)
+    x = _apply_maps(phi, s)
     if dn.any():
         hit = np.flatnonzero(dn)
         x[hit] = _apply_maps(jump_map, x[hit])
     try:
-        return _renormalize_many(x, t, "pathwise jump state", where)
+        return _renormalize(x, t, "pathwise jump state", where)
     except NonFiniteStateError:
         for b in np.flatnonzero(dn):  # a count on a state that C annihilates is the record's fault
-            tr = np.trace(x[b]).real if np.isfinite(x[b]).all() else np.nan
+            tr = x[b, 0] if np.isfinite(x[b]).all() else np.nan
             if tr <= 0.0:
                 raise _invalid_count(t, tr, b, where) from None
         raise
 
 
-def _counting_steps(model, dt: float, start, log0: float, intensity, stack) -> _Steps:
+def _counting_steps(model, dt: float, start, log0: float, stack) -> _Steps:
     """The steps (see ``diffusion._steps``) of a counting scheme over steps
-    of width ``dt`` from ``start`` with ``log0``, with the stack step
-    ``stack(rho, dn, t, where) -> (rho, dlog)``.  A run draws one uniform
-    ``u`` per step and counts when it is below the count probability
-    ``eta lam intensity(rho) dt`` of the state at the step's start, the
+    of width ``dt`` from the coordinates ``start`` with ``log0``, with the
+    stack step ``stack(s, dn, t, where) -> (s, dlog)``.  A run draws one
+    uniform ``u`` per step and counts when it is below the count probability
+    ``eta lam tr(C rho C^dag) dt`` of the state at the step's start, the
     time that the probability check names."""
+    intensity = _intensity(model)
 
-    def observe(rho, u, t, where):
-        return u < _count_probabilities(model, intensity(rho), dt, t - dt, where)
+    def observe(s, u, t, where):
+        return u < _count_probabilities(model, _apply_maps(intensity, s)[..., 0], dt, t - dt, where)
 
     def draw(rng, size):
         return rng.random(size)
@@ -275,20 +315,18 @@ def _counting_steps(model, dt: float, start, log0: float, intensity, stack) -> _
 
 
 def _exact_steps(model, dt: float, start, log0: float) -> _Steps:
-    """The steps of the exact ``pathwise`` counting scheme from ``start``
-    with ``log0`` (see :func:`_exact_start`): :func:`_exact_step_many`, with
-    the intensity ``tr(C^dag C rho)`` of :func:`count_probability`."""
-    stack = partial(_exact_step_many, *_exact_propagator(model, dt))
-    return _counting_steps(model, dt, start, log0, partial(_traces, dagger(model.C) @ model.C), stack)
+    """The steps of the exact ``pathwise`` counting scheme from the
+    coordinates ``start`` with ``log0`` (see :func:`_exact_start`):
+    :func:`_exact_step_many`."""
+    return _counting_steps(model, dt, start, log0, partial(_exact_step_many, *_exact_propagator(model, dt)))
 
 
 def _jump_steps(model, scheme: str, dt: float, rho0, substeps: int = 4) -> _Steps:
     """The steps of the counting ``scheme`` over steps of width ``dt``, from
     ``rho0``: :func:`_euler_step_many` from the normalized ``rho0`` with
-    ``log_lambda = 0`` for ``em``, whose count probability takes
-    ``tr(C rho C^dag)``, and the exact :func:`_exact_steps` from the start of
-    :func:`jump_pathwise_solve` for ``pathwise``.  Single runs, replays and
-    ensembles all take these steps."""
+    ``log_lambda = 0`` for ``em``, and the exact :func:`_exact_steps` from
+    the start of :func:`jump_pathwise_solve` for ``pathwise``.  Single runs,
+    replays and ensembles all take these steps."""
     if scheme == "robust":
         raise ValueError("scheme 'robust' applies to diffusion models; use 'em' or 'pathwise'")
     if scheme not in SCHEMES:
@@ -296,18 +334,15 @@ def _jump_steps(model, scheme: str, dt: float, rho0, substeps: int = 4) -> _Step
     if scheme == "pathwise" and substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     dt = _step_width(dt)
-    start = _normalized_density(_of_dimension(rho0, model.dim, "rho0"))
+    start = _start(rho0, model.dim)
     if scheme == "pathwise":
-        return _exact_steps(model, dt, *_exact_start(start))
-    c_dag = dagger(model.C)
+        return _exact_steps(model, dt, start, 0.0)
+    maps = _euler_maps(model, dt)
 
-    def intensity(rho):
-        return np.trace(model.C @ rho @ c_dag, axis1=-2, axis2=-1).real
+    def stack(s, dn, t, where):
+        return _euler_step_many(maps, s, dn, t, where)
 
-    def stack(rho, dn, t, where):
-        return _euler_step_many(model, rho, dn, dt, t, where)
-
-    return _counting_steps(model, dt, start, 0.0, intensity, stack)
+    return _counting_steps(model, dt, start, 0.0, stack)
 
 
 def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: float = 0.0) -> CountingRecord:
@@ -335,11 +370,12 @@ def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
     On column-stacked vectors its generator is
     ``Gen = -(I (x) G) - (conj(G) (x) I) + (1-eta) lam (conj(C) (x) C) + eta lam I``,
     and ``Phi = expm(dt Gen)`` is the exact propagator over one step, built
-    once.  Each step applies ``Phi``, then ``conj(C) (x) C`` on a count,
-    renormalizes (adding the log of the trace to ``log_lambda``) and
-    hermitizes: this is the replay of :func:`_exact_steps` from ``r0``, the
-    step an online ``pathwise`` run takes on a stack of one state, so
-    replaying that run's record gives its states bitwise.
+    once, as a real matrix on the coordinates of the Hermitian basis.  Each
+    step applies ``Phi``, then the jump map ``conj(C) (x) C`` on a count,
+    and renormalizes, adding the log of the trace to ``log_lambda``: this
+    is the replay of :func:`_exact_steps` from ``r0``, the step an online
+    ``pathwise`` run takes on a stack of one state, so replaying that run's
+    record gives its states bitwise.
 
     Returns ``(r_path, recovered)``: the recovered normalized states with
     ``log_lambda`` at every grid point (``r0`` need not be normalized; its

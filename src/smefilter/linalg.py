@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,8 +73,8 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _too_large(nrm: float) -> ValueError:
-    return ValueError(f"expm argument is too large: max-entry norm {nrm:.3e} gives no finite result")
+def _too_large(nrm: float, outcome: str = "finite") -> ValueError:
+    return ValueError(f"expm argument is too large: max-entry norm {nrm:.3e} gives no {outcome} result")
 
 
 def _may_overflow(n: int, squarings: int) -> bool:
@@ -89,6 +90,35 @@ def _may_overflow(n: int, squarings: int) -> bool:
     return squarings >= math.log2(700.0 / (math.log(n) + 0.5 * n))
 
 
+# The largest ``2^squarings eps`` an expm result may carry: the rounding
+# error of the series sum, doubled by every squaring, relative to the
+# result.  The tests and the CLI output set reach at most 2^11 eps (4.5e-13).
+_SQUARING_ERROR_LIMIT = 1e-6
+# The log of the smallest positive float: a result bounded by its exponential
+# is the zero matrix.
+_LOG_TINY = math.log(math.ulp(0.0))
+
+
+def _inaccurate(m: np.ndarray, squarings: int) -> bool:
+    """Whether ``squarings`` squarings can leave no accurate digit in
+    ``expm(m)``: ``2^squarings eps`` exceeds ``_SQUARING_ERROR_LIMIT`` and
+    the exact result is not below the smallest float.  That is bounded by
+    ``exp(mu)``, with ``mu`` the Gershgorin bound on the largest eigenvalue
+    of the Hermitian part of ``m``, so the zero matrix is right for an
+    argument such as ``diag(-1e20, -1e20)``."""
+    if math.ldexp(np.finfo(float).eps, squarings) <= _SQUARING_ERROR_LIMIT:
+        return False
+    h = 0.5 * (m + m.conj().T)
+    mu = float((h.diagonal().real + np.abs(h).sum(axis=1) - np.abs(h.diagonal())).max())
+    return not mu < _LOG_TINY
+
+
+def _real_or_complex(a) -> np.ndarray:
+    """``a`` as a float array when it is real, a complex one otherwise."""
+    m = np.asarray(a)
+    return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+
+
 def expm(a, tol: float = 1e-12) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a truncated series.
 
@@ -96,16 +126,23 @@ def expm(a, tol: float = 1e-12) -> np.ndarray:
     most 1/2, the Taylor series is summed until the next term drops below
     the (scaled) tolerance, and the result is squared back up.  Nilpotent
     arguments terminate the series exactly, so e.g. ``expm(c * N)`` with
-    ``N @ N == 0`` returns ``I + c * N`` up to rounding.
+    ``N @ N == 0`` returns ``I + c * N`` up to rounding.  A real argument
+    gives a real result in real arithmetic, a complex one a complex result.
 
     Raises ``ValueError`` naming the max-entry norm when the argument is too
-    large for this scheme: when the squarings overflow, or when the
-    tolerance, divided by the scaling factor, falls below what 64 series
-    terms reach (max-entry norms from about ``1e110``).  Squarings that can
-    overflow run with numpy's floating-point warnings off, so the error is
-    the only report.
+    large for this scheme: when ``2^squarings eps`` exceeds 1e-6 (max-entry
+    norms from about ``2^31``), since the series sum's rounding error
+    doubles with every squaring, unless the exact result is below the
+    smallest float (see :func:`_inaccurate`); when the squarings overflow;
+    or when the tolerance, divided by the scaling factor, falls below what
+    64 series terms reach.  No call that the tests or the CLI output set
+    make comes near that limit: the largest takes 11 squarings.  Squarings
+    that can overflow run with numpy's floating-point warnings off, so the
+    error is the only report.
     """
-    m = as_square(a)
+    m = _real_or_complex(a)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     n = m.shape[0]
@@ -113,10 +150,12 @@ def expm(a, tol: float = 1e-12) -> np.ndarray:
     if not np.isfinite(nrm):
         raise ValueError("expm requires finite entries")
     if nrm == 0.0:
-        return np.eye(n, dtype=complex)
+        return np.eye(n, dtype=m.dtype)
     squarings = max(0, int(np.ceil(np.log2(nrm / 0.5))))
+    if _inaccurate(m, squarings):
+        raise _too_large(nrm, "accurate")
     b = m / (2.0**squarings) if squarings else m
-    x = np.eye(n, dtype=complex)
+    x = np.eye(n, dtype=m.dtype)
     x += b
     term = b
     cutoff = tol / (4.0 * 2.0**squarings)
@@ -140,7 +179,8 @@ def expm(a, tol: float = 1e-12) -> np.ndarray:
 
 
 def expm_many(a, tol: float = 1e-12) -> np.ndarray:
-    """:func:`expm` of every matrix in a stack ``a[b]``.
+    """:func:`expm` of every matrix in a stack ``a[b]``, real for a real
+    stack.
 
     Each element gets its own squaring count and series length, and an
     element whose series has converged takes no further terms, so every
@@ -148,18 +188,21 @@ def expm_many(a, tol: float = 1e-12) -> np.ndarray:
     whatever else is in the stack; it raises where :func:`expm` raises for
     an element.
     """
-    m = np.asarray(a, dtype=complex)
+    m = _real_or_complex(a)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
         raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    x = np.broadcast_to(np.eye(m.shape[1], dtype=complex), m.shape).copy()
+    x = np.broadcast_to(np.eye(m.shape[1], dtype=m.dtype), m.shape).copy()
     nrm = np.abs(m).max(axis=(1, 2))
     if not np.isfinite(nrm).all():
         raise ValueError("expm requires finite entries")
     live = np.flatnonzero(nrm > 0.0)  # a zero matrix keeps the identity
     squarings = np.zeros(m.shape[0], dtype=int)
     squarings[live] = np.maximum(0, np.ceil(np.log2(nrm[live] / 0.5)))
+    for i in np.flatnonzero(np.ldexp(np.finfo(float).eps, squarings) > _SQUARING_ERROR_LIMIT):
+        if _inaccurate(m[i], int(squarings[i])):
+            raise _too_large(nrm[i], "accurate")
     # Powers of two, so scaling by them is exact, as the one-matrix branch is.
     scale = np.ldexp(1.0, squarings)
     b = m / scale[:, None, None]
@@ -207,3 +250,90 @@ def unvec(v, n: int) -> np.ndarray:
     if w.ndim != 1 or w.size != n * n:
         raise ValueError(f"expected a vector of length {n * n}, got shape {w.shape}")
     return w.reshape((n, n), order="F")
+
+
+class HermitianBasis:
+    """An orthogonal basis ``B_a`` of the Hermitian ``n x n`` matrices and
+    the real coordinates ``s_a = tr(B_a rho)`` that it gives a Hermitian
+    ``rho``, which is ``sum_a s_a B_a / tr(B_a^2)``.
+
+    ``B_0`` is the identity, so ``s[0] = tr(rho)``.  Then, for each pair of
+    levels ``j < k``, ``E_jk + E_kj`` and ``-i E_jk + i E_kj``, and last the
+    diagonal ``sqrt(2/(l(l+1))) (sum_{j<l} E_jj - l E_ll)`` for ``l = 1 ..
+    n-1``: the generalized Gell-Mann matrices, which for ``n = 2`` are the
+    Pauli matrices ``sigma_x, sigma_y, sigma_z``, so that a 2-level state
+    has ``s = tr(rho) (1, x, y, z)`` with its Bloch vector.  ``n = 1`` has
+    ``B_0 = [[1]]`` alone.
+
+    A linear map that takes Hermitian matrices to Hermitian matrices is a
+    real ``n^2 x n^2`` matrix on these coordinates (:meth:`real_map`), and
+    ``tr(A rho)`` a real linear functional of them (:meth:`functional`).
+    :meth:`coords` and :meth:`matrices` convert stacks, each element with
+    one matrix-vector product, so an element's result does not depend on
+    the rest of the stack.
+    """
+
+    def __init__(self, n: int):
+        mats = [np.eye(n, dtype=complex)]
+        for j in range(n):
+            for k in range(j + 1, n):
+                sym, anti = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+                sym[j, k] = sym[k, j] = 1.0
+                anti[j, k], anti[k, j] = -1j, 1j
+                mats += [sym, anti]
+        for l in range(1, n):
+            diag = np.zeros(n)
+            diag[:l], diag[l] = 1.0, -l
+            mats.append(np.diag(np.sqrt(2.0 / (l * (l + 1))) * diag).astype(complex))
+        b = np.array(mats)
+        self.n = n
+        self.mats = b
+        self.norms = np.einsum("aij,aji->a", b, b).real
+        flat = b.reshape(n * n, n * n)  # flat[a, i n + j] = B_a[i, j]
+        flat_t = b.transpose(0, 2, 1).reshape(n * n, n * n)  # flat_t[a, i n + j] = B_a[j, i]
+        # s = U r, with r the entries of rho row by row as (re, im) pairs:
+        # s_a = sum_ij Re B_a[j, i] Re rho_ij - Im B_a[j, i] Im rho_ij
+        self._to_coords = np.empty((n * n, 2 * n * n))
+        self._to_coords[:, 0::2], self._to_coords[:, 1::2] = flat_t.real, -flat_t.imag
+        # r = W s: rho_ij = sum_a s_a B_a[i, j] / tr(B_a^2)
+        dual = flat.T / self.norms
+        self._to_matrices = np.empty((2 * n * n, n * n))
+        self._to_matrices[0::2], self._to_matrices[1::2] = dual.real, dual.imag
+        # on column-stacked vectors, s = T vec(rho) and vec(rho) = V s
+        self._t, self._v = flat, flat_t.T / self.norms
+        for a in (self.mats, self.norms, self._to_coords, self._to_matrices, self._t, self._v):
+            a.setflags(write=False)
+
+    def coords(self, rho) -> np.ndarray:
+        """The coordinates ``(..., n^2)`` of the Hermitian part of each
+        matrix of ``rho``, shape ``(..., n, n)``; a matrix that is not
+        finite has coordinates that are not finite, without a warning."""
+        r = np.ascontiguousarray(rho, dtype=complex)
+        r = r.reshape(r.shape[:-2] + (-1,)).view(float)
+        with np.errstate(invalid="ignore"):
+            return np.matmul(self._to_coords, r[..., None])[..., 0]
+
+    def matrices(self, s) -> np.ndarray:
+        """The Hermitian matrices ``(..., n, n)`` of the coordinates ``s``,
+        shape ``(..., n^2)``; each is exactly Hermitian."""
+        s = np.ascontiguousarray(s, dtype=float)
+        out = np.matmul(self._to_matrices, s[..., None])
+        return out.reshape(s.shape[:-1] + (-1,)).view(complex).reshape(s.shape[:-1] + (self.n, self.n))
+
+    def real_map(self, m) -> np.ndarray:
+        """The real ``n^2 x n^2`` matrix of the map ``vec(rho) -> m
+        vec(rho)`` on column-stacked vectors, which must take Hermitian
+        matrices to Hermitian matrices (its imaginary part, rounding error,
+        is dropped)."""
+        return (self._t @ np.asarray(m, dtype=complex) @ self._v).real
+
+    def functional(self, a) -> np.ndarray:
+        """The real vector ``f`` with ``Re tr(a rho) = f . s``."""
+        return np.einsum("ij,aji->a", np.asarray(a, dtype=complex), self.mats).real / self.norms
+
+
+@lru_cache(maxsize=None)
+def hermitian_basis(n: int) -> HermitianBasis:
+    """The :class:`HermitianBasis` of ``n x n`` matrices, built once per
+    ``n``; its arrays are read-only."""
+    return HermitianBasis(n)

@@ -12,13 +12,14 @@ is ``steps.run(steps.draw(rng, n))``, and only the record kind's module
 knows what a run draws and how the record follows from the draws.
 Ensembles give trajectory ``i`` the seed ``base_seed + i`` and run on one
 batched engine, ``_run_batched``: it steps all trajectories together as
-one stack of states with ``steps.many`` and keeps only the running state
-sum, one array over the grid, and the final states.  Each trajectory's
-states are bitwise those of ``run_trajectory`` with its seed.
+one stack of state coordinates with ``steps.many`` and keeps only the
+running state sum, one array over the grid, and the final states.  Each
+trajectory's states are bitwise those of ``run_trajectory`` with its seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ from .jump import (  # noqa: F401
     jump_pathwise_solve,
     sample_counting_record,
 )
-from .linalg import dagger, max_abs
+from .linalg import dagger, hermitian_basis, max_abs
 from .model import BlochVector, DiffusionModel, JumpModel
 
 # Steps of random numbers a batched ensemble draws per trajectory at a time;
@@ -170,26 +171,27 @@ def _scheme_steps(model, scheme: str, dt: float, rho0, substeps: int):
 
 
 def _run_batched(steps, n: int, n_traj: int, base_seed: int):
-    """Step the trajectories of an ensemble as one stack of states.
+    """Step the trajectories of an ensemble as one stack of coordinates.
 
     Trajectory ``i`` draws its numbers from its own generator seeded
     ``base_seed + i`` (see :func:`_draws`), and the stack step
     ``steps.many`` gives each element of the stack the arithmetic of a
     single run, so every state is bitwise the one ``run_trajectory``
     computes for that seed.  Returns the state sums over trajectories at
-    every grid point (added in trajectory order, as a loop over
+    every grid point (the states converted to matrices as a single run
+    converts its own, then added in trajectory order, as a loop over
     trajectories adds them), the final states and their ``log_lambda``.
     """
-    start = steps.start
-    rho = np.broadcast_to(start, (n_traj,) + start.shape).copy()
+    basis = hermitian_basis(math.isqrt(steps.start.size))
+    s = np.broadcast_to(steps.start, (n_traj, steps.start.size)).copy()
     log_lam = np.full(n_traj, steps.log0)
-    sum_rho = np.empty((n + 1,) + start.shape, dtype=complex)
-    sum_rho[0] = rho.sum(axis=0)
+    sum_rho = np.empty((n + 1, basis.n, basis.n), dtype=complex)
+    sum_rho[0] = basis.matrices(s).sum(axis=0)
     for k, x in enumerate(_draws(base_seed, n_traj, n, steps.draw)):
-        rho, dlog = steps.many(rho, x, k, _trajectory_in(base_seed, k + 1))
+        s, dlog = steps.many(s, x, k, _trajectory_in(base_seed, k + 1))
         log_lam += dlog
-        sum_rho[k + 1] = rho.sum(axis=0)
-    return sum_rho, rho, log_lam
+        sum_rho[k + 1] = basis.matrices(s).sum(axis=0)
+    return sum_rho, basis.matrices(s), log_lam
 
 
 def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int, substeps: int = 4) -> TrajectoryResult:

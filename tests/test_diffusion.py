@@ -17,7 +17,9 @@ from smefilter.diffusion import (
     RobustStepper,
     StatePath,
     _MAP_BLOCK,
+    _renormalize,
     _robust_advance,
+    _start,
     em_normalized,
     em_unnormalized,
     em_unnormalized_many,
@@ -31,12 +33,15 @@ from smefilter.diffusion import (
     write_measurement_record,
 )
 from smefilter.jump import read_counting_record
-from smefilter.linalg import dagger, expm, kron, max_abs, vec
+from smefilter.linalg import dagger, expm, hermitian_basis, kron, max_abs, vec
 from smefilter.model import build_diffusion_model, purity, rho_from_bloch, two_level_model
 from smefilter.ode import rk4_step
 from smefilter.traj import _DRAW_BLOCK, SCHEMES, master_propagate, run_ensemble, run_trajectory
 
 RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)
+# The steppers carry coordinates in the Hermitian basis (see linalg.HermitianBasis).
+PAULI = hermitian_basis(2)
+PLUS = PAULI.coords(RHO_PLUS)
 
 
 def driven_atom_model(phi=0.0, eta=0.85):
@@ -278,14 +283,16 @@ class TestIntegratePathwise:
 
 
 def stepwise_pathwise(model, record, rho0, substeps):
-    """The states along a record, one ``advance`` and one ``recover_state``
-    at a time, as the online run steps."""
+    """The states along a record, one ``advance`` and one shared tail at a
+    time on the coordinates from ``rho0``, as the online run steps."""
     stepper = PathwiseIntegrator(model, record.dt, substeps)
-    state = DensityState(rho0, 0.0, float(record.times[0]))
+    basis = hermitian_basis(model.dim)
+    s, log_lambda = _start(rho0, model.dim), 0.0
     states = []
     for dy, t in zip(record.increments, record.times[1:]):
-        state = stepper.recover_state(stepper.advance(state.rho, float(dy), float(t)), state.log_lambda, float(t))
-        states.append(state)
+        s, dlog = _renormalize(stepper.advance(s, float(dy), float(t)), float(t), "pathwise state")
+        log_lambda += dlog
+        states.append(DensityState(basis.matrices(s), log_lambda, float(t)))
     return states
 
 
@@ -310,7 +317,7 @@ class TestPathwiseBlocks:
         assert len(filtered) == n_steps + 1
         # the filter starts from rho0 renormalized
         assert filtered[0].t == 0.3 and filtered[0].log_lambda == 0.0
-        states = stepwise_pathwise(m, rec, filtered[0].rho, 3)
+        states = stepwise_pathwise(m, rec, rho0, 3)
         for want, got in zip(states, filtered[1:]):
             assert got.rho.tobytes() == want.rho.tobytes()
             assert got.log_lambda == want.log_lambda and got.t == want.t
@@ -321,16 +328,16 @@ class TestPathwiseBlocks:
         inc = np.zeros(2 * _MAP_BLOCK)
         inc[k] = 1e40
         rec = MeasurementRecord(0.01, inc, t0=0.3)
-        with pytest.raises(NonFiniteStateError, match="pathwise state blew up") as err:
+        with pytest.raises(NonFiniteStateError, match=f"pathwise state of step {k + 1} blew up") as err:
             pathwise_filter(driven_atom_model(), rec, RHO_PLUS, substeps=2)
         assert err.value.time == rec.times[k + 1]
         # the online step names the time it is given, and the stack step the
         # element whose map is out of range, in the same words
         stepper = PathwiseIntegrator(driven_atom_model(), 0.01)
         with pytest.raises(NonFiniteStateError, match="pathwise state blew up .* at t = 0.7") as single:
-            stepper.advance(RHO_PLUS, 1e40, 0.7)
+            stepper.advance(PLUS, 1e40, 0.7)
         with pytest.raises(NonFiniteStateError) as stacked:
-            stepper.advance_many(np.stack([RHO_PLUS] * 3), np.array([0.0, 1e40, 1e40]), 0.7)
+            stepper.advance_many(np.stack([PLUS] * 3), np.array([0.0, 1e40, 1e40]), 0.7)
         assert stacked.value.time == single.value.time
         assert str(stacked.value) == str(single.value).replace("state", "state of batch element 1", 1)
 
@@ -342,12 +349,12 @@ class TestPathwiseBlocks:
         rec = MeasurementRecord(0.01, inc, t0=0.3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteStateError, match="pathwise state blew up"):
+            with pytest.raises(NonFiniteStateError, match=f"pathwise state of step {_MAP_BLOCK + 6} blew up"):
                 pathwise_filter(driven_atom_model(), rec, RHO_PLUS, substeps=2)
             with pytest.raises(NonFiniteStateError, match="pathwise state blew up"):
-                PathwiseIntegrator(driven_atom_model(), 0.01).advance(RHO_PLUS, 1e40, 0.7)
+                PathwiseIntegrator(driven_atom_model(), 0.01).advance(PLUS, 1e40, 0.7)
             with pytest.raises(NonFiniteStateError, match="pathwise state of batch element 0 blew up"):
-                PathwiseIntegrator(driven_atom_model(), 0.01).advance_many(RHO_PLUS[None], np.array([1e40]), 0.7)
+                PathwiseIntegrator(driven_atom_model(), 0.01).advance_many(PLUS[None], np.array([1e40]), 0.7)
 
     def test_collapse_names_its_time(self):
         stepper = PathwiseIntegrator(driven_atom_model(), 0.01)
@@ -456,14 +463,17 @@ class TestRobustStepperSolve:
         else:
             m, n = two_level_model(1.0, 7.0 / np.sqrt(2.0), 0.5, phi, 0.6), 2
         stepper = RobustStepper(m, 0.01)
+        basis = hermitian_basis(n)
         k2 = m.kappa**2
         for _ in range(1500):
             rho, dy = random_state(rng, n), float(rng.normal(0.0, 0.3))
             e = expm(m.L * (dy / k2) - (m.L @ m.L) * (0.01 / (2.0 * k2)))
             rhs = (e @ rho @ e.conj().T).reshape(-1, order="F")
-            got = stepper.propagate(rho, dy).reshape(-1, order="F")
-            w = stepper.weights(np.array([dy]))[0]
-            assert np.array_equal(got, stepper._map @ np.kron(w, vec(rho)))
+            s = basis.coords(rho)
+            x = stepper.propagate(s, dy)
+            u = stepper.weights(np.array([dy]))[0]
+            assert np.array_equal(x, (stepper._map @ u).reshape(n * n, n * n) @ s)
+            got = basis.matrices(x).reshape(-1, order="F")
             assert max_abs(got - scipy.linalg.lu_solve(stepper._factors, rhs, check_finite=False)) <= 1e-13
 
 
@@ -475,7 +485,7 @@ class TestRobustStepperBatch:
         m = two_level_model(1.0, 7.0 / np.sqrt(2.0), 0.5, phi, eta)
         stepper = RobustStepper(m, dt)
         rng = np.random.default_rng(17)
-        rhos = np.stack([random_state(rng) for _ in range(25)])
+        rhos = PAULI.coords(np.stack([random_state(rng) for _ in range(25)]))
         dys = rng.normal(0.0, 3.0 * np.sqrt(dt), 25)
         dys[3] = 0.0
         new, dlog = stepper.advance_many(rhos, dys, 0.5)
@@ -488,7 +498,7 @@ class TestRobustStepperBatch:
         rng = np.random.default_rng(23)
         m = three_level_model(rng)
         stepper = RobustStepper(m, 0.01)
-        rhos = np.stack([random_state(rng, 3) for _ in range(9)])
+        rhos = hermitian_basis(3).coords(np.stack([random_state(rng, 3) for _ in range(9)]))
         dys = rng.normal(0.0, 0.1, 9)
         new, dlog = stepper.advance_many(rhos, dys, 0.01)
         for b in range(9):
@@ -497,7 +507,7 @@ class TestRobustStepperBatch:
 
     def test_collapsed_element_raises_with_time(self):
         stepper = RobustStepper(driven_atom_model(), 0.01)
-        rhos = np.stack([RHO_PLUS, -np.eye(2, dtype=complex), RHO_PLUS])
+        rhos = PAULI.coords(np.stack([RHO_PLUS, -np.eye(2, dtype=complex), RHO_PLUS]))
         with pytest.raises(NonFiniteStateError, match="batch element 1") as err:
             stepper.advance_many(rhos, np.array([0.01, 0.02, -0.01]), 0.37)
         assert err.value.time == pytest.approx(0.37)
@@ -505,7 +515,7 @@ class TestRobustStepperBatch:
     def test_nonfinite_increment_rejected(self):
         stepper = RobustStepper(driven_atom_model(), 0.01)
         with pytest.raises(ValueError, match="finite"):
-            stepper.advance_many(np.stack([RHO_PLUS, RHO_PLUS]), np.array([0.0, np.nan]), 0.01)
+            stepper.advance_many(np.stack([PLUS, PLUS]), np.array([0.0, np.nan]), 0.01)
 
 
 def _mp_exponential(L, dy, k2, dt):
@@ -577,10 +587,10 @@ class TestRobustCoefficients:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError, match="blew up") as err:
-                _robust_advance(stepper, RHO_PLUS, 1e40, 0.37)
+                _robust_advance(stepper, PLUS, 1e40, 0.37)
             assert err.value.time == 0.37
             with pytest.raises(NonFiniteStateError, match="of batch element 1 blew up") as err:
-                stepper.advance_many(np.stack([RHO_PLUS] * 4), dys, 0.37)
+                stepper.advance_many(np.stack([PLUS] * 4), dys, 0.37)
             assert err.value.time == 0.37
             c = stepper.coefficients(dys)
         assert np.isnan(c[[1, 3]]).all()
@@ -601,7 +611,7 @@ def test_robust_stack_of_1000_is_each_step_alone(dim):
     rng = np.random.default_rng(70 + dim)
     m = driven_atom_model(0.3, 0.6) if dim == 2 else three_level_model(rng)
     stepper = RobustStepper(m, 0.01)
-    rhos = np.stack([random_state(rng, dim) for _ in range(1000)])
+    rhos = hermitian_basis(dim).coords(np.stack([random_state(rng, dim) for _ in range(1000)]))
     dys = rng.normal(0.0, 0.3, 1000)
     dys[[4, 500]] = 0.0
     new, dlog = stepper.advance_many(rhos, dys, 0.5)
@@ -659,10 +669,11 @@ class TestRobustFilter:
         replay = robust_filter(m, online.record, rho0)
         assert len(replay) == len(online.states) == n_steps + 1
         stepper = RobustStepper(m, 0.01)
-        rho, log_lam = online.states[0].rho, 0.0
+        s, log_lam = _start(rho0, dim), 0.0
         for k, dy in enumerate(online.record.increments):
-            rho, dlog = _robust_advance(stepper, rho, float(dy), float(online.times[k + 1]))
+            s, dlog = _robust_advance(stepper, s, float(dy), float(online.times[k + 1]))
             log_lam += dlog
+            rho = hermitian_basis(dim).matrices(s)
             for got in (replay[k + 1], online.states[k + 1]):
                 assert got.rho.tobytes() == rho.tobytes() and got.log_lambda == log_lam
 
@@ -957,7 +968,9 @@ def test_pathwise_step_matches_per_stage_gauges(model, substeps, grid, y_start, 
     dy = dy_scaled * np.sqrt(dt)
     rho = random_state(np.random.default_rng(seed), model.dim)
     stepper = PathwiseIntegrator(model, dt, substeps)
-    state = strict_validate(stepper.recover_state(stepper.advance(rho, dy, 7.0), 0.5, 7.0))
+    basis = hermitian_basis(model.dim)
+    r = basis.matrices(stepper.advance(basis.coords(rho), dy, 7.0))
+    state = strict_validate(stepper.recover_state(r, 0.5, 7.0))
     assert np.array_equal(state.rho, dagger(state.rho)) and state.t == 7.0
     want = reference_step(model, rho, dy, dt)
     tr = np.trace(want).real
@@ -994,13 +1007,15 @@ def test_block_of_steps_matches_each_step_alone_bitwise(model, substeps, grid, n
     stepper = PathwiseIntegrator(model, dt, substeps)
     block = stepper.step_maps(dy)
     rho = random_state(rng, model.dim)
+    basis = hermitian_basis(model.dim)
     state = DensityState(rho, 0.0, 0.0)
     for b in range(n_steps):
         alone = stepper.step_maps(dy[b : b + 1])[0]
         assert block[b].tobytes() == alone.tobytes()
-        r = stepper.advance(state.rho, float(dy[b]), 1.0, block[b])
-        assert r.tobytes() == stepper.advance(state.rho, float(dy[b]), 1.0).tobytes()
-        state = stepper.recover_state(r, state.log_lambda, 1.0)
+        s = basis.coords(state.rho)
+        r = stepper.advance(s, float(dy[b]), 1.0, block[b])
+        assert r.tobytes() == stepper.advance(s, float(dy[b]), 1.0).tobytes()
+        state = stepper.recover_state(basis.matrices(r), state.log_lambda, 1.0)
 
 
 def assembled_robust_step(model, rho, e, dt):
@@ -1028,15 +1043,16 @@ def test_robust_batch_is_each_step_alone_and_near_the_solve(model, dt, nb, seed)
     # and within rounding of solving the system itself.
     rng = np.random.default_rng(seed)
     stepper = RobustStepper(model, dt)
+    basis = hermitian_basis(model.dim)
     rhos = np.stack([random_state(rng, model.dim) for _ in range(nb)])
     dys = rng.normal(0.0, model.kappa * np.sqrt(dt), nb)
-    new, dlog = stepper.advance_many(rhos, dys, 1.0)
+    new, dlog = stepper.advance_many(basis.coords(rhos), dys, 1.0)
     k2 = model.kappa**2
     for b in range(nb):
-        one, one_dlog = _robust_advance(stepper, rhos[b], float(dys[b]), 1.0)
+        one, one_dlog = _robust_advance(stepper, basis.coords(rhos[b]), float(dys[b]), 1.0)
         assert new[b].tobytes() == one.tobytes() and dlog[b] == one_dlog
         e = expm(model.L * (dys[b] / k2) - (model.L @ model.L) * (dt / (2.0 * k2)))
-        assert max_abs(new[b] - assembled_robust_step(model, rhos[b], e, dt)) <= 1e-12
+        assert max_abs(basis.matrices(new[b]) - assembled_robust_step(model, rhos[b], e, dt)) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -1095,9 +1111,27 @@ class TestStatePath:
         assert all(same(a, b) for a, b in zip(path, states))
         assert all(same(a, b) for a, b in zip(reversed(path), states[::-1]))
 
+    def test_an_indexed_state_is_found_in_its_path(self):
+        # indexing makes a new DensityState each time; states compare by value
+        path = some_states(np.random.default_rng(93), 9)
+        assert path[3] in path and path.index(path[3]) == 3 and path[3] == path[3]
+        assert DensityState(np.eye(2), 0.0, 0.0) == DensityState(np.eye(2), 0.0, 0.0)
+        other = path[3]
+        assert DensityState(other.rho, other.log_lambda, other.t + 0.01) not in path
+        assert (path[3] == path[4]) is False and path[3] != "a state"
+
     def test_rho_tilde_is_each_states_bitwise(self):
         path = some_states(np.random.default_rng(91), 9)
         assert path.rho_tilde().tobytes() == np.stack([s.rho_tilde() for s in path]).tobytes()
+
+
+@pytest.mark.parametrize("run_filter", [robust_filter, pathwise_filter])
+def test_failing_step_names_its_step_and_time(run_filter):
+    # dy = 1e40 takes the robust E(dy) and the pathwise expm out of range
+    m = build_diffusion_model(np.zeros((2, 2)), [[0.3, 1.0], [0.2j, -0.1]], 0.8)
+    with pytest.raises(NonFiniteStateError, match=r" of step 3 blew up.* at t = 0\.03$") as err:
+        run_filter(m, MeasurementRecord(0.01, [0.1, 0.2, 1e40, 0.1]), RHO_PLUS)
+    assert err.value.time == pytest.approx(0.03)
 
 
 @pytest.mark.parametrize("run_filter", [robust_filter, pathwise_filter])

@@ -4,11 +4,12 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from smefilter.diffusion import NonFiniteStateError, _batch_element, _normalized_density
+from smefilter.diffusion import NonFiniteStateError, _batch_element, _start
 from smefilter.jump import (
     CountingRecord,
     InvalidCountingRecordError,
     JumpGauge,
+    _euler_maps,
     _exact_propagator,
     _euler_step_many,
     _exact_step_many,
@@ -22,7 +23,7 @@ from smefilter.jump import (
     sample_counting_record,
     write_counting_record,
 )
-from smefilter.linalg import dagger, max_abs
+from smefilter.linalg import dagger, hermitian_basis, max_abs
 from smefilter.model import SIGMA, SIGMA_X, SIGMA_Z, build_jump_model, purity
 from smefilter.ode import rk4_step
 from smefilter.traj import master_propagate, run_ensemble, run_trajectory
@@ -30,6 +31,8 @@ from smefilter.traj import master_propagate, run_ensemble, run_trajectory
 RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)
 GROUND = np.diag([0.0, 1.0]).astype(complex)
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
+# The steppers carry coordinates in the Hermitian basis (see linalg.HermitianBasis).
+PAULI = hermitian_basis(2)
 
 
 def unitary_jump_model(theta=0.4, lam=1.0, eta=0.7):
@@ -129,12 +132,15 @@ class TestSampling:
         m = unitary_jump_model(theta=0.9, lam=2.0)
         dt, n, seed = 0.01, 400, 21
         uniforms = np.random.default_rng(seed).random(n)
-        rho = _normalized_density(RHO_PLUS)
+        maps = _euler_maps(m, dt)
+        s = _start(RHO_PLUS, 2)
+        rho = PAULI.matrices(s)
         counts, rhos, logs, log_lam = [], [rho], [0.0], 0.0
         for k in range(n):
             dn = 1 if uniforms[k] < count_probability(m, rho, dt, k * dt) else 0
-            step, dlog = _euler_step_many(m, rho[None], np.array([dn]), dt, (k + 1) * dt)
-            rho = step[0]
+            step, dlog = _euler_step_many(maps, s[None], np.array([dn]), (k + 1) * dt)
+            s = step[0]
+            rho = PAULI.matrices(s)
             log_lam += float(dlog[0])
             counts.append(dn)
             rhos.append(rho)
@@ -154,12 +160,14 @@ class TestSampling:
         dt, n, seed = 0.02, 400, 7
         uniforms = np.random.default_rng(seed).random(n)
         jump_map, phi = _exact_propagator(m, dt)
-        rho = _normalized_density(RHO_PLUS)
+        s = _start(RHO_PLUS, 2)
+        rho = PAULI.matrices(s)
         counts, rhos, logs, log_lam = [], [rho], [0.0], 0.0
         for k in range(n):
             dn = uniforms[k] < count_probability(m, rho, dt, k * dt)
-            step, dlog = _exact_step_many(jump_map, phi, rho[None], np.array([dn]), (k + 1) * dt)
-            rho = step[0]
+            step, dlog = _exact_step_many(jump_map, phi, s[None], np.array([dn]), (k + 1) * dt)
+            s = step[0]
+            rho = PAULI.matrices(s)
             log_lam += float(dlog[0])
             counts.append(int(dn))
             rhos.append(rho)
@@ -194,21 +202,21 @@ class TestBatchedSteps:
     def test_sampler_count_on_annihilated_state_names_element(self):
         # a uniform of -1 forces a count; C = sigma kills the ground state
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
-        rho = np.stack([RHO_PLUS, GROUND, RHO_PLUS])
+        rho = PAULI.coords(np.stack([RHO_PLUS, GROUND, RHO_PLUS]))
         with pytest.raises(InvalidCountingRecordError, match="at t = 0.31 .* for batch element 1:"):
             _jump_steps(m, "em", 0.01, RHO_PLUS).many(rho, np.array([2.0, -1.0, 2.0]), 30, _batch_element)
 
     def test_exact_count_on_annihilated_state_names_element(self):
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
         jump_map, phi = _exact_propagator(m, 0.01)
-        rho = np.stack([RHO_PLUS, RHO_PLUS, GROUND])
+        rho = PAULI.coords(np.stack([RHO_PLUS, RHO_PLUS, GROUND]))
         with pytest.raises(InvalidCountingRecordError, match="t = 0.03 .* batch element 2"):
             _exact_step_many(jump_map, phi, rho, np.array([True, False, True]), 0.03)
 
     def test_exact_collapse_without_count_names_element(self):
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
         jump_map, phi = _exact_propagator(m, 0.01)
-        rho = np.stack([RHO_PLUS, np.zeros((2, 2), dtype=complex)])
+        rho = PAULI.coords(np.stack([RHO_PLUS, np.zeros((2, 2), dtype=complex)]))
         with pytest.raises(NonFiniteStateError, match="batch element 1 collapsed") as err:
             _exact_step_many(jump_map, phi, rho, np.array([False, False]), 0.02)
         assert err.value.time == pytest.approx(0.02)

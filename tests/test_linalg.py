@@ -100,6 +100,24 @@ class TestExpm:
         with pytest.raises(ValueError, match=f"max-entry norm {norm}"):
             expm_many(np.stack([np.eye(2), rotation]))
 
+    @pytest.mark.parametrize("s, norm", [(1e17, r"1\.000e\+17"), (1e19, r"1\.000e\+19")])
+    def test_inaccurate_argument_rejected(self, s, norm):
+        # 58 and 65 squarings leave no accurate digit: the rotation came out
+        # with entries up to 6.8e4, and as the zero matrix
+        rotation = np.array([[0.0, -s], [s, 0.0]])
+        for a in (rotation, rotation.astype(complex)):
+            with pytest.raises(ValueError, match=f"max-entry norm {norm} gives no accurate result"):
+                expm(a)
+            with pytest.raises(ValueError, match=f"max-entry norm {norm} gives no accurate result"):
+                expm_many(np.stack([np.eye(2), a]))
+
+    def test_real_argument_gives_real_result(self):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(4, 4))
+        got = expm(a)
+        assert got.dtype == float and np.array_equal(expm_many(a[None])[0], got)
+        assert allclose(got, expm(a.astype(complex)).real, 1e-13)
+
     def test_large_finite_results_kept(self):
         assert expm(np.diag([700.0, 0.0]))[0, 0].real == pytest.approx(np.exp(700.0), rel=1e-10)
         assert np.array_equal(expm(np.diag([-1e20, -1e20])), np.zeros((2, 2)))

@@ -11,6 +11,7 @@ from smefilter.diffusion import (
     RobustStepper,
     _MAP_BLOCK,
     _diffusion_steps,
+    _em_maps,
     _em_step_many,
     _pathwise_advance,
     _robust_advance,
@@ -22,6 +23,7 @@ from smefilter.diffusion import (
 from smefilter.jump import (
     CountingRecord,
     InvalidCountingRecordError,
+    _euler_maps,
     _euler_step_many,
     _exact_propagator,
     _exact_step_many,
@@ -30,7 +32,7 @@ from smefilter.jump import (
     jump_unnorm_step,
     sample_counting_record,
 )
-from smefilter.linalg import dagger, max_abs
+from smefilter.linalg import dagger, hermitian_basis, max_abs
 from smefilter.model import (
     SIGMA,
     SIGMA_X,
@@ -54,6 +56,8 @@ from smefilter.traj import (
 )
 
 RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)
+# The steppers carry coordinates in the Hermitian basis (see linalg.HermitianBasis).
+PAULI = hermitian_basis(2)
 
 
 def driven_atom_model(phi=0.0, eta=0.85):
@@ -353,7 +357,7 @@ class TestRunEnsemble:
 
     def test_robust_collapse_names_trajectory(self):
         stepper = RobustStepper(driven_atom_model(), 0.01)
-        rhos = np.stack([RHO_PLUS, -np.eye(2, dtype=complex)])
+        rhos = PAULI.coords(np.stack([RHO_PLUS, -np.eye(2, dtype=complex)]))
         with pytest.raises(NonFiniteStateError, match=r"trajectory 1 \(seed 41\) in step 7 collapsed at t = 0.07"):
             stepper.advance_many(rhos, np.array([0.01, 0.02]), 0.07, _trajectory_in(40, 7))
 
@@ -585,7 +589,7 @@ def test_state_of_another_dimension_rejected_by_name(entry):
 
 
 def _stack(x):
-    return np.stack([RHO_PLUS, x])
+    return PAULI.coords(np.stack([RHO_PLUS, x]))
 
 
 def _em_normalized_step(x, t):
@@ -595,8 +599,8 @@ def _em_normalized_step(x, t):
 
 
 SINGLE_STEPS = {
-    "robust": lambda x, t: _robust_advance(RobustStepper(driven_atom_model(), 0.01), x, 0.1, t),
-    "pathwise": lambda x, t: _pathwise_advance(PathwiseIntegrator(driven_atom_model(), 0.01), x, 0.1, t),
+    "robust": lambda x, t: _robust_advance(RobustStepper(driven_atom_model(), 0.01), PAULI.coords(x), 0.1, t),
+    "pathwise": lambda x, t: _pathwise_advance(PathwiseIntegrator(driven_atom_model(), 0.01), PAULI.coords(x), 0.1, t),
     "em_normalized": _em_normalized_step,
     "jump_sme_step": lambda x, t: jump_sme_step(criterion9_jump_model(), x, 0, 0.01),
 }
@@ -605,8 +609,12 @@ STACK_STEPS = {
     "pathwise_advance_many": lambda x, t: PathwiseIntegrator(driven_atom_model(), 0.01).advance_many(
         _stack(x), np.full(2, 0.1), t
     ),
-    "em_step_many": lambda x, t: _em_step_many(driven_atom_model(), _stack(x), np.full(2, 0.1), 0.01, t),
-    "euler_step_many": lambda x, t: _euler_step_many(criterion9_jump_model(), _stack(x), np.zeros(2, bool), 0.01, t),
+    "em_step_many": lambda x, t: _em_step_many(
+        _em_maps(driven_atom_model()), driven_atom_model().kappa, _stack(x), np.full(2, 0.1), 0.01, t
+    ),
+    "euler_step_many": lambda x, t: _euler_step_many(
+        _euler_maps(criterion9_jump_model(), 0.01), _stack(x), np.zeros(2, bool), t
+    ),
     "exact_step_many": lambda x, t: _exact_step_many(
         *_exact_propagator(criterion9_jump_model(), 0.01), _stack(x), np.zeros(2, bool), t
     ),
