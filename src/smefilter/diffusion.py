@@ -146,9 +146,7 @@ def _renormalize(x: np.ndarray, t, what: str, where=None):
         tr = float(x[0])
         if float(np.abs(x).max()) * _EPS < tr:
             return x / tr, np.log(tr)
-    # the largest coordinate of the stack against its smallest trace is
-    # enough, and faster than each state's own
-    elif np.abs(x).max() * _EPS < x[:, 0].min() or (np.abs(x).max(axis=1) * _EPS < x[:, 0]).all():
+    elif (np.abs(x).max(axis=1) * _EPS < x[:, 0]).all():
         return x / x[:, :1], np.log(x[:, 0])
     stack = x.reshape(-1, x.shape[-1])
     b = next(b for b, xb in enumerate(stack) if not np.abs(xb).max() * _EPS < xb[0])
@@ -848,9 +846,11 @@ def robust_step(model, state_prev, dy: float, dt: float, tol: float = 1e-12) -> 
     Hermitian matrix, through the solve of ``A X + X B - C X D = E(dy)
     X_prev E(dy)^dag``.
 
-    A zero-width step is a no-op.
+    A zero-width step is a no-op.  Raises ``ValueError`` when
+    ``state_prev`` is not Hermitian (see :func:`linalg.require_hermitian`),
+    since the step acts on its coordinates.
     """
-    prev = as_square(state_prev)
+    prev = require_hermitian(state_prev, "state_prev")
     if dt < 0.0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if dt == 0.0:
@@ -931,7 +931,7 @@ def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
     coords[:, 0], out_logs[:, 0] = v.T, logs
     for step in range(n_steps):
         v = step_mat @ v + (stoch @ v) * dys[step]
-        tr = v[0]
+        tr = v[0].copy()  # a view would read the divided row below
         if not np.isfinite(tr).all() or (tr <= 0.0).any():
             raise NonFiniteStateError(float(times[step + 1]), "unnormalized state collapsed")
         v /= tr

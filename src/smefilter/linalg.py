@@ -99,14 +99,21 @@ _SQUARING_ERROR_LIMIT = 1e-6
 _LOG_TINY = math.log(math.ulp(0.0))
 
 
-def _inaccurate(m: np.ndarray, squarings: int) -> bool:
+def _inaccurate(m: np.ndarray, squarings: int, last_term: np.ndarray) -> bool:
     """Whether ``squarings`` squarings can leave no accurate digit in
-    ``expm(m)``: ``2^squarings eps`` exceeds ``_SQUARING_ERROR_LIMIT`` and
-    the exact result is not below the smallest float.  That is bounded by
+    ``expm(m)``, whose scaled series ended with the term ``last_term``:
+    ``2^squarings eps`` exceeds ``_SQUARING_ERROR_LIMIT``, the series did
+    not end with an exactly zero term, and the exact result is not below
+    the smallest float.
+
+    A zero term ends the series of a nilpotent argument exactly, and the
+    squarings of such a sum add no rounding for an argument such as
+    ``c N`` with ``N = [[0, 1], [0, 0]]``, whose sum ``I + c N / 2^k``
+    squares exactly to ``I + c N``.  The exact result is bounded by
     ``exp(mu)``, with ``mu`` the Gershgorin bound on the largest eigenvalue
     of the Hermitian part of ``m``, so the zero matrix is right for an
     argument such as ``diag(-1e20, -1e20)``."""
-    if math.ldexp(np.finfo(float).eps, squarings) <= _SQUARING_ERROR_LIMIT:
+    if math.ldexp(np.finfo(float).eps, squarings) <= _SQUARING_ERROR_LIMIT or not last_term.any():
         return False
     h = 0.5 * (m + m.conj().T)
     mu = float((h.diagonal().real + np.abs(h).sum(axis=1) - np.abs(h.diagonal())).max())
@@ -132,8 +139,9 @@ def expm(a, tol: float = 1e-12) -> np.ndarray:
     Raises ``ValueError`` naming the max-entry norm when the argument is too
     large for this scheme: when ``2^squarings eps`` exceeds 1e-6 (max-entry
     norms from about ``2^31``), since the series sum's rounding error
-    doubles with every squaring, unless the exact result is below the
-    smallest float (see :func:`_inaccurate`); when the squarings overflow;
+    doubles with every squaring, unless the series ends with an exactly
+    zero term, as a nilpotent argument's does, or the exact result is below
+    the smallest float (see :func:`_inaccurate`); when the squarings overflow;
     or when the tolerance, divided by the scaling factor, falls below what
     64 series terms reach.  No call that the tests or the CLI output set
     make comes near that limit: the largest takes 11 squarings.  Squarings
@@ -152,8 +160,6 @@ def expm(a, tol: float = 1e-12) -> np.ndarray:
     if nrm == 0.0:
         return np.eye(n, dtype=m.dtype)
     squarings = max(0, int(np.ceil(np.log2(nrm / 0.5))))
-    if _inaccurate(m, squarings):
-        raise _too_large(nrm, "accurate")
     b = m / (2.0**squarings) if squarings else m
     x = np.eye(n, dtype=m.dtype)
     x += b
@@ -166,6 +172,8 @@ def expm(a, tol: float = 1e-12) -> np.ndarray:
             raise _too_large(nrm)
         term = term @ b / k
         x += term
+    if _inaccurate(m, squarings, term):
+        raise _too_large(nrm, "accurate")
     # Only many squarings can overflow; the bound keeps the check, and the
     # silencing of numpy's overflow warnings ahead of its error, off the
     # common path.
@@ -200,9 +208,6 @@ def expm_many(a, tol: float = 1e-12) -> np.ndarray:
     live = np.flatnonzero(nrm > 0.0)  # a zero matrix keeps the identity
     squarings = np.zeros(m.shape[0], dtype=int)
     squarings[live] = np.maximum(0, np.ceil(np.log2(nrm[live] / 0.5)))
-    for i in np.flatnonzero(np.ldexp(np.finfo(float).eps, squarings) > _SQUARING_ERROR_LIMIT):
-        if _inaccurate(m[i], int(squarings[i])):
-            raise _too_large(nrm[i], "accurate")
     # Powers of two, so scaling by them is exact, as the one-matrix branch is.
     scale = np.ldexp(1.0, squarings)
     b = m / scale[:, None, None]
@@ -210,8 +215,12 @@ def expm_many(a, tol: float = 1e-12) -> np.ndarray:
     cutoff = tol / (4.0 * scale)
     term = b[live]
     k = 1
+    watch = np.ldexp(np.finfo(float).eps, squarings) > _SQUARING_ERROR_LIMIT
+    last_term = np.zeros_like(m) if watch.any() else None  # for _inaccurate
     while True:
         going = np.abs(term).max(axis=(1, 2)) > cutoff[live]
+        if last_term is not None:
+            last_term[live[~going]] = term[~going]
         live, term = live[going], term[going]
         if live.size == 0:
             break
@@ -220,6 +229,9 @@ def expm_many(a, tol: float = 1e-12) -> np.ndarray:
             raise _too_large(nrm[live[0]])
         term = term @ b[live] / k
         x[live] += term
+    for i in np.flatnonzero(watch):
+        if _inaccurate(m[i], int(squarings[i]), last_term[i]):
+            raise _too_large(nrm[i], "accurate")
     most = int(squarings.max(initial=0))
     risky = _may_overflow(m.shape[1], most)
     with np.errstate(over="ignore", invalid="ignore") if risky else nullcontext():

@@ -438,6 +438,12 @@ class TestRobustStep:
         with pytest.raises(ValueError, match="dt must be finite and positive, got nan"):
             robust_step(driven_atom_model(), RHO_PLUS, 0.1, np.nan)
 
+    @pytest.mark.parametrize("dt", [0.0, 0.01])
+    def test_non_hermitian_state_rejected(self, dt):
+        prev = RHO_PLUS + np.array([[0.0, 0.1], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="state_prev is not Hermitian"):
+            robust_step(driven_atom_model(), prev, 0.1, dt)
+
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf])
 @pytest.mark.parametrize("stepper", [RobustStepper, PathwiseIntegrator])
@@ -699,6 +705,30 @@ class TestEmUnnormalized:
         for st in states:
             assert max_abs(st.rho - RHO_PLUS) <= 1e-14
             assert st.log_lambda == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_unnormalized_reference_recursion(self, dim):
+        # the matrix recursion of the docstring, never renormalized: the
+        # path's rho_tilde, log_lambda included, follows it
+        rng = np.random.default_rng(44)
+        if dim == 2:
+            m = driven_atom_model()
+        else:
+            h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            m = build_diffusion_model(h + dagger(h), rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)), 0.7)
+        rec = brownian_record(rng, m, 0.01, 30)
+        rho_tilde0 = 2.5 * random_state(rng, dim)
+        path = em_unnormalized(m, rec, rho_tilde0, sample_every=3)
+        rho_tilde = rho_tilde0
+        for k, dy in enumerate(rec.increments, start=1):
+            drift = m.L @ rho_tilde @ dagger(m.L) - m.K @ rho_tilde - rho_tilde @ dagger(m.K)
+            noise = m.L @ rho_tilde + rho_tilde @ dagger(m.L)
+            rho_tilde = rho_tilde + drift * rec.dt + noise * dy / m.kappa**2
+            if k % 3 == 0:
+                st = path[k // 3]
+                assert abs(st.log_lambda - np.log(np.trace(rho_tilde).real)) <= 1e-12
+                assert max_abs(st.rho_tilde() - rho_tilde) <= 1e-12 * max_abs(rho_tilde)
+        assert abs(path[-1].log_lambda - path[0].log_lambda) > 0.1
 
     def test_batch_matches_sequential(self):
         m = driven_atom_model()

@@ -111,6 +111,15 @@ class TestExpm:
             with pytest.raises(ValueError, match=f"max-entry norm {norm} gives no accurate result"):
                 expm_many(np.stack([np.eye(2), a]))
 
+    @pytest.mark.parametrize("c", [1e10, -3e15])
+    def test_large_nilpotent_argument_kept_exact(self, c):
+        # 35 and more squarings, yet the series ends with a zero term and
+        # every squaring of I + c N / 2^k is exact
+        n = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for a in (c * n, (c * n).astype(complex)):
+            assert np.array_equal(expm(a), np.eye(2) + c * n)
+            assert np.array_equal(expm_many(np.stack([np.eye(2), a]))[1], np.eye(2) + c * n)
+
     def test_real_argument_gives_real_result(self):
         rng = np.random.default_rng(10)
         a = rng.normal(size=(4, 4))
