@@ -63,11 +63,14 @@ a replay and an ensemble's stack step, built from a scheme's pieces by
 whose every step takes the record increment ``dy`` of its step, and
 ``jump._jump_steps`` the counting ones.  Online runs and replays step
 through one loop, :func:`_trajectory`, with the scheme's single-state
-step, so every replay of a run's record is bitwise that run; the stack
-step gives each element of an ensemble's stack the same arithmetic.  Every
-step applies its real maps and functionals through one kernel,
-:func:`_apply_maps`, which gives each state of a stack one matrix-vector
-product.
+step; a robust or pathwise replay steps each block of prebuilt maps with
+:func:`_map_block`, which gives each state the same matrix-vector product
+and division by its trace, and applies ``np.log`` to the same traces and
+adds them into ``log_lambda`` in sequence, once per block.  So every
+replay of a run's record is bitwise that run; the stack step gives each
+element of an ensemble's stack the same arithmetic.  Every step applies
+its real maps and functionals through one kernel, :func:`_apply_maps`,
+which gives each state of a stack one matrix-vector product.
 
 A run's states are one :class:`StatePath`: arrays of ``rho``,
 ``log_lambda`` and ``t`` over its grid points, which :func:`_trajectory`
@@ -78,6 +81,7 @@ the arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import abc
 from dataclasses import dataclass
@@ -100,9 +104,11 @@ from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in thi
 
 # Record steps whose step maps ``pathwise_filter`` builds at a time with one
 # ``expm_many`` call, and ``robust_filter`` with one
-# ``RobustStepper.step_maps`` call.  A `converge` call (3000 oracle steps) took
-# a median 0.150 s with 16 steps a block, 0.117 s with 64 and 0.108 s with
-# 256; larger blocks ran no faster (2-core Xeon).
+# ``RobustStepper.step_maps`` call, and that :func:`_map_block` then steps.
+# The bench's `converge` workload (3525 steps a call) ran at a median 160k
+# steps/s with 64 steps a block, 206k with 256 and 210k with 1024, with a
+# peak RSS of 61.4-61.5, 61.3-61.4 and 62.1-62.4 MB (3 runs each, 2-core
+# Xeon).
 _MAP_BLOCK = 256
 
 _EPS = float(np.finfo(float).eps)
@@ -663,10 +669,11 @@ def _pathwise_advance(integrator: PathwiseIntegrator, s: np.ndarray, dy: float, 
 
 
 def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4, tol: float = 1e-12):
-    """Pathwise filter: the replay of a record with :func:`_pathwise_advance`
-    (see :func:`_diffusion_steps`), each step map bitwise the one its step
-    builds alone; a failing step raises :class:`NonFiniteStateError`
-    naming the step and its time."""
+    """Pathwise filter: the replay of a record (see :func:`_diffusion_steps`
+    and :func:`_trajectory`), each step bitwise its
+    :func:`_pathwise_advance` with the map its step builds alone; a failing
+    step raises :class:`NonFiniteStateError` naming the step and its
+    time."""
     return _diffusion_steps(model, "pathwise", record.dt, rho0, substeps, tol).replay(record)
 
 
@@ -868,10 +875,10 @@ def _robust_advance(stepper: RobustStepper, s: np.ndarray, dy: float, t: float, 
 
 
 def robust_filter(model, record: MeasurementRecord, rho0, tol: float = 1e-12):
-    """Robust filter: the replay of a record with :func:`_robust_advance`
-    (see :func:`_diffusion_steps`), each step map bitwise the one its step
-    builds alone; a failing step raises :class:`NonFiniteStateError`
-    naming the step and its time."""
+    """Robust filter: the replay of a record (see :func:`_diffusion_steps`
+    and :func:`_trajectory`), each step bitwise its :func:`_robust_advance`
+    with the map its step builds alone; a failing step raises
+    :class:`NonFiniteStateError` naming the step and its time."""
     return _diffusion_steps(model, "robust", record.dt, rho0, tol=tol).replay(record)
 
 
@@ -981,6 +988,35 @@ class _Steps(NamedTuple):
     many: Callable
 
 
+def _map_block(maps: np.ndarray, coords: np.ndarray, logs: np.ndarray) -> int:
+    """Step the state ``coords[0]`` with ``log_lambda = logs[0]`` through
+    the real maps ``maps[j]``, one a step, into ``coords[j + 1]`` and
+    ``logs[j + 1]``; returns how many steps, from the first, pass the tail's
+    check.  Only their results are written in full: a failing state goes
+    on through the rest of the block as NaN or worse, without a
+    floating-point warning, into coordinates that the caller overwrites.
+
+    Each step is the single-state step with a built map (see
+    :func:`_trajectory`) with its bookkeeping taken out of the loop: the
+    same ``np.matmul`` of the map with the state as :func:`_apply_maps`,
+    and the division by the trace ``x[0]``, for each step; then, once for
+    the block, :func:`_renormalize`'s check ``eps max_a |x_a| < x_0`` on
+    every step's unnormalized coordinates, ``np.log`` of the traces and
+    their sum into ``log_lambda`` by ``np.add.accumulate``, which adds in
+    sequence.  So every result is bitwise the step's own."""
+    x = np.empty((len(maps), coords.shape[1]))
+    s = coords[0]
+    with np.errstate(all="ignore"):
+        for m, y, out in zip(maps, x, coords[1:]):
+            np.matmul(m, s, out=y)
+            s = np.divide(y, y[0], out=out)
+        ok = np.abs(x).max(axis=1) * _EPS < x[:, 0]
+    done = len(maps) if ok.all() else int(ok.argmin())
+    np.log(x[:done, 0], out=logs[1 : done + 1])
+    np.add.accumulate(logs[: done + 1], out=logs[: done + 1])
+    return done
+
+
 def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: np.ndarray, build=None) -> StatePath:
     """The one loop that steps a single trajectory, online or in a replay.
 
@@ -988,9 +1024,15 @@ def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: 
     ``t0``; step ``k`` takes ``step(s, x, t, made, where) -> (s, dlog)``
     with ``x = xs[k]``, ending at ``t = t0 + (k + 1) dt``, and ``where``
     names it ``step k + 1`` in its errors.  ``made`` is what ``build``
-    gives for ``xs``, built for ``_MAP_BLOCK`` steps at a time; it is
-    ``None`` without a builder and in a block that the builder rejects, so
-    each step builds its own and the one at fault raises.  Returns the
+    gives for ``xs``, built for ``_MAP_BLOCK`` steps at a time: the real
+    map of each step, with which the step is the map's product with the
+    state followed by :func:`_renormalize`.  A block whose maps were built
+    is stepped by :func:`_map_block`, bitwise this loop; from its first
+    step that fails the tail's check, if any, the block goes on one step at
+    a time, so that the step at fault raises its own error.  Without a
+    builder (online runs, ``em`` and counting records), and in a block that
+    the builder rejects, ``made`` is ``None``: every step is taken one at a
+    time and builds its own map, and the one at fault raises.  Returns the
     :class:`StatePath` of every grid point, the start included: each step
     writes its coordinates into an array allocated before the first, which
     is converted to matrices once, at the end."""
@@ -998,19 +1040,21 @@ def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: 
     coords = np.empty((len(times), start.size))
     logs = np.empty(len(times))
     coords[0], logs[0] = start, log0
-    s, log_lam = start, log0
 
     def where(_b):  # called only while step k fails, so it reads that k
         return f"step {k}"
 
     for lo in range(0, len(xs), _MAP_BLOCK):
-        block = xs[lo : lo + _MAP_BLOCK]
+        hi = min(lo + _MAP_BLOCK, len(xs))
         try:
-            made = build(block) if build else [None] * len(block)
+            maps = build(xs[lo:hi]) if build else None
         except ValueError:
-            made = [None] * len(block)
-        ends = times[lo + 1 : lo + 1 + len(block)].tolist()
-        for k, x, m, t in zip(range(lo + 1, lo + 1 + len(block)), block.tolist(), made, ends):
+            maps = None
+        first = lo if maps is None else lo + _map_block(maps, coords[lo : hi + 1], logs[lo : hi + 1])
+        made = itertools.repeat(None) if maps is None else maps[first - lo :]
+        ends = times[first + 1 : hi + 1].tolist()
+        s, log_lam = coords[first], logs[first]
+        for k, x, m, t in zip(range(first + 1, hi + 1), xs[first:hi].tolist(), made, ends):
             s, dlog = step(s, x, t, m, where)
             log_lam += dlog
             coords[k], logs[k] = s, log_lam
@@ -1030,14 +1074,19 @@ def _steps(record: type[Record], dt: float, start, log0: float, draw, observe, s
     * ``step(s, v, t, made, where) -> (s, dlog)``: the step of a single
       state, bitwise its ``stack`` step, with ``made`` what ``build`` gives
       for ``v`` (see :func:`_trajectory`); ``stack`` on a stack of one when
+      ``None``;
+    * ``build(vs)``: the real maps of steps with record values ``vs``, with
+      which ``step`` is the map's product with the state, as
+      :func:`_apply_maps` makes it, followed by :func:`_renormalize`; or
       ``None``.
 
     Errors name the failing element of a stack, or the step of a single run,
     as ``where(b)``.  ``record`` is the :class:`Record` kind.  ``run(xs,
     t0=0.0) -> (record, states)`` is an online run with the draws ``xs`` and
     ``replay(record) -> states`` the replay of a record, both through
-    :func:`_trajectory` with the single-state step, so every replay of a
-    run's record is bitwise that run; ``states`` is a :class:`StatePath`.
+    :func:`_trajectory`, the replay with the maps of ``build``, so every
+    replay of a run's record is bitwise that run; ``states`` is a
+    :class:`StatePath`.
     ``many(s, x, k, where) -> (s, dlog)`` takes an ensemble's stack through
     step ``k`` (from 0, ending at ``(k + 1) dt``) with the draws ``x``,
     each element bitwise its run.
@@ -1077,9 +1126,10 @@ def _diffusion_steps(model, scheme: str, dt: float, rho0, substeps: int = 4, tol
     increment ``dy = m dt + kappa dnu`` of each step from the measured mean
     ``m = tr((L + L^dag) rho)`` of the state it evolves, a real functional
     of its coordinates; every step takes ``dy``.  The single-state steps
-    are :func:`_robust_advance` and :func:`_pathwise_advance`, with the maps
-    of :meth:`RobustStepper.step_maps` and :meth:`PathwiseIntegrator.step_maps`
-    prebuilt in a replay; the stack steps are
+    are :func:`_robust_advance` and :func:`_pathwise_advance`; a replay
+    prebuilds their maps with :meth:`RobustStepper.step_maps` and
+    :meth:`PathwiseIntegrator.step_maps` and steps them by blocks with
+    :func:`_map_block`; the stack steps are
     :meth:`RobustStepper.advance_many`, :meth:`PathwiseIntegrator.advance_many`
     and :func:`_em_step_many`, which ``em`` also takes on a stack of one.
     """

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import smefilter.diffusion
+import smefilter.traj
 from smefilter.diffusion import (
     DensityState,
     MeasurementRecord,
@@ -17,6 +19,8 @@ from smefilter.diffusion import (
     RobustStepper,
     StatePath,
     _MAP_BLOCK,
+    _diffusion_steps,
+    _pathwise_advance,
     _renormalize,
     _robust_advance,
     _start,
@@ -367,6 +371,101 @@ class TestPathwiseBlocks:
             stepper.recover_state(bad, 0.3, 1.03)
         state = stepper.recover_state(2.0 * RHO_PLUS, 0.3, 1.04)
         assert np.array_equal(state.rho, RHO_PLUS) and state.log_lambda == 0.3 + np.log(2.0)
+
+
+def single_steps(model, scheme, record, rho0, maps=None):
+    """The states and ``log_lambda`` along a record, one single-state step at
+    a time on the coordinates from ``rho0``, each step building its own map
+    or taking ``maps[k]``; the error of a failing step names it as a replay
+    does."""
+    if scheme == "robust":
+        stepper = RobustStepper(model, record.dt)
+        advance = lambda s, dy, t, m, where: _robust_advance(stepper, s, dy, t, m, where)
+    else:
+        integrator = PathwiseIntegrator(model, record.dt)
+        advance = lambda s, dy, t, m, where: _pathwise_advance(integrator, s, dy, t, m, where)
+    s, log_lambda = _start(rho0, model.dim), 0.0
+    coords, logs = [s], [log_lambda]
+    for k, (dy, t) in enumerate(zip(record.increments.tolist(), record.times[1:].tolist()), 1):
+        s, dlog = advance(s, dy, t, None if maps is None else maps[k - 1], lambda _b: f"step {k}")
+        log_lambda += dlog
+        coords.append(s)
+        logs.append(log_lambda)
+    return hermitian_basis(model.dim).matrices(np.array(coords)), np.array(logs)
+
+
+def one_level_model():
+    return build_diffusion_model(np.zeros((1, 1)), np.array([[0.5]]), 0.8)
+
+
+class TestReplayBlocks:
+    """A replay steps each block of built maps with ``_map_block`` and checks
+    the tail once per block; it must be bitwise its single steps, and a
+    failing step must raise the error of its own single step."""
+
+    @pytest.mark.parametrize("n_steps", [TEST_BLOCK - 1, TEST_BLOCK, TEST_BLOCK + 1, 3 * TEST_BLOCK + 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["robust", "pathwise"])
+    def test_replay_is_its_single_steps_bitwise(self, scheme, dim, n_steps, monkeypatch):
+        monkeypatch.setattr(smefilter.diffusion, "_MAP_BLOCK", TEST_BLOCK)
+        rng = np.random.default_rng(n_steps + 10 * dim)
+        m = {1: one_level_model, 2: driven_atom_model, 3: lambda: three_level_model(rng)}[dim]()
+        rec = MeasurementRecord(0.01, rng.normal(0.0, m.kappa * 0.1, n_steps), t0=0.3)
+        rho0 = random_state(rng, dim)
+        replay = _diffusion_steps(m, scheme, rec.dt, rho0).replay(rec)
+        rho, logs = single_steps(m, scheme, rec, rho0)
+        assert replay.rho.tobytes() == rho.tobytes()
+        assert replay.log_lambda.tobytes() == logs.tobytes()
+        assert replay.t.tobytes() == rec.times.tobytes()
+
+    # the first, a middle and the last step of the second block, counted from 1
+    FAILING_STEPS = [TEST_BLOCK + 1, TEST_BLOCK + TEST_BLOCK // 2, 2 * TEST_BLOCK]
+
+    @pytest.mark.parametrize("k", FAILING_STEPS)
+    def test_robust_failing_step_raises_its_own_error(self, k, monkeypatch):
+        # dy = 1e40 takes E(dy) out of the range of exp: the step's map is NaN
+        monkeypatch.setattr(smefilter.diffusion, "_MAP_BLOCK", TEST_BLOCK)
+        m = build_diffusion_model(np.zeros((2, 2)), [[0.3, 1.0], [0.2j, -0.1]], 0.8)
+        assert np.isnan(RobustStepper(m, 0.01).step_maps([1e40])).all()
+        inc = np.random.default_rng(k).normal(0.0, 0.1, 3 * TEST_BLOCK)
+        inc[k - 1] = 1e40
+        rec = MeasurementRecord(0.01, inc, t0=0.3)
+        with pytest.raises(NonFiniteStateError) as want:
+            single_steps(m, "robust", rec, RHO_PLUS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError) as got:
+                robust_filter(m, rec, RHO_PLUS)
+        assert str(got.value) == str(want.value) == f"implicit filter state of step {k} blew up at t = {rec.times[k]:.6g}"
+        assert got.value.time == want.value.time == rec.times[k]
+
+    @pytest.mark.parametrize("k", FAILING_STEPS)
+    def test_pathwise_failing_step_raises_its_own_error(self, k, monkeypatch):
+        # a finite map with a zero trace row: the step's state has trace 0,
+        # below the rounding error of its other coordinates
+        monkeypatch.setattr(smefilter.diffusion, "_MAP_BLOCK", TEST_BLOCK)
+        m = driven_atom_model()
+        inc = np.random.default_rng(k).normal(0.0, 0.1, 3 * TEST_BLOCK)
+        marker = inc[k - 1] = 0.123456789
+        built = PathwiseIntegrator.step_maps
+
+        def step_maps(self, dy):
+            maps = built(self, dy)
+            maps[np.asarray(dy) == marker, 0] = 0.0
+            return maps
+
+        monkeypatch.setattr(PathwiseIntegrator, "step_maps", step_maps)
+        rec = MeasurementRecord(0.01, inc, t0=0.3)
+        maps = PathwiseIntegrator(m, rec.dt).step_maps(inc)
+        with pytest.raises(NonFiniteStateError) as want:
+            single_steps(m, "pathwise", rec, RHO_PLUS, maps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError) as got:
+                pathwise_filter(m, rec, RHO_PLUS)
+        at = f"at t = {rec.times[k]:.6g}"
+        assert str(got.value) == str(want.value) == f"pathwise state of step {k} blew up (trace 0.0) {at}"
+        assert got.value.time == want.value.time == rec.times[k]
 
 
 class TestStiffPathwiseStep:
@@ -1091,20 +1190,29 @@ def test_robust_batch_is_each_step_alone_and_near_the_solve(model, dt, nb, seed)
     scheme=hst.sampled_from(SCHEMES),
     n_traj=hst.integers(1, 40),
     base_seed=hst.integers(0, 2**32 - 1),
+    held=hst.integers(1, 9),
+    end=hst.sampled_from((-1, 0, 1)),
 )
-@example(model=driven_atom_model(0.3, 0.5), scheme="pathwise", n_traj=37, base_seed=11)
-@example(model=three_level_model(np.random.default_rng(5)), scheme="em", n_traj=23, base_seed=2**32 - 5)
-def test_batched_ensemble_matches_single_runs_bitwise(model, scheme, n_traj, base_seed):
+@example(model=driven_atom_model(0.3, 0.5), scheme="pathwise", n_traj=37, base_seed=11, held=1, end=0)
+@example(
+    model=three_level_model(np.random.default_rng(5)), scheme="em", n_traj=23, base_seed=2**32 - 5, held=4, end=1
+)
+@example(model=driven_atom_model(), scheme="robust", n_traj=40, base_seed=7, held=1, end=-1)
+def test_batched_ensemble_matches_single_runs_bitwise(model, scheme, n_traj, base_seed, held, end):
     # Every scheme's ensemble steps its trajectories as one stack; each must
     # end bitwise where its single run ends, over more steps than one block
-    # of innovation draws, and the mean path must sum them in order.
+    # of innovation draws, and the mean path must sum them in order.  The
+    # ensemble sums its states held grid points at a time (at held = 1, a
+    # stack that fills a block in one step), and the run ends one step
+    # before, at or one step after the end of a block.
     dt = 0.01
-    T = (_DRAW_BLOCK + 44) * dt
+    n = held * -(-(_DRAW_BLOCK + 44) // held) + end
     rho0 = random_state(np.random.default_rng(base_seed), model.dim)
-    ens = run_ensemble(model, scheme, dt, T, rho0, n_traj, base_seed)
+    with mock.patch.object(smefilter.traj, "_SUM_BLOCK", (held + 1) * n_traj - 1):
+        ens = run_ensemble(model, scheme, dt, n * dt, rho0, n_traj, base_seed)
     total = None
     for i in range(n_traj):
-        single = run_trajectory(model, scheme, dt, T, rho0, base_seed + i)
+        single = run_trajectory(model, scheme, dt, n * dt, rho0, base_seed + i)
         assert np.array_equal(ens.final_states[i].rho, single.states[-1].rho)
         assert ens.final_states[i].log_lambda == single.states[-1].log_lambda
         assert ens.final_states[i].t == single.states[-1].t

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+import smefilter.traj
 from smefilter.diffusion import NonFiniteStateError, _batch_element, _start
 from smefilter.jump import (
     CountingRecord,
@@ -535,14 +538,20 @@ def test_exact_propagator_matches_oracle_and_keeps_states_valid(model, seed):
     scheme=hst.sampled_from(("em", "pathwise")),
     n_traj=hst.integers(1, 40),
     base_seed=hst.integers(0, 2**32 - 1),
+    held=hst.integers(1, 9),
+    end=hst.sampled_from((-1, 0, 1)),
 )
-def test_batched_ensemble_matches_single_runs_bitwise(model, scheme, n_traj, base_seed):
-    # 300 steps span more than one block of uniform draws
-    dt, T = 0.01, 3.0
-    ens = run_ensemble(model, scheme, dt, T, RHO_PLUS, n_traj, base_seed)
+def test_batched_ensemble_matches_single_runs_bitwise(model, scheme, n_traj, base_seed, held, end):
+    # about 300 steps span more than one block of uniform draws; the
+    # ensemble sums its states held grid points at a time, and the run ends
+    # one step before, at or one step after the end of a block
+    dt = 0.01
+    n = held * -(-300 // held) + end
+    with mock.patch.object(smefilter.traj, "_SUM_BLOCK", (held + 1) * n_traj - 1):
+        ens = run_ensemble(model, scheme, dt, n * dt, RHO_PLUS, n_traj, base_seed)
     total = None
     for i in range(n_traj):
-        single = run_trajectory(model, scheme, dt, T, RHO_PLUS, base_seed + i)
+        single = run_trajectory(model, scheme, dt, n * dt, RHO_PLUS, base_seed + i)
         assert np.array_equal(ens.final_states[i].rho, single.states[-1].rho)
         assert ens.final_states[i].log_lambda == single.states[-1].log_lambda
         assert ens.final_states[i].t == single.states[-1].t

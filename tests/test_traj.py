@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import smefilter.traj
 from smefilter.diffusion import (
     MeasurementRecord,
     NonFiniteStateError,
@@ -338,6 +339,20 @@ class TestRunEnsemble:
         at = f"blew up at t = {step * 0.05:.6g}"
         assert str(err.value) == f"normalized state of trajectory {b} (seed {5 + b}) in step {step} {at}"
         assert str(replay.value) == f"normalized state of step {step} {at}"
+
+    def test_failure_inside_a_summed_block_names_trajectory(self, monkeypatch):
+        # the ensemble of test_diffusion_em_blow_up_names_trajectory, summing
+        # its states 4 grid points at a time: the failing step falls inside
+        # a block after two blocks have been summed
+        monkeypatch.setattr(smefilter.traj, "_SUM_BLOCK", 4 * 8)
+        m = build_diffusion_model(10.0 * SIGMA_Y, SIGMA, 1.0)
+        with pytest.raises(NonFiniteStateError, match="blew up") as err:
+            run_ensemble(m, "em", 0.05, 5.0, RHO_PLUS, 8, base_seed=5)
+        b, step, replay = check_replays_failure(m, 0.05, 5, 8, err)
+        assert step > 8 and step % 4
+        at = f"blew up at t = {step * 0.05:.6g}"
+        assert str(err.value) == f"normalized state of trajectory {b} (seed {5 + b}) in step {step} {at}"
+        assert err.value.time == replay.value.time
 
     @pytest.mark.parametrize(
         "model, scheme",
