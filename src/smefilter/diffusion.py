@@ -42,6 +42,11 @@ the pathwise and robust ones of a step, from its increment, for a block of
 steps at a time in a replay.  A run converts its start state to
 coordinates once and its states back to matrices once.
 
+The robust and pathwise steps are both ``x = R(dy) s``, with a real map
+``R`` of the step's increment alone, and one base, :class:`_MapStepper`,
+takes both schemes' single-state step ``advance``, their stack step
+``advance_many`` and their errors; a scheme only builds its maps.
+
 Unnormalized solutions grow or decay exponentially, so every step maps the
 normalized coordinates to unnormalized ones and then takes one shared real
 tail, :func:`_renormalize`, for a single state or a stack: it checks that
@@ -63,7 +68,8 @@ a replay and an ensemble's stack step, built from a scheme's pieces by
 whose every step takes the record increment ``dy`` of its step, and
 ``jump._jump_steps`` the counting ones.  Online runs and replays step
 through one loop, :func:`_trajectory`, with the scheme's single-state
-step; a robust or pathwise replay steps each block of prebuilt maps with
+step ``step(s, x, t, where)``, which has the signature of its stack step;
+a robust or pathwise replay steps each block of prebuilt maps with
 :func:`_map_block`, which gives each state the same matrix-vector product
 and division by its trace, and applies ``np.log`` to the same traces and
 adds them into ``log_lambda`` in sequence, once per block.  So every
@@ -81,7 +87,6 @@ the arrays.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import abc
 from dataclasses import dataclass
@@ -507,13 +512,8 @@ def read_record(path, kind: type[Record] | None = None) -> Record:
     return kind(dt, values, t0)
 
 
-def write_measurement_record(path, record: MeasurementRecord, comments: Sequence[str] = ()) -> None:
-    """Write a record as CSV with header ``t,dy`` (times are interval ends)."""
-    write_record(path, record, comments)
-
-
 def read_measurement_record(path) -> MeasurementRecord:
-    """Read a CSV written by :func:`write_measurement_record`."""
+    """Read a CSV of header ``t,dy`` written by :func:`write_record`."""
     return read_record(path, MeasurementRecord)
 
 
@@ -572,7 +572,74 @@ def recover(a_t_inv, r) -> Recovery:
     return Recovery(rho_tilde, rho_tilde / tr, float(np.log(tr)))
 
 
-class PathwiseIntegrator:
+class _MapStepper:
+    """The step of a scheme whose step is ``x = R(dy) s``: a real map ``R``
+    of the step's record increment ``dy`` alone, applied to the coordinates
+    ``s``, then :func:`_renormalize`.
+
+    A subclass gives ``what``, the noun by which errors name its state, and
+    ``step_maps(dy)``: the ``(B, n^2, n^2)`` stack of the maps of the
+    increments ``dy[b]``, each bitwise the one of its increment alone,
+    raising ``ValueError`` when one is out of range; and, when it has a
+    faster one, :meth:`step_map`.  Every step builds its maps through
+    :meth:`_maps`, so a single state and a stack meet the same errors in
+    the same words.
+    """
+
+    def step_map(self, dy: float) -> np.ndarray:
+        """The real map ``R`` of one step of increment ``dy``, bitwise
+        ``step_maps([dy])[0]``."""
+        return self.step_maps(np.array([dy]))[0]
+
+    def propagate(self, s: np.ndarray, dy: float, t: float | None = None, where=None) -> np.ndarray:
+        """The unnormalized coordinates ``R(dy) s`` one step of increment
+        ``dy`` after the coordinates ``s``, ending at time ``t``; errors (see
+        :meth:`_maps`) name the step as ``where(0)``."""
+        return _apply_maps(self._maps(self.step_map, dy, math.isfinite(dy), t, where), s)
+
+    def advance(self, s: np.ndarray, dy: float, t: float, where=None):
+        """The single-state step: :meth:`propagate`, then
+        :func:`_renormalize`; returns the new coordinates and their log
+        trace.  Errors name the step as ``where(0)``."""
+        return _renormalize(self.propagate(s, dy, t, where), t, self.what, where)
+
+    def advance_many(self, s: np.ndarray, dy, t: float, where=_batch_element):
+        """The step of a stack of coordinates ``s[b]`` with increments
+        ``dy[b]``, ending at time ``t``: the maps of :meth:`step_maps`
+        through :func:`_apply_maps`, one matrix-vector product per state,
+        then :func:`_renormalize`, so each element is bitwise its
+        :meth:`advance`.  Returns the new coordinates and the log
+        normalization factors; errors name the failing element as
+        ``where(b)``."""
+        dy = np.asarray(dy, dtype=float)
+        maps = self._maps(self.step_maps, dy, np.isfinite(dy).all(), t, where)
+        return _renormalize(_apply_maps(maps, s), t, self.what, where)
+
+    def _maps(self, build, dy, finite: bool, t, where):
+        """``build(dy)``: the map of one increment or the maps of a stack,
+        when ``finite`` says every increment is finite.  Otherwise, or when
+        ``build`` raises ``ValueError``, raises the error of the first
+        increment at fault, naming it as ``where(b)`` and the time ``t``:
+        ``ValueError`` when it is not finite, :class:`NonFiniteStateError`
+        when its :meth:`step_map` raises."""
+        if finite:
+            try:
+                return build(dy)
+            except ValueError as exc:
+                error = exc
+        for b, dy_b in enumerate(np.ravel(dy).tolist()):
+            of = "" if where is None else f" of {where(b)}"
+            if not math.isfinite(dy_b):
+                at = "" if t is None else f" at t = {t:.6g}"
+                raise ValueError(f"record increment dy = {dy_b}{of} is not finite{at}")
+            try:
+                self.step_map(dy_b)
+            except ValueError as exc:
+                raise NonFiniteStateError(t, f"{self.what}{of} blew up ({exc})") from None
+        raise error
+
+
+class PathwiseIntegrator(_MapStepper):
     """Exact stepper of the pathwise flow on the piecewise-linear record.
 
     The gauge exponent ``X(t) = -(y(t)/k^2) L + (t/2k^2) L^2`` commutes with
@@ -588,17 +655,20 @@ class PathwiseIntegrator:
     ``P = expm(dt Gen)``.  ``P`` depends on ``dy`` only: not on the time and
     not on the record value.
 
-    The state is carried normalized, as coordinates: :meth:`advance` applies
-    the map of one step, and :func:`_pathwise_advance` follows it with the
-    shared tail.  :meth:`step_maps` builds the maps of many steps with one
-    :func:`expm_many` call, which treats each element as :func:`expm` treats
-    it alone, so :func:`pathwise_filter`, applying the maps of
-    ``_MAP_BLOCK`` steps at a time, and :meth:`advance_many`, stepping a
-    stack of states, are bitwise the online run.  ``substeps`` is validated
-    for the callers that pass it but not used.
+    The state is carried normalized, as coordinates, and stepped as every
+    :class:`_MapStepper` steps it.  :meth:`step_maps` builds the maps of
+    many steps with one :func:`expm_many` call, which treats each element as
+    :func:`expm` treats it alone, and :meth:`step_map` the map of one step
+    with :func:`expm`, which is faster on one matrix; so
+    :func:`pathwise_filter`, applying the maps of ``_MAP_BLOCK`` steps at a
+    time, and :meth:`advance_many`, stepping a stack of states, are bitwise
+    the online run.  ``substeps`` is validated for the callers that pass it
+    but not used.
     """
 
-    def __init__(self, model, dt: float, substeps: int = 4, tol: float = 1e-12):
+    what = "pathwise state"
+
+    def __init__(self, model, dt: float, substeps: int = 4):
         if substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {substeps}")
         dt = _step_width(dt)
@@ -611,73 +681,34 @@ class PathwiseIntegrator:
             dt * ((1.0 - 1.0 / k2) * kron(L.conj(), L) - kron(eye, j0) - kron(j0.conj(), eye))
         )
         self._coupling = basis.real_map((kron(eye, L) + kron(L.conj(), eye)) / k2)
-        self._tol = float(tol)
 
     def step_maps(self, dy) -> np.ndarray:
         """The real maps ``P`` with ``s_end = P s_start`` of steps with
         increments ``dy[b]``; returns a ``(B, n^2, n^2)`` stack."""
         dy = np.asarray(dy, dtype=float)
-        return expm_many(self._drift + dy[:, None, None] * self._coupling, self._tol)
+        return expm_many(self._drift + dy[:, None, None] * self._coupling)
 
-    def advance(self, s: np.ndarray, dy: float, t: float, step_map: np.ndarray | None = None, where=None) -> np.ndarray:
-        """The unnormalized coordinates one step of increment ``dy`` after
-        the coordinates ``s``, ending at time ``t``; ``step_map`` is the
-        step's map when it has been built already.  Raises
-        :class:`NonFiniteStateError` at ``t`` when the map is out of
-        :func:`expm`'s range, naming the step as ``where(0)``."""
-        if step_map is None:
-            try:
-                step_map = expm(self._drift + dy * self._coupling, self._tol)
-            except ValueError as exc:
-                of = "" if where is None else f" of {where(0)}"
-                raise NonFiniteStateError(t, f"pathwise state{of} blew up ({exc})") from None
-        return _apply_maps(step_map, s)
-
-    def advance_many(self, s: np.ndarray, dy: np.ndarray, t: float, where=_batch_element):
-        """:func:`_pathwise_advance` for a stack of coordinates ``s[b]`` with
-        increments ``dy[b]``, ending at time ``t``: the maps of
-        :meth:`step_maps` through :func:`_apply_maps`, then
-        :func:`_renormalize`.  Each element is bitwise its single-state
-        step.  Returns the new coordinates and the log normalization
-        factors; errors name the failing element as ``where(b)``, and a map
-        out of :func:`expm`'s range raises :class:`NonFiniteStateError` at
-        ``t``."""
-        try:
-            maps = self.step_maps(dy)
-        except ValueError:
-            for b, dy_b in enumerate(np.asarray(dy, dtype=float).tolist()):
-                try:
-                    expm(self._drift + dy_b * self._coupling, self._tol)
-                except ValueError as exc:
-                    raise NonFiniteStateError(t, f"pathwise state of {where(b)} blew up ({exc})") from None
-            raise
-        return _renormalize(_apply_maps(maps, s), t, "pathwise state", where)
+    def step_map(self, dy: float) -> np.ndarray:
+        """The map ``P`` of one step, by :func:`expm`, which is faster than
+        :func:`expm_many` on one matrix."""
+        return expm(self._drift + dy * self._coupling)
 
     def recover_state(self, r: np.ndarray, log_lambda: float, t: float) -> DensityState:
         """The unnormalized state ``r``, a matrix, at time ``t`` through
         :func:`_renormalize`, its log trace added to ``log_lambda``."""
-        s, dlog = _renormalize(self._basis.coords(r), t, "pathwise state")
+        s, dlog = _renormalize(self._basis.coords(r), t, self.what)
         return DensityState(self._basis.matrices(s), log_lambda + float(dlog), t)
 
 
-def _pathwise_advance(integrator: PathwiseIntegrator, s: np.ndarray, dy: float, t: float, step_map=None, where=None):
-    """The single-state pathwise step on coordinates:
-    :meth:`PathwiseIntegrator.advance`, then :func:`_renormalize`; returns
-    the new coordinates and their log trace.  Errors name the step as
-    ``where(0)``."""
-    return _renormalize(integrator.advance(s, dy, t, step_map, where), t, "pathwise state", where)
-
-
-def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4, tol: float = 1e-12):
+def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4):
     """Pathwise filter: the replay of a record (see :func:`_diffusion_steps`
     and :func:`_trajectory`), each step bitwise its
-    :func:`_pathwise_advance` with the map its step builds alone; a failing
-    step raises :class:`NonFiniteStateError` naming the step and its
-    time."""
-    return _diffusion_steps(model, "pathwise", record.dt, rho0, substeps, tol).replay(record)
+    :meth:`PathwiseIntegrator.advance`; a failing step raises
+    :class:`NonFiniteStateError` naming the step and its time."""
+    return _diffusion_steps(model, "pathwise", record.dt, rho0, substeps).replay(record)
 
 
-class RobustStepper:
+class RobustStepper(_MapStepper):
     """Implicit filter step as one fixed real map of weighted coordinates.
 
     The implicit matrix ``(I (x) A) + (B^T (x) I) - (D^T (x) C)`` depends only
@@ -696,11 +727,14 @@ class RobustStepper:
     real weights ``u`` of :meth:`weights`: the fixed real ``n^2 x n^4``
     matrix ``M = [M_0 ... M_(n^2-1)]``, built once, applied to ``u (x) s``.
     :meth:`step_maps` builds ``R`` as one matrix-vector product of ``M``,
-    laid out ``n^4 x n^2``, with ``u``.  A step makes no matrix exponential
-    of its own for ``n = 2``, and no matrix product but these two.
+    laid out ``n^4 x n^2``, with ``u``, and a step is taken as every
+    :class:`_MapStepper` takes it.  A step makes no matrix exponential of
+    its own for ``n = 2``, and no matrix product but these two.
     """
 
-    def __init__(self, model, dt: float, tol: float = 1e-12):
+    what = "implicit filter state"
+
+    def __init__(self, model, dt: float):
         dt = _step_width(dt)
         n = model.dim
         K, L = model.K, model.L
@@ -759,7 +793,6 @@ class RobustStepper:
             cm[:, -1] = -p[:0:-1]
             self._companion, self._companion_drift = cm, (cm @ cm) * b
         self._n = n
-        self._tol = float(tol)
 
     def coefficients(self, dy) -> np.ndarray:
         """The ``(B, n)`` coefficients ``c[b]`` with ``E(dy[b]) = sum_j
@@ -782,7 +815,7 @@ class RobustStepper:
         """
         a = np.asarray(dy, dtype=float) * self._inv_k2
         if self._n != 2:
-            return expm_many(a[:, None, None] * self._companion - self._companion_drift, self._tol)[:, :, 0]
+            return expm_many(a[:, None, None] * self._companion - self._companion_drift)[:, :, 0]
         # the sum of squares bounds every |a|; vdot gives inf, not a warning, on overflow
         if np.vdot(a, a) <= self._a_sq_in_range:
             return self._closed_form(a)
@@ -820,35 +853,8 @@ class RobustStepper:
         u = self.weights(dy)
         return _apply_maps(self._map, u).reshape(u.shape[0], self._n * self._n, self._n * self._n)
 
-    def propagate(self, s: np.ndarray, dy: float, step_map: np.ndarray | None = None) -> np.ndarray:
-        """One implicit step of the unnormalized filter recursion on the
-        coordinates ``s``, ``R(dy) s``; ``step_map`` is the step's map from
-        :meth:`step_maps` when it has been built already."""
-        if not math.isfinite(dy):
-            raise ValueError(f"record increment dy = {dy} is not finite")
-        if step_map is None:
-            step_map = self.step_maps(np.array([dy]))[0]
-        return _apply_maps(step_map, s)
 
-    def advance_many(self, s: np.ndarray, dy: np.ndarray, t: float, where=_batch_element):
-        """The normalized update of :func:`_robust_advance` for a stack of
-        coordinates ``s[b]`` with increments ``dy[b]``, ending at time
-        ``t``; returns the new coordinates and the log normalization
-        factors.
-
-        The maps of :meth:`step_maps` go through :func:`_apply_maps`, one
-        matrix-vector product per state, so each element's result is
-        bitwise what :func:`_robust_advance` gives for it alone.  Errors
-        name the failing element as ``where(b)``.
-        """
-        dy = np.asarray(dy, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(dy))
-        if bad.size:
-            raise ValueError(f"record increment dy = {dy[bad[0]]} of {where(bad[0])} is not finite at t = {t:.6g}")
-        return _renormalize(_apply_maps(self.step_maps(dy), s), t, "implicit filter state", where)
-
-
-def robust_step(model, state_prev, dy: float, dt: float, tol: float = 1e-12) -> np.ndarray:
+def robust_step(model, state_prev, dy: float, dt: float) -> np.ndarray:
     """Single implicit step mapping the previous unnormalized state, a
     Hermitian matrix, through the solve of ``A X + X B - C X D = E(dy)
     X_prev E(dy)^dag``.
@@ -863,23 +869,15 @@ def robust_step(model, state_prev, dy: float, dt: float, tol: float = 1e-12) -> 
     if dt == 0.0:
         return prev.copy()
     basis = hermitian_basis(prev.shape[0])
-    return basis.matrices(RobustStepper(model, dt, tol).propagate(basis.coords(prev), dy))
+    return basis.matrices(RobustStepper(model, dt).propagate(basis.coords(prev), dy))
 
 
-def _robust_advance(stepper: RobustStepper, s: np.ndarray, dy: float, t: float, step_map=None, where=None):
-    """The single-state robust step on coordinates:
-    :meth:`RobustStepper.propagate`, then :func:`_renormalize`; returns the
-    new coordinates and their log trace.  ``step_map`` is passed on to
-    :meth:`RobustStepper.propagate`; errors name the step as ``where(0)``."""
-    return _renormalize(stepper.propagate(s, dy, step_map), t, "implicit filter state", where)
-
-
-def robust_filter(model, record: MeasurementRecord, rho0, tol: float = 1e-12):
+def robust_filter(model, record: MeasurementRecord, rho0):
     """Robust filter: the replay of a record (see :func:`_diffusion_steps`
-    and :func:`_trajectory`), each step bitwise its :func:`_robust_advance`
-    with the map its step builds alone; a failing step raises
+    and :func:`_trajectory`), each step bitwise its
+    :meth:`RobustStepper.advance`; a failing step raises
     :class:`NonFiniteStateError` naming the step and its time."""
-    return _diffusion_steps(model, "robust", record.dt, rho0, tol=tol).replay(record)
+    return _diffusion_steps(model, "robust", record.dt, rho0).replay(record)
 
 
 def _em_maps(model) -> np.ndarray:
@@ -996,14 +994,14 @@ def _map_block(maps: np.ndarray, coords: np.ndarray, logs: np.ndarray) -> int:
     on through the rest of the block as NaN or worse, without a
     floating-point warning, into coordinates that the caller overwrites.
 
-    Each step is the single-state step with a built map (see
-    :func:`_trajectory`) with its bookkeeping taken out of the loop: the
-    same ``np.matmul`` of the map with the state as :func:`_apply_maps`,
-    and the division by the trace ``x[0]``, for each step; then, once for
-    the block, :func:`_renormalize`'s check ``eps max_a |x_a| < x_0`` on
-    every step's unnormalized coordinates, ``np.log`` of the traces and
-    their sum into ``log_lambda`` by ``np.add.accumulate``, which adds in
-    sequence.  So every result is bitwise the step's own."""
+    Each step is the single-state step :meth:`_MapStepper.advance` with
+    its bookkeeping taken out of the loop: the same ``np.matmul`` of the
+    map with the state as :func:`_apply_maps`, and the division by the
+    trace ``x[0]``, for each step; then, once for the block,
+    :func:`_renormalize`'s check ``eps max_a |x_a| < x_0`` on every step's
+    unnormalized coordinates, ``np.log`` of the traces and their sum into
+    ``log_lambda`` by ``np.add.accumulate``, which adds in sequence.  So
+    every result is bitwise the step's own."""
     x = np.empty((len(maps), coords.shape[1]))
     s = coords[0]
     with np.errstate(all="ignore"):
@@ -1021,21 +1019,21 @@ def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: 
     """The one loop that steps a single trajectory, online or in a replay.
 
     It starts from the coordinates ``start`` with ``log_lambda = log0`` at
-    ``t0``; step ``k`` takes ``step(s, x, t, made, where) -> (s, dlog)``
-    with ``x = xs[k]``, ending at ``t = t0 + (k + 1) dt``, and ``where``
-    names it ``step k + 1`` in its errors.  ``made`` is what ``build``
-    gives for ``xs``, built for ``_MAP_BLOCK`` steps at a time: the real
-    map of each step, with which the step is the map's product with the
-    state followed by :func:`_renormalize`.  A block whose maps were built
-    is stepped by :func:`_map_block`, bitwise this loop; from its first
-    step that fails the tail's check, if any, the block goes on one step at
-    a time, so that the step at fault raises its own error.  Without a
-    builder (online runs, ``em`` and counting records), and in a block that
-    the builder rejects, ``made`` is ``None``: every step is taken one at a
-    time and builds its own map, and the one at fault raises.  Returns the
-    :class:`StatePath` of every grid point, the start included: each step
-    writes its coordinates into an array allocated before the first, which
-    is converted to matrices once, at the end."""
+    ``t0``; step ``k`` takes ``step(s, x, t, where) -> (s, dlog)`` with
+    ``x = xs[k]``, ending at ``t = t0 + (k + 1) dt``, and ``where`` names it
+    ``step k + 1`` in its errors.  ``build``, when given, is the builder of
+    the real maps of the steps with values ``xs``, with which ``step`` is
+    the map's product with the state followed by :func:`_renormalize`; it
+    is called for ``_MAP_BLOCK`` steps at a time, and a block whose maps it
+    built is stepped by :func:`_map_block`, bitwise this loop.  From the
+    block's first step that fails the tail's check, if any, the block goes
+    on through ``step``, which rebuilds that step's map, bitwise the
+    block's, and raises its own error.  Without a builder (online runs,
+    ``em`` and counting records), and in a block that the builder rejects,
+    every step is taken through ``step``, and the one at fault raises.
+    Returns the :class:`StatePath` of every grid point, the start included:
+    each step writes its coordinates into an array allocated before the
+    first, which is converted to matrices once, at the end."""
     times = t0 + dt * np.arange(len(xs) + 1)
     coords = np.empty((len(times), start.size))
     logs = np.empty(len(times))
@@ -1051,11 +1049,10 @@ def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: 
         except ValueError:
             maps = None
         first = lo if maps is None else lo + _map_block(maps, coords[lo : hi + 1], logs[lo : hi + 1])
-        made = itertools.repeat(None) if maps is None else maps[first - lo :]
         ends = times[first + 1 : hi + 1].tolist()
         s, log_lam = coords[first], logs[first]
-        for k, x, m, t in zip(range(first + 1, hi + 1), xs[first:hi].tolist(), made, ends):
-            s, dlog = step(s, x, t, m, where)
+        for k, x, t in zip(range(first + 1, hi + 1), xs[first:hi].tolist(), ends):
+            s, dlog = step(s, x, t, where)
             log_lam += dlog
             coords[k], logs[k] = s, log_lam
     return StatePath(hermitian_basis(math.isqrt(start.size)).matrices(coords), logs, times)
@@ -1071,9 +1068,8 @@ def _steps(record: type[Record], dt: float, start, log0: float, draw, observe, s
       at time ``t`` that the draws ``x`` give for one state or a stack;
     * ``stack(s, v, t, where) -> (s, dlog)``: the step of a stack of
       states ``s[b]`` with record values ``v[b]``, ending at ``t``;
-    * ``step(s, v, t, made, where) -> (s, dlog)``: the step of a single
-      state, bitwise its ``stack`` step, with ``made`` what ``build`` gives
-      for ``v`` (see :func:`_trajectory`); ``stack`` on a stack of one when
+    * ``step(s, v, t, where) -> (s, dlog)``: the step of a single state,
+      bitwise its ``stack`` step; ``stack`` on a stack of one when
       ``None``;
     * ``build(vs)``: the real maps of steps with record values ``vs``, with
       which ``step`` is the map's product with the state, as
@@ -1093,17 +1089,17 @@ def _steps(record: type[Record], dt: float, start, log0: float, draw, observe, s
     """
     if step is None:
 
-        def step(s, v, t, _made, where):
+        def step(s, v, t, where):
             x, dlog = stack(s[None], np.array([v]), t, where)
             return x[0], float(dlog[0])
 
     def run(xs, t0=0.0):
         values = []
 
-        def online(s, x, t, _made, where):
+        def online(s, x, t, where):
             v = observe(s, x, t, where)
             values.append(v)
-            return step(s, v, t, None, where)
+            return step(s, v, t, where)
 
         states = _trajectory(online, start, log0, dt, t0, xs)
         return record(dt, np.array(values), t0), states
@@ -1118,33 +1114,27 @@ def _steps(record: type[Record], dt: float, start, log0: float, draw, observe, s
     return _Steps(start, log0, draw, run, replay, many)
 
 
-def _diffusion_steps(model, scheme: str, dt: float, rho0, substeps: int = 4, tol: float = 1e-12) -> _Steps:
+def _diffusion_steps(model, scheme: str, dt: float, rho0, substeps: int = 4) -> _Steps:
     """The steps (see :func:`_steps`) of the diffusion ``scheme`` over steps
     of width ``dt``, from the normalized ``rho0`` with ``log_lambda = 0``.
 
     A run draws innovations ``dnu ~ N(0, dt)`` and forms the record
     increment ``dy = m dt + kappa dnu`` of each step from the measured mean
     ``m = tr((L + L^dag) rho)`` of the state it evolves, a real functional
-    of its coordinates; every step takes ``dy``.  The single-state steps
-    are :func:`_robust_advance` and :func:`_pathwise_advance`; a replay
-    prebuilds their maps with :meth:`RobustStepper.step_maps` and
-    :meth:`PathwiseIntegrator.step_maps` and steps them by blocks with
-    :func:`_map_block`; the stack steps are
-    :meth:`RobustStepper.advance_many`, :meth:`PathwiseIntegrator.advance_many`
-    and :func:`_em_step_many`, which ``em`` also takes on a stack of one.
+    of its coordinates; every step takes ``dy``.  The robust and pathwise
+    schemes step as their :class:`_MapStepper` does, :class:`RobustStepper`
+    and :class:`PathwiseIntegrator`: ``advance`` on a single state and
+    ``advance_many`` on a stack, and a replay prebuilds the maps with
+    ``step_maps`` and steps them by blocks with :func:`_map_block`.  ``em``
+    takes :func:`_em_step_many`, on a stack of one for a single state.
     """
     dt = _step_width(dt)
     n = model.L.shape[0]
     start = _start(rho0, n)
     step = build = None
-    if scheme == "robust":
-        stepper = RobustStepper(model, dt, tol)
-        stack, build = stepper.advance_many, stepper.step_maps
-        step = lambda s, dy, t, r, where: _robust_advance(stepper, s, dy, t, r, where)
-    elif scheme == "pathwise":
-        integrator = PathwiseIntegrator(model, dt, substeps, tol)
-        stack, build = integrator.advance_many, integrator.step_maps
-        step = lambda s, dy, t, p, where: _pathwise_advance(integrator, s, dy, t, p, where)
+    if scheme in ("robust", "pathwise"):
+        stepper = RobustStepper(model, dt) if scheme == "robust" else PathwiseIntegrator(model, dt, substeps)
+        stack, step, build = stepper.advance_many, stepper.advance, stepper.step_maps
     elif scheme == "em":
         em_maps = _em_maps(model)
         stack = lambda s, dy, t, where: _em_step_many(em_maps, model.kappa, s, dy, dt, t, where)

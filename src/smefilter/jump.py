@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,9 +58,7 @@ from .diffusion import (
     _Steps,
     _start,
     _steps,
-    read_record,
     recover,  # noqa: F401  (bench/spans.py traces this name in this module)
-    write_record,
 )
 from .linalg import as_square, dagger, expm, hermitian_basis, kron, require_hermitian
 from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in this module)
@@ -68,16 +66,6 @@ from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in thi
 
 class InvalidCountingRecordError(ValueError):
     """A count appears where the jump map annihilates the state."""
-
-
-def write_counting_record(path, record: CountingRecord, comments: Sequence[str] = ()) -> None:
-    """Write a record as CSV with header ``t,dN`` (times are interval ends)."""
-    write_record(path, record, comments)
-
-
-def read_counting_record(path) -> CountingRecord:
-    """Read a CSV written by :func:`write_counting_record`."""
-    return read_record(path, CountingRecord)
 
 
 @dataclass

@@ -29,9 +29,9 @@ from .diffusion import (
     DensityState,
     MeasurementRecord,
     Record,
+    RobustStepper,
     StatePath,
     _diffusion_steps,
-    _robust_advance,  # noqa: F401  (bench/spans.py traces this name in this module)
     _step_count,
     pathwise_filter,
     robust_filter,
@@ -47,6 +47,10 @@ from .jump import (  # noqa: F401
 )
 from .linalg import dagger, hermitian_basis, max_abs
 from .model import BlochVector, DiffusionModel, JumpModel
+
+# The single-state robust step, under the name bench/spans.py traces in
+# this module; no code calls it.
+_robust_advance = RobustStepper.advance
 
 # Steps of random numbers a batched ensemble draws per trajectory at a time;
 # it bounds the draw buffer at this many steps whatever the run length.

@@ -14,8 +14,6 @@ from smefilter.diffusion import (
     RobustStepper,
     _em_maps,
     _em_step_many,
-    _pathwise_advance,
-    _robust_advance,
 )
 from smefilter.jump import _euler_maps, _euler_step_many, _exact_propagator, _exact_step_many
 from smefilter.linalg import dagger, expm, hermitian_basis, kron
@@ -164,8 +162,8 @@ def stack_steps(n, rng):
         return _exact_step_many(*exact, s, dn, t)
 
     return {
-        "robust": (robust.advance_many, lambda s, dy, t: _robust_advance(robust, s, dy, t), "dy"),
-        "pathwise": (pathwise.advance_many, lambda s, dy, t: _pathwise_advance(pathwise, s, dy, t), "dy"),
+        "robust": (robust.advance_many, robust.advance, "dy"),
+        "pathwise": (pathwise.advance_many, pathwise.advance, "dy"),
         "em": (em_stack, one(em_stack), "dy"),
         "jump-em": (euler_stack, one(euler_stack), "dn"),
         "jump-pathwise": (exact_stack, one(exact_stack), "dn"),

@@ -21,8 +21,8 @@ from smefilter.cli import (
     main,
     parse_config,
 )
-from smefilter.diffusion import _CSV_BLOCK, DensityState, MeasurementRecord, StatePath, write_measurement_record
-from smefilter.jump import CountingRecord, write_counting_record
+from smefilter.diffusion import _CSV_BLOCK, DensityState, MeasurementRecord, StatePath, write_record
+from smefilter.jump import CountingRecord
 from smefilter.model import purity
 from smefilter.traj import _bloch_fast, run_ensemble, run_trajectory
 
@@ -221,7 +221,7 @@ class TestFilter:
              "dt": 0.01, "T": 12.0}
         ))
         path = tmp_path / "counting_record.csv"
-        write_counting_record(path, CountingRecord(0.01, np.ones(1200, dtype=int)))
+        write_record(path, CountingRecord(0.01, np.ones(1200, dtype=int)))
         cmd_filter(cfg, path, tmp_path / "flt")
         rows = data_rows(tmp_path / "flt" / "filtered_trajectory.csv")[1:]
         assert len(rows) == 1201
@@ -445,12 +445,12 @@ class TestCsvBytes:
         increments[: len(EDGE_VALUES)] = EDGE_VALUES
         comments = ["origin: test", "seed: 4"]
         for record in (MeasurementRecord(1e-3, increments, t0=-0.0), MeasurementRecord(0.1, increments, t0=1e300)):
-            write_measurement_record(tmp_path / "m.csv", record, comments)
+            write_record(tmp_path / "m.csv", record, comments)
             want = reference_record(record, ("measurement-record", "dy"), increments, ".17g", comments)
             assert (tmp_path / "m.csv").read_bytes() == want
         counts = (rng.random(rows) < 0.3).astype(int)
         record = CountingRecord(0.01, counts, t0=5e-324)
-        write_counting_record(tmp_path / "c.csv", record, comments)
+        write_record(tmp_path / "c.csv", record, comments)
         want = reference_record(record, ("counting-record", "dN"), counts, "d", comments)
         assert (tmp_path / "c.csv").read_bytes() == want
 

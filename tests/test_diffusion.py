@@ -12,6 +12,7 @@ from hypothesis import strategies as hst
 import smefilter.diffusion
 import smefilter.traj
 from smefilter.diffusion import (
+    CountingRecord,
     DensityState,
     MeasurementRecord,
     NonFiniteStateError,
@@ -19,10 +20,8 @@ from smefilter.diffusion import (
     RobustStepper,
     StatePath,
     _MAP_BLOCK,
+    _apply_maps,
     _diffusion_steps,
-    _pathwise_advance,
-    _renormalize,
-    _robust_advance,
     _start,
     em_normalized,
     em_unnormalized,
@@ -31,12 +30,12 @@ from smefilter.diffusion import (
     pathwise_filter,
     pathwise_rhs,
     read_measurement_record,
+    read_record,
     recover,
     robust_filter,
     robust_step,
-    write_measurement_record,
+    write_record,
 )
-from smefilter.jump import read_counting_record
 from smefilter.linalg import dagger, expm, hermitian_basis, kron, max_abs, vec
 from smefilter.model import build_diffusion_model, purity, rho_from_bloch, two_level_model
 from smefilter.ode import rk4_step
@@ -64,6 +63,10 @@ def brownian_record(rng, model, dt, n):
 
 # 5,000 well-formed rows, lines 4 to 5003 after a dt comment, a header and one row.
 GOOD_ROWS = "".join(f"{0.1 * k:.17g},0\n" for k in range(2, 5002))
+
+
+def read_counting_record(path):
+    return read_record(path, CountingRecord)
 
 
 class TestMeasurementRecord:
@@ -103,7 +106,7 @@ class TestMeasurementRecord:
         rng = np.random.default_rng(31)
         rec = MeasurementRecord(0.01, rng.normal(size=57), t0=0.25)
         path = tmp_path / "record.csv"
-        write_measurement_record(path, rec, comments=["origin: test"])
+        write_record(path, rec, comments=["origin: test"])
         back = read_measurement_record(path)
         assert back.dt == rec.dt and back.t0 == rec.t0
         assert np.array_equal(back.increments, rec.increments)
@@ -144,7 +147,7 @@ class TestMeasurementRecord:
         assert (rec.dt, rec.t0) == (0.25, 0.1)
         assert rec.increments.tolist() == [1.5, -2.0]
         path.write_text("# dt: 0.5\nt,dN\n0.5,1\n\n1,0\n")
-        assert read_counting_record(path).counts.tolist() == [1, 0]
+        assert read_record(path, CountingRecord).counts.tolist() == [1, 0]
 
     def test_csv_without_header_rejected(self, tmp_path):
         path = tmp_path / "record.csv"
@@ -294,7 +297,7 @@ def stepwise_pathwise(model, record, rho0, substeps):
     s, log_lambda = _start(rho0, model.dim), 0.0
     states = []
     for dy, t in zip(record.increments, record.times[1:]):
-        s, dlog = _renormalize(stepper.advance(s, float(dy), float(t)), float(t), "pathwise state")
+        s, dlog = stepper.advance(s, float(dy), float(t))
         log_lambda += dlog
         states.append(DensityState(basis.matrices(s), log_lambda, float(t)))
     return states
@@ -373,21 +376,15 @@ class TestPathwiseBlocks:
         assert np.array_equal(state.rho, RHO_PLUS) and state.log_lambda == 0.3 + np.log(2.0)
 
 
-def single_steps(model, scheme, record, rho0, maps=None):
+def single_steps(model, scheme, record, rho0):
     """The states and ``log_lambda`` along a record, one single-state step at
-    a time on the coordinates from ``rho0``, each step building its own map
-    or taking ``maps[k]``; the error of a failing step names it as a replay
-    does."""
-    if scheme == "robust":
-        stepper = RobustStepper(model, record.dt)
-        advance = lambda s, dy, t, m, where: _robust_advance(stepper, s, dy, t, m, where)
-    else:
-        integrator = PathwiseIntegrator(model, record.dt)
-        advance = lambda s, dy, t, m, where: _pathwise_advance(integrator, s, dy, t, m, where)
+    a time on the coordinates from ``rho0``, each step building its own map;
+    the error of a failing step names it as a replay does."""
+    stepper = (RobustStepper if scheme == "robust" else PathwiseIntegrator)(model, record.dt)
     s, log_lambda = _start(rho0, model.dim), 0.0
     coords, logs = [s], [log_lambda]
     for k, (dy, t) in enumerate(zip(record.increments.tolist(), record.times[1:].tolist()), 1):
-        s, dlog = advance(s, dy, t, None if maps is None else maps[k - 1], lambda _b: f"step {k}")
+        s, dlog = stepper.advance(s, dy, t, lambda _b: f"step {k}")
         log_lambda += dlog
         coords.append(s)
         logs.append(log_lambda)
@@ -447,18 +444,24 @@ class TestReplayBlocks:
         m = driven_atom_model()
         inc = np.random.default_rng(k).normal(0.0, 0.1, 3 * TEST_BLOCK)
         marker = inc[k - 1] = 0.123456789
-        built = PathwiseIntegrator.step_maps
+        built, built_one = PathwiseIntegrator.step_maps, PathwiseIntegrator.step_map
 
         def step_maps(self, dy):
             maps = built(self, dy)
             maps[np.asarray(dy) == marker, 0] = 0.0
             return maps
 
+        def step_map(self, dy):
+            step = built_one(self, dy)
+            if dy == marker:
+                step[0] = 0.0
+            return step
+
         monkeypatch.setattr(PathwiseIntegrator, "step_maps", step_maps)
+        monkeypatch.setattr(PathwiseIntegrator, "step_map", step_map)
         rec = MeasurementRecord(0.01, inc, t0=0.3)
-        maps = PathwiseIntegrator(m, rec.dt).step_maps(inc)
         with pytest.raises(NonFiniteStateError) as want:
-            single_steps(m, "pathwise", rec, RHO_PLUS, maps)
+            single_steps(m, "pathwise", rec, RHO_PLUS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError) as got:
@@ -466,6 +469,39 @@ class TestReplayBlocks:
         at = f"at t = {rec.times[k]:.6g}"
         assert str(got.value) == str(want.value) == f"pathwise state of step {k} blew up (trace 0.0) {at}"
         assert got.value.time == want.value.time == rec.times[k]
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("stepper", [RobustStepper, PathwiseIntegrator])
+    def test_step_map_is_its_step_maps_bitwise(self, stepper, dim):
+        # a failing step of a built block rebuilds its own map, which must
+        # be the block's; increments over six decades give the exponentials
+        # different squaring counts
+        rng = np.random.default_rng(80 + dim)
+        m = {1: one_level_model, 2: driven_atom_model, 3: lambda: three_level_model(rng)}[dim]()
+        maps = stepper(m, 0.01)
+        dys = rng.normal(0.0, 1.0, 30) * 10.0 ** rng.integers(-4, 2, 30)
+        dys[7] = 0.0
+        for dy, block in zip(dys.tolist(), maps.step_maps(dys)):
+            assert maps.step_map(dy).tobytes() == maps.step_maps([dy])[0].tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("run", [robust_filter, pathwise_filter])
+    def test_out_of_range_map_names_its_step(self, run):
+        # dy = 1e12 takes a 3-level step's matrix exponential out of expm's
+        # range: the replay's block builder and the step itself raise
+        m = three_level_model(np.random.default_rng(5))
+        rec = MeasurementRecord(0.01, np.array([0.1, 0.2, 1e12, 0.1]))
+        with pytest.raises(NonFiniteStateError, match=r" of step 3 blew up \(expm argument is too large") as err:
+            run(m, rec, np.eye(3) / 3.0)
+        assert str(err.value).endswith(" at t = 0.03") and err.value.time == rec.times[3]
+
+    @pytest.mark.parametrize("stepper", [RobustStepper, PathwiseIntegrator])
+    def test_out_of_range_map_names_its_batch_element(self, stepper):
+        m = three_level_model(np.random.default_rng(5))
+        s = _start(np.eye(3) / 3.0, 3)
+        with pytest.raises(NonFiniteStateError, match=r" of batch element 1 blew up \(expm argument") as err:
+            stepper(m, 0.01).advance_many(np.stack([s, s, s]), np.array([0.1, 1e12, 1e12]), 0.37)
+        assert err.value.time == 0.37
 
 
 class TestStiffPathwiseStep:
@@ -595,7 +631,7 @@ class TestRobustStepperBatch:
         dys[3] = 0.0
         new, dlog = stepper.advance_many(rhos, dys, 0.5)
         for b in range(25):
-            one, one_dlog = _robust_advance(stepper, rhos[b], float(dys[b]), 0.5)
+            one, one_dlog = stepper.advance(rhos[b], float(dys[b]), 0.5)
             assert np.array_equal(new[b], one)
             assert dlog[b] == one_dlog
 
@@ -607,7 +643,7 @@ class TestRobustStepperBatch:
         dys = rng.normal(0.0, 0.1, 9)
         new, dlog = stepper.advance_many(rhos, dys, 0.01)
         for b in range(9):
-            one, one_dlog = _robust_advance(stepper, rhos[b], float(dys[b]), 0.01)
+            one, one_dlog = stepper.advance(rhos[b], float(dys[b]), 0.01)
             assert np.array_equal(new[b], one) and dlog[b] == one_dlog
 
     def test_collapsed_element_raises_with_time(self):
@@ -692,7 +728,7 @@ class TestRobustCoefficients:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError, match="blew up") as err:
-                _robust_advance(stepper, PLUS, 1e40, 0.37)
+                stepper.advance(PLUS, 1e40, 0.37)
             assert err.value.time == 0.37
             with pytest.raises(NonFiniteStateError, match="of batch element 1 blew up") as err:
                 stepper.advance_many(np.stack([PLUS] * 4), dys, 0.37)
@@ -725,7 +761,7 @@ def test_robust_stack_of_1000_is_each_step_alone(dim):
     assert np.array_equal(rev[::-1], new) and np.array_equal(rev_dlog[::-1], dlog)
     assert np.array_equal(part, new[3:800:7]) and np.array_equal(part_dlog, dlog[3:800:7])
     for b in range(1000):
-        one, one_dlog = _robust_advance(stepper, rhos[b], float(dys[b]), 0.5)
+        one, one_dlog = stepper.advance(rhos[b], float(dys[b]), 0.5)
         assert new[b].tobytes() == one.tobytes() and dlog[b] == one_dlog
 
 
@@ -776,7 +812,7 @@ class TestRobustFilter:
         stepper = RobustStepper(m, 0.01)
         s, log_lam = _start(rho0, dim), 0.0
         for k, dy in enumerate(online.record.increments):
-            s, dlog = _robust_advance(stepper, s, float(dy), float(online.times[k + 1]))
+            s, dlog = stepper.advance(s, float(dy), float(online.times[k + 1]))
             log_lam += dlog
             rho = hermitian_basis(dim).matrices(s)
             for got in (replay[k + 1], online.states[k + 1]):
@@ -1098,7 +1134,7 @@ def test_pathwise_step_matches_per_stage_gauges(model, substeps, grid, y_start, 
     rho = random_state(np.random.default_rng(seed), model.dim)
     stepper = PathwiseIntegrator(model, dt, substeps)
     basis = hermitian_basis(model.dim)
-    r = basis.matrices(stepper.advance(basis.coords(rho), dy, 7.0))
+    r = basis.matrices(stepper.propagate(basis.coords(rho), dy))
     state = strict_validate(stepper.recover_state(r, 0.5, 7.0))
     assert np.array_equal(state.rho, dagger(state.rho)) and state.t == 7.0
     want = reference_step(model, rho, dy, dt)
@@ -1142,8 +1178,8 @@ def test_block_of_steps_matches_each_step_alone_bitwise(model, substeps, grid, n
         alone = stepper.step_maps(dy[b : b + 1])[0]
         assert block[b].tobytes() == alone.tobytes()
         s = basis.coords(state.rho)
-        r = stepper.advance(s, float(dy[b]), 1.0, block[b])
-        assert r.tobytes() == stepper.advance(s, float(dy[b]), 1.0).tobytes()
+        r = _apply_maps(block[b], s)
+        assert r.tobytes() == stepper.propagate(s, float(dy[b])).tobytes()
         state = stepper.recover_state(basis.matrices(r), state.log_lambda, 1.0)
 
 
@@ -1178,7 +1214,7 @@ def test_robust_batch_is_each_step_alone_and_near_the_solve(model, dt, nb, seed)
     new, dlog = stepper.advance_many(basis.coords(rhos), dys, 1.0)
     k2 = model.kappa**2
     for b in range(nb):
-        one, one_dlog = _robust_advance(stepper, basis.coords(rhos[b]), float(dys[b]), 1.0)
+        one, one_dlog = stepper.advance(basis.coords(rhos[b]), float(dys[b]), 1.0)
         assert new[b].tobytes() == one.tobytes() and dlog[b] == one_dlog
         e = expm(model.L * (dys[b] / k2) - (model.L @ model.L) * (dt / (2.0 * k2)))
         assert max_abs(basis.matrices(new[b]) - assembled_robust_step(model, rhos[b], e, dt)) <= 1e-12

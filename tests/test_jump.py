@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import smefilter.traj
-from smefilter.diffusion import NonFiniteStateError, _batch_element, _start
+from smefilter.diffusion import NonFiniteStateError, _batch_element, _start, read_record, write_record
 from smefilter.jump import (
     CountingRecord,
     InvalidCountingRecordError,
@@ -22,9 +22,7 @@ from smefilter.jump import (
     jump_pathwise_solve,
     jump_sme_step,
     jump_unnorm_step,
-    read_counting_record,
     sample_counting_record,
-    write_counting_record,
 )
 from smefilter.linalg import dagger, hermitian_basis, max_abs
 from smefilter.model import SIGMA, SIGMA_X, SIGMA_Z, build_jump_model, purity
@@ -78,8 +76,8 @@ class TestCountingRecord:
     def test_csv_roundtrip(self, tmp_path):
         rec = CountingRecord(0.25, np.array([1, 0, 0, 1, 0]))
         path = tmp_path / "counts.csv"
-        write_counting_record(path, rec)
-        back = read_counting_record(path)
+        write_record(path, rec)
+        back = read_record(path, CountingRecord)
         assert back.dt == rec.dt and back.t0 == rec.t0
         assert np.array_equal(back.counts, rec.counts)
 
@@ -87,7 +85,7 @@ class TestCountingRecord:
         path = tmp_path / "bad.csv"
         path.write_text("t,dy\n0.1,0.3\n")
         with pytest.raises(ValueError, match="t,dN"):
-            read_counting_record(path)
+            read_record(path, CountingRecord)
 
 
 class TestSampling:

@@ -14,8 +14,6 @@ from smefilter.diffusion import (
     _diffusion_steps,
     _em_maps,
     _em_step_many,
-    _pathwise_advance,
-    _robust_advance,
     em_normalized,
     em_unnormalized,
     pathwise_filter,
@@ -614,8 +612,8 @@ def _em_normalized_step(x, t):
 
 
 SINGLE_STEPS = {
-    "robust": lambda x, t: _robust_advance(RobustStepper(driven_atom_model(), 0.01), PAULI.coords(x), 0.1, t),
-    "pathwise": lambda x, t: _pathwise_advance(PathwiseIntegrator(driven_atom_model(), 0.01), PAULI.coords(x), 0.1, t),
+    "robust": lambda x, t: RobustStepper(driven_atom_model(), 0.01).advance(PAULI.coords(x), 0.1, t),
+    "pathwise": lambda x, t: PathwiseIntegrator(driven_atom_model(), 0.01).advance(PAULI.coords(x), 0.1, t),
     "em_normalized": _em_normalized_step,
     "jump_sme_step": lambda x, t: jump_sme_step(criterion9_jump_model(), x, 0, 0.01),
 }
