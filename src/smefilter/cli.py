@@ -215,7 +215,7 @@ _KEYS = {
     "dt": _Key("dt", _POSITIVE, None),
     "T": _Key("T", _POSITIVE, None),
     "n_traj": _Key("n_traj", _AT_LEAST_ONE, None),
-    "seed": _Key("seed", _require_int, None),
+    "seed": _Key("seed", partial(_require_int, minimum=0), None),
     "output_dir": _Key("output_dir", _require_string, None),
     "substeps": _Key("substeps", _AT_LEAST_ONE, None),
     "deltas": _Key("deltas", _require_float_list, None),
@@ -431,7 +431,7 @@ def main(argv=None) -> int:
         text = args.config.read_text(encoding="utf-8") if args.config else "{}"
         config = parse_config(text)
         if args.seed is not None:
-            config = replace(config, seed=args.seed)
+            config = replace(config, seed=_KEYS["seed"].check("seed", args.seed))
         out_dir = args.out if args.out is not None else Path(config.output_dir)
         if args.command == "simulate":
             written = cmd_simulate(config, out_dir)

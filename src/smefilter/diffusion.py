@@ -526,6 +526,17 @@ def _of_dimension(x, dim: int, name: str) -> np.ndarray:
     return m
 
 
+def _unnormalized_start(r0, dim: int, name: str):
+    """The normalized coordinates of the Hermitian part of ``r0``, the
+    unnormalized start of a ``dim``-level model's linear equation, and its
+    ``log_lambda``, the log of the trace of ``r0``; ``r0`` must be finite,
+    Hermitian and of positive trace, and errors name it ``name``."""
+    s = hermitian_basis(dim).coords(require_hermitian(_of_dimension(r0, dim, name), name))
+    if not s[0] > 0.0:
+        raise ValueError(f"{name} must have positive trace")
+    return s / s[0], float(np.log(s[0]))
+
+
 def _normalized_density(rho0, name: str = "rho0") -> np.ndarray:
     m = require_hermitian(rho0, name)
     tr = float(np.trace(m).real)
@@ -580,14 +591,14 @@ class _MapStepper:
     A subclass gives ``what``, the noun by which errors name its state, and
     ``step_maps(dy)``: the ``(B, n^2, n^2)`` stack of the maps of the
     increments ``dy[b]``, each bitwise the one of its increment alone,
-    raising ``ValueError`` when one is out of range; and, when it has a
-    faster one, :meth:`step_map`.  Every step builds its maps through
-    :meth:`_maps`, so a single state and a stack meet the same errors in
-    the same words.
+    raising ``ValueError`` when one is out of range.  The map of a single
+    step is that of a stack of one, :meth:`step_map`.  Every step builds its
+    maps through :meth:`_maps`, so a single state and a stack meet the same
+    errors in the same words.
     """
 
     def step_map(self, dy: float) -> np.ndarray:
-        """The real map ``R`` of one step of increment ``dy``, bitwise
+        """The real map ``R`` of one step of increment ``dy``:
         ``step_maps([dy])[0]``."""
         return self.step_maps(np.array([dy]))[0]
 
@@ -658,8 +669,7 @@ class PathwiseIntegrator(_MapStepper):
     The state is carried normalized, as coordinates, and stepped as every
     :class:`_MapStepper` steps it.  :meth:`step_maps` builds the maps of
     many steps with one :func:`expm_many` call, which treats each element as
-    :func:`expm` treats it alone, and :meth:`step_map` the map of one step
-    with :func:`expm`, which is faster on one matrix; so
+    it treats it alone, and a single step its map as a stack of one; so
     :func:`pathwise_filter`, applying the maps of ``_MAP_BLOCK`` steps at a
     time, and :meth:`advance_many`, stepping a stack of states, are bitwise
     the online run.  ``substeps`` is validated for the callers that pass it
@@ -687,11 +697,6 @@ class PathwiseIntegrator(_MapStepper):
         increments ``dy[b]``; returns a ``(B, n^2, n^2)`` stack."""
         dy = np.asarray(dy, dtype=float)
         return expm_many(self._drift + dy[:, None, None] * self._coupling)
-
-    def step_map(self, dy: float) -> np.ndarray:
-        """The map ``P`` of one step, by :func:`expm`, which is faster than
-        :func:`expm_many` on one matrix."""
-        return expm(self._drift + dy * self._coupling)
 
     def recover_state(self, r: np.ndarray, log_lambda: float, t: float) -> DensityState:
         """The unnormalized state ``r``, a matrix, at time ``t`` through
@@ -917,18 +922,14 @@ def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
     n_steps = first.n_steps
     if sample_every < 1 or n_steps % sample_every != 0:
         raise ValueError(f"sample_every {sample_every} does not divide {n_steps} steps")
-    init = require_hermitian(_of_dimension(rho_tilde0, model.dim, "rho_tilde0"), "rho_tilde0")
+    s0, log0 = _unnormalized_start(rho_tilde0, model.dim, "rho_tilde0")
     n = model.dim
-    basis = hermitian_basis(n)
-    s0 = basis.coords(init)
-    if s0[0] <= 0.0:
-        raise ValueError("rho_tilde0 must have positive trace")
     maps = _em_maps(model)
     step_mat = np.eye(n * n) + first.dt * maps[1 : 1 + n * n]
     stoch = maps[1 + n * n :] / model.kappa**2
     nb = len(records)
-    v = np.tile((s0 / s0[0])[:, None], (1, nb))
-    logs = np.full(nb, np.log(s0[0]))
+    v = np.tile(s0[:, None], (1, nb))
+    logs = np.full(nb, log0)
     dys = np.stack([rec.increments for rec in records], axis=1)
     times = first.times
     coords = np.empty((nb, n_steps // sample_every + 1, n * n))
@@ -944,7 +945,7 @@ def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
         if (step + 1) % sample_every == 0:
             j = (step + 1) // sample_every
             coords[:, j], out_logs[:, j] = v.T, logs
-    rhos = basis.matrices(coords)
+    rhos = hermitian_basis(n).matrices(coords)
     return [StatePath(r, lam, times[::sample_every]) for r, lam in zip(rhos, out_logs)]
 
 

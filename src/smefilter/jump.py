@@ -51,16 +51,16 @@ from .diffusion import (
     PathwiseState,
     _apply_maps,
     _batch_element,
-    _of_dimension,
     _renormalize,
     _step_count,
     _step_width,
     _Steps,
     _start,
     _steps,
+    _unnormalized_start,
     recover,  # noqa: F401  (bench/spans.py traces this name in this module)
 )
-from .linalg import as_square, dagger, expm, hermitian_basis, kron, require_hermitian
+from .linalg import as_square, dagger, expm, hermitian_basis, kron
 from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in this module)
 
 
@@ -145,7 +145,7 @@ def count_probability(model, rho, dt: float, t: float | None = None) -> float:
     """
     rho = as_square(rho)
     intensity = _apply_maps(_intensity(model), hermitian_basis(rho.shape[0]).coords(rho))[0]
-    return float(_count_probabilities(model, intensity, dt, t))
+    return float(_count_probabilities(model, intensity, _step_width(dt), t))
 
 
 def _intensity(model) -> np.ndarray:
@@ -249,17 +249,6 @@ def _exact_propagator(model, dt: float):
     return basis.real_map(jump_map), expm(basis.real_map(dt * generator))
 
 
-def _exact_start(r0):
-    """The normalized coordinates of the Hermitian part of ``r0``, the
-    start of the exact solve, and its ``log_lambda``, the log of the trace
-    of ``r0``."""
-    r = require_hermitian(r0, "r0")
-    s = hermitian_basis(r.shape[0]).coords(r)
-    if not s[0] > 0.0:
-        raise ValueError("r0 must have positive trace")
-    return s / s[0], float(np.log(s[0]))
-
-
 def _exact_step_many(jump_map, phi, s: np.ndarray, dn: np.ndarray, t: float, where=_batch_element):
     """One step of :func:`jump_pathwise_solve` for a stack of coordinates
     ``s[b]`` with counts ``dn[b]``, ending at time ``t``; returns the new
@@ -304,7 +293,7 @@ def _counting_steps(model, dt: float, start, log0: float, stack) -> _Steps:
 
 def _exact_steps(model, dt: float, start, log0: float) -> _Steps:
     """The steps of the exact ``pathwise`` counting scheme from the
-    coordinates ``start`` with ``log0`` (see :func:`_exact_start`):
+    coordinates ``start`` with ``log0`` (see :func:`diffusion._unnormalized_start`):
     :func:`_exact_step_many`."""
     return _counting_steps(model, dt, start, log0, partial(_exact_step_many, *_exact_propagator(model, dt)))
 
@@ -381,7 +370,7 @@ def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    recovered = _exact_steps(model, record.dt, *_exact_start(_of_dimension(r0, model.dim, "r0"))).replay(record)
+    recovered = _exact_steps(model, record.dt, *_unnormalized_start(r0, model.dim, "r0")).replay(record)
     if model.C_inv is None:
         return None, recovered
     with np.errstate(over="ignore", invalid="ignore"):  # a frame out of range is dropped below

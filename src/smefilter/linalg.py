@@ -5,6 +5,12 @@ involved are tiny (Hilbert-space dimension of a few, vectorized systems of
 dimension a few dozen), so all algorithms are direct dense methods chosen
 for predictability rather than asymptotic speed.
 
+There is one matrix exponential, :func:`expm_many`, which scales and
+squares a stack of matrices element by element; :func:`expm` is its stack
+of one.  Its accuracy and overflow checks are stated once, on
+:func:`expm_many`.  Both give real results for real arguments, which the
+steppers' real step maps use.
+
 Vectorization follows the column-stacking convention: ``vec`` stacks the
 columns of an ``n x n`` matrix into a single column of length ``n**2``, so
 that ``vec(A @ X @ B) == kron(B.T, A) @ vec(X)`` where ``B.T`` transposes
@@ -14,7 +20,6 @@ without conjugating.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from functools import lru_cache
 
 import numpy as np
@@ -77,19 +82,6 @@ def _too_large(nrm: float, outcome: str = "finite") -> ValueError:
     return ValueError(f"expm argument is too large: max-entry norm {nrm:.3e} gives no {outcome} result")
 
 
-def _may_overflow(n: int, squarings: int) -> bool:
-    """Whether ``squarings`` squarings of the series sum of an ``n x n``
-    argument scaled to max-entry norm 1/2 can overflow.
-
-    Such a sum has entries of modulus at most ``e^(n/2)``, and a squaring at
-    most squares the largest modulus and multiplies it by ``n``.  So the
-    result's entries stay below ``(n e^(n/2))^(2^squarings)``, which is
-    finite while ``2^squarings (log n + n/2)`` is below ``log`` of the
-    largest float, about 709.8.
-    """
-    return squarings >= math.log2(700.0 / (math.log(n) + 0.5 * n))
-
-
 # The largest ``2^squarings eps`` an expm result may carry: the rounding
 # error of the series sum, doubled by every squaring, relative to the
 # result.  The tests and the CLI output set reach at most 2^11 eps (4.5e-13).
@@ -127,122 +119,90 @@ def _real_or_complex(a) -> np.ndarray:
 
 
 def expm(a, tol: float = 1e-12) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a truncated series.
-
-    The argument is scaled by a power of two until its max-entry norm is at
-    most 1/2, the Taylor series is summed until the next term drops below
-    the (scaled) tolerance, and the result is squared back up.  Nilpotent
-    arguments terminate the series exactly, so e.g. ``expm(c * N)`` with
-    ``N @ N == 0`` returns ``I + c * N`` up to rounding.  A real argument
-    gives a real result in real arithmetic, a complex one a complex result.
-
-    Raises ``ValueError`` naming the max-entry norm when the argument is too
-    large for this scheme: when ``2^squarings eps`` exceeds 1e-6 (max-entry
-    norms from about ``2^31``), since the series sum's rounding error
-    doubles with every squaring, unless the series ends with an exactly
-    zero term, as a nilpotent argument's does, or the exact result is below
-    the smallest float (see :func:`_inaccurate`); when the squarings overflow;
-    or when the tolerance, divided by the scaling factor, falls below what
-    64 series terms reach.  No call that the tests or the CLI output set
-    make comes near that limit: the largest takes 11 squarings.  Squarings
-    that can overflow run with numpy's floating-point warnings off, so the
-    error is the only report.
-    """
+    """The matrix exponential of one square matrix: :func:`expm_many` of a
+    stack of one, so the scheme, its errors and its accuracy are those of
+    :func:`expm_many`.  A real argument gives a real result."""
     m = _real_or_complex(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    n = m.shape[0]
-    nrm = float(np.abs(m).max())
-    if not np.isfinite(nrm):
-        raise ValueError("expm requires finite entries")
-    if nrm == 0.0:
-        return np.eye(n, dtype=m.dtype)
-    squarings = max(0, int(np.ceil(np.log2(nrm / 0.5))))
-    b = m / (2.0**squarings) if squarings else m
-    x = np.eye(n, dtype=m.dtype)
-    x += b
-    term = b
-    cutoff = tol / (4.0 * 2.0**squarings)
-    k = 1
-    while float(np.abs(term).max()) > cutoff:
-        k += 1
-        if k > 64:
-            raise _too_large(nrm)
-        term = term @ b / k
-        x += term
-    if _inaccurate(m, squarings, term):
-        raise _too_large(nrm, "accurate")
-    # Only many squarings can overflow; the bound keeps the check, and the
-    # silencing of numpy's overflow warnings ahead of its error, off the
-    # common path.
-    risky = squarings and _may_overflow(n, squarings)
-    with np.errstate(over="ignore", invalid="ignore") if risky else nullcontext():
-        for _ in range(squarings):
-            x = x @ x
-    if risky and not np.isfinite(x).all():
-        raise _too_large(nrm)
-    return x
+    return expm_many(m[None], tol)[0]
 
 
 def expm_many(a, tol: float = 1e-12) -> np.ndarray:
-    """:func:`expm` of every matrix in a stack ``a[b]``, real for a real
-    stack.
+    """The matrix exponential of every matrix in a stack ``a[b]``, by
+    scaling-and-squaring with a truncated series; a real stack gives real
+    results in real arithmetic, a complex one complex results.
 
-    Each element gets its own squaring count and series length, and an
-    element whose series has converged takes no further terms, so every
-    result is bitwise the one :func:`expm` returns for that matrix alone,
-    whatever else is in the stack; it raises where :func:`expm` raises for
-    an element.
+    Each element is scaled by a power of two until its max-entry norm is at
+    most 1/2, its Taylor series is summed until the next term drops below
+    the (scaled) tolerance, and the result is squared back up.  Each element
+    gets its own squaring count and series length, and an element whose
+    series has converged takes no further terms, so every result is bitwise
+    the one this returns for that matrix alone, whatever else is in the
+    stack.  Nilpotent arguments terminate the series exactly, so e.g.
+    ``expm(c * N)`` with ``N @ N == 0`` returns ``I + c * N`` up to
+    rounding.
+
+    Raises ``ValueError`` unless ``tol`` is positive and every entry finite,
+    and, naming the max-entry norm of the first element at fault, when an
+    element is too large for this scheme: when ``2^squarings eps`` exceeds
+    1e-6 (max-entry norms from about ``2^31``), since the series sum's
+    rounding error doubles with every squaring, unless the series ends with
+    an exactly zero term, as a nilpotent argument's does, or the exact
+    result is below the smallest float (see :func:`_inaccurate`); when the
+    tolerance, divided by the scaling factor, falls below what 64 series
+    terms reach; or when the squarings overflow.  No call that the tests or
+    the CLI output set make comes near that limit: the largest takes 11
+    squarings.  The squarings run with numpy's floating-point warnings off,
+    so the error is the only report of an overflow.
     """
     m = _real_or_complex(a)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
         raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
-    x = np.broadcast_to(np.eye(m.shape[1], dtype=m.dtype), m.shape).copy()
+    x = np.empty_like(m)
+    x[...] = np.eye(m.shape[1], dtype=m.dtype)
     nrm = np.abs(m).max(axis=(1, 2))
     if not np.isfinite(nrm).all():
         raise ValueError("expm requires finite entries")
     live = np.flatnonzero(nrm > 0.0)  # a zero matrix keeps the identity
     squarings = np.zeros(m.shape[0], dtype=int)
     squarings[live] = np.maximum(0, np.ceil(np.log2(nrm[live] / 0.5)))
-    # Powers of two, so scaling by them is exact, as the one-matrix branch is.
-    scale = np.ldexp(1.0, squarings)
-    b = m / scale[:, None, None]
-    x[live] += b[live]
-    cutoff = tol / (4.0 * scale)
-    term = b[live]
-    k = 1
+    # Powers of two, so scaling by them is exact.
+    scale = np.ldexp(1.0, squarings[live])
     watch = np.ldexp(np.finfo(float).eps, squarings) > _SQUARING_ERROR_LIMIT
     last_term = np.zeros_like(m) if watch.any() else None  # for _inaccurate
+    # The series of the elements ``live`` still summing, in compact arrays;
+    # a finished sum goes to ``x``.
+    b = m[live] / scale[:, None, None]
+    cutoff = tol / (4.0 * scale)
+    sums, term = x[live] + b, b
+    k = 1
     while True:
-        going = np.abs(term).max(axis=(1, 2)) > cutoff[live]
-        if last_term is not None:
-            last_term[live[~going]] = term[~going]
-        live, term = live[going], term[going]
+        going = np.abs(term).max(axis=(1, 2)) > cutoff
+        if not going.all():
+            x[live[~going]] = sums[~going]
+            if last_term is not None:
+                last_term[live[~going]] = term[~going]
+            live, b, cutoff, sums, term = live[going], b[going], cutoff[going], sums[going], term[going]
         if live.size == 0:
             break
         k += 1
         if k > 64:
             raise _too_large(nrm[live[0]])
-        term = term @ b[live] / k
-        x[live] += term
+        term = term @ b / k
+        sums += term
     for i in np.flatnonzero(watch):
         if _inaccurate(m[i], int(squarings[i]), last_term[i]):
             raise _too_large(nrm[i], "accurate")
-    most = int(squarings.max(initial=0))
-    risky = _may_overflow(m.shape[1], most)
-    with np.errstate(over="ignore", invalid="ignore") if risky else nullcontext():
-        for j in range(most):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(int(squarings.max(initial=0))):
             sel = np.flatnonzero(squarings > j)
             xs = x[sel]
             x[sel] = xs @ xs
-    if risky:
-        bad = ~np.isfinite(x).all(axis=(1, 2))
-        if bad.any():
-            raise _too_large(nrm[bad.argmax()])
+    if not np.isfinite(x).all():
+        raise _too_large(nrm[np.isfinite(x).all(axis=(1, 2)).argmin()])
     return x
 
 

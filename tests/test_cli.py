@@ -317,6 +317,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_negative_seed_names_its_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(FAST_DIFFUSION)
+        neg_path = tmp_path / "negative.json"
+        neg_path.write_text(json.dumps({**json.loads(FAST_DIFFUSION), "seed": -3}))
+        for argv in (["--config", str(neg_path)], ["--config", str(cfg_path), "--seed", "-3"]):
+            code = main(["simulate", *argv, "--out", str(tmp_path / "run")])
+            assert code == 1
+            assert capsys.readouterr().err == "error: seed: must be >= 0, got -3\n"
+
     def test_filter_requires_record_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["filter"])

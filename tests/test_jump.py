@@ -125,6 +125,11 @@ class TestSampling:
         with pytest.raises(ValueError, match="smaller dt"):
             count_probability(m, RHO_PLUS, 0.01)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+    def test_count_probability_checks_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            count_probability(unitary_jump_model(), RHO_PLUS, dt)
+
     def test_sampler_matches_reference_loop_bitwise(self):
         # the online em run draws its count from tr(C rho C^dag); this loop
         # takes count_probability, which rounds the probability as the

@@ -86,9 +86,14 @@ class TestExpm:
         with pytest.raises(ValueError, match="finite"):
             expm(np.array([[np.inf, 0], [0, 0]]))
 
-    def test_bad_tol_rejected(self):
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_bad_tol_rejected(self, tol):
+        # a NaN tolerance would stop every series after one term
+        rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError, match="tol"):
-            expm(np.eye(2), tol=0.0)
+            expm(rotation, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            expm_many(rotation[None], tol=tol)
 
     @pytest.mark.parametrize("s, norm", [(1e20, r"1\.000e\+20"), (1e110, r"1\.000e\+110")])
     def test_huge_argument_rejected_naming_norm(self, s, norm):
@@ -132,6 +137,9 @@ class TestExpm:
         assert np.array_equal(expm(np.diag([-1e20, -1e20])), np.zeros((2, 2)))
         with pytest.raises(ValueError, match=r"max-entry norm 7\.100e\+02"):
             expm(np.diag([710.0, 0.0]))
+        # the overflow check of the squarings names the element at fault
+        with pytest.raises(ValueError, match=r"max-entry norm 7\.100e\+02"):
+            expm_many(np.stack([np.eye(2), np.diag([710.0, 0.0])]))
 
 
 class TestExpmMany:
