@@ -278,14 +278,14 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _float_csv(path: Path, config: RunConfig, header: str, columns) -> None:
-    """A CSV of float columns with the run's provenance comments."""
-    _write_csv(path, _provenance_comments(config), header, columns, ["%.17g"] * len(columns))
+def _run_csv(path: Path, config: RunConfig, header: str, columns) -> None:
+    """A CSV of the given columns with the run's provenance comments."""
+    _write_csv(path, _provenance_comments(config), header, columns)
 
 
 def _trajectory_csv(path: Path, config: RunConfig, states) -> None:
     x, y, z, pur = _state_columns(states.rho)
-    _float_csv(path, config, "t,x,y,z,log_lambda,purity", [states.t, x, y, z, states.log_lambda, pur])
+    _run_csv(path, config, "t,x,y,z,log_lambda,purity", [states.t, x, y, z, states.log_lambda, pur])
 
 
 def _run_summary(record, states) -> dict:
@@ -324,15 +324,10 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> list[Path]:
             model, config.scheme, config.dt, config.T, rho0, config.n_traj, config.seed, config.substeps
         )
         mean_path = out_dir / "mean_path.csv"
-        _float_csv(mean_path, config, "t,x,y,z,purity", [ens.times, *_state_columns(ens.mean_rho_path)])
+        _run_csv(mean_path, config, "t,x,y,z,purity", [ens.times, *_state_columns(ens.mean_rho_path)])
         final_path = out_dir / "final_bloch.csv"
-        _write_csv(
-            final_path,
-            _provenance_comments(config),
-            "trajectory,x,y,z,purity",
-            [np.arange(ens.n_traj), *_state_columns([st.rho for st in ens.final_states])],
-            ["%d"] + ["%.17g"] * 4,
-        )
+        final_bloch = _state_columns([st.rho for st in ens.final_states])
+        _run_csv(final_path, config, "trajectory,x,y,z,purity", [np.arange(ens.n_traj), *final_bloch])
         summary.update(
             {
                 "n_traj": ens.n_traj,
@@ -383,7 +378,7 @@ def _report_csv(path: Path, config: RunConfig, rows) -> list[Path]:
     the dataclass's field names."""
     path.parent.mkdir(parents=True, exist_ok=True)
     header = ",".join(f.name for f in fields(rows[0]))
-    _float_csv(path, config, header, np.array([astuple(r) for r in rows]).T)
+    _run_csv(path, config, header, np.array([astuple(r) for r in rows]).T)
     return [path]
 
 

@@ -87,6 +87,7 @@ the arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import abc
 from dataclasses import dataclass
@@ -95,6 +96,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
+from .csvtext import csv_rows
 from .linalg import (
     as_square,
     dagger,
@@ -120,10 +122,19 @@ _EPS = float(np.finfo(float).eps)
 
 SCHEMES = ("robust", "em", "pathwise")
 
-# Rows :func:`_write_csv` formats and writes at a time.  It bounds the
-# Python numbers and text held in memory; writing a 10,001-row trajectory
-# took the same time at 256 to 4096 rows a block.
-_CSV_BLOCK = 1024
+# Rows :func:`_write_csv` formats and writes at a time, which bounds the
+# writer's working set.  Writing a 10,001-row trajectory of six columns
+# allocated at most 0.53, 0.99, 1.87 and 3.72 MB at 256, 512, 1024 and 2048
+# rows a block (tracemalloc), and took a median 29.9, 23.0, 24.7 and 26.6 ms
+# (15 runs each, interleaved, 2-core Xeon); the per-row formatting took
+# 36-58 ms on the same host.
+_CSV_BLOCK = 512
+
+# Bytes of lines :func:`read_record` reads and parses at a time, which
+# bounds the text and Python numbers it holds besides the parsed values.
+# Reading a 10,000-row record allocated at most 0.68, 0.83, 1.13 and 1.93 MB
+# at 16, 32, 64 and 128 kB a chunk (tracemalloc), and 0.82 MB line by line.
+_READ_CHUNK = 1 << 15
 
 
 class NonFiniteStateError(ArithmeticError):
@@ -286,6 +297,14 @@ def _step_width(dt) -> float:
     return dt
 
 
+def _time_origin(t0) -> float:
+    """A start time as a float, checked finite."""
+    t0 = float(t0)
+    if not np.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
+    return t0
+
+
 def _step_count(dt, T) -> int:
     """The number ``T / dt`` of steps of width ``dt`` in a run of length
     ``T``, the one grid rule of every run: ``dt`` is checked as
@@ -307,19 +326,19 @@ class Record:
 
     Each kind states its format once, as class attributes: the
     ``format_name`` of its ``# format:`` line, the CSV ``column`` of its
-    values, their ``%``-format ``cell`` and ``parse``, the run ``mode`` it
-    drives and the ``file_name`` a run writes it to.  Its ``_checked``
-    returns its own checked copy of the values.
+    values, their ``parse`` and ``dtype``, the run ``mode`` it drives and
+    the ``file_name`` a run writes it to.  Its ``_valid`` marks the values
+    it takes, and ``invalid`` says what the others lack.
     """
 
     def __post_init__(self):
-        dt, t0 = _step_width(self.dt), float(self.t0)
-        if not np.isfinite(t0):
-            raise ValueError(f"t0 must be finite, got {t0}")
+        dt, t0 = _step_width(self.dt), _time_origin(self.t0)
         values = np.asarray(self.values)
         if values.ndim != 1:
             raise ValueError(f"{self.field} must be one-dimensional, got shape {values.shape}")
-        values = self._checked(values)
+        if not self._valid(values).all():
+            raise ValueError(self.invalid)
+        values = values.astype(self.dtype)
         values.setflags(write=False)
         object.__setattr__(self, self.field, values)
         object.__setattr__(self, "dt", dt)
@@ -350,15 +369,12 @@ class MeasurementRecord(Record):
     increments: np.ndarray
     t0: float = 0.0
 
-    format_name, column, field, cell, parse = "measurement-record", "dy", "increments", "%.17g", float
-    mode, file_name = "diffusion", "measurement_record.csv"
+    format_name, column, field, parse, dtype = "measurement-record", "dy", "increments", float, float
+    mode, file_name, invalid = "diffusion", "measurement_record.csv", "record increments must be finite"
 
     @staticmethod
-    def _checked(values: np.ndarray) -> np.ndarray:
-        inc = values.astype(float)
-        if not np.isfinite(inc).all():
-            raise ValueError("record increments must be finite")
-        return inc
+    def _valid(values: np.ndarray) -> np.ndarray:
+        return np.isfinite(values.astype(float))
 
     @property
     def duration(self) -> float:
@@ -407,14 +423,12 @@ class CountingRecord(Record):
     counts: np.ndarray
     t0: float = 0.0
 
-    format_name, column, field, cell, parse = "counting-record", "dN", "counts", "%d", int
-    mode, file_name = "jump", "counting_record.csv"
+    format_name, column, field, parse, dtype = "counting-record", "dN", "counts", int, int
+    mode, file_name, invalid = "jump", "counting_record.csv", "count increments must all be 0 or 1"
 
     @staticmethod
-    def _checked(values: np.ndarray) -> np.ndarray:
-        if values.size and not np.isin(values, (0, 1)).all():
-            raise ValueError("count increments must all be 0 or 1")
-        return values.astype(int)
+    def _valid(values: np.ndarray) -> np.ndarray:
+        return np.isin(values, (0, 1))
 
     def cumulative_counts(self) -> np.ndarray:
         """Nondecreasing count ``N`` at the grid points, ``N[0] = 0``."""
@@ -436,79 +450,150 @@ class CountingRecord(Record):
 _RECORD_KINDS = (MeasurementRecord, CountingRecord)
 
 
-def _write_csv(
-    path, comments: Sequence[str], header: str, columns: Sequence[np.ndarray], formats: Sequence[str]
-) -> None:
+def _write_csv(path, comments: Sequence[str], header: str, columns: Sequence[np.ndarray]) -> None:
     """Write a CSV file: a ``# <comment>`` line per comment, the header, and
-    row ``k`` of the equal-length one-dimensional arrays ``columns``, with
-    column ``j`` in the ``%``-format ``formats[j]``.  Rows are converted to
-    Python numbers, formatted and written :data:`_CSV_BLOCK` at a time, so
-    neither a whole column of Python numbers nor a whole-file string is
-    ever built."""
-    row = ",".join(formats) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"# {c}\n" for c in comments) + header + "\n")
-        for k in range(0, min(map(len, columns), default=0), _CSV_BLOCK):
-            block = zip(*[c[k : k + _CSV_BLOCK].tolist() for c in columns])
-            fh.write("".join([row % r for r in block]))
+    the rows of the equal-length one-dimensional arrays ``columns``, each
+    column formatted by its dtype (see :func:`.csvtext.csv_rows`).  Rows are
+    formatted and written :data:`_CSV_BLOCK` at a time, so no whole-file
+    text is ever built."""
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns must have equal lengths, got {lengths}")
+    with open(path, "wb") as fh:
+        fh.write(("".join(f"# {c}\n" for c in comments) + header + "\n").encode())
+        for k in range(0, lengths[0] if lengths else 0, _CSV_BLOCK):
+            fh.write(csv_rows([c[k : k + _CSV_BLOCK] for c in columns]))
 
 
 def write_record(path, record: Record, comments: Sequence[str] = ()) -> None:
     """Write a record of any kind as CSV: a ``# format: <format_name> v1``
     line, its ``dt`` and ``t0``, the comments, the header ``t,<column>`` and
-    one row per step with the step's end time and its value in the kind's
-    ``cell`` format."""
+    one row per step with the step's end time and its value."""
     head = [f"format: {record.format_name} v1", f"dt: {record.dt:.17g}", f"t0: {record.t0:.17g}", *comments]
-    _write_csv(path, head, f"t,{record.column}", [record.times[1:], record.values], ("%.17g", record.cell))
+    _write_csv(path, head, f"t,{record.column}", [record.times[1:], record.values])
+
+
+def _take_setting(comment: str, settings: dict) -> None:
+    """Take a ``# dt:`` or ``# t0:`` comment line into ``settings``, its
+    value checked as :class:`Record` checks it; other comments are notes."""
+    body = comment[1:].strip()
+    if body[:3] == "dt:":
+        settings["dt"] = _step_width(float(body[3:]))
+    elif body[:3] == "t0:":
+        settings["t0"] = _time_origin(float(body[3:]))
+
+
+def _first_bad_line(path, kinds, headers: str) -> tuple[int, str]:
+    """The number and error of the first bad line of a record file, its
+    lines checked one by one as :func:`read_record` reads them; that reader
+    only calls it once some line has failed."""
+    header = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            s = line.strip()
+            try:
+                if s[:1] == "#":
+                    _take_setting(s, {})
+                elif s and header is None:
+                    header = s
+                    kind = next((k for k in kinds if s == f"t,{k.column}"), None)
+                    if kind is None:
+                        raise ValueError(f"expected header {headers}, got {s!r}")
+                elif s:
+                    cells = s.split(",")
+                    if len(cells) != 2:
+                        raise ValueError(f"expected 2 columns {header!r}, got {len(cells)}")
+                    float(cells[0])
+                    kind.parse(cells[1])
+            except ValueError as exc:
+                return lineno, str(exc)
+    raise AssertionError(f"{path}: no line fails when checked one by one")
+
+
+def _row_line(path, i: int) -> int:
+    """The line number of row ``i`` (from 0, after the header) of a record
+    file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = (n for n, line in enumerate(fh, 1) if line.strip()[:1] not in ("", "#"))
+        return next(itertools.islice(rows, i + 1, None))
 
 
 def read_record(path, kind: type[Record] | None = None) -> Record:
     """Read a CSV written by :func:`write_record` as a record of the class
     ``kind``, or, when ``kind`` is ``None``, of the kind of
     :data:`_RECORD_KINDS` whose header ``t,<column>`` the file has.  ``dt``
-    and ``t0`` missing from the comments are inferred from the row times.
+    and ``t0`` missing from the comments are inferred from the first row
+    times.
 
     ``#`` lines are comments wherever they stand, and the last ``# dt:`` and
     ``# t0:`` among them count; blank lines are skipped.  The first other
-    line is the header, and each line after it a row of two cells, the
-    value parsed with the kind's ``parse``.  A malformed file is rejected
-    naming its path and its first bad line by number.
+    line is the header, and each line after it a row of two cells, the time
+    and the value parsed with the kind's ``parse``.  Row ``k`` (from 1) must
+    stand at ``t0 + k dt``, up to ``1e-6 dt`` plus the rounding of the
+    times.  A malformed file is rejected naming its path and its first bad
+    line by number: a bad ``dt`` or ``t0`` comment, header, cell count or
+    cell, and then the first row off the grid or with a value the kind
+    rejects.
+
+    The lines are read :data:`_READ_CHUNK` bytes at a time, and their rows
+    parsed a column at a time: split into cells once and each column parsed
+    in one ``map``.  Only when something fails is the file read again, line
+    by line, for the number of the bad line.
     """
     kinds = _RECORD_KINDS if kind is None else (kind,)
     headers = " or ".join(f"'t,{k.column}'" for k in kinds)
-    settings, header, times, values = {}, None, [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            s = line.strip()
-            try:
-                if s[:1] == "#":
-                    body = s[1:].strip()
-                    if body[:3] in ("dt:", "t0:"):
-                        settings[body[:2]] = float(body[3:])
-                elif not s:
-                    continue
-                elif header is None:
-                    header = s
-                    kind = next((k for k in kinds if s == f"t,{k.column}"), None)
+    settings, kind, times, values = {}, None, [], []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for chunk in iter(lambda: fh.readlines(_READ_CHUNK), []):
+                lines = list(map(str.strip, chunk))
+                if "#" in "".join(chunk):
+                    for s in lines:
+                        if s[:1] == "#":
+                            _take_setting(s, settings)
+                    lines = [s for s in lines if s[:1] != "#"]
+                rows = list(filter(None, lines))
+                if kind is None and rows:
+                    kind = next((k for k in kinds if rows[0] == f"t,{k.column}"), None)
                     if kind is None:
-                        raise ValueError(f"expected header {headers}, got {s!r}")
-                else:
-                    cells = s.split(",")
-                    if len(cells) != 2:
-                        raise ValueError(f"expected 2 columns {header!r}, got {len(cells)}")
-                    times.append(float(cells[0]))
-                    values.append(kind.parse(cells[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    if header is None:
+                        raise ValueError
+                    rows = rows[1:]
+                if rows:
+                    # n rows split into 2n cells hold n commas: one each if
+                    # every row holds one
+                    cells = ",".join(rows).split(",")
+                    if len(cells) != 2 * len(rows) or not all(map(str.__contains__, rows, itertools.repeat(","))):
+                        raise ValueError
+                    times.append(np.array(list(map(float, cells[0::2])), dtype=float))
+                    values.append(np.array(list(map(kind.parse, cells[1::2]))))
+    except ValueError:
+        lineno, message = _first_bad_line(path, kinds, headers)
+        raise ValueError(f"{path}, line {lineno}: {message}") from None
+    if kind is None:
         raise ValueError(f"{path}: file contains no {headers} header")
+    times, values = (np.concatenate(c) if c else np.array([]) for c in (times, values))
     dt, t0 = settings.get("dt"), settings.get("t0")
     if dt is None:
-        if len(times) < 2:
+        if times.size < 2:
             raise ValueError(f"{path}: cannot infer dt: need a '# dt:' comment or at least two rows")
-        dt = times[1] - times[0]
+        try:
+            dt = _step_width(times[1] - times[0])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {_row_line(path, 1)}: dt from the first two rows: {exc}") from None
     if t0 is None:
-        t0 = (times[0] - dt) if times else 0.0
+        try:
+            t0 = _time_origin(times[0] - dt) if times.size else 0.0
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {_row_line(path, 0)}: t0 from the first row: {exc}") from None
+    k = np.arange(1, times.size + 1)
+    grid = t0 + dt * k
+    scale = dt if "dt" in settings else abs(times[0]) + abs(times[1])
+    off_grid = ~(np.abs(times - grid) <= 1e-6 * dt + 2 * _EPS * (np.abs(times) + abs(t0) + k * scale))
+    bad = off_grid | ~kind._valid(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = f"time {times[i]:.17g} is not t0 + {i + 1} dt = {grid[i]:.17g}" if off_grid[i] else kind.invalid
+        raise ValueError(f"{path}, line {_row_line(path, i)}: {message}")
     return kind(dt, values, t0)
 
 
