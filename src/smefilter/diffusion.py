@@ -24,11 +24,12 @@ cross-validation:
 
   vectorized via ``[(I (x) A) + (B^T (x) I) - (D^T (x) C)] vec(X) = vec(rhs)``
   (plain transposes, no conjugation).  The system depends on the model and
-  ``dt`` only: it is LU-factored once and inverted once, to ``S``.  ``E(dy)``
-  is a function of ``L``, ``sum_{j<n} c_j(dy) L^j`` by Cayley-Hamilton, with
-  coefficients in closed form for ``n = 2``, so a step is one fixed real
-  ``n^2 x n^4`` map ``M`` applied to ``u (x) s``, with ``n^2`` real weights
-  ``u`` made of ``conj(c_j) c_k`` (see :class:`RobustStepper`).
+  ``dt`` only: it is inverted once, by one ``np.linalg.solve``, to ``S``.
+  ``E(dy)`` is a function of ``L``, ``sum_{j<n} c_j(dy) L^j`` by
+  Cayley-Hamilton, with coefficients in closed form for ``n = 2``, so a step
+  is one fixed real ``n^2 x n^4`` map ``M`` applied to ``u (x) s``, with
+  ``n^2`` real weights ``u`` made of ``conj(c_j) c_k`` (see
+  :class:`RobustStepper`).
 
 Every stepper carries its state as the ``n^2`` real coordinates ``s`` of
 ``rho`` in one Hermitian basis, ``linalg.hermitian_basis(n)``: the Pauli
@@ -94,7 +95,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
+# No code of this module calls scipy: bench/spans.py traces
+# ``scipy.linalg.lu_solve`` through this name here, so it stays bound.  The
+# bare import loads no ``scipy.linalg``.
+import scipy  # noqa: F401
 
 from .csvtext import csv_rows
 from .linalg import (
@@ -163,13 +167,19 @@ def _renormalize(x: np.ndarray, t, what: str, where=None):
     coordinate: when the state is not finite, its trace is not positive, or
     its growth has swamped its trace (see :func:`_failure`).  The error
     names the first failing element of a stack, or a single state, as
-    ``where(b)``, or nothing when ``where`` is ``None``."""
+    ``where(b)``, or nothing when ``where`` is ``None``.
+
+    A stack whose smallest trace is above the rounding error of its largest
+    coordinate passes at once: rounding is monotone, so that implies every
+    element's own check.  Otherwise each element is checked alone."""
     if x.ndim == 1:
         tr = float(x[0])
         if float(np.abs(x).max()) * _EPS < tr:
             return x / tr, np.log(tr)
-    elif (np.abs(x).max(axis=1) * _EPS < x[:, 0]).all():
-        return x / x[:, :1], np.log(x[:, 0])
+    else:
+        size = np.abs(x)
+        if size.max(initial=0.0) * _EPS < x[:, 0].min(initial=np.inf) or (size.max(axis=1) * _EPS < x[:, 0]).all():
+            return x / x[:, :1], np.log(x[:, 0])
     stack = x.reshape(-1, x.shape[-1])
     b = next(b for b, xb in enumerate(stack) if not np.abs(xb).max() * _EPS < xb[0])
     of = "" if where is None else f" of {where(b)}"
@@ -802,9 +812,10 @@ class RobustStepper(_MapStepper):
     """Implicit filter step as one fixed real map of weighted coordinates.
 
     The implicit matrix ``(I (x) A) + (B^T (x) I) - (D^T (x) C)`` depends only
-    on the model and ``dt``, so it is LU-factored once and inverted once, to
-    ``S``.  ``E(dy) = exp((dy/k^2) L - (dt/2k^2) L^2)`` is a function of ``L``,
-    so by Cayley-Hamilton it is ``sum_{j<n} c_j(dy) L^j`` (see
+    on the model and ``dt``, so it is inverted once, to ``S``, by one
+    ``np.linalg.solve`` against the identity (LAPACK ``gesv``).  ``E(dy) =
+    exp((dy/k^2) L - (dt/2k^2) L^2)`` is a function of ``L``, so by
+    Cayley-Hamilton it is ``sum_{j<n} c_j(dy) L^j`` (see
     :meth:`coefficients`), and the step's unnormalized state is ``X = S(E rho
     E^dag) = sum_jk conj(c_j) c_k S(L^k rho L^j^dag)``.  Pairing the terms
     ``jk`` and ``kj``, which are each other's adjoints, it is a real
@@ -836,8 +847,7 @@ class RobustStepper(_MapStepper):
             + dt * kron(K.conj(), eye)
             - (1.0 - 1.0 / k2) * dt * kron(L.conj(), L)
         )
-        self._factors = scipy.linalg.lu_factor(system, check_finite=False)
-        inverse = scipy.linalg.lu_solve(self._factors, np.eye(n * n, dtype=complex), check_finite=False)
+        inverse = np.linalg.solve(system, np.eye(n * n, dtype=complex))
         powers = [eye]
         for _ in range(n - 1):
             powers.append(powers[-1] @ L)
@@ -1081,9 +1091,11 @@ def _map_block(maps: np.ndarray, coords: np.ndarray, logs: np.ndarray) -> int:
     floating-point warning, into coordinates that the caller overwrites.
 
     Each step is the single-state step :meth:`_MapStepper.advance` with
-    its bookkeeping taken out of the loop: the same ``np.matmul`` of the
-    map with the state as :func:`_apply_maps`, and the division by the
-    trace ``x[0]``, for each step; then, once for the block,
+    its bookkeeping taken out of the loop: the map's product with the
+    state, by ``ndarray.dot``, which calls the same BLAS ``dgemv`` as the
+    ``np.matmul`` of :func:`_apply_maps` on a contiguous matrix and vector
+    with less overhead a call, and the division by the trace ``x[0]``, for
+    each step; then, once for the block,
     :func:`_renormalize`'s check ``eps max_a |x_a| < x_0`` on every step's
     unnormalized coordinates, ``np.log`` of the traces and their sum into
     ``log_lambda`` by ``np.add.accumulate``, which adds in sequence.  So
@@ -1092,7 +1104,7 @@ def _map_block(maps: np.ndarray, coords: np.ndarray, logs: np.ndarray) -> int:
     s = coords[0]
     with np.errstate(all="ignore"):
         for m, y, out in zip(maps, x, coords[1:]):
-            np.matmul(m, s, out=y)
+            m.dot(s, y)
             s = np.divide(y, y[0], out=out)
         ok = np.abs(x).max(axis=1) * _EPS < x[:, 0]
     done = len(maps) if ok.all() else int(ok.argmin())

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import smefilter
 from smefilter import __version__
 from smefilter.cli import (
     _KEYS,
@@ -288,6 +293,17 @@ class TestDiagnostics:
             cmd_converge(cfg, tmp_path)
         with pytest.raises(ValueError, match="diffusion"):
             cmd_lipschitz(cfg, tmp_path)
+
+
+def test_import_loads_no_scipy_linalg():
+    # a fresh interpreter, so that no other test's import counts; importing
+    # scipy.linalg took longer than a 10,000-step filter replay
+    src = str(Path(smefilter.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, smefilter.cli; print(sorted(m for m in sys.modules if 'scipy.linalg' in m))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert probe.stdout == "[]\n"
 
 
 class TestMain:

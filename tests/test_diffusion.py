@@ -21,7 +21,9 @@ from smefilter.diffusion import (
     StatePath,
     _MAP_BLOCK,
     _apply_maps,
+    _batch_element,
     _diffusion_steps,
+    _renormalize,
     _start,
     em_normalized,
     em_unnormalized,
@@ -595,9 +597,10 @@ def three_level_model(rng):
 class TestRobustStepperSolve:
     @pytest.mark.parametrize("phi", [0.0, 0.3, 1.1, "3-level"])
     def test_propagate_applies_inverse_near_lu_solve(self, phi):
-        # propagate applies one fixed map, built from the inverse of the LU
-        # factors, to the step's weights times the state; the oracle is
-        # scipy.linalg.lu_solve on the same factors, with E(dy) from expm
+        # propagate applies one fixed map, built from the inverse of the
+        # implicit system, to the step's weights times the state; the oracle
+        # is scipy.linalg.lu_solve on the LU factors of the system
+        # A X + X B - C X D assembled here term by term, with E(dy) from expm
         rng = np.random.default_rng(29)
         if phi == "3-level":
             m, n = three_level_model(rng), 3
@@ -606,6 +609,10 @@ class TestRobustStepperSolve:
         stepper = RobustStepper(m, 0.01)
         basis = hermitian_basis(n)
         k2 = m.kappa**2
+        eye = np.eye(n)
+        big_a, big_b = eye + m.K * 0.01, dagger(m.K) * 0.01
+        big_d = dagger(m.L) * (1.0 - 1.0 / k2) * 0.01
+        factors = scipy.linalg.lu_factor(kron(eye, big_a) + kron(big_b.T, eye) - kron(big_d.T, m.L))
         for _ in range(1500):
             rho, dy = random_state(rng, n), float(rng.normal(0.0, 0.3))
             e = expm(m.L * (dy / k2) - (m.L @ m.L) * (0.01 / (2.0 * k2)))
@@ -615,7 +622,7 @@ class TestRobustStepperSolve:
             u = stepper.weights(np.array([dy]))[0]
             assert np.array_equal(x, (stepper._map @ u).reshape(n * n, n * n) @ s)
             got = basis.matrices(x).reshape(-1, order="F")
-            assert max_abs(got - scipy.linalg.lu_solve(stepper._factors, rhs, check_finite=False)) <= 1e-13
+            assert max_abs(got - scipy.linalg.lu_solve(factors, rhs)) <= 1e-13
 
 
 class TestRobustStepperBatch:
@@ -1013,6 +1020,47 @@ class TestBlowupHandling:
         with pytest.raises(NonFiniteStateError) as err:
             em_unnormalized(m, rec, RHO_PLUS)
         assert err.value.time == pytest.approx(0.03)
+
+
+class TestRenormalizeStack:
+    """The stack tail passes a stack at once when its smallest trace is above
+    the rounding error of its largest coordinate, and otherwise checks each
+    element alone, as a single state's tail does."""
+
+    @staticmethod
+    def stack(traces, n=3):
+        rng = np.random.default_rng(43)
+        basis = hermitian_basis(n)
+        return np.array([t * basis.coords(random_state(rng, n)) for t in traces])
+
+    @pytest.mark.parametrize(
+        "entry, value, failure",
+        [((2, 0), 0.0, "blew up"), ((2, 0), -0.5, "collapsed"), ((2, 3), np.nan, "blew up"), ((2, 5), 1e20, "blew up")],
+        ids=["zero trace", "negative trace", "nan", "swamped trace"],
+    )
+    def test_first_failing_element_is_named(self, entry, value, failure):
+        x = self.stack([1.0, 2.0, 0.5, 3.0, 1.0])
+        x[entry] = value
+        x[4, 1] = np.nan  # a later failure is not the one named
+        with pytest.raises(NonFiniteStateError, match=rf"^state of batch element 2 {failure} at t = 0\.5$"):
+            _renormalize(x, 0.5, "state", _batch_element)
+        with pytest.raises(NonFiniteStateError, match=rf"^state {failure}"):  # the element alone
+            _renormalize(x[2], 0.5, "state")
+
+    def test_traces_across_the_range_pass_element_by_element(self):
+        # the whole-stack test fails here, yet each element passes its own
+        traces = 10.0 ** np.arange(-300.0, 301.0, 100.0)
+        x = self.stack(traces)
+        assert not np.abs(x).max() * np.finfo(float).eps < x[:, 0].min()
+        s, logs = _renormalize(x, 0.5, "state", _batch_element)
+        for xb, sb, log in zip(x, s, logs):
+            alone, log_alone = _renormalize(xb, 0.5, "state")
+            assert sb.tobytes() == alone.tobytes() and log == log_alone
+        assert np.allclose(logs, np.log(traces), rtol=0.0, atol=1e-12)
+
+    def test_empty_stack_passes(self):
+        s, logs = _renormalize(np.empty((0, 4)), 0.5, "state")
+        assert s.shape == (0, 4) and logs.shape == (0,)
 
 
 @hst.composite

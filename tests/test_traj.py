@@ -42,6 +42,7 @@ from smefilter.model import (
     build_jump_model,
     two_level_model,
 )
+from smefilter.ode import rk4_step
 from smefilter.traj import (
     _bloch_fast,
     _trajectory_in,
@@ -115,6 +116,31 @@ class TestMasterEquation:
             z = float((path[k][0, 0] - path[k][1, 1]).real)
             expected = -1.0 + 2.0 * np.exp(-gamma * k * dt)
             assert z == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_propagate_is_staged_rk4(self, n):
+        # one matrix per step against the staged oracle, on Hermitian and
+        # non-Hermitian start matrices
+        rng = np.random.default_rng(53 + n)
+        for hermitian in (True, False):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            H = a + dagger(a)
+            L = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            r = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            rho0 = r @ dagger(r) / np.trace(r @ dagger(r)).real if hermitian else r
+            dt, steps = 0.002, 400
+            path = master_propagate(H, L, rho0, dt, steps)
+            assert len(path) == steps + 1 and np.array_equal(path[0], rho0)
+            state = np.asarray(rho0, dtype=complex)
+            for k in range(steps):
+                state = rk4_step(lambda _t, rho: master_rhs(H, L, rho), k * dt, state, dt)
+                assert path[k + 1].shape == (n, n)
+                assert max_abs(path[k + 1] - state) <= 1e-12
+
+    def test_propagate_zero_steps_is_the_start(self):
+        rho0 = np.array([[0.3, 0.1 - 0.2j], [0.4j, 0.7]])
+        path = master_propagate(SIGMA_Z, SIGMA, rho0, 0.01, 0)
+        assert len(path) == 1 and np.array_equal(path[0], rho0) and path[0] is not rho0
 
 
 class TestRunTrajectory:
