@@ -173,8 +173,8 @@ def _require_float_list(key: str, v) -> tuple:
         raise ValueError(f"{key}: expected a non-empty list of numbers")
     out = []
     for i, item in enumerate(v):
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or item <= 0:
-            raise ValueError(f"{key}[{i}]: expected a positive number, got {item!r}")
+        if isinstance(item, bool) or not isinstance(item, (int, float)) or not 0 < item < np.inf:
+            raise ValueError(f"{key}[{i}]: expected a finite positive number, got {item!r}")
         out.append(float(item))
     return tuple(out)
 

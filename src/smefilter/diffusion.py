@@ -45,12 +45,12 @@ coordinates once and its states back to matrices once.
 
 The robust and pathwise steps are both ``x = R(dy) s``, with a real map
 ``R`` of the step's increment alone, and one base, :class:`_MapStepper`,
-takes both schemes' single-state step ``advance``, their stack step
-``advance_many`` and their errors; a scheme only builds its maps.
+takes both schemes' one step, the stack step ``advance_many``, and their
+errors; a scheme only builds its maps.
 
 Unnormalized solutions grow or decay exponentially, so every step maps the
 normalized coordinates to unnormalized ones and then takes one shared real
-tail, :func:`_renormalize`, for a single state or a stack: it checks that
+tail, :func:`_renormalize`, on a stack of states: it checks that
 the trace ``s[0]`` is above the rounding error of the largest coordinate
 (so the state is finite, its trace positive and not swamped by its growth)
 and returns ``s / s[0]`` and ``log s[0]``, which the robust, pathwise and
@@ -63,27 +63,27 @@ state their CSV format once; :func:`write_record` and :func:`read_record`,
 which picks the kind by the file's header, serve both.
 
 The schemes of both record kinds share one interface, :class:`_Steps`:
-a start state and ``log_lambda``, the numbers a run draws, an online run,
-a replay and an ensemble's stack step, built from a scheme's pieces by
-:func:`_steps`.  :func:`_diffusion_steps` builds the diffusion schemes,
-whose every step takes the record increment ``dy`` of its step, and
-``jump._jump_steps`` the counting ones.  Online runs and replays step
-through one loop, :func:`_trajectory`, with the scheme's single-state
-step ``step(s, x, t, where)``, which has the signature of its stack step;
-a robust or pathwise replay steps each block of prebuilt maps with
+a start state and ``log_lambda``, the numbers a run draws, the online
+step of a stack and a replay, built from a scheme's pieces by
+:func:`_steps`, for the diffusion schemes by :func:`_diffusion_steps` and
+for the counting ones by ``jump._jump_steps``.  Every online run steps a
+stack of trajectories through one loop, :func:`_online`: an ensemble, or a
+single run, the ensemble of one whose path :func:`_path` keeps.  A replay
+takes the same stack step on a stack of one through :func:`_trajectory`,
+and steps each block of prebuilt robust or pathwise maps with
 :func:`_map_block`, which gives each state the same matrix-vector product
 and division by its trace, and applies ``np.log`` to the same traces and
-adds them into ``log_lambda`` in sequence, once per block.  So every
-replay of a run's record is bitwise that run; the stack step gives each
-element of an ensemble's stack the same arithmetic.  Every step applies
-its real maps and functionals through one kernel, :func:`_apply_maps`,
-which gives each state of a stack one matrix-vector product.
+adds them into ``log_lambda`` in sequence, once per block.  The stack step
+gives each element the arithmetic of a stack of one, through one kernel,
+:func:`_apply_maps`, which gives each state one matrix-vector product; so
+every replay of a run's record is bitwise that run, and a trajectory's
+states do not depend on the stack it runs in.
 
 A run's states are one :class:`StatePath`: arrays of ``rho``,
-``log_lambda`` and ``t`` over its grid points, which :func:`_trajectory`
-and :func:`em_unnormalized_many` convert from coordinates at the end of a
-run.  Indexing it gives one :class:`DensityState`; writers and reports read
-the arrays.
+``log_lambda`` and ``t`` over its grid points, which :func:`_path`,
+:func:`_trajectory` and :func:`em_unnormalized_many` convert from
+coordinates at the end of a run.  Indexing it gives one
+:class:`DensityState`; writers and reports read the arrays.
 """
 
 from __future__ import annotations
@@ -123,6 +123,7 @@ from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in thi
 _MAP_BLOCK = 256
 
 _EPS = float(np.finfo(float).eps)
+_max, _min = np.maximum.reduce, np.minimum.reduce  # without the Python wrapper of ndarray.max
 
 SCHEMES = ("robust", "em", "pathwise")
 
@@ -156,51 +157,38 @@ def _batch_element(b: int) -> str:
 
 
 def _renormalize(x: np.ndarray, t, what: str, where=None):
-    """The one tail of every step, on the coordinates ``x`` of a single
-    state, shape ``(n^2,)``, or of a stack, ``(B, n^2)``: the states
-    divided by their traces ``x[..., 0]``, and the log traces, each rounded
-    as it is alone (a single state's check reads Python floats, which is
-    faster and changes no result).
+    """The one tail of every step, on a stack of coordinates ``x[b]``: the
+    states divided by their traces ``x[:, 0]`` and the log traces, each
+    rounded as it is alone.
 
-    Raises :class:`NonFiniteStateError` at ``t`` when a state's trace is
-    not above the rounding error ``eps max_a |x_a|`` of its largest
-    coordinate: when the state is not finite, its trace is not positive, or
-    its growth has swamped its trace (see :func:`_failure`).  The error
-    names the first failing element of a stack, or a single state, as
-    ``where(b)``, or nothing when ``where`` is ``None``.
-
-    A stack whose smallest trace is above the rounding error of its largest
-    coordinate passes at once: rounding is monotone, so that implies every
-    element's own check.  Otherwise each element is checked alone."""
-    if x.ndim == 1:
-        tr = float(x[0])
-        if float(np.abs(x).max()) * _EPS < tr:
-            return x / tr, np.log(tr)
-    else:
-        size = np.abs(x)
-        if size.max(initial=0.0) * _EPS < x[:, 0].min(initial=np.inf) or (size.max(axis=1) * _EPS < x[:, 0]).all():
-            return x / x[:, :1], np.log(x[:, 0])
-    stack = x.reshape(-1, x.shape[-1])
-    b = next(b for b, xb in enumerate(stack) if not np.abs(xb).max() * _EPS < xb[0])
+    Raises :class:`NonFiniteStateError` at ``t`` when a trace is not above
+    the rounding error ``eps max_a |x_a|`` of its state's largest
+    coordinate (see :func:`_failure`), naming the first failing element as
+    ``where(b)`` (nothing when ``where`` is ``None``) and, when its
+    coordinates are finite, its trace.  A stack whose smallest trace is
+    above the rounding error of its largest coordinate passes at once, which
+    implies every element's check (rounding is monotone); otherwise each
+    element is checked alone."""
+    tr, size = x[:, 0], np.abs(x)
+    if _max(size, None, initial=0.0) * _EPS < _min(tr, None, initial=np.inf) or (_max(size, 1) * _EPS < tr).all():
+        return x / x[:, :1], np.log(tr)
+    b = next(b for b, xb in enumerate(x) if not np.abs(xb).max() * _EPS < xb[0])
     of = "" if where is None else f" of {where(b)}"
-    trace = f" (trace {stack[b, 0]})" if x.ndim == 1 and np.isfinite(stack[b]).all() else ""
-    raise NonFiniteStateError(t, f"{what}{of} {_failure(stack[b])}{trace}")
+    trace = f" (trace {x[b, 0]})" if np.isfinite(x[b]).all() else ""
+    raise NonFiniteStateError(t, f"{what}{of} {_failure(x[b])}{trace}")
 
 
 def _apply_maps(maps: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The coordinates ``maps @ s`` of a single state ``s`` or of each state
-    ``s[b]`` of a stack, under one real map for all or a stack of maps, one
-    per state; a functional is a map with one row.
+    """The coordinates ``maps @ s`` of each state ``s[b]`` of a stack, or of
+    a single state ``s``, under one real map for all or a stack of maps,
+    one per state; a functional is a map with one row.
 
     Each vector is one column of a single broadcast ``np.matmul``, a
     matrix-vector product per state, so each result is bitwise the one of
     its state alone, whatever else is in the stack; one matrix-matrix
     product with all vectors as its columns would round differently.
     """
-    s = np.ascontiguousarray(s)
-    if s.ndim == 1:  # the same product as a stack's column, one call fewer
-        return np.matmul(maps, s)
-    return np.matmul(maps, s[..., None])[..., 0]
+    return np.matmul(maps, np.ascontiguousarray(s)[..., None])[..., 0]
 
 
 def _failure(s: np.ndarray) -> str:
@@ -686,10 +674,10 @@ class _MapStepper:
     A subclass gives ``what``, the noun by which errors name its state, and
     ``step_maps(dy)``: the ``(B, n^2, n^2)`` stack of the maps of the
     increments ``dy[b]``, each bitwise the one of its increment alone,
-    raising ``ValueError`` when one is out of range.  The map of a single
-    step is that of a stack of one, :meth:`step_map`.  Every step builds its
-    maps through :meth:`_maps`, so a single state and a stack meet the same
-    errors in the same words.
+    raising ``ValueError`` when one is out of range.  The one step is the
+    stack step :meth:`advance_many`; a single state takes it as a stack of
+    one, and every step builds its maps through :meth:`_maps`, so a single
+    state and a stack meet the same errors in the same words.
     """
 
     def step_map(self, dy: float) -> np.ndarray:
@@ -698,42 +686,39 @@ class _MapStepper:
         return self.step_maps(np.array([dy]))[0]
 
     def propagate(self, s: np.ndarray, dy: float, t: float | None = None, where=None) -> np.ndarray:
-        """The unnormalized coordinates ``R(dy) s`` one step of increment
-        ``dy`` after the coordinates ``s``, ending at time ``t``; errors (see
-        :meth:`_maps`) name the step as ``where(0)``."""
-        return _apply_maps(self._maps(self.step_map, dy, math.isfinite(dy), t, where), s)
+        """The unnormalized coordinates ``R(dy) s`` of one state ``s`` one
+        step of increment ``dy`` later, ending at time ``t``, as a stack of
+        one; errors (see :meth:`_maps`) name the step as ``where(0)``."""
+        return _apply_maps(self._maps(np.array([dy], dtype=float), t, where), s[None])[0]
 
     def advance(self, s: np.ndarray, dy: float, t: float, where=None):
-        """The single-state step: :meth:`propagate`, then
-        :func:`_renormalize`; returns the new coordinates and their log
-        trace.  Errors name the step as ``where(0)``."""
-        return _renormalize(self.propagate(s, dy, t, where), t, self.what, where)
+        """:meth:`advance_many` of the one state ``s`` as a stack of one:
+        its new coordinates and log trace; errors name it as ``where(0)``."""
+        x, dlog = self.advance_many(s[None], [dy], t, where)
+        return x[0], dlog[0]
 
     def advance_many(self, s: np.ndarray, dy, t: float, where=_batch_element):
         """The step of a stack of coordinates ``s[b]`` with increments
         ``dy[b]``, ending at time ``t``: the maps of :meth:`step_maps`
-        through :func:`_apply_maps`, one matrix-vector product per state,
-        then :func:`_renormalize`, so each element is bitwise its
-        :meth:`advance`.  Returns the new coordinates and the log
-        normalization factors; errors name the failing element as
-        ``where(b)``."""
-        dy = np.asarray(dy, dtype=float)
-        maps = self._maps(self.step_maps, dy, np.isfinite(dy).all(), t, where)
+        through :func:`_apply_maps`, then :func:`_renormalize`, each element
+        bitwise its step in a stack of one.  Returns the new coordinates and
+        the log factors; errors name the failing element as ``where(b)``."""
+        maps = self._maps(np.asarray(dy, dtype=float), t, where)
         return _renormalize(_apply_maps(maps, s), t, self.what, where)
 
-    def _maps(self, build, dy, finite: bool, t, where):
-        """``build(dy)``: the map of one increment or the maps of a stack,
-        when ``finite`` says every increment is finite.  Otherwise, or when
-        ``build`` raises ``ValueError``, raises the error of the first
-        increment at fault, naming it as ``where(b)`` and the time ``t``:
-        ``ValueError`` when it is not finite, :class:`NonFiniteStateError`
-        when its :meth:`step_map` raises."""
-        if finite:
+    def _maps(self, dy: np.ndarray, t, where):
+        """:meth:`step_maps` of the increments ``dy``, all finite when their
+        ``vdot`` is (one product, inf without a warning on overflow).
+        Otherwise, or when it raises ``ValueError``, raises the error of the
+        first increment at fault, naming it as ``where(b)`` and the time
+        ``t``: ``ValueError`` when it is not finite, and
+        :class:`NonFiniteStateError` when its :meth:`step_map` raises."""
+        if math.isfinite(np.vdot(dy, dy)):
             try:
-                return build(dy)
-            except ValueError as exc:
-                error = exc
-        for b, dy_b in enumerate(np.ravel(dy).tolist()):
+                return self.step_maps(dy)
+            except ValueError:
+                pass
+        for b, dy_b in enumerate(dy.tolist()):
             of = "" if where is None else f" of {where(b)}"
             if not math.isfinite(dy_b):
                 at = "" if t is None else f" at t = {t:.6g}"
@@ -742,7 +727,7 @@ class _MapStepper:
                 self.step_map(dy_b)
             except ValueError as exc:
                 raise NonFiniteStateError(t, f"{self.what}{of} blew up ({exc})") from None
-        raise error
+        return self.step_maps(dy)
 
 
 class PathwiseIntegrator(_MapStepper):
@@ -762,13 +747,13 @@ class PathwiseIntegrator(_MapStepper):
     not on the record value.
 
     The state is carried normalized, as coordinates, and stepped as every
-    :class:`_MapStepper` steps it.  :meth:`step_maps` builds the maps of
-    many steps with one :func:`expm_many` call, which treats each element as
-    it treats it alone, and a single step its map as a stack of one; so
-    :func:`pathwise_filter`, applying the maps of ``_MAP_BLOCK`` steps at a
-    time, and :meth:`advance_many`, stepping a stack of states, are bitwise
-    the online run.  ``substeps`` is validated for the callers that pass it
-    but not used.
+    :class:`_MapStepper` steps it, with :meth:`advance_many` on a stack of
+    states.  :meth:`step_maps` builds the maps of many steps with one
+    :func:`expm_many` call, which treats each element as it treats it
+    alone: the increments of a stack, or of ``_MAP_BLOCK`` steps of a
+    record in :func:`pathwise_filter`.  So a replay and an ensemble are
+    bitwise the online run.  ``substeps`` is validated for the callers that
+    pass it but not used.
     """
 
     what = "pathwise state"
@@ -795,16 +780,18 @@ class PathwiseIntegrator(_MapStepper):
 
     def recover_state(self, r: np.ndarray, log_lambda: float, t: float) -> DensityState:
         """The unnormalized state ``r``, a matrix, at time ``t`` through
-        :func:`_renormalize`, its log trace added to ``log_lambda``."""
-        s, dlog = _renormalize(self._basis.coords(r), t, self.what)
-        return DensityState(self._basis.matrices(s), log_lambda + float(dlog), t)
+        :func:`_renormalize` as a stack of one, its log trace added to
+        ``log_lambda``."""
+        s, dlog = _renormalize(self._basis.coords(r)[None], t, self.what)
+        return DensityState(self._basis.matrices(s[0]), log_lambda + float(dlog[0]), t)
 
 
 def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4):
     """Pathwise filter: the replay of a record (see :func:`_diffusion_steps`
-    and :func:`_trajectory`), each step bitwise its
-    :meth:`PathwiseIntegrator.advance`; a failing step raises
-    :class:`NonFiniteStateError` naming the step and its time."""
+    and :func:`_trajectory`), each step bitwise
+    :meth:`PathwiseIntegrator.advance_many` on a stack of one; a failing
+    step raises :class:`NonFiniteStateError` naming the step and its
+    time."""
     return _diffusion_steps(model, "pathwise", record.dt, rho0, substeps).replay(record)
 
 
@@ -974,9 +961,9 @@ def robust_step(model, state_prev, dy: float, dt: float) -> np.ndarray:
 
 def robust_filter(model, record: MeasurementRecord, rho0):
     """Robust filter: the replay of a record (see :func:`_diffusion_steps`
-    and :func:`_trajectory`), each step bitwise its
-    :meth:`RobustStepper.advance`; a failing step raises
-    :class:`NonFiniteStateError` naming the step and its time."""
+    and :func:`_trajectory`), each step bitwise
+    :meth:`RobustStepper.advance_many` on a stack of one; a failing step
+    raises :class:`NonFiniteStateError` naming the step and its time."""
     return _diffusion_steps(model, "robust", record.dt, rho0).replay(record)
 
 
@@ -1072,14 +1059,16 @@ def _em_step_many(
 class _Steps(NamedTuple):
     """The steps of one scheme over one record kind from one start state,
     the same for online runs, replays and ensembles (see :func:`_steps`).
-    ``start`` holds the start state's coordinates."""
+    ``record`` is the :class:`Record` kind, ``dt`` the step width and
+    ``start`` the start state's coordinates."""
 
+    record: type[Record]
+    dt: float
     start: np.ndarray
     log0: float
     draw: Callable
-    run: Callable
-    replay: Callable
     many: Callable
+    replay: Callable
 
 
 def _map_block(maps: np.ndarray, coords: np.ndarray, logs: np.ndarray) -> int:
@@ -1090,7 +1079,7 @@ def _map_block(maps: np.ndarray, coords: np.ndarray, logs: np.ndarray) -> int:
     on through the rest of the block as NaN or worse, without a
     floating-point warning, into coordinates that the caller overwrites.
 
-    Each step is the single-state step :meth:`_MapStepper.advance` with
+    Each step is :meth:`_MapStepper.advance_many` on a stack of one with
     its bookkeeping taken out of the loop: the map's product with the
     state, by ``ndarray.dot``, which calls the same BLAS ``dgemv`` as the
     ``np.matmul`` of :func:`_apply_maps` on a contiguous matrix and vector
@@ -1113,33 +1102,30 @@ def _map_block(maps: np.ndarray, coords: np.ndarray, logs: np.ndarray) -> int:
     return done
 
 
-def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: np.ndarray, build=None) -> StatePath:
-    """The one loop that steps a single trajectory, online or in a replay.
+def _step_of(k: int):
+    """How a single run names its step ``k`` (from 1) in its errors."""
+    return lambda _b: f"step {k}"
 
-    It starts from the coordinates ``start`` with ``log_lambda = log0`` at
-    ``t0``; step ``k`` takes ``step(s, x, t, where) -> (s, dlog)`` with
-    ``x = xs[k]``, ending at ``t = t0 + (k + 1) dt``, and ``where`` names it
-    ``step k + 1`` in its errors.  ``build``, when given, is the builder of
-    the real maps of the steps with values ``xs``, with which ``step`` is
-    the map's product with the state followed by :func:`_renormalize`; it
-    is called for ``_MAP_BLOCK`` steps at a time, and a block whose maps it
-    built is stepped by :func:`_map_block`, bitwise this loop.  From the
-    block's first step that fails the tail's check, if any, the block goes
-    on through ``step``, which rebuilds that step's map, bitwise the
-    block's, and raises its own error.  Without a builder (online runs,
-    ``em`` and counting records), and in a block that the builder rejects,
-    every step is taken through ``step``, and the one at fault raises.
-    Returns the :class:`StatePath` of every grid point, the start included:
-    each step writes its coordinates into an array allocated before the
-    first, which is converted to matrices once, at the end."""
+
+def _trajectory(stack, start: np.ndarray, log0: float, dt: float, t0: float, xs: np.ndarray, build=None) -> StatePath:
+    """The loop of a replay: one trajectory from the coordinates ``start``
+    with ``log_lambda = log0`` at ``t0``, step ``k`` (named ``step k + 1``)
+    taking the record value ``xs[k]`` and ending at ``t0 + (k + 1) dt``.
+
+    ``stack(s, v, t, where) -> (s, dlog)`` is the scheme's stack step, taken
+    on a stack of one.  ``build``, when given, builds the real maps of
+    ``_MAP_BLOCK`` steps at a time, with which ``stack`` is the map's
+    product with the state and :func:`_renormalize`; :func:`_map_block`
+    steps such a block bitwise as ``stack`` does, and from its first step
+    that fails the tail's check, if any, ``stack`` takes over, rebuilding
+    that step's map and raising its own error.  Without a builder, or in a
+    block it rejects, every step is taken through ``stack``.  Returns the
+    :class:`StatePath` of every grid point, the start included, from
+    coordinates written into one array and converted to matrices once."""
     times = t0 + dt * np.arange(len(xs) + 1)
     coords = np.empty((len(times), start.size))
     logs = np.empty(len(times))
     coords[0], logs[0] = start, log0
-
-    def where(_b):  # called only while step k fails, so it reads that k
-        return f"step {k}"
-
     for lo in range(0, len(xs), _MAP_BLOCK):
         hi = min(lo + _MAP_BLOCK, len(xs))
         try:
@@ -1148,91 +1134,100 @@ def _trajectory(step, start: np.ndarray, log0: float, dt: float, t0: float, xs: 
             maps = None
         first = lo if maps is None else lo + _map_block(maps, coords[lo : hi + 1], logs[lo : hi + 1])
         ends = times[first + 1 : hi + 1].tolist()
-        s, log_lam = coords[first], logs[first]
+        s, log_lam = coords[first : first + 1], logs[first]
         for k, x, t in zip(range(first + 1, hi + 1), xs[first:hi].tolist(), ends):
-            s, dlog = step(s, x, t, where)
-            log_lam += dlog
-            coords[k], logs[k] = s, log_lam
+            s, dlog = stack(s, np.array([x]), t, _step_of(k))
+            log_lam += dlog[0]
+            coords[k], logs[k] = s[0], log_lam
     return StatePath(hermitian_basis(math.isqrt(start.size)).matrices(coords), logs, times)
 
 
-def _steps(record: type[Record], dt: float, start, log0: float, draw, observe, stack, step=None, build=None) -> _Steps:
-    """The :class:`_Steps` of a scheme over steps of width ``dt`` from the
-    normalized start coordinates ``start`` with ``log_lambda = log0``, made
-    of its pieces, all on coordinates:
+def _steps(record: type[Record], dt: float, start, log0: float, draw, observe, stack, build=None) -> _Steps:
+    """The :class:`_Steps` of a scheme of the :class:`Record` kind
+    ``record`` over steps of width ``dt`` from the normalized start
+    coordinates ``start`` with ``log_lambda = log0``, made of its pieces,
+    all on a stack of coordinates ``s[b]``, whose errors name the failing
+    element as ``where(b)``:
 
     * ``draw(rng, size)``: the numbers ``x`` a run draws for ``size`` steps;
-    * ``observe(s, x, t, where) -> v``: the record values of a step ending
-      at time ``t`` that the draws ``x`` give for one state or a stack;
-    * ``stack(s, v, t, where) -> (s, dlog)``: the step of a stack of
-      states ``s[b]`` with record values ``v[b]``, ending at ``t``;
-    * ``step(s, v, t, where) -> (s, dlog)``: the step of a single state,
-      bitwise its ``stack`` step; ``stack`` on a stack of one when
-      ``None``;
+    * ``observe(s, x, t, where) -> v``: the record values that the draws
+      ``x[b]`` give in a step ending at time ``t``;
+    * ``stack(s, v, t, where) -> (s, dlog)``: the step with record values
+      ``v[b]``, ending at ``t``, each element bitwise its stack of one;
     * ``build(vs)``: the real maps of steps with record values ``vs``, with
-      which ``step`` is the map's product with the state, as
-      :func:`_apply_maps` makes it, followed by :func:`_renormalize`; or
+      which ``stack`` is :func:`_apply_maps` and :func:`_renormalize`; or
       ``None``.
 
-    Errors name the failing element of a stack, or the step of a single run,
-    as ``where(b)``.  ``record`` is the :class:`Record` kind.  ``run(xs,
-    t0=0.0) -> (record, states)`` is an online run with the draws ``xs`` and
-    ``replay(record) -> states`` the replay of a record, both through
-    :func:`_trajectory`, the replay with the maps of ``build``, so every
-    replay of a run's record is bitwise that run; ``states`` is a
-    :class:`StatePath`.
-    ``many(s, x, k, where) -> (s, dlog)`` takes an ensemble's stack through
-    step ``k`` (from 0, ending at ``(k + 1) dt``) with the draws ``x``,
-    each element bitwise its run.
+    ``many(s, x, k, where, t0=0.0) -> (s, v, dlog)``, the online step of
+    every run (see :func:`_online`), takes a stack through step ``k`` (from
+    0, ending at ``t0 + (k + 1) dt``) with the draws ``x``; ``replay(record)
+    -> StatePath`` replays a record through :func:`_trajectory` with the
+    maps of ``build``, bitwise the run that wrote it.
     """
-    if step is None:
-
-        def step(s, v, t, where):
-            x, dlog = stack(s[None], np.array([v]), t, where)
-            return x[0], float(dlog[0])
-
-    def run(xs, t0=0.0):
-        values = []
-
-        def online(s, x, t, where):
-            v = observe(s, x, t, where)
-            values.append(v)
-            return step(s, v, t, where)
-
-        states = _trajectory(online, start, log0, dt, t0, xs)
-        return record(dt, np.array(values), t0), states
 
     def replay(rec):
-        return _trajectory(step, start, log0, rec.dt, rec.t0, rec.values, build)
+        return _trajectory(stack, start, log0, rec.dt, rec.t0, rec.values, build)
 
-    def many(s, x, k, where):
-        t = (k + 1) * dt
-        return stack(s, observe(s, x, t, where), t, where)
+    def many(s, x, k, where, t0=0.0):
+        t = t0 + (k + 1) * dt
+        v = observe(s, x, t, where)
+        s, dlog = stack(s, v, t, where)
+        return s, v, dlog
 
-    return _Steps(start, log0, draw, run, replay, many)
+    return _Steps(record, dt, start, log0, draw, many, replay)
+
+
+def _online(steps: _Steps, n_traj: int, rows, where, t0: float = 0.0):
+    """The one loop of every online run: ``n_traj`` trajectories from the
+    start of ``steps``, stepped as one stack by ``steps.many``, each element
+    bitwise its stack of one, so a single run is an ensemble of one.  Row
+    ``k`` of ``rows`` holds the draws of step ``k + 1``, whose errors name
+    trajectory ``b`` as ``where(k + 1)(b)``.  Yields each step's new
+    coordinates, record values and log factors."""
+    s = np.tile(steps.start, (n_traj, 1))
+    for k, x in enumerate(rows):
+        s, v, dlog = steps.many(s, x, k, where(k + 1), t0)
+        yield s, v, dlog
+
+
+def _path(steps: _Steps, n: int, rows, t0: float = 0.0):
+    """A single online run of ``n`` steps from ``t0``, :func:`_online` on a
+    stack of one with the draws ``rows``, whose errors name the step and
+    its time: its record and its :class:`StatePath`.  The steps' log factors
+    are summed by ``np.add.accumulate``, which adds in sequence, and the
+    coordinates converted to matrices, once, at the end."""
+    coords = np.empty((n + 1, steps.start.size))
+    logs = np.empty(n + 1)
+    values = np.empty(n, dtype=steps.record.dtype)
+    coords[0], logs[0] = steps.start, steps.log0
+    for k, (s, v, dlog) in enumerate(_online(steps, 1, rows, _step_of, t0), 1):
+        coords[k], values[k - 1], logs[k] = s, v[0], dlog[0]
+    np.add.accumulate(logs, out=logs)
+    record = steps.record(steps.dt, values, t0)
+    return record, StatePath(hermitian_basis(math.isqrt(coords.shape[1])).matrices(coords), logs, record.times)
 
 
 def _diffusion_steps(model, scheme: str, dt: float, rho0, substeps: int = 4) -> _Steps:
     """The steps (see :func:`_steps`) of the diffusion ``scheme`` over steps
     of width ``dt``, from the normalized ``rho0`` with ``log_lambda = 0``.
 
-    A run draws innovations ``dnu ~ N(0, dt)`` and forms the record
-    increment ``dy = m dt + kappa dnu`` of each step from the measured mean
-    ``m = tr((L + L^dag) rho)`` of the state it evolves, a real functional
-    of its coordinates; every step takes ``dy``.  The robust and pathwise
-    schemes step as their :class:`_MapStepper` does, :class:`RobustStepper`
-    and :class:`PathwiseIntegrator`: ``advance`` on a single state and
-    ``advance_many`` on a stack, and a replay prebuilds the maps with
-    ``step_maps`` and steps them by blocks with :func:`_map_block`.  ``em``
-    takes :func:`_em_step_many`, on a stack of one for a single state.
+    A run draws innovations ``dnu ~ N(0, dt)``, scaled to the noise
+    ``kappa dnu`` of the record, and forms the record increment ``dy = m dt
+    + kappa dnu`` of each step from the measured mean ``m = tr((L + L^dag)
+    rho)`` of the state it evolves, a real functional of its coordinates;
+    every step takes ``dy``.  The robust and pathwise schemes step as their
+    :class:`_MapStepper` does, :class:`RobustStepper` and
+    :class:`PathwiseIntegrator`, with ``advance_many``, and a replay
+    prebuilds the maps with ``step_maps`` and steps them by blocks with
+    :func:`_map_block`.  ``em`` takes :func:`_em_step_many`.
     """
     dt = _step_width(dt)
     n = model.L.shape[0]
     start = _start(rho0, n)
-    step = build = None
+    build = None
     if scheme in ("robust", "pathwise"):
         stepper = RobustStepper(model, dt) if scheme == "robust" else PathwiseIntegrator(model, dt, substeps)
-        stack, step, build = stepper.advance_many, stepper.advance, stepper.step_maps
+        stack, build = stepper.advance_many, stepper.step_maps
     elif scheme == "em":
         em_maps = _em_maps(model)
         stack = lambda s, dy, t, where: _em_step_many(em_maps, model.kappa, s, dy, dt, t, where)
@@ -1240,29 +1235,30 @@ def _diffusion_steps(model, scheme: str, dt: float, rho0, substeps: int = 4) -> 
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     mean, scale = hermitian_basis(n).functional(model.L + dagger(model.L))[None], np.sqrt(dt)
 
-    def observe(s, dnu, _t, _where):
-        return _apply_maps(mean, s)[..., 0] * dt + model.kappa * dnu
+    def observe(s, noise, _t, _where):
+        return _apply_maps(mean, s)[..., 0] * dt + noise
 
     def draw(rng, size):
-        return rng.normal(0.0, scale, size)
+        return model.kappa * rng.normal(0.0, scale, size)
 
-    return _steps(MeasurementRecord, dt, start, 0.0, draw, observe, stack, step, build)
+    return _steps(MeasurementRecord, dt, start, 0.0, draw, observe, stack, build)
 
 
 def em_normalized(model, dt: float, nu_increments, rho0, t0: float = 0.0):
     """Explicit Euler-Maruyama for the normalized nonlinear equation, driven
     by innovation increments ``dnu ~ N(0, dt)``: the online ``em`` run of
-    :func:`_diffusion_steps`, which synthesizes the record
-    ``dy_n = m_(n-1) dt + kappa dnu_n``; its errors name the step, counted
-    from 1, and its time.  Returns ``(states, record)``, ``states`` a
-    :class:`StatePath`; ``log_lambda`` accumulates the discrete
+    :func:`_diffusion_steps` through :func:`_path`, which synthesizes the
+    record ``dy_n = m_(n-1) dt + kappa dnu_n``; its errors name the step,
+    counted from 1, and its time.  Returns ``(states, record)``, ``states``
+    a :class:`StatePath`; ``log_lambda`` accumulates the discrete
     log-likelihood ``(m dy - m^2 dt / 2) / kappa^2``.
     """
     dnu = np.asarray(nu_increments, dtype=float)
     if dnu.ndim != 1 or not np.isfinite(dnu).all():
         raise ValueError("nu_increments must be a finite one-dimensional array")
-    record, states = _diffusion_steps(model, "em", dt, rho0).run(dnu, t0)
+    record, states = _path(_diffusion_steps(model, "em", dt, rho0), len(dnu), model.kappa * dnu[:, None], t0)
     return states, record
+
 
 def pathwise_schrodinger_rhs(model, a_t, a_t_inv, phi) -> np.ndarray:
     """Pure-state reduction of the pathwise flow, ``dphi/dt = -(A K A^-1) phi``;

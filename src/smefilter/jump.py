@@ -23,13 +23,11 @@ the jump map ``rho -> C rho C^dag`` and the exact propagator are real
 ``n^2 x n^2`` matrices, built once, and the count intensity
 ``tr(C rho C^dag)`` a real functional.  :func:`_jump_steps` builds a
 scheme's steps, the interface ``diffusion._Steps`` that the diffusion
-schemes share, around it: a run
-draws one uniform per step and counts when it falls below the count
-probability of the state the run evolves.  Ensembles take the stack step
-on the whole stack; single runs and replays, through the one
-single-trajectory loop ``diffusion._trajectory``, and :func:`jump_sme_step`
-take it on a stack of one, so every replay of a run's record is bitwise
-that run.
+schemes share, around it: a run draws one uniform per step and counts when
+it falls below the count probability of the state the run evolves.  Online
+runs take the stack step through the one online loop ``diffusion._online``,
+a single run on a stack of one, and so do replays and :func:`jump_sme_step`,
+so every replay of a run's record is bitwise that run.
 
 Within one step the drift is applied first, then the count map; the two
 orders differ only at higher order in ``dt``, and a fixed convention keeps
@@ -51,6 +49,7 @@ from .diffusion import (
     PathwiseState,
     _apply_maps,
     _batch_element,
+    _path,
     _renormalize,
     _step_count,
     _step_width,
@@ -334,7 +333,7 @@ def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: floa
     """
     n = _step_count(dt, T)
     steps = _jump_steps(model, "pathwise", dt, rho0)
-    return steps.run(steps.draw(np.random.default_rng(seed), n), t0)[0]
+    return _path(steps, n, steps.draw(np.random.default_rng(seed), n)[:, None], t0)[0]
 
 
 def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):

@@ -113,8 +113,8 @@ def build_jump_model(C, E, lam: float, eta: float) -> JumpModel:
     Em = require_hermitian(E, "E")
     if Em.shape != Cm.shape:
         raise ValueError(f"C and E dimensions differ: {Cm.shape} vs {Em.shape}")
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     G = 0.5 * lam * (dagger(Cm) @ Cm) + 1j * Em
@@ -163,11 +163,14 @@ def bloch_from_rho(rho) -> BlochVector:
 
 
 def rho_from_bloch(b) -> np.ndarray:
-    """Density operator ``(I + x sx + y sy + z sz) / 2`` for ``|b| <= 1``."""
+    """Density operator ``(I + x sx + y sy + z sz) / 2`` for a finite ``b``
+    with ``|b| <= 1``."""
     if isinstance(b, BlochVector):
         x, y, z = b.x, b.y, b.z
     else:
         x, y, z = (float(c) for c in b)
+    if not np.isfinite((x, y, z)).all():
+        raise ValueError(f"Bloch vector ({x}, {y}, {z}) must be finite")
     if x * x + y * y + z * z > 1.0 + 1e-9:
         raise ValueError(f"Bloch vector ({x}, {y}, {z}) lies outside the unit ball")
     return 0.5 * (IDENTITY_2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)

@@ -7,20 +7,20 @@ record, is generated online from the filtered state itself and returned
 alongside its states, one ``diffusion.StatePath``, so that an offline
 replay of the record gives the run's states bitwise.  A scheme's steps
 come from one factory per record kind, ``diffusion._diffusion_steps`` or
-``jump._jump_steps``, as one interface, ``diffusion._Steps``: a single run
-is ``steps.run(steps.draw(rng, n))``, and only the record kind's module
-knows what a run draws and how the record follows from the draws.
-Ensembles give trajectory ``i`` the seed ``base_seed + i`` and run on one
-batched engine, ``_run_batched``: it steps all trajectories together as
-one stack of state coordinates with ``steps.many`` and keeps only the
-running state sum, one array over the grid, and the final states.  Each
-trajectory's states are bitwise those of ``run_trajectory`` with its seed.
+``jump._jump_steps``, as one interface, ``diffusion._Steps``, and only the
+record kind's module knows what a run draws and how the record follows
+from the draws.  Every online run steps a stack of trajectories through one
+loop, ``diffusion._online``, trajectory ``i`` of an ensemble with the seed
+``base_seed + i``: a single run is the ensemble of one of its seed.  An
+ensemble keeps only the running state sum, one array over the grid, and
+the final states, each bitwise that of ``run_trajectory`` with its seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .diffusion import (
     RobustStepper,
     StatePath,
     _diffusion_steps,
+    _online,
+    _path,
     _step_count,
     pathwise_filter,
     robust_filter,
@@ -48,15 +50,15 @@ from .jump import (  # noqa: F401
 from .linalg import dagger, hermitian_basis, max_abs, unvec, vec
 from .model import BlochVector, DiffusionModel, JumpModel
 
-# The single-state robust step, under the name bench/spans.py traces in
-# this module; no code calls it.
+# The robust step of one state, under the name bench/spans.py traces in this
+# module; no code calls it.
 _robust_advance = RobustStepper.advance
 
-# Steps of random numbers a batched ensemble draws per trajectory at a time;
-# it bounds the draw buffer at this many steps whatever the run length.
+# Steps of random numbers an online run draws per trajectory at a time; it
+# bounds the draw buffer at this many steps whatever the run length.
 _DRAW_BLOCK = 256
 
-# States whose coordinates a batched ensemble holds before it converts them
+# States whose coordinates an ensemble holds before it converts them
 # to matrices and adds them to its mean path: 64 steps at 64 trajectories.
 # The bench's `ens_robust` workload (64 trajectories) ran at a median 880k
 # steps/s with 1024, 866k with 4096 and 878k with 16384, speeds within the
@@ -162,8 +164,8 @@ def _bloch_path(columns: list[np.ndarray], dim: int = 2) -> list[BlochVector] | 
 
 
 def _draws(base_seed, n_traj, n, draw):
-    """Each step's random numbers for a batched ensemble: row ``k`` holds
-    step ``k``'s number for every trajectory.
+    """Each step's random numbers for the stack of an online run: row ``k``
+    holds step ``k``'s number for every trajectory.
 
     Trajectory ``i`` draws from its own generator seeded ``base_seed + i``,
     ``_DRAW_BLOCK`` steps at a time; ``draw(rng, size)`` gives the same
@@ -177,7 +179,7 @@ def _draws(base_seed, n_traj, n, draw):
 
 
 def _trajectory_in(base_seed, step):
-    """How a batched ensemble names trajectory ``b`` in the errors of its
+    """How an ensemble names trajectory ``b`` in the errors of its
     ``step``-th step (counted from 1, ending at ``t = step dt``), so that the
     failing run can be replayed with ``run_trajectory``."""
     return lambda b: f"trajectory {b} (seed {base_seed + b}) in step {step}"
@@ -193,49 +195,16 @@ def _scheme_steps(model, scheme: str, dt: float, rho0, substeps: int):
     raise TypeError(f"expected DiffusionModel or JumpModel, got {type(model).__name__}")
 
 
-def _run_batched(steps, n: int, n_traj: int, base_seed: int):
-    """Step the trajectories of an ensemble as one stack of coordinates.
-
-    Trajectory ``i`` draws its numbers from its own generator seeded
-    ``base_seed + i`` (see :func:`_draws`), and the stack step
-    ``steps.many`` gives each element of the stack the arithmetic of a
-    single run, so every state is bitwise the one ``run_trajectory``
-    computes for that seed.  Returns the state sums over trajectories at
-    every grid point, the final states and their ``log_lambda``.
-
-    The stack's coordinates are held for up to ``_SUM_BLOCK // n_traj``
-    grid points (at least one) and converted and summed once per block:
-    each state is converted to a matrix with its own matrix-vector product,
-    as a single run converts its own, and the matrices of a grid point are
-    added in trajectory order, as a loop over trajectories adds them, so
-    each sum is bitwise the one of its grid point alone.
-    """
-    basis = hermitian_basis(math.isqrt(steps.start.size))
-    s = np.broadcast_to(steps.start, (n_traj, steps.start.size)).copy()
-    log_lam = np.full(n_traj, steps.log0)
-    sum_rho = np.empty((n + 1, basis.n, basis.n), dtype=complex)
-    h = max(1, min(n + 1, _SUM_BLOCK // n_traj))
-    held = np.empty((h,) + s.shape)  # grid point k in held[k % h]
-    held[0] = s
-    for k, x in enumerate(_draws(base_seed, n_traj, n, steps.draw), 1):
-        s, dlog = steps.many(s, x, k - 1, _trajectory_in(base_seed, k))
-        log_lam += dlog
-        if k % h == 0:
-            sum_rho[k - h : k] = basis.matrices(held).sum(axis=1)
-        held[k % h] = s
-    sum_rho[n - n % h :] = basis.matrices(held[: n % h + 1]).sum(axis=1)
-    return sum_rho, basis.matrices(s), log_lam
-
-
 def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int, substeps: int = 4) -> TrajectoryResult:
-    """Run one trajectory, generating the driving record online.
+    """Run one trajectory, generating the driving record online: the
+    ensemble of one of ``seed``, whose errors name the step and its time.
 
     Replaying the returned record offline with the scheme's steps, as
     ``smefilter filter`` does, reproduces the same states bit for bit.
     """
     n = _step_count(dt, T)
     steps = _scheme_steps(model, scheme, dt, rho0, substeps)
-    record, states = steps.run(steps.draw(np.random.default_rng(seed), n))
+    record, states = _path(steps, n, _draws(seed, 1, n, steps.draw))
     return TrajectoryResult(
         times=record.times,
         states=states,
@@ -259,16 +228,36 @@ def run_ensemble(
     """Run ``n_traj`` independent trajectories with seeds ``base_seed + i``;
     aggregates the mean state path and final-time Bloch statistics.
 
-    Every scheme runs on the one batched engine, which steps all
-    trajectories together as one stack with the scheme's stack step.
-    Trajectory ``i`` ends bitwise where ``run_trajectory`` with seed
-    ``base_seed + i`` ends, and the mean path sums states in trajectory
-    order.  A failure names the trajectory, its seed, the step and the time.
+    The trajectories step together as one stack through the loop of every
+    online run, ``diffusion._online``, so trajectory ``i`` ends bitwise
+    where ``run_trajectory`` with seed ``base_seed + i`` ends.  A failure
+    names the trajectory, its seed, the step and the time.
+
+    The stack's coordinates are held for up to ``_SUM_BLOCK // n_traj``
+    grid points (at least one) and converted and summed once per block:
+    each state is converted to a matrix with its own matrix-vector product,
+    as a single run converts its own, and the matrices of a grid point are
+    added in trajectory order, as a loop over trajectories adds them, so
+    each sum of the mean path is bitwise the one of its grid point alone.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     n = _step_count(dt, T)
-    sum_rho, rho, log_lam = _run_batched(_scheme_steps(model, scheme, dt, rho0, substeps), n, n_traj, base_seed)
+    steps = _scheme_steps(model, scheme, dt, rho0, substeps)
+    basis = hermitian_basis(math.isqrt(steps.start.size))
+    sum_rho = np.empty((n + 1, basis.n, basis.n), dtype=complex)
+    h = max(1, min(n + 1, _SUM_BLOCK // n_traj))
+    held = np.empty((h, n_traj, steps.start.size))  # grid point k in held[k % h]
+    held[0] = steps.start
+    log_lam = np.full(n_traj, steps.log0)
+    rows = _draws(base_seed, n_traj, n, steps.draw)
+    for k, (s, _, dlog) in enumerate(_online(steps, n_traj, rows, partial(_trajectory_in, base_seed)), 1):
+        log_lam += dlog
+        if k % h == 0:
+            sum_rho[k - h : k] = basis.matrices(held).sum(axis=1)
+        held[k % h] = s
+    sum_rho[n - n % h :] = basis.matrices(held[: n % h + 1]).sum(axis=1)
+    rho = basis.matrices(s)
     times = dt * np.arange(n + 1)
     final_states = [DensityState(r, float(lam), n * dt) for r, lam in zip(rho, log_lam)]
     columns = _state_columns(rho)

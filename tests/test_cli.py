@@ -120,9 +120,13 @@ class TestParseConfig:
             ('{"n_traj": 0}', "^n_traj: must be >= 1, got 0$"),
             ('{"T": 0.1, "dt": 0.03}', r"^T: T must be a whole number of steps of dt = 0\.03, got 0\.1$"),
             ('{"T": 0.005}', r"^T: T must be finite and at least dt = 0\.01, got 0\.005$"),
+            ('{"deltas": [0.02, Infinity]}', r"^deltas\[1\]: expected a finite positive number, got inf$"),
+            ('{"epsilons": [NaN]}', r"^epsilons\[0\]: expected a finite positive number, got nan$"),
+            ('{"epsilons": [1e-3, -Infinity]}', r"^epsilons\[1\]: expected a finite positive number, got -inf$"),
             ("{", "not valid JSON"),
         ],
-        ids=[*_KEYS, "dt-text", "n_traj-zero", "T-off-grid", "T-below-dt", "json"],
+        ids=[*_KEYS, "dt-text", "n_traj-zero", "T-off-grid", "T-below-dt", "deltas-inf", "epsilons-nan",
+             "epsilons-minus-inf", "json"],
     )
     def test_type_errors_name_field(self, text, match):
         with pytest.raises(ValueError, match=match):

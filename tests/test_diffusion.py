@@ -1025,7 +1025,7 @@ class TestBlowupHandling:
 class TestRenormalizeStack:
     """The stack tail passes a stack at once when its smallest trace is above
     the rounding error of its largest coordinate, and otherwise checks each
-    element alone, as a single state's tail does."""
+    element alone, as it checks a stack of one."""
 
     @staticmethod
     def stack(traces, n=3):
@@ -1042,10 +1042,14 @@ class TestRenormalizeStack:
         x = self.stack([1.0, 2.0, 0.5, 3.0, 1.0])
         x[entry] = value
         x[4, 1] = np.nan  # a later failure is not the one named
-        with pytest.raises(NonFiniteStateError, match=rf"^state of batch element 2 {failure} at t = 0\.5$"):
+        # the trace is named when the element's coordinates are finite
+        trace = f" (trace {x[2, 0]})" if np.isfinite(value) else ""
+        with pytest.raises(NonFiniteStateError) as err:
             _renormalize(x, 0.5, "state", _batch_element)
-        with pytest.raises(NonFiniteStateError, match=rf"^state {failure}"):  # the element alone
-            _renormalize(x[2], 0.5, "state")
+        assert str(err.value) == f"state of batch element 2 {failure}{trace} at t = 0.5"
+        with pytest.raises(NonFiniteStateError) as alone:  # the element in a stack of one
+            _renormalize(x[2:3], 0.5, "state")
+        assert str(alone.value) == f"state {failure}{trace} at t = 0.5"
 
     def test_traces_across_the_range_pass_element_by_element(self):
         # the whole-stack test fails here, yet each element passes its own
@@ -1054,13 +1058,28 @@ class TestRenormalizeStack:
         assert not np.abs(x).max() * np.finfo(float).eps < x[:, 0].min()
         s, logs = _renormalize(x, 0.5, "state", _batch_element)
         for xb, sb, log in zip(x, s, logs):
-            alone, log_alone = _renormalize(xb, 0.5, "state")
-            assert sb.tobytes() == alone.tobytes() and log == log_alone
+            alone, log_alone = _renormalize(xb[None], 0.5, "state")
+            assert sb.tobytes() == alone[0].tobytes() and log == log_alone[0]
         assert np.allclose(logs, np.log(traces), rtol=0.0, atol=1e-12)
 
     def test_empty_stack_passes(self):
         s, logs = _renormalize(np.empty((0, 4)), 0.5, "state")
         assert s.shape == (0, 4) and logs.shape == (0,)
+
+    def test_ensemble_element_names_its_trace(self):
+        # a drive far beyond what the implicit step resolves leaves the
+        # states finite with a zero trace: an ensemble, a run and a replay
+        # name the state's failure, and its trace, in the same words
+        m = two_level_model(1.0, 1e200, 0.0, 0.0, 0.85)
+        with pytest.raises(NonFiniteStateError) as ens:
+            run_ensemble(m, "robust", 0.01, 0.05, RHO_PLUS, 3, base_seed=7)
+        words = "blew up (trace 0.0) at t = 0.01"
+        assert str(ens.value) == f"implicit filter state of trajectory 0 (seed 7) in step 1 {words}"
+        with pytest.raises(NonFiniteStateError) as run:
+            run_trajectory(m, "robust", 0.01, 0.05, RHO_PLUS, seed=7)
+        with pytest.raises(NonFiniteStateError) as replay:
+            robust_filter(m, MeasurementRecord(0.01, np.zeros(5)), RHO_PLUS)
+        assert str(run.value) == str(replay.value) == f"implicit filter state of step 1 {words}"
 
 
 @hst.composite

@@ -160,6 +160,13 @@ class TestJumpModel:
         with pytest.raises(ValueError, match="Hermitian"):
             build_jump_model(np.eye(2), SIGMA, 1.0, 1.0)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, -np.inf])
+    def test_non_finite_lam_is_rejected_by_name(self, lam):
+        # an infinite lam overflows G and H with warnings; NaN is neither
+        # above nor below a bound
+        with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam}$"):
+            build_jump_model(SIGMA, SIGMA_Z, lam, 1.0)
+
 
 class TestBloch:
     def test_plus_state(self):
@@ -198,6 +205,12 @@ class TestBloch:
             bloch_from_rho(np.eye(2))
         with pytest.raises(ValueError, match="2x2"):
             bloch_from_rho(np.eye(3) / 3.0)
+
+    @pytest.mark.parametrize("b", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), BlochVector(0.0, 0.0, -np.inf)])
+    def test_non_finite_coordinates_are_rejected(self, b):
+        # a NaN coordinate passes the unit-ball check, which cannot name it
+        with pytest.raises(ValueError, match=r"^Bloch vector \(.*\) must be finite$"):
+            rho_from_bloch(b)
 
 
 class TestExpectedMeasurement:

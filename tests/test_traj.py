@@ -344,10 +344,12 @@ class TestRunEnsemble:
         m = build_jump_model(np.zeros((2, 2)), 20.0 * SIGMA_Y, 1.0, 1.0)
         with pytest.raises(NonFiniteStateError, match="blew up") as err:
             run_ensemble(m, "em", 0.05, 5.0, RHO_PLUS, 3, base_seed=5)
-        _, step, replay = check_replays_failure(m, 0.05, 5, 3, err)
+        b, step, replay = check_replays_failure(m, 0.05, 5, 3, err)
         assert err.value.time == pytest.approx(step * 0.05)
         assert replay.value.time == err.value.time
-        assert f"blew up at t = {step * 0.05:.6g}" in str(replay.value)
+        assert re.search(rf"blew up( \(trace \S+\))? at t = {step * 0.05:.6g}$", str(replay.value))
+        # the run fails in the ensemble's words
+        assert str(replay.value) == str(err.value).replace(f"trajectory {b} (seed {5 + b}) in step", "step")
 
     def test_diffusion_em_blow_up_names_trajectory(self):
         # explicit Euler-Maruyama on a fast rotation grows until it
@@ -360,9 +362,9 @@ class TestRunEnsemble:
         assert b > 0
         assert err.value.time == pytest.approx(step * 0.05)
         assert replay.value.time == err.value.time
-        at = f"blew up at t = {step * 0.05:.6g}"
-        assert str(err.value) == f"normalized state of trajectory {b} (seed {5 + b}) in step {step} {at}"
-        assert str(replay.value) == f"normalized state of step {step} {at}"
+        at = rf"blew up( \(trace \S+\))? at t = {step * 0.05:.6g}"
+        assert re.fullmatch(rf"normalized state of trajectory {b} \(seed {5 + b}\) in step {step} {at}", str(err.value))
+        assert str(replay.value) == str(err.value).replace(f"trajectory {b} (seed {5 + b}) in step", "step")
 
     def test_failure_inside_a_summed_block_names_trajectory(self, monkeypatch):
         # the ensemble of test_diffusion_em_blow_up_names_trajectory, summing
@@ -374,8 +376,8 @@ class TestRunEnsemble:
             run_ensemble(m, "em", 0.05, 5.0, RHO_PLUS, 8, base_seed=5)
         b, step, replay = check_replays_failure(m, 0.05, 5, 8, err)
         assert step > 8 and step % 4
-        at = f"blew up at t = {step * 0.05:.6g}"
-        assert str(err.value) == f"normalized state of trajectory {b} (seed {5 + b}) in step {step} {at}"
+        at = rf"blew up( \(trace \S+\))? at t = {step * 0.05:.6g}"
+        assert re.fullmatch(rf"normalized state of trajectory {b} \(seed {5 + b}\) in step {step} {at}", str(err.value))
         assert err.value.time == replay.value.time
 
     @pytest.mark.parametrize(
@@ -397,7 +399,8 @@ class TestRunEnsemble:
     def test_robust_collapse_names_trajectory(self):
         stepper = RobustStepper(driven_atom_model(), 0.01)
         rhos = PAULI.coords(np.stack([RHO_PLUS, -np.eye(2, dtype=complex)]))
-        with pytest.raises(NonFiniteStateError, match=r"trajectory 1 \(seed 41\) in step 7 collapsed at t = 0.07"):
+        named = r"trajectory 1 \(seed 41\) in step 7 collapsed \(trace -1\.9\d*\) at t = 0.07$"
+        with pytest.raises(NonFiniteStateError, match=named):
             stepper.advance_many(rhos, np.array([0.01, 0.02]), 0.07, _trajectory_in(40, 7))
 
     def test_mean_tracks_master_equation(self):
@@ -664,6 +667,7 @@ STACK_STEPS = {
 @pytest.mark.parametrize("step", [*SINGLE_STEPS, *STACK_STEPS])
 def test_shared_tail_errors_name_the_failure_and_time(step, kind):
     # a NaN state "blew up"; the negated identity, whose trace is -2, "collapsed"
+    # and, its coordinates being finite, has its trace named
     x = np.full((2, 2), np.nan, dtype=complex) if kind == "blew up" else -np.eye(2, dtype=complex)
     with pytest.raises(NonFiniteStateError) as err:
         {**SINGLE_STEPS, **STACK_STEPS}[step](x, 0.37)
@@ -672,5 +676,6 @@ def test_shared_tail_errors_name_the_failure_and_time(step, kind):
         assert err.value.time is None and message.startswith(f"normalized jump state {kind}")
     else:
         assert err.value.time == pytest.approx(0.37)
-        assert message.endswith(f" of batch element 1 {kind} at t = 0.37" if step in STACK_STEPS else " at t = 0.37")
-        assert f" {kind}" in message
+        of = " of batch element 1" if step in STACK_STEPS else ""
+        trace = r" \(trace -[12]\.\d*\)" if kind == "collapsed" else ""
+        assert re.search(rf"{of} {kind}{trace} at t = 0\.37$", message), message
