@@ -115,11 +115,12 @@ from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in thi
 
 # Record steps whose step maps ``pathwise_filter`` builds at a time with one
 # ``expm_many`` call, and ``robust_filter`` with one
-# ``RobustStepper.step_maps`` call, and that :func:`_map_block` then steps.
-# The bench's `converge` workload (3525 steps a call) ran at a median 160k
-# steps/s with 64 steps a block, 206k with 256 and 210k with 1024, with a
-# peak RSS of 61.4-61.5, 61.3-61.4 and 62.1-62.4 MB (3 runs each, 2-core
-# Xeon).
+# ``RobustStepper.step_maps`` call, and that :func:`_map_block` then steps;
+# ``pathwise_samples`` builds the whole chunks that fit in as many.  The
+# bench's `converge` workload (3525 steps a call, its oracle in chunks of 10
+# steps) ran at a median 231k steps/s with 64 steps a block, 368k with 256
+# and 395k with 1024, with a peak RSS of 60.9-61.1, 60.9-61.0 and 61.3-61.5
+# MB (3 runs each, 2-core Xeon).
 _MAP_BLOCK = 256
 
 _EPS = float(np.finfo(float).eps)
@@ -672,12 +673,14 @@ class _MapStepper:
     ``s``, then :func:`_renormalize`.
 
     A subclass gives ``what``, the noun by which errors name its state, and
-    ``step_maps(dy)``: the ``(B, n^2, n^2)`` stack of the maps of the
-    increments ``dy[b]``, each bitwise the one of its increment alone,
-    raising ``ValueError`` when one is out of range.  The one step is the
-    stack step :meth:`advance_many`; a single state takes it as a stack of
-    one, and every step builds its maps through :meth:`_maps`, so a single
-    state and a stack meet the same errors in the same words.
+    ``step_maps(dy, sum_sq=None)``: the ``(B, n^2, n^2)`` stack of the maps
+    of the increments ``dy[b]``, each bitwise the one of its increment
+    alone, raising ``ValueError`` when one is out of range; ``sum_sq``, when
+    given, is the increments' finite sum of squares ``np.vdot(dy, dy)``.
+    The one step is the stack step :meth:`advance_many`; a single state
+    takes it as a stack of one, and every step builds its maps through
+    :meth:`_maps`, so a single state and a stack meet the same errors in the
+    same words.
     """
 
     def step_map(self, dy: float) -> np.ndarray:
@@ -708,14 +711,16 @@ class _MapStepper:
 
     def _maps(self, dy: np.ndarray, t, where):
         """:meth:`step_maps` of the increments ``dy``, all finite when their
-        ``vdot`` is (one product, inf without a warning on overflow).
-        Otherwise, or when it raises ``ValueError``, raises the error of the
-        first increment at fault, naming it as ``where(b)`` and the time
-        ``t``: ``ValueError`` when it is not finite, and
-        :class:`NonFiniteStateError` when its :meth:`step_map` raises."""
-        if math.isfinite(np.vdot(dy, dy)):
+        sum of squares ``vdot`` is (one product, inf without a warning on
+        overflow), which it is then given.  Otherwise, or when it raises
+        ``ValueError``, raises the error of the first increment at fault,
+        naming it as ``where(b)`` and the time ``t``: ``ValueError`` when it
+        is not finite, and :class:`NonFiniteStateError` when its
+        :meth:`step_map` raises."""
+        sum_sq = float(np.vdot(dy, dy))
+        if math.isfinite(sum_sq):
             try:
-                return self.step_maps(dy)
+                return self.step_maps(dy, sum_sq)
             except ValueError:
                 pass
         for b, dy_b in enumerate(dy.tolist()):
@@ -772,9 +777,11 @@ class PathwiseIntegrator(_MapStepper):
         )
         self._coupling = basis.real_map((kron(eye, L) + kron(L.conj(), eye)) / k2)
 
-    def step_maps(self, dy) -> np.ndarray:
+    def step_maps(self, dy, sum_sq=None) -> np.ndarray:
         """The real maps ``P`` with ``s_end = P s_start`` of steps with
-        increments ``dy[b]``; returns a ``(B, n^2, n^2)`` stack."""
+        increments ``dy[b]``; returns a ``(B, n^2, n^2)`` stack.  The sum of
+        squares ``sum_sq`` is not used: :func:`expm_many` checks the
+        generators itself."""
         dy = np.asarray(dy, dtype=float)
         return expm_many(self._drift + dy[:, None, None] * self._coupling)
 
@@ -793,6 +800,62 @@ def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4):
     step raises :class:`NonFiniteStateError` naming the step and its
     time."""
     return _diffusion_steps(model, "pathwise", record.dt, rho0, substeps).replay(record)
+
+
+def _chunk_products(maps: np.ndarray, every: int) -> np.ndarray:
+    """The products ``maps[j every + every - 1] @ ... @ maps[j every]``,
+    later map on the left, of each run of ``every`` maps of a stack whose
+    length is a multiple of ``every``: a pairwise tree of batched
+    ``np.matmul`` calls over all runs at once, an odd map out carried to the
+    next level.  At ``every = 1`` it returns the maps themselves.  Overflow
+    goes to inf or NaN without a floating-point warning."""
+    p = maps.reshape(-1, every, *maps.shape[1:])
+    with np.errstate(all="ignore"):
+        while p.shape[1] > 1:
+            pairs = p.shape[1] // 2
+            prod = np.matmul(p[:, 1 : 2 * pairs : 2], p[:, 0 : 2 * pairs : 2])
+            p = np.concatenate([prod, p[:, 2 * pairs :]], axis=1) if p.shape[1] % 2 else prod
+    return p[:, 0]
+
+
+def pathwise_samples(model, record: MeasurementRecord, rho0, every: int, substeps: int = 4) -> StatePath:
+    """The states of :func:`pathwise_filter` at every ``every``-th grid
+    point of the record, ``every`` dividing its step count: the
+    :class:`StatePath` at times ``t0, t0 + every dt, ...``.
+
+    The step maps of :meth:`PathwiseIntegrator.step_maps` are built for
+    ``_MAP_BLOCK``-rounded blocks of whole chunks of ``c`` steps at a time,
+    ``c`` the largest divisor of ``every`` not above ``_MAP_BLOCK``, and each
+    chunk's maps multiplied into one (:func:`_chunk_products`), which
+    :func:`_map_block` steps: one product with the state, one division by
+    its trace and one check a chunk, and no state kept between chunk ends.
+    The products round differently from the fine steps, by about ``c n^2
+    eps`` relative; at ``every = 1`` the chunk is the step and the states
+    are bitwise :func:`pathwise_filter`'s.  When a block fails to build or
+    a chunk fails the check, as an overflowing product does, the states are
+    :func:`pathwise_filter`'s, which either passes or raises the error of
+    its failing fine step."""
+    if every < 1 or record.n_steps % every:
+        raise ValueError(f"every = {every} does not divide {record.n_steps} steps")
+    c = max(d for d in range(1, min(every, _MAP_BLOCK) + 1) if every % d == 0)
+    block = c * (_MAP_BLOCK // c)
+    stepper = PathwiseIntegrator(model, record.dt, substeps)
+    coords = np.empty((record.n_steps // c + 1, model.dim**2))
+    logs = np.empty(len(coords))
+    coords[0], logs[0] = _start(rho0, model.dim), 0.0
+    xs = record.increments
+    for lo in range(0, len(xs), block):
+        j = lo // c
+        try:
+            chunks = _chunk_products(stepper.step_maps(xs[lo : lo + block]), c)
+        except ValueError:
+            break
+        if _map_block(chunks, coords[j : j + len(chunks) + 1], logs[j : j + len(chunks) + 1]) < len(chunks):
+            break
+    else:
+        keep = slice(None, None, every // c)
+        return StatePath(hermitian_basis(model.dim).matrices(coords[keep]), logs[keep], record.times[::every])
+    return pathwise_filter(model, record, rho0, substeps)[::every]
 
 
 class RobustStepper(_MapStepper):
@@ -881,7 +944,7 @@ class RobustStepper(_MapStepper):
             self._companion, self._companion_drift = cm, (cm @ cm) * b
         self._n = n
 
-    def coefficients(self, dy) -> np.ndarray:
+    def coefficients(self, dy, sum_sq=None) -> np.ndarray:
         """The ``(B, n)`` coefficients ``c[b]`` with ``E(dy[b]) = sum_j
         c[b, j] L^j``; each row is bitwise the one of its increment alone.
 
@@ -893,18 +956,23 @@ class RobustStepper(_MapStepper):
         such as the defective ``sigma``), and ``c0 = f(lam2) - c1 lam2``.
         Both exponents, ``lam2 dy/k^2 - lam2^2 dt/2k^2`` and ``delta s``,
         have real parts affine in ``dy``; only when the increments' sum of
-        squares could take one of them past half the range of ``exp`` are
-        they computed under ``np.errstate``, and rows that are not finite
+        squares, ``sum_sq`` when given and ``np.vdot(dy, dy)`` otherwise,
+        could take one of them past half the range of ``exp`` are they
+        computed under ``np.errstate``, and rows that are not finite
         become NaN, which passes through the step without a floating-point
         warning, so the step's tail reports the state as blown up.  For
         ``n != 2`` the coefficients are the first columns of the same
         exponentials of the companion matrix, from :func:`expm_many`.
         """
-        a = np.asarray(dy, dtype=float) * self._inv_k2
+        dy = np.asarray(dy, dtype=float)
+        a = dy * self._inv_k2
         if self._n != 2:
             return expm_many(a[:, None, None] * self._companion - self._companion_drift)[:, :, 0]
-        # the sum of squares bounds every |a|; vdot gives inf, not a warning, on overflow
-        if np.vdot(a, a) <= self._a_sq_in_range:
+        if sum_sq is None:
+            sum_sq = np.vdot(dy, dy)  # inf, not a warning, on overflow
+        # sum_sq / k^4 bounds every a^2 up to a few roundings, which the
+        # gate's margin of half the range of exp absorbs
+        if sum_sq * self._inv_k2 * self._inv_k2 <= self._a_sq_in_range:
             return self._closed_form(a)
         with np.errstate(all="ignore"):
             c = self._closed_form(a)
@@ -923,21 +991,21 @@ class RobustStepper(_MapStepper):
         np.subtract(f2, c1 * self._lam2, out=c[:, 0])
         return c
 
-    def weights(self, dy) -> np.ndarray:
+    def weights(self, dy, sum_sq=None) -> np.ndarray:
         """The ``(B, n^2)`` real weights ``u[b]`` of the increments ``dy[b]``
-        (see :meth:`coefficients`): ``|c_j|^2`` for each ``j``, then ``Re``
-        and ``Im`` of ``conj(c_j) c_k`` for each ``j < k``; each row bitwise
-        the one of its increment alone."""
-        c = self.coefficients(dy)
+        (see :meth:`coefficients`, which takes ``sum_sq``): ``|c_j|^2`` for
+        each ``j``, then ``Re`` and ``Im`` of ``conj(c_j) c_k`` for each ``j <
+        k``; each row bitwise the one of its increment alone."""
+        c = self.coefficients(dy, sum_sq)
         w = c.conj()[:, :, None] * c[:, None, :]
         return w.reshape(c.shape[0], -1).view(float)[:, self._weight_index]
 
-    def step_maps(self, dy) -> np.ndarray:
+    def step_maps(self, dy, sum_sq=None) -> np.ndarray:
         """The real maps ``R`` with ``x = R s`` of steps with increments
         ``dy[b]``, a ``(B, n^2, n^2)`` stack: each one matrix-vector product
-        of ``M`` with its row of :meth:`weights`, so each is bitwise the
-        one of its increment alone."""
-        u = self.weights(dy)
+        of ``M`` with its row of :meth:`weights` (given ``sum_sq``), so each
+        is bitwise the one of its increment alone."""
+        u = self.weights(dy, sum_sq)
         return _apply_maps(self._map, u).reshape(u.shape[0], self._n * self._n, self._n * self._n)
 
 

@@ -112,6 +112,18 @@ def _inaccurate(m: np.ndarray, squarings: int, last_term: np.ndarray) -> bool:
     return not mu < _LOG_TINY
 
 
+def _max_entry_norms(m: np.ndarray) -> np.ndarray:
+    """The max-entry norm ``max_ij |m[b, i, j]|`` of each matrix of a
+    stack, NaN for a matrix holding a NaN: ``np.maximum`` over the rows of
+    the contiguous transpose of the ``(B, n^2)`` absolute values, which
+    reduces whole rows at a time, where a reduction over the last two axes
+    of the stack reduces each small matrix on its own (about 7 against 21
+    us on a stack of 256 4x4 matrices).  The maximum is exact, so the norms
+    are bitwise those of ``np.abs(m).max(axis=(1, 2))``."""
+    n = m.shape[1]
+    return np.maximum.reduce(np.ascontiguousarray(np.abs(m).reshape(len(m), n * n).T), 0)
+
+
 def _real_or_complex(a) -> np.ndarray:
     """``a`` as a float array when it is real, a complex one otherwise."""
     m = np.asarray(a)
@@ -163,7 +175,7 @@ def expm_many(a, tol: float = 1e-12) -> np.ndarray:
         raise ValueError("tol must be positive")
     x = np.empty_like(m)
     x[...] = np.eye(m.shape[1], dtype=m.dtype)
-    nrm = np.abs(m).max(axis=(1, 2))
+    nrm = _max_entry_norms(m)
     if not np.isfinite(nrm).all():
         raise ValueError("expm requires finite entries")
     live = np.flatnonzero(nrm > 0.0)  # a zero matrix keeps the identity
@@ -180,7 +192,7 @@ def expm_many(a, tol: float = 1e-12) -> np.ndarray:
     sums, term = x[live] + b, b
     k = 1
     while True:
-        going = np.abs(term).max(axis=(1, 2)) > cutoff
+        going = _max_entry_norms(term) > cutoff
         if not going.all():
             x[live[~going]] = sums[~going]
             if last_term is not None:

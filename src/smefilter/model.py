@@ -15,6 +15,7 @@ excited state and the second the ground state, so the operator matrices read
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,8 +138,13 @@ def two_level_model(gamma: float, alpha: float, delta: float, phi: float, eta: f
 
     ``H = (alpha/2) sigma_x + (delta/2) sigma_z`` (Rabi frequency ``alpha``,
     detuning ``delta``) and ``L = sqrt(gamma) exp(-i phi) sigma`` (spontaneous
-    emission rate ``gamma``, local-oscillator phase ``phi``).
+    emission rate ``gamma``, local-oscillator phase ``phi``).  Each of
+    ``gamma``, ``alpha``, ``delta`` and ``phi`` must be finite, and a
+    non-finite one is rejected by name before any arithmetic.
     """
+    for name, value in (("gamma", gamma), ("alpha", alpha), ("delta", delta), ("phi", phi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     H = 0.5 * (alpha * SIGMA_X + delta * SIGMA_Z)

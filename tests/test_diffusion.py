@@ -22,6 +22,7 @@ from smefilter.diffusion import (
     _MAP_BLOCK,
     _apply_maps,
     _batch_element,
+    _chunk_products,
     _diffusion_steps,
     _renormalize,
     _start,
@@ -31,6 +32,7 @@ from smefilter.diffusion import (
     gauge,
     pathwise_filter,
     pathwise_rhs,
+    pathwise_samples,
     read_measurement_record,
     read_record,
     recover,
@@ -39,7 +41,7 @@ from smefilter.diffusion import (
     write_record,
 )
 from smefilter.linalg import dagger, expm, hermitian_basis, kron, max_abs, vec
-from smefilter.model import build_diffusion_model, purity, rho_from_bloch, two_level_model
+from smefilter.model import SIGMA_X, SIGMA_Z, build_diffusion_model, purity, rho_from_bloch, two_level_model
 from smefilter.ode import rk4_step
 from smefilter.traj import _DRAW_BLOCK, SCHEMES, master_propagate, run_ensemble, run_trajectory
 
@@ -448,8 +450,8 @@ class TestReplayBlocks:
         marker = inc[k - 1] = 0.123456789
         built, built_one = PathwiseIntegrator.step_maps, PathwiseIntegrator.step_map
 
-        def step_maps(self, dy):
-            maps = built(self, dy)
+        def step_maps(self, dy, *sum_sq):
+            maps = built(self, dy, *sum_sq)
             maps[np.asarray(dy) == marker, 0] = 0.0
             return maps
 
@@ -504,6 +506,113 @@ class TestReplayBlocks:
         with pytest.raises(NonFiniteStateError, match=r" of batch element 1 blew up \(expm argument") as err:
             stepper(m, 0.01).advance_many(np.stack([s, s, s]), np.array([0.1, 1e12, 1e12]), 0.37)
         assert err.value.time == 0.37
+
+
+def smooth_and_brownian_records(n_steps, dt, t0=0.0):
+    times = dt * np.arange(n_steps + 1)
+    smooth = MeasurementRecord(dt, np.diff(2.0 * np.sin(times)), t0)
+    brownian = MeasurementRecord(dt, np.random.default_rng(n_steps).normal(0.0, 1.1 * np.sqrt(dt), n_steps), t0)
+    return {"smooth": smooth, "brownian": brownian}
+
+
+class TestPathwiseSamples:
+    """The convergence oracle steps one product of ``every`` pathwise maps a
+    chunk; at ``every = 1`` it is ``pathwise_filter`` bitwise, otherwise near
+    it, and where a chunk fails it is ``pathwise_filter`` itself."""
+
+    @pytest.mark.parametrize("kind", ["smooth", "brownian"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_one_is_pathwise_filter_bitwise(self, dim, kind):
+        rng = np.random.default_rng(90 + dim)
+        m = {1: one_level_model, 2: driven_atom_model, 3: lambda: three_level_model(rng)}[dim]()
+        rec = smooth_and_brownian_records(2 * _MAP_BLOCK + 7, 0.01, t0=0.3)[kind]
+        rho0 = random_state(rng, dim)
+        got, want = pathwise_samples(m, rec, rho0, 1), pathwise_filter(m, rec, rho0)
+        assert got.rho.tobytes() == want.rho.tobytes()
+        assert got.log_lambda.tobytes() == want.log_lambda.tobytes()
+        assert got.t.tobytes() == want.t.tobytes()
+
+    @pytest.mark.parametrize("every", [10, 4 * _MAP_BLOCK])
+    @pytest.mark.parametrize("kind", ["smooth", "brownian"])
+    def test_chunks_are_near_the_fine_steps(self, kind, every):
+        # criterion 4's model and grid; a chunk longer than a block is
+        # stepped as shorter chunks that divide it
+        m = driven_atom_model()
+        rec = smooth_and_brownian_records(5000 if every == 10 else 4 * every, 1e-3)[kind]
+        got, want = pathwise_samples(m, rec, RHO_PLUS, every, 8), pathwise_filter(m, rec, RHO_PLUS, 8)[::every]
+        assert len(got) == len(want) and got.t.tobytes() == want.t.tobytes()
+        assert max_abs(got.rho - want.rho) <= 1e-13
+        assert max_abs(got.log_lambda - want.log_lambda) <= 1e-13 * max(1.0, max_abs(want.log_lambda))
+
+    def test_overflowing_chunk_products_give_the_fine_states(self):
+        # a QND coupling L = sigma_z grows the state by about e^80 a step at
+        # dy = 40: each step is in range, and the fine loop renormalizes
+        # after each, but ten steps' product overflows
+        m = build_diffusion_model(0.5 * SIGMA_X, SIGMA_Z, 1.0)
+        inc = np.random.default_rng(3).normal(0.0, 0.1, 600)
+        inc[300:320] = 40.0
+        rec = MeasurementRecord(0.01, inc, t0=0.3)
+        maps = PathwiseIntegrator(m, 0.01).step_maps(inc[300:310])
+        assert np.isfinite(maps).all() and not np.isfinite(_chunk_products(maps, 10)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pathwise_samples(m, rec, RHO_PLUS, 10)
+        want = pathwise_filter(m, rec, RHO_PLUS)[::10]
+        assert got.rho.tobytes() == want.rho.tobytes()
+        assert got.log_lambda.tobytes() == want.log_lambda.tobytes()
+
+    @pytest.mark.parametrize("every", [1, 10])
+    @pytest.mark.parametrize("k", [5, _MAP_BLOCK + 5])
+    def test_failing_record_raises_the_fine_steps_error(self, k, every):
+        # dy = 1e40 takes the step's generator out of expm's range
+        inc = np.zeros(2 * _MAP_BLOCK + 48)
+        inc[k] = 1e40
+        rec = MeasurementRecord(0.01, inc, t0=0.3)
+        with pytest.raises(NonFiniteStateError) as want:
+            pathwise_filter(driven_atom_model(), rec, RHO_PLUS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError) as got:
+                pathwise_samples(driven_atom_model(), rec, RHO_PLUS, every)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"pathwise state of step {k + 1} blew up")
+        assert got.value.time == rec.times[k + 1]
+
+    @pytest.mark.parametrize("every", [0, -2, 7])
+    def test_every_must_divide_the_record(self, every):
+        rec = MeasurementRecord(0.01, np.zeros(20))
+        with pytest.raises(ValueError, match=f"every = {every} does not divide 20 steps"):
+            pathwise_samples(driven_atom_model(), rec, RHO_PLUS, every)
+
+
+def left_fold(maps, every):
+    """The products of each run of ``every`` maps, one map at a time."""
+    out = []
+    for run in maps.reshape(-1, every, *maps.shape[1:]):
+        p = run[0]
+        for m in run[1:]:
+            p = m @ p
+        out.append(p)
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    every=hst.integers(1, 17),
+    runs=hst.integers(1, 4),
+    size=hst.integers(1, 9),
+    scale=hst.floats(0.1, 10.0),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_chunk_products_are_the_left_fold(every, runs, size, scale, seed):
+    # each product's rounding error is bounded by every n eps times the
+    # product of the absolute values, for the tree and the fold alike
+    maps = scale * np.random.default_rng(seed).normal(size=(runs * every, size, size))
+    got = _chunk_products(maps, every)
+    if every == 1:
+        assert got.tobytes() == maps.tobytes()
+    scale = left_fold(np.abs(maps), every)
+    assert (np.abs(got - left_fold(maps, every)) <= every * size * np.finfo(float).eps * scale).all()
 
 
 class TestStiffPathwiseStep:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,19 @@ class TestDiffusionModel:
             build_diffusion_model(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
         with pytest.raises(ValueError, match="Hermitian"):
             build_diffusion_model(SIGMA, np.zeros((2, 2)), 1.0)
+
+    @pytest.mark.parametrize("index", range(4), ids=["gamma", "alpha", "delta", "phi"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf])
+    def test_non_finite_two_level_parameter_is_rejected_by_name(self, index, value):
+        # an infinite gamma or alpha overflowed L or H with a warning and was
+        # blamed on them; a NaN gamma is neither above nor below 0
+        name = ("gamma", "alpha", "delta", "phi")[index]
+        params = [1.0, 2.0, 0.5, 0.3]
+        params[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                two_level_model(*params, 0.85)
 
 
 class TestJumpModel:

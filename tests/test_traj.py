@@ -44,6 +44,7 @@ from smefilter.model import (
 )
 from smefilter.ode import rk4_step
 from smefilter.traj import (
+    ConvergenceRow,
     _bloch_fast,
     _trajectory_in,
     convergence_report,
@@ -508,6 +509,60 @@ class TestConvergenceReport:
         rec = MeasurementRecord(0.003, np.zeros(100))
         with pytest.raises(ValueError, match="integer multiple"):
             convergence_report(m, rec, [0.01], RHO_PLUS)
+
+    @staticmethod
+    def fine_oracle_rows(m, rec, deltas):
+        """The report as it was computed against the whole fine oracle,
+        ``pathwise_filter`` at every fine step."""
+        oracle = pathwise_filter(m, rec, RHO_PLUS, 8)
+        rows = []
+        for delta in deltas:
+            factor = int(round(delta / rec.dt))
+            approx = robust_filter(m, rec.coarsen(factor), RHO_PLUS)
+            w = (rec.modulus_of_continuity(delta, mode) for mode in ("sliding", "initial"))
+            rows.append(ConvergenceRow(delta, float(np.abs(approx.rho - oracle.rho[::factor]).max()), *w))
+        return rows
+
+    @pytest.mark.parametrize("kind", ["smooth", "brownian"])
+    def test_coprime_factors_give_the_fine_oracle_rows_bitwise(self, kind):
+        # factors 3 and 2 have gcd 1: the oracle is pathwise_filter itself
+        m = driven_atom_model()
+        times = 1e-3 * np.arange(601)
+        inc = np.diff(2.0 * np.sin(times)) if kind == "smooth" else np.random.default_rng(7).normal(0.0, 0.034, 600)
+        rec = MeasurementRecord(1e-3, inc)
+        deltas = [0.003, 0.002]
+        assert convergence_report(m, rec, deltas, RHO_PLUS, oracle_substeps=8) == self.fine_oracle_rows(m, rec, deltas)
+
+    def test_common_factor_rows_are_near_the_fine_oracle_rows(self):
+        # the default deltas at fine_dt = 1e-3: factors 40, 20 and 10
+        m = driven_atom_model()
+        rec = MeasurementRecord(1e-3, np.random.default_rng(104).normal(0.0, 0.034, 2000))
+        deltas = [0.04, 0.02, 0.01]
+        got = convergence_report(m, rec, deltas, RHO_PLUS, oracle_substeps=8)
+        for row, want in zip(got, self.fine_oracle_rows(m, rec, deltas)):
+            assert abs(row.sup_error - want.sup_error) <= 1e-13
+            assert (row.delta, row.w_sliding, row.w_initial) == (want.delta, want.w_sliding, want.w_initial)
+
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            (0.015, "delta 0.015 is not an integer multiple of the fine step 0.01"),
+            (float("nan"), "delta nan is not an integer multiple of the fine step 0.01"),
+            (float("inf"), "delta inf is not an integer multiple of the fine step 0.01"),
+            (-0.02, "delta -0.02 is not an integer multiple of the fine step 0.01"),
+            (0.03, "factor 3 does not divide 100 steps"),
+        ],
+        ids=["fraction", "nan", "inf", "negative", "not-dividing"],
+    )
+    def test_every_delta_is_checked_before_the_oracle(self, delta, message, monkeypatch):
+        # a bad delta after a good one fails before the fine oracle runs
+        def oracle(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(smefilter.traj, "pathwise_samples", oracle)
+        rec = MeasurementRecord(0.01, np.zeros(100))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convergence_report(driven_atom_model(), rec, [0.02, delta], RHO_PLUS)
 
 
 class TestLipschitzReport:
