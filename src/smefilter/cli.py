@@ -87,7 +87,6 @@ class RunConfig:
     n_traj: int = 1
     seed: int = 0
     output_dir: str = "."
-    substeps: int = 4
     deltas: tuple = (0.04, 0.02, 0.01)
     fine_dt: float = 0.001
     record_kind: str = "smooth"
@@ -217,7 +216,6 @@ _KEYS = {
     "n_traj": _Key("n_traj", _AT_LEAST_ONE, None),
     "seed": _Key("seed", partial(_require_int, minimum=0), None),
     "output_dir": _Key("output_dir", _require_string, None),
-    "substeps": _Key("substeps", _AT_LEAST_ONE, None),
     "deltas": _Key("deltas", _require_float_list, None),
     "fine_dt": _Key("fine_dt", _POSITIVE, None),
     "record_kind": _Key("record_kind", partial(_require_choice, choices=_RECORD_KINDS), None),
@@ -310,7 +308,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> list[Path]:
     written = []
     summary = _provenance_object(config)
     if config.n_traj == 1:
-        res = run_trajectory(model, config.scheme, config.dt, config.T, rho0, config.seed, config.substeps)
+        res = run_trajectory(model, config.scheme, config.dt, config.T, rho0, config.seed)
         traj_path = out_dir / "trajectory.csv"
         _trajectory_csv(traj_path, config, res.states)
         record_path = out_dir / res.record.file_name
@@ -320,9 +318,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> list[Path]:
         _write_json(summary_path, summary)
         written += [traj_path, record_path, summary_path]
     else:
-        ens = run_ensemble(
-            model, config.scheme, config.dt, config.T, rho0, config.n_traj, config.seed, config.substeps
-        )
+        ens = run_ensemble(model, config.scheme, config.dt, config.T, rho0, config.n_traj, config.seed)
         mean_path = out_dir / "mean_path.csv"
         _run_csv(mean_path, config, "t,x,y,z,purity", [ens.times, *_state_columns(ens.mean_rho_path)])
         final_path = out_dir / "final_bloch.csv"
@@ -348,7 +344,7 @@ def cmd_filter(config: RunConfig, record_path: Path, out_dir: Path) -> list[Path
     record = read_record(record_path)
     if record.mode != config.mode:
         raise ValueError(f"record is a {record.mode} record but config mode is '{config.mode}'")
-    steps = _scheme_steps(config.build_model(), config.scheme, record.dt, config.initial_state(), config.substeps)
+    steps = _scheme_steps(config.build_model(), config.scheme, record.dt, config.initial_state())
     states = steps.replay(record)
     out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "filtered_trajectory.csv"

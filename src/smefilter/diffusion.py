@@ -238,16 +238,22 @@ class DensityState:
         herm_tol: float = 1e-9,
         eig_floor: float = -1e-7,
     ) -> "DensityState":
-        """Raise if trace, Hermiticity, or positivity drift out of tolerance."""
+        """Raise if ``rho`` or ``log_lambda`` is not finite, or if trace,
+        Hermiticity, or positivity drift out of tolerance; a NaN fails every
+        tolerance."""
+        if not np.isfinite(self.rho).all():
+            raise ValueError(f"rho is not finite at t={self.t:.6g}")
+        if not math.isfinite(self.log_lambda):
+            raise ValueError(f"log_lambda {self.log_lambda} is not finite at t={self.t:.6g}")
         tr = complex(np.trace(self.rho))
-        if abs(tr - 1.0) > trace_tol:
+        if not abs(tr - 1.0) <= trace_tol:
             raise ValueError(f"trace {tr} deviates from 1 beyond {trace_tol:.1e} at t={self.t:.6g}")
         res = hermitian_residual(self.rho)
-        if res > herm_tol:
+        if not res <= herm_tol:
             raise ValueError(f"Hermiticity residual {res:.3e} exceeds {herm_tol:.1e} at t={self.t:.6g}")
         h = 0.5 * (self.rho + dagger(self.rho))
         lo = float(np.linalg.eigvalsh(h)[0])
-        if lo < eig_floor:
+        if not lo >= eig_floor:
             raise ValueError(f"minimum eigenvalue {lo:.3e} below {eig_floor:.1e} at t={self.t:.6g}")
         return self
 
@@ -400,8 +406,8 @@ class MeasurementRecord(Record):
         ``mode="initial"`` restricts both sample points to the first window.
         Window edges snap down to the sampling grid.
         """
-        if width <= 0.0:
-            raise ValueError("width must be positive")
+        if not 0.0 < width < math.inf:
+            raise ValueError(f"width must be finite and positive, got {width}")
         k = max(1, min(self.n_steps, int(width / self.dt + 1e-9)))
         y = self.cumulative()
         if mode == "initial":
@@ -757,15 +763,12 @@ class PathwiseIntegrator(_MapStepper):
     :func:`expm_many` call, which treats each element as it treats it
     alone: the increments of a stack, or of ``_MAP_BLOCK`` steps of a
     record in :func:`pathwise_filter`.  So a replay and an ensemble are
-    bitwise the online run.  ``substeps`` is validated for the callers that
-    pass it but not used.
+    bitwise the online run.
     """
 
     what = "pathwise state"
 
-    def __init__(self, model, dt: float, substeps: int = 4):
-        if substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {substeps}")
+    def __init__(self, model, dt: float):
         dt = _step_width(dt)
         n, L, k2 = model.dim, model.L, model.kappa**2
         eye = np.eye(n)
@@ -793,13 +796,13 @@ class PathwiseIntegrator(_MapStepper):
         return DensityState(self._basis.matrices(s[0]), log_lambda + float(dlog[0]), t)
 
 
-def pathwise_filter(model, record: MeasurementRecord, rho0, substeps: int = 4):
+def pathwise_filter(model, record: MeasurementRecord, rho0):
     """Pathwise filter: the replay of a record (see :func:`_diffusion_steps`
     and :func:`_trajectory`), each step bitwise
     :meth:`PathwiseIntegrator.advance_many` on a stack of one; a failing
     step raises :class:`NonFiniteStateError` naming the step and its
     time."""
-    return _diffusion_steps(model, "pathwise", record.dt, rho0, substeps).replay(record)
+    return _diffusion_steps(model, "pathwise", record.dt, rho0).replay(record)
 
 
 def _chunk_products(maps: np.ndarray, every: int) -> np.ndarray:
@@ -818,7 +821,7 @@ def _chunk_products(maps: np.ndarray, every: int) -> np.ndarray:
     return p[:, 0]
 
 
-def pathwise_samples(model, record: MeasurementRecord, rho0, every: int, substeps: int = 4) -> StatePath:
+def pathwise_samples(model, record: MeasurementRecord, rho0, every: int) -> StatePath:
     """The states of :func:`pathwise_filter` at every ``every``-th grid
     point of the record, ``every`` dividing its step count: the
     :class:`StatePath` at times ``t0, t0 + every dt, ...``.
@@ -839,7 +842,7 @@ def pathwise_samples(model, record: MeasurementRecord, rho0, every: int, substep
         raise ValueError(f"every = {every} does not divide {record.n_steps} steps")
     c = max(d for d in range(1, min(every, _MAP_BLOCK) + 1) if every % d == 0)
     block = c * (_MAP_BLOCK // c)
-    stepper = PathwiseIntegrator(model, record.dt, substeps)
+    stepper = PathwiseIntegrator(model, record.dt)
     coords = np.empty((record.n_steps // c + 1, model.dim**2))
     logs = np.empty(len(coords))
     coords[0], logs[0] = _start(rho0, model.dim), 0.0
@@ -855,7 +858,7 @@ def pathwise_samples(model, record: MeasurementRecord, rho0, every: int, substep
     else:
         keep = slice(None, None, every // c)
         return StatePath(hermitian_basis(model.dim).matrices(coords[keep]), logs[keep], record.times[::every])
-    return pathwise_filter(model, record, rho0, substeps)[::every]
+    return pathwise_filter(model, record, rho0)[::every]
 
 
 class RobustStepper(_MapStepper):
@@ -1275,7 +1278,7 @@ def _path(steps: _Steps, n: int, rows, t0: float = 0.0):
     return record, StatePath(hermitian_basis(math.isqrt(coords.shape[1])).matrices(coords), logs, record.times)
 
 
-def _diffusion_steps(model, scheme: str, dt: float, rho0, substeps: int = 4) -> _Steps:
+def _diffusion_steps(model, scheme: str, dt: float, rho0) -> _Steps:
     """The steps (see :func:`_steps`) of the diffusion ``scheme`` over steps
     of width ``dt``, from the normalized ``rho0`` with ``log_lambda = 0``.
 
@@ -1294,7 +1297,7 @@ def _diffusion_steps(model, scheme: str, dt: float, rho0, substeps: int = 4) -> 
     start = _start(rho0, n)
     build = None
     if scheme in ("robust", "pathwise"):
-        stepper = RobustStepper(model, dt) if scheme == "robust" else PathwiseIntegrator(model, dt, substeps)
+        stepper = RobustStepper(model, dt) if scheme == "robust" else PathwiseIntegrator(model, dt)
         stack, build = stepper.advance_many, stepper.step_maps
     elif scheme == "em":
         em_maps = _em_maps(model)

@@ -297,7 +297,7 @@ def _exact_steps(model, dt: float, start, log0: float) -> _Steps:
     return _counting_steps(model, dt, start, log0, partial(_exact_step_many, *_exact_propagator(model, dt)))
 
 
-def _jump_steps(model, scheme: str, dt: float, rho0, substeps: int = 4) -> _Steps:
+def _jump_steps(model, scheme: str, dt: float, rho0) -> _Steps:
     """The steps of the counting ``scheme`` over steps of width ``dt``, from
     ``rho0``: :func:`_euler_step_many` from the normalized ``rho0`` with
     ``log_lambda = 0`` for ``em``, and the exact :func:`_exact_steps` from
@@ -307,8 +307,6 @@ def _jump_steps(model, scheme: str, dt: float, rho0, substeps: int = 4) -> _Step
         raise ValueError("scheme 'robust' applies to diffusion models; use 'em' or 'pathwise'")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if scheme == "pathwise" and substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
     dt = _step_width(dt)
     start = _start(rho0, model.dim)
     if scheme == "pathwise":
@@ -336,7 +334,7 @@ def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: floa
     return _path(steps, n, steps.draw(np.random.default_rng(seed), n)[:, None], t0)[0]
 
 
-def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
+def jump_pathwise_solve(model, record: CountingRecord, r0):
     """Solve the pathwise flow exactly along a counting record.
 
     The gauge ``A = C^(-N_t)`` commutes with ``C``, so in the original frame
@@ -361,14 +359,10 @@ def jump_pathwise_solve(model, record: CountingRecord, r0, substeps: int = 4):
     or when ``C^(-N)`` or ``exp(log_lambda)`` has left the range of floats,
     so that a state is not finite; the recovered states never need ``C^-1``.
 
-    ``substeps`` is validated for the callers that pass it but not used:
-    the flow between grid points is exact.  Raises
-    :class:`InvalidCountingRecordError` for a count on a state that ``C``
-    annihilates, and :class:`NonFiniteStateError` when the state stops being
-    finite; both name the step and its time.
+    Raises :class:`InvalidCountingRecordError` for a count on a state that
+    ``C`` annihilates, and :class:`NonFiniteStateError` when the state stops
+    being finite; both name the step and its time.
     """
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
     recovered = _exact_steps(model, record.dt, *_unnormalized_start(r0, model.dim, "r0")).replay(record)
     if model.C_inv is None:
         return None, recovered

@@ -186,17 +186,17 @@ def _trajectory_in(base_seed, step):
     return lambda b: f"trajectory {b} (seed {base_seed + b}) in step {step}"
 
 
-def _scheme_steps(model, scheme: str, dt: float, rho0, substeps: int):
+def _scheme_steps(model, scheme: str, dt: float, rho0):
     """The steps of ``scheme`` for the record kind of ``model``:
     ``diffusion._diffusion_steps`` or ``jump._jump_steps``."""
     if isinstance(model, DiffusionModel):
-        return _diffusion_steps(model, scheme, dt, rho0, substeps)
+        return _diffusion_steps(model, scheme, dt, rho0)
     if isinstance(model, JumpModel):
-        return _jump_steps(model, scheme, dt, rho0, substeps)
+        return _jump_steps(model, scheme, dt, rho0)
     raise TypeError(f"expected DiffusionModel or JumpModel, got {type(model).__name__}")
 
 
-def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int, substeps: int = 4) -> TrajectoryResult:
+def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int) -> TrajectoryResult:
     """Run one trajectory, generating the driving record online: the
     ensemble of one of ``seed``, whose errors name the step and its time.
 
@@ -204,7 +204,7 @@ def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int, sub
     ``smefilter filter`` does, reproduces the same states bit for bit.
     """
     n = _step_count(dt, T)
-    steps = _scheme_steps(model, scheme, dt, rho0, substeps)
+    steps = _scheme_steps(model, scheme, dt, rho0)
     record, states = _path(steps, n, _draws(seed, 1, n, steps.draw))
     return TrajectoryResult(
         times=record.times,
@@ -216,16 +216,7 @@ def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int, sub
     )
 
 
-def run_ensemble(
-    model,
-    scheme: str,
-    dt: float,
-    T: float,
-    rho0,
-    n_traj: int,
-    base_seed: int,
-    substeps: int = 4,
-) -> EnsembleResult:
+def run_ensemble(model, scheme: str, dt: float, T: float, rho0, n_traj: int, base_seed: int) -> EnsembleResult:
     """Run ``n_traj`` independent trajectories with seeds ``base_seed + i``;
     aggregates the mean state path and final-time Bloch statistics.
 
@@ -244,7 +235,7 @@ def run_ensemble(
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     n = _step_count(dt, T)
-    steps = _scheme_steps(model, scheme, dt, rho0, substeps)
+    steps = _scheme_steps(model, scheme, dt, rho0)
     basis = hermitian_basis(math.isqrt(steps.start.size))
     sum_rho = np.empty((n + 1, basis.n, basis.n), dtype=complex)
     h = max(1, min(n + 1, _SUM_BLOCK // n_traj))
@@ -312,13 +303,7 @@ class ConvergenceRow:
     w_initial: float
 
 
-def convergence_report(
-    model,
-    y_fine: MeasurementRecord,
-    deltas,
-    rho0=None,
-    oracle_substeps: int = 8,
-) -> list[ConvergenceRow]:
+def convergence_report(model, y_fine: MeasurementRecord, deltas, rho0=None) -> list[ConvergenceRow]:
     """Error of the implicit filter at each step size against the fine
     pathwise oracle run on the same record.
 
@@ -328,11 +313,11 @@ def convergence_report(
     it: at multiples of ``every``, the greatest common divisor of the
     coarse factors, it steps one product of ``every`` fine step maps per
     chunk, within about ``every n^2 eps`` of :func:`pathwise_filter` (and
-    bitwise it at ``every = 1``).  ``oracle_substeps`` is validated but does
-    not change it.
+    bitwise it at ``every = 1``).
 
-    Each ``delta`` must be an integer multiple of the fine step that
-    divides the record; every delta is checked before the oracle runs.  The
+    ``deltas`` must not be empty, and each ``delta`` must be an integer
+    multiple of the fine step that divides the record; every delta is
+    checked before the oracle runs.  The
     record's modulus of continuity over windows of width ``delta`` is
     reported in two readings: ``w_sliding`` maximizes over all windows,
     ``w_initial`` only over the first one.
@@ -340,9 +325,11 @@ def convergence_report(
     if rho0 is None:
         rho0 = np.eye(model.dim, dtype=complex) / model.dim
     factors = [_coarse_factor(delta, y_fine.dt) for delta in deltas]
+    if not factors:
+        raise ValueError("deltas must not be empty")
     coarse = [y_fine.coarsen(factor) for factor in factors]
-    every = math.gcd(*factors) or 1
-    oracle = pathwise_samples(model, y_fine, rho0, every, oracle_substeps)
+    every = math.gcd(*factors)
+    oracle = pathwise_samples(model, y_fine, rho0, every)
     rows = []
     for delta, factor, record in zip(deltas, factors, coarse):
         approx = robust_filter(model, record, rho0)
@@ -392,6 +379,8 @@ def lipschitz_report(model, record: MeasurementRecord, epsilons, rho0=None) -> l
     shape_inc = np.diff(shape)
     rows = []
     for eps in epsilons:
+        if not math.isfinite(eps):
+            raise ValueError(f"epsilon must be finite, got {eps}")
         if eps < 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {eps}")
         if eps == 0.0:

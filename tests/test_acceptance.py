@@ -148,7 +148,7 @@ def test_criterion_04_convergence_bound_shape():
     deltas = [0.04, 0.02, 0.01]
 
     smooth = MeasurementRecord(fine_dt, np.diff(2.0 * np.sin(times)))
-    rows = convergence_report(model, smooth, deltas, RHO_PLUS, oracle_substeps=8)
+    rows = convergence_report(model, smooth, deltas, RHO_PLUS)
     errs = [r.sup_error for r in rows]
     ratios = [errs[i + 1] / errs[i] for i in range(len(errs) - 1)]
     assert all(r <= 0.7 for r in ratios)
@@ -156,7 +156,7 @@ def test_criterion_04_convergence_bound_shape():
     brown = MeasurementRecord(
         fine_dt, np.random.default_rng(104).normal(0.0, model.kappa * np.sqrt(fine_dt), n)
     )
-    rows_b = convergence_report(model, brown, deltas, RHO_PLUS, oracle_substeps=8)
+    rows_b = convergence_report(model, brown, deltas, RHO_PLUS)
     ks = [r.sup_error / (r.delta + r.w_sliding) for r in rows_b]
     spread = max(ks) / min(ks)
     # "stable within +/-50% of a central value" == max/min at most 3
@@ -190,7 +190,7 @@ def test_criterion_06_state_validity():
     model = driven_atom_model()
     checked = 0
     for scheme in ("robust", "pathwise"):
-        res = run_trajectory(model, scheme, 0.01, 5.0, RHO_PLUS, seed=106, substeps=2)
+        res = run_trajectory(model, scheme, 0.01, 5.0, RHO_PLUS, seed=106)
         validate_states(res.states)
         checked += len(res.states)
     fine = MeasurementRecord(
@@ -203,7 +203,7 @@ def test_criterion_06_state_validity():
     checked += len(em_states)
     c = np.cos(0.4) * np.eye(2, dtype=complex) - 1j * np.sin(0.4) * SIGMA_X
     jump_model = build_jump_model(c, 0.5 * SIGMA_Z, 1.0, 0.7)
-    res = run_trajectory(jump_model, "pathwise", 0.01, 5.0, RHO_PLUS, seed=107, substeps=2)
+    res = run_trajectory(jump_model, "pathwise", 0.01, 5.0, RHO_PLUS, seed=107)
     validate_states(res.states)
     checked += len(res.states)
     trace_herm_only = 0
@@ -279,7 +279,7 @@ def test_criterion_09_jump_case():
 
     # (a) pathwise solve against the fine unnormalized stepper on one record
     record = sample_counting_record(model, RHO_PLUS, dt=0.01, T=5.0, seed=109)
-    _, recovered = jump_pathwise_solve(model, record, RHO_PLUS, substeps=8)
+    _, recovered = jump_pathwise_solve(model, record, RHO_PLUS)
     refine = 100
     rt = RHO_PLUS.copy()
     gap_a = 0.0
@@ -292,7 +292,7 @@ def test_criterion_09_jump_case():
     # (b) perfect detection keeps pure states pure along the recovered path
     pure_model = build_jump_model(c, 0.5 * SIGMA_Z, 1.0, 1.0)
     rec_pure = sample_counting_record(pure_model, RHO_PLUS, dt=0.01, T=5.0, seed=110)
-    _, rec_states = jump_pathwise_solve(pure_model, rec_pure, RHO_PLUS, substeps=8)
+    _, rec_states = jump_pathwise_solve(pure_model, rec_pure, RHO_PLUS)
     min_purity = min(purity(s.rho) for s in rec_states)
     assert min_purity >= 1.0 - 1e-6
 

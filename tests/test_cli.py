@@ -15,6 +15,10 @@ import smefilter
 from smefilter import __version__
 from smefilter.cli import (
     _KEYS,
+    _MODES,
+    _OPERATORS,
+    _RECORD_KINDS,
+    SCHEMES,
     RunConfig,
     _provenance_comments,
     _state_columns,
@@ -40,7 +44,7 @@ C_MATRIX = [[0.6, [0, -0.8]], [[0, -0.8], 0.6]]
 WRONG_TYPES = {
     "mode": 1, "scheme": ["em"], "gamma": "1", "alpha": None, "Delta": True, "phi": [0.0], "eta": "0.85",
     "C": 5, "E": {"re": 1}, "lambda": "2", "dt": "fast", "T": None, "n_traj": 2.0, "seed": 1.5,
-    "output_dir": 5, "substeps": "4", "deltas": 0.01, "fine_dt": [1e-3], "record_kind": 1, "epsilons": "1e-2",
+    "output_dir": 5, "deltas": 0.01, "fine_dt": [1e-3], "record_kind": 1, "epsilons": "1e-2",
 }
 
 
@@ -265,7 +269,7 @@ class TestFilter:
 
 class TestDiagnostics:
     def test_converge_report_monotone_for_smooth_record(self, tmp_path):
-        cfg = parse_config('{"T": 2.0, "fine_dt": 0.005, "deltas": [0.04, 0.02, 0.01], "substeps": 4}')
+        cfg = parse_config('{"T": 2.0, "fine_dt": 0.005, "deltas": [0.04, 0.02, 0.01]}')
         (path,) = cmd_converge(cfg, tmp_path)
         rows = [r.split(",") for r in data_rows(path)[1:]]
         errs = [float(r[1]) for r in rows]
@@ -297,6 +301,16 @@ class TestDiagnostics:
             cmd_converge(cfg, tmp_path)
         with pytest.raises(ValueError, match="diffusion"):
             cmd_lipschitz(cfg, tmp_path)
+
+
+def test_readme_key_list_is_the_config_keys():
+    # the backticked names of README's "Keys:" sentence, less the values it
+    # also lists, are the keys parse_config accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Keys:(.*?)Unknown\s+keys", readme, re.DOTALL).group(1)
+    names = set(re.findall(r"`([^`]+)`", sentence))
+    values = {*_MODES, *SCHEMES, *_OPERATORS, *_RECORD_KINDS, "[re, im]"}
+    assert sorted(names - values) == sorted(_KEYS)
 
 
 def test_import_loads_no_scipy_linalg():
@@ -336,6 +350,16 @@ class TestMain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_substeps_is_an_unknown_key(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="^unknown config keys: substeps$"):
+            parse_config('{"substeps": 4}')
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**json.loads(FAST_DIFFUSION), "substeps": 4}))
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown config keys: substeps\n"
+        assert not (tmp_path / "run").exists()
 
     def test_negative_seed_names_its_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"

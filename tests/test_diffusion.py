@@ -106,6 +106,13 @@ class TestMeasurementRecord:
         with pytest.raises(ValueError, match="mode"):
             rec.modulus_of_continuity(1.0, "bogus")
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("mode", ["sliding", "initial"])
+    def test_modulus_of_continuity_rejects_a_bad_width_by_name(self, width, mode):
+        rec = MeasurementRecord(1.0, np.array([1.0, -1.0, 3.0]))
+        with pytest.raises(ValueError, match=f"^width must be finite and positive, got {width}$"):
+            rec.modulus_of_continuity(width, mode)
+
     def test_csv_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(31)
         rec = MeasurementRecord(0.01, rng.normal(size=57), t0=0.25)
@@ -249,7 +256,7 @@ class TestIntegratePathwise:
     def test_free_evolution_constant(self):
         m = build_diffusion_model(np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
         rec = MeasurementRecord(0.1, np.array([0.5, -0.2, 0.1]))
-        path = pathwise_filter(m, rec, RHO_PLUS, substeps=2)
+        path = pathwise_filter(m, rec, RHO_PLUS)
         assert len(path) == 4
         for st in path:
             assert max_abs(st.rho - RHO_PLUS) <= 1e-14
@@ -260,11 +267,7 @@ class TestIntegratePathwise:
         n = 25
         times = 0.04 * np.arange(n + 1)
         rec = MeasurementRecord(0.04, np.diff(np.sin(times)))
-        exact = pathwise_filter(m, rec, RHO_PLUS, substeps=1)
-        # substeps is not used: the step map is exact
-        for substeps in (2, 16):
-            other = pathwise_filter(m, rec, RHO_PLUS, substeps=substeps)
-            assert all(a.rho.tobytes() == b.rho.tobytes() for a, b in zip(exact, other))
+        exact = pathwise_filter(m, rec, RHO_PLUS)
         # an independent chain of scipy exponentials of each step's generator
         rho_tilde = RHO_PLUS.copy()
         for st, dy in zip(exact[1:], rec.increments):
@@ -285,7 +288,7 @@ class TestIntegratePathwise:
         fine = brownian_record(rng, m, 1e-4, 20000)  # T = 2
         em_path = em_unnormalized(m, fine, RHO_PLUS, sample_every=100)
         coarse = fine.coarsen(10)  # dt = 1e-3
-        ode_path = pathwise_filter(m, coarse, RHO_PLUS, substeps=2)
+        ode_path = pathwise_filter(m, coarse, RHO_PLUS)
         gaps = [
             max_abs(a.rho - b.rho)
             for a, b in zip(ode_path[::10], em_path)
@@ -293,10 +296,10 @@ class TestIntegratePathwise:
         assert max(gaps) <= 0.03
 
 
-def stepwise_pathwise(model, record, rho0, substeps):
+def stepwise_pathwise(model, record, rho0):
     """The states along a record, one ``advance`` and one shared tail at a
     time on the coordinates from ``rho0``, as the online run steps."""
-    stepper = PathwiseIntegrator(model, record.dt, substeps)
+    stepper = PathwiseIntegrator(model, record.dt)
     basis = hermitian_basis(model.dim)
     s, log_lambda = _start(rho0, model.dim), 0.0
     states = []
@@ -324,11 +327,11 @@ class TestPathwiseBlocks:
             m = build_diffusion_model(a + dagger(a), 0.7 * b, 0.6)
         rec = MeasurementRecord(0.01, rng.normal(0.0, m.kappa * 0.1, n_steps), t0=0.3)
         rho0 = random_state(rng, dim)
-        filtered = pathwise_filter(m, rec, rho0, substeps=3)
+        filtered = pathwise_filter(m, rec, rho0)
         assert len(filtered) == n_steps + 1
         # the filter starts from rho0 renormalized
         assert filtered[0].t == 0.3 and filtered[0].log_lambda == 0.0
-        states = stepwise_pathwise(m, rec, rho0, 3)
+        states = stepwise_pathwise(m, rec, rho0)
         for want, got in zip(states, filtered[1:]):
             assert got.rho.tobytes() == want.rho.tobytes()
             assert got.log_lambda == want.log_lambda and got.t == want.t
@@ -340,7 +343,7 @@ class TestPathwiseBlocks:
         inc[k] = 1e40
         rec = MeasurementRecord(0.01, inc, t0=0.3)
         with pytest.raises(NonFiniteStateError, match=f"pathwise state of step {k + 1} blew up") as err:
-            pathwise_filter(driven_atom_model(), rec, RHO_PLUS, substeps=2)
+            pathwise_filter(driven_atom_model(), rec, RHO_PLUS)
         assert err.value.time == rec.times[k + 1]
         # the online step names the time it is given, and the stack step the
         # element whose map is out of range, in the same words
@@ -361,7 +364,7 @@ class TestPathwiseBlocks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError, match=f"pathwise state of step {_MAP_BLOCK + 6} blew up"):
-                pathwise_filter(driven_atom_model(), rec, RHO_PLUS, substeps=2)
+                pathwise_filter(driven_atom_model(), rec, RHO_PLUS)
             with pytest.raises(NonFiniteStateError, match="pathwise state blew up"):
                 PathwiseIntegrator(driven_atom_model(), 0.01).advance(PLUS, 1e40, 0.7)
             with pytest.raises(NonFiniteStateError, match="pathwise state of batch element 0 blew up"):
@@ -539,7 +542,7 @@ class TestPathwiseSamples:
         # stepped as shorter chunks that divide it
         m = driven_atom_model()
         rec = smooth_and_brownian_records(5000 if every == 10 else 4 * every, 1e-3)[kind]
-        got, want = pathwise_samples(m, rec, RHO_PLUS, every, 8), pathwise_filter(m, rec, RHO_PLUS, 8)[::every]
+        got, want = pathwise_samples(m, rec, RHO_PLUS, every), pathwise_filter(m, rec, RHO_PLUS)[::every]
         assert len(got) == len(want) and got.t.tobytes() == want.t.tobytes()
         assert max_abs(got.rho - want.rho) <= 1e-13
         assert max_abs(got.log_lambda - want.log_lambda) <= 1e-13 * max(1.0, max_abs(want.log_lambda))
@@ -628,7 +631,7 @@ class TestStiffPathwiseStep:
         y = rec.cumulative()
         stiffness = [stage_stiffness(m, k * dt, y[k], rec.increments[k], dt, 1) for k in range(10)]
         assert min(stiffness) > 5.0 and max(stiffness) > 1e4
-        states = pathwise_filter(m, rec, random_state(rng, 3), substeps=1)
+        states = pathwise_filter(m, rec, random_state(rng, 3))
         rho_tilde = states[0].rho
         for st, dy in zip(states[1:], rec.increments):
             strict_validate(st)
@@ -938,7 +941,7 @@ class TestRobustFilter:
         m = driven_atom_model()
         rng = np.random.default_rng(40)
         fine = brownian_record(rng, m, 1e-3, 2000)  # T = 2
-        oracle = pathwise_filter(m, fine, RHO_PLUS, substeps=4)
+        oracle = pathwise_filter(m, fine, RHO_PLUS)
         gaps = []
         for factor in (20, 10):
             coarse = fine.coarsen(factor)
@@ -1117,7 +1120,7 @@ class TestPathwiseSchrodinger:
         psi = gauge(m.L, m.kappa, y[-1], rec.times[-1])[1] @ phi
         outer = np.outer(psi, psi.conj())
         outer /= np.trace(outer).real
-        filtered = pathwise_filter(m, rec, RHO_PLUS, substeps=substeps)
+        filtered = pathwise_filter(m, rec, RHO_PLUS)
         assert max_abs(outer - filtered[-1].rho) <= 1e-8
 
 
@@ -1291,7 +1294,6 @@ def strict_validate(state):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     model=small_diffusion_models(),
-    substeps=hst.integers(1, 8),
     grid=step_grids(),
     y_start=hst.floats(-3.0, 3.0),
     dy_scaled=hst.floats(-3.0, 3.0),
@@ -1300,15 +1302,15 @@ def strict_validate(state):
 # y runs from 0.9 to 1.09 with eta = 1, so the gauge exponents' norms cross 1
 @example(
     model=build_diffusion_model(np.diag([0.5, -0.5]), np.array([[0.3, 1.0], [0.2j, -0.1]]), 1.0),
-    substeps=2, grid=(0.1, 0.0), y_start=0.9, dy_scaled=0.6, seed=0,
+    grid=(0.1, 0.0), y_start=0.9, dy_scaled=0.6, seed=0,
 )
-def test_pathwise_step_matches_per_stage_gauges(model, substeps, grid, y_start, dy_scaled, seed):
+def test_pathwise_step_matches_per_stage_gauges(model, grid, y_start, dy_scaled, seed):
     # The step is exact for any step width and coupling, with no stability
     # interval, and does not depend on the step's time or record value.
     dt, t_rel = grid
     dy = dy_scaled * np.sqrt(dt)
     rho = random_state(np.random.default_rng(seed), model.dim)
-    stepper = PathwiseIntegrator(model, dt, substeps)
+    stepper = PathwiseIntegrator(model, dt)
     basis = hermitian_basis(model.dim)
     r = basis.matrices(stepper.propagate(basis.coords(rho), dy))
     state = strict_validate(stepper.recover_state(r, 0.5, 7.0))
@@ -1333,19 +1335,18 @@ def test_pathwise_step_matches_per_stage_gauges(model, substeps, grid, y_start, 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     model=small_diffusion_models(),
-    substeps=hst.integers(1, 8),
     grid=step_grids(),
     n_steps=hst.integers(2, 20),
     dy_scale=hst.floats(0.0, 30.0),
     seed=hst.integers(0, 2**32 - 1),
 )
-def test_block_of_steps_matches_each_step_alone_bitwise(model, substeps, grid, n_steps, dy_scale, seed):
+def test_block_of_steps_matches_each_step_alone_bitwise(model, grid, n_steps, dy_scale, seed):
     # Increments spread over dy_scale give the steps of one block different
     # squaring counts and series lengths in expm_many.
     dt, _ = grid
     rng = np.random.default_rng(seed)
     dy = dy_scale * np.sqrt(dt) * rng.normal(size=n_steps)
-    stepper = PathwiseIntegrator(model, dt, substeps)
+    stepper = PathwiseIntegrator(model, dt)
     block = stepper.step_maps(dy)
     rho = random_state(rng, model.dim)
     basis = hermitian_basis(model.dim)
@@ -1438,6 +1439,41 @@ def some_states(rng, m):
     return StatePath(
         np.stack([random_state(rng) for _ in range(m)]), rng.normal(size=m), 0.5 + 0.01 * np.arange(m)
     )
+
+
+NON_FINITE_ENTRIES = (np.nan, np.inf, -np.inf, complex(0.0, np.nan))
+
+
+class TestDensityStateValidate:
+    @pytest.mark.parametrize(
+        "where, bad",
+        [
+            *((where, bad) for where in ("diagonal", "off-diagonal", "everywhere") for bad in NON_FINITE_ENTRIES),
+            *(("log_lambda", bad) for bad in (np.nan, np.inf, -np.inf)),
+        ],
+    )
+    def test_non_finite_state_is_rejected_naming_its_time(self, where, bad):
+        # every comparison with NaN is false: no tolerance check may pass it
+        rho, log_lambda = np.full((2, 2), 0.5, dtype=complex), 0.0
+        if where == "diagonal":
+            rho[1, 1] = bad
+        elif where == "off-diagonal":
+            rho[0, 1], rho[1, 0] = bad, np.conj(bad)
+        elif where == "everywhere":
+            rho[:] = bad
+        else:
+            log_lambda = bad
+        name = "log_lambda" if where == "log_lambda" else "rho"
+        with pytest.raises(ValueError, match=rf"^{name} .*is not finite at t=0\.25$"):
+            DensityState(rho, log_lambda, 0.25).validate()
+
+    @pytest.mark.parametrize("tol", ["trace_tol", "herm_tol", "eig_floor"])
+    def test_nan_tolerance_fails(self, tol):
+        # a tolerance no number is within rejects every state
+        state = DensityState(np.full((2, 2), 0.5, dtype=complex), 0.0, 0.25)
+        assert state.validate() is state
+        with pytest.raises(ValueError, match=r"at t=0\.25$"):
+            state.validate(**{tol: np.nan})
 
 
 class TestStatePath:

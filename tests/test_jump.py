@@ -306,7 +306,7 @@ class TestPathwiseSolve:
     def test_empty_record_reduces_to_drift_ode(self):
         m = unitary_jump_model()
         rec = CountingRecord(0.01, np.zeros(300, dtype=int))
-        _, recovered = jump_pathwise_solve(m, rec, RHO_PLUS, substeps=4)
+        _, recovered = jump_pathwise_solve(m, rec, RHO_PLUS)
         fine = unnorm_path(m, rec, RHO_PLUS, refine=50)
         gap = max(
             max_abs(st.rho - ft / np.trace(ft).real) for st, ft in zip(recovered, fine)
@@ -317,7 +317,7 @@ class TestPathwiseSolve:
         m = unitary_jump_model()
         rec = sample_counting_record(m, RHO_PLUS, dt=0.01, T=3.0, seed=5)
         assert rec.total > 0
-        _, recovered = jump_pathwise_solve(m, rec, RHO_PLUS, substeps=8)
+        _, recovered = jump_pathwise_solve(m, rec, RHO_PLUS)
         fine = unnorm_path(m, rec, RHO_PLUS, refine=100)
         gap = max(
             max_abs(st.rho - ft / np.trace(ft).real) for st, ft in zip(recovered, fine)
@@ -329,7 +329,7 @@ class TestPathwiseSolve:
         rec = sample_counting_record(m, RHO_PLUS, dt=0.01, T=3.0, seed=5)
         jump_steps = np.flatnonzero(rec.counts)
         assert jump_steps.size > 0
-        r_path, recovered = jump_pathwise_solve(m, rec, RHO_PLUS, substeps=4)
+        r_path, recovered = jump_pathwise_solve(m, rec, RHO_PLUS)
         k = int(jump_steps[0])
         r_step = max_abs(r_path[k + 1].r - r_path[k].r)
         rho_step = max_abs(recovered[k + 1].rho - recovered[k].rho)
@@ -341,7 +341,7 @@ class TestPathwiseSolve:
         m = unitary_jump_model(theta=0.7)
         dt = 1e-4
         rec = CountingRecord(dt, np.array([0, 0, 1, 0], dtype=int))
-        _, recovered = jump_pathwise_solve(m, rec, RHO_PLUS, substeps=4)
+        _, recovered = jump_pathwise_solve(m, rec, RHO_PLUS)
         before = recovered[2].rho
         jumped = m.C @ before @ dagger(m.C)
         jumped /= np.trace(jumped).real
@@ -350,7 +350,7 @@ class TestPathwiseSolve:
     def test_perfect_detection_preserves_purity(self):
         m = unitary_jump_model(eta=1.0)
         rec = sample_counting_record(m, RHO_PLUS, dt=0.01, T=3.0, seed=9)
-        _, recovered = jump_pathwise_solve(m, rec, RHO_PLUS, substeps=8)
+        _, recovered = jump_pathwise_solve(m, rec, RHO_PLUS)
         for st in recovered:
             assert purity(st.rho) >= 1.0 - 1e-6
 
@@ -444,7 +444,7 @@ class TestJumpPathwiseSchrodinger:
     def test_rank_one_consistency(self):
         m = unitary_jump_model(eta=1.0)
         rec = sample_counting_record(m, RHO_PLUS, dt=0.01, T=2.0, seed=13)
-        _, recovered = jump_pathwise_solve(m, rec, RHO_PLUS, substeps=4)
+        _, recovered = jump_pathwise_solve(m, rec, RHO_PLUS)
         gauge = JumpGauge.identity(m)
         phi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
         substeps = 4

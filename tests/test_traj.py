@@ -181,12 +181,11 @@ class TestRunTrajectory:
         # builds one per step
         m = driven_atom_model()
         n_steps = max(50, 2 * _MAP_BLOCK + 3)
-        for substeps in (1, 3, 8):
-            res = run_trajectory(m, "pathwise", 0.01, n_steps * 0.01, RHO_PLUS, seed=8, substeps=substeps)
-            replay = pathwise_filter(m, res.record, RHO_PLUS, substeps=substeps)
-            assert len(replay) == len(res.states)
-            assert all(np.array_equal(a.rho, b.rho) for a, b in zip(res.states, replay))
-            assert all(a.log_lambda == b.log_lambda for a, b in zip(res.states, replay))
+        res = run_trajectory(m, "pathwise", 0.01, n_steps * 0.01, RHO_PLUS, seed=8)
+        replay = pathwise_filter(m, res.record, RHO_PLUS)
+        assert len(replay) == len(res.states)
+        assert all(np.array_equal(a.rho, b.rho) for a, b in zip(res.states, replay))
+        assert all(a.log_lambda == b.log_lambda for a, b in zip(res.states, replay))
 
     def test_em_and_robust_converge_together(self):
         # both schemes filter the same sampled record (shared by coarsening a
@@ -274,8 +273,8 @@ class TestRunEnsemble:
     def test_single_trajectory_matches(self, model, scheme, T):
         # a 1-trajectory ensemble is its run: every state of the mean path
         # and the final state, log_lambda, time and Bloch vector, bitwise
-        ens = run_ensemble(model, scheme, 0.01, T, RHO_PLUS, 1, base_seed=12, substeps=3)
-        single = run_trajectory(model, scheme, 0.01, T, RHO_PLUS, seed=12, substeps=3)
+        ens = run_ensemble(model, scheme, 0.01, T, RHO_PLUS, 1, base_seed=12)
+        single = run_trajectory(model, scheme, 0.01, T, RHO_PLUS, seed=12)
         if isinstance(single.record, CountingRecord):
             assert single.record.total > 0
         assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([s.rho for s in single.states]))
@@ -297,8 +296,6 @@ class TestRunEnsemble:
             run_ensemble(m, "robust", 0.01, 1.0, RHO_PLUS, 2, base_seed=0)
         with pytest.raises(ValueError, match="scheme"):
             run_ensemble(m, "midpoint", 0.01, 1.0, RHO_PLUS, 2, base_seed=0)
-        with pytest.raises(ValueError, match="substeps"):
-            run_ensemble(m, "pathwise", 0.01, 1.0, RHO_PLUS, 2, base_seed=0, substeps=0)
 
     def test_count_probability_failure_names_trajectory(self):
         # a strong drive makes explicit Euler overshoot; the first trajectory
@@ -491,7 +488,7 @@ class TestConvergenceReport:
         n = 400  # T = 2
         times = fine_dt * np.arange(n + 1)
         rec = MeasurementRecord(fine_dt, np.diff(2.0 * np.sin(times)))
-        rows = convergence_report(m, rec, [0.04, 0.02, 0.01], RHO_PLUS, oracle_substeps=6)
+        rows = convergence_report(m, rec, [0.04, 0.02, 0.01], RHO_PLUS)
         errs = [r.sup_error for r in rows]
         assert errs[1] < errs[0] and errs[2] < errs[1]
         # smooth path: the window oscillation shrinks linearly with the window
@@ -501,7 +498,7 @@ class TestConvergenceReport:
         m = driven_atom_model()
         rng = np.random.default_rng(54)
         rec = MeasurementRecord(0.005, rng.normal(0.0, 0.07, 400))
-        rows = convergence_report(m, rec, [0.02], RHO_PLUS, oracle_substeps=4)
+        rows = convergence_report(m, rec, [0.02], RHO_PLUS)
         assert rows[0].w_initial <= rows[0].w_sliding
 
     def test_nondivisible_delta_rejected(self):
@@ -514,7 +511,7 @@ class TestConvergenceReport:
     def fine_oracle_rows(m, rec, deltas):
         """The report as it was computed against the whole fine oracle,
         ``pathwise_filter`` at every fine step."""
-        oracle = pathwise_filter(m, rec, RHO_PLUS, 8)
+        oracle = pathwise_filter(m, rec, RHO_PLUS)
         rows = []
         for delta in deltas:
             factor = int(round(delta / rec.dt))
@@ -531,14 +528,14 @@ class TestConvergenceReport:
         inc = np.diff(2.0 * np.sin(times)) if kind == "smooth" else np.random.default_rng(7).normal(0.0, 0.034, 600)
         rec = MeasurementRecord(1e-3, inc)
         deltas = [0.003, 0.002]
-        assert convergence_report(m, rec, deltas, RHO_PLUS, oracle_substeps=8) == self.fine_oracle_rows(m, rec, deltas)
+        assert convergence_report(m, rec, deltas, RHO_PLUS) == self.fine_oracle_rows(m, rec, deltas)
 
     def test_common_factor_rows_are_near_the_fine_oracle_rows(self):
         # the default deltas at fine_dt = 1e-3: factors 40, 20 and 10
         m = driven_atom_model()
         rec = MeasurementRecord(1e-3, np.random.default_rng(104).normal(0.0, 0.034, 2000))
         deltas = [0.04, 0.02, 0.01]
-        got = convergence_report(m, rec, deltas, RHO_PLUS, oracle_substeps=8)
+        got = convergence_report(m, rec, deltas, RHO_PLUS)
         for row, want in zip(got, self.fine_oracle_rows(m, rec, deltas)):
             assert abs(row.sup_error - want.sup_error) <= 1e-13
             assert (row.delta, row.w_sliding, row.w_initial) == (want.delta, want.w_sliding, want.w_initial)
@@ -563,6 +560,16 @@ class TestConvergenceReport:
         rec = MeasurementRecord(0.01, np.zeros(100))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             convergence_report(driven_atom_model(), rec, [0.02, delta], RHO_PLUS)
+
+    @pytest.mark.parametrize("deltas", [[], (), np.array([])], ids=["list", "tuple", "array"])
+    def test_empty_deltas_rejected_before_the_oracle(self, deltas, monkeypatch):
+        def oracle(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(smefilter.traj, "pathwise_samples", oracle)
+        rec = MeasurementRecord(0.01, np.zeros(100))
+        with pytest.raises(ValueError, match="^deltas must not be empty$"):
+            convergence_report(driven_atom_model(), rec, deltas, RHO_PLUS)
 
 
 class TestLipschitzReport:
@@ -594,6 +601,14 @@ class TestLipschitzReport:
         rec = MeasurementRecord(0.01, np.zeros(10))
         with pytest.raises(ValueError, match="nonnegative"):
             lipschitz_report(m, rec, [-1e-3], RHO_PLUS)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_epsilon_rejected_by_name(self, eps):
+        # with no RuntimeWarning from scaling the perturbation by inf
+        m = driven_atom_model()
+        rec = MeasurementRecord(0.01, np.zeros(10))
+        with pytest.raises(ValueError, match=f"^epsilon must be finite, got {eps}$"):
+            lipschitz_report(m, rec, [1e-3, eps], RHO_PLUS)
 
 
 WIDTH = "dt must be finite and positive"
