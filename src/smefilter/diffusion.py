@@ -116,12 +116,16 @@ from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in thi
 # Record steps whose step maps ``pathwise_filter`` builds at a time with one
 # ``expm_many`` call, and ``robust_filter`` with one
 # ``RobustStepper.step_maps`` call, and that :func:`_map_block` then steps;
-# ``pathwise_samples`` builds the whole chunks that fit in as many.  The
-# bench's `converge` workload (3525 steps a call, its oracle in chunks of 10
-# steps) ran at a median 231k steps/s with 64 steps a block, 368k with 256
-# and 395k with 1024, with a peak RSS of 60.9-61.1, 60.9-61.0 and 61.3-61.5
-# MB (3 runs each, 2-core Xeon).
-_MAP_BLOCK = 256
+# ``pathwise_samples`` builds the whole chunks that fit in as many.  With
+# 256, 512, 1024 and 2048 steps a block, the bench's `converge` workload
+# (3525 steps a call, its oracle in chunks of 10 steps) ran at a median 472k,
+# 505k, 470k and 444k steps/s with a peak RSS of 60.8-60.9, 60.9-61.0,
+# 61.1-61.3 and 62.3-62.5 MB, and `replay_robust` (one 10,000-step replay)
+# at 234k, 237k, 238k and 240k steps/s with 67.6-68.0 MB at each size (3
+# runs each of `bench/run.py --seconds 8`, 2-core Xeon).  Six more
+# alternating `converge` runs of each gave 511k (503k-515k) at 512 and 488k
+# (476k-542k) at 1024.
+_MAP_BLOCK = 512
 
 _EPS = float(np.finfo(float).eps)
 _max, _min = np.maximum.reduce, np.minimum.reduce  # without the Python wrapper of ndarray.max
@@ -405,6 +409,14 @@ class MeasurementRecord(Record):
         ``mode="sliding"`` maximizes over every window inside the record;
         ``mode="initial"`` restricts both sample points to the first window.
         Window edges snap down to the sampling grid.
+
+        The sliding maxima and minima of the ``k + 1`` points of a window are
+        built by doubling: shifted ``np.maximum`` and ``np.minimum`` pairs
+        cover spans of 1, 2, 4, ... points up to the largest power of two
+        ``p <= k + 1``, and one more pair at offset ``k + 1 - p`` covers the
+        window.  That is ``O(n log k)`` work rather than ``O(n k)``, and since
+        a maximum or minimum is one of its arguments, the modulus is the
+        same number as the window-by-window one.
         """
         if not 0.0 < width < math.inf:
             raise ValueError(f"width must be finite and positive, got {width}")
@@ -415,8 +427,13 @@ class MeasurementRecord(Record):
             return float(head.max() - head.min())
         if mode != "sliding":
             raise ValueError(f"unknown mode {mode!r}")
-        windows = np.lib.stride_tricks.sliding_window_view(y, k + 1)
-        return float((windows.max(axis=1) - windows.min(axis=1)).max())
+        hi = lo = y
+        span = 1  # points each entry of hi and lo covers
+        while span < k + 1:
+            shift = min(span, k + 1 - span)
+            hi, lo = np.maximum(hi[:-shift], hi[shift:]), np.minimum(lo[:-shift], lo[shift:])
+            span += shift
+        return float(_max(hi - lo))
 
 
 @dataclass(frozen=True, eq=False)

@@ -219,8 +219,12 @@ def expm_many(a, tol: float = 1e-12) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product ``a (x) b``."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product ``a (x) b`` of two complex matrices.
+
+    One broadcast product and a reshape: the same multiplications as
+    ``np.kron``, so the same numbers, without its general-rank set-up."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def vec(a) -> np.ndarray:

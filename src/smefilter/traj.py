@@ -371,6 +371,12 @@ def lipschitz_report(model, record: MeasurementRecord, epsilons, rho0=None) -> l
     normalized and the unnormalized states, and ``ratio`` is the normalized
     gap per unit ``eps``.
     """
+    epsilons = list(epsilons)
+    for eps in epsilons:
+        if not math.isfinite(eps):
+            raise ValueError(f"epsilon must be finite, got {eps}")
+        if eps < 0.0:
+            raise ValueError(f"epsilon must be nonnegative, got {eps}")
     if rho0 is None:
         rho0 = np.eye(model.dim, dtype=complex) / model.dim
     base = robust_filter(model, record, rho0)
@@ -379,10 +385,6 @@ def lipschitz_report(model, record: MeasurementRecord, epsilons, rho0=None) -> l
     shape_inc = np.diff(shape)
     rows = []
     for eps in epsilons:
-        if not math.isfinite(eps):
-            raise ValueError(f"epsilon must be finite, got {eps}")
-        if eps < 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {eps}")
         if eps == 0.0:
             rows.append(LipschitzRow(0.0, 0.0, 0.0, 0.0))
             continue

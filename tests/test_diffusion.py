@@ -113,6 +113,35 @@ class TestMeasurementRecord:
         with pytest.raises(ValueError, match=f"^width must be finite and positive, got {width}$"):
             rec.modulus_of_continuity(width, mode)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n_steps=hst.integers(1, 400),
+        seed=hst.integers(0, 2**32 - 1),
+        scale=hst.floats(1e-3, 1e3),
+        rounded=hst.booleans(),
+        dt=hst.floats(1e-3, 10.0),
+        width=hst.sampled_from(["below", "dt", "off-grid", "duration", "beyond"]),
+        fraction=hst.floats(0.01, 0.99),
+    )
+    def test_sliding_modulus_is_the_window_by_window_one_bitwise(
+        self, n_steps, seed, scale, rounded, dt, width, fraction
+    ):
+        # rounded increments make tied extrema and signed zeros
+        increments = scale * np.random.default_rng(seed).normal(size=n_steps)
+        rec = MeasurementRecord(dt, np.round(increments) if rounded else increments)
+        width = {
+            "below": fraction * dt,
+            "dt": dt,
+            "off-grid": (1 + int(fraction * rec.n_steps) + fraction) * dt,
+            "duration": rec.duration,
+            "beyond": (1.0 + fraction) * rec.duration,
+        }[width]
+        # the maxima and minima of every window of k + 1 grid points
+        k = max(1, min(rec.n_steps, int(width / dt + 1e-9)))
+        windows = np.lib.stride_tricks.sliding_window_view(rec.cumulative(), k + 1)
+        want = float((windows.max(axis=1) - windows.min(axis=1)).max())
+        assert np.float64(rec.modulus_of_continuity(width, "sliding")).tobytes() == np.float64(want).tobytes()
+
     def test_csv_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(31)
         rec = MeasurementRecord(0.01, rng.normal(size=57), t0=0.25)
@@ -567,8 +596,10 @@ class TestPathwiseSamples:
     @pytest.mark.parametrize("every", [1, 10])
     @pytest.mark.parametrize("k", [5, _MAP_BLOCK + 5])
     def test_failing_record_raises_the_fine_steps_error(self, k, every):
-        # dy = 1e40 takes the step's generator out of expm's range
-        inc = np.zeros(2 * _MAP_BLOCK + 48)
+        # dy = 1e40 takes the step's generator out of expm's range; the
+        # record spans more than two blocks in a whole number of tens
+        n_steps = 2 * _MAP_BLOCK + 48
+        inc = np.zeros(n_steps - n_steps % 10)
         inc[k] = 1e40
         rec = MeasurementRecord(0.01, inc, t0=0.3)
         with pytest.raises(NonFiniteStateError) as want:

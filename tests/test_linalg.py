@@ -185,6 +185,21 @@ class TestKronVec:
         assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
         assert np.array_equal(kron(np.diag([1.0, 2.0]), np.eye(2)), np.diag([1.0, 1.0, 2.0, 2.0]))
 
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize(
+        "shape_a, shape_b", [((1, 1), (1, 1)), ((2, 2), (2, 2)), ((3, 3), (3, 3)), ((2, 3), (3, 2)), ((4, 4), (4, 4))]
+    )
+    def test_kron_is_np_kron_bitwise(self, shape_a, shape_b, complex_input):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+            if complex_input:
+                a, b = a + 1j * rng.normal(size=shape_a), b + 1j * rng.normal(size=shape_b)
+            got, want = kron(a, b), np.kron(a.astype(complex), b.astype(complex))
+            assert got.dtype == np.complex128
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_vec_column_stacking(self):
         assert np.array_equal(vec(np.eye(2)), np.array([1, 0, 0, 1], dtype=complex))
         m = np.array([[1 + 2j, 3], [4, 5 - 1j]])

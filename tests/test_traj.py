@@ -580,6 +580,8 @@ class TestLipschitzReport:
         rows = lipschitz_report(m, rec, [0.0, 1e-3], RHO_PLUS)
         assert rows[0].sup_gap_rho == 0.0 and rows[0].ratio == 0.0
         assert rows[1].sup_gap_rho > 0.0
+        # the epsilons are read once, so any iterable of them will do
+        assert lipschitz_report(m, rec, iter([0.0, 1e-3]), RHO_PLUS) == rows
 
     def test_ratios_stable_over_three_decades(self):
         m = driven_atom_model()
@@ -609,6 +611,26 @@ class TestLipschitzReport:
         rec = MeasurementRecord(0.01, np.zeros(10))
         with pytest.raises(ValueError, match=f"^epsilon must be finite, got {eps}$"):
             lipschitz_report(m, rec, [1e-3, eps], RHO_PLUS)
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [(float("nan"), "epsilon must be finite, got nan"), (-1e-4, "epsilon must be nonnegative, got -0.0001")],
+        ids=["nan", "negative"],
+    )
+    def test_every_epsilon_is_checked_before_the_filter(self, eps, message, monkeypatch):
+        # a bad epsilon after good ones fails before the base filter runs
+        calls = []
+        robust_filter = smefilter.traj.robust_filter
+
+        def counted(*args):
+            calls.append(args)
+            return robust_filter(*args)
+
+        monkeypatch.setattr(smefilter.traj, "robust_filter", counted)
+        rec = MeasurementRecord(0.01, np.random.default_rng(58).normal(0.0, 0.1, 200))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lipschitz_report(driven_atom_model(), rec, [1e-2, 1e-3, eps], RHO_PLUS)
+        assert calls == []
 
 
 WIDTH = "dt must be finite and positive"
