@@ -26,6 +26,7 @@ import numpy as np
 
 from .diffusion import (
     SCHEMES,  # noqa: F401  (re-exported: the diffusion schemes, which run_trajectory takes)
+    _DRAW_BLOCK,
     DensityState,
     MeasurementRecord,
     Record,
@@ -54,10 +55,6 @@ from .model import BlochVector, DiffusionModel, JumpModel
 # The robust step of one state, under the name bench/spans.py traces in this
 # module; no code calls it.
 _robust_advance = RobustStepper.advance
-
-# Steps of random numbers an online run draws per trajectory at a time; it
-# bounds the draw buffer at this many steps whatever the run length.
-_DRAW_BLOCK = 256
 
 # States whose coordinates an ensemble holds before it converts them
 # to matrices and adds them to its mean path: 64 steps at 64 trajectories.
@@ -165,18 +162,19 @@ def _bloch_path(columns: list[np.ndarray], dim: int = 2) -> list[BlochVector] | 
 
 
 def _draws(base_seed, n_traj, n, draw):
-    """Each step's random numbers for the stack of an online run: row ``k``
-    holds step ``k``'s number for every trajectory.
+    """The random numbers of the stack of an online run, in blocks of
+    ``diffusion._DRAW_BLOCK`` steps: row ``j`` of a block holds its step
+    ``j``'s number for every trajectory.
 
     Trajectory ``i`` draws from its own generator seeded ``base_seed + i``,
-    ``_DRAW_BLOCK`` steps at a time; ``draw(rng, size)`` gives the same
-    stream in blocks as in one call, so the numbers are those a single run
-    with that seed draws.
+    a block at a time; ``draw(rng, size)`` gives the same stream in blocks
+    as in one call, so the numbers are those a single run with that seed
+    draws.
     """
     rngs = [np.random.default_rng(base_seed + i) for i in range(n_traj)]
     for k in range(0, n, _DRAW_BLOCK):
         size = min(_DRAW_BLOCK, n - k)
-        yield from np.stack([draw(g, size) for g in rngs], axis=1)
+        yield np.stack([draw(g, size) for g in rngs], axis=1)
 
 
 def _trajectory_in(base_seed, step):
@@ -225,31 +223,48 @@ def run_ensemble(model, scheme: str, dt: float, T: float, rho0, n_traj: int, bas
     where ``run_trajectory`` with seed ``base_seed + i`` ends.  A failure
     names the trajectory, its seed, the step and the time.
 
-    The stack's coordinates are held for up to ``_SUM_BLOCK // n_traj``
-    grid points (at least one) and converted and summed once per block:
-    each state is converted to a matrix with its own matrix-vector product,
-    as a single run converts its own, and the matrices of a grid point are
-    added in trajectory order, as a loop over trajectories adds them, so
-    each sum of the mean path is bitwise the one of its grid point alone.
+    The online loop hands over the states of one or more steps at a time.
+    The stack's coordinates are held for ``_SUM_BLOCK // n_traj`` grid
+    points (at least one) and converted and summed once per block: each
+    state is converted to a matrix with its own matrix-vector product, as a
+    single run converts its own, and the matrices of a grid point are added
+    in trajectory order, as a loop over trajectories adds them, so each sum
+    of the mean path is bitwise the one of its grid point alone.  Each
+    trajectory's log factors are added in sequence, as a single run adds
+    them.
+
+    ``n_traj`` must be an integer, Python's or numpy's, not a bool, and at
+    least 1; it is checked before any work.
     """
+    if isinstance(n_traj, (bool, np.bool_)) or not isinstance(n_traj, (int, np.integer)):
+        raise ValueError(f"n_traj must be an integer, got {n_traj!r}")
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    n_traj = int(n_traj)
     n = _step_count(dt, T)
     steps = _scheme_steps(model, scheme, dt, rho0)
     basis = hermitian_basis(math.isqrt(steps.start.size))
     sum_rho = np.empty((n + 1, basis.n, basis.n), dtype=complex)
     h = max(1, min(n + 1, _SUM_BLOCK // n_traj))
-    held = np.empty((h, n_traj, steps.start.size))  # grid point k in held[k % h]
+    held = np.empty((h, n_traj, steps.start.size))  # grid points g to g + m - 1
     held[0] = steps.start
+    g, m = 0, 1
     log_lam = np.full(n_traj, steps.log0)
-    rows = _draws(base_seed, n_traj, n, steps.draw)
-    for k, (s, _, dlog) in enumerate(_online(steps, n_traj, rows, partial(_trajectory_in, base_seed)), 1):
-        log_lam += dlog
-        if k % h == 0:
-            sum_rho[k - h : k] = basis.matrices(held).sum(axis=1)
-        held[k % h] = s
-    sum_rho[n - n % h :] = basis.matrices(held[: n % h + 1]).sum(axis=1)
-    rho = basis.matrices(s)
+    blocks = _draws(base_seed, n_traj, n, steps.draw)
+    for states, _, dlogs in _online(steps, n_traj, blocks, partial(_trajectory_in, base_seed)):
+        dlogs[0] += log_lam
+        log_lam = np.add.accumulate(dlogs, out=dlogs)[-1]
+        j = 0
+        while j < len(states):
+            c = min(h - m, len(states) - j)
+            held[m : m + c] = states[j : j + c]
+            j, m = j + c, m + c
+            if m == h:
+                sum_rho[g : g + h] = basis.matrices(held).sum(axis=1)
+                g, m = g + h, 0
+    if m:
+        sum_rho[g : g + m] = basis.matrices(held[:m]).sum(axis=1)
+    rho = basis.matrices(states[-1])
     times = dt * np.arange(n + 1)
     final_states = [DensityState(r, float(lam), n * dt) for r, lam in zip(rho, log_lam)]
     columns = _state_columns(rho)
@@ -322,6 +337,7 @@ def convergence_report(model, y_fine: MeasurementRecord, deltas, rho0=None) -> l
     reported in two readings: ``w_sliding`` maximizes over all windows,
     ``w_initial`` only over the first one.
     """
+    deltas = list(deltas)
     if rho0 is None:
         rho0 = np.eye(model.dim, dtype=complex) / model.dim
     factors = [_coarse_factor(delta, y_fine.dt) for delta in deltas]

@@ -7,8 +7,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import smefilter.traj
-from smefilter.diffusion import NonFiniteStateError, _batch_element, _start, read_record, write_record
+import smefilter.jump
+from smefilter.diffusion import (
+    NonFiniteStateError,
+    _apply_maps,
+    _batch_element,
+    _start,
+    _step_of,
+    read_record,
+    write_record,
+)
 from smefilter.jump import (
+    _POWER_RANGE,
+    _POWERS,
     CountingRecord,
     InvalidCountingRecordError,
     JumpGauge,
@@ -17,6 +28,7 @@ from smefilter.jump import (
     _euler_step_many,
     _exact_step_many,
     _jump_steps,
+    _power_table,
     count_probability,
     jump_pathwise_schrodinger_rhs,
     jump_pathwise_solve,
@@ -40,6 +52,58 @@ def unitary_jump_model(theta=0.4, lam=1.0, eta=0.7):
     """Invertible (unitary) jump operator, so the gauge power is benign."""
     c = np.cos(theta) * np.eye(2, dtype=complex) - 1j * np.sin(theta) * SIGMA_X
     return build_jump_model(c, 0.5 * SIGMA_Z, lam, eta)
+
+
+def count_to_count_run(m, dt, n, seed, rho0):
+    """The counts, states and log traces of the online ``pathwise`` run of
+    ``seed``, one trajectory stepped count to count by a plain loop: from
+    each anchor, the state at its last count or at the last multiple of ``K``
+    steps, the products with the table of powers ``Phi^1 ... Phi^K`` give the
+    states up to the segment's end; the first step with a count, or whose
+    product fails the tail's test, is one exact step from its start."""
+    uniforms = np.random.default_rng(seed).random(n)
+    jump_map, phi = _exact_propagator(m, dt)
+    powers = _power_table(phi)
+    depth, size = powers.shape[:2]
+    table = powers.reshape(depth * size, size)
+    anchor = _start(rho0, m.dim)
+    counts, states, logs, k = [], [anchor], [0.0], 0
+    while k < n:
+        x = _apply_maps(table, anchor[None])[0].reshape(depth, size)
+        ahead = x / x[:, :1]
+        dlog = np.log(x[:, 0] / np.concatenate([anchor[:1], x[:-1, 0]]))
+        begin = np.concatenate([anchor[None], ahead[:-1]])
+        room = min(depth - k % depth, n - k)
+        for j in range(room):
+            step = k + j + 1
+            dn = uniforms[step - 1] < count_probability(m, PAULI.matrices(begin[j]), dt)
+            if dn or not np.abs(x[j]).max() * np.finfo(float).eps < x[j, 0]:
+                out, dl = _exact_step_many(jump_map, phi, begin[j][None], np.array([dn]), step * dt)
+                counts.append(int(dn))
+                states.append(out[0])
+                logs.append(logs[-1] + dl[0])
+                anchor, k = out[0], step
+                break
+            counts.append(0)
+            states.append(ahead[j])
+            logs.append(logs[-1] + dlog[j])
+        else:
+            anchor, k = ahead[room - 1], k + room
+    return counts, states, logs
+
+
+def exact_chain(m, record, rho0):
+    """The states and log traces of one exact step per record step, each
+    ``_exact_step_many`` on a stack of one."""
+    jump_map, phi = _exact_propagator(m, record.dt)
+    s = _start(rho0, m.dim)
+    states, logs = [s], [0.0]
+    for k, dn in enumerate(record.counts):
+        out, dl = _exact_step_many(jump_map, phi, s[None], np.array([dn]), (k + 1) * record.dt)
+        s = out[0]
+        states.append(s)
+        logs.append(logs[-1] + dl[0])
+    return states, logs
 
 
 def unnorm_path(model, record, rho_tilde0, refine=1):
@@ -159,33 +223,45 @@ class TestSampling:
 
     def test_exact_sampler_matches_reference_loop_bitwise(self):
         # the count of each step is drawn from the exact state of the record
-        # so far, and that state then takes one exact step; no Euler state.
-        # C = sigma makes the count probability depend on the state; with
-        # this seed a count drawn from the Euler state lands elsewhere.
+        # so far; between counts that state comes from the table of powers,
+        # and a count's step is one exact step.  C = sigma makes the count
+        # probability depend on the state; with this seed a count drawn from
+        # the Euler state lands elsewhere.  400 steps cross a block of draws.
         m = build_jump_model(SIGMA, 1.5 * SIGMA_X, 2.0, 0.8)
         dt, n, seed = 0.02, 400, 7
-        uniforms = np.random.default_rng(seed).random(n)
-        jump_map, phi = _exact_propagator(m, dt)
-        s = _start(RHO_PLUS, 2)
-        rho = PAULI.matrices(s)
-        counts, rhos, logs, log_lam = [], [rho], [0.0], 0.0
-        for k in range(n):
-            dn = uniforms[k] < count_probability(m, rho, dt, k * dt)
-            step, dlog = _exact_step_many(jump_map, phi, s[None], np.array([dn]), (k + 1) * dt)
-            s = step[0]
-            rho = PAULI.matrices(s)
-            log_lam += float(dlog[0])
-            counts.append(int(dn))
-            rhos.append(rho)
-            logs.append(log_lam)
+        counts, states, logs = count_to_count_run(m, dt, n, seed, RHO_PLUS)
         assert sum(counts) > 0
         # the flow does not depend on the start time
         record = sample_counting_record(m, RHO_PLUS, dt, n * dt, seed, t0=0.37)
         assert np.array_equal(record.counts, counts) and record.t0 == 0.37
         res = run_trajectory(m, "pathwise", dt, n * dt, RHO_PLUS, seed)
         assert np.array_equal(res.record.counts, counts)
-        assert all(np.array_equal(st.rho, r) for st, r in zip(res.states, rhos))
+        assert all(np.array_equal(st.rho, PAULI.matrices(s)) for st, s in zip(res.states, states))
         assert [st.log_lambda for st in res.states] == logs
+        # the products of powers round differently from one step at a time
+        chain, chain_logs = exact_chain(m, res.record, RHO_PLUS)
+        assert max_abs(res.states.rho - PAULI.matrices(np.array(chain))) <= 1e-13
+        assert max_abs(res.states.log_lambda - np.array(chain_logs)) <= 1e-13
+
+    def test_one_power_is_the_step_by_step_run(self):
+        # a table of Phi alone makes every step one exact step: the run is
+        # bitwise the chain of _exact_step_many with counts drawn from
+        # count_probability of its states
+        m = build_jump_model(SIGMA, 1.5 * SIGMA_X, 2.0, 0.8)
+        dt, n, seed = 0.02, 300, 7
+        with mock.patch.object(smefilter.jump, "_POWERS", 1):
+            res = run_trajectory(m, "pathwise", dt, n * dt, RHO_PLUS, seed)
+        assert len(_power_table(_exact_propagator(m, dt)[1])) == _POWERS > 1
+        uniforms = np.random.default_rng(seed).random(n)
+        jump_map, phi = _exact_propagator(m, dt)
+        s, log_lam = _start(RHO_PLUS, 2), 0.0
+        for k, (u, state) in enumerate(zip(uniforms, res.states[1:])):
+            dn = u < count_probability(m, PAULI.matrices(s), dt)
+            out, dlog = _exact_step_many(jump_map, phi, s[None], np.array([dn]), (k + 1) * dt)
+            s, log_lam = out[0], log_lam + dlog[0]
+            assert res.record.counts[k] == dn
+            assert np.array_equal(state.rho, PAULI.matrices(s)) and state.log_lambda == log_lam
+        assert res.record.total > 0
 
     def test_exact_sampler_mean_count_matches_master_equation(self):
         # the mean count of step k is eta lam tr(C rho_mean C^dag) dt, with
@@ -210,7 +286,7 @@ class TestBatchedSteps:
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
         rho = PAULI.coords(np.stack([RHO_PLUS, GROUND, RHO_PLUS]))
         with pytest.raises(InvalidCountingRecordError, match="at t = 0.31 .* for batch element 1:"):
-            _jump_steps(m, "em", 0.01, RHO_PLUS).many(rho, np.array([2.0, -1.0, 2.0]), 30, _batch_element)
+            _jump_steps(m, "em", 0.01, RHO_PLUS).many(rho, np.array([[2.0, -1.0, 2.0]]), 30, lambda _: _batch_element)
 
     def test_exact_count_on_annihilated_state_names_element(self):
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
@@ -219,6 +295,39 @@ class TestBatchedSteps:
         with pytest.raises(InvalidCountingRecordError, match="t = 0.03 .* batch element 2"):
             _exact_step_many(jump_map, phi, rho, np.array([True, False, True]), 0.03)
 
+    def test_earliest_failing_step_wins_across_segments(self):
+        # trajectory 1 counts at step 5, which starts its second segment, and
+        # fails at step 10 with a count on the ground state, which C = sigma
+        # annihilates; trajectory 0 fails in its first segment, at step 30
+        m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
+        steps = _jump_steps(m, "pathwise", 0.01, RHO_PLUS)
+        draws = np.full((64, 2), 2.0)
+        draws[29, 0] = draws[4, 1] = draws[9, 1] = -1.0  # a uniform of -1 forces a count
+        rho = PAULI.coords(np.stack([GROUND, RHO_PLUS]))
+        with pytest.raises(InvalidCountingRecordError, match=r"at t = 0.1 .* for trajectory 1 in step 10:"):
+            steps.many(rho, draws, 0, lambda step: lambda b: f"trajectory {b} in step {step}")
+        draws[9, 1] = 2.0
+        with pytest.raises(InvalidCountingRecordError, match=r"at t = 0.3 .* for trajectory 0 in step 30:"):
+            steps.many(rho, draws, 0, lambda step: lambda b: f"trajectory {b} in step {step}")
+
+    def test_probability_error_precedes_count_error_in_one_step(self):
+        # in step 1, trajectory 0 counts on the ground state and trajectory
+        # 1's count probability is 0.2: the probability is checked first
+        m = build_jump_model(SIGMA, np.zeros((2, 2)), 20.0, 1.0)
+        rho = PAULI.coords(np.stack([GROUND, EXCITED]))
+        with pytest.raises(ValueError, match=r"probability 0.200 >= 0.1 for batch element 1 at t = 0;") as err:
+            _jump_steps(m, "pathwise", 0.01, RHO_PLUS).many(rho, np.array([[-1.0, 2.0]]), 0, lambda _: _batch_element)
+        assert type(err.value) is ValueError
+
+    def test_swamped_state_fails_its_first_step_without_a_warning(self):
+        # a subnormal trace fails the tail's test at once, while the states
+        # of the later steps of its segment, its products divided by their
+        # traces, are out of range and are never read
+        m = build_jump_model(SIGMA, 1.5 * SIGMA_X, 2.0, 0.8)
+        rho = np.array([[1e-310, 0.5, 0.0, 0.0]])
+        with pytest.raises(NonFiniteStateError, match=r"of step 1 blew up \(trace 1.00\d*e-310\) at t = 0.01$"):
+            _jump_steps(m, "pathwise", 0.01, RHO_PLUS).many(rho, np.full((64, 1), 2.0), 0, _step_of)
+
     def test_exact_collapse_without_count_names_element(self):
         m = build_jump_model(SIGMA, np.zeros((2, 2)), 1.0, 1.0)
         jump_map, phi = _exact_propagator(m, 0.01)
@@ -226,6 +335,47 @@ class TestBatchedSteps:
         with pytest.raises(NonFiniteStateError, match="batch element 1 collapsed") as err:
             _exact_step_many(jump_map, phi, rho, np.array([False, False]), 0.02)
         assert err.value.time == pytest.approx(0.02)
+
+
+class TestPowerTable:
+    def test_powers_out_of_float_range_shorten_the_table(self):
+        # C = sigma with eta lam dt = 50: the ground state's trace grows by
+        # e^50 a step, so Phi^8, near e^400, is out of range and K = 4
+        m = build_jump_model(SIGMA, np.zeros((2, 2)), 100.0, 1.0)
+        dt = 0.5
+        jump_map, phi = _exact_propagator(m, dt)
+        powers = _power_table(phi)
+        assert len(powers) == 4 < _POWERS
+        assert np.isfinite(powers).all() and np.abs(powers).max() <= _POWER_RANGE
+        assert np.allclose(powers[3], np.linalg.matrix_power(phi, 4), rtol=1e-12, atol=0.0)
+        # the ground state never counts and its trace grows by 50 a step in log
+        res = run_trajectory(m, "pathwise", dt, 300 * dt, GROUND, seed=1)
+        assert res.record.total == 0
+        assert max_abs(res.states.rho - GROUND) <= 1e-15
+        assert np.allclose(np.diff(res.states.log_lambda), 50.0, rtol=1e-13, atol=0.0)
+        chain, chain_logs = exact_chain(m, res.record, GROUND)
+        assert max_abs(res.states.rho - PAULI.matrices(np.array(chain))) <= 1e-13
+        assert np.allclose(res.states.log_lambda, chain_logs, rtol=1e-13, atol=0.0)
+        _, replay = jump_pathwise_solve(m, res.record, GROUND)
+        assert np.array_equal(replay.rho, res.states.rho)
+        assert np.array_equal(replay.log_lambda, res.states.log_lambda)
+
+    def test_map_out_of_range_is_a_table_of_one(self):
+        m = build_jump_model(SIGMA, np.zeros((2, 2)), 1e4, 1.0)
+        powers = _power_table(_exact_propagator(m, 0.05)[1])
+        assert len(powers) == 1
+
+    def test_table_size_bounds_the_powers_of_large_models(self):
+        phi = np.eye(100)  # a 10-level map: 80 kB a power
+        assert len(_power_table(phi)) == 8
+
+    def test_powers_are_built_by_doubling(self):
+        rng = np.random.default_rng(3)
+        phi = np.eye(4) + 0.05 * rng.normal(size=(4, 4))
+        powers = _power_table(phi)
+        assert len(powers) == _POWERS
+        for j, power in enumerate(powers, 1):
+            assert np.allclose(power, np.linalg.matrix_power(phi, j), rtol=1e-12, atol=1e-15)
 
 
 class TestSmeStep:
@@ -426,6 +576,39 @@ class TestPathwiseSolve:
         ens = run_ensemble(m, "pathwise", 0.01, 3.0, rho0, 3, base_seed=17)
         assert np.array_equal(ens.final_states[0].rho, res.states[-1].rho)
         assert ens.final_states[0].log_lambda == res.states[-1].log_lambda
+
+
+def near_tenth_model():
+    """A count probability of 0.095 a step at ``dt = 0.01`` in every state:
+    ``C`` is ``sqrt(9.5)`` times a unitary, ``lam = eta = 1``."""
+    c = np.sqrt(9.5) * (np.cos(0.4) * np.eye(2) - 1j * np.sin(0.4) * SIGMA_X)
+    return build_jump_model(c, 0.5 * SIGMA_Z, 1.0, 1.0)
+
+
+class TestCountToCount:
+    @pytest.mark.parametrize("powers", [4, _POWERS])
+    @pytest.mark.parametrize("name", ["near_tenth", "sigma"])
+    def test_runs_replays_and_ensembles_agree_bitwise(self, name, powers):
+        # 1100 steps cross four blocks of draws; segments end at counts and
+        # at multiples of K steps, here 4 or the default
+        m = near_tenth_model() if name == "near_tenth" else build_jump_model(SIGMA, 1.5 * SIGMA_X, 2.0, 0.8)
+        dt, T, seed = 0.01, 11.0, 23
+        with mock.patch.object(smefilter.jump, "_POWERS", powers):
+            res = run_trajectory(m, "pathwise", dt, T, RHO_PLUS, seed)
+            again = run_trajectory(m, "pathwise", dt, T, RHO_PLUS, seed)
+            _, replay = jump_pathwise_solve(m, res.record, RHO_PLUS)
+            one = run_ensemble(m, "pathwise", dt, T, RHO_PLUS, 1, seed)
+            three = run_ensemble(m, "pathwise", dt, T, RHO_PLUS, 3, seed - 1)
+        assert res.record.n_steps == 1100 and res.record.total >= (50 if name == "near_tenth" else 3)
+        if name == "near_tenth":
+            assert count_probability(m, res.states[-1].rho, dt) == pytest.approx(0.095, rel=1e-12)
+        for other in (again.states, replay):
+            assert np.array_equal(other.rho, res.states.rho)
+            assert np.array_equal(other.log_lambda, res.states.log_lambda)
+        assert np.array_equal(again.record.counts, res.record.counts)
+        assert np.array_equal(one.mean_rho_path, res.states.rho)
+        for final in (one.final_states[0], three.final_states[1]):
+            assert final == res.states[-1]
 
 
 class TestJumpPathwiseSchrodinger:

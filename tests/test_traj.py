@@ -245,6 +245,26 @@ class TestRunTrajectory:
 
 
 class TestRunEnsemble:
+    @pytest.mark.parametrize("n_traj", [2.5, 2.0, True, np.True_, "2", None])
+    def test_n_traj_must_be_an_integer(self, n_traj):
+        # checked before any work: the NaN T is never read
+        with pytest.raises(ValueError, match=r"^n_traj must be an integer, got "):
+            run_ensemble(driven_atom_model(), "robust", 0.01, float("nan"), RHO_PLUS, n_traj, 1)
+
+    @pytest.mark.parametrize("n_traj", [0, -2, np.int64(0)])
+    def test_n_traj_must_be_positive(self, n_traj):
+        with pytest.raises(ValueError, match=r"^n_traj must be >= 1, got "):
+            run_ensemble(driven_atom_model(), "robust", 0.01, float("nan"), RHO_PLUS, n_traj, 1)
+
+    @pytest.mark.parametrize("n_traj", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_n_traj(self, n_traj):
+        m = driven_atom_model()
+        got = run_ensemble(m, "robust", 0.01, 0.05, RHO_PLUS, n_traj, 1)
+        want = run_ensemble(m, "robust", 0.01, 0.05, RHO_PLUS, 3, 1)
+        assert type(got.n_traj) is int and got.n_traj == 3
+        assert np.array_equal(got.mean_rho_path, want.mean_rho_path)
+        assert got.final_states == want.final_states
+
     def test_robust_batch_matches_sequential_runs_bitwise(self):
         # a generic phase, more steps than one block of innovation draws, and
         # more trajectories than numpy sums pairwise
@@ -500,6 +520,14 @@ class TestConvergenceReport:
         rec = MeasurementRecord(0.005, rng.normal(0.0, 0.07, 400))
         rows = convergence_report(m, rec, [0.02], RHO_PLUS)
         assert rows[0].w_initial <= rows[0].w_sliding
+
+    def test_iterator_of_deltas_gives_the_rows_of_its_list(self):
+        m = driven_atom_model()
+        rec = MeasurementRecord(0.01, np.random.default_rng(5).normal(0.0, 0.1, 200))
+        rows = convergence_report(m, rec, [0.02, 0.04], RHO_PLUS)
+        assert len(rows) == 2
+        assert convergence_report(m, rec, iter([0.02, 0.04]), RHO_PLUS) == rows
+        assert convergence_report(m, rec, (d for d in (0.02, 0.04)), RHO_PLUS) == rows
 
     def test_nondivisible_delta_rejected(self):
         m = driven_atom_model()
