@@ -177,23 +177,32 @@ def _batch_element(b: int) -> str:
     return f"batch element {b}"
 
 
+def _tail_failures(x: np.ndarray):
+    """The states of a stack of coordinates ``x[..., a]`` that fail the
+    tail's test, whose trace ``x[..., 0]`` is not above the rounding error
+    ``eps max_a |x_a|`` of its largest coordinate (see :func:`_failure`): a
+    mask, true where a state fails, or ``None`` when the whole stack passes
+    at once, its smallest trace above the rounding error of its largest
+    coordinate, which implies every state's test (rounding is monotone)."""
+    tr, size = x[..., 0], np.abs(x)
+    if _max(size, None, initial=0.0) * _EPS < _min(tr, None, initial=np.inf):
+        return None
+    return ~(_max(size, -1) * _EPS < tr)
+
+
 def _renormalize(x: np.ndarray, t, what: str, where=None):
     """The one tail of every step, on a stack of coordinates ``x[b]``: the
     states divided by their traces ``x[:, 0]`` and the log traces, each
     rounded as it is alone.
 
-    Raises :class:`NonFiniteStateError` at ``t`` when a trace is not above
-    the rounding error ``eps max_a |x_a|`` of its state's largest
-    coordinate (see :func:`_failure`), naming the first failing element as
+    Raises :class:`NonFiniteStateError` at ``t`` when a state fails the
+    tail's test (:func:`_tail_failures`), naming the first failing element as
     ``where(b)`` (nothing when ``where`` is ``None``) and, when its
-    coordinates are finite, its trace.  A stack whose smallest trace is
-    above the rounding error of its largest coordinate passes at once, which
-    implies every element's check (rounding is monotone); otherwise each
-    element is checked alone."""
-    tr, size = x[:, 0], np.abs(x)
-    if _max(size, None, initial=0.0) * _EPS < _min(tr, None, initial=np.inf) or (_max(size, 1) * _EPS < tr).all():
-        return x / x[:, :1], np.log(tr)
-    b = next(b for b, xb in enumerate(x) if not np.abs(xb).max() * _EPS < xb[0])
+    coordinates are finite, its trace."""
+    bad = _tail_failures(x)
+    if bad is None or not _any(bad, None):
+        return x / x[:, :1], np.log(x[:, 0])
+    b = int(bad.argmax())
     of = "" if where is None else f" of {where(b)}"
     trace = f" (trace {x[b, 0]})" if np.isfinite(x[b]).all() else ""
     raise NonFiniteStateError(t, f"{what}{of} {_failure(x[b])}{trace}")
@@ -322,6 +331,14 @@ def _step_width(dt) -> float:
     return dt
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python ``int`` when it is an integer, Python's or
+    numpy's, not a bool; otherwise ``ValueError`` naming it ``name``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _time_origin(t0) -> float:
     """A start time as a float, checked finite."""
     t0 = float(t0)
@@ -414,6 +431,7 @@ class MeasurementRecord(Record):
 
     def coarsen(self, factor: int) -> "MeasurementRecord":
         """Aggregate ``factor`` consecutive increments into one."""
+        factor = _integer(factor, "factor")
         if factor < 1 or self.n_steps % factor != 0:
             raise ValueError(f"factor {factor} does not divide {self.n_steps} steps")
         inc = self.increments.reshape(-1, factor).sum(axis=1)
@@ -871,6 +889,7 @@ def pathwise_samples(model, record: MeasurementRecord, rho0, every: int) -> Stat
     a chunk fails the check, as an overflowing product does, the states are
     :func:`pathwise_filter`'s, which either passes or raises the error of
     its failing fine step."""
+    every = _integer(every, "every")
     if every < 1 or record.n_steps % every:
         raise ValueError(f"every = {every} does not divide {record.n_steps} steps")
     c = max(d for d in range(1, min(every, _MAP_BLOCK) + 1) if every % d == 0)
@@ -1094,11 +1113,13 @@ def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
     ``(records, samples, n, n)`` array.  The states are carried as
     coordinates (see :class:`linalg.HermitianBasis`), one column per record,
     and each step is ``s -> (I + dt drift) s + (dy/k^2) noise s`` with the
-    real maps of :func:`_em_maps`.  States are renormalized every step with
-    the log factor accumulated, so arbitrarily long runs neither overflow
-    nor underflow; ``sample_every`` thins the stored output (it must divide
-    the step count), while integration always uses the full grid.
+    real maps of :func:`_em_maps`.  States are renormalized every step by
+    :func:`_renormalize`, whose errors name ``record b``, with the log factor
+    accumulated, so arbitrarily long runs neither overflow nor underflow;
+    ``sample_every`` thins the stored output (it must divide the step
+    count), while integration always uses the full grid.
     """
+    sample_every = _integer(sample_every, "sample_every")
     if not records:
         raise ValueError("need at least one record")
     first = records[0]
@@ -1123,11 +1144,9 @@ def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
     coords[:, 0], out_logs[:, 0] = v.T, logs
     for step in range(n_steps):
         v = step_mat @ v + (stoch @ v) * dys[step]
-        tr = v[0].copy()  # a view would read the divided row below
-        if not np.isfinite(tr).all() or (tr <= 0.0).any():
-            raise NonFiniteStateError(float(times[step + 1]), "unnormalized state collapsed")
-        v /= tr
-        logs += np.log(tr)
+        s, dlog = _renormalize(v.T, times[step + 1], "unnormalized state", lambda b: f"record {b}")
+        v = s.T  # s keeps the layout of v.T, so v stays row-major
+        logs += dlog
         if (step + 1) % sample_every == 0:
             j = (step + 1) // sample_every
             coords[:, j], out_logs[:, j] = v.T, logs
@@ -1190,9 +1209,8 @@ def _map_block(maps: np.ndarray, coords: np.ndarray, logs: np.ndarray) -> int:
     state, by ``ndarray.dot``, which calls the same BLAS ``dgemv`` as the
     ``np.matmul`` of :func:`_apply_maps` on a contiguous matrix and vector
     with less overhead a call, and the division by the trace ``x[0]``, for
-    each step; then, once for the block,
-    :func:`_renormalize`'s check ``eps max_a |x_a| < x_0`` on every step's
-    unnormalized coordinates, ``np.log`` of the traces and their sum into
+    each step; then, once for the block, :func:`_tail_failures` on every
+    step's unnormalized coordinates, ``np.log`` of the traces and their sum into
     ``log_lambda`` by ``np.add.accumulate``, which adds in sequence.  So
     every result is bitwise the step's own."""
     x = np.empty((len(maps), coords.shape[1]))
@@ -1201,8 +1219,8 @@ def _map_block(maps: np.ndarray, coords: np.ndarray, logs: np.ndarray) -> int:
         for m, y, out in zip(maps, x, coords[1:]):
             m.dot(s, y)
             s = np.divide(y, y[0], out=out)
-        ok = np.abs(x).max(axis=1) * _EPS < x[:, 0]
-    done = len(maps) if ok.all() else int(ok.argmin())
+        bad = _tail_failures(x)
+    done = len(maps) if bad is None or not bad.any() else int(bad.argmax())
     np.log(x[:done, 0], out=logs[1 : done + 1])
     np.add.accumulate(logs[: done + 1], out=logs[: done + 1])
     return done
@@ -1214,22 +1232,21 @@ def _step_of(k: int):
 
 
 def _trajectory(
-    take, span: int, start: np.ndarray, log0: float, dt: float, t0: float, xs: np.ndarray, build=None
+    take, start: np.ndarray, log0: float, dt: float, t0: float, xs: np.ndarray, build=None
 ) -> StatePath:
     """The loop of a replay: one trajectory from the coordinates ``start``
     with ``log_lambda = log0`` at ``t0``, step ``k`` (named ``step k + 1``)
     taking the record value ``xs[k]`` and ending at ``t0 + (k + 1) dt``.
 
-    ``take(s, vs, k, where, t0) -> (states, dlogs)`` is the scheme's replay
-    step (see :func:`_steps`), taken on a stack of one for up to ``span``
-    steps at a time, ``span`` a divisor of ``_MAP_BLOCK``, from the first
-    step of a block that it takes.  ``build``, when given, builds the real maps of ``_MAP_BLOCK``
-    steps at a time, with which one step of ``take`` is the map's product
-    with the state and :func:`_renormalize`; :func:`_map_block` steps such
-    a block bitwise as ``take`` does, and from its first step that fails the
-    tail's check, if any, ``take`` takes over, rebuilding that step's map
-    and raising its own error.  Without a builder, or in a block it
-    rejects, every step is taken through ``take``.  The log factors of a
+    ``build``, when given, builds the real maps of ``_MAP_BLOCK`` steps at
+    a time, with which one step of ``take`` is the map's product with the
+    state and :func:`_renormalize`; :func:`_map_block` steps such a block
+    bitwise as ``take`` does, up to its first step that fails the tail's
+    check.  ``take(s, vs, k, where, t0) -> (states, dlogs)``, the scheme's
+    replay step (see :func:`_steps`), takes the rest of each block in one
+    call on a stack of one, rebuilding a failing step's map and raising its
+    own error; without a builder, or in a block it rejects, that is the
+    whole block, from a multiple of ``_MAP_BLOCK``.  The log factors of a
     block are summed by ``np.add.accumulate``, which adds in sequence.
     Returns the :class:`StatePath` of every grid point, the start included,
     from coordinates written into one array and converted to matrices
@@ -1245,10 +1262,9 @@ def _trajectory(
         except ValueError:
             maps = None
         first = lo if maps is None else lo + _map_block(maps, coords[lo : hi + 1], logs[lo : hi + 1])
-        for k in range(first, hi, span):
-            m = min(k + span, hi)
-            states, dlogs = take(coords[k : k + 1], xs[k:m, None], k, _step_of, t0)
-            coords[k + 1 : m + 1], logs[k + 1 : m + 1] = states[:, 0], dlogs[:, 0]
+        if first < hi:
+            states, dlogs = take(coords[first : first + 1], xs[first:hi, None], first, _step_of, t0)
+            coords[first + 1 : hi + 1], logs[first + 1 : hi + 1] = states[:, 0], dlogs[:, 0]
         np.add.accumulate(logs[first : hi + 1], out=logs[first : hi + 1])
     return StatePath(hermitian_basis(math.isqrt(start.size)).matrices(coords), logs, times)
 
@@ -1309,16 +1325,16 @@ def _steps(
       which one step of ``take`` is :func:`_apply_maps` and
       :func:`_renormalize`; or ``None``.
 
-    ``span`` divides ``_DRAW_BLOCK`` and ``_MAP_BLOCK``, so that runs and
-    replays start a call at the same steps, its multiples, where a scheme
-    needs it.  ``replay(record) -> StatePath`` replays a record through
-    :func:`_trajectory` with ``take`` and the maps of ``build``, bitwise the
-    run that wrote it.  :func:`_one_step` makes ``span``, ``many`` and
-    ``take`` of a scheme that steps one step at a time.
+    ``span`` divides ``_DRAW_BLOCK``, so runs start a call at its multiples
+    and replays, through :func:`_trajectory`, at those of ``_MAP_BLOCK``
+    where a scheme needs it.  ``replay(record) -> StatePath`` replays a
+    record with ``take`` and the maps of ``build``, bitwise the run that
+    wrote it.  :func:`_one_step` makes ``span``, ``many`` and ``take`` of a
+    scheme that steps one step at a time.
     """
 
     def replay(rec):
-        return _trajectory(take, span, start, log0, rec.dt, rec.t0, rec.values, build)
+        return _trajectory(take, start, log0, rec.dt, rec.t0, rec.values, build)
 
     return _Steps(record, dt, start, log0, draw, span, many, replay)
 

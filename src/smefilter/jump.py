@@ -49,7 +49,6 @@ import numpy as np
 
 from .diffusion import (
     _DRAW_BLOCK,
-    _EPS,
     SCHEMES,
     CountingRecord,
     NonFiniteStateError,
@@ -58,7 +57,6 @@ from .diffusion import (
     _apply_maps,
     _batch_element,
     _max,
-    _min,
     _one_step,
     _path,
     _renormalize,
@@ -67,6 +65,7 @@ from .diffusion import (
     _Steps,
     _start,
     _steps,
+    _tail_failures,
     _unnormalized_start,
     recover,  # noqa: F401  (bench/spans.py traces this name in this module)
 )
@@ -391,11 +390,12 @@ def _segments(maps: _ExactMaps, dt: float, s, values, k: int, where, t0: float, 
     factor ``log(tr(Phi^j a) / tr(Phi^(j-1) a))``, and takes every check of
     a step: an online run draws the step's count from the state at its
     start, whose count probability must stay below 0.1, and the tail's
-    test ``eps max |x| < tr(x)`` of :func:`_renormalize` must hold for ``x =
-    Phi^j a``.  The first step of a segment with a count, or whose test
-    fails, ends it: that step is taken alone from the state at its start
-    by :func:`_exact_step_many`, whose result, when it passes, is the next
-    anchor.  At ``K = 1`` every step is ``_exact_step_many``'s.
+    test ``eps max |x| < tr(x)`` (``diffusion._tail_failures``, on the
+    whole pass at once) must hold for ``x = Phi^j a``.  The first step of a
+    segment with a count, or whose test fails, ends it: that step is taken
+    alone from the state at its start by :func:`_exact_step_many`, whose
+    result, when it passes, is the next anchor.  At ``K = 1`` every step is
+    ``_exact_step_many``'s.
 
     A failing trajectory stops; the others go on to the end of the ``L``
     steps.  Then the error of the earliest failing step is raised, and at
@@ -420,12 +420,8 @@ def _segments(maps: _ExactMaps, dt: float, s, values, k: int, where, t0: float, 
             tr = x[:, :, 0]
             ahead = x / tr[:, :, None]
             dlog = np.log(tr / np.concatenate([a[:, :1], tr[:, :-1]], axis=1))
-            magnitude = np.abs(x)
-            # the tail's test of every product at once, as _renormalize's fast test
-            if _max(magnitude, None) * _EPS < _min(tr, None):
-                event = np.zeros(tr.shape, dtype=bool)
-            else:
-                event = ~(_max(magnitude, 2) * _EPS < tr)
+            bad = _tail_failures(x)
+            event = np.zeros(tr.shape, dtype=bool) if bad is None else bad
             begin = np.concatenate([a[:, None], ahead[:, :-1]], axis=1)  # the state at each step's start
             own = np.minimum(at[:, None] + offsets, n_steps - 1), live[:, None]
             if drawn:
@@ -487,11 +483,12 @@ def _exact_steps(model, dt: float, start, log0: float) -> _Steps:
     """The steps of the exact ``pathwise`` counting scheme from the
     coordinates ``start`` with ``log0`` (see :func:`diffusion._unnormalized_start`),
     count to count: :func:`_segments` with the maps of :func:`_exact_maps`,
-    built once, for up to ``diffusion._DRAW_BLOCK`` steps at a time.  An
-    online run draws one uniform per step and counts when it is below the
-    count probability ``eta lam tr(C rho C^dag) dt`` of the state at the
-    step's start; a replay cuts the same segments at the record's counts,
-    so it is bitwise the run."""
+    built once, for up to ``diffusion._DRAW_BLOCK`` steps a call online
+    and ``diffusion._MAP_BLOCK`` in a replay.  An online run draws one
+    uniform per step and counts when it is below the count probability
+    ``eta lam tr(C rho C^dag) dt`` of the state at the step's start; a
+    replay cuts the same segments at the record's counts, so it is bitwise
+    the run."""
     maps = _exact_maps(model, dt)
 
     def many(s, xs, k, where, t0=0.0):

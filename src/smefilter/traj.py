@@ -33,6 +33,7 @@ from .diffusion import (
     RobustStepper,
     StatePath,
     _diffusion_steps,
+    _integer,
     _online,
     _path,
     _step_count,
@@ -55,14 +56,6 @@ from .model import BlochVector, DiffusionModel, JumpModel
 # The robust step of one state, under the name bench/spans.py traces in this
 # module; no code calls it.
 _robust_advance = RobustStepper.advance
-
-# States whose coordinates an ensemble holds before it converts them
-# to matrices and adds them to its mean path: 64 steps at 64 trajectories.
-# The bench's `ens_robust` workload (64 trajectories) ran at a median 880k
-# steps/s with 1024, 866k with 4096 and 878k with 16384, speeds within the
-# runs' spread, with a peak RSS of 61.3, 61.4-61.6 and 62.7 MB (3 runs
-# each, 2-core Xeon).
-_SUM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -223,47 +216,33 @@ def run_ensemble(model, scheme: str, dt: float, T: float, rho0, n_traj: int, bas
     where ``run_trajectory`` with seed ``base_seed + i`` ends.  A failure
     names the trajectory, its seed, the step and the time.
 
-    The online loop hands over the states of one or more steps at a time.
-    The stack's coordinates are held for ``_SUM_BLOCK // n_traj`` grid
-    points (at least one) and converted and summed once per block: each
-    state is converted to a matrix with its own matrix-vector product, as a
-    single run converts its own, and the matrices of a grid point are added
-    in trajectory order, as a loop over trajectories adds them, so each sum
-    of the mean path is bitwise the one of its grid point alone.  Each
-    trajectory's log factors are added in sequence, as a single run adds
-    them.
+    The online loop hands over the states of several steps a call
+    (``steps.span`` at most), and each call's states are converted and
+    summed into the mean path as they come: each state is converted to a
+    matrix with its own matrix-vector product, as a single run converts its
+    own, and the matrices of a grid point are added in trajectory order, as
+    a loop over trajectories adds them, so each sum of the mean path is
+    bitwise the one of its grid point alone.  Each trajectory's log factors
+    are added in sequence, as a single run adds them.
 
     ``n_traj`` must be an integer, Python's or numpy's, not a bool, and at
     least 1; it is checked before any work.
     """
-    if isinstance(n_traj, (bool, np.bool_)) or not isinstance(n_traj, (int, np.integer)):
-        raise ValueError(f"n_traj must be an integer, got {n_traj!r}")
+    n_traj = _integer(n_traj, "n_traj")
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    n_traj = int(n_traj)
     n = _step_count(dt, T)
     steps = _scheme_steps(model, scheme, dt, rho0)
     basis = hermitian_basis(math.isqrt(steps.start.size))
     sum_rho = np.empty((n + 1, basis.n, basis.n), dtype=complex)
-    h = max(1, min(n + 1, _SUM_BLOCK // n_traj))
-    held = np.empty((h, n_traj, steps.start.size))  # grid points g to g + m - 1
-    held[0] = steps.start
-    g, m = 0, 1
-    log_lam = np.full(n_traj, steps.log0)
+    sum_rho[0] = basis.matrices(np.tile(steps.start, (1, n_traj, 1))).sum(axis=1)
+    k, log_lam = 1, np.full(n_traj, steps.log0)
     blocks = _draws(base_seed, n_traj, n, steps.draw)
     for states, _, dlogs in _online(steps, n_traj, blocks, partial(_trajectory_in, base_seed)):
         dlogs[0] += log_lam
         log_lam = np.add.accumulate(dlogs, out=dlogs)[-1]
-        j = 0
-        while j < len(states):
-            c = min(h - m, len(states) - j)
-            held[m : m + c] = states[j : j + c]
-            j, m = j + c, m + c
-            if m == h:
-                sum_rho[g : g + h] = basis.matrices(held).sum(axis=1)
-                g, m = g + h, 0
-    if m:
-        sum_rho[g : g + m] = basis.matrices(held[:m]).sum(axis=1)
+        sum_rho[k : k + len(states)] = basis.matrices(states).sum(axis=1)
+        k += len(states)
     rho = basis.matrices(states[-1])
     times = dt * np.arange(n + 1)
     final_states = [DensityState(r, float(lam), n * dt) for r, lam in zip(rho, log_lam)]

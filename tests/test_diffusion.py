@@ -1,7 +1,6 @@
 import re
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import smefilter.diffusion
-import smefilter.traj
 from smefilter.diffusion import (
     CountingRecord,
     DensityState,
@@ -20,6 +18,7 @@ from smefilter.diffusion import (
     RobustStepper,
     StatePath,
     _MAP_BLOCK,
+    _STEP_BLOCK,
     _apply_maps,
     _batch_element,
     _chunk_products,
@@ -41,7 +40,7 @@ from smefilter.diffusion import (
     write_record,
 )
 from smefilter.linalg import dagger, expm, hermitian_basis, kron, max_abs, vec
-from smefilter.model import SIGMA_X, SIGMA_Z, build_diffusion_model, purity, rho_from_bloch, two_level_model
+from smefilter.model import SIGMA, SIGMA_X, SIGMA_Z, build_diffusion_model, purity, rho_from_bloch, two_level_model
 from smefilter.ode import rk4_step
 from smefilter.traj import _DRAW_BLOCK, SCHEMES, master_propagate, run_ensemble, run_trajectory
 
@@ -1064,6 +1063,44 @@ class TestEmUnnormalized:
         with pytest.raises(ValueError, match="share"):
             em_unnormalized_many(m, [r1, r2], RHO_PLUS)
 
+    def test_collapse_names_its_record_and_time(self):
+        # the noise term of L = sigma moves the trace by <sigma_x> dy: record
+        # 1's increment of -10 in step 3 drives it to about -9, while record
+        # 0, all zeros, stays valid
+        m = build_diffusion_model(np.zeros((2, 2)), SIGMA, 1.0)
+        rec = MeasurementRecord(0.01, np.zeros(5), t0=0.3)
+        collapsing = MeasurementRecord(0.01, np.array([0.0, 0.0, -10.0, 0.0, 0.0]), t0=0.3)
+        with pytest.raises(NonFiniteStateError) as err:
+            em_unnormalized_many(m, [rec, collapsing], RHO_PLUS)
+        assert re.fullmatch(r"unnormalized state of record 1 collapsed \(trace -8\.9\d*\) at t = 0\.33", str(err.value))
+        assert err.value.time == rec.times[3]
+
+
+class TestIntegerArguments:
+    # each integer argument is checked before any work, as run_ensemble
+    # checks n_traj: a float, a bool, a string or None names the argument
+    @pytest.mark.parametrize("bad", [2.0, 2.5, True, np.True_, "2", None])
+    def test_non_integers_are_rejected_by_name(self, bad):
+        got = rf"must be an integer, got {re.escape(repr(bad))}$"
+        rec = MeasurementRecord(0.01, np.zeros(20))
+        with pytest.raises(ValueError, match=rf"^sample_every {got}"):
+            em_unnormalized_many(driven_atom_model(), [], RHO_PLUS, sample_every=bad)
+        with pytest.raises(ValueError, match=rf"^every {got}"):
+            pathwise_samples(None, rec, None, bad)
+        with pytest.raises(ValueError, match=rf"^factor {got}"):
+            rec.coarsen(bad)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint8])
+    def test_numpy_integers_are_accepted(self, kind):
+        m = driven_atom_model()
+        rec = brownian_record(np.random.default_rng(45), m, 0.01, 20)
+        got, want = em_unnormalized(m, rec, RHO_PLUS, kind(4)), em_unnormalized(m, rec, RHO_PLUS, 4)
+        assert got.rho.tobytes() == want.rho.tobytes() and got.t.tobytes() == want.t.tobytes()
+        got, want = pathwise_samples(m, rec, RHO_PLUS, kind(5)), pathwise_samples(m, rec, RHO_PLUS, 5)
+        assert got.rho.tobytes() == want.rho.tobytes() and got.t.tobytes() == want.t.tobytes()
+        got, want = rec.coarsen(kind(2)), rec.coarsen(2)
+        assert got.increments.tobytes() == want.increments.tobytes() and got.dt == want.dt
+
 
 class TestEmNormalized:
     def test_zero_coupling_is_schrodinger_flow(self):
@@ -1428,32 +1465,53 @@ def test_robust_batch_is_each_step_alone_and_near_the_solve(model, dt, nb, seed)
         assert max_abs(basis.matrices(new[b]) - assembled_robust_step(model, rhos[b], e, dt)) <= 1e-12
 
 
+def assert_fails_as_its_single_run(model, scheme, dt, rho0, base_seed, n_traj, err):
+    """An ensemble's error names trajectory ``b``, its seed and its step; the
+    run of that seed fails in that step at the same time in the same words,
+    and no trajectory fails before it."""
+    found = re.search(r"trajectory (\d+) \(seed (\d+)\) in step (\d+)", str(err))
+    assert found, str(err)
+    b, seed, step = (int(g) for g in found.groups())
+    assert seed == base_seed + b and b < n_traj
+    with pytest.raises(type(err)) as single:
+        run_trajectory(model, scheme, dt, step * dt, rho0, seed)
+    assert single.value.time == err.time
+    assert str(single.value) == str(err).replace(f"trajectory {b} (seed {seed}) in step", "step")
+    if step > 1:
+        for i in range(n_traj):
+            run_trajectory(model, scheme, dt, (step - 1) * dt, rho0, base_seed + i)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(
     model=small_diffusion_models(),
     scheme=hst.sampled_from(SCHEMES),
     n_traj=hst.integers(1, 40),
     base_seed=hst.integers(0, 2**32 - 1),
-    held=hst.integers(1, 9),
+    block_end=hst.sampled_from((_DRAW_BLOCK, _DRAW_BLOCK + 3 * _STEP_BLOCK)),  # 256 and 304
     end=hst.sampled_from((-1, 0, 1)),
 )
-@example(model=driven_atom_model(0.3, 0.5), scheme="pathwise", n_traj=37, base_seed=11, held=1, end=0)
+@example(model=driven_atom_model(0.3, 0.5), scheme="pathwise", n_traj=37, base_seed=11, block_end=256, end=0)
 @example(
-    model=three_level_model(np.random.default_rng(5)), scheme="em", n_traj=23, base_seed=2**32 - 5, held=4, end=1
+    model=three_level_model(np.random.default_rng(5)), scheme="em", n_traj=23, base_seed=2**32 - 5, block_end=304, end=1
 )
-@example(model=driven_atom_model(), scheme="robust", n_traj=40, base_seed=7, held=1, end=-1)
-def test_batched_ensemble_matches_single_runs_bitwise(model, scheme, n_traj, base_seed, held, end):
+@example(model=driven_atom_model(), scheme="robust", n_traj=40, base_seed=7, block_end=256, end=-1)
+def test_batched_ensemble_matches_single_runs_bitwise(model, scheme, n_traj, base_seed, block_end, end):
     # Every scheme's ensemble steps its trajectories as one stack; each must
-    # end bitwise where its single run ends, over more steps than one block
-    # of innovation draws, and the mean path must sum them in order.  The
-    # ensemble sums its states held grid points at a time (at held = 1, a
-    # stack that fills a block in one step), and the run ends one step
-    # before, at or one step after the end of a block.
+    # end bitwise where its single run ends, over about one block of
+    # innovation draws or more, and the mean path must sum the states of
+    # each block of steps handed over in trajectory order.  The run ends one
+    # step before, at or one step after the end of the first draw block, or
+    # of a block of _STEP_BLOCK steps inside the second.  A model that blows up fails
+    # in the ensemble as the named trajectory's single run fails.
     dt = 0.01
-    n = held * -(-(_DRAW_BLOCK + 44) // held) + end
+    n = block_end + end
     rho0 = random_state(np.random.default_rng(base_seed), model.dim)
-    with mock.patch.object(smefilter.traj, "_SUM_BLOCK", (held + 1) * n_traj - 1):
+    try:
         ens = run_ensemble(model, scheme, dt, n * dt, rho0, n_traj, base_seed)
+    except NonFiniteStateError as err:
+        assert_fails_as_its_single_run(model, scheme, dt, rho0, base_seed, n_traj, err)
+        return
     total = None
     for i in range(n_traj):
         single = run_trajectory(model, scheme, dt, n * dt, rho0, base_seed + i)

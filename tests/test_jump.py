@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,9 +7,11 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-import smefilter.traj
 import smefilter.jump
 from smefilter.diffusion import (
+    _DRAW_BLOCK,
+    _MAP_BLOCK,
+    _STEP_BLOCK,
     NonFiniteStateError,
     _apply_maps,
     _batch_element,
@@ -724,17 +727,32 @@ def test_exact_propagator_matches_oracle_and_keeps_states_valid(model, seed):
     scheme=hst.sampled_from(("em", "pathwise")),
     n_traj=hst.integers(1, 40),
     base_seed=hst.integers(0, 2**32 - 1),
-    held=hst.integers(1, 9),
+    block_end=hst.sampled_from((_DRAW_BLOCK, _DRAW_BLOCK + 3 * _STEP_BLOCK)),
     end=hst.sampled_from((-1, 0, 1)),
 )
-def test_batched_ensemble_matches_single_runs_bitwise(model, scheme, n_traj, base_seed, held, end):
-    # about 300 steps span more than one block of uniform draws; the
-    # ensemble sums its states held grid points at a time, and the run ends
-    # one step before, at or one step after the end of a block
+def test_batched_ensemble_matches_single_runs_bitwise(model, scheme, n_traj, base_seed, block_end, end):
+    # about one block of uniform draws or more; the ensemble sums the states
+    # of each block of steps handed over (_STEP_BLOCK steps for em, a draw
+    # block for pathwise), and the run ends one step before, at or one step
+    # after the end of the first draw block, or of a block of _STEP_BLOCK
+    # steps inside the second.  A model that fails does so in the
+    # ensemble as the named trajectory's single run does.
     dt = 0.01
-    n = held * -(-300 // held) + end
-    with mock.patch.object(smefilter.traj, "_SUM_BLOCK", (held + 1) * n_traj - 1):
+    n = block_end + end
+    try:
         ens = run_ensemble(model, scheme, dt, n * dt, RHO_PLUS, n_traj, base_seed)
+    except (NonFiniteStateError, ValueError) as err:
+        found = re.search(r"trajectory (\d+) \(seed (\d+)\) in step (\d+)", str(err))
+        assert found, str(err)
+        b, seed, step = (int(g) for g in found.groups())
+        assert seed == base_seed + b and b < n_traj
+        with pytest.raises(type(err)) as single:
+            run_trajectory(model, scheme, dt, step * dt, RHO_PLUS, seed)
+        assert str(single.value) == str(err).replace(f"trajectory {b} (seed {seed}) in step", "step")
+        if step > 1:
+            for i in range(n_traj):
+                run_trajectory(model, scheme, dt, (step - 1) * dt, RHO_PLUS, base_seed + i)
+        return
     total = None
     for i in range(n_traj):
         single = run_trajectory(model, scheme, dt, n * dt, RHO_PLUS, base_seed + i)
@@ -744,3 +762,10 @@ def test_batched_ensemble_matches_single_runs_bitwise(model, scheme, n_traj, bas
         path = np.stack([s.rho for s in single.states])
         total = path.copy() if total is None else total + path
     assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([t / n_traj for t in total]))
+
+
+def test_powers_divide_the_draw_and_map_blocks():
+    # runs start a call of the exact scheme's steps at multiples of
+    # _DRAW_BLOCK and replays at multiples of _MAP_BLOCK; both cut the same
+    # segments, bitwise, only when K divides both
+    assert _DRAW_BLOCK % _POWERS == 0 and _MAP_BLOCK % _POWERS == 0

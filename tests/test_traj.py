@@ -11,6 +11,7 @@ from smefilter.diffusion import (
     PathwiseIntegrator,
     RobustStepper,
     _MAP_BLOCK,
+    _STEP_BLOCK,
     _diffusion_steps,
     _em_maps,
     _em_step_many,
@@ -384,17 +385,17 @@ class TestRunEnsemble:
         assert re.fullmatch(rf"normalized state of trajectory {b} \(seed {5 + b}\) in step {step} {at}", str(err.value))
         assert str(replay.value) == str(err.value).replace(f"trajectory {b} (seed {5 + b}) in step", "step")
 
-    def test_failure_inside_a_summed_block_names_trajectory(self, monkeypatch):
-        # the ensemble of test_diffusion_em_blow_up_names_trajectory, summing
-        # its states 4 grid points at a time: the failing step falls inside
-        # a block after two blocks have been summed
-        monkeypatch.setattr(smefilter.traj, "_SUM_BLOCK", 4 * 8)
-        m = build_diffusion_model(10.0 * SIGMA_Y, SIGMA, 1.0)
+    def test_failure_inside_a_summed_block_names_trajectory(self):
+        # the ensemble of test_diffusion_em_blow_up_names_trajectory, with a
+        # slower rotation and shorter steps: the failing step falls inside
+        # the second block of _STEP_BLOCK steps handed over, after the first
+        # has been summed
+        m = build_diffusion_model(6.0 * SIGMA_Y, SIGMA, 1.0)
         with pytest.raises(NonFiniteStateError, match="blew up") as err:
-            run_ensemble(m, "em", 0.05, 5.0, RHO_PLUS, 8, base_seed=5)
-        b, step, replay = check_replays_failure(m, 0.05, 5, 8, err)
-        assert step > 8 and step % 4
-        at = rf"blew up( \(trace \S+\))? at t = {step * 0.05:.6g}"
+            run_ensemble(m, "em", 0.04, 5.0, RHO_PLUS, 8, base_seed=5)
+        b, step, replay = check_replays_failure(m, 0.04, 5, 8, err)
+        assert step > _STEP_BLOCK and step % _STEP_BLOCK > 1
+        at = rf"blew up( \(trace \S+\))? at t = {step * 0.04:.6g}"
         assert re.fullmatch(rf"normalized state of trajectory {b} \(seed {5 + b}\) in step {step} {at}", str(err.value))
         assert err.value.time == replay.value.time
 
