@@ -116,9 +116,9 @@ from .linalg import (
 )
 from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in this module)
 
-# Record steps whose step maps ``pathwise_filter`` builds at a time with one
-# ``expm_many`` call, and ``robust_filter`` with one
-# ``RobustStepper.step_maps`` call, and that :func:`_map_block` then steps;
+# Record steps whose step maps ``pathwise_filter`` and ``robust_filter``
+# build at a time with one ``step_maps`` call of their stepper, and that
+# :func:`_map_block` then steps;
 # ``pathwise_samples`` builds the whole chunks that fit in as many.  With
 # 256, 512, 1024 and 2048 steps a block, the bench's `converge` workload
 # (3525 steps a call, its oracle in chunks of 10 steps) ran at a median 472k,
@@ -127,7 +127,10 @@ from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in thi
 # at 234k, 237k, 238k and 240k steps/s with 67.6-68.0 MB at each size (3
 # runs each of `bench/run.py --seconds 8`, 2-core Xeon).  Six more
 # alternating `converge` runs of each gave 511k (503k-515k) at 512 and 488k
-# (476k-542k) at 1024.
+# (476k-542k) at 1024.  Those pathwise maps were each an ``expm_many``; with
+# the maps from ``PathwiseIntegrator``'s Taylor table, three alternating
+# `converge` runs of each gave a median 607k, 662k and 641k steps/s at 256,
+# 512 and 1024, with a peak RSS of 60.96-61.15 MB at each size.
 _MAP_BLOCK = 512
 
 _EPS = float(np.finfo(float).eps)
@@ -792,6 +795,62 @@ class _MapStepper:
         return self.step_maps(dy)
 
 
+# The Taylor table of the pathwise step map ``P(dy) = expm(D + dy C) =
+# sum_i dy^i A_i`` (see :func:`_taylor_table`).  ``A_i`` sums, over ``k >=
+# i``, the products of ``i`` factors ``C`` and ``k - i`` factors ``D``
+# divided by ``k!``, so in the max-row-sum norm
+#
+#     ||A_i|| <= e^||D|| ||C||^i / i!.
+#
+# With ``c = max(||C||, 1)``, ``rho = _TAYLOR_RHO`` and the radius ``r = rho
+# / c``, the terms past degree ``K`` of an increment ``|dy| <= r`` sum to at
+# most ``e^||D|| rho^(K+1) / (K+1)! (K+2) / (K+2-rho)``, and ``||P(dy)|| >=
+# e^-(||D|| + rho)``, since the inverse ``expm(-D - dy C)`` has norm at most
+# ``e^(||D|| + rho)``.  The degree ``K`` is the least that takes the
+# truncation error, relative to ``||P(dy)||``, below ``eps/2``: 16 while
+# ``||D|| <= 0.43`` (the driven atom at ``dt = 0.01`` has ``||D|| = 0.025``).
+# A model that needs a degree above ``_TAYLOR_MAX_DEGREE``, a drift of norm
+# above about 13.8, has no table, and every increment takes ``expm_many``.
+# ``c >= 1`` keeps ``r < 1``, so the powers of an increment within it cannot
+# overflow.  The table is built by ``expm`` at ``_TAYLOR_TOL``, whose series
+# cutoff is absolute, far below the rounding of the table's entries.
+_TAYLOR_RHO = 0.75
+_TAYLOR_MAX_DEGREE = 24
+_TAYLOR_TOL = 1e-18
+
+
+def _taylor_table(drift: np.ndarray, coupling: np.ndarray):
+    """The table ``A`` of the maps ``P(dy) = expm(drift + dy coupling) =
+    sum_i dy^i A_i`` to degree ``K``, laid out ``n^4 x (K+1)``, row ``a n^2
+    + b`` holding ``A_i[a, b]`` in column ``i``, and the square of its
+    radius ``r`` (see ``_TAYLOR_RHO``); or ``None`` and ``-inf`` when no
+    degree up to ``_TAYLOR_MAX_DEGREE`` meets the bound, or when the block
+    matrix is beyond ``expm``.
+
+    ``A_i`` is the block ``(0, i)`` of ``expm`` of the ``(K+1) n^2``-square
+    block-bidiagonal matrix with ``drift`` on its diagonal and ``coupling``
+    above it: that matrix is ``I (x) drift + N (x) coupling`` with the shift
+    ``N``, ``N^(K+1) = 0``, so its exponential is ``sum_i N^i (x) A_i``."""
+    m, rho = len(drift), _TAYLOR_RHO
+    # the log of the bound's factor e^(2 ||D|| + rho) (inf for a non-finite drift)
+    log_factor = 2.0 * float(np.abs(drift).sum(axis=1).max()) + rho
+    for k in range(_TAYLOR_MAX_DEGREE + 1):
+        log_tail = (k + 1) * math.log(rho) - math.lgamma(k + 2) + math.log((k + 2) / (k + 2 - rho))
+        if log_factor + log_tail <= math.log(0.5 * _EPS):
+            break
+    else:
+        return None, -np.inf
+    blocks = np.zeros((k + 1, m, k + 1, m))
+    i = np.arange(k + 1)
+    blocks[i, :, i], blocks[i[:-1], :, i[1:]] = drift, coupling
+    try:
+        e = expm(blocks.reshape((k + 1) * m, (k + 1) * m), _TAYLOR_TOL)
+    except ValueError:
+        return None, -np.inf
+    radius = rho / max(float(np.abs(coupling).sum(axis=1).max()), 1.0)
+    return e[:m].reshape(m, k + 1, m).transpose(0, 2, 1).reshape(m * m, k + 1), radius * radius
+
+
 class PathwiseIntegrator(_MapStepper):
     """Exact stepper of the pathwise flow on the piecewise-linear record.
 
@@ -805,16 +864,24 @@ class PathwiseIntegrator(_MapStepper):
     conj(L) (x) L - I (x) J - conj(J) (x) I`` (column stacking).  ``Gen``
     takes Hermitian matrices to Hermitian matrices, so in the coordinates of
     the Hermitian basis it is a real matrix, and the step's map is the real
-    ``P = expm(dt Gen)``.  ``P`` depends on ``dy`` only: not on the time and
-    not on the record value.
+    ``P = expm(dt Gen) = expm(D + dy C)``, with the drift ``D`` and the
+    coupling ``C`` fixed by the model and ``dt``.  ``P`` depends on ``dy``
+    only: not on the time and not on the record value.
+
+    ``P(dy)`` is an entire function of ``dy``, ``sum_i dy^i A_i``, and the
+    stepper builds the table of ``A_0 ... A_K`` once (see
+    :func:`_taylor_table`): the first block row of the exponential of the
+    ``(K+1)``-block bidiagonal matrix with ``D`` on its diagonal and ``C``
+    above it (C. Van Loan, "Computing integrals involving the matrix
+    exponential", IEEE TAC 23 (1978) 395).  :meth:`step_maps` makes the map
+    of an increment within the table's radius from the table and the
+    increment's powers, and that of any other increment with
+    :func:`expm_many`.
 
     The state is carried normalized, as coordinates, and stepped as every
     :class:`_MapStepper` steps it, with :meth:`advance_many` on a stack of
-    states.  :meth:`step_maps` builds the maps of many steps with one
-    :func:`expm_many` call, which treats each element as it treats it
-    alone: the increments of a stack, or of ``_MAP_BLOCK`` steps of a
-    record in :func:`pathwise_filter`.  So a replay and an ensemble are
-    bitwise the online run.
+    states.  Each map is bitwise the one of its increment alone, so a
+    replay and an ensemble are bitwise the online run.
     """
 
     what = "pathwise state"
@@ -830,14 +897,44 @@ class PathwiseIntegrator(_MapStepper):
             dt * ((1.0 - 1.0 / k2) * kron(L.conj(), L) - kron(eye, j0) - kron(j0.conj(), eye))
         )
         self._coupling = basis.real_map((kron(eye, L) + kron(L.conj(), eye)) / k2)
+        # the table, and the square of its radius: -inf, which no increment
+        # is within, when there is none
+        self._table, self._radius_sq = _taylor_table(self._drift, self._coupling)
 
     def step_maps(self, dy, sum_sq=None) -> np.ndarray:
         """The real maps ``P`` with ``s_end = P s_start`` of steps with
-        increments ``dy[b]``; returns a ``(B, n^2, n^2)`` stack.  The sum of
-        squares ``sum_sq`` is not used: :func:`expm_many` checks the
-        generators itself."""
+        increments ``dy[b]``; returns a ``(B, n^2, n^2)`` stack.
+
+        An increment within the table's radius, ``dy^2 <= r^2``, takes the
+        map ``sum_i dy^i A_i``: its powers by ``np.multiply.accumulate``,
+        then one matrix-vector product with the table, laid out ``n^4 x
+        (K+1)``, through :func:`_apply_maps`.  Any other increment, and one
+        that is not finite, takes :func:`expm_many` of its generator, which
+        raises the error of an argument it cannot take.  So each map is
+        bitwise the one of its increment alone.  The sum of squares
+        ``sum_sq``, when given, bounds every ``dy^2`` (rounding is monotone),
+        so ``sum_sq <= r^2`` puts the whole stack within the radius at
+        once."""
         dy = np.asarray(dy, dtype=float)
-        return expm_many(self._drift + dy[:, None, None] * self._coupling)
+        if sum_sq is not None and sum_sq <= self._radius_sq:
+            return self._taylor(dy)
+        with np.errstate(over="ignore"):
+            inside = dy * dy <= self._radius_sq
+        if inside.all():
+            return self._taylor(dy)
+        maps = np.empty((dy.size, *self._drift.shape))
+        beyond = ~inside
+        maps[beyond] = expm_many(self._drift + dy[beyond, None, None] * self._coupling)
+        if inside.any():
+            maps[inside] = self._taylor(dy[inside])
+        return maps
+
+    def _taylor(self, dy: np.ndarray) -> np.ndarray:
+        """The maps ``sum_i dy[b]^i A_i`` of increments within the radius."""
+        powers = np.empty((dy.size, self._table.shape[1]))
+        powers[:, 0], powers[:, 1:] = 1.0, dy[:, None]
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        return _apply_maps(self._table, powers).reshape(dy.size, *self._drift.shape)
 
     def recover_state(self, r: np.ndarray, log_lambda: float, t: float) -> DensityState:
         """The unnormalized state ``r``, a matrix, at time ``t`` through
@@ -877,7 +974,9 @@ def pathwise_samples(model, record: MeasurementRecord, rho0, every: int) -> Stat
     point of the record, ``every`` dividing its step count: the
     :class:`StatePath` at times ``t0, t0 + every dt, ...``.
 
-    The step maps of :meth:`PathwiseIntegrator.step_maps` are built for
+    The step maps of :meth:`PathwiseIntegrator.step_maps`, each one
+    product of the stepper's Taylor table with the powers of its increment
+    when the increment is within the table's radius, are built for
     ``_MAP_BLOCK``-rounded blocks of whole chunks of ``c`` steps at a time,
     ``c`` the largest divisor of ``every`` not above ``_MAP_BLOCK``, and each
     chunk's maps multiplied into one (:func:`_chunk_products`), which

@@ -295,6 +295,12 @@ class TestDiagnostics:
         with pytest.raises(ValueError, match=f"^fine_dt: {re.escape(message)}$"):
             cmd_converge(cfg, tmp_path)
 
+    def test_converge_delta_that_does_not_divide_the_record_names_itself(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"record_kind": "brownian", "fine_dt": 0.001, "T": 0.1, "deltas": [0.007]}')
+        assert main(["converge", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: delta 0.007 (7 fine steps) does not divide the record's 100 steps\n"
+
     def test_diagnostics_require_diffusion_mode(self, tmp_path):
         cfg = parse_config(FAST_JUMP)
         with pytest.raises(ValueError, match="diffusion"):

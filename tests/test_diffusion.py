@@ -39,7 +39,7 @@ from smefilter.diffusion import (
     robust_step,
     write_record,
 )
-from smefilter.linalg import dagger, expm, hermitian_basis, kron, max_abs, vec
+from smefilter.linalg import dagger, expm, expm_many, hermitian_basis, kron, max_abs, vec
 from smefilter.model import SIGMA, SIGMA_X, SIGMA_Z, build_diffusion_model, purity, rho_from_bloch, two_level_model
 from smefilter.ode import rk4_step
 from smefilter.traj import _DRAW_BLOCK, SCHEMES, master_propagate, run_ensemble, run_trajectory
@@ -667,6 +667,133 @@ class TestStiffPathwiseStep:
             strict_validate(st)
             rho_tilde = reference_step(m, rho_tilde, dy, dt)
             assert close_to(st.rho, rho_tilde / np.trace(rho_tilde).real)
+
+
+def _mp_real_exponential(a):
+    """``expm(a)`` of a real matrix by ``mpmath.expm`` at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+
+
+def _stiff_model():
+    # TestStiffPathwiseStep's model: at dt = 0.2 its drift has norm 12.9
+    rng = np.random.default_rng(47)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    return build_diffusion_model(a + dagger(a), 1.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))), 0.6)
+
+
+def _strong_drift_model():
+    # at dt = 0.2 its drift has norm 14.6, which needs a degree above 24
+    rng = np.random.default_rng(48)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return build_diffusion_model(10.0 * (a + dagger(a)), 0.5 * np.eye(2) + 0.3 * rng.normal(size=(2, 2)), 0.8)
+
+
+def _table_cases():
+    cases = []
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(110 + n)
+        a, L = (rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n)) for _ in range(2))
+        model = build_diffusion_model(0.5 * (a + dagger(a)), 0.8 * L, rng.uniform(0.3, 1.0))
+        cases.append(pytest.param(model, 0.05, 16, id=f"{n}-level"))
+    cases.append(pytest.param(_stiff_model(), 0.2, 24, id="stiff"))
+    return cases
+
+
+class TestPathwiseTaylorTable:
+    @pytest.mark.parametrize("model, dt, degree", _table_cases())
+    def test_maps_are_the_exponential(self, model, dt, degree):
+        # within 1e-13 relative of the exponential at 50 digits, at 0, half
+        # and the whole radius, and just beyond it, where expm_many takes over
+        stepper = PathwiseIntegrator(model, dt)
+        r = np.sqrt(stepper._radius_sq)
+        assert stepper._table.shape[1] == degree + 1
+        dys = np.array([0.0, r / 2, -r / 2, r, -r, r * (1.0 + 1e-12)])
+        for dy, got in zip(dys, stepper.step_maps(dys)):
+            want = _mp_real_exponential(stepper._drift + dy * stepper._coupling)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "model, dt, dys",
+        [
+            (_strong_drift_model(), 0.2, [0.0, 0.01, -0.3]),
+            # a coupling of 1e10 puts the block matrix beyond expm's range
+            (build_diffusion_model(np.zeros((2, 2)), 1e10 * SIGMA, 1.0), 1e-25, [0.0, 1e-12]),
+        ],
+        ids=["strong-drift", "huge-coupling"],
+    )
+    def test_model_without_a_table_steps_with_expm_many(self, model, dt, dys):
+        stepper = PathwiseIntegrator(model, dt)
+        assert stepper._table is None
+        dys = np.array(dys)
+        want = expm_many(stepper._drift + dys[:, None, None] * stepper._coupling)
+        assert stepper.step_maps(dys).tobytes() == want.tobytes()
+
+    def test_runs_within_the_radius_take_no_matrix_exponential(self, monkeypatch):
+        # the table is built by expm, under its own name; every step map of
+        # a run, its replay and an ensemble comes from the table
+        m = driven_atom_model(0.3)
+        run = run_trajectory(m, "pathwise", 0.01, 3.0, RHO_PLUS, seed=4)
+        assert (run.record.increments**2 <= PathwiseIntegrator(m, 0.01)._radius_sq).all()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pathwise step took a matrix exponential")
+
+        monkeypatch.setattr(smefilter.diffusion, "expm_many", refuse)
+        again = run_trajectory(m, "pathwise", 0.01, 3.0, RHO_PLUS, seed=4)
+        replay = pathwise_filter(m, run.record, RHO_PLUS)
+        ens = run_ensemble(m, "pathwise", 0.01, 0.5, RHO_PLUS, 5, base_seed=4)
+        assert again.states.rho.tobytes() == replay.rho.tobytes() == run.states.rho.tobytes()
+        assert len(ens.final_states) == 5
+
+    def test_runs_across_the_radius_replay_and_batch_bitwise(self):
+        # at dt = 0.1 the increments fall on both sides of the radius, in the
+        # same replay block and the same ensemble stack
+        m, dt, T = driven_atom_model(0.3), 0.1, 30.0
+        r_sq = PathwiseIntegrator(m, dt)._radius_sq
+        ens = run_ensemble(m, "pathwise", dt, T, RHO_PLUS, 5, base_seed=9)
+        total = 0.0
+        for i in range(5):
+            single = run_trajectory(m, "pathwise", dt, T, RHO_PLUS, seed=9 + i)
+            inside = single.record.increments**2 <= r_sq
+            assert inside.any() and not inside.all()
+            replay = pathwise_filter(m, single.record, RHO_PLUS)
+            assert replay.rho.tobytes() == single.states.rho.tobytes()
+            assert replay.log_lambda.tobytes() == single.states.log_lambda.tobytes()
+            assert ens.final_states[i].rho.tobytes() == single.states.rho[-1].tobytes()
+            assert ens.final_states[i].log_lambda == single.states.log_lambda[-1]
+            total = total + single.states.rho
+        assert np.array_equal(np.stack(ens.mean_rho_path), total / 5)
+
+    def test_increments_at_the_radius_take_one_map_in_every_stack(self):
+        # a few ulps either side of the radius: the map of each increment is
+        # the same alone, in a stack whose sum of squares clears the radius
+        # and in one that does not
+        stepper = PathwiseIntegrator(driven_atom_model(), 0.01)
+        r = np.sqrt(stepper._radius_sq)
+        edge = r * (1.0 + np.finfo(float).eps * np.arange(-4.0, 5.0))
+        for dy in np.concatenate([edge, -edge]).tolist():
+            got = stepper.propagate(PLUS, dy)
+            assert got.tobytes() == _apply_maps(stepper.step_map(dy), PLUS).tobytes()
+            for stack in ([dy], [dy, 0.0], [dy, 2.0 * r]):
+                x, _ = stepper.advance_many(np.stack([PLUS] * len(stack)), np.array(stack), 1.0)
+                assert x[0].tobytes() == (got / got[0]).tobytes()
+
+    def test_blow_up_beyond_the_radius_names_its_element(self):
+        # one increment within the radius, one beyond it whose map is
+        # finite and one beyond it whose exponential is out of range
+        stepper = PathwiseIntegrator(driven_atom_model(), 0.01)
+        r = np.sqrt(stepper._radius_sq)
+        dys = np.array([r / 3, 3.0 * r, 1e40])
+        with pytest.raises(NonFiniteStateError) as err:
+            stepper.advance_many(np.stack([PLUS] * 3), dys, 0.7)
+        assert str(err.value).startswith("pathwise state of batch element 2 blew up (expm argument is too large")
+        assert str(err.value).endswith(" at t = 0.7")
+        maps = stepper.step_maps(dys[:2])
+        for dy, got in zip(dys[:2].tolist(), maps):
+            assert got.tobytes() == stepper.step_map(dy).tobytes()
+        assert maps[1].tobytes() == expm(stepper._drift + dys[1] * stepper._coupling).tobytes()
 
 
 class TestRobustStep:
@@ -1400,32 +1527,42 @@ def test_pathwise_step_matches_per_stage_gauges(model, grid, y_start, dy_scaled,
     assert abs(state.log_lambda - 0.5 - rec.log_lambda) <= RK4_TOL
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(
-    model=small_diffusion_models(),
-    grid=step_grids(),
-    n_steps=hst.integers(2, 20),
-    dy_scale=hst.floats(0.0, 30.0),
-    seed=hst.integers(0, 2**32 - 1),
-)
-def test_block_of_steps_matches_each_step_alone_bitwise(model, grid, n_steps, dy_scale, seed):
-    # Increments spread over dy_scale give the steps of one block different
-    # squaring counts and series lengths in expm_many.
-    dt, _ = grid
-    rng = np.random.default_rng(seed)
-    dy = dy_scale * np.sqrt(dt) * rng.normal(size=n_steps)
-    stepper = PathwiseIntegrator(model, dt)
-    block = stepper.step_maps(dy)
-    rho = random_state(rng, model.dim)
-    basis = hermitian_basis(model.dim)
-    state = DensityState(rho, 0.0, 0.0)
-    for b in range(n_steps):
-        alone = stepper.step_maps(dy[b : b + 1])[0]
-        assert block[b].tobytes() == alone.tobytes()
-        s = basis.coords(state.rho)
-        r = _apply_maps(block[b], s)
-        assert r.tobytes() == stepper.propagate(s, float(dy[b])).tobytes()
-        state = stepper.recover_state(basis.matrices(r), state.log_lambda, 1.0)
+def test_block_of_steps_matches_each_step_alone_bitwise():
+    # Increments spread over dy_scale fall on both sides of the Taylor
+    # table's radius: the table makes the maps of some steps of a block and
+    # expm_many, with its own squaring count and series length for each,
+    # those of the others.  Some drawn block must hold both.
+    mixed = []
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        model=small_diffusion_models(),
+        grid=step_grids(),
+        n_steps=hst.integers(2, 20),
+        dy_scale=hst.floats(0.0, 30.0),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def check(model, grid, n_steps, dy_scale, seed):
+        dt, _ = grid
+        rng = np.random.default_rng(seed)
+        dy = dy_scale * np.sqrt(dt) * rng.normal(size=n_steps)
+        stepper = PathwiseIntegrator(model, dt)
+        inside = dy * dy <= stepper._radius_sq
+        mixed.append(inside.any() and not inside.all())
+        block = stepper.step_maps(dy)
+        rho = random_state(rng, model.dim)
+        basis = hermitian_basis(model.dim)
+        state = DensityState(rho, 0.0, 0.0)
+        for b in range(n_steps):
+            alone = stepper.step_maps(dy[b : b + 1])[0]
+            assert block[b].tobytes() == alone.tobytes()
+            s = basis.coords(state.rho)
+            r = _apply_maps(block[b], s)
+            assert r.tobytes() == stepper.propagate(s, float(dy[b])).tobytes()
+            state = stepper.recover_state(basis.matrices(r), state.log_lambda, 1.0)
+
+    check()
+    assert any(mixed)
 
 
 def assembled_robust_step(model, rho, e, dt):

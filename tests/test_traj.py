@@ -32,7 +32,7 @@ from smefilter.jump import (
     jump_unnorm_step,
     sample_counting_record,
 )
-from smefilter.linalg import dagger, hermitian_basis, max_abs
+from smefilter.linalg import HermitianBasis, dagger, hermitian_basis, max_abs
 from smefilter.model import (
     SIGMA,
     SIGMA_X,
@@ -305,6 +305,23 @@ class TestRunEnsemble:
         assert ens.final_bloch[0] == single.bloch[-1]
         assert np.array_equal(ens.times, single.times)
 
+    def test_conversion_takes_at_most_4096_states_a_call(self, monkeypatch):
+        # a counting pathwise run hands over 256 steps a call: 20
+        # trajectories convert them in slices of 204 and 52 steps, and the
+        # mean path is still the sum of the single runs in trajectory order
+        sizes, convert = [], HermitianBasis.matrices
+
+        def spy(self, s):
+            sizes.append(np.asarray(s)[..., 0].size)
+            return convert(self, s)
+
+        monkeypatch.setattr(HermitianBasis, "matrices", spy)
+        m, n_traj, T = criterion9_jump_model(), 20, 2.6
+        ens = run_ensemble(m, "pathwise", 0.01, T, RHO_PLUS, n_traj, base_seed=5)
+        assert max(sizes) == (4096 // n_traj) * n_traj
+        total = sum(run_trajectory(m, "pathwise", 0.01, T, RHO_PLUS, 5 + i).states.rho for i in range(n_traj))
+        assert np.array_equal(np.stack(ens.mean_rho_path), np.stack([t / n_traj for t in total]))
+
     def test_singular_jump_operator_pathwise_states_valid(self):
         m = build_jump_model(SIGMA, 0.5 * SIGMA_X, 1.0, 1.0)
         ens = run_ensemble(m, "pathwise", 0.01, 5.0, RHO_PLUS, 24, base_seed=3)
@@ -576,7 +593,7 @@ class TestConvergenceReport:
             (float("nan"), "delta nan is not an integer multiple of the fine step 0.01"),
             (float("inf"), "delta inf is not an integer multiple of the fine step 0.01"),
             (-0.02, "delta -0.02 is not an integer multiple of the fine step 0.01"),
-            (0.03, "factor 3 does not divide 100 steps"),
+            (0.03, "delta 0.03 (3 fine steps) does not divide the record's 100 steps"),
         ],
         ids=["fraction", "nan", "inf", "negative", "not-dividing"],
     )
