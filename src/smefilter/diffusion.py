@@ -5,7 +5,8 @@ cross-validation:
 
 * ``em_normalized`` / ``em_unnormalized`` -- explicit Euler-Maruyama
   integration of the nonlinear and linear stochastic master equations; the
-  linear one serves only as an independent oracle;
+  linear one, whose step is linear in the increment (a map scheme,
+  :class:`_LinearEMStepper`), serves only as an independent oracle;
 * ``PathwiseIntegrator`` / ``pathwise_filter`` -- the stochastic-integral-free
   reformulation: a gauge transform ``A_t = exp(-(L/k^2) y_t + (L^2/2k^2) t)``
   turns the linear equation into an ordinary differential equation for
@@ -43,10 +44,14 @@ the pathwise and robust ones of a step, from its increment, for a block of
 steps at a time in a replay.  A run converts its start state to
 coordinates once and its states back to matrices once.
 
-The robust and pathwise steps are both ``x = R(dy) s``, with a real map
-``R`` of the step's increment alone, and one base, :class:`_MapStepper`,
-takes both schemes' one step, the stack step ``advance_many``, and their
-errors; a scheme only builds its maps.
+The robust and pathwise steps, and the linear Euler-Maruyama oracle's, are
+all ``x = R(dy) s``, with a real map ``R`` of the step's increment alone,
+and one base, :class:`_MapStepper`, takes their one step, the stack step
+``advance_many``, and their errors; a scheme only builds its maps.  The two
+oracles, :func:`pathwise_samples` and :func:`em_unnormalized_many`, read
+their states only every few steps, and sample a record through one loop,
+:func:`_samples`, which steps one product of the maps of each chunk of
+steps and falls back to the fine replay where a chunk fails.
 
 Unnormalized solutions grow or decay exponentially, so every step maps the
 normalized coordinates to unnormalized ones and then takes one shared real
@@ -84,8 +89,8 @@ states do not depend on the stack it runs in.
 
 A run's states are one :class:`StatePath`: arrays of ``rho``,
 ``log_lambda`` and ``t`` over its grid points, which :func:`_path`,
-:func:`_trajectory` and :func:`em_unnormalized_many` convert from
-coordinates at the end of a run.  Indexing it gives one
+:func:`_trajectory` and :func:`_samples` convert from coordinates at the
+end of a run.  Indexing it gives one
 :class:`DensityState`; writers and reports read the arrays.
 """
 
@@ -118,8 +123,8 @@ from .ode import rk4_step  # noqa: F401  (bench/spans.py traces this name in thi
 
 # Record steps whose step maps ``pathwise_filter`` and ``robust_filter``
 # build at a time with one ``step_maps`` call of their stepper, and that
-# :func:`_map_block` then steps;
-# ``pathwise_samples`` builds the whole chunks that fit in as many.  With
+# :func:`_map_block` then steps; the sampled oracles of ``_samples`` build
+# the whole chunks that fit in as many.  With
 # 256, 512, 1024 and 2048 steps a block, the bench's `converge` workload
 # (3525 steps a call, its oracle in chunks of 10 steps) ran at a median 472k,
 # 505k, 470k and 444k steps/s with a peak RSS of 60.8-60.9, 60.9-61.0,
@@ -178,6 +183,11 @@ class NonFiniteStateError(ArithmeticError):
 def _batch_element(b: int) -> str:
     """How a batched step names its element ``b`` in an error message."""
     return f"batch element {b}"
+
+
+def _step_of(k: int):
+    """How a single run names its step ``k`` (from 1) in its errors."""
+    return lambda _b: f"step {k}"
 
 
 def _tail_failures(x: np.ndarray):
@@ -334,11 +344,14 @@ def _step_width(dt) -> float:
     return dt
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, least: int | None = None) -> int:
     """``value`` as a Python ``int`` when it is an integer, Python's or
-    numpy's, not a bool; otherwise ``ValueError`` naming it ``name``."""
+    numpy's, not a bool, and at least ``least`` when that is given;
+    otherwise ``ValueError`` naming it ``name``."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 
@@ -373,7 +386,8 @@ class Record:
     ``format_name`` of its ``# format:`` line, the CSV ``column`` of its
     values, their ``parse`` and ``dtype``, the run ``mode`` it drives and
     the ``file_name`` a run writes it to.  Its ``_valid`` marks the values
-    it takes, and ``invalid`` says what the others lack.
+    it takes, and ``invalid`` says what the others lack.  Complex values
+    are rejected, as are arrays of any dimension but one.
     """
 
     def __post_init__(self):
@@ -381,6 +395,8 @@ class Record:
         values = np.asarray(self.values)
         if values.ndim != 1:
             raise ValueError(f"{self.field} must be one-dimensional, got shape {values.shape}")
+        if np.iscomplexobj(values):
+            raise ValueError(f"{self.field} must be real, got dtype {values.dtype}")
         if not self._valid(values).all():
             raise ValueError(self.invalid)
         values = values.astype(self.dtype)
@@ -969,14 +985,15 @@ def _chunk_products(maps: np.ndarray, every: int) -> np.ndarray:
     return p[:, 0]
 
 
-def pathwise_samples(model, record: MeasurementRecord, rho0, every: int) -> StatePath:
-    """The states of :func:`pathwise_filter` at every ``every``-th grid
-    point of the record, ``every`` dividing its step count: the
-    :class:`StatePath` at times ``t0, t0 + every dt, ...``.
+def _samples(stepper: _MapStepper, record: MeasurementRecord, start, log0: float, every: int, where=_step_of):
+    """The states of the replay of ``record`` by ``stepper`` from the
+    normalized coordinates ``start`` with ``log_lambda = log0``, at every
+    ``every``-th grid point, ``every`` dividing its step count: the
+    :class:`StatePath` at times ``t0, t0 + every dt, ...``.  The one loop of
+    both sampled oracles, :func:`pathwise_samples` and
+    :func:`em_unnormalized_many`.
 
-    The step maps of :meth:`PathwiseIntegrator.step_maps`, each one
-    product of the stepper's Taylor table with the powers of its increment
-    when the increment is within the table's radius, are built for
+    The step maps of ``stepper.step_maps`` are built for
     ``_MAP_BLOCK``-rounded blocks of whole chunks of ``c`` steps at a time,
     ``c`` the largest divisor of ``every`` not above ``_MAP_BLOCK``, and each
     chunk's maps multiplied into one (:func:`_chunk_products`), which
@@ -984,19 +1001,16 @@ def pathwise_samples(model, record: MeasurementRecord, rho0, every: int) -> Stat
     its trace and one check a chunk, and no state kept between chunk ends.
     The products round differently from the fine steps, by about ``c n^2
     eps`` relative; at ``every = 1`` the chunk is the step and the states
-    are bitwise :func:`pathwise_filter`'s.  When a block fails to build or
-    a chunk fails the check, as an overflowing product does, the states are
-    :func:`pathwise_filter`'s, which either passes or raises the error of
-    its failing fine step."""
-    every = _integer(every, "every")
-    if every < 1 or record.n_steps % every:
-        raise ValueError(f"every = {every} does not divide {record.n_steps} steps")
+    are bitwise the fine replay's.  When a block fails to build or a chunk
+    fails the check, as an overflowing product does, the states are those of
+    the fine replay, :func:`_trajectory` with the same stepper's steps and
+    maps, every ``every``-th of them, which either passes or raises the
+    error of its failing fine step, naming it as ``where(k)(0)``."""
     c = max(d for d in range(1, min(every, _MAP_BLOCK) + 1) if every % d == 0)
     block = c * (_MAP_BLOCK // c)
-    stepper = PathwiseIntegrator(model, record.dt)
-    coords = np.empty((record.n_steps // c + 1, model.dim**2))
+    coords = np.empty((record.n_steps // c + 1, start.size))
     logs = np.empty(len(coords))
-    coords[0], logs[0] = _start(rho0, model.dim), 0.0
+    coords[0], logs[0] = start, log0
     xs = record.increments
     for lo in range(0, len(xs), block):
         j = lo // c
@@ -1008,8 +1022,29 @@ def pathwise_samples(model, record: MeasurementRecord, rho0, every: int) -> Stat
             break
     else:
         keep = slice(None, None, every // c)
-        return StatePath(hermitian_basis(model.dim).matrices(coords[keep]), logs[keep], record.times[::every])
-    return pathwise_filter(model, record, rho0)[::every]
+        rho = hermitian_basis(math.isqrt(start.size)).matrices(coords[keep])
+        return StatePath(rho, logs[keep], record.times[::every])
+    take = _one_step(record.dt, None, stepper.advance_many)[2]  # a replay observes nothing
+    return _trajectory(take, start, log0, record.dt, record.t0, xs, stepper.step_maps, where)[::every]
+
+
+def pathwise_samples(model, record: MeasurementRecord, rho0, every: int) -> StatePath:
+    """The states of :func:`pathwise_filter` at every ``every``-th grid
+    point of the record, ``every`` dividing its step count: the
+    :class:`StatePath` at times ``t0, t0 + every dt, ...``.
+
+    :func:`_samples` with a :class:`PathwiseIntegrator`, whose step maps are
+    each one product of its Taylor table with the powers of the increment
+    when the increment is within the table's radius.  The states are within
+    about ``every n^2 eps`` of :func:`pathwise_filter`'s and bitwise its
+    states at ``every = 1``.  Where a chunk fails they are its states, since
+    the fine replay of ``_samples`` with this stepper is
+    :func:`pathwise_filter` bitwise, which either passes or raises the error
+    of its failing fine step."""
+    every = _integer(every, "every")
+    if every < 1 or record.n_steps % every:
+        raise ValueError(f"every = {every} does not divide {record.n_steps} steps")
+    return _samples(PathwiseIntegrator(model, record.dt), record, _start(rho0, model.dim), 0.0, every)
 
 
 class RobustStepper(_MapStepper):
@@ -1204,59 +1239,67 @@ def _em_maps(model) -> np.ndarray:
     return np.vstack([basis.functional(L + dagger(L)), drift, noise])
 
 
+class _LinearEMStepper(_MapStepper):
+    """The explicit Euler-Maruyama step of the linear (unnormalized)
+    equation, ``s -> (I + dt drift) s + (dy/k^2) noise s`` with the real
+    maps of :func:`_em_maps`, as a map scheme: it is ``x = R(dy) s`` with
+    ``R(dy) = step_mat + dy stoch``, linear in the increment, where
+    ``step_mat = I + dt drift`` and ``stoch = noise / k^2`` are built
+    once."""
+
+    what = "unnormalized state"
+
+    def __init__(self, model, dt: float):
+        n2 = model.dim**2
+        maps = _em_maps(model)
+        self._step_mat = np.eye(n2) + _step_width(dt) * maps[1 : 1 + n2]
+        self._stoch = maps[1 + n2 :] / model.kappa**2
+
+    def step_maps(self, dy, sum_sq=None) -> np.ndarray:
+        """The ``(B, n^2, n^2)`` maps ``step_mat + dy[b] stoch``, each one
+        entry by entry, so bitwise the map of its increment alone."""
+        return self._step_mat + np.asarray(dy, dtype=float)[:, None, None] * self._stoch
+
+
 def em_unnormalized_many(model, records, rho_tilde0, sample_every: int = 1):
     """Euler-Maruyama integration of the linear (unnormalized) equation for
-    several records sharing one grid, stepped together for speed.
+    several records sharing one grid, any iterable of them.
 
-    Returns one :class:`StatePath` per record, views of one
-    ``(records, samples, n, n)`` array.  The states are carried as
-    coordinates (see :class:`linalg.HermitianBasis`), one column per record,
-    and each step is ``s -> (I + dt drift) s + (dy/k^2) noise s`` with the
-    real maps of :func:`_em_maps`.  States are renormalized every step by
-    :func:`_renormalize`, whose errors name ``record b``, with the log factor
-    accumulated, so arbitrarily long runs neither overflow nor underflow;
-    ``sample_every`` thins the stored output (it must divide the step
-    count), while integration always uses the full grid.
+    Returns one :class:`StatePath` per record.  Each record is sampled alone,
+    by :func:`_samples` with one :class:`_LinearEMStepper` for all: the
+    maps ``I + dt drift + (dy/k^2) noise`` of each chunk of steps
+    (``sample_every`` of them, or its largest divisor up to ``_MAP_BLOCK``)
+    are multiplied into one, and the state takes one product and one
+    renormalization a chunk, with the log factor accumulated, so arbitrarily
+    long runs neither overflow nor underflow.  The states are within about
+    ``sample_every n^2 eps`` of the fine steps, bitwise them at
+    ``sample_every = 1``, and are the fine steps' own where a chunk fails; a
+    failing step raises :class:`NonFiniteStateError` naming ``record b``,
+    the step and its time.  ``sample_every`` thins the output (it must
+    divide the step count), while integration always uses the full grid.
     """
     sample_every = _integer(sample_every, "sample_every")
+    records = list(records)
     if not records:
         raise ValueError("need at least one record")
     first = records[0]
-    for rec in records[1:]:
-        if rec.dt != first.dt or rec.t0 != first.t0 or rec.n_steps != first.n_steps:
-            raise ValueError("all records must share dt, t0, and length")
-    n_steps = first.n_steps
-    if sample_every < 1 or n_steps % sample_every != 0:
-        raise ValueError(f"sample_every {sample_every} does not divide {n_steps} steps")
+    if any((rec.dt, rec.t0, rec.n_steps) != (first.dt, first.t0, first.n_steps) for rec in records):
+        raise ValueError("all records must share dt, t0, and length")
+    if sample_every < 1 or first.n_steps % sample_every != 0:
+        raise ValueError(f"sample_every {sample_every} does not divide {first.n_steps} steps")
     s0, log0 = _unnormalized_start(rho_tilde0, model.dim, "rho_tilde0")
-    n = model.dim
-    maps = _em_maps(model)
-    step_mat = np.eye(n * n) + first.dt * maps[1 : 1 + n * n]
-    stoch = maps[1 + n * n :] / model.kappa**2
-    nb = len(records)
-    v = np.tile(s0[:, None], (1, nb))
-    logs = np.full(nb, log0)
-    dys = np.stack([rec.increments for rec in records], axis=1)
-    times = first.times
-    coords = np.empty((nb, n_steps // sample_every + 1, n * n))
-    out_logs = np.empty(coords.shape[:2])
-    coords[:, 0], out_logs[:, 0] = v.T, logs
-    for step in range(n_steps):
-        v = step_mat @ v + (stoch @ v) * dys[step]
-        s, dlog = _renormalize(v.T, times[step + 1], "unnormalized state", lambda b: f"record {b}")
-        v = s.T  # s keeps the layout of v.T, so v stays row-major
-        logs += dlog
-        if (step + 1) % sample_every == 0:
-            j = (step + 1) // sample_every
-            coords[:, j], out_logs[:, j] = v.T, logs
-    rhos = hermitian_basis(n).matrices(coords)
-    return [StatePath(r, lam, times[::sample_every]) for r, lam in zip(rhos, out_logs)]
+    stepper = _LinearEMStepper(model, first.dt)
+    return [
+        _samples(stepper, rec, s0, log0, sample_every, lambda k, b=b: lambda _: f"record {b} in step {k}")
+        for b, rec in enumerate(records)
+    ]
 
 
 def em_unnormalized(model, record: MeasurementRecord, rho_tilde0, sample_every: int = 1):
     """Explicit Euler-Maruyama for the linear equation driven by ``dy``:
     ``rho~ += (L rho~ L^dag - K rho~ - rho~ K^dag) dt + (L rho~ + rho~ L^dag) dy / k^2``,
-    renormalized every step with the log factor kept in ``log_lambda``."""
+    with the log factor kept in ``log_lambda``: :func:`em_unnormalized_many`
+    of the one record, whose errors name it ``record 0``."""
     return em_unnormalized_many(model, [record], rho_tilde0, sample_every)[0]
 
 
@@ -1325,17 +1368,13 @@ def _map_block(maps: np.ndarray, coords: np.ndarray, logs: np.ndarray) -> int:
     return done
 
 
-def _step_of(k: int):
-    """How a single run names its step ``k`` (from 1) in its errors."""
-    return lambda _b: f"step {k}"
-
-
 def _trajectory(
-    take, start: np.ndarray, log0: float, dt: float, t0: float, xs: np.ndarray, build=None
+    take, start: np.ndarray, log0: float, dt: float, t0: float, xs: np.ndarray, build=None, where=_step_of
 ) -> StatePath:
     """The loop of a replay: one trajectory from the coordinates ``start``
-    with ``log_lambda = log0`` at ``t0``, step ``k`` (named ``step k + 1``)
-    taking the record value ``xs[k]`` and ending at ``t0 + (k + 1) dt``.
+    with ``log_lambda = log0`` at ``t0``, step ``k`` taking the record value
+    ``xs[k]`` and ending at ``t0 + (k + 1) dt``; its errors name it as
+    ``where(k + 1)(0)``, ``step k + 1`` by default.
 
     ``build``, when given, builds the real maps of ``_MAP_BLOCK`` steps at
     a time, with which one step of ``take`` is the map's product with the
@@ -1362,7 +1401,7 @@ def _trajectory(
             maps = None
         first = lo if maps is None else lo + _map_block(maps, coords[lo : hi + 1], logs[lo : hi + 1])
         if first < hi:
-            states, dlogs = take(coords[first : first + 1], xs[first:hi, None], first, _step_of, t0)
+            states, dlogs = take(coords[first : first + 1], xs[first:hi, None], first, where, t0)
             coords[first + 1 : hi + 1], logs[first + 1 : hi + 1] = states[:, 0], dlogs[:, 0]
         np.add.accumulate(logs[first : hi + 1], out=logs[first : hi + 1])
     return StatePath(hermitian_basis(math.isqrt(start.size)).matrices(coords), logs, times)

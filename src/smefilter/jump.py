@@ -56,6 +56,7 @@ from .diffusion import (
     _any,
     _apply_maps,
     _batch_element,
+    _integer,
     _max,
     _one_step,
     _path,
@@ -535,8 +536,10 @@ def sample_counting_record(model, rho0, dt: float, T: float, seed: int, t0: floa
     state of the record so far, which steps count to count as
     :func:`jump_pathwise_solve` steps it.  So the record is the one
     ``run_trajectory(model, "pathwise", ...)`` samples with this seed, and
-    deterministic given the seed.  Errors name the step and its time.
+    deterministic given the seed, which must be an integer at least 0, as
+    ``run_trajectory`` checks it.  Errors name the step and its time.
     """
+    seed = _integer(seed, "seed", 0)
     n = _step_count(dt, T)
     steps = _jump_steps(model, "pathwise", dt, rho0)
     return _path(steps, n, [steps.draw(np.random.default_rng(seed), n)[:, None]], t0)[0]

@@ -202,7 +202,10 @@ def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int) -> 
 
     Replaying the returned record offline with the scheme's steps, as
     ``smefilter filter`` does, reproduces the same states bit for bit.
+    ``seed`` must be an integer, Python's or numpy's, not a bool, and at
+    least 0; it is checked before any work.
     """
+    seed = _integer(seed, "seed", 0)
     n = _step_count(dt, T)
     steps = _scheme_steps(model, scheme, dt, rho0)
     record, states = _path(steps, n, _draws(seed, 1, n, steps.draw))
@@ -211,7 +214,7 @@ def run_trajectory(model, scheme: str, dt: float, T: float, rho0, seed: int) -> 
         states=states,
         bloch=_bloch_path(_state_columns(states.rho), states.rho.shape[1]),
         record=record,
-        seed=int(seed),
+        seed=seed,
         scheme=scheme,
     )
 
@@ -236,11 +239,10 @@ def run_ensemble(model, scheme: str, dt: float, T: float, rho0, n_traj: int, bas
     are added in sequence, as a single run adds them.
 
     ``n_traj`` must be an integer, Python's or numpy's, not a bool, and at
-    least 1; it is checked before any work.
+    least 1, and ``base_seed`` one at least 0; both are checked before any
+    work.
     """
-    n_traj = _integer(n_traj, "n_traj")
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    n_traj, base_seed = _integer(n_traj, "n_traj", 1), _integer(base_seed, "base_seed", 0)
     n = _step_count(dt, T)
     steps = _scheme_steps(model, scheme, dt, rho0)
     basis = hermitian_basis(math.isqrt(steps.start.size))
@@ -274,7 +276,7 @@ def run_ensemble(model, scheme: str, dt: float, T: float, rho0, n_traj: int, bas
         final_states=final_states,
         final_bloch=final_bloch,
         summary=summary,
-        base_seed=int(base_seed),
+        base_seed=base_seed,
         scheme=scheme,
     )
 

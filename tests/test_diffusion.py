@@ -17,14 +17,18 @@ from smefilter.diffusion import (
     PathwiseIntegrator,
     RobustStepper,
     StatePath,
+    _LinearEMStepper,
     _MAP_BLOCK,
     _STEP_BLOCK,
     _apply_maps,
     _batch_element,
     _chunk_products,
     _diffusion_steps,
+    _one_step,
     _renormalize,
     _start,
+    _trajectory,
+    _unnormalized_start,
     em_normalized,
     em_unnormalized,
     em_unnormalized_many,
@@ -39,6 +43,7 @@ from smefilter.diffusion import (
     robust_step,
     write_record,
 )
+from smefilter.jump import sample_counting_record
 from smefilter.linalg import dagger, expm, expm_many, hermitian_basis, kron, max_abs, vec
 from smefilter.model import SIGMA, SIGMA_X, SIGMA_Z, build_diffusion_model, purity, rho_from_bloch, two_level_model
 from smefilter.ode import rk4_step
@@ -546,10 +551,31 @@ def smooth_and_brownian_records(n_steps, dt, t0=0.0):
     return {"smooth": smooth, "brownian": brownian}
 
 
+def linear_em_replay(m, rec, rho_tilde0):
+    """The fine replay of the linear-EM oracle: ``_trajectory`` with the
+    steps and maps of ``_LinearEMStepper``, its errors naming record 0."""
+    stepper = _LinearEMStepper(m, rec.dt)
+    take = _one_step(rec.dt, None, stepper.advance_many)[2]
+    s0, log0 = _unnormalized_start(rho_tilde0, m.dim, "rho_tilde0")
+    where = lambda k: lambda _: f"record 0 in step {k}"  # noqa: E731
+    return _trajectory(take, s0, log0, rec.dt, rec.t0, rec.increments, stepper.step_maps, where)
+
+
+# the two sampled oracles of diffusion._samples, each called as (model,
+# record, start, every), with their fine replays, called as (model, record,
+# start), and the words of a failing step k
+ORACLES = {
+    "pathwise": (pathwise_samples, pathwise_filter, "pathwise state of step {k} blew up"),
+    "linear-em": (em_unnormalized, linear_em_replay, "unnormalized state of record 0 in step {k} collapsed"),
+}
+
+
 class TestPathwiseSamples:
     """The convergence oracle steps one product of ``every`` pathwise maps a
     chunk; at ``every = 1`` it is ``pathwise_filter`` bitwise, otherwise near
-    it, and where a chunk fails it is ``pathwise_filter`` itself."""
+    it, and where a chunk fails it is ``pathwise_filter`` itself.  The
+    linear-EM oracle takes the same loop, ``_samples``, with its own maps,
+    and the tests of a failing chunk cover both."""
 
     @pytest.mark.parametrize("kind", ["smooth", "brownian"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -575,40 +601,48 @@ class TestPathwiseSamples:
         assert max_abs(got.rho - want.rho) <= 1e-13
         assert max_abs(got.log_lambda - want.log_lambda) <= 1e-13 * max(1.0, max_abs(want.log_lambda))
 
-    def test_overflowing_chunk_products_give_the_fine_states(self):
-        # a QND coupling L = sigma_z grows the state by about e^80 a step at
-        # dy = 40: each step is in range, and the fine loop renormalizes
-        # after each, but ten steps' product overflows
+    @pytest.mark.parametrize("oracle, kick", [("pathwise", 40.0), ("linear-em", 1e35)])
+    def test_overflowing_chunk_products_give_the_fine_states(self, oracle, kick):
+        # a QND coupling L = sigma_z grows the state by about e^80 a
+        # pathwise step at dy = 40, and by about 2 dy a linear-EM step: each
+        # step is in range, and the fine loop renormalizes after each, but
+        # ten steps' product overflows
+        samples, fine, _ = ORACLES[oracle]
         m = build_diffusion_model(0.5 * SIGMA_X, SIGMA_Z, 1.0)
         inc = np.random.default_rng(3).normal(0.0, 0.1, 600)
-        inc[300:320] = 40.0
+        inc[300:320] = kick
         rec = MeasurementRecord(0.01, inc, t0=0.3)
-        maps = PathwiseIntegrator(m, 0.01).step_maps(inc[300:310])
+        stepper = PathwiseIntegrator(m, 0.01) if oracle == "pathwise" else _LinearEMStepper(m, 0.01)
+        maps = stepper.step_maps(inc[300:310])
         assert np.isfinite(maps).all() and not np.isfinite(_chunk_products(maps, 10)).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = pathwise_samples(m, rec, RHO_PLUS, 10)
-        want = pathwise_filter(m, rec, RHO_PLUS)[::10]
+            got = samples(m, rec, RHO_PLUS, 10)
+        want = fine(m, rec, RHO_PLUS)[::10]
         assert got.rho.tobytes() == want.rho.tobytes()
         assert got.log_lambda.tobytes() == want.log_lambda.tobytes()
+        assert got.t.tobytes() == want.t.tobytes()
 
+    @pytest.mark.parametrize("oracle", ORACLES)
     @pytest.mark.parametrize("every", [1, 10])
     @pytest.mark.parametrize("k", [5, _MAP_BLOCK + 5])
-    def test_failing_record_raises_the_fine_steps_error(self, k, every):
-        # dy = 1e40 takes the step's generator out of expm's range; the
-        # record spans more than two blocks in a whole number of tens
+    def test_failing_record_raises_the_fine_steps_error(self, k, every, oracle):
+        # dy = -1e40 takes the pathwise step's generator out of expm's range
+        # and the linear-EM step's trace below zero; the record spans more
+        # than two blocks in a whole number of tens
+        samples, fine, words = ORACLES[oracle]
         n_steps = 2 * _MAP_BLOCK + 48
         inc = np.zeros(n_steps - n_steps % 10)
-        inc[k] = 1e40
+        inc[k] = -1e40
         rec = MeasurementRecord(0.01, inc, t0=0.3)
         with pytest.raises(NonFiniteStateError) as want:
-            pathwise_filter(driven_atom_model(), rec, RHO_PLUS)
+            fine(driven_atom_model(), rec, RHO_PLUS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError) as got:
-                pathwise_samples(driven_atom_model(), rec, RHO_PLUS, every)
+                samples(driven_atom_model(), rec, RHO_PLUS, every)
         assert str(got.value) == str(want.value)
-        assert str(got.value).startswith(f"pathwise state of step {k + 1} blew up")
+        assert str(got.value).startswith(words.format(k=k + 1))
         assert got.value.time == rec.times[k + 1]
 
     @pytest.mark.parametrize("every", [0, -2, 7])
@@ -1147,12 +1181,14 @@ class TestEmUnnormalized:
         records = [brownian_record(rng, m, 0.01, 40) for _ in range(3)]
         batch = em_unnormalized_many(m, records, RHO_PLUS)
         for rec, path in zip(records, batch):
+            # each record of a batch is sampled alone, by the same steps
             single = em_unnormalized(m, rec, RHO_PLUS)
-            # same recursion; BLAS kernel choice may differ in the last bits
-            assert all(max_abs(a.rho - b.rho) <= 1e-13 for a, b in zip(single, path))
-            assert all(abs(a.log_lambda - b.log_lambda) <= 1e-12 for a, b in zip(single, path))
+            assert path.rho.tobytes() == single.rho.tobytes()
+            assert path.log_lambda.tobytes() == single.log_lambda.tobytes()
 
     def test_sample_every_thins_output(self):
+        # each sample is one product of ten step maps a chunk, near the fine
+        # steps; the times are the record's own
         m = driven_atom_model()
         rng = np.random.default_rng(42)
         rec = brownian_record(rng, m, 0.01, 40)
@@ -1160,11 +1196,34 @@ class TestEmUnnormalized:
         thin = em_unnormalized(m, rec, RHO_PLUS, sample_every=10)
         assert isinstance(thin, StatePath) and len(thin) == 5
         every_tenth = full[::10]
-        assert thin.rho.tobytes() == every_tenth.rho.tobytes()
-        assert thin.log_lambda.tobytes() == every_tenth.log_lambda.tobytes()
+        assert max_abs(thin.rho - every_tenth.rho) <= 1e-13
+        assert max_abs(thin.log_lambda - every_tenth.log_lambda) <= 1e-13 * max(1.0, max_abs(full.log_lambda))
         assert thin.t.tobytes() == every_tenth.t.tobytes() == rec.times[::10].tobytes()
         with pytest.raises(ValueError, match="sample_every"):
             em_unnormalized(m, rec, RHO_PLUS, sample_every=7)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_step_is_the_fine_replay_bitwise(self, dim):
+        # at sample_every = 1 the chunk is the step: the states are those of
+        # _trajectory stepping the oracle's maps, over more than two blocks
+        rng = np.random.default_rng(46)
+        m = driven_atom_model() if dim == 2 else three_level_model(rng)
+        rec = MeasurementRecord(0.01, rng.normal(0.0, 0.1, 2 * _MAP_BLOCK + 7), t0=0.3)
+        rho_tilde0 = 2.5 * random_state(rng, dim)
+        got, want = em_unnormalized(m, rec, rho_tilde0), linear_em_replay(m, rec, rho_tilde0)
+        assert got.rho.tobytes() == want.rho.tobytes()
+        assert got.log_lambda.tobytes() == want.log_lambda.tobytes()
+        assert got.t.tobytes() == want.t.tobytes() == rec.times.tobytes()
+
+    def test_records_may_be_any_iterable(self):
+        m = driven_atom_model()
+        rng = np.random.default_rng(47)
+        records = [brownian_record(rng, m, 0.01, 40) for _ in range(3)]
+        got = em_unnormalized_many(m, (rec for rec in records), RHO_PLUS, sample_every=4)
+        want = em_unnormalized_many(m, records, RHO_PLUS, sample_every=4)
+        assert len(got) == 3
+        assert all(a.rho.tobytes() == b.rho.tobytes() for a, b in zip(got, want))
+        assert all(a.log_lambda.tobytes() == b.log_lambda.tobytes() for a, b in zip(got, want))
 
     def test_mean_over_reference_records_follows_master(self):
         # under reference-measure records (centered Gaussian increments of
@@ -1199,7 +1258,9 @@ class TestEmUnnormalized:
         collapsing = MeasurementRecord(0.01, np.array([0.0, 0.0, -10.0, 0.0, 0.0]), t0=0.3)
         with pytest.raises(NonFiniteStateError) as err:
             em_unnormalized_many(m, [rec, collapsing], RHO_PLUS)
-        assert re.fullmatch(r"unnormalized state of record 1 collapsed \(trace -8\.9\d*\) at t = 0\.33", str(err.value))
+        assert re.fullmatch(
+            r"unnormalized state of record 1 in step 3 collapsed \(trace -8\.9\d*\) at t = 0\.33", str(err.value)
+        )
         assert err.value.time == rec.times[3]
 
 
@@ -1216,6 +1277,22 @@ class TestIntegerArguments:
             pathwise_samples(None, rec, None, bad)
         with pytest.raises(ValueError, match=rf"^factor {got}"):
             rec.coarsen(bad)
+
+    @pytest.mark.parametrize(
+        "bad, words",
+        [(2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"), (-1, "must be >= 0, got -1")],
+        ids=["float", "bool", "negative"],
+    )
+    @pytest.mark.parametrize("call", ["run_trajectory", "run_ensemble", "sample_counting_record"])
+    def test_seeds_are_rejected_by_name(self, call, bad, words):
+        # checked before any work: no other argument is looked at
+        name, run = {
+            "run_trajectory": ("seed", lambda seed: run_trajectory(None, None, None, None, None, seed)),
+            "run_ensemble": ("base_seed", lambda seed: run_ensemble(None, None, None, None, None, 2, seed)),
+            "sample_counting_record": ("seed", lambda seed: sample_counting_record(None, None, None, None, seed)),
+        }[call]
+        with pytest.raises(ValueError, match=rf"^{name} {re.escape(words)}$"):
+            run(bad)
 
     @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint8])
     def test_numpy_integers_are_accepted(self, kind):

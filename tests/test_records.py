@@ -73,6 +73,14 @@ class TestEveryKind:
             record.values[0] = 0
         assert record.values is getattr(record, record.field)
 
+    def test_complex_values_are_rejected_by_name(self, kind):
+        # numpy would drop the imaginary parts with a ComplexWarning
+        values = KINDS[kind] + 2j
+        with pytest.raises(ValueError, match=rf"^{kind.field} must be real, got dtype complex128$"):
+            kind(0.1, values)
+        with pytest.raises(ValueError, match=rf"^{kind.field} must be real"):
+            kind(0.1, values.real + 0j)
+
     def test_filter_rejects_a_record_of_the_other_mode(self, tmp_path, kind):
         cfg = parse_config(json.dumps(CONFIGS[kind.mode]))
         cmd_simulate(cfg, tmp_path / "sim")
